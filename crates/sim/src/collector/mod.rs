@@ -275,10 +275,11 @@ impl OperandStage {
     }
 
     /// [`insert`](Self::insert) with a uniform-register filter: sources for
-    /// which `uniform` returns true are served by the modern core's uniform
-    /// register file at issue — they arrive immediately and touch neither
-    /// the banks nor the warp's bypass window. The Pascal path passes a
-    /// constant-false filter, which compiles down to plain `insert`.
+    /// which `uniform` returns true are served by the uniform register
+    /// file at issue — they arrive immediately and touch neither the banks
+    /// nor the warp's bypass window. The issue stage passes its
+    /// interlock's filter; the scoreboard's is constant-false, which
+    /// compiles down to plain `insert`.
     #[allow(clippy::too_many_arguments)]
     pub fn insert_uniform<P: Probe>(
         &mut self,

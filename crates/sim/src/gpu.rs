@@ -368,10 +368,7 @@ fn run_blocks<P: Probe>(
     loop {
         // Dispatch as many queued blocks as fit this cycle.
         while next_block < total {
-            let Some(sm) = sms
-                .iter_mut()
-                .find(|sm| sm.can_host_block(kernel, warps_per_block))
-            else {
+            let Some(sm) = sms.iter_mut().find(|sm| sm.can_host_block(warps_per_block)) else {
                 break;
             };
             let bx = (next_block % u64::from(dims.grid.0)) as u32;

@@ -5,7 +5,13 @@
 //! paper simulates with GPGPU-Sim (NVIDIA TITAN X, Pascal — Table II):
 //!
 //! * four greedy-then-oldest (GTO) warp schedulers with dual issue;
-//! * a scoreboard blocking RAW/WAW/WAR hazards per warp;
+//! * one SM [`Pipeline`] (writeback → collect → dispatch → issue, see
+//!   [`stage`]) serving both cores [`CoreModelKind`] selects. `pascal` runs
+//!   it over an SM-wide collector pool behind a scoreboard blocking
+//!   RAW/WAW/WAR hazards per warp; `modern` splits it into one sub-core
+//!   partition per scheduler behind compiler-emitted control bits and a
+//!   uniform register file. The two differ in that interlock and the
+//!   partition count, nothing else;
 //! * a 32-bank, single-ported register file with a bank arbitrator;
 //! * an operand-collection stage with four interchangeable models:
 //!   the **baseline** OCUs, the paper's **BOW** (read bypassing,
@@ -52,7 +58,6 @@
 
 pub mod collector;
 pub mod config;
-pub mod core;
 pub mod exec;
 pub mod gpu;
 pub mod oracle;
@@ -72,16 +77,12 @@ pub mod warp;
 
 pub use collector::CollectorKind;
 pub use config::{CoreModelKind, DivergenceModel, GpuConfig, OracleCheck, SchedPolicy};
-pub use core::{CoreModel, CorePipeline, ModernCore, PascalCore};
 pub use gpu::{Gpu, LaunchResult};
 pub use oracle::{run_oracle, Divergence, LockstepChecker, OracleRun, WriteLog, WriteRecord};
 pub use pipetrace::{Event, PipeTrace, Stage};
 pub use probe::{emit, NullProbe, PipeEvent, Probe, StallKind};
 pub use replay::{record_straightline, replay, KernelTrace, TraceRecorder, TraceStep};
 pub use sanitize::{Sanitizer, SanitizerFinding, SanitizerReport};
-pub use stage::{
-    CollectStage, CompletionQueue, DispatchLatch, DispatchStage, IssueStage, Latches,
-    PipelineStage, SmCtx, WritebackStage,
-};
+pub use stage::{CompletionQueue, DispatchLatch, Pipeline, SmCtx};
 pub use stats::{SimStats, WriteDest};
 pub use trace::{BypassAnalyzer, WindowReport};

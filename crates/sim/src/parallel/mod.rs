@@ -129,7 +129,7 @@ fn advance<R: Recorder>(
                 free_warps,
             };
         }
-        if blocks_remain && lane.sm.can_host_block(kernel, warps_per_block) {
+        if blocks_remain && lane.sm.can_host_block(warps_per_block) {
             let (free_blocks, free_warps) = lane.sm.free_capacity();
             return SmStatus::Stopped {
                 at: lane.dev_cycle,
@@ -663,10 +663,7 @@ mod tests {
         };
         loop {
             while next_block < total {
-                let Some(sm) = sms
-                    .iter_mut()
-                    .find(|sm| sm.can_host_block(kernel, warps_per_block))
-                else {
+                let Some(sm) = sms.iter_mut().find(|sm| sm.can_host_block(warps_per_block)) else {
                     break;
                 };
                 apply_assign(sm, kernel, dims, next_block);

@@ -1,24 +1,18 @@
-//! The streaming multiprocessor: a thin shell over a pluggable core.
+//! The streaming multiprocessor: a thin shell over the one pipeline.
 //!
-//! `Sm` owns the shared machine state ([`SmCtx`]) and a
-//! [`CorePipeline`] — the core model `GpuConfig::core_model` selects.
-//! The Pascal core is the paper's four-stage scoreboarded pipeline
-//! (writeback → collect → dispatch → issue over the [`Latches`]
-//! discipline); the modern core is the post-Volta sub-core organization.
-//! All instrumentation (statistics, pipeline tracing, the bypass
-//! analyzer) flows through the probe bus: [`Sm::tick`] is generic over
-//! [`Probe`], and launching with [`NullProbe`](crate::probe::NullProbe)
-//! monomorphizes an instrumentation-free pipeline.
-//!
-//! [`Latches`]: crate::stage::Latches
+//! `Sm` owns the architectural machine state ([`SmCtx`]) and the
+//! instruction [`Pipeline`] — writeback → collect → dispatch → issue,
+//! partitioned and interlocked as `GpuConfig::core_model` selects (see
+//! [`crate::stage`]). All instrumentation (statistics, pipeline tracing,
+//! the bypass analyzer) flows through the probe bus: [`Sm::tick`] is
+//! generic over [`Probe`], and launching with
+//! [`NullProbe`](crate::probe::NullProbe) monomorphizes an
+//! instrumentation-free pipeline.
 
-use crate::collector::OperandStage;
 use crate::config::{CoreModelKind, GpuConfig};
-use crate::core::CorePipeline;
 use crate::probe::Probe;
 use crate::regfile::RegFile;
-use crate::scoreboard::Scoreboard;
-use crate::stage::{BlockCtx, SmCtx};
+use crate::stage::{BlockCtx, Pipeline, SmCtx};
 use crate::stats::SimStats;
 use crate::warp::Warp;
 use bow_isa::{Kernel, WARP_SIZE};
@@ -27,7 +21,7 @@ use bow_mem::{GlobalAccess, MemSystem, SharedMemory};
 /// One streaming multiprocessor.
 pub struct Sm {
     ctx: SmCtx,
-    core: CorePipeline,
+    pipeline: Pipeline,
 }
 
 impl Sm {
@@ -40,25 +34,17 @@ impl Sm {
                 config: config.clone(),
                 cycle: 0,
                 warps: (0..max_warps).map(|_| None).collect(),
-                scoreboards: (0..max_warps).map(|_| Scoreboard::new()).collect(),
                 warp_age: vec![0; max_warps],
                 age_counter: 0,
                 blocks: (0..config.max_blocks_per_sm as usize)
                     .map(|_| None)
                     .collect(),
-                oc: OperandStage::new(
-                    config.collector,
-                    max_warps,
-                    config.num_ocus as usize,
-                    u64::from(config.rf_read_latency),
-                    config.xbar_width,
-                ),
                 rf: Self::build_rf(config, max_warps),
                 mem: MemSystem::new(config.mem),
                 params: Vec::new(),
                 stats: SimStats::default(),
             },
-            core: CorePipeline::new(config),
+            pipeline: Pipeline::new(config),
         }
     }
 
@@ -98,27 +84,19 @@ impl Sm {
         ctx.params = params.to_vec();
         ctx.mem = MemSystem::new(ctx.config.mem);
         ctx.rf = Self::build_rf(&ctx.config, ctx.warps.len());
-        ctx.oc = OperandStage::new(
-            ctx.config.collector,
-            ctx.warps.len(),
-            ctx.config.num_ocus as usize,
-            u64::from(ctx.config.rf_read_latency),
-            ctx.config.xbar_width,
-        );
         ctx.stats = SimStats::default();
         ctx.cycle = 0;
-        self.core.reset_for_launch(&mut self.ctx);
+        self.pipeline.reset_for_launch(&ctx.config);
     }
 
     /// Whether any block or instruction is still in flight.
     pub fn busy(&self) -> bool {
-        self.ctx.blocks.iter().any(Option::is_some) || !self.core.pipeline_empty()
+        self.ctx.blocks.iter().any(Option::is_some) || !self.pipeline.is_empty()
     }
 
-    /// Number of additional blocks this SM can host for `kernel`.
-    pub fn can_host_block(&self, kernel: &Kernel, warps_needed: u32) -> bool {
+    /// Whether this SM can host one more block of `warps_needed` warps.
+    pub fn can_host_block(&self, warps_needed: u32) -> bool {
         let (free_blocks, free_warps) = self.free_capacity();
-        let _ = kernel;
         free_blocks > 0 && free_warps >= warps_needed
     }
 
@@ -147,34 +125,30 @@ impl Sm {
     ) {
         let threads = dims.threads_per_block();
         let warps = dims.warps_per_block();
-        let (slot, warp_slots) = {
-            let ctx = &mut self.ctx;
-            let slot = ctx
-                .blocks
+        let ctx = &mut self.ctx;
+        let slot = ctx
+            .blocks
+            .iter()
+            .position(Option::is_none)
+            .expect("assign_block without free block slot");
+        let mut warp_slots = Vec::with_capacity(warps as usize);
+        for w in 0..warps {
+            let wslot = ctx
+                .warps
                 .iter()
                 .position(Option::is_none)
-                .expect("assign_block without free block slot");
-            let mut warp_slots = Vec::with_capacity(warps as usize);
-            for w in 0..warps {
-                let wslot = ctx
-                    .warps
-                    .iter()
-                    .position(Option::is_none)
-                    .expect("assign_block without free warp slots");
-                let lanes = (threads - w * WARP_SIZE as u32).min(WARP_SIZE as u32);
-                let mut warp = Warp::new(wslot, slot, w, lanes, kernel.num_regs);
-                warp.barrier_mode = kernel.uses_convergence_barriers();
-                ctx.warps[wslot] = Some(warp);
-                ctx.rf.shadow_reset_warp(wslot);
-                ctx.scoreboards[wslot] = Scoreboard::new();
-                ctx.warp_age[wslot] = ctx.age_counter;
-                ctx.age_counter += 1;
-                warp_slots.push(wslot);
-            }
-            (slot, warp_slots)
-        };
-        self.core.on_warps_assigned(&warp_slots);
-        self.ctx.blocks[slot] = Some(BlockCtx {
+                .expect("assign_block without free warp slots");
+            let lanes = (threads - w * WARP_SIZE as u32).min(WARP_SIZE as u32);
+            let mut warp = Warp::new(wslot, slot, w, lanes, kernel.num_regs);
+            warp.barrier_mode = kernel.uses_convergence_barriers();
+            ctx.warps[wslot] = Some(warp);
+            ctx.rf.shadow_reset_warp(wslot);
+            self.pipeline.reset_warp(wslot);
+            ctx.warp_age[wslot] = ctx.age_counter;
+            ctx.age_counter += 1;
+            warp_slots.push(wslot);
+        }
+        ctx.blocks[slot] = Some(BlockCtx {
             shared: SharedMemory::new(kernel.shared_bytes),
             info: crate::exec::BlockInfo {
                 ctaid,
@@ -210,7 +184,7 @@ impl Sm {
         let ctx = &mut self.ctx;
         ctx.cycle += 1;
         ctx.stats.cycles = ctx.cycle;
-        self.core.tick(ctx, kernel, global, probe);
+        self.pipeline.tick(ctx, kernel, global, probe);
     }
 }
 

@@ -1,8 +1,9 @@
 //! The dispatch stage: picks ready slots under the functional-unit
 //! budgets, executes them functionally and schedules their completions.
 
+use super::interlock::Interlock;
 use super::writeback::{Completion, CompletionQueue};
-use super::{Latches, PipelineStage, SmCtx};
+use super::{SmCtx, Stages};
 use crate::exec::{self, ExecCtx, Space};
 use crate::probe::{emit, PipeEvent, Probe};
 use bow_isa::{FuClass, Kernel};
@@ -36,26 +37,17 @@ impl DispatchLatch {
     }
 }
 
-/// The dispatch stage.
-#[derive(Debug, Default)]
-pub struct DispatchStage {
-    /// Scratch list of slot indices dispatched this cycle (buffer reuse).
-    dispatched: Vec<usize>,
-    /// Scratch for `ExecResult` lane values (only touched by active probes).
-    values_buf: Vec<u32>,
-}
-
-impl PipelineStage for DispatchStage {
-    const NAME: &'static str = "dispatch";
-
-    fn tick<P: Probe, G: GlobalAccess>(
+impl Stages {
+    pub(super) fn dispatch<I: Interlock, P: Probe, G: GlobalAccess>(
         &mut self,
+        il: &mut I,
         ctx: &mut SmCtx,
-        latches: &mut Latches,
-        _kernel: &Kernel,
+        kernel: &Kernel,
         global: &mut G,
         probe: &mut P,
     ) {
+        // The functional-unit budgets are SM-wide: partitions draw on
+        // them in index order.
         let mut budget = [
             ctx.config.fu_width(FuClass::Alu),
             ctx.config.fu_width(FuClass::Mul),
@@ -69,57 +61,69 @@ impl PipelineStage for DispatchStage {
             FuClass::Mem => 3,
             FuClass::Ctrl => unreachable!("control ops never enter the collector"),
         };
-        let ready = latches.dispatch.take_ready();
-        let mut dispatched = std::mem::take(&mut self.dispatched);
-        for &idx in &ready {
-            let class = ctx.oc.slot(idx).inst.op.fu_class();
-            let b = &mut budget[class_idx(class)];
-            if *b == 0 {
-                continue;
+        if !I::EXACT {
+            self.warp_dispatched.clear();
+            self.warp_dispatched.resize(ctx.warps.len(), false);
+        }
+        let mut picked = std::mem::take(&mut self.picked_buf);
+        for part in &mut self.parts {
+            let ready = part.latch.take_ready();
+            for &idx in &ready {
+                let slot = part.oc.slot(idx);
+                let (warp, seq, class) = (slot.warp, slot.seq, slot.inst.op.fu_class());
+                // Strict per-warp program order: only the warp's oldest
+                // resident instruction may leave, one per cycle. This is
+                // what keeps functional execution at dispatch correct
+                // even under unsound control bits.
+                if !I::EXACT
+                    && (self.warp_dispatched[warp] || part.oc.min_seq_of(warp) != Some(seq))
+                {
+                    continue;
+                }
+                let b = &mut budget[class_idx(class)];
+                if *b == 0 {
+                    continue;
+                }
+                *b -= 1;
+                if !I::EXACT {
+                    self.warp_dispatched[warp] = true;
+                }
+                picked.push(idx);
             }
-            *b -= 1;
-            dispatched.push(idx);
+            part.latch.restore(ready);
+            // Remove highest-index first so indices stay valid.
+            for &idx in picked.iter().rev() {
+                let mut slot = part.oc.remove(idx);
+                // Re-read the guard predicate now: the issue-time read can
+                // precede the producer's execute under tight control bits,
+                // and dispatch is where in-order execution makes the warp
+                // state current. (The divergence mask cannot have moved:
+                // control instructions wait for the collector to drain.)
+                if !I::EXACT && slot.inst.guard.is_some() {
+                    if let Some(warp) = ctx.warps[slot.warp].as_ref() {
+                        slot.mask = warp.guard_mask(slot.inst.guard);
+                    }
+                }
+                il.on_dispatch(slot.warp, slot.pc, &slot.inst, kernel);
+                execute_and_complete(
+                    ctx,
+                    &mut self.completions,
+                    slot,
+                    &mut self.values_buf,
+                    global,
+                    probe,
+                );
+            }
+            picked.clear();
         }
-        latches.dispatch.restore(ready);
-        // Remove from the stage highest-index first so indices stay valid.
-        for &idx in dispatched.iter().rev() {
-            let slot = ctx.oc.remove(idx);
-            self.execute_slot(ctx, latches, slot, global, probe);
-        }
-        dispatched.clear();
-        self.dispatched = dispatched;
+        self.picked_buf = picked;
     }
 }
 
-impl DispatchStage {
-    fn execute_slot<P: Probe, G: GlobalAccess>(
-        &mut self,
-        ctx: &mut SmCtx,
-        latches: &mut Latches,
-        slot: crate::collector::Slot,
-        global: &mut G,
-        probe: &mut P,
-    ) {
-        ctx.scoreboards[slot.warp].dispatch(&slot.inst);
-        execute_and_complete(
-            ctx,
-            &mut latches.completions,
-            slot,
-            &mut self.values_buf,
-            global,
-            probe,
-        );
-    }
-}
-
-/// The core-model-independent half of a dispatch: emits the `Dispatch`
-/// event, executes the slot functionally, snapshots the result for an
-/// active probe (the lockstep oracle) and schedules its completion.
-///
-/// The Pascal core releases its scoreboard's WAR entries before calling
-/// this; the modern core releases the slot's read barrier. Everything
-/// else — timing, memory, events — is identical across core models.
-pub(crate) fn execute_and_complete<P: Probe, G: GlobalAccess>(
+/// Dispatches one slot: emits the `Dispatch` event, executes the slot
+/// functionally, snapshots the result for an active probe (the lockstep
+/// oracle) and schedules its completion.
+fn execute_and_complete<P: Probe, G: GlobalAccess>(
     ctx: &mut SmCtx,
     completions: &mut CompletionQueue,
     slot: crate::collector::Slot,
@@ -177,11 +181,7 @@ pub(crate) fn execute_and_complete<P: Probe, G: GlobalAccess>(
                     }
                 }
             }
-            let uid = ctx.blocks[bslot]
-                .as_ref()
-                .map(|b| b.base_uid + u64::from(warp.warp_in_block))
-                .unwrap_or(0)
-                | ((ctx.id as u64) << 48);
+            let uid = ctx.uid_of(warp);
             emit(
                 &mut ctx.stats,
                 probe,

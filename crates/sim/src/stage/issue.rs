@@ -1,65 +1,39 @@
-//! The issue stage: per-scheduler warp selection, scoreboard and
+//! The issue stage: per-scheduler warp selection, interlock and
 //! collector admission checks, control resolution and barrier release.
 
-use super::{Latches, PipelineStage, SmCtx};
+use super::interlock::Interlock;
+use super::{SmCtx, Stages};
 use crate::exec::{self, ControlOutcome};
 use crate::probe::{emit, PipeEvent, Probe, StallKind};
-use crate::scheduler::WarpScheduler;
-use bow_isa::Kernel;
-use bow_mem::GlobalAccess;
+use bow_isa::{Kernel, Opcode};
 
-/// The issue stage. Owns the warp schedulers; all other issue state
-/// (warps, scoreboards, ages) lives in [`SmCtx`].
-#[derive(Debug)]
-pub struct IssueStage {
-    schedulers: Vec<WarpScheduler>,
-    /// Scratch list of issuable warp slots (buffer reuse across picks).
-    ready_buf: Vec<usize>,
-}
-
-impl IssueStage {
-    /// Creates the stage with one scheduler per configured slot.
-    pub(crate) fn new(config: &crate::config::GpuConfig) -> IssueStage {
-        IssueStage {
-            schedulers: (0..config.schedulers_per_sm)
-                .map(|_| WarpScheduler::new(config.sched))
-                .collect(),
-            ready_buf: Vec::new(),
-        }
-    }
-}
-
-impl PipelineStage for IssueStage {
-    const NAME: &'static str = "issue";
-
-    fn tick<P: Probe, G: GlobalAccess>(
+impl Stages {
+    pub(super) fn issue<I: Interlock, P: Probe>(
         &mut self,
+        il: &mut I,
         ctx: &mut SmCtx,
-        _latches: &mut Latches,
         kernel: &Kernel,
-        _global: &mut G,
         probe: &mut P,
     ) {
-        let nsched = self.schedulers.len();
+        il.begin_cycle();
         let mut ready = std::mem::take(&mut self.ready_buf);
-        for s in 0..nsched {
+        for s in 0..self.schedulers.len() {
             for _ in 0..ctx.config.issue_per_scheduler {
                 ready.clear();
-                self.ready_warps_of(ctx, s, kernel, probe, &mut ready);
+                self.ready_warps_of(il, ctx, s, kernel, probe, &mut ready);
                 let age = &ctx.warp_age;
                 let pick = self.schedulers[s].pick(&ready, |w| age[w]);
                 let Some(w) = pick else { break };
-                self.issue_one(ctx, w, kernel, probe);
+                self.issue_one(il, ctx, w, kernel, probe);
             }
         }
         ready.clear();
         self.ready_buf = ready;
     }
-}
 
-impl IssueStage {
-    fn ready_warps_of<P: Probe>(
+    fn ready_warps_of<I: Interlock, P: Probe>(
         &self,
+        il: &I,
         ctx: &mut SmCtx,
         sched: usize,
         kernel: &Kernel,
@@ -78,94 +52,93 @@ impl IssueStage {
                 continue;
             }
             let inst = &kernel.insts[warp.pc];
+            let mut stall = |kind| emit(&mut ctx.stats, probe, PipeEvent::Stall(kind));
+            if I::BLOCKS_BEFORE_ADMISSION && il.blocks(w, warp, inst, kernel) {
+                stall(StallKind::Scoreboard);
+                continue;
+            }
+            let oc = &self.parts[w % self.parts.len()].oc;
             if inst.op.is_control() {
-                // Barriers and exits wait for the warp's pipeline to drain
-                // so block release and flushes see a quiet machine.
-                let needs_drain = matches!(inst.op, bow_isa::Opcode::Exit | bow_isa::Opcode::Bar);
+                // Control executes at issue, ahead of dispatch. Where
+                // dispatch order is what keeps execution correct, it must
+                // wait until every older instruction of this warp has left
+                // the collector (their architectural writes land at
+                // dispatch): a guarded branch reading its predicate early
+                // would be a correctness bug.
+                if !I::EXACT && oc.min_seq_of(w).is_some() {
+                    continue;
+                }
+                // Barriers and exits additionally wait for the warp's
+                // pipeline to drain so block release and flushes see a
+                // quiet machine.
+                let needs_drain = matches!(inst.op, Opcode::Exit | Opcode::Bar);
                 if needs_drain && warp.inflight > 0 {
                     continue;
                 }
-                // Branch guards must not be pending.
-                if !ctx.scoreboards[w].can_issue(inst) {
-                    emit(
-                        &mut ctx.stats,
-                        probe,
-                        PipeEvent::Stall(StallKind::Scoreboard),
-                    );
-                    continue;
-                }
-                ready.push(w);
-            } else {
-                if !ctx.oc.can_accept(w) {
-                    emit(
-                        &mut ctx.stats,
-                        probe,
-                        PipeEvent::Stall(StallKind::NoCollector),
-                    );
-                    continue;
-                }
-                if !ctx.scoreboards[w].can_issue(inst) {
-                    emit(
-                        &mut ctx.stats,
-                        probe,
-                        PipeEvent::Stall(StallKind::Scoreboard),
-                    );
-                    continue;
-                }
-                ready.push(w);
+            } else if !oc.can_accept(w) {
+                stall(StallKind::NoCollector);
+                continue;
             }
+            // Branch guards, like any source, must not be pending.
+            if !I::BLOCKS_BEFORE_ADMISSION && il.blocks(w, warp, inst, kernel) {
+                stall(StallKind::Scoreboard);
+                continue;
+            }
+            ready.push(w);
         }
     }
 
-    fn issue_one<P: Probe>(&mut self, ctx: &mut SmCtx, w: usize, kernel: &Kernel, probe: &mut P) {
-        let warp = ctx.warps[w].as_mut().expect("ready warp is live");
-        let inst = kernel.insts[warp.pc].clone();
-        let seq = warp.seq;
-        warp.seq += 1;
-        let uid = ctx.blocks[warp.block_slot]
-            .as_ref()
-            .map(|b| b.base_uid + u64::from(warp.warp_in_block))
-            .unwrap_or(0)
-            | ((ctx.id as u64) << 48);
-        let warp = ctx.warps[w].as_mut().expect("live");
+    fn issue_one<I: Interlock, P: Probe>(
+        &mut self,
+        il: &mut I,
+        ctx: &mut SmCtx,
+        w: usize,
+        kernel: &Kernel,
+        probe: &mut P,
+    ) {
+        let warp = ctx.warps[w].as_ref().expect("ready warp is live");
+        let (pc, seq, cycle) = (warp.pc, warp.seq, ctx.cycle);
+        let inst = &kernel.insts[pc];
+        let uid = ctx.uid_of(warp);
         emit(
             &mut ctx.stats,
             probe,
             PipeEvent::Issued {
                 uid,
-                pc: warp.pc,
+                pc,
                 active: warp.active.count_ones(),
-                inst: &inst,
+                inst,
             },
         );
+        let warp = ctx.warps[w].as_mut().expect("live");
+        warp.seq += 1;
+        let oc = self.oc_of(w);
 
         if inst.op.is_control() {
-            let ctrl_pc = ctx.warps[w].as_ref().expect("live").pc;
             emit(
                 &mut ctx.stats,
                 probe,
                 PipeEvent::Control {
-                    cycle: ctx.cycle,
+                    cycle,
                     sm: ctx.id,
                     warp: w,
-                    pc: ctrl_pc,
+                    pc,
                     seq,
-                    inst: &inst,
+                    inst,
                 },
             );
-            ctx.oc
-                .note_control(w, seq, &mut ctx.rf, &mut ctx.stats, probe);
-            let warp = ctx.warps[w].as_mut().expect("live");
+            oc.note_control(w, seq, &mut ctx.rf, &mut ctx.stats, probe);
+            il.on_issue(w, pc, inst, kernel);
             let (arrive, live, sync_underflow) = if P::ACTIVE {
                 (
                     warp.guard_mask(inst.guard),
                     warp.valid & !warp.exited,
-                    exec::sync_underflows(warp, &inst),
+                    exec::sync_underflows(warp, inst),
                 )
             } else {
                 (0, 0, false)
             };
-            let outcome = exec::execute_control(warp, &inst);
+            let outcome = exec::execute_control(warp, inst);
             if P::ACTIVE {
                 let depth = (warp.stack.len() + warp.splits.len()) as u32;
                 emit(
@@ -173,13 +146,13 @@ impl IssueStage {
                     probe,
                     PipeEvent::CtrlTrace {
                         uid,
-                        pc: ctrl_pc,
+                        pc,
                         seq,
                         arrive,
                         live,
                         depth,
                         sync_underflow,
-                        inst: &inst,
+                        inst,
                     },
                 );
             }
@@ -188,7 +161,7 @@ impl IssueStage {
                     if warp.done {
                         emit(&mut ctx.stats, probe, PipeEvent::WarpExit { uid });
                         if warp.inflight == 0 {
-                            ctx.finalize_warp(w, probe);
+                            ctx.finalize_warp(oc, w, probe);
                         }
                     }
                 }
@@ -199,26 +172,24 @@ impl IssueStage {
             let mask = warp.guard_mask(inst.guard);
             warp.pc += 1;
             warp.inflight += 1;
-            let pc = warp.pc - 1;
-            let cycle = ctx.cycle;
-            let rf_fetches = ctx.oc.insert(
+            let rf_fetches = oc.insert_uniform(
                 w,
                 pc,
-                &inst,
+                inst,
                 mask,
                 seq,
                 cycle,
                 &mut ctx.rf,
                 &mut ctx.stats,
                 probe,
+                |r| il.is_uniform(w, r),
             );
             // With the architectural shadow on, a bank fetch returns what
-            // the banks hold — not the always-fresh functional value. The
-            // scoreboard's RAW/WAR blocking guarantees no write to these
-            // registers is in flight, so overwriting them here is exactly
-            // the value the grant would deliver.
-            if ctx.rf.shadow_enabled() {
-                let warp = ctx.warps[w].as_mut().expect("live");
+            // the banks hold — not the always-fresh functional value. An
+            // exact interlock's RAW/WAR blocking guarantees no write to
+            // these registers is in flight, so overwriting them here is
+            // exactly the value the grant would deliver.
+            if I::EXACT && ctx.rf.shadow_enabled() {
                 for reg in rf_fetches {
                     if let Some(lanes) = ctx.rf.shadow_read(w, reg) {
                         for (lane, v) in lanes.iter().enumerate() {
@@ -227,7 +198,7 @@ impl IssueStage {
                     }
                 }
             }
-            ctx.scoreboards[w].issue(&inst);
+            il.on_issue(w, pc, inst, kernel);
             emit(
                 &mut ctx.stats,
                 probe,
@@ -237,7 +208,7 @@ impl IssueStage {
                     warp: w,
                     pc,
                     seq,
-                    inst: &inst,
+                    inst,
                 },
             );
         }

@@ -1,17 +1,31 @@
-//! The SM pipeline as an explicit stage graph.
+//! The SM pipeline: one instruction flow for both cores.
 //!
-//! The streaming multiprocessor advances by ticking four stages in
-//! reverse pipeline order — [`WritebackStage`] → [`CollectStage`] →
-//! [`DispatchStage`] → [`IssueStage`] — each implementing
-//! [`PipelineStage`] over two shared pieces of state:
+//! A streaming multiprocessor is two pieces of state:
 //!
-//! * [`SmCtx`]: the per-SM machine state every stage reads and writes
-//!   (warps, scoreboards, the operand-collection stage, register file,
-//!   memory pipe, resident blocks, and the SM's own [`SimStats`]);
-//! * [`Latches`]: the typed buffers *between* stages — the
-//!   [`DispatchLatch`] carrying the ready-slot set from collect to
-//!   dispatch, and the [`CompletionQueue`] carrying in-flight results
-//!   from dispatch to writeback.
+//! * [`SmCtx`]: the architectural machine state — warps, resident blocks,
+//!   the register file, the memory pipe, and the SM's own [`SimStats`];
+//! * [`Pipeline`]: everything microarchitectural about instruction flow —
+//!   the warp schedulers, the collector **partitions** (an
+//!   [`OperandStage`] and its [`DispatchLatch`] each), the
+//!   [`CompletionQueue`] and the hazard interlock.
+//!
+//! Each cycle the pipeline runs its stages in reverse order —
+//! writeback → collect → dispatch → issue — so each observes what its
+//! predecessor left one cycle earlier. There is exactly one of each stage.
+//! What `GpuConfig::core_model` selects is data:
+//!
+//! * the **partition count** — 1 for `pascal` (an SM-wide collector
+//!   pool), `schedulers_per_sm` for `modern` (a sub-core per scheduler,
+//!   each with a private slice of the collectors and crossbar; warp `w`
+//!   lives on partition `w % n`). Only the memory system, functional-unit
+//!   issue budgets and the completion crossbar are SM-wide;
+//! * the **interlock** — per-warp scoreboards, or compiler-emitted
+//!   control bits plus the uniform register file (the `Interlock` trait
+//!   of `stage/interlock.rs` and its two implementors).
+//!
+//! The interlock is resolved once per SM-cycle ([`Pipeline::tick`]) and
+//! the stages are monomorphized over it, like they are over the probe, so
+//! the hot path pays one match per cycle and nothing per warp.
 //!
 //! Stages communicate with the outside world only through the probe bus
 //! ([`crate::probe`]): every counter update and trace point is a typed
@@ -20,26 +34,25 @@
 //!
 //! [`SimStats`]: crate::stats::SimStats
 
-pub mod collect;
 pub mod dispatch;
-pub mod issue;
+mod interlock;
+mod issue;
 pub mod writeback;
 
-pub use collect::CollectStage;
-pub use dispatch::{DispatchLatch, DispatchStage};
-pub use issue::IssueStage;
-pub use writeback::{CompletionQueue, WritebackStage};
+pub use dispatch::DispatchLatch;
+pub use writeback::CompletionQueue;
 
 use crate::collector::OperandStage;
-use crate::config::GpuConfig;
+use crate::config::{CoreModelKind, GpuConfig};
 use crate::exec::BlockInfo;
 use crate::probe::Probe;
 use crate::regfile::RegFile;
-use crate::scoreboard::Scoreboard;
+use crate::scheduler::WarpScheduler;
 use crate::stats::SimStats;
 use crate::warp::Warp;
 use bow_isa::Kernel;
 use bow_mem::{GlobalAccess, MemSystem, SharedMemory};
+use interlock::{ControlBits, Interlock, Scoreboards};
 
 /// A thread block resident on the SM.
 #[derive(Debug)]
@@ -53,22 +66,19 @@ pub(crate) struct BlockCtx {
     pub(crate) base_uid: u64,
 }
 
-/// The machine state one SM's stages share.
+/// The architectural machine state of one SM.
 ///
-/// Fields are crate-private: stages and the [`Sm`](crate::sm::Sm) shell
-/// borrow them disjointly; external code observes the SM only through
-/// `Sm`'s public API and the probe bus.
+/// Fields are crate-private: the pipeline and the [`Sm`](crate::sm::Sm)
+/// shell borrow them disjointly; external code observes the SM only
+/// through `Sm`'s public API and the probe bus.
 pub struct SmCtx {
     pub(crate) id: usize,
     pub(crate) config: GpuConfig,
     pub(crate) cycle: u64,
     pub(crate) warps: Vec<Option<Warp>>,
-    pub(crate) scoreboards: Vec<Scoreboard>,
     pub(crate) warp_age: Vec<u64>,
     pub(crate) age_counter: u64,
     pub(crate) blocks: Vec<Option<BlockCtx>>,
-    /// The operand-collection stage state (slots, windows, RFC caches).
-    pub(crate) oc: OperandStage,
     pub(crate) rf: RegFile,
     pub(crate) mem: MemSystem,
     /// The kernel's parameter words for the current launch.
@@ -77,20 +87,26 @@ pub struct SmCtx {
 }
 
 impl SmCtx {
-    /// Retires a finished warp: flushes its buffered collector state and
-    /// releases its block slot when it was the last warp standing.
-    pub(crate) fn finalize_warp<P: Probe>(&mut self, wslot: usize, probe: &mut P) {
-        self.oc
-            .flush_warp(wslot, &mut self.rf, &mut self.stats, probe);
-        self.retire_warp(wslot);
+    /// The launch-unique id of `warp` (block uid base + warp-in-block,
+    /// tagged with the SM index) that trace subscribers key on.
+    pub(crate) fn uid_of(&self, warp: &Warp) -> u64 {
+        self.blocks[warp.block_slot]
+            .as_ref()
+            .map(|b| b.base_uid + u64::from(warp.warp_in_block))
+            .unwrap_or(0)
+            | ((self.id as u64) << 48)
     }
 
-    /// The block-accounting half of warp retirement: frees the warp slot
-    /// and the block slot when it was the last warp standing. Core models
-    /// that keep collector state outside [`SmCtx::oc`] (the modern core's
-    /// per-sub-core collectors) flush that state themselves and then call
-    /// this directly.
-    pub(crate) fn retire_warp(&mut self, wslot: usize) {
+    /// Retires a finished warp: flushes its buffered state out of `oc`
+    /// (its partition's collector) and releases its block slot when it
+    /// was the last warp standing.
+    pub(crate) fn finalize_warp<P: Probe>(
+        &mut self,
+        oc: &mut OperandStage,
+        wslot: usize,
+        probe: &mut P,
+    ) {
+        oc.flush_warp(wslot, &mut self.rf, &mut self.stats, probe);
         let warp = self.warps[wslot].take().expect("finalize live warp");
         let bslot = warp.block_slot;
         let block = self.blocks[bslot].as_mut().expect("warp's block resident");
@@ -101,23 +117,17 @@ impl SmCtx {
     }
 
     /// Releases a block-wide barrier once every live warp of `wslot`'s
-    /// block has arrived (or exited). Shared by every core model's issue
-    /// logic.
+    /// block has arrived (or exited).
     pub(crate) fn maybe_release_barrier(&mut self, wslot: usize) {
         let bslot = self.warps[wslot].as_ref().expect("live").block_slot;
-        let block = self.blocks[bslot].as_ref().expect("resident");
-        let all_arrived = block.warp_slots.iter().all(|&ws| {
+        let slots = &self.blocks[bslot].as_ref().expect("resident").warp_slots;
+        let all_arrived = slots.iter().all(|&ws| {
             self.warps[ws]
                 .as_ref()
                 .is_none_or(|w| w.done || w.at_barrier)
         });
         if all_arrived {
-            for &ws in &self.blocks[bslot]
-                .as_ref()
-                .expect("resident")
-                .warp_slots
-                .clone()
-            {
+            for &ws in slots {
                 if let Some(w) = self.warps[ws].as_mut() {
                     w.at_barrier = false;
                 }
@@ -126,35 +136,439 @@ impl SmCtx {
     }
 }
 
-/// The typed buffers between pipeline stages.
-#[derive(Debug, Default)]
-pub struct Latches {
-    /// Collect → dispatch: slots whose operands are all ready this cycle.
-    pub(crate) dispatch: DispatchLatch,
-    /// Dispatch → writeback: in-flight completions ordered by finish time.
-    pub(crate) completions: CompletionQueue,
+/// One collector partition: a slice of the operand collectors and the
+/// latch carrying its ready-slot set from collect to dispatch.
+struct Part {
+    oc: OperandStage,
+    latch: DispatchLatch,
 }
 
-/// One stage of the SM pipeline.
-///
-/// `tick` advances the stage by one cycle. Stages never call each other:
-/// everything a downstream stage needs crosses through [`Latches`] (or
-/// the shared [`SmCtx`]), and all instrumentation leaves through `probe`.
-/// Stages are generic over the device-memory view ([`GlobalAccess`]): the
-/// serial engine ticks them against the bare
-/// [`GlobalMemory`](bow_mem::GlobalMemory), the windowed parallel engine
-/// against a per-SM [`WindowedGlobal`](bow_mem::WindowedGlobal) overlay.
-pub trait PipelineStage {
-    /// Display name (progress/debug output).
-    const NAME: &'static str;
+/// The stages' own state: everything in the pipeline but the interlock,
+/// which [`Pipeline::tick`] resolves and passes alongside.
+struct Stages {
+    parts: Vec<Part>,
+    /// Scheduler `s` picks among warps `w % schedulers.len() == s`.
+    schedulers: Vec<WarpScheduler>,
+    /// Dispatch → writeback: in-flight results, SM-wide.
+    completions: CompletionQueue,
+    /// One-dispatch-per-warp-per-cycle gate of the in-order dispatch an
+    /// inexact interlock needs (cleared each cycle).
+    warp_dispatched: Vec<bool>,
+    /// Scratch buffers (reused across cycles).
+    ready_buf: Vec<usize>,
+    picked_buf: Vec<usize>,
+    values_buf: Vec<u32>,
+}
 
-    /// Advances the stage by one cycle.
-    fn tick<P: Probe, G: GlobalAccess>(
+enum InterlockKind {
+    Scoreboard(Scoreboards),
+    ControlBits(ControlBits),
+}
+
+/// The instruction pipeline of one SM.
+pub struct Pipeline {
+    stages: Stages,
+    interlock: InterlockKind,
+}
+
+/// Splits the collector pool and the crossbar evenly over `n` partitions
+/// (at least one OCU and one crossbar lane each).
+fn build_parts(config: &GpuConfig, n: usize) -> Vec<Part> {
+    let build = |_| Part {
+        oc: OperandStage::new(
+            config.collector,
+            config.max_warps_per_sm as usize,
+            (config.num_ocus as usize / n).max(1),
+            u64::from(config.rf_read_latency),
+            (config.xbar_width / n as u32).max(1),
+        ),
+        latch: DispatchLatch::default(),
+    };
+    (0..n).map(build).collect()
+}
+
+impl Pipeline {
+    /// Builds the pipeline `config.core_model` selects.
+    pub fn new(config: &GpuConfig) -> Pipeline {
+        let max_warps = config.max_warps_per_sm as usize;
+        let nsched = config.schedulers_per_sm.max(1) as usize;
+        let (nparts, interlock) = match config.core_model {
+            CoreModelKind::Pascal => (1, InterlockKind::Scoreboard(Scoreboards::new(max_warps))),
+            CoreModelKind::Modern => (
+                nsched,
+                InterlockKind::ControlBits(ControlBits::new(max_warps)),
+            ),
+        };
+        Pipeline {
+            stages: Stages {
+                parts: build_parts(config, nparts),
+                schedulers: (0..nsched)
+                    .map(|_| WarpScheduler::new(config.sched))
+                    .collect(),
+                completions: CompletionQueue::default(),
+                warp_dispatched: Vec::new(),
+                ready_buf: Vec::new(),
+                picked_buf: Vec::new(),
+                values_buf: Vec::new(),
+            },
+            interlock,
+        }
+    }
+
+    /// Rebuilds the collector partitions between launches (the SM is
+    /// quiescent). Scheduler state (GTO greedy pick, LRR cursor)
+    /// intentionally persists — the behavior the goldens have always
+    /// pinned — and interlock state is re-armed per warp by
+    /// [`reset_warp`](Self::reset_warp).
+    pub fn reset_for_launch(&mut self, config: &GpuConfig) {
+        self.stages.parts = build_parts(config, self.stages.parts.len());
+    }
+
+    /// Re-arms the interlock of slot `w` for a freshly assigned warp.
+    pub fn reset_warp(&mut self, w: usize) {
+        match &mut self.interlock {
+            InterlockKind::Scoreboard(il) => il.reset_warp(w),
+            InterlockKind::ControlBits(il) => il.reset_warp(w),
+        }
+    }
+
+    /// Whether no instruction is in flight past dispatch.
+    /// (`Sm::busy` is `blocks remain || !is_empty()`.)
+    pub fn is_empty(&self) -> bool {
+        self.stages.completions.is_empty()
+    }
+
+    /// Advances the pipeline by one cycle. Generic over the device-memory
+    /// view ([`GlobalAccess`]): the serial engine ticks against the bare
+    /// [`GlobalMemory`](bow_mem::GlobalMemory), the windowed parallel
+    /// engine against a per-SM [`WindowedGlobal`](bow_mem::WindowedGlobal)
+    /// overlay.
+    pub fn tick<P: Probe, G: GlobalAccess>(
         &mut self,
         ctx: &mut SmCtx,
-        latches: &mut Latches,
         kernel: &Kernel,
         global: &mut G,
         probe: &mut P,
-    );
+    ) {
+        match &mut self.interlock {
+            InterlockKind::Scoreboard(il) => self.stages.tick(il, ctx, kernel, global, probe),
+            InterlockKind::ControlBits(il) => self.stages.tick(il, ctx, kernel, global, probe),
+        }
+    }
+}
+
+impl Stages {
+    /// The collector partition hosting warp slot `w`.
+    fn oc_of(&mut self, w: usize) -> &mut OperandStage {
+        let n = self.parts.len();
+        &mut self.parts[w % n].oc
+    }
+
+    fn tick<I: Interlock, P: Probe, G: GlobalAccess>(
+        &mut self,
+        il: &mut I,
+        ctx: &mut SmCtx,
+        kernel: &Kernel,
+        global: &mut G,
+        probe: &mut P,
+    ) {
+        ctx.rf.begin_cycle();
+        self.writeback(il, ctx, kernel, probe);
+        // Collect: claim register-bank ports for pending fetches and
+        // publish each partition's ready-slot set to its dispatch latch.
+        for part in &mut self.parts {
+            part.oc.collect(ctx.cycle, &mut ctx.rf);
+            part.latch.fill(&part.oc, ctx.cycle);
+        }
+        self.dispatch(il, ctx, kernel, global, probe);
+        self.issue(il, ctx, kernel, probe);
+        for part in &self.parts {
+            part.oc.sample_occupancy(&mut ctx.stats, probe);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::collector::CollectorKind;
+    use crate::config::{CoreModelKind, GpuConfig};
+    use crate::probe::NullProbe;
+    use crate::sm::Sm;
+    use crate::stats::SimStats;
+    use bow_isa::ctrl::CtrlBits;
+    use bow_isa::{Kernel, KernelBuilder, KernelDims, Operand, Pred, Reg, Special};
+    use bow_mem::GlobalMemory;
+
+    fn modern_config(kind: CollectorKind) -> GpuConfig {
+        let mut c = GpuConfig::scaled(kind);
+        c.core_model = CoreModelKind::Modern;
+        c
+    }
+
+    fn run_on(config: &GpuConfig, kernel: &Kernel, threads: u32, g: &mut GlobalMemory) -> SimStats {
+        let mut sm = Sm::new(0, config);
+        sm.reset_for_launch(&[0x1000]);
+        sm.assign_block(kernel, (0, 0), KernelDims::linear(1, threads), 0);
+        let mut guard = 0;
+        while sm.busy() {
+            sm.tick(kernel, g, &mut NullProbe);
+            guard += 1;
+            assert!(guard < 1_000_000, "kernel did not terminate");
+        }
+        sm.stats()
+    }
+
+    fn store_iota() -> Kernel {
+        let r = Reg::r;
+        KernelBuilder::new("iota")
+            .s2r(r(0), Special::TidX)
+            .ldc(r(1), 0)
+            .shl(r(2), r(0).into(), Operand::Imm(2))
+            .iadd(r(1), r(1).into(), r(2).into())
+            .stg(r(1), 0, r(0).into())
+            .exit()
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn modern_core_runs_all_collectors_identically() {
+        let kernel = store_iota();
+        let mut fps = Vec::new();
+        for kind in [
+            CollectorKind::Baseline,
+            CollectorKind::bow(3),
+            CollectorKind::bow_wr(3),
+            CollectorKind::rfc6(),
+        ] {
+            let mut g = GlobalMemory::new();
+            run_on(&modern_config(kind), &kernel, 32, &mut g);
+            for i in 0..32u64 {
+                assert_eq!(g.read_u32(0x1000 + 4 * i), i as u32, "{kind:?} lane {i}");
+            }
+            fps.push(g.fingerprint());
+        }
+        assert!(fps.windows(2).all(|w| w[0] == w[1]));
+    }
+
+    #[test]
+    fn annotated_kernel_matches_unannotated_memory() {
+        // Control bits are timing-only: even deliberately tight (all-zero
+        // stall) annotations must not change architectural results.
+        let mut kernel = store_iota();
+        let plain = {
+            let mut g = GlobalMemory::new();
+            run_on(
+                &modern_config(CollectorKind::bow_wr(3)),
+                &kernel,
+                32,
+                &mut g,
+            );
+            g.fingerprint()
+        };
+        kernel.ctrl = vec![CtrlBits::default(); kernel.insts.len()];
+        let mut g = GlobalMemory::new();
+        let st = run_on(
+            &modern_config(CollectorKind::bow_wr(3)),
+            &kernel,
+            32,
+            &mut g,
+        );
+        assert_eq!(g.fingerprint(), plain);
+        assert_eq!(st.warp_instructions, 6);
+    }
+
+    #[test]
+    fn annotated_issue_is_no_slower_checked_by_barrier_timing() {
+        // A load consumer guarded by a write barrier: the annotated run
+        // must still produce correct data (barrier released at writeback).
+        let r = Reg::r;
+        let mut kernel = KernelBuilder::new("ldchain")
+            .ldc(r(0), 0)
+            .ldg(r(1), r(0), 0)
+            .iadd(r(2), r(1).into(), Operand::Imm(1))
+            .stg(r(0), 4, r(2).into())
+            .exit()
+            .build()
+            .unwrap();
+        kernel.ctrl = vec![
+            CtrlBits {
+                wr_bar: Some(0),
+                ..Default::default()
+            },
+            CtrlBits {
+                wait_mask: 0b1,
+                wr_bar: Some(1),
+                rd_bar: Some(2),
+                ..Default::default()
+            },
+            CtrlBits {
+                wait_mask: 0b10,
+                stall: 4,
+                ..Default::default()
+            },
+            CtrlBits {
+                wait_mask: 0b100,
+                ..Default::default()
+            },
+            CtrlBits::default(),
+        ];
+        kernel.validate().unwrap();
+        let mut g = GlobalMemory::new();
+        g.write_u32(0x1000, 41);
+        run_on(
+            &modern_config(CollectorKind::bow_wr(3)),
+            &kernel,
+            32,
+            &mut g,
+        );
+        assert_eq!(g.read_u32(0x1000 + 4), 42);
+    }
+
+    #[test]
+    fn divergence_and_loops_work_on_modern() {
+        let r = Reg::r;
+        let kernel = KernelBuilder::new("diverge")
+            .s2r(r(0), Special::TidX)
+            .isetp(
+                bow_isa::CmpOp::Lt,
+                Pred::p(0),
+                r(0).into(),
+                Operand::Imm(16),
+            )
+            .ssy("join")
+            .bra_if(Pred::p(0), false, "then")
+            .mov_imm(r(1), 9)
+            .bra("join")
+            .label("then")
+            .mov_imm(r(1), 5)
+            .label("join")
+            .sync()
+            .ldc(r(2), 0)
+            .shl(r(3), r(0).into(), Operand::Imm(2))
+            .iadd(r(2), r(2).into(), r(3).into())
+            .stg(r(2), 0, r(1).into())
+            .exit()
+            .build()
+            .unwrap();
+        let mut g = GlobalMemory::new();
+        run_on(
+            &modern_config(CollectorKind::bow_wr(3)),
+            &kernel,
+            32,
+            &mut g,
+        );
+        for i in 0..32u64 {
+            let expect = if i < 16 { 5 } else { 9 };
+            assert_eq!(g.read_u32(0x1000 + 4 * i), expect, "lane {i}");
+        }
+    }
+
+    #[test]
+    fn barrier_synchronizes_across_sub_cores() {
+        // Two warps land on different sub-cores (w % nsub); the block
+        // barrier must still rendezvous them.
+        let r = Reg::r;
+        let kernel = KernelBuilder::new("bar")
+            .shared_bytes(256)
+            .s2r(r(0), Special::TidX)
+            .shl(r(1), r(0).into(), Operand::Imm(2))
+            .sts(r(1), 0, r(0).into())
+            .bar()
+            .xor(r(2), r(1).into(), Operand::Imm(128))
+            .lds(r(3), r(2), 0)
+            .ldc(r(4), 0)
+            .iadd(r(4), r(4).into(), r(1).into())
+            .stg(r(4), 0, r(3).into())
+            .exit()
+            .build()
+            .unwrap();
+        let config = modern_config(CollectorKind::bow_wr(3));
+        let mut g = GlobalMemory::new();
+        let mut sm = Sm::new(0, &config);
+        sm.reset_for_launch(&[0x2000]);
+        sm.assign_block(&kernel, (0, 0), KernelDims::linear(1, 64), 0);
+        let mut guard = 0;
+        while sm.busy() {
+            sm.tick(&kernel, &mut g, &mut NullProbe);
+            guard += 1;
+            assert!(guard < 1_000_000);
+        }
+        for i in 0..64u64 {
+            assert_eq!(g.read_u32(0x2000 + 4 * i), (i as u32) ^ 32, "thread {i}");
+        }
+    }
+
+    #[test]
+    fn uniform_rf_cuts_bank_reads() {
+        // ldc produces a uniform value consumed repeatedly: the uniform
+        // RF should serve those reads, so the modern core performs fewer
+        // bank reads than Pascal on the same kernel and collector.
+        let r = Reg::r;
+        let kernel = KernelBuilder::new("unireads")
+            .ldc(r(0), 0)
+            .s2r(r(1), Special::TidX)
+            .iadd(r(2), r(0).into(), r(1).into())
+            .iadd(r(3), r(0).into(), r(2).into())
+            .iadd(r(4), r(0).into(), r(3).into())
+            .shl(r(5), r(1).into(), Operand::Imm(2))
+            .iadd(r(5), r(0).into(), r(5).into())
+            .stg(r(5), 0, r(4).into())
+            .exit()
+            .build()
+            .unwrap();
+        let pascal = GpuConfig::scaled(CollectorKind::Baseline);
+        let mut g1 = GlobalMemory::new();
+        let ps = run_on(&pascal, &kernel, 32, &mut g1);
+        let mut g2 = GlobalMemory::new();
+        let ms = run_on(
+            &modern_config(CollectorKind::Baseline),
+            &kernel,
+            32,
+            &mut g2,
+        );
+        assert_eq!(
+            g1.fingerprint(),
+            g2.fingerprint(),
+            "same architectural state"
+        );
+        assert!(
+            ms.rf.reads < ps.rf.reads,
+            "uniform reads must skip banks: {} !< {}",
+            ms.rf.reads,
+            ps.rf.reads
+        );
+    }
+
+    #[test]
+    fn a_warp_blocked_twice_is_charged_to_the_check_its_interlock_puts_first() {
+        // One warp, one collector unit, and a chain in which every
+        // instruction reads its predecessor's result: whenever the
+        // collector is full the hazard is pending too, so which counter
+        // moves is decided by the order of the two checks alone.
+        let r = Reg::r;
+        let kernel = KernelBuilder::new("chain")
+            .ldc(r(1), 0)
+            .iadd(r(1), r(1).into(), Operand::Imm(4))
+            .iadd(r(1), r(1).into(), Operand::Imm(4))
+            .stg(r(1), 0, r(1).into())
+            .exit()
+            .build()
+            .unwrap();
+        let run = |core_model| {
+            let mut config = GpuConfig::scaled(CollectorKind::Baseline);
+            config.core_model = core_model;
+            config.num_ocus = 1;
+            let mut g = GlobalMemory::new();
+            let st = run_on(&config, &kernel, 32, &mut g);
+            assert_eq!(g.read_u32(0x1008), 0x1008, "{core_model:?}");
+            st
+        };
+        let pascal = run(CoreModelKind::Pascal);
+        assert!(pascal.stall_no_collector > 0, "collector is tested first");
+        assert!(pascal.stall_scoreboard > 0, "RAW outlives the collector");
+        let modern = run(CoreModelKind::Modern);
+        assert_eq!(modern.stall_no_collector, 0, "interlock is tested first");
+        assert!(modern.stall_scoreboard > 0);
+    }
 }

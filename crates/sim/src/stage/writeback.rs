@@ -1,10 +1,10 @@
 //! The writeback stage: drains due completions, routes results through
-//! the collector model's write policy and releases scoreboard entries.
+//! the collector model's write policy and releases the interlock.
 
-use super::{Latches, PipelineStage, SmCtx};
+use super::interlock::Interlock;
+use super::{SmCtx, Stages};
 use crate::probe::{emit, PipeEvent, Probe};
 use bow_isa::{Kernel, Pred, Reg, WritebackHint, WARP_SIZE};
-use bow_mem::GlobalAccess;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -67,22 +67,15 @@ impl CompletionQueue {
     }
 }
 
-/// The writeback stage.
-#[derive(Debug, Default)]
-pub struct WritebackStage;
-
-impl PipelineStage for WritebackStage {
-    const NAME: &'static str = "writeback";
-
-    fn tick<P: Probe, G: GlobalAccess>(
+impl Stages {
+    pub(super) fn writeback<I: Interlock, P: Probe>(
         &mut self,
+        il: &mut I,
         ctx: &mut SmCtx,
-        latches: &mut Latches,
-        _kernel: &Kernel,
-        _global: &mut G,
+        kernel: &Kernel,
         probe: &mut P,
     ) {
-        while let Some(c) = latches.completions.pop_due(ctx.cycle) {
+        while let Some(c) = self.completions.pop_due(ctx.cycle) {
             let span = ctx.cycle - c.issue_cycle;
             emit(
                 &mut ctx.stats,
@@ -106,21 +99,8 @@ impl PipelineStage for WritebackStage {
                 continue;
             };
             warp.inflight -= 1;
+            let retired = warp.done && warp.inflight == 0;
             let current_seq = warp.seq;
-            // Stage the architectural result for the shadow RF: warp.regs
-            // already holds what this completion computed, and whether it
-            // ever reaches the banks is exactly what the write policy
-            // below decides (via `RegFile::enqueue_write`, or never).
-            let shadow_lanes = match c.dst_reg {
-                Some(reg) if ctx.rf.shadow_enabled() => {
-                    let mut lanes = [0u32; WARP_SIZE];
-                    for (lane, v) in lanes.iter_mut().enumerate() {
-                        *v = warp.read_reg(lane, reg);
-                    }
-                    Some(lanes)
-                }
-                _ => None,
-            };
             emit(
                 &mut ctx.stats,
                 probe,
@@ -132,11 +112,22 @@ impl PipelineStage for WritebackStage {
                     seq: c.seq,
                 },
             );
+            let oc = self.oc_of(c.warp);
             if let Some(reg) = c.dst_reg {
-                if let Some(lanes) = shadow_lanes {
+                // Stage the architectural result for the shadow RF:
+                // warp.regs already holds what this completion computed,
+                // and whether it ever reaches the banks is exactly what
+                // the write policy below decides (via
+                // `RegFile::enqueue_write`, or never). Like the issue-time
+                // shadow read, only an exact interlock supports it.
+                if I::EXACT && ctx.rf.shadow_enabled() {
+                    let mut lanes = [0u32; WARP_SIZE];
+                    for (lane, v) in lanes.iter_mut().enumerate() {
+                        *v = warp.read_reg(lane, reg);
+                    }
                     ctx.rf.shadow_stage(c.warp, reg, lanes);
                 }
-                ctx.oc.writeback(
+                oc.writeback(
                     c.warp,
                     reg,
                     c.seq,
@@ -146,16 +137,10 @@ impl PipelineStage for WritebackStage {
                     &mut ctx.stats,
                     probe,
                 );
-                ctx.scoreboards[c.warp].writeback_reg(reg);
             }
-            if let Some(p) = c.dst_pred {
-                ctx.scoreboards[c.warp].writeback_pred(p);
-            }
-            if ctx.warps[c.warp]
-                .as_ref()
-                .is_some_and(|w| w.done && w.inflight == 0)
-            {
-                ctx.finalize_warp(c.warp, probe);
+            il.on_writeback(&c, kernel);
+            if retired {
+                ctx.finalize_warp(oc, c.warp, probe);
             }
         }
     }

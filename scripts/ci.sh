@@ -246,6 +246,16 @@ for CORE in pascal modern; do
     echo "    ${CORE} distributions in target/corpus-smoke/dist_${CORE}{,_barrier}.json"
 done
 
+echo "==> benchmark/run.sh --smoke (the benchmark still builds and runs)"
+# benchmark/ is a cargo workspace of its own that links the crates by
+# path: bow::sim::{CollectorKind, CoreModelKind, DivergenceModel, Gpu,
+# SimStats}, the GpuConfig fields it sets, the server and the corpus
+# generator. A refactor that breaks that API passes every stage above
+# and would first fail in the PR pipeline's benchmark run; one test-scale
+# pass over every workload fails it here. Built into target/ so nothing
+# is left under benchmark/ but its ignored out/ directory.
+CARGO_TARGET_DIR=target/benchmark benchmark/run.sh --smoke > /dev/null
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
