@@ -93,15 +93,13 @@ fn main() {
     // The full scenario matrix: {pascal, modern} × {stack, barrier}.
     // Stack sweeps keep their historical artifact names; barrier sweeps
     // get a `_barrier` suffix so both populations sit side by side.
-    for (core, name) in [
-        (CoreModelKind::Pascal, "pascal"),
-        (CoreModelKind::Modern, "modern"),
-    ] {
-        for (divergence, dname) in [
-            (DivergenceModel::Stack, "stack"),
-            (DivergenceModel::Barrier, "barrier"),
-        ] {
-            eprintln!("corpus_report: sweeping {name} core / {dname} divergence (sample {sample})");
+    for core in CoreModelKind::ALL {
+        for divergence in DivergenceModel::ALL {
+            let name = core.name();
+            eprintln!(
+                "corpus_report: sweeping {name} core / {} divergence (sample {sample})",
+                divergence.name()
+            );
             let opts = corpus::SweepOptions {
                 limit: sample,
                 jobs,
@@ -112,7 +110,7 @@ fn main() {
             };
             let result = corpus::sweep(&manifest, &opts);
             result.assert_checked();
-            let doc = corpus::distribution_json(&manifest, &result, name, dname);
+            let doc = corpus::distribution_json(&manifest, &result, core, divergence);
             let artifact = match divergence {
                 DivergenceModel::Stack => format!("corpus_{name}"),
                 DivergenceModel::Barrier => format!("corpus_{name}_barrier"),

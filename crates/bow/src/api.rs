@@ -24,12 +24,19 @@
 //! * `schema_version` is hashed in, so a schema bump invalidates every
 //!   old key instead of serving stale-layout documents.
 
-use crate::error::{BowError, ConfigError};
-use crate::experiment::{run, Config, ConfigBuilder, GpuModel, RunRecord, SCHEMA_VERSION};
+use crate::error::BowError;
+use crate::experiment::{
+    benchmark, run, Collector, CompilePlan, Config, ConfigBuilder, GpuModel, RunRecord,
+    SCHEMA_VERSION,
+};
 use crate::suite::{Suite, SweepResult};
-use bow_sim::{CollectorKind, CoreModelKind, DivergenceModel, Gpu, OracleCheck, SchedPolicy};
+use bow_mem::{CacheConfig, MemConfig};
+use bow_sim::{
+    CollectorKind, CoreModelKind, DivergenceModel, Gpu, GpuConfig, OracleCheck, SchedPolicy,
+};
 use bow_util::json::Json;
-use bow_workloads::{by_name, suite as paper_suite, RunOutcome, Scale};
+use bow_util::UnknownName;
+use bow_workloads::{suite as paper_suite, RunOutcome, Scale};
 
 /// The kernel a run request targets.
 #[derive(Clone, Debug)]
@@ -74,24 +81,24 @@ pub struct SweepRequest {
     pub jobs: usize,
 }
 
-fn parse_scale(v: &Json) -> Result<Scale, BowError> {
-    match v.get("scale").map(|s| (s.as_str(), s)) {
-        None => Ok(Scale::Test),
-        Some((Some("test"), _)) => Ok(Scale::Test),
-        Some((Some("paper"), _)) => Ok(Scale::Paper),
-        Some((other, _)) => Err(ConfigError::Unknown {
-            what: "scale",
-            value: other.map_or_else(|| "non-string".to_string(), str::to_string),
-        }
-        .into()),
-    }
+/// Reads a name-table field: `None` when absent, else the string goes
+/// through the axis's own `parse` (whose error lists the valid names).
+fn named_field<T>(
+    v: &Json,
+    key: &str,
+    parse: fn(&str) -> Result<T, UnknownName>,
+) -> Result<Option<T>, BowError> {
+    let Some(field) = v.get(key) else {
+        return Ok(None);
+    };
+    let name = field
+        .as_str()
+        .ok_or_else(|| BowError::parse(format!("`{key}` must be a string")))?;
+    Ok(Some(parse(name)?))
 }
 
-fn scale_name(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Test => "test",
-        Scale::Paper => "paper",
-    }
+fn parse_scale(v: &Json) -> Result<Scale, BowError> {
+    Ok(named_field(v, "scale", Scale::parse)?.unwrap_or(Scale::Test))
 }
 
 /// Builds a [`Config`] from a `ConfigBuilder`-shaped JSON document.
@@ -149,26 +156,19 @@ pub fn config_from_json(v: &Json) -> Result<Config, BowError> {
                 .ok_or_else(|| BowError::parse(format!("`{key}` must be a bool"))),
         }
     };
-    let window = u32_field("window", 3)?;
-    let collector = v.get("collector").map_or(Ok("baseline"), |c| {
-        c.as_str()
-            .ok_or_else(|| BowError::parse("`collector` must be a string"))
-    })?;
-    let mut builder = match collector {
-        "baseline" => ConfigBuilder::baseline(),
-        "bow" => ConfigBuilder::bow(window),
-        "bow-wr" => ConfigBuilder::bow_wr(window),
-        "bow-wr-half" => ConfigBuilder::bow_wr(window).half_size(true),
-        "bow-flex" => ConfigBuilder::bow_flex(u32_field("capacity", 12)?),
-        "rfc" => ConfigBuilder::rfc().rfc_entries(u32_field("rfc_entries", 6)?),
-        other => {
-            return Err(ConfigError::Unknown {
-                what: "collector",
-                value: other.to_string(),
-            }
-            .into())
-        }
-    };
+    // An absent axis is the axis's own default (`baseline`, `scaled`,
+    // `pascal`, `stack`).
+    let (collector, half_size) =
+        named_field(v, "collector", Collector::parse_spec)?.unwrap_or_default();
+    let mut builder = ConfigBuilder::new(collector)
+        .window(u32_field("window", 3)?)
+        .half_size(half_size)
+        .capacity(u32_field("capacity", 12)?)
+        .rfc_entries(u32_field("rfc_entries", 6)?)
+        .model(named_field(v, "model", GpuModel::parse)?.unwrap_or_default())
+        .core_model(named_field(v, "core_model", CoreModelKind::parse)?.unwrap_or_default())
+        .divergence(named_field(v, "divergence", DivergenceModel::parse)?.unwrap_or_default())
+        .sim_threads(u32_field("sim_threads", 1)?);
     if let Some(half) = bool_field("half_size")? {
         builder = builder.half_size(half);
     }
@@ -177,42 +177,6 @@ pub fn config_from_json(v: &Json) -> Result<Config, BowError> {
     }
     if let Some(reorder) = bool_field("reorder")? {
         builder = builder.reorder(reorder);
-    }
-    match v.get("model").map(|m| m.as_str()) {
-        None => {}
-        Some(Some("scaled")) => builder = builder.model(GpuModel::Scaled),
-        Some(Some("titan-x")) => builder = builder.model(GpuModel::TitanX),
-        Some(other) => {
-            return Err(ConfigError::Unknown {
-                what: "model",
-                value: other.map_or_else(|| "non-string".to_string(), str::to_string),
-            }
-            .into())
-        }
-    }
-    match v.get("core_model").map(|m| m.as_str()) {
-        None => {}
-        Some(Some("pascal")) => builder = builder.core_model(CoreModelKind::Pascal),
-        Some(Some("modern")) => builder = builder.core_model(CoreModelKind::Modern),
-        Some(other) => {
-            return Err(ConfigError::Unknown {
-                what: "core_model",
-                value: other.map_or_else(|| "non-string".to_string(), str::to_string),
-            }
-            .into())
-        }
-    }
-    match v.get("divergence").map(|m| m.as_str()) {
-        None => {}
-        Some(Some("stack")) => builder = builder.divergence(DivergenceModel::Stack),
-        Some(Some("barrier")) => builder = builder.divergence(DivergenceModel::Barrier),
-        Some(other) => {
-            return Err(ConfigError::Unknown {
-                what: "divergence",
-                value: other.map_or_else(|| "non-string".to_string(), str::to_string),
-            }
-            .into())
-        }
     }
     if let Some(windows) = v.get("analyzer") {
         let ws = windows
@@ -227,7 +191,6 @@ pub fn config_from_json(v: &Json) -> Result<Config, BowError> {
             .collect::<Result<Vec<u32>, _>>()?;
         builder = builder.analyzer(&ws);
     }
-    builder = builder.sim_threads(u32_field("sim_threads", 1)?);
     if let Some(label) = v.get("label") {
         builder = builder.label(
             label
@@ -239,12 +202,74 @@ pub fn config_from_json(v: &Json) -> Result<Config, BowError> {
 }
 
 /// The canonical JSON form of a resolved configuration: every semantic
-/// knob of the [`GpuConfig`](bow_sim::GpuConfig) spelled out, presentational/execution knobs
+/// knob of the [`GpuConfig`] spelled out, presentational/execution knobs
 /// (`label`, `sim_threads`, tracing, oracle mode) excluded. This is what
 /// gets hashed into the fingerprint.
+///
+/// `Config`, `GpuConfig` and `MemConfig` are destructured without `..`, so
+/// a new field does not compile until it is either emitted here (semantic)
+/// or bound to `_` with the reason it cannot change a result
+/// (execution-only).
 pub fn canonical_config_json(config: &Config) -> Json {
-    let g = &config.gpu;
-    let collector = match g.collector {
+    let Config {
+        // Presentational: names the run, never steers it.
+        label: _,
+        gpu,
+        hints,
+        reorder,
+        verify,
+    } = config;
+    let GpuConfig {
+        num_sms,
+        cores_per_sm,
+        max_blocks_per_sm,
+        max_warps_per_sm,
+        rf_bytes_per_sm,
+        rf_banks,
+        schedulers_per_sm,
+        issue_per_scheduler,
+        collector,
+        core_model,
+        divergence,
+        num_ocus,
+        rf_read_latency,
+        xbar_width,
+        alu_latency,
+        mul_latency,
+        sfu_latency,
+        smem_latency,
+        alu_width,
+        mul_width,
+        sfu_width,
+        mem_width,
+        mem,
+        sched,
+        analyze_windows,
+        max_cycles,
+        // Observer: records pipeline events, the pipeline runs the same.
+        trace_pipeline: _,
+        // Checker: re-runs the launch on the oracle and compares; the
+        // pipeline's own results are untouched.
+        oracle_check: _,
+        shadow_rf,
+        // Checker: a probe on the event stream; cycles, stats and
+        // fingerprints are pinned identical with it on or off.
+        sanitize: _,
+        // Execution knob: results are byte-identical at any thread count
+        // (the deterministic-engine contract, `tests/determinism.rs`).
+        sim_threads: _,
+        sim_window,
+    } = gpu;
+    let MemConfig {
+        l1,
+        l2,
+        l1_latency,
+        l2_latency,
+        dram_latency,
+        tx_serialization,
+        mshr_entries,
+    } = mem;
+    let collector = match *collector {
         CollectorKind::Baseline => Json::obj([("kind", Json::from("baseline"))]),
         CollectorKind::Bow { window, half_size } => Json::obj([
             ("kind", Json::from("bow")),
@@ -265,65 +290,70 @@ pub fn canonical_config_json(config: &Config) -> Json {
             ("entries", Json::from(entries)),
         ]),
     };
-    let cache = |c: &bow_mem::CacheConfig| {
+    let cache = |c: &CacheConfig| {
+        let CacheConfig {
+            size_bytes,
+            line_bytes,
+            ways,
+        } = *c;
         Json::obj([
-            ("size_bytes", Json::from(c.size_bytes)),
-            ("line_bytes", Json::from(c.line_bytes)),
-            ("ways", Json::from(c.ways)),
+            ("size_bytes", Json::from(size_bytes)),
+            ("line_bytes", Json::from(line_bytes)),
+            ("ways", Json::from(ways)),
         ])
     };
     Json::obj([
         ("collector", collector),
-        ("core_model", Json::from(g.core_model.name())),
-        ("divergence", Json::from(g.divergence.name())),
-        ("num_sms", Json::from(g.num_sms)),
-        ("cores_per_sm", Json::from(g.cores_per_sm)),
-        ("max_blocks_per_sm", Json::from(g.max_blocks_per_sm)),
-        ("max_warps_per_sm", Json::from(g.max_warps_per_sm)),
-        ("rf_bytes_per_sm", Json::from(g.rf_bytes_per_sm)),
-        ("rf_banks", Json::from(g.rf_banks)),
-        ("schedulers_per_sm", Json::from(g.schedulers_per_sm)),
-        ("issue_per_scheduler", Json::from(g.issue_per_scheduler)),
-        ("num_ocus", Json::from(g.num_ocus)),
-        ("rf_read_latency", Json::from(g.rf_read_latency)),
-        ("xbar_width", Json::from(g.xbar_width)),
-        ("alu_latency", Json::from(g.alu_latency)),
-        ("mul_latency", Json::from(g.mul_latency)),
-        ("sfu_latency", Json::from(g.sfu_latency)),
-        ("smem_latency", Json::from(g.smem_latency)),
-        ("alu_width", Json::from(g.alu_width)),
-        ("mul_width", Json::from(g.mul_width)),
-        ("sfu_width", Json::from(g.sfu_width)),
-        ("mem_width", Json::from(g.mem_width)),
+        ("core_model", Json::from(core_model.name())),
+        ("divergence", Json::from(divergence.name())),
+        ("num_sms", Json::from(*num_sms)),
+        ("cores_per_sm", Json::from(*cores_per_sm)),
+        ("max_blocks_per_sm", Json::from(*max_blocks_per_sm)),
+        ("max_warps_per_sm", Json::from(*max_warps_per_sm)),
+        ("rf_bytes_per_sm", Json::from(*rf_bytes_per_sm)),
+        ("rf_banks", Json::from(*rf_banks)),
+        ("schedulers_per_sm", Json::from(*schedulers_per_sm)),
+        ("issue_per_scheduler", Json::from(*issue_per_scheduler)),
+        ("num_ocus", Json::from(*num_ocus)),
+        ("rf_read_latency", Json::from(*rf_read_latency)),
+        ("xbar_width", Json::from(*xbar_width)),
+        ("alu_latency", Json::from(*alu_latency)),
+        ("mul_latency", Json::from(*mul_latency)),
+        ("sfu_latency", Json::from(*sfu_latency)),
+        ("smem_latency", Json::from(*smem_latency)),
+        ("alu_width", Json::from(*alu_width)),
+        ("mul_width", Json::from(*mul_width)),
+        ("sfu_width", Json::from(*sfu_width)),
+        ("mem_width", Json::from(*mem_width)),
         (
             "mem",
             Json::obj([
-                ("l1", cache(&g.mem.l1)),
-                ("l2", cache(&g.mem.l2)),
-                ("l1_latency", Json::from(g.mem.l1_latency)),
-                ("l2_latency", Json::from(g.mem.l2_latency)),
-                ("dram_latency", Json::from(g.mem.dram_latency)),
-                ("tx_serialization", Json::from(g.mem.tx_serialization)),
-                ("mshr_entries", Json::from(g.mem.mshr_entries)),
+                ("l1", cache(l1)),
+                ("l2", cache(l2)),
+                ("l1_latency", Json::from(*l1_latency)),
+                ("l2_latency", Json::from(*l2_latency)),
+                ("dram_latency", Json::from(*dram_latency)),
+                ("tx_serialization", Json::from(*tx_serialization)),
+                ("mshr_entries", Json::from(*mshr_entries)),
             ]),
         ),
         (
             "sched",
-            Json::from(match g.sched {
+            Json::from(match sched {
                 SchedPolicy::Gto => "gto",
                 SchedPolicy::Lrr => "lrr",
             }),
         ),
         (
             "analyze_windows",
-            Json::Arr(g.analyze_windows.iter().map(|&w| Json::from(w)).collect()),
+            Json::Arr(analyze_windows.iter().map(|&w| Json::from(w)).collect()),
         ),
-        ("max_cycles", Json::from(g.max_cycles)),
-        ("shadow_rf", Json::from(g.shadow_rf)),
-        ("sim_window", Json::from(g.sim_window)),
-        ("hints", Json::from(config.hints)),
-        ("reorder", Json::from(config.reorder)),
-        ("verify", Json::from(config.verify)),
+        ("max_cycles", Json::from(*max_cycles)),
+        ("shadow_rf", Json::from(*shadow_rf)),
+        ("sim_window", Json::from(*sim_window)),
+        ("hints", Json::from(*hints)),
+        ("reorder", Json::from(*reorder)),
+        ("verify", Json::from(*verify)),
     ])
 }
 
@@ -331,7 +361,7 @@ fn canonical_kernel_json(kernel: &KernelSpec) -> Json {
     match kernel {
         KernelSpec::Workload { name, scale } => Json::obj([
             ("workload", Json::from(name.as_str())),
-            ("scale", Json::from(scale_name(*scale))),
+            ("scale", Json::from(scale.name())),
         ]),
         KernelSpec::Inline { kernel, dims } => {
             let words = bow_isa::encode_kernel(kernel);
@@ -389,6 +419,14 @@ fn parse_kernel_spec(v: &Json) -> Result<KernelSpec, BowError> {
     }
 }
 
+/// The launch parameters of an inline kernel, which has no host harness to
+/// allocate its buffers: one disjoint 64 KiB region per parameter word.
+pub fn synthetic_params(kernel: &bow_isa::Kernel) -> Vec<u32> {
+    (0..kernel.param_words)
+        .map(|i| 0x10_0000 + u32::from(i) * 0x1_0000)
+        .collect()
+}
+
 impl RunRequest {
     /// Parses a `POST /v1/runs` body.
     ///
@@ -401,13 +439,7 @@ impl RunRequest {
         if let KernelSpec::Workload { name, scale } = &kernel {
             // Resolve early so unknown names fail at submit time, not in
             // the job.
-            if by_name(name, *scale).is_none() {
-                return Err(ConfigError::Unknown {
-                    what: "benchmark",
-                    value: name.clone(),
-                }
-                .into());
-            }
+            benchmark(name, *scale)?;
         }
         let config = match v.get("config") {
             None => ConfigBuilder::baseline().build(),
@@ -434,21 +466,20 @@ impl RunRequest {
 
     /// Runs the request to completion on the calling thread and returns
     /// the record. Named workloads run through the standard experiment
-    /// driver (host-reference checked); inline kernels launch directly
-    /// with the memory oracle enabled, so `checked` still means
-    /// "independently verified".
+    /// driver (host-reference checked); inline kernels are compiled by
+    /// the same [`CompilePlan`] and launch directly with the memory oracle
+    /// enabled, so `checked` still means "independently verified".
     ///
     /// # Errors
     ///
     /// Returns [`BowError::Verify`] when a workload fails its reference
-    /// check.
+    /// check, and [`BowError::Config`] when the configuration's compile
+    /// plan refuses an inline kernel (e.g. `"divergence":"barrier"` on
+    /// control flow the barrier lowering cannot express).
     pub fn execute(&self) -> Result<RunRecord, BowError> {
         match &self.kernel {
             KernelSpec::Workload { name, scale } => {
-                let bench = by_name(name, *scale).ok_or_else(|| ConfigError::Unknown {
-                    what: "benchmark",
-                    value: name.clone(),
-                })?;
+                let bench = benchmark(name, *scale)?;
                 let rec = run(bench.as_ref(), self.config.clone());
                 if let Err(e) = &rec.outcome.checked {
                     return Err(BowError::verify(format!(
@@ -459,28 +490,11 @@ impl RunRequest {
                 Ok(rec)
             }
             KernelSpec::Inline { kernel, dims } => {
-                let window = self.config.gpu.collector.window().unwrap_or(3);
-                let mut kernel = kernel.clone();
-                if self.config.reorder {
-                    kernel = bow_compiler::reorder_for_bypass(&kernel);
-                }
-                let compiler = if self.config.hints {
-                    let (k, rep) = bow_compiler::annotate(&kernel, window);
-                    kernel = k;
-                    Some(rep)
-                } else {
-                    None
-                };
-                if self.config.gpu.core_model == CoreModelKind::Modern {
-                    kernel =
-                        bow_compiler::emit_ctrl(&kernel, &bow_compiler::CtrlLatencies::default());
-                }
+                let (kernel, compiler) = CompilePlan::of(&self.config).apply(kernel.clone())?;
                 let mut gpu_cfg = self.config.gpu.clone();
                 gpu_cfg.oracle_check = OracleCheck::Memory;
                 let mut gpu = Gpu::new(gpu_cfg);
-                let params: Vec<u32> = (0..kernel.param_words)
-                    .map(|i| 0x10_0000 + u32::from(i) * 0x1_0000)
-                    .collect();
+                let params = synthetic_params(&kernel);
                 let result = gpu.launch(
                     &kernel,
                     bow_isa::KernelDims::linear(dims.0, dims.1),
@@ -527,13 +541,7 @@ impl SweepRequest {
                 .collect::<Result<_, _>>()?,
         };
         for name in &benchmarks {
-            if by_name(name, scale).is_none() {
-                return Err(ConfigError::Unknown {
-                    what: "benchmark",
-                    value: name.clone(),
-                }
-                .into());
-            }
+            benchmark(name, scale)?;
         }
         let configs = v
             .get("configs")
@@ -569,7 +577,7 @@ impl SweepRequest {
             (
                 "sweep",
                 Json::obj([
-                    ("scale", Json::from(scale_name(self.scale))),
+                    ("scale", Json::from(self.scale.name())),
                     (
                         "benchmarks",
                         Json::Arr(
@@ -603,12 +611,7 @@ impl SweepRequest {
         let benches = self
             .benchmarks
             .iter()
-            .map(|name| {
-                by_name(name, self.scale).ok_or_else(|| ConfigError::Unknown {
-                    what: "benchmark",
-                    value: name.clone(),
-                })
-            })
+            .map(|name| benchmark(name, self.scale))
             .collect::<Result<Vec<_>, _>>()?;
         let result = Suite::over(benches)
             .configs(self.configs.iter().cloned())
@@ -630,7 +633,9 @@ impl SweepRequest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::ConfigError;
     use bow_util::json::parse;
+    use bow_workloads::by_name;
 
     fn req(body: &str) -> Result<RunRequest, BowError> {
         RunRequest::from_json(&parse(body).expect("test body is valid JSON"))
@@ -785,6 +790,88 @@ mod tests {
         assert_eq!(rec.benchmark, "k");
         assert!(rec.outcome.checked.is_ok());
         assert!(rec.outcome.result.stats.warp_instructions > 0);
+    }
+
+    /// `depth` nested SSY diamonds around one store, every fork genuinely
+    /// divergent (lane parity of a shifted thread id). Structured, so the
+    /// SIMT stack runs it at any depth; the barrier register file holds
+    /// only `NUM_CBARS` nesting levels.
+    fn nested_diamonds(depth: usize) -> String {
+        use bow_isa::{CmpOp, KernelBuilder, Operand, Pred, Reg, Special};
+        let r = Reg::r;
+        let mut b = KernelBuilder::new("nest")
+            .s2r(r(0), Special::TidX)
+            .mov_imm(r(2), 0x10_0000);
+        for d in 0..depth {
+            b = b
+                .shr(r(1), r(0).into(), Operand::Imm(d as u32 % 5))
+                .and(r(1), r(1).into(), Operand::Imm(1))
+                .isetp(CmpOp::Eq, Pred::p(0), r(1).into(), Operand::Imm(0))
+                .ssy(format!("join{d}"))
+                .bra_if(Pred::p(0), false, format!("else{d}"));
+        }
+        b = b.stg(r(2), 0, r(0).into());
+        for d in (0..depth).rev() {
+            b = b
+                .bra(format!("join{d}"))
+                .label(format!("else{d}"))
+                .iadd(r(3), r(0).into(), Operand::Imm(d as u32))
+                .label(format!("join{d}"))
+                .sync();
+        }
+        b.exit().build().expect("structured kernel").disassemble()
+    }
+
+    fn inline_req(asm: &str, divergence: &str) -> RunRequest {
+        let body = Json::obj([
+            ("kernel", Json::obj([("asm", Json::from(asm))])),
+            (
+                "config",
+                Json::obj([
+                    ("collector", Json::from("bow-wr")),
+                    ("divergence", Json::from(divergence)),
+                ]),
+            ),
+        ]);
+        RunRequest::from_json(&body).expect("well-formed inline request")
+    }
+
+    #[test]
+    fn inline_barrier_requests_go_through_the_barrier_lowering() {
+        // Nine nested diamonds run happily on the SIMT stack, but the
+        // barrier lowering refuses them (TooDeep). Before the inline arm
+        // went through the compile plan it never lowered: this request
+        // simulated the SSY/SYNC kernel and stored the stack-mode record
+        // under the barrier fingerprint.
+        let deep = nested_diamonds(bow_isa::NUM_CBARS + 1);
+        let stack = inline_req(&deep, "stack")
+            .execute()
+            .expect("stack runs any depth");
+        assert!(stack.outcome.result.completed);
+        let e = inline_req(&deep, "barrier").execute().unwrap_err();
+        assert_eq!(e.kind(), "config", "a 4xx on the wire, not a panic: {e}");
+        assert!(matches!(
+            &e,
+            BowError::Config(ConfigError::Compile {
+                pass: "barrier lowering",
+                ..
+            })
+        ));
+        assert!(e.to_string().contains("nests"), "{e}");
+
+        // At a depth the barrier file holds, the lowered kernel runs and
+        // reconverges to the same counters as its stack twin (the measured
+        // ROADMAP 3(b) finding), under a distinct content address.
+        let ok = nested_diamonds(bow_isa::NUM_CBARS);
+        let (s, b) = (inline_req(&ok, "stack"), inline_req(&ok, "barrier"));
+        assert_ne!(s.fingerprint(), b.fingerprint());
+        let (s, b) = (s.execute().unwrap(), b.execute().unwrap());
+        assert_eq!(b.label, "bow-wr iw3+barrier");
+        assert_eq!(s.outcome.result.stats, b.outcome.result.stats);
+        assert!(
+            b.compiler.is_some(),
+            "bow-wr inline runs carry the hint report"
+        );
     }
 
     #[test]

@@ -755,69 +755,100 @@ impl Dist {
     }
 }
 
-/// Reduces a corpus sweep to per-stratum distributions: for every
-/// non-baseline collector, the IPC gain over baseline and the measured
-/// read-bypass rate (the population analogue of Figs. 10 and 3).
-pub fn distribution_json(
-    manifest: &Manifest,
-    sweep: &SweepResult,
-    core: &str,
-    divergence: &str,
+/// One non-baseline design column of a distribution document: for each
+/// swept kernel its IPC and, where the run could observe it, its measured
+/// read-bypass rate (server-side inline runs report IPC only).
+pub struct DesignColumn<'a> {
+    /// Column label in the document.
+    pub label: &'a str,
+    /// IPC per swept kernel.
+    pub ipc: Vec<f64>,
+    /// Read-bypass rate per swept kernel, when measured.
+    pub read_bypass: Option<Vec<f64>>,
+}
+
+/// Reduces per-kernel results to per-stratum distributions: for every
+/// design column, the IPC gain over baseline and (when measured) the
+/// read-bypass rate, over all kernels and per stratum. `strata[k]` and
+/// `baseline_ipc[k]` describe swept kernel `k`.
+pub fn distributions(
+    strata: &[&str],
+    baseline_ipc: &[f64],
+    columns: &[DesignColumn],
+    core: CoreModelKind,
+    divergence: DivergenceModel,
 ) -> Json {
-    let baseline = &sweep.row(0).records;
-    let stratum_of = |bench: &str| -> String {
-        manifest
-            .entries
-            .iter()
-            .find(|e| e.name == bench)
-            .map(|e| e.stratum.clone())
-            .unwrap_or_else(|| "unknown".to_string())
-    };
-    let mut strata_names: Vec<String> = Vec::new();
-    for rec in baseline {
-        let s = stratum_of(&rec.benchmark);
-        if !strata_names.contains(&s) {
+    let mut strata_names: Vec<&str> = Vec::new();
+    for s in strata {
+        if !strata_names.contains(s) {
             strata_names.push(s);
         }
     }
-
+    let mut scopes: Vec<(&str, Option<&str>)> = vec![("all", None)];
+    scopes.extend(strata_names.iter().map(|s| (*s, Some(*s))));
     let mut stratum_rows = Vec::new();
-    let mut scopes: Vec<(String, Option<String>)> = vec![("all".to_string(), None)];
-    scopes.extend(strata_names.iter().map(|s| (s.clone(), Some(s.clone()))));
     for (scope_name, filter) in scopes {
+        let in_scope = |k: &usize| filter.is_none_or(|f| f == strata[*k]);
         let mut collectors = Vec::new();
-        for row in &sweep.rows[1..] {
-            let mut gains = Vec::new();
-            let mut bypass = Vec::new();
-            for (base, rec) in baseline.iter().zip(&row.records) {
-                if let Some(s) = &filter {
-                    if stratum_of(&rec.benchmark) != *s {
-                        continue;
-                    }
-                }
-                if base.ipc() > 0.0 {
-                    gains.push(rec.ipc() / base.ipc());
-                }
-                bypass.push(rec.outcome.result.stats.read_bypass_rate());
-            }
-            collectors.push(Json::obj([
-                ("label", Json::from(row.label.as_str())),
+        for column in columns {
+            let gains = (0..strata.len())
+                .filter(|k| in_scope(k) && baseline_ipc[*k] > 0.0)
+                .map(|k| column.ipc[k] / baseline_ipc[k])
+                .collect();
+            let mut fields = vec![
+                ("label", Json::from(column.label)),
                 ("ipc_gain", Dist::of(gains).to_json()),
-                ("read_bypass_rate", Dist::of(bypass).to_json()),
-            ]));
+            ];
+            if let Some(bypass) = &column.read_bypass {
+                let rates = (0..strata.len()).filter(in_scope).map(|k| bypass[k]);
+                fields.push(("read_bypass_rate", Dist::of(rates.collect()).to_json()));
+            }
+            collectors.push(Json::obj(fields));
         }
         stratum_rows.push(Json::obj([
-            ("stratum", Json::from(scope_name.as_str())),
+            ("stratum", Json::from(scope_name)),
             ("collectors", Json::Arr(collectors)),
         ]));
     }
     Json::obj([
         ("schema_version", Json::from(MANIFEST_VERSION)),
-        ("core_model", Json::from(core)),
-        ("divergence", Json::from(divergence)),
-        ("kernels", Json::from(baseline.len() as u64)),
+        ("core_model", Json::from(core.name())),
+        ("divergence", Json::from(divergence.name())),
+        ("kernels", Json::from(strata.len() as u64)),
         ("strata", Json::Arr(stratum_rows)),
     ])
+}
+
+/// Reduces a local corpus sweep (row 0 = baseline) to [`distributions`]
+/// (the population analogue of Figs. 10 and 3).
+pub fn distribution_json(
+    manifest: &Manifest,
+    sweep: &SweepResult,
+    core: CoreModelKind,
+    divergence: DivergenceModel,
+) -> Json {
+    let stratum_of = |bench: &str| -> &str {
+        let entry = manifest.entries.iter().find(|e| e.name == bench);
+        entry.map_or("unknown", |e| e.stratum.as_str())
+    };
+    let baseline = &sweep.row(0).records;
+    let strata: Vec<&str> = baseline.iter().map(|r| stratum_of(&r.benchmark)).collect();
+    let ipc = |records: &[crate::experiment::RunRecord]| records.iter().map(|r| r.ipc()).collect();
+    let columns: Vec<DesignColumn> = sweep.rows[1..]
+        .iter()
+        .map(|row| DesignColumn {
+            label: &row.label,
+            ipc: ipc(&row.records),
+            read_bypass: Some(
+                row.records
+                    .iter()
+                    .map(|r| r.outcome.result.stats.read_bypass_rate())
+                    .collect(),
+            ),
+        })
+        .collect();
+    let baseline_ipc: Vec<f64> = ipc(baseline);
+    distributions(&strata, &baseline_ipc, &columns, core, divergence)
 }
 
 #[cfg(test)]
@@ -936,7 +967,7 @@ mod tests {
                 ra.label, ra.benchmark
             );
         }
-        let dist = distribution_json(&m, &a, "pascal", "stack");
+        let dist = distribution_json(&m, &a, CoreModelKind::Pascal, DivergenceModel::Stack);
         assert_eq!(dist.req_u64("kernels").unwrap(), 4);
     }
 
@@ -971,7 +1002,7 @@ mod tests {
                 ra.label, ra.benchmark
             );
         }
-        let dist = distribution_json(&m, &a, "pascal", "barrier");
+        let dist = distribution_json(&m, &a, CoreModelKind::Pascal, DivergenceModel::Barrier);
         assert_eq!(
             dist.get("divergence").and_then(Json::as_str),
             Some("barrier")

@@ -6,6 +6,7 @@
 //! variant maps to a stable process exit code so scripts and the
 //! `bow-server` HTTP layer can tell the failure classes apart.
 
+use bow_util::UnknownName;
 use std::fmt;
 
 /// An invalid configuration request, produced by
@@ -24,17 +25,25 @@ pub enum ConfigError {
         /// Largest accepted value.
         max: u64,
     },
-    /// A name failed to resolve (benchmark, collector, model, scale).
-    Unknown {
-        /// What kind of name was looked up.
-        what: &'static str,
-        /// The name that failed to resolve.
-        value: String,
-    },
+    /// A name failed to resolve (benchmark, collector, model, scale); the
+    /// payload lists the valid names of the axis's table.
+    Unknown(UnknownName),
     /// Two individually valid knobs that cannot be combined.
     Conflict {
         /// What clashes and why.
         message: &'static str,
+    },
+    /// The configuration's compile plan cannot be applied to the kernel: a
+    /// compiler pass the configuration asks for refused it (barrier
+    /// lowering of an unstructured or too deeply nested kernel, the hint
+    /// verifier rejecting the annotation).
+    Compile {
+        /// The kernel the pass refused.
+        kernel: String,
+        /// The refusing pass.
+        pass: &'static str,
+        /// Why it refused.
+        message: String,
     },
 }
 
@@ -47,8 +56,13 @@ impl fmt::Display for ConfigError {
                 min,
                 max,
             } => write!(f, "{field} {value} out of range ({min}..={max})"),
-            ConfigError::Unknown { what, value } => write!(f, "unknown {what} `{value}`"),
+            ConfigError::Unknown(name) => name.fmt(f),
             ConfigError::Conflict { message } => f.write_str(message),
+            ConfigError::Compile {
+                kernel,
+                pass,
+                message,
+            } => write!(f, "{pass} rejected `{kernel}`: {message}"),
         }
     }
 }
@@ -139,6 +153,18 @@ impl From<ConfigError> for BowError {
     }
 }
 
+impl From<UnknownName> for ConfigError {
+    fn from(e: UnknownName) -> ConfigError {
+        ConfigError::Unknown(e)
+    }
+}
+
+impl From<UnknownName> for BowError {
+    fn from(e: UnknownName) -> BowError {
+        BowError::Config(e.into())
+    }
+}
+
 impl From<bow_util::json::ParseError> for BowError {
     fn from(e: bow_util::json::ParseError) -> BowError {
         BowError::Parse(e.to_string())
@@ -159,10 +185,7 @@ mod tests {
     fn exit_codes_and_kinds_are_stable() {
         let errs = [
             BowError::parse("x"),
-            BowError::Config(ConfigError::Unknown {
-                what: "benchmark",
-                value: "nope".into(),
-            }),
+            BowError::from(bow_workloads::Scale::parse("huge").unwrap_err()),
             BowError::io("a/b", "denied"),
             BowError::verify("mismatch"),
         ];
@@ -185,5 +208,8 @@ mod tests {
             BowError::io("k.s", "no such file").to_string(),
             "k.s: no such file"
         );
+        // Unknown names list the axis's table.
+        let e = BowError::from(bow_workloads::Scale::parse("huge").unwrap_err());
+        assert_eq!(e.to_string(), "unknown scale `huge` (valid: test, paper)");
     }
 }

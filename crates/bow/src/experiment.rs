@@ -1,23 +1,25 @@
 //! The experiment driver: one call runs a benchmark under a named
-//! configuration, applying the compiler pass where the configuration
-//! requires it. Single runs go through [`run`]; whole
+//! configuration, applying the compiler passes the configuration's
+//! [`CompilePlan`] names. Single runs go through [`run`]; whole
 //! (benchmark × configuration) matrices go through the parallel
 //! [`suite`](crate::suite) engine, which reuses this module's
 //! [`prepare_kernel`]/[`run_prepared`] split to memoize compiler-pass
-//! output across cells.
+//! output across cells, keyed by the plan itself.
 //!
 //! Configurations are built with [`ConfigBuilder`], which exposes every
 //! knob of the design space — collector kind, instruction window,
 //! half-size buffers, compiler hints, the footnote-1 scheduler, GPU model
 //! scale — orthogonally and derives the display label automatically.
 
-use crate::error::ConfigError;
+use crate::error::{BowError, ConfigError};
 use bow_compiler::{annotate, CompilerReport};
+use bow_isa::Kernel;
 use bow_sim::{
     CollectorKind, CoreModelKind, DivergenceModel, Gpu, GpuConfig, SimStats, WindowReport,
 };
 use bow_util::json::{DecodeError, Json};
-use bow_workloads::{Benchmark, RunOutcome};
+use bow_util::{parse_name, UnknownName};
+use bow_workloads::{Benchmark, RunOutcome, Scale};
 
 /// Version tag of every serialized document this crate emits
 /// ([`RunRecord::to_json`], [`SweepResult::to_json`](crate::suite::SweepResult::to_json))
@@ -29,9 +31,10 @@ pub const SCHEMA_VERSION: u64 = 1;
 /// Which operand-collection design a configuration simulates — the
 /// coarse axis of [`ConfigBuilder`]; the window/half-size/capacity
 /// details are separate knobs.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Collector {
     /// Conventional operand collectors (the paper's baseline GPU).
+    #[default]
     Baseline,
     /// BOW: read bypassing, write-through (§IV-A).
     Bow,
@@ -43,14 +46,62 @@ pub enum Collector {
     Rfc,
 }
 
+impl Collector {
+    /// The collector specs the CLI (`--collector`) and the wire
+    /// (`"collector"`) accept: every design by name, plus the
+    /// `bow-wr-half` shorthand for BOW-WR on the half-size buffer.
+    pub const SPECS: [(&'static str, Collector, bool); 6] = [
+        ("baseline", Collector::Baseline, false),
+        ("bow", Collector::Bow, false),
+        ("bow-wr", Collector::BowWr, false),
+        ("bow-wr-half", Collector::BowWr, true),
+        ("bow-flex", Collector::BowFlex, false),
+        ("rfc", Collector::Rfc, false),
+    ];
+
+    /// Resolves a collector spec to the design and whether it asks for
+    /// the half-size buffer. Sizing knobs (window, capacity, entries) are
+    /// the caller's: the CLI and the wire default them differently.
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`UnknownName`] listing the valid specs.
+    pub fn parse_spec(spec: &str) -> Result<(Collector, bool), UnknownName> {
+        parse_name("collector", &Self::SPECS, |s| s.0, spec).map(|(_, c, half)| (c, half))
+    }
+}
+
 /// Which GPU model the configuration runs on.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum GpuModel {
     /// Table II's SM microarchitecture with 2 SMs — the experiment
     /// harness default; per-SM behaviour matches the full chip.
+    #[default]
     Scaled,
     /// The full 56-SM NVIDIA TITAN X (Pascal) of Table II.
     TitanX,
+}
+
+impl GpuModel {
+    /// Every GPU model, in table order.
+    pub const ALL: [GpuModel; 2] = [GpuModel::Scaled, GpuModel::TitanX];
+
+    /// The canonical lowercase name (the wire's `"model"` values).
+    pub fn name(&self) -> &'static str {
+        match self {
+            GpuModel::Scaled => "scaled",
+            GpuModel::TitanX => "titan-x",
+        }
+    }
+
+    /// The GPU model named `s`.
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`UnknownName`] listing the valid names.
+    pub fn parse(s: &str) -> Result<GpuModel, UnknownName> {
+        parse_name("GPU model", &Self::ALL, Self::name, s)
+    }
 }
 
 /// Builds a [`Config`] from orthogonal knobs.
@@ -101,9 +152,9 @@ impl ConfigBuilder {
             verify: false,
             shadow_rf: false,
             sanitize: false,
-            model: GpuModel::Scaled,
-            core_model: CoreModelKind::Pascal,
-            divergence: DivergenceModel::Stack,
+            model: GpuModel::default(),
+            core_model: CoreModelKind::default(),
+            divergence: DivergenceModel::default(),
             analyzer: Vec::new(),
             sim_threads: 1,
             label: None,
@@ -177,9 +228,9 @@ impl ConfigBuilder {
     }
 
     /// Gates the hint pass behind the independent residency verifier
-    /// ([`bow_compiler::annotate_checked`]): [`prepare_kernel`] panics if
-    /// the verifier rejects the producer's annotation. Only meaningful
-    /// when the hint pass runs.
+    /// ([`bow_compiler::annotate_checked`]): [`CompilePlan::apply`] fails
+    /// (and [`prepare_kernel`] panics) if the verifier rejects the
+    /// producer's annotation. Only meaningful when the hint pass runs.
     pub fn verify(mut self, yes: bool) -> ConfigBuilder {
         self.verify = yes;
         self
@@ -212,7 +263,7 @@ impl ConfigBuilder {
 
     /// Selects the SM core model (default: [`CoreModelKind::Pascal`]).
     /// The modern core runs the post-Volta sub-core pipeline and makes
-    /// [`prepare_kernel`] emit the control-bits sidecar the core's issue
+    /// the [`CompilePlan`] emit the control-bits sidecar the core's issue
     /// stage consumes.
     pub fn core_model(mut self, core: CoreModelKind) -> ConfigBuilder {
         self.core_model = core;
@@ -221,9 +272,10 @@ impl ConfigBuilder {
 
     /// Selects the divergence/reconvergence model (default:
     /// [`DivergenceModel::Stack`]). Under [`DivergenceModel::Barrier`],
-    /// [`prepare_kernel`] lowers every `ssy`/`sync` to convergence
-    /// barriers ([`bow_compiler::lower_to_barriers`]) and the simulator
-    /// runs the stack-less per-warp barrier bookkeeping.
+    /// the [`CompilePlan`] lowers every `ssy`/`sync` to convergence
+    /// barriers ([`bow_compiler::lower_to_barriers`]) and the simulator,
+    /// which reads the kernel and not this knob, runs the stack-less
+    /// per-warp barrier bookkeeping.
     pub fn divergence(mut self, model: DivergenceModel) -> ConfigBuilder {
         self.divergence = model;
         self
@@ -258,19 +310,27 @@ impl ConfigBuilder {
         self.hints.unwrap_or(self.collector == Collector::BowWr)
     }
 
-    /// The label the builder derives when none is set explicitly.
+    /// The label the builder derives when none is set explicitly. A model
+    /// axis off its default appends `+<name>` from the axis's name table.
     fn derived_label(&self) -> String {
-        let base = self.base_label();
-        let core = match self.core_model {
-            CoreModelKind::Pascal => "",
-            CoreModelKind::Modern => "+modern",
-        };
-        let div = match self.divergence {
-            DivergenceModel::Stack => "",
-            DivergenceModel::Barrier => "+barrier",
-        };
-        let shadow = if self.shadow_rf { "+shadow" } else { "" };
-        format!("{base}{core}{div}{shadow}")
+        let mut label = self.base_label();
+        for (off_default, name) in [
+            (
+                self.core_model != CoreModelKind::default(),
+                self.core_model.name(),
+            ),
+            (
+                self.divergence != DivergenceModel::default(),
+                self.divergence.name(),
+            ),
+            (self.shadow_rf, "shadow"),
+        ] {
+            if off_default {
+                label.push('+');
+                label.push_str(name);
+            }
+        }
+        label
     }
 
     fn base_label(&self) -> String {
@@ -406,8 +466,8 @@ pub struct Config {
     /// Whether to run the bypass-aware scheduler (the paper's footnote 1
     /// extension) before hint assignment.
     pub reorder: bool,
-    /// Whether [`prepare_kernel`] must gate the hint pass behind the
-    /// independent residency verifier (panic on rejection).
+    /// Whether the [`CompilePlan`] must gate the hint pass behind the
+    /// independent residency verifier.
     pub verify: bool,
 }
 
@@ -630,67 +690,137 @@ impl RunRecord {
     }
 }
 
-/// Runs the configured compiler stages over a benchmark's kernel: the
-/// footnote-1 scheduler if `config.reorder`, then the §IV-B hint pass if
-/// `config.hints`, then the barrier lowering when the configuration uses
-/// the stack-less divergence model (an opcode rewrite, so the hint
-/// sidecar stays pc-aligned), then the control-bits emitter when the
-/// configuration targets the modern core (whose issue stage consumes the
-/// sidecar). Pure — the parallel sweep engine memoizes its output per
-/// (benchmark, window, reorder, core model, divergence model) so BOW-WR
-/// sweeps annotate each kernel once, not once per figure cell.
-pub fn prepare_kernel(
-    bench: &dyn Benchmark,
-    config: &Config,
-) -> (bow_isa::Kernel, Option<CompilerReport>) {
-    let window = config.gpu.collector.window().unwrap_or(3);
-    let kernel = bench.kernel();
-    let kernel = if config.reorder {
-        bow_compiler::reorder_for_bypass(&kernel)
-    } else {
-        kernel
-    };
-    let (kernel, report) = if config.hints {
-        if config.verify {
-            match bow_compiler::annotate_checked(&kernel, window) {
-                Ok((k, rep)) => (k, Some(rep)),
-                Err(audit) => {
-                    let unsound: Vec<String> = audit
-                        .unsound()
-                        .map(|f| format!("pc {} ({} as {:?})", f.pc, f.reg, f.hint))
-                        .collect();
-                    panic!(
-                        "hint verifier rejected `{}` (window {window}): {} unsound \
-                         hint(s): [{}]",
-                        kernel.name,
-                        unsound.len(),
-                        unsound.join(", ")
-                    );
-                }
-            }
-        } else {
-            let (k, rep) = annotate(&kernel, window);
-            (k, Some(rep))
+/// Everything a configuration decides about compilation: which passes run
+/// over a kernel before launch, and with what parameters. The simulator
+/// never reads `divergence`, the sidecar half of `core_model`, `hints`,
+/// `reorder` or `verify` — they are one compile-time decision, taken here
+/// once by [`of`](CompilePlan::of) and executed once by
+/// [`apply`](CompilePlan::apply), the only launch-prep path in the
+/// workspace.
+///
+/// The plan is also the sweep engine's memo key ([`crate::suite`]): a
+/// config field can influence prep only by being in the plan, and a field
+/// in the plan is in the key by construction.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub struct CompilePlan {
+    /// Run the footnote-1 bypass-aware scheduler first.
+    pub reorder: bool,
+    /// Run the §IV-B hint pass at this operand-window size (`None`: no
+    /// hint pass, so unhinted configs of every window share one plan).
+    pub hints: Option<u32>,
+    /// Gate the hint pass behind the independent residency verifier.
+    pub verify: bool,
+    /// `Barrier` lowers `ssy`/`sync` to convergence barriers.
+    pub divergence: DivergenceModel,
+    /// `Modern` emits the control-bits sidecar the core's issue stage
+    /// consumes.
+    pub core_model: CoreModelKind,
+}
+
+impl CompilePlan {
+    /// The plan `config` asks for. `verify` only gates the hint pass, so
+    /// it is dropped when no hint pass runs.
+    pub fn of(config: &Config) -> CompilePlan {
+        CompilePlan {
+            reorder: config.reorder,
+            hints: config
+                .hints
+                .then(|| config.gpu.collector.window().unwrap_or(3)),
+            verify: config.verify && config.hints,
+            divergence: config.gpu.divergence,
+            core_model: config.gpu.core_model,
         }
-    } else {
-        (kernel, None)
-    };
-    let kernel = if config.gpu.divergence == DivergenceModel::Barrier {
-        match bow_compiler::lower_to_barriers(&kernel) {
-            Ok(k) => k,
-            Err(e) => panic!("barrier lowering rejected `{}`: {e}", kernel.name),
-        }
-    } else {
-        kernel
-    };
-    if config.gpu.core_model == CoreModelKind::Modern {
-        (
-            bow_compiler::emit_ctrl(&kernel, &bow_compiler::CtrlLatencies::default()),
-            report,
-        )
-    } else {
-        (kernel, report)
     }
+
+    /// Runs the plan's passes over `kernel`, in this fixed order: the
+    /// scheduler, then the hint pass, then the barrier lowering (an opcode
+    /// rewrite, so the hint sidecar stays pc-aligned), then the
+    /// control-bits emitter. Pure. Returns the launchable kernel and the
+    /// hint pass's report when it ran.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ConfigError::Compile`] when the hint verifier rejects the
+    /// annotation or the barrier lowering refuses the kernel's control
+    /// flow: the kernel cannot run under this configuration.
+    pub fn apply(&self, kernel: Kernel) -> Result<(Kernel, Option<CompilerReport>), BowError> {
+        let refused = |kernel: &Kernel, pass: &'static str, message: String| ConfigError::Compile {
+            kernel: kernel.name.clone(),
+            pass,
+            message,
+        };
+        let kernel = if self.reorder {
+            bow_compiler::reorder_for_bypass(&kernel)
+        } else {
+            kernel
+        };
+        let (kernel, report) = match self.hints {
+            None => (kernel, None),
+            Some(window) => {
+                let (annotated, report) = if self.verify {
+                    bow_compiler::annotate_checked(&kernel, window).map_err(|audit| {
+                        let unsound: Vec<String> = audit
+                            .unsound()
+                            .map(|f| format!("pc {} ({} as {:?})", f.pc, f.reg, f.hint))
+                            .collect();
+                        let message = format!(
+                            "{} unsound hint(s) at window {window}: [{}]",
+                            unsound.len(),
+                            unsound.join(", ")
+                        );
+                        refused(&kernel, "hint verifier", message)
+                    })?
+                } else {
+                    annotate(&kernel, window)
+                };
+                (annotated, Some(report))
+            }
+        };
+        let kernel = match self.divergence {
+            DivergenceModel::Barrier => bow_compiler::lower_to_barriers(&kernel)
+                .map_err(|e| refused(&kernel, "barrier lowering", e.to_string()))?,
+            DivergenceModel::Stack => kernel,
+        };
+        let kernel = match self.core_model {
+            CoreModelKind::Modern => {
+                bow_compiler::emit_ctrl(&kernel, &bow_compiler::CtrlLatencies::default())
+            }
+            CoreModelKind::Pascal => kernel,
+        };
+        Ok((kernel, report))
+    }
+}
+
+/// Compiles a benchmark's kernel for `config`: [`CompilePlan::of`] then
+/// [`CompilePlan::apply`].
+///
+/// # Panics
+///
+/// Panics when a pass of the plan refuses the kernel; the suite's
+/// workloads never are, and user-supplied kernels go through
+/// [`CompilePlan::apply`] for the typed error.
+pub fn prepare_kernel(bench: &dyn Benchmark, config: &Config) -> (Kernel, Option<CompilerReport>) {
+    CompilePlan::of(config)
+        .apply(bench.kernel())
+        .unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Looks a Table III benchmark up by name.
+///
+/// # Errors
+///
+/// Returns [`ConfigError::Unknown`] listing the suite's names.
+pub fn benchmark(name: &str, scale: Scale) -> Result<Box<dyn Benchmark>, ConfigError> {
+    bow_workloads::by_name(name, scale).ok_or_else(|| {
+        ConfigError::Unknown(UnknownName {
+            what: "benchmark",
+            value: name.to_string(),
+            valid: bow_workloads::suite(scale)
+                .iter()
+                .map(|b| b.name())
+                .collect(),
+        })
+    })
 }
 
 /// Launches an already-prepared kernel under `config` and packages the
@@ -698,7 +828,7 @@ pub fn prepare_kernel(
 pub fn run_prepared(
     bench: &dyn Benchmark,
     config: &Config,
-    kernel: &bow_isa::Kernel,
+    kernel: &Kernel,
     compiler: Option<CompilerReport>,
 ) -> RunRecord {
     let mut gpu = Gpu::new(config.gpu.clone());

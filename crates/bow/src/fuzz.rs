@@ -29,9 +29,9 @@
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use crate::experiment::{Config, ConfigBuilder};
+use crate::experiment::{CompilePlan, Config, ConfigBuilder};
 use crate::suite::{effective_jobs, map_parallel};
-use bow_compiler::{annotate, emit_ctrl, lower_to_barriers, verify_hints, CtrlLatencies};
+use bow_compiler::verify_hints;
 use bow_isa::fuzz::{self, FuzzKernel};
 use bow_isa::Kernel;
 use bow_sim::oracle::{run_oracle, LockstepChecker};
@@ -187,16 +187,12 @@ impl FuzzReport {
     }
 }
 
-/// The collector configurations every case runs under: the full design
-/// space of the paper's Table I plus the RFC baseline, hints on and off.
-pub fn fuzz_configs() -> Vec<Config> {
-    fuzz_configs_for(CoreModelKind::Pascal, DivergenceModel::Stack)
-}
-
-/// [`fuzz_configs`] on a chosen core and divergence model. The shadow-RF
-/// variant only exists on Pascal — it models Pascal's staged write-back
-/// and is a [`ConfigError::Conflict`](crate::error::ConfigError) with
-/// the modern core — so the modern matrix has one fewer column.
+/// The collector configurations every case runs under, on a chosen core
+/// and divergence model: the full design space of the paper's Table I
+/// plus the RFC baseline, hints on and off. The shadow-RF variant only
+/// exists on Pascal — it models Pascal's staged write-back and is a
+/// [`ConfigError::Conflict`](crate::error::ConfigError) with the modern
+/// core — so the modern matrix has one fewer column.
 pub fn fuzz_configs_for(core: CoreModelKind, divergence: DivergenceModel) -> Vec<Config> {
     let with = |b: ConfigBuilder| b.core_model(core).divergence(divergence).build();
     let mut configs = vec![
@@ -247,20 +243,21 @@ pub fn run_fuzz(opts: &FuzzOptions) -> FuzzReport {
         let program = FuzzKernel::generate_sized(&mut rng, opts.size);
         let input = FuzzKernel::gen_input(&mut rng);
         let sanitize = opts.sanitize;
-        match check_case(&program, &input, config, case, sanitize) {
-            None => CellResult {
+        match run_checks(&program, &input, config, case, sanitize) {
+            Ok(checked) => CellResult {
                 case,
                 config: config.label.clone(),
-                checked: count_checked(&program, &input, config, case, sanitize),
+                checked,
                 failure: None,
             },
-            Some(detail) => {
+            Err(detail) => {
                 // Shrink: keep any simplification that still fails this
                 // config (any failure detail counts, not just the same).
                 let minimized = program
-                    .shrink(|cand| check_case(cand, &input, config, case, sanitize).is_some());
-                let final_detail = check_case(&minimized, &input, config, case, sanitize)
-                    .unwrap_or_else(|| detail.clone());
+                    .shrink(|cand| run_checks(cand, &input, config, case, sanitize).is_err());
+                let final_detail = run_checks(&minimized, &input, config, case, sanitize)
+                    .err()
+                    .unwrap_or(detail);
                 CellResult {
                     case,
                     config: config.label.clone(),
@@ -324,56 +321,21 @@ struct CellResult {
     failure: Option<FuzzFailure>,
 }
 
-/// Builds the launchable kernel for a case under a config (hint pass
-/// applied when the config asks for it).
+/// Builds the launchable kernel for a case under a config: the config's
+/// compile plan over the generated program.
 fn build_kernel(program: &FuzzKernel, config: &Config, case: u64) -> Kernel {
-    let kernel = program.build(&format!("fuzz_case_{case}"));
-    let kernel = if config.hints {
-        let window = config.gpu.collector.window().unwrap_or(3);
-        annotate(&kernel, window).0
-    } else {
-        kernel
-    };
-    // Generated control flow is structured by construction, so barrier
-    // lowering refusing a case is itself a generator/compiler bug.
-    let kernel = if config.gpu.divergence == DivergenceModel::Barrier {
-        match lower_to_barriers(&kernel) {
-            Ok(k) => k,
-            Err(e) => panic!("fuzz case {case}: barrier lowering rejected the kernel: {e}"),
-        }
-    } else {
-        kernel
-    };
-    if config.gpu.core_model == CoreModelKind::Modern {
-        emit_ctrl(&kernel, &CtrlLatencies::default())
-    } else {
-        kernel
+    // Generated control flow is structured by construction and the hint
+    // producer is gated separately (check 0), so the plan refusing a case
+    // is itself a generator/compiler bug.
+    match CompilePlan::of(config).apply(program.build(&format!("fuzz_case_{case}"))) {
+        Ok((kernel, _)) => kernel,
+        Err(e) => panic!("fuzz case {case}: {e}"),
     }
 }
 
-/// Runs one (program, input, config) cell through the checks.
-/// Returns `None` on agreement, or a description of the first failure.
-fn check_case(
-    program: &FuzzKernel,
-    input: &[u32],
-    config: &Config,
-    case: u64,
-    sanitize: bool,
-) -> Option<String> {
-    run_checks(program, input, config, case, sanitize).err()
-}
-
-/// Re-runs a clean cell just to count lockstep-checked instructions.
-fn count_checked(
-    program: &FuzzKernel,
-    input: &[u32],
-    config: &Config,
-    case: u64,
-    sanitize: bool,
-) -> u64 {
-    run_checks(program, input, config, case, sanitize).unwrap_or(0)
-}
-
+/// Runs one (program, input, config) cell through the checks. Returns
+/// the number of lockstep-checked instructions on agreement, or a
+/// description of the first failure.
 fn run_checks(
     program: &FuzzKernel,
     input: &[u32],
@@ -388,9 +350,8 @@ fn run_checks(
     // kernel before it is allowed anywhere near the pipeline. A rejection
     // is a hint-producer bug, pinned here rather than surfacing as a
     // mysterious lockstep divergence under the shadow-RF config.
-    if config.hints {
-        let window = config.gpu.collector.window().unwrap_or(3) as usize;
-        let audit = verify_hints(&kernel, window);
+    if let Some(window) = CompilePlan::of(config).hints {
+        let audit = verify_hints(&kernel, window as usize);
         if !audit.is_sound() {
             let pcs: Vec<String> = audit.unsound().map(|f| f.pc.to_string()).collect();
             return Err(format!(
@@ -460,14 +421,11 @@ fn run_checks(
         let srep = sres.sanitizer.expect("sanitize flag attaches the probe");
         if !srep.is_clean() {
             let window = config.gpu.collector.window().unwrap_or(3);
-            let report = bow_compiler::lint_kernel(
-                &kernel,
-                &bow_compiler::LintOptions {
-                    window,
-                    check_hints: true,
-                    latencies: CtrlLatencies::default(),
-                },
-            );
+            let opts = bow_compiler::LintOptions {
+                window,
+                ..Default::default()
+            };
+            let report = bow_compiler::lint_kernel(&kernel, &opts);
             for finding in &srep.findings {
                 let vouchers = crate::sanitize_campaign::static_codes_for(finding.kind());
                 if !vouchers

@@ -36,14 +36,14 @@
 
 use std::time::{Duration, Instant};
 
-use crate::experiment::ConfigBuilder;
+use crate::experiment::{CompilePlan, ConfigBuilder};
 use crate::fuzz::{case_seed, FUZZ_MAX_CYCLES};
 use crate::suite::{effective_jobs, map_parallel};
-use bow_compiler::{annotate, lower_to_barriers, verify_hints};
+use bow_compiler::verify_hints;
 use bow_isa::fuzz::{self, FuzzKernel};
 use bow_isa::{Kernel, Reg, WritebackHint};
 use bow_sim::oracle::{run_oracle, LockstepChecker};
-use bow_sim::{DivergenceModel, Gpu};
+use bow_sim::{CoreModelKind, DivergenceModel, Gpu};
 use bow_util::json::Json;
 use bow_util::XorShift;
 
@@ -456,22 +456,21 @@ fn run_one_case(opts: &MutateOptions, case: u64) -> CaseOutcome {
     let mut rng = XorShift::new(cseed);
     let program = FuzzKernel::generate_sized(&mut rng, opts.size);
     let input = FuzzKernel::gen_input(&mut rng);
-    let kernel = program.build(&format!("mutate_case_{case}"));
-    let (annotated, _) = annotate(&kernel, opts.window);
-    // Under the barrier model the pipeline executes the lowered form, so
-    // mutate and verify that. Generated control flow is structured by
-    // construction; a refusal here is a generator/compiler bug and is
-    // surfaced through the baseline-rejected counter (must stay 0).
-    let annotated = if opts.divergence == DivergenceModel::Barrier {
-        match lower_to_barriers(&annotated) {
-            Ok(k) => k,
-            Err(_) => {
-                out.baseline_rejected += 1;
-                return out;
-            }
-        }
-    } else {
-        annotated
+    // Annotate at the campaign window; under the barrier model the
+    // pipeline executes the lowered form, so mutate and verify that.
+    // Generated control flow is structured by construction; a refusal
+    // here is a generator/compiler bug and is surfaced through the
+    // baseline-rejected counter (must stay 0).
+    let plan = CompilePlan {
+        reorder: false,
+        hints: Some(opts.window),
+        verify: false,
+        divergence: opts.divergence,
+        core_model: CoreModelKind::Pascal,
+    };
+    let Ok((annotated, _)) = plan.apply(program.build(&format!("mutate_case_{case}"))) else {
+        out.baseline_rejected += 1;
+        return out;
     };
     let window = u64::from(opts.window);
 

@@ -36,7 +36,7 @@ use crate::corpus::{self, adversarial, kernel_for, Manifest, ManifestEntry};
 use crate::experiment::ConfigBuilder;
 use crate::fuzz::FUZZ_MAX_CYCLES;
 use crate::suite::{effective_jobs, map_parallel};
-use bow_compiler::{lint_kernel, CtrlLatencies, LintOptions};
+use bow_compiler::{lint_kernel, LintOptions};
 use bow_isa::fuzz::{FuzzKernel, INPUT_BASE, PARAMS};
 use bow_isa::Kernel;
 use bow_sim::{CoreModelKind, Gpu};
@@ -299,13 +299,6 @@ fn sanitized_launch(
     (report, !result.completed)
 }
 
-fn core_label(core: CoreModelKind) -> &'static str {
-    match core {
-        CoreModelKind::Pascal => "pascal",
-        CoreModelKind::Modern => "modern",
-    }
-}
-
 fn run_one_case(entry: &ManifestEntry, progress: bool) -> CaseOutcome {
     let mut out = CaseOutcome::default();
     let Some(kernel) = kernel_for(entry) else {
@@ -322,14 +315,11 @@ fn run_one_case(entry: &ManifestEntry, progress: bool) -> CaseOutcome {
 
     // The static half judges the kernel exactly as launched: as authored,
     // at the corpus hint window, hints checked.
-    let report = lint_kernel(
-        &kernel,
-        &LintOptions {
-            window: corpus::WINDOW,
-            check_hints: true,
-            latencies: CtrlLatencies::default(),
-        },
-    );
+    let opts = LintOptions {
+        window: corpus::WINDOW,
+        ..Default::default()
+    };
+    let report = lint_kernel(&kernel, &opts);
     let static_codes: BTreeSet<&str> = report.diagnostics.iter().map(|d| d.code).collect();
 
     let input = (!adversarial).then(|| corpus::input_for(entry));
@@ -339,7 +329,7 @@ fn run_one_case(entry: &ManifestEntry, progress: bool) -> CaseOutcome {
         FUZZ_MAX_CYCLES
     };
     let mut confirmed_kinds: BTreeSet<String> = BTreeSet::new();
-    for core in [CoreModelKind::Pascal, CoreModelKind::Modern] {
+    for core in CoreModelKind::ALL {
         let (dynamic, timed_out) = sanitized_launch(&kernel, input.as_deref(), core, max_cycles);
         out.timeouts += u64::from(timed_out);
         out.findings += dynamic.findings.len() as u64;
@@ -349,7 +339,7 @@ fn run_one_case(entry: &ManifestEntry, progress: bool) -> CaseOutcome {
             if !vouchers.iter().any(|c| static_codes.contains(c)) {
                 out.uncovered.push(Uncovered {
                     kernel: entry.name.clone(),
-                    core: core_label(core),
+                    core: core.name(),
                     kind: finding.kind().to_string(),
                     detail: finding.to_string(),
                 });
@@ -359,7 +349,7 @@ fn run_one_case(entry: &ManifestEntry, progress: bool) -> CaseOutcome {
             if !kinds.contains(kind) {
                 out.missed_hazards.push(MissedHazard {
                     kernel: entry.name.clone(),
-                    core: core_label(core),
+                    core: core.name(),
                     kind,
                 });
             }

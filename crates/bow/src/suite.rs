@@ -25,10 +25,10 @@
 //! println!("BOW-WR speedup: {speedup:.3}x in {:.1}s", result.wall.as_secs_f64());
 //! ```
 //!
-//! Compiler-pass output is memoized per (benchmark, scheduler, hints,
-//! window): a BOW-WR window sweep annotates each kernel once per window,
-//! and every non-hinted configuration of a benchmark shares one prepared
-//! kernel, instead of re-running the passes for every cell.
+//! Compiler-pass output is memoized per (benchmark, [`CompilePlan`]): a
+//! BOW-WR window sweep annotates each kernel once per window, and every
+//! non-hinted configuration of a benchmark shares one prepared kernel,
+//! instead of re-running the passes for every cell.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -37,45 +37,17 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::experiment::{prepare_kernel, run_prepared, Config, RunRecord};
+use crate::experiment::{prepare_kernel, run_prepared, CompilePlan, Config, RunRecord};
 use bow_compiler::CompilerReport;
 use bow_isa::Kernel;
 use bow_util::json::{DecodeError, Json};
 use bow_workloads::{by_name, suite as paper_suite, Benchmark, Scale};
 
 /// Memoization key for prepared kernels: benchmark index plus the
-/// compiler-relevant part of the configuration. The window only matters
-/// when the hint pass runs (it parameterizes `annotate`), so non-hinted
-/// configs collapse onto window 0 and share one entry. The core model
-/// (control-bits sidecar) and divergence model (barrier lowering) both
-/// change `prepare_kernel`'s output, so mixed-model sweeps keep separate
-/// entries.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-struct PrepKey {
-    bench: usize,
-    reorder: bool,
-    hints: bool,
-    window: u32,
-    core_model: bow_sim::CoreModelKind,
-    divergence: bow_sim::DivergenceModel,
-}
-
-impl PrepKey {
-    fn of(bench: usize, config: &Config) -> PrepKey {
-        PrepKey {
-            bench,
-            reorder: config.reorder,
-            hints: config.hints,
-            window: if config.hints {
-                config.gpu.collector.window().unwrap_or(3)
-            } else {
-                0
-            },
-            core_model: config.gpu.core_model,
-            divergence: config.gpu.divergence,
-        }
-    }
-}
+/// configuration's whole compile plan. The plan is everything
+/// `prepare_kernel` reads, so two configs share an entry exactly when
+/// they would compile the same kernel the same way.
+type PrepKey = (usize, CompilePlan);
 
 type Prepared = Arc<(Kernel, Option<CompilerReport>)>;
 
@@ -197,14 +169,15 @@ impl Suite {
             .flat_map(|ci| (0..n_benches).map(move |bi| (ci, bi)))
             .collect();
 
-        // Memoize the compiler passes per distinct (benchmark, reorder,
-        // hints, window) before fanning out: the passes are pure and
-        // cheap next to a timing simulation, and precomputing keeps every
-        // worker's view of the prepared kernels identical.
+        // Memoize the compiler passes per distinct (benchmark, plan)
+        // before fanning out: the passes are pure and cheap next to a
+        // timing simulation, and precomputing keeps every worker's view of
+        // the prepared kernels identical.
+        let plans: Vec<CompilePlan> = configs.iter().map(CompilePlan::of).collect();
         let mut prepared: HashMap<PrepKey, Prepared> = HashMap::new();
         for &(ci, bi) in &cells {
             prepared
-                .entry(PrepKey::of(bi, &configs[ci]))
+                .entry((bi, plans[ci]))
                 .or_insert_with(|| Arc::new(prepare_kernel(benches[bi].as_ref(), &configs[ci])));
         }
 
@@ -214,7 +187,7 @@ impl Suite {
 
         let run_cell = |cell: usize| -> (RunRecord, Duration) {
             let (ci, bi) = cells[cell];
-            let prep = &prepared[&PrepKey::of(bi, &configs[ci])];
+            let prep = &prepared[&(bi, plans[ci])];
             let t0 = Instant::now();
             let rec = run_prepared(benches[bi].as_ref(), &configs[ci], &prep.0, prep.1.clone());
             (rec, t0.elapsed())
@@ -676,16 +649,94 @@ mod tests {
 
     #[test]
     fn memoization_key_collapses_unhinted_windows() {
-        let base = ConfigBuilder::baseline().build();
-        let bow2 = ConfigBuilder::bow(2).build();
-        let bow7 = ConfigBuilder::bow(7).build();
+        let key =
+            |bench: usize, b: ConfigBuilder| -> PrepKey { (bench, CompilePlan::of(&b.build())) };
         // No hint pass runs for plain BOW, so all windows share a key.
-        assert_eq!(PrepKey::of(0, &base), PrepKey::of(0, &bow2));
-        assert_eq!(PrepKey::of(0, &bow2), PrepKey::of(0, &bow7));
+        assert_eq!(
+            key(0, ConfigBuilder::baseline()),
+            key(0, ConfigBuilder::bow(2))
+        );
+        assert_eq!(key(0, ConfigBuilder::bow(2)), key(0, ConfigBuilder::bow(7)));
         // With hints the window parameterizes the pass and must split.
-        let wr2 = ConfigBuilder::bow_wr(2).build();
-        let wr7 = ConfigBuilder::bow_wr(7).build();
-        assert_ne!(PrepKey::of(0, &wr2), PrepKey::of(0, &wr7));
-        assert_ne!(PrepKey::of(0, &wr2), PrepKey::of(1, &wr2));
+        assert_ne!(
+            key(0, ConfigBuilder::bow_wr(2)),
+            key(0, ConfigBuilder::bow_wr(7))
+        );
+        assert_ne!(
+            key(0, ConfigBuilder::bow_wr(2)),
+            key(1, ConfigBuilder::bow_wr(2))
+        );
+        // `verify` gates the hint pass, so it splits hinted configs only.
+        assert_ne!(
+            key(0, ConfigBuilder::bow_wr(3)),
+            key(0, ConfigBuilder::bow_wr(3).verify(true))
+        );
+        assert_eq!(
+            key(0, ConfigBuilder::bow(3)),
+            key(0, ConfigBuilder::bow(3).verify(true))
+        );
+        // Execution-only knobs are not in the plan.
+        assert_eq!(
+            key(0, ConfigBuilder::bow_wr(3)),
+            key(0, ConfigBuilder::bow_wr(3).sim_threads(4).label("mine"))
+        );
+    }
+
+    #[test]
+    fn mixed_verify_sweep_preps_the_verified_column_on_its_own() {
+        // A `verify(true)` column must never be served the kernel a
+        // `verify(false)` column prepared: its own prep is where the
+        // verifier gate (`annotate_checked`) runs. Counting `kernel()`
+        // calls observes one prep per distinct plan.
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static PREPS: AtomicUsize = AtomicUsize::new(0);
+        struct Counting(Box<dyn Benchmark>);
+        impl Benchmark for Counting {
+            fn name(&self) -> &'static str {
+                self.0.name()
+            }
+            fn suite(&self) -> &'static str {
+                self.0.suite()
+            }
+            fn description(&self) -> &'static str {
+                self.0.description()
+            }
+            fn kernel(&self) -> Kernel {
+                PREPS.fetch_add(1, Ordering::SeqCst);
+                self.0.kernel()
+            }
+            fn run_with(
+                &self,
+                gpu: &mut bow_sim::Gpu,
+                kernel: &Kernel,
+            ) -> bow_workloads::RunOutcome {
+                self.0.run_with(gpu, kernel)
+            }
+        }
+        let bench = Counting(by_name("vectoradd", Scale::Test).expect("suite benchmark"));
+        let result = Suite::over(vec![Box::new(bench)])
+            .config(ConfigBuilder::bow_wr(3).build())
+            .config(
+                ConfigBuilder::bow_wr(3)
+                    .verify(true)
+                    .label("verified")
+                    .build(),
+            )
+            // Same plan as the first column: shares its prepared kernel.
+            .config(
+                ConfigBuilder::bow_wr(3)
+                    .sim_threads(2)
+                    .label("threaded")
+                    .build(),
+            )
+            .jobs(1)
+            .progress(false)
+            .run();
+        result.assert_checked();
+        assert_eq!(
+            PREPS.load(Ordering::SeqCst),
+            2,
+            "one prep per distinct plan"
+        );
     }
 }

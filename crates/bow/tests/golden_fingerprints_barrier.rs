@@ -6,21 +6,27 @@
 //! `divergence = barrier` on *both* core models: every kernel runs
 //! through `lower_to_barriers`, so the SIMT stack is gone and
 //! reconvergence rides the per-warp convergence-barrier registers
-//! (BSSY arms, BSYNC parks-and-joins). The stack tables
-//! (`fingerprints.txt`, `fingerprints_modern.txt`) are untouched: the
-//! divergence models are independent tiers, so a change to either is
-//! caught without re-blessing the other.
+//! (BSSY arms, BSYNC parks-and-joins).
 //!
-//! To re-bless after an *intentional* barrier-model change:
+//! This tier pins no table of its own. ROADMAP item 3(b) asked which
+//! counters make stack and barrier fingerprints differ; the measured
+//! answer is *none*: all 120 rows of the barrier table this file used to
+//! keep were byte-identical to the 60 rows of `fingerprints.txt` plus the
+//! 60 of `fingerprints_modern.txt` once the `+barrier` suffix was
+//! stripped, and [`SimStats::fingerprint`] folds every counter. So the
+//! assertion is exactly that: each barrier cell equals the pinned *stack*
+//! row of the same workload × collector × core. A barrier-model change
+//! that moves any counter fails here; an intentional stack-model change
+//! re-blesses the stack tables (`golden_fingerprints{,_modern}.rs`) and
+//! this tier follows.
 //!
-//! ```text
-//! BOW_BLESS=1 cargo test -p bow --test golden_fingerprints_barrier
-//! ```
+//! [`SimStats::fingerprint`]: bow::prelude::SimStats::fingerprint
 
 use bow::experiment::{Config, ConfigBuilder};
 use bow::prelude::{CoreModelKind, DivergenceModel};
 use bow::suite::Suite;
 use bow_workloads::Scale;
+use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -43,42 +49,27 @@ fn configs_on(core: CoreModelKind) -> Vec<Config> {
 /// so it has to hold up under the Pascal pipeline *and* the sub-core
 /// modern pipeline with its control-bit interlock.
 fn all_configs() -> Vec<Config> {
-    let mut v = configs_on(CoreModelKind::Pascal);
-    v.extend(configs_on(CoreModelKind::Modern));
-    v
+    CoreModelKind::ALL
+        .into_iter()
+        .flat_map(configs_on)
+        .collect()
 }
 
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("golden")
-        .join("fingerprints_barrier.txt")
-}
-
-/// Renders the sweep as the golden table: one `benchmark/config hex`
-/// line per cell, configs in column order, benchmarks in suite order.
-fn render(sweep: &bow::suite::SweepResult) -> String {
-    let mut out = String::from(
-        "# SimStats fingerprints: 15 workloads x 4 collector configs x \
-         {pascal, modern} (Scale::Test, divergence=barrier).\n\
-         # Regenerate with: BOW_BLESS=1 cargo test -p bow --test golden_fingerprints_barrier\n",
-    );
-    for config in all_configs() {
-        let records = sweep
-            .records(&config.label)
-            .unwrap_or_else(|| panic!("sweep has a {:?} row", config.label));
-        for rec in records {
-            writeln!(
-                out,
-                "{}/{} {:016x}",
-                rec.benchmark,
-                rec.label,
-                rec.outcome.result.stats.fingerprint()
-            )
-            .expect("write to String");
+/// The pinned stack-divergence rows of both cores, `benchmark/label` to
+/// fingerprint.
+fn stack_goldens() -> HashMap<String, String> {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    let mut rows = HashMap::new();
+    for table in ["fingerprints.txt", "fingerprints_modern.txt"] {
+        let path = dir.join(table);
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+        for line in text.lines().filter(|l| !l.starts_with('#')) {
+            let (cell, hex) = line.rsplit_once(' ').expect("`benchmark/label hex` row");
+            rows.insert(cell.to_string(), hex.to_string());
         }
     }
-    out
+    rows
 }
 
 #[test]
@@ -96,28 +87,32 @@ fn barrier_stats_fingerprints_match_goldens() {
     }
     let sweep = suite.run();
     sweep.assert_checked();
-    let got = render(&sweep);
-    let path = golden_path();
-    if std::env::var_os("BOW_BLESS").is_some_and(|v| v == "1") {
-        std::fs::write(&path, &got).expect("write goldens");
-        return;
-    }
-    let want = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("read {}: {e} (bless with BOW_BLESS=1)", path.display()));
-    if got != want {
-        let mut diff = String::new();
-        for (g, w) in got.lines().zip(want.lines()) {
-            if g != w {
-                writeln!(diff, "  got  {g}\n  want {w}").expect("write to String");
-            }
+    let stack = stack_goldens();
+    let suffix = format!("+{}", DivergenceModel::Barrier.name());
+    let mut diff = String::new();
+    let mut cells = 0;
+    for rec in sweep.all_records() {
+        let stack_cell = format!("{}/{}", rec.benchmark, rec.label.replace(&suffix, ""));
+        let want = stack
+            .get(&stack_cell)
+            .unwrap_or_else(|| panic!("no pinned stack row for {stack_cell}"));
+        let got = format!("{:016x}", rec.outcome.result.stats.fingerprint());
+        if got != *want {
+            writeln!(
+                diff,
+                "  {}/{}: got {got}, stack row {want}",
+                rec.benchmark, rec.label
+            )
+            .expect("write to String");
         }
-        panic!(
-            "barrier-divergence fingerprints diverged from {} — the \
-             convergence-barrier model changed (an intentional change \
-             needs BOW_BLESS=1):\n{diff}",
-            path.display()
-        );
+        cells += 1;
     }
+    assert_eq!(cells, 15 * 4 * 2, "suite shape changed");
+    assert!(
+        diff.is_empty(),
+        "barrier-divergence fingerprints no longer equal their pinned stack \
+         rows — stack and barrier reconvergence now differ in some counter:\n{diff}"
+    );
 }
 
 /// Every label in the barrier tier must carry the `+barrier` marker —

@@ -22,13 +22,20 @@
 //! * `submit` — client for a running server: submit runs, poll jobs,
 //!   fetch stored results, health-check, shut down.
 //!
+//! The synopsis lines of [`USAGE`] are the parser's grammar (`flag_spec`
+//! reads each subcommand's flags off them), so an undocumented flag is a
+//! parse error and a documented one cannot fail to parse; axis values
+//! (`--core-model`, `--divergence`, `--scale`, collector specs) resolve
+//! through the name tables declared next to their enums. Kernels are
+//! compiled for launch or lint by `bow::experiment::CompilePlan` only.
+//!
 //! Command logic lives in this library and returns strings, so everything
 //! is unit-testable; `main.rs` only does process I/O. Failures are typed
 //! [`BowError`]s; `main.rs` exits with [`BowError::exit_code`] so scripts
 //! can tell parse (2) / config (3) / io (4) / verify (5) failures apart.
 
-use bow::error::{BowError, ConfigError};
-use bow::experiment::{pct, render_table, Config};
+use bow::error::BowError;
+use bow::experiment::{pct, render_table, CompilePlan, Config};
 use bow::prelude::*;
 use bow_util::json::Json;
 use std::fmt::Write as _;
@@ -330,6 +337,12 @@ USAGE:
 COLLECTORS:
   baseline | bow | bow-wr | bow-wr-half | bow-flex | rfc
 
+The synopses above are the parser's grammar: a flag a command does not
+list, a value flag without its value, a stray argument or a value that
+is not in its axis's table (pascal|modern, stack|barrier, test|paper) is
+a parse error (exit 2) that names the valid choices. Flags and the
+positional argument may come in any order.
+
 `compare` and `sweep` run their (benchmark x config) matrix on the
 parallel sweep engine; --jobs N picks the worker count (default: all
 cores, 1 = serial). Results are identical at any job count.
@@ -375,11 +388,8 @@ and one-line summary.
 `Core models`): `pascal` is the paper's scoreboarded Pascal SM and the
 default; `modern` is the post-Volta core — four sub-cores, a uniform
 register file and compiler-emitted control bits in place of the
-scoreboard. Under `fuzz`, `modern` drops the shadow-RF column (the two
-cannot combine) and checks the control-bit interlock against the same
-lockstep oracle. Under `lint`, `modern` runs the control-bit emitter
-before judging, so the sidecar lints (B013/B014) check what the modern
-pipeline would actually consume.
+scoreboard (under `fuzz` it drops the shadow-RF column: the two cannot
+combine).
 
 --divergence picks the reconvergence machinery (docs/ARCHITECTURE.md,
 `Divergence models`): `stack` is the classic SSY/SYNC reconvergence
@@ -387,11 +397,16 @@ stack and the default; `barrier` is the post-Volta model — the compiler
 lowers SSY/SYNC to BSSY/BSYNC convergence barriers at immediate
 post-dominators and the SM tracks divergence with per-warp barrier
 registers and thread-group splits, no stack. Orthogonal to
---core-model: all four combinations run. Under `lint`, `barrier`
-lowers each kernel first so the barrier-form lints (B017/B018) judge
-what the pipeline would actually execute; under `fuzz` and
-`lint --mutate` every case runs in barrier form against the same
-lockstep oracle and replay campaign.
+--core-model: all four combinations run.
+
+Both are compile-time choices, made by one compile plan (scheduler,
+hint pass, barrier lowering, control-bit emitter) that every command
+applies: `run`, `fuzz`, `lint --mutate` and `trace` launch, and `lint`
+judges, exactly the kernel the chosen models' pipeline would consume —
+barrier-form under `barrier` (lints B017/B018 in play), with its
+control-bit sidecar under `modern` (B013/B014). A kernel the plan
+cannot compile (e.g. SSY nested deeper than the 8 barrier registers
+under `barrier`) is an invalid-config error (exit 3).
 
 `corpus` manages the stratified thousand-kernel population
 (docs/TESTING.md, `Corpus tier`). `gen` draws `--count` kernels across
@@ -417,63 +432,178 @@ EXIT CODES:
   4 I/O error | 5 verification failure
 ";
 
+/// One flag of a subcommand: its name and whether it takes a value.
+type Flag = (&'static str, bool);
+
+/// A subcommand's argument grammar, read off its synopsis lines in
+/// [`USAGE`] (docopt-style: the usage text *is* the spec, so a flag cannot
+/// be documented without parsing or parse without being documented):
+/// whether it takes a positional `<argument>`, and every `--flag` with
+/// whether a value follows it (`[--window N]`) or not (`[--reorder]`).
+/// `corpus` verbs are keyed as `"corpus <verb>"`. This one table drives
+/// both lookup and rejection: [`split_args`] refuses a flag that is not
+/// listed, a listed value flag with no value and a surplus positional,
+/// and a token is positional exactly when no value flag precedes it.
+fn flag_spec(command: &str) -> Option<(bool, Vec<Flag>)> {
+    let synopsis = USAGE
+        .lines()
+        .skip_while(|l| *l != "USAGE:")
+        .take_while(|l| !l.is_empty());
+    let (mut found, mut mine) = (false, false);
+    let (mut positional, mut flags) = (false, Vec::new());
+    for line in synopsis {
+        // A synopsis starts at `bow-cli <command>`; deeper-indented lines
+        // continue it, and a command may have several synopses.
+        if let Some(start) = line.strip_prefix("  bow-cli ") {
+            let after = start.strip_prefix(command);
+            mine = after.is_some_and(|rest| rest.is_empty() || rest.starts_with(' '));
+            found |= mine;
+        }
+        if !mine {
+            continue;
+        }
+        let words: Vec<&str> = line.split_whitespace().collect();
+        for (i, word) in words.iter().enumerate() {
+            let word = word.trim_start_matches('[');
+            positional |= word.starts_with('<');
+            let name = word.trim_end_matches(']');
+            if name.starts_with("--") && !flags.iter().any(|(n, _)| *n == name) {
+                // `[--flag]` closes at once; `--flag VALUE` has a next word
+                // that is neither another group nor an alternative bar.
+                let next = words.get(i + 1).filter(|_| name.len() == word.len());
+                flags.push((name, next.is_some_and(|v| !v.starts_with(['[', '|']))));
+            }
+        }
+    }
+    found.then_some((positional, flags))
+}
+
+/// A subcommand's positional argument (at most one) and its given flags,
+/// each with its value (`""` for a switch).
+type Split<'a> = (Option<&'a str>, Vec<(&'static str, &'a str)>);
+
+/// Splits a subcommand's arguments by its [`flag_spec`].
+fn split_args<'a>(
+    command: &str,
+    takes_positional: bool,
+    spec: &[Flag],
+    rest: &[&'a str],
+) -> Result<Split<'a>, BowError> {
+    let (mut positional, mut given) = (None, Vec::new());
+    let mut it = rest.iter().copied();
+    while let Some(token) = it.next() {
+        if !token.starts_with("--") {
+            if !takes_positional || positional.replace(token).is_some() {
+                return Err(err(format!("{command}: unexpected argument `{token}`")));
+            }
+            continue;
+        }
+        let &(name, takes_value) = spec.iter().find(|(n, _)| *n == token).ok_or_else(|| {
+            let valid: Vec<&str> = spec.iter().map(|(n, _)| *n).collect();
+            err(format!(
+                "{command}: unknown flag `{token}` (valid: {})",
+                valid.join(", ")
+            ))
+        })?;
+        let value = if takes_value {
+            it.next()
+                .filter(|v| !v.starts_with("--"))
+                .ok_or_else(|| err(format!("{command}: `{name}` needs a value")))?
+        } else {
+            ""
+        };
+        given.push((name, value));
+    }
+    Ok((positional, given))
+}
+
+/// A numeric flag's value, decimal or `0x…` hex (seeds round-trip through
+/// repro headers and docs in hex); `None` when the flag was not given.
+fn number<T: TryFrom<u64>>(given: &[(&str, &str)], name: &str) -> Result<Option<T>, BowError> {
+    let Some((_, v)) = given.iter().find(|(n, _)| *n == name) else {
+        return Ok(None);
+    };
+    let parsed = match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => v.parse(),
+    };
+    let converted = parsed.ok().and_then(|n| T::try_from(n).ok());
+    converted
+        .map(Some)
+        .ok_or_else(|| err(format!("bad {} `{v}`", &name[2..])))
+}
+
+/// An axis flag's value, resolved through the axis's own name table (an
+/// unknown name is a usage error listing the valid ones).
+fn axis<T>(
+    value: Option<&str>,
+    default: T,
+    parse: fn(&str) -> Result<T, bow_util::UnknownName>,
+) -> Result<T, BowError> {
+    value.map_or(Ok(default), |v| parse(v).map_err(|e| err(e.to_string())))
+}
+
 /// Parses a command line (without the program name).
 ///
 /// # Errors
 ///
-/// Returns [`BowError::Parse`] describing the first unrecognized token.
+/// Returns [`BowError::Parse`] describing the first unrecognized token: an
+/// unknown command, verb, flag or flag value, a value flag with no value,
+/// or a surplus positional argument.
 pub fn parse(args: &[String]) -> Result<Command, BowError> {
     let mut it = args.iter().map(String::as_str);
     let Some(cmd) = it.next() else {
         return Ok(Command::Help);
     };
+    if matches!(cmd, "help" | "--help" | "-h") {
+        return Ok(Command::Help);
+    }
     let rest: Vec<&str> = it.collect();
+    let key = if cmd == "corpus" {
+        // The verb picks the flag set, and telling the verb from a flag's
+        // value takes the flags' arities: `corpus` alone matches every
+        // verb's synopsis, so split once against the union of their flags
+        // (a flag has one arity under all of them) to find the verb.
+        let (_, every) = flag_spec(cmd).expect("the usage text has corpus synopses");
+        let verb = split_args(cmd, true, &every, &rest)?.0;
+        let verb =
+            verb.ok_or_else(|| err("corpus: pass a verb (gen, stats, sweep or sanitize)"))?;
+        format!("corpus {verb}")
+    } else {
+        cmd.to_string()
+    };
+    let (takes_positional, flags) = flag_spec(&key)
+        .ok_or_else(|| err(format!("unknown command `{key}` (try `bow-cli help`)")))?;
+    // A corpus verb is its command's positional.
+    let (target, given) = split_args(&key, takes_positional || cmd == "corpus", &flags, &rest)?;
 
-    let flag = |name: &str| rest.contains(&name);
-    let opt = |name: &str| -> Option<&str> {
-        rest.iter()
-            .position(|&a| a == name)
-            .and_then(|i| rest.get(i + 1).copied())
+    let opt = |name: &str| given.iter().find(|(n, _)| *n == name).map(|(_, v)| *v);
+    let flag = |name: &str| opt(name).is_some();
+    let text = |name: &str, default: &str| opt(name).unwrap_or(default).to_string();
+    let positional = |what: &str| {
+        let found = target.map(String::from);
+        found.ok_or_else(|| err(format!("{key}: missing {what}")))
     };
-    let positional = || -> Option<&str> { rest.iter().find(|a| !a.starts_with("--")).copied() };
-    let scale = match opt("--scale") {
-        Some("paper") => Scale::Paper,
-        Some("test") | None => Scale::Test,
-        Some(other) => return Err(err(format!("unknown scale `{other}`"))),
-    };
-    let window: u32 = match opt("--window") {
-        Some(w) => w.parse().map_err(|_| err(format!("bad window `{w}`")))?,
-        None => 3,
-    };
-    let jobs: usize = match opt("--jobs") {
-        Some(j) => j.parse().map_err(|_| err(format!("bad jobs `{j}`")))?,
-        None => 0,
-    };
-    let sim_threads: Option<u32> = match opt("--sim-threads") {
-        Some(t) => Some(
-            t.parse()
-                .map_err(|_| err(format!("bad sim-threads `{t}`")))?,
-        ),
-        None => None,
-    };
-    let core_model = match opt("--core-model") {
-        Some("pascal") | None => CoreModelKind::Pascal,
-        Some("modern") => CoreModelKind::Modern,
-        Some(other) => return Err(err(format!("unknown core model `{other}`"))),
-    };
-    let divergence = match opt("--divergence") {
-        Some("stack") | None => DivergenceModel::Stack,
-        Some("barrier") => DivergenceModel::Barrier,
-        Some(other) => return Err(err(format!("unknown divergence model `{other}`"))),
-    };
+    let scale = axis(opt("--scale"), Scale::Test, Scale::parse)?;
+    let core_model = axis(
+        opt("--core-model"),
+        Default::default(),
+        CoreModelKind::parse,
+    )?;
+    let divergence = axis(
+        opt("--divergence"),
+        Default::default(),
+        DivergenceModel::parse,
+    )?;
+    let window: u32 = number(&given, "--window")?.unwrap_or(3);
+    let jobs: usize = number(&given, "--jobs")?.unwrap_or(0);
+    let sim_threads: Option<u32> = number(&given, "--sim-threads")?;
 
-    match cmd {
+    match key.as_str() {
         "suite" => Ok(Command::Suite),
         "run" => Ok(Command::Run {
-            bench: positional()
-                .ok_or_else(|| err("run: missing benchmark name"))?
-                .into(),
-            collector: opt("--collector").unwrap_or("bow-wr").into(),
+            bench: positional("benchmark name")?,
+            collector: text("--collector", "bow-wr"),
             window,
             scale,
             reorder: flag("--reorder"),
@@ -483,9 +613,7 @@ pub fn parse(args: &[String]) -> Result<Command, BowError> {
             sanitize: flag("--sanitize"),
         }),
         "compare" => Ok(Command::Compare {
-            bench: positional()
-                .ok_or_else(|| err("compare: missing benchmark name"))?
-                .into(),
+            bench: positional("benchmark name")?,
             scale,
             jobs,
             sim_threads,
@@ -493,19 +621,15 @@ pub fn parse(args: &[String]) -> Result<Command, BowError> {
             divergence,
         }),
         "asm" => Ok(Command::Asm {
-            path: positional().ok_or_else(|| err("asm: missing file"))?.into(),
+            path: positional("file")?,
         }),
         "compile" => Ok(Command::Compile {
-            path: positional()
-                .ok_or_else(|| err("compile: missing file"))?
-                .into(),
+            path: positional("file")?,
             window,
             reorder: flag("--reorder"),
         }),
         "sweep" => Ok(Command::Sweep {
-            bench: positional()
-                .ok_or_else(|| err("sweep: missing benchmark name"))?
-                .into(),
+            bench: positional("benchmark name")?,
             scale,
             jobs,
             sim_threads,
@@ -513,46 +637,18 @@ pub fn parse(args: &[String]) -> Result<Command, BowError> {
             divergence,
         }),
         "fuzz" => {
-            let defaults = if flag("--smoke") {
-                bow::fuzz::FuzzOptions::smoke()
+            // `--smoke` pins cases/seed/size: no flag may tune them.
+            let (tunable, defaults) = if flag("--smoke") {
+                (&[][..], bow::fuzz::FuzzOptions::smoke())
             } else {
-                bow::fuzz::FuzzOptions::default()
+                (&given[..], bow::fuzz::FuzzOptions::default())
             };
-            // Seeds round-trip through repro headers and docs in hex, so
-            // accept both `0x…` and decimal.
-            let parse_u64 = |name: &str, d: u64| -> Result<u64, BowError> {
-                match opt(name) {
-                    Some(v) => {
-                        let parsed = match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
-                            Some(hex) => u64::from_str_radix(hex, 16),
-                            None => v.parse(),
-                        };
-                        parsed.map_err(|_| err(format!("bad {} `{v}`", &name[2..])))
-                    }
-                    None => Ok(d),
-                }
-            };
-            let smoke = flag("--smoke");
             Ok(Command::Fuzz {
-                cases: if smoke {
-                    defaults.cases
-                } else {
-                    parse_u64("--cases", defaults.cases)?
-                },
-                seed: if smoke {
-                    defaults.seed
-                } else {
-                    parse_u64("--seed", defaults.seed)?
-                },
+                cases: number(tunable, "--cases")?.unwrap_or(defaults.cases),
+                seed: number(tunable, "--seed")?.unwrap_or(defaults.seed),
                 jobs,
-                size: if smoke {
-                    defaults.size
-                } else {
-                    parse_u64("--size", defaults.size as u64)? as usize
-                },
-                out_dir: opt("--out")
-                    .map(String::from)
-                    .unwrap_or_else(|| defaults.out_dir.display().to_string()),
+                size: number(tunable, "--size")?.unwrap_or(defaults.size),
+                out_dir: text("--out", &defaults.out_dir.display().to_string()),
                 sim_threads,
                 core_model,
                 divergence,
@@ -560,96 +656,64 @@ pub fn parse(args: &[String]) -> Result<Command, BowError> {
             })
         }
         "lint" => {
-            // Flags take values (`--window 4`), so only a leading token
-            // can be the file path. A bare `--explain` (no code, or
-            // directly followed by another flag) lists every code.
-            let explain = if flag("--explain") {
-                Some(
-                    opt("--explain")
-                        .filter(|v| !v.starts_with("--"))
-                        .unwrap_or("")
-                        .to_string(),
-                )
+            // Under `--explain` the positional is the code to explain (none
+            // lists every code); otherwise it is the file to lint.
+            let target = target.map(String::from);
+            let (path, explain) = if flag("--explain") {
+                (None, Some(target.unwrap_or_default()))
             } else {
-                None
+                (target, None)
             };
-            let cmd = Command::Lint {
-                path: rest
-                    .first()
-                    .filter(|a| !a.starts_with("--"))
-                    .map(|a| (*a).into()),
-                all_workloads: flag("--all-workloads"),
+            let all_workloads = flag("--all-workloads");
+            let mutate = flag("--mutate");
+            if path.is_none() && !all_workloads && !mutate && explain.is_none() {
+                return Err(err(
+                    "lint: pass a file, --all-workloads, --mutate or --explain",
+                ));
+            }
+            Ok(Command::Lint {
+                path,
+                all_workloads,
                 deny_warnings: flag("--deny-warnings"),
                 json: opt("--json").map(String::from),
                 window,
-                mutate: flag("--mutate"),
+                mutate,
                 smoke: flag("--smoke"),
                 jobs,
                 core_model,
                 divergence,
                 explain,
-            };
-            if let Command::Lint {
-                path: None,
-                all_workloads: false,
-                mutate: false,
-                explain: None,
-                ..
-            } = &cmd
-            {
-                return Err(err(
-                    "lint: pass a file, --all-workloads, --mutate or --explain",
-                ));
-            }
-            Ok(cmd)
+            })
         }
         "trace" => Ok(Command::Trace {
-            path: positional()
-                .ok_or_else(|| err("trace: missing file"))?
-                .into(),
-            collector: opt("--collector").unwrap_or("bow-wr").into(),
+            path: positional("file")?,
+            collector: text("--collector", "bow-wr"),
             window,
-            limit: match opt("--limit") {
-                Some(l) => l.parse().map_err(|_| err(format!("bad limit `{l}`")))?,
-                None => 120,
-            },
+            limit: number(&given, "--limit")?.unwrap_or(120),
         }),
         "encode" => Ok(Command::Encode {
-            path: positional()
-                .ok_or_else(|| err("encode: missing file"))?
-                .into(),
+            path: positional("file")?,
         }),
         "decode" => Ok(Command::Decode {
-            path: positional()
-                .ok_or_else(|| err("decode: missing file"))?
-                .into(),
+            path: positional("file")?,
         }),
         "serve" => Ok(Command::Serve {
-            addr: opt("--addr").unwrap_or("127.0.0.1:7070").into(),
-            workers: match opt("--workers") {
-                Some(w) => w.parse().map_err(|_| err(format!("bad workers `{w}`")))?,
-                None => 0,
-            },
-            store: opt("--store").unwrap_or("results/store").into(),
+            addr: text("--addr", "127.0.0.1:7070"),
+            workers: number(&given, "--workers")?.unwrap_or(0),
+            store: text("--store", "results/store"),
             port_file: opt("--port-file").map(String::from),
         }),
         "submit" => {
-            let addr = opt("--addr").unwrap_or("127.0.0.1:7070").to_string();
             let action = if flag("--shutdown") {
                 SubmitAction::Shutdown
             } else if flag("--health") {
                 SubmitAction::Health
-            } else if let Some(id) = opt("--job") {
-                SubmitAction::Job(id.parse().map_err(|_| err(format!("bad job id `{id}`")))?)
+            } else if let Some(id) = number(&given, "--job")? {
+                SubmitAction::Job(id)
             } else if let Some(fp) = opt("--fetch") {
                 SubmitAction::Fetch(fp.to_string())
             } else {
-                // Flags take values (`--collector bow`), so only a
-                // leading token can be the benchmark name.
-                let bench = rest
-                    .first()
-                    .filter(|a| !a.starts_with("--"))
-                    .map(|a| (*a).to_string());
+                let bench = target.map(String::from);
                 let asm = opt("--asm").map(String::from);
                 match (&bench, &asm) {
                     (None, None) => return Err(err(
@@ -663,97 +727,65 @@ pub fn parse(args: &[String]) -> Result<Command, BowError> {
                 SubmitAction::Run {
                     bench,
                     asm,
-                    collector: opt("--collector").unwrap_or("bow-wr").into(),
+                    collector: text("--collector", "bow-wr"),
                     window,
                     scale,
                     wait: !flag("--no-wait"),
                 }
             };
-            Ok(Command::Submit { addr, action })
+            Ok(Command::Submit {
+                addr: text("--addr", "127.0.0.1:7070"),
+                action,
+            })
         }
-        "corpus" => {
-            // Flags take values (`--count 64`), so only a leading token
-            // can be the verb.
-            let verb = rest
-                .first()
-                .filter(|a| !a.starts_with("--"))
-                .copied()
-                .ok_or_else(|| err("corpus: pass a verb (gen, stats, sweep or sanitize)"))?;
-            // Seeds print in hex everywhere, so accept `0x…` and decimal.
-            let seed = match opt("--seed") {
-                Some(v) => {
-                    let parsed = match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
-                        Some(hex) => u64::from_str_radix(hex, 16),
-                        None => v.parse(),
-                    };
-                    parsed.map_err(|_| err(format!("bad seed `{v}`")))?
-                }
-                None => bow::corpus::DEFAULT_SEED,
+        "corpus gen" => Ok(Command::Corpus {
+            action: CorpusAction::Gen {
+                count: number(&given, "--count")?.unwrap_or(bow::corpus::DEFAULT_COUNT),
+                seed: number(&given, "--seed")?.unwrap_or(bow::corpus::DEFAULT_SEED),
+                dir: text("--dir", "corpus"),
+            },
+        }),
+        "corpus stats" => Ok(Command::Corpus {
+            action: CorpusAction::Stats {
+                dir: text("--dir", "corpus"),
+            },
+        }),
+        "corpus sanitize" => {
+            // `--smoke` pins the fixed CI campaign: no flag may tune it.
+            let smoke = flag("--smoke");
+            let (tunable, defaults) = if smoke {
+                (&[][..], bow::sanitize_campaign::CampaignOptions::smoke())
+            } else {
+                (&given[..], bow::sanitize_campaign::CampaignOptions::full())
             };
-            let dir = opt("--dir").unwrap_or("corpus").to_string();
-            let action = match verb {
-                "gen" => CorpusAction::Gen {
-                    count: match opt("--count") {
-                        Some(c) => c.parse().map_err(|_| err(format!("bad count `{c}`")))?,
-                        None => bow::corpus::DEFAULT_COUNT,
-                    },
-                    seed,
-                    dir,
-                },
-                "stats" => CorpusAction::Stats { dir },
-                "sanitize" => {
-                    let smoke = flag("--smoke");
-                    let defaults = if smoke {
-                        bow::sanitize_campaign::CampaignOptions::smoke()
-                    } else {
-                        bow::sanitize_campaign::CampaignOptions::full()
-                    };
-                    CorpusAction::Sanitize {
-                        count: if smoke {
-                            defaults.count
-                        } else {
-                            match opt("--count") {
-                                Some(c) => {
-                                    c.parse().map_err(|_| err(format!("bad count `{c}`")))?
-                                }
-                                None => defaults.count,
-                            }
-                        },
-                        seed: if smoke { defaults.seed } else { seed },
-                        jobs,
-                        smoke,
-                        out: opt("--out").map(String::from),
-                    }
-                }
-                "sweep" => CorpusAction::Sweep {
-                    dir,
-                    limit: match opt("--limit") {
-                        Some(l) => l.parse().map_err(|_| err(format!("bad limit `{l}`")))?,
-                        None => 0,
-                    },
+            Ok(Command::Corpus {
+                action: CorpusAction::Sanitize {
+                    count: number(tunable, "--count")?.unwrap_or(defaults.count),
+                    seed: number(tunable, "--seed")?.unwrap_or(defaults.seed),
                     jobs,
-                    sim_threads,
-                    core_model,
-                    divergence,
-                    addr: opt("--addr").map(String::from),
+                    smoke,
                     out: opt("--out").map(String::from),
                 },
-                other => {
-                    return Err(err(format!(
-                        "corpus: unknown verb `{other}` (gen, stats, sweep or sanitize)"
-                    )))
-                }
-            };
-            Ok(Command::Corpus { action })
+            })
         }
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        other => Err(err(format!(
-            "unknown command `{other}` (try `bow-cli help`)"
-        ))),
+        "corpus sweep" => Ok(Command::Corpus {
+            action: CorpusAction::Sweep {
+                dir: text("--dir", "corpus"),
+                limit: number(&given, "--limit")?.unwrap_or(0),
+                jobs,
+                sim_threads,
+                core_model,
+                divergence,
+                addr: opt("--addr").map(String::from),
+                out: opt("--out").map(String::from),
+            },
+        }),
+        other => unreachable!("`{other}` has a flag spec but no parser"),
     }
 }
 
-/// Builds the experiment [`Config`] named by a collector spec.
+/// Builds the experiment [`Config`] named by a collector spec. Under the
+/// CLI a `bow-flex` buffer holds `4 × window` values.
 ///
 /// # Errors
 ///
@@ -766,41 +798,105 @@ pub fn config_for(
     core_model: CoreModelKind,
     divergence: DivergenceModel,
 ) -> Result<Config, BowError> {
-    let builder = match collector {
-        "baseline" => ConfigBuilder::baseline(),
-        "bow" => ConfigBuilder::bow(window),
-        "bow-wr" => ConfigBuilder::bow_wr(window),
-        "bow-wr-half" => ConfigBuilder::bow_wr(window).half_size(true),
-        "bow-flex" => ConfigBuilder::bow_flex(4 * window),
-        "rfc" => ConfigBuilder::rfc(),
-        other => {
-            return Err(ConfigError::Unknown {
-                what: "collector",
-                value: other.to_string(),
-            }
-            .into())
-        }
-    };
-    Ok(builder
+    let (collector, half_size) = bow::experiment::Collector::parse_spec(collector)?;
+    Ok(ConfigBuilder::new(collector)
+        .window(window)
+        .half_size(half_size)
+        .capacity(window.saturating_mul(4))
         .reorder(reorder)
         .core_model(core_model)
         .divergence(divergence)
         .try_build()?)
 }
 
-fn unknown_benchmark(name: &str) -> BowError {
-    ConfigError::Unknown {
-        what: "benchmark",
-        value: name.to_string(),
-    }
-    .into()
+/// Reads and assembles a kernel file.
+fn read_kernel(path: &str) -> Result<Kernel, BowError> {
+    let text = std::fs::read_to_string(path).map_err(|e| BowError::io(path, e))?;
+    bow_isa::asm::parse_kernel(&text).map_err(|e| err(e.to_string()))
 }
 
-fn core_model_name(core: CoreModelKind) -> &'static str {
-    match core {
-        CoreModelKind::Pascal => "pascal",
-        CoreModelKind::Modern => "modern",
+/// Fails with the reference-check message when a run computed wrong
+/// results.
+fn verified(rec: &RunRecord) -> Result<(), BowError> {
+    match &rec.outcome.checked {
+        Ok(()) => Ok(()),
+        Err(e) => Err(BowError::verify(format!("verification: {e}"))),
     }
+}
+
+/// Runs one benchmark under `designs`, each on the chosen core and
+/// divergence model, through the sweep engine (every cell must pass its
+/// reference check) and tabulates each design against the first, the
+/// baseline: label, IPC, IPC vs baseline, read and write bypass rate,
+/// normalized RF energy.
+fn design_table(
+    bench: &str,
+    scale: Scale,
+    (jobs, sim_threads): (usize, Option<u32>),
+    (core_model, divergence): (CoreModelKind, DivergenceModel),
+    designs: Vec<ConfigBuilder>,
+) -> Result<Vec<Vec<String>>, BowError> {
+    let b = bow::experiment::benchmark(bench, scale)?;
+    let configs = designs
+        .into_iter()
+        .map(|d| d.core_model(core_model).divergence(divergence).build());
+    let mut suite = Suite::over(vec![b]).configs(configs).jobs(jobs);
+    if let Some(t) = sim_threads {
+        suite = suite.sim_threads(t);
+    }
+    let result = suite.run();
+    result.all_records().try_for_each(verified)?;
+    let model = EnergyModel::table_iv();
+    let base = &result.row(0).records[0];
+    let base_counts = base.outcome.result.stats.access_counts();
+    let row = |rec: &RunRecord| {
+        let s = &rec.outcome.result.stats;
+        let energy = EnergyReport::normalized(&model, &s.access_counts(), &base_counts);
+        vec![
+            rec.label.clone(),
+            format!("{:.3}", rec.ipc()),
+            format!("{:+.1}%", 100.0 * (rec.ipc() / base.ipc() - 1.0)),
+            pct(s.read_bypass_rate()),
+            pct(s.write_bypass_rate()),
+            format!("{:.2}", energy.total_norm()),
+        ]
+    };
+    Ok(result.all_records().map(row).collect())
+}
+
+/// A command whose output is a check's report: the report is the text on
+/// success and the [`BowError::Verify`] payload (exit 5) on failure.
+fn verdict(passed: bool, report: String) -> Result<String, BowError> {
+    if passed {
+        Ok(report)
+    } else {
+        Err(BowError::verify(report))
+    }
+}
+
+/// `doc` pretty-printed, newline-terminated: the on-disk form of every
+/// JSON artifact the CLI writes.
+fn json_text(doc: &Json) -> String {
+    let mut text = doc.to_string_pretty();
+    if !text.ends_with('\n') {
+        text.push('\n');
+    }
+    text
+}
+
+/// `POST /v1/runs`: one kernel document under one config document.
+fn post_run(
+    addr: &str,
+    kernel: Json,
+    config: Json,
+    wait: bool,
+) -> Result<bow_server::client::Response, BowError> {
+    let body = Json::obj([
+        ("kernel", kernel),
+        ("config", config),
+        ("wait", Json::from(wait)),
+    ]);
+    bow_server::client::post(addr, "/v1/runs", &body.to_string_compact())
 }
 
 fn corpus_manifest_path(dir: &str) -> String {
@@ -888,28 +984,19 @@ fn corpus_server_sweep(
         })?;
         let asm = kernel.disassemble();
         for (ci, collector) in COLLECTORS.iter().enumerate() {
-            let body = Json::obj([
-                (
-                    "kernel",
-                    Json::obj([
-                        ("asm", Json::from(asm.as_str())),
-                        ("blocks", Json::from(bow_isa::fuzz::GRID.0)),
-                        ("threads", Json::from(bow_isa::fuzz::BLOCK.0)),
-                    ]),
-                ),
-                (
-                    "config",
-                    Json::obj([
-                        ("collector", Json::from(*collector)),
-                        ("window", Json::from(3_u32)),
-                        ("model", Json::from("scaled")),
-                        ("core_model", Json::from(core_model_name(core))),
-                        ("divergence", Json::from(divergence.name())),
-                    ]),
-                ),
-                ("wait", Json::from(true)),
+            let kernel = Json::obj([
+                ("asm", Json::from(asm.as_str())),
+                ("blocks", Json::from(bow_isa::fuzz::GRID.0)),
+                ("threads", Json::from(bow_isa::fuzz::BLOCK.0)),
             ]);
-            let response = bow_server::client::post(addr, "/v1/runs", &body.to_string_compact())?;
+            let config = Json::obj([
+                ("collector", Json::from(*collector)),
+                ("window", Json::from(3_u32)),
+                ("model", Json::from(GpuModel::Scaled.name())),
+                ("core_model", Json::from(core.name())),
+                ("divergence", Json::from(divergence.name())),
+            ]);
+            let response = post_run(addr, kernel, config, true)?;
             if response.status >= 400 {
                 return Err(BowError::io(addr, response.body.trim_end()));
             }
@@ -925,44 +1012,22 @@ fn corpus_server_sweep(
         }
     }
 
-    // Reduce to the same shape as `corpus::distribution_json`, minus the
-    // bypass-rate column the server path cannot observe.
+    // The same reduction as a local sweep, minus the bypass-rate column
+    // the server path cannot observe.
     let strata: Vec<&str> = picked.iter().map(|e| e.stratum.as_str()).collect();
-    let mut names: Vec<&str> = Vec::new();
-    for s in &strata {
-        if !names.contains(s) {
-            names.push(s);
-        }
-    }
-    let mut scopes: Vec<(&str, Option<&str>)> = vec![("all", None)];
-    scopes.extend(names.iter().map(|s| (*s, Some(*s))));
-    let mut rows = Vec::new();
-    for (scope, filter) in scopes {
-        let mut collectors = Vec::new();
-        for (ci, collector) in COLLECTORS.iter().enumerate().skip(1) {
-            let gains: Vec<f64> = strata
-                .iter()
-                .enumerate()
-                .filter(|(ki, s)| filter.is_none_or(|f| f == **s) && ipc[0][*ki] > 0.0)
-                .map(|(ki, _)| ipc[ci][ki] / ipc[0][ki])
-                .collect();
-            collectors.push(Json::obj([
-                ("label", Json::from(*collector)),
-                ("ipc_gain", corpus::Dist::of(gains).to_json()),
-            ]));
-        }
-        rows.push(Json::obj([
-            ("stratum", Json::from(scope)),
-            ("collectors", Json::Arr(collectors)),
-        ]));
-    }
-    Ok(Json::obj([
-        ("schema_version", Json::from(corpus::MANIFEST_VERSION)),
-        ("core_model", Json::from(core_model_name(core))),
-        ("divergence", Json::from(divergence.name())),
-        ("kernels", Json::from(picked.len() as u64)),
-        ("strata", Json::Arr(rows)),
-    ]))
+    let baseline = ipc.remove(0);
+    let columns: Vec<corpus::DesignColumn> = COLLECTORS[1..]
+        .iter()
+        .zip(ipc)
+        .map(|(label, ipc)| corpus::DesignColumn {
+            label,
+            ipc,
+            read_bypass: None,
+        })
+        .collect();
+    Ok(corpus::distributions(
+        &strata, &baseline, &columns, core, divergence,
+    ))
 }
 
 /// Executes a command, returning the text to print.
@@ -999,8 +1064,7 @@ pub fn execute(cmd: Command) -> Result<String, BowError> {
             divergence,
             sanitize,
         } => {
-            let b =
-                bow::workloads::by_name(&bench, scale).ok_or_else(|| unknown_benchmark(&bench))?;
+            let b = bow::experiment::benchmark(&bench, scale)?;
             let mut cfg = config_for(&collector, window, reorder, core_model, divergence)?;
             if let Some(t) = sim_threads {
                 cfg.gpu.sim_threads = t;
@@ -1008,10 +1072,7 @@ pub fn execute(cmd: Command) -> Result<String, BowError> {
             cfg.gpu.sanitize = sanitize;
             let label = cfg.label.clone();
             let rec = bow::experiment::run(b.as_ref(), cfg);
-            rec.outcome
-                .checked
-                .as_ref()
-                .map_err(|e| BowError::verify(format!("verification: {e}")))?;
+            verified(&rec)?;
             let s = &rec.outcome.result.stats;
             let mut out = String::new();
             writeln!(out, "{bench} under {label}: OK (results verified)").unwrap();
@@ -1053,48 +1114,16 @@ pub fn execute(cmd: Command) -> Result<String, BowError> {
             core_model,
             divergence,
         } => {
-            let b =
-                bow::workloads::by_name(&bench, scale).ok_or_else(|| unknown_benchmark(&bench))?;
-            let model = EnergyModel::table_iv();
-            let with = |b: ConfigBuilder| b.core_model(core_model).divergence(divergence).build();
-            let mut suite = Suite::over(vec![b])
-                .configs([
-                    with(ConfigBuilder::baseline()),
-                    with(ConfigBuilder::bow(3)),
-                    with(ConfigBuilder::bow_wr(3)),
-                    with(ConfigBuilder::bow_wr(3).half_size(true)),
-                    with(ConfigBuilder::bow_flex(12)),
-                    with(ConfigBuilder::rfc()),
-                ])
-                .jobs(jobs);
-            if let Some(t) = sim_threads {
-                suite = suite.sim_threads(t);
-            }
-            let result = suite.run();
-            let base = &result.row(0).records[0];
-            base.outcome
-                .checked
-                .as_ref()
-                .map_err(|e| BowError::verify(format!("verification: {e}")))?;
-            let base_counts = base.outcome.result.stats.access_counts();
-            let mut rows = Vec::new();
-            for row in &result.rows {
-                let rec = &row.records[0];
-                rec.outcome
-                    .checked
-                    .as_ref()
-                    .map_err(|e| BowError::verify(format!("verification: {e}")))?;
-                let s = &rec.outcome.result.stats;
-                let energy = EnergyReport::normalized(&model, &s.access_counts(), &base_counts);
-                rows.push(vec![
-                    rec.label.clone(),
-                    format!("{:.3}", rec.ipc()),
-                    format!("{:+.1}%", 100.0 * (rec.ipc() / base.ipc() - 1.0)),
-                    pct(s.read_bypass_rate()),
-                    pct(s.write_bypass_rate()),
-                    format!("{:.2}", energy.total_norm()),
-                ]);
-            }
+            let designs = vec![
+                ConfigBuilder::baseline(),
+                ConfigBuilder::bow(3),
+                ConfigBuilder::bow_wr(3),
+                ConfigBuilder::bow_wr(3).half_size(true),
+                ConfigBuilder::bow_flex(12),
+                ConfigBuilder::rfc(),
+            ];
+            let axes = (core_model, divergence);
+            let rows = design_table(&bench, scale, (jobs, sim_threads), axes, designs)?;
             Ok(render_table(
                 &[
                     "config",
@@ -1108,8 +1137,7 @@ pub fn execute(cmd: Command) -> Result<String, BowError> {
             ))
         }
         Command::Asm { path } => {
-            let text = std::fs::read_to_string(&path).map_err(|e| BowError::io(&path, e))?;
-            let k = bow_isa::asm::parse_kernel(&text).map_err(|e| err(e.to_string()))?;
+            let k = read_kernel(&path)?;
             let mut out = String::new();
             writeln!(
                 out,
@@ -1129,8 +1157,7 @@ pub fn execute(cmd: Command) -> Result<String, BowError> {
             window,
             reorder,
         } => {
-            let text = std::fs::read_to_string(&path).map_err(|e| BowError::io(&path, e))?;
-            let mut k = bow_isa::asm::parse_kernel(&text).map_err(|e| err(e.to_string()))?;
+            let mut k = read_kernel(&path)?;
             if reorder {
                 k = bow_compiler::reorder_for_bypass(&k);
             }
@@ -1158,38 +1185,16 @@ pub fn execute(cmd: Command) -> Result<String, BowError> {
             core_model,
             divergence,
         } => {
-            let b =
-                bow::workloads::by_name(&bench, scale).ok_or_else(|| unknown_benchmark(&bench))?;
-            let model = EnergyModel::table_iv();
-            let with = |b: ConfigBuilder| b.core_model(core_model).divergence(divergence).build();
-            let mut configs = vec![with(ConfigBuilder::baseline())];
-            configs.extend((1..=7u32).map(|w| with(ConfigBuilder::bow_wr(w))));
-            let mut suite = Suite::over(vec![b]).configs(configs).jobs(jobs);
-            if let Some(t) = sim_threads {
-                suite = suite.sim_threads(t);
-            }
-            let result = suite.run();
-            for rec in result.all_records() {
-                rec.outcome
-                    .checked
-                    .as_ref()
-                    .map_err(|e| BowError::verify(format!("verification: {e}")))?;
-            }
-            let base = &result.row(0).records[0];
-            let base_counts = base.outcome.result.stats.access_counts();
-            let mut rows = Vec::new();
-            for (w, row) in (1..=7u32).zip(&result.rows[1..]) {
-                let rec = &row.records[0];
-                let s = &rec.outcome.result.stats;
-                let energy = EnergyReport::normalized(&model, &s.access_counts(), &base_counts);
-                rows.push(vec![
-                    format!("IW{w}"),
-                    format!("{:+.1}%", 100.0 * (rec.ipc() / base.ipc() - 1.0)),
-                    pct(s.read_bypass_rate()),
-                    pct(s.write_bypass_rate()),
-                    format!("{:.2}", energy.total_norm()),
-                ]);
-            }
+            let mut designs = vec![ConfigBuilder::baseline()];
+            designs.extend((1..=7u32).map(ConfigBuilder::bow_wr));
+            let axes = (core_model, divergence);
+            let table = design_table(&bench, scale, (jobs, sim_threads), axes, designs)?;
+            // One row per window (the baseline row is the yardstick), named
+            // by the window and without the absolute-IPC column.
+            let rows: Vec<Vec<String>> = (1..=7u32)
+                .zip(&table[1..])
+                .map(|(w, row)| [&[format!("IW{w}")], &row[2..]].concat())
+                .collect();
             Ok(render_table(
                 &["window", "ipc vs base", "rd bypass", "wr bypass", "energy"],
                 &rows,
@@ -1218,11 +1223,7 @@ pub fn execute(cmd: Command) -> Result<String, BowError> {
                 divergence,
                 sanitize,
             });
-            if report.failures.is_empty() {
-                Ok(report.summary())
-            } else {
-                Err(BowError::verify(report.summary()))
-            }
+            verdict(report.failures.is_empty(), report.summary())
         }
         Command::Lint {
             path,
@@ -1270,13 +1271,22 @@ pub fn execute(cmd: Command) -> Result<String, BowError> {
                     std::fs::write(&p, report.to_json().to_string_pretty())
                         .map_err(|e| BowError::io(&p, e))?;
                 }
-                return if report.passed() {
-                    Ok(report.summary())
-                } else {
-                    Err(BowError::verify(report.summary()))
-                };
+                return verdict(report.passed(), report.summary());
             }
 
+            // Lint the artifact the pipeline would consume under the
+            // targeted models: the same compile plan a launch goes through
+            // — hint pass, then barrier lowering (puts B017/B018 in play),
+            // then the control-bit emitter on the modern core (B013/B014).
+            // The passes only set hints, rewrite opcodes and attach a
+            // sidecar, so pc -> source-line tables stay valid.
+            let plan = CompilePlan {
+                reorder: false,
+                hints: Some(window),
+                verify: false,
+                divergence,
+                core_model,
+            };
             // (kernel, pc -> source line when it came from a .s file)
             let mut targets: Vec<(Kernel, Option<Vec<usize>>)> = Vec::new();
             if let Some(p) = &path {
@@ -1285,44 +1295,22 @@ pub fn execute(cmd: Command) -> Result<String, BowError> {
                     bow_isa::asm::parse_kernel_lines(&text).map_err(|e| err(e.to_string()))?;
                 // Lint hand-annotated kernels as written; run the hint
                 // pass on bare ones so B010 judges real compiler output.
-                // Annotation only sets per-instruction hints, so the
-                // pc -> line table stays valid.
-                let k = if k.insts.iter().any(|i| i.hint != WritebackHint::Both) {
-                    k
-                } else {
-                    bow_compiler::annotate(&k, window).0
+                let hand_annotated = k.insts.iter().any(|i| i.hint != WritebackHint::Both);
+                let plan = CompilePlan {
+                    hints: plan.hints.filter(|_| !hand_annotated),
+                    ..plan
                 };
-                targets.push((k, Some(lines)));
+                targets.push((plan.apply(k)?.0, Some(lines)));
             }
             if all_workloads {
                 for b in suite(Scale::Test) {
-                    let annotated = bow_compiler::annotate(&b.kernel(), window).0;
-                    targets.push((annotated, None));
-                }
-            }
-            // Under the barrier divergence model the pipeline executes the
-            // lowered form, so lint that: replace SSY/SYNC with convergence
-            // barriers first, which puts B017/B018 in play. Lowering is a
-            // pure opcode rewrite, so pc -> line tables stay valid.
-            if divergence == DivergenceModel::Barrier {
-                for (k, _) in &mut targets {
-                    *k = bow_compiler::lower_to_barriers(k)
-                        .map_err(|e| err(format!("{}: barrier lowering: {e}", k.name)))?;
-                }
-            }
-            // On the modern core every kernel ships with a control-bit
-            // sidecar, so lint the artifact the pipeline would consume:
-            // run the emitter, which puts B013/B014 in play.
-            if core_model == CoreModelKind::Modern {
-                for (k, _) in &mut targets {
-                    *k = bow_compiler::emit_ctrl(k, &bow_compiler::CtrlLatencies::default());
+                    targets.push((plan.apply(b.kernel())?.0, None));
                 }
             }
 
             let opts = bow_compiler::LintOptions {
                 window,
-                check_hints: true,
-                ..bow_compiler::LintOptions::default()
+                ..Default::default()
             };
             let reports: Vec<_> = targets
                 .iter()
@@ -1354,11 +1342,7 @@ pub fn execute(cmd: Command) -> Result<String, BowError> {
                 }
             )
             .unwrap();
-            if failing.is_empty() {
-                Ok(out)
-            } else {
-                Err(BowError::verify(out))
-            }
+            verdict(failing.is_empty(), out)
         }
         Command::Trace {
             path,
@@ -1366,27 +1350,14 @@ pub fn execute(cmd: Command) -> Result<String, BowError> {
             window,
             limit,
         } => {
-            let text = std::fs::read_to_string(&path).map_err(|e| BowError::io(&path, e))?;
-            let kernel = bow_isa::asm::parse_kernel(&text).map_err(|e| err(e.to_string()))?;
-            let cfg = config_for(
-                &collector,
-                window,
-                false,
-                CoreModelKind::Pascal,
-                DivergenceModel::Stack,
-            )?;
+            let (core_model, divergence) = Default::default();
+            let cfg = config_for(&collector, window, false, core_model, divergence)?;
+            let (kernel, _) = CompilePlan::of(&cfg).apply(read_kernel(&path)?)?;
             let mut gpu_cfg = cfg.gpu.clone();
             gpu_cfg.trace_pipeline = true;
             gpu_cfg.num_sms = 1;
-            let kernel = if cfg.hints {
-                bow_compiler::annotate(&kernel, window).0
-            } else {
-                kernel
-            };
             let mut gpu = bow_sim::Gpu::new(gpu_cfg);
-            let params: Vec<u32> = (0..kernel.param_words)
-                .map(|i| 0x10_0000 + u32::from(i) * 0x1_0000)
-                .collect();
+            let params = bow::api::synthetic_params(&kernel);
             let res = gpu.launch(&kernel, bow_isa::KernelDims::linear(1, 32), &params);
             let trace = gpu.take_trace();
             let mut out = String::new();
@@ -1403,9 +1374,7 @@ pub fn execute(cmd: Command) -> Result<String, BowError> {
             Ok(out)
         }
         Command::Encode { path } => {
-            let text = std::fs::read_to_string(&path).map_err(|e| BowError::io(&path, e))?;
-            let k = bow_isa::asm::parse_kernel(&text).map_err(|e| err(e.to_string()))?;
-            let words = bow_isa::encode_kernel(&k);
+            let words = bow_isa::encode_kernel(&read_kernel(&path)?);
             let mut out = String::with_capacity(words.len() * 9);
             for w in words {
                 writeln!(out, "{w:08x}").unwrap();
@@ -1454,13 +1423,7 @@ pub fn execute(cmd: Command) -> Result<String, BowError> {
                     let kernel = match (&bench, &asm) {
                         (Some(b), None) => Json::obj([
                             ("workload", Json::from(b.as_str())),
-                            (
-                                "scale",
-                                Json::from(match scale {
-                                    Scale::Test => "test",
-                                    Scale::Paper => "paper",
-                                }),
-                            ),
+                            ("scale", Json::from(scale.name())),
                         ]),
                         (None, Some(path)) => {
                             let text =
@@ -1469,18 +1432,11 @@ pub fn execute(cmd: Command) -> Result<String, BowError> {
                         }
                         _ => unreachable!("parse() enforces bench XOR asm"),
                     };
-                    let body = Json::obj([
-                        ("kernel", kernel),
-                        (
-                            "config",
-                            Json::obj([
-                                ("collector", Json::from(collector.as_str())),
-                                ("window", Json::from(window)),
-                            ]),
-                        ),
-                        ("wait", Json::from(wait)),
+                    let config = Json::obj([
+                        ("collector", Json::from(collector.as_str())),
+                        ("window", Json::from(window)),
                     ]);
-                    bow_server::client::post(&addr, "/v1/runs", &body.to_string_compact())?
+                    post_run(&addr, kernel, config, wait)?
                 }
                 SubmitAction::Job(id) => bow_server::client::get(&addr, &format!("/v1/jobs/{id}"))?,
                 SubmitAction::Fetch(fp) => {
@@ -1509,10 +1465,11 @@ pub fn execute(cmd: Command) -> Result<String, BowError> {
                     })
                     .unwrap_or_default();
                 Err(match kind.as_str() {
-                    "config" => BowError::Config(ConfigError::Unknown {
+                    "config" => BowError::Config(ConfigError::Unknown(bow_util::UnknownName {
                         what: "request (server rejected the configuration)",
                         value: out.trim_end().to_string(),
-                    }),
+                        valid: Vec::new(),
+                    })),
                     "io" | "not_found" => BowError::io(&addr, out.trim_end()),
                     "verify" => BowError::verify(out.trim_end()),
                     _ => BowError::parse(out.trim_end()),
@@ -1524,11 +1481,8 @@ pub fn execute(cmd: Command) -> Result<String, BowError> {
                 let manifest = bow::corpus::generate(seed, count);
                 std::fs::create_dir_all(&dir).map_err(|e| BowError::io(&dir, e))?;
                 let path = corpus_manifest_path(&dir);
-                let mut text = manifest.to_json().to_string_pretty();
-                if !text.ends_with('\n') {
-                    text.push('\n');
-                }
-                std::fs::write(&path, text).map_err(|e| BowError::io(&path, e))?;
+                std::fs::write(&path, json_text(&manifest.to_json()))
+                    .map_err(|e| BowError::io(&path, e))?;
                 let retained = manifest.retained().count();
                 let mut out = String::new();
                 let _ = writeln!(
@@ -1587,17 +1541,9 @@ pub fn execute(cmd: Command) -> Result<String, BowError> {
                             }
                         }
                     }
-                    bow::corpus::distribution_json(
-                        &manifest,
-                        &result,
-                        core_model_name(core_model),
-                        divergence.name(),
-                    )
+                    bow::corpus::distribution_json(&manifest, &result, core_model, divergence)
                 };
-                let mut text = doc.to_string_pretty();
-                if !text.ends_with('\n') {
-                    text.push('\n');
-                }
+                let text = json_text(&doc);
                 if let Some(out_path) = out {
                     std::fs::write(&out_path, &text).map_err(|e| BowError::io(&out_path, e))?;
                 }
@@ -1626,17 +1572,10 @@ pub fn execute(cmd: Command) -> Result<String, BowError> {
                             .map_err(|e| BowError::io(dir.display().to_string(), e))?;
                     }
                 }
-                let mut text = report.to_json().to_string_pretty();
-                if !text.ends_with('\n') {
-                    text.push('\n');
-                }
-                std::fs::write(&out_path, text).map_err(|e| BowError::io(&out_path, e))?;
+                std::fs::write(&out_path, json_text(&report.to_json()))
+                    .map_err(|e| BowError::io(&out_path, e))?;
                 let summary = format!("{}\nreport → {out_path}\n", report.summary().trim_end());
-                if report.passed() {
-                    Ok(summary)
-                } else {
-                    Err(BowError::verify(summary))
-                }
+                verdict(report.passed(), summary)
             }
         },
     }
@@ -1697,6 +1636,172 @@ mod tests {
         assert!(parse(&argv("frobnicate")).is_err());
         assert!(parse(&argv("run")).is_err());
         assert!(parse(&argv("run x --scale huge")).is_err());
+    }
+
+    #[test]
+    fn flag_spec_rejects_typos_and_missing_values_and_places_positionals() {
+        // The CLI twin of the server's unknown-key 4xx: a typo'd flag used
+        // to be ignored, silently running the default collector.
+        let e = parse(&argv("run lps --colector bow")).unwrap_err();
+        assert_eq!(e.exit_code(), 2);
+        let msg = e.to_string();
+        assert!(msg.contains("unknown flag `--colector`"), "{msg}");
+        assert!(msg.contains("--collector"), "lists the valid flags: {msg}");
+        // A value flag with no value used to be ignored too.
+        let e = parse(&argv("run lps --window")).unwrap_err();
+        assert_eq!(e.exit_code(), 2);
+        assert!(e.to_string().contains("`--window` needs a value"), "{e}");
+        assert!(parse(&argv("run lps --window --reorder")).is_err());
+        // A value flag's value is never the positional: this used to look
+        // up benchmark `bow`.
+        let cmd = parse(&argv("run --collector bow lps")).unwrap();
+        match &cmd {
+            Command::Run {
+                bench, collector, ..
+            } => assert_eq!((bench.as_str(), collector.as_str()), ("lps", "bow")),
+            other => panic!("parsed {other:?}"),
+        }
+        let out = execute(cmd).unwrap();
+        assert!(out.starts_with("lps under bow iw3: OK"), "{out}");
+        // So the path / benchmark / verb need not lead any more.
+        match parse(&argv("lint --window 4 k.s")).unwrap() {
+            Command::Lint { path, window, .. } => {
+                assert_eq!((path.as_deref(), window), (Some("k.s"), 4));
+            }
+            other => panic!("parsed {other:?}"),
+        }
+        match parse(&argv("submit --collector bow lps")).unwrap() {
+            Command::Submit {
+                action: SubmitAction::Run { bench, .. },
+                ..
+            } => assert_eq!(bench.as_deref(), Some("lps")),
+            other => panic!("parsed {other:?}"),
+        }
+        match parse(&argv("corpus --count 64 gen")).unwrap() {
+            Command::Corpus {
+                action: CorpusAction::Gen { count, .. },
+            } => assert_eq!(count, 64),
+            other => panic!("parsed {other:?}"),
+        }
+        // Surplus positionals, another subcommand's flag and another
+        // verb's flag are all rejected.
+        assert!(parse(&argv("run lps btree")).is_err());
+        assert!(parse(&argv("fuzz lps")).is_err());
+        assert!(parse(&argv("suite --jobs 2")).is_err());
+        assert!(parse(&argv("corpus gen --limit 3")).is_err());
+        // The spec is read off the usage synopsis; pin what it derives.
+        assert_eq!(
+            flag_spec("compile"),
+            Some((true, vec![("--window", true), ("--reorder", false)]))
+        );
+        assert_eq!(flag_spec("suite"), Some((false, Vec::new())));
+        let (positional, lint) = flag_spec("lint").expect("lint has four synopses");
+        assert!(positional);
+        for flag in [("--json", true), ("--mutate", false), ("--explain", false)] {
+            assert!(lint.contains(&flag), "{flag:?} in {lint:?}");
+        }
+        assert_eq!(lint.len(), 10, "{lint:?}");
+        let (positional, submit) = flag_spec("submit").expect("submit has two synopses");
+        assert!(positional);
+        for flag in [("--job", true), ("--health", false), ("--shutdown", false)] {
+            assert!(submit.contains(&flag), "{flag:?} in {submit:?}");
+        }
+        let (positional, fuzz) = flag_spec("fuzz").expect("fuzz");
+        assert!(!positional && fuzz.contains(&("--smoke", false)));
+        assert_eq!(
+            flag_spec("corpus stats"),
+            Some((false, vec![("--dir", true)]))
+        );
+        // `corpus` alone is the union of its verbs' synopses.
+        assert_eq!(flag_spec("corpus").map(|(_, flags)| flags.len()), Some(11));
+        assert_eq!(flag_spec("frobnicate"), None);
+    }
+
+    #[test]
+    fn axis_names_round_trip_through_flag_wire_and_label() {
+        use bow::api::{canonical_config_json, config_from_json};
+        use bow::experiment::{Collector, GpuModel};
+        let wire = |key: &'static str, value: &str| {
+            config_from_json(&Json::obj([(key, Json::from(value))])).unwrap()
+        };
+        for v in CoreModelKind::ALL {
+            let name = v.name();
+            assert_eq!(CoreModelKind::parse(name), Ok(v));
+            match parse(&argv(&format!("run lps --core-model {name}"))).unwrap() {
+                Command::Run { core_model, .. } => assert_eq!(core_model, v),
+                other => panic!("parsed {other:?}"),
+            }
+            let cfg = wire("core_model", name);
+            assert_eq!(cfg.gpu.core_model, v);
+            let suffix = format!("+{name}");
+            assert_eq!(cfg.label.ends_with(&suffix), v != CoreModelKind::default());
+            let canon = canonical_config_json(&cfg);
+            assert_eq!(canon.get("core_model").and_then(Json::as_str), Some(name));
+        }
+        for v in DivergenceModel::ALL {
+            let name = v.name();
+            assert_eq!(DivergenceModel::parse(name), Ok(v));
+            match parse(&argv(&format!("run lps --divergence {name}"))).unwrap() {
+                Command::Run { divergence, .. } => assert_eq!(divergence, v),
+                other => panic!("parsed {other:?}"),
+            }
+            let cfg = wire("divergence", name);
+            assert_eq!(cfg.gpu.divergence, v);
+            let suffix = format!("+{name}");
+            assert_eq!(
+                cfg.label.ends_with(&suffix),
+                v != DivergenceModel::default()
+            );
+            let canon = canonical_config_json(&cfg);
+            assert_eq!(canon.get("divergence").and_then(Json::as_str), Some(name));
+        }
+        for v in Scale::ALL {
+            let name = v.name();
+            assert_eq!(Scale::parse(name), Ok(v));
+            match parse(&argv(&format!("run lps --scale {name}"))).unwrap() {
+                Command::Run { scale, .. } => assert_eq!(scale, v),
+                other => panic!("parsed {other:?}"),
+            }
+            let body = Json::obj([(
+                "kernel",
+                Json::obj([("workload", Json::from("lps")), ("scale", Json::from(name))]),
+            )]);
+            match RunRequest::from_json(&body).unwrap().kernel {
+                KernelSpec::Workload { scale, .. } => assert_eq!(scale, v),
+                other => panic!("parsed {other:?}"),
+            }
+        }
+        for v in GpuModel::ALL {
+            assert_eq!(GpuModel::parse(v.name()), Ok(v));
+            let want = ConfigBuilder::baseline().model(v).build().gpu.num_sms;
+            assert_eq!(wire("model", v.name()).gpu.num_sms, want);
+        }
+        // Collector specs: the CLI and the wire resolve every spec to the
+        // same design and buffer size; only `bow-flex` sizing differs
+        // (CLI: 4 x window; wire: `capacity`, default 12).
+        let (core, div) = Default::default();
+        for (spec, design, half) in Collector::SPECS {
+            assert_eq!(Collector::parse_spec(spec), Ok((design, half)));
+            let cli = config_for(spec, 3, false, core, div).unwrap();
+            let wired = wire("collector", spec);
+            assert_eq!(
+                (cli.label, cli.gpu, cli.hints),
+                (wired.label, wired.gpu, wired.hints),
+                "{spec}"
+            );
+        }
+        assert_eq!(
+            config_for("bow-flex", 5, false, core, div).unwrap().label,
+            "bow-flex c20"
+        );
+        assert_eq!(wire("collector", "bow-flex").label, "bow-flex c12");
+        // Unknown names list the table, on both surfaces.
+        let e = parse(&argv("run lps --core-model volta")).unwrap_err();
+        assert_eq!(e.exit_code(), 2);
+        assert!(e.to_string().contains("(valid: pascal, modern)"), "{e}");
+        let e = config_from_json(&Json::obj([("divergence", Json::from("ipdom"))])).unwrap_err();
+        assert_eq!(e.kind(), "config");
+        assert!(e.to_string().contains("(valid: stack, barrier)"), "{e}");
     }
 
     #[test]

@@ -408,3 +408,76 @@ fn divergence_is_a_semantic_knob_on_the_wire() {
     srv.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `depth` nested SSY diamonds: structured, so the SIMT stack runs any
+/// depth, but only `NUM_CBARS` convergence-barrier registers exist.
+fn nested_diamonds_asm(depth: usize) -> String {
+    use bow::isa::{KernelBuilder, Operand, Pred, Reg};
+    let mut b = KernelBuilder::new("nest").mov_imm(Reg::r(0), 7);
+    for d in 0..depth {
+        b = b
+            .ssy(format!("join{d}"))
+            .bra_if(Pred::p(0), false, format!("else{d}"));
+    }
+    b = b.iadd(Reg::r(1), Reg::r(0).into(), Operand::Imm(1));
+    for d in (0..depth).rev() {
+        b = b
+            .bra(format!("join{d}"))
+            .label(format!("else{d}"))
+            .iadd(Reg::r(2), Reg::r(0).into(), Operand::Imm(2))
+            .label(format!("join{d}"))
+            .sync();
+    }
+    b.exit().build().expect("structured kernel").disassemble()
+}
+
+#[test]
+fn inline_kernels_the_barrier_lowering_refuses_are_a_422_not_a_stack_run() {
+    let dir = temp_store("inline-barrier");
+    let srv = TestServer::boot(&dir);
+    let body_for = |depth: usize, divergence: &str| {
+        Json::obj([
+            (
+                "kernel",
+                Json::obj([("asm", Json::from(nested_diamonds_asm(depth)))]),
+            ),
+            (
+                "config",
+                Json::obj([
+                    ("collector", Json::from("bow-wr")),
+                    ("divergence", Json::from(divergence)),
+                ]),
+            ),
+        ])
+        .to_string_compact()
+    };
+    let deep = bow::isa::NUM_CBARS + 1;
+
+    // The stack runs nine nested regions happily.
+    let stack = client::post(&srv.addr, "/v1/runs", &body_for(deep, "stack")).expect("stack");
+    assert_eq!(stack.status, 200, "{}", stack.body);
+
+    // Under `barrier` the same kernel needs a ninth barrier register. The
+    // inline arm used to skip the lowering, simulate the stack form and
+    // store it under the barrier fingerprint (200); it is a typed config
+    // rejection, and nothing is stored.
+    let barrier = client::post(&srv.addr, "/v1/runs", &body_for(deep, "barrier")).expect("deep");
+    assert_eq!(barrier.status, 422, "{}", barrier.body);
+    let error = barrier.json().expect("error document");
+    let error = error.get("error").expect("error object");
+    assert_eq!(error.get("kind").and_then(Json::as_str), Some("config"));
+    let message = error.get("message").and_then(Json::as_str).unwrap_or("");
+    assert!(message.contains("barrier lowering rejected"), "{message}");
+    let again = client::post(&srv.addr, "/v1/runs", &body_for(deep, "barrier")).expect("again");
+    assert_eq!(again.status, 422, "a refused request must not be cached");
+
+    // One level shallower fits, is lowered and runs.
+    let fits = client::post(&srv.addr, "/v1/runs", &body_for(deep - 1, "barrier")).expect("fits");
+    assert_eq!(fits.status, 200, "{}", fits.body);
+    let label = fits.json().expect("JSON");
+    let label = label.get("result").and_then(|r| r.get("config"));
+    assert_eq!(label.and_then(Json::as_str), Some("bow-wr iw3+barrier"));
+
+    srv.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -2,6 +2,7 @@
 
 use crate::collector::CollectorKind;
 use bow_mem::MemConfig;
+use bow_util::{parse_name, UnknownName};
 
 /// Warp-scheduling policy.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -34,23 +35,36 @@ pub enum CoreModelKind {
 }
 
 impl CoreModelKind {
-    /// The canonical lowercase name (`"pascal"` / `"modern"`), used by the
-    /// CLI, the wire contract and result canonicalization.
+    /// Every core model, in table order.
+    pub const ALL: [CoreModelKind; 2] = [CoreModelKind::Pascal, CoreModelKind::Modern];
+
+    /// The canonical lowercase name — the one spelling the CLI flag, the
+    /// wire contract, labels and result canonicalization all use.
     pub fn name(&self) -> &'static str {
         match self {
             CoreModelKind::Pascal => "pascal",
             CoreModelKind::Modern => "modern",
         }
     }
+
+    /// The core model named `s`.
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`UnknownName`] listing the valid names.
+    pub fn parse(s: &str) -> Result<CoreModelKind, UnknownName> {
+        parse_name("core model", &Self::ALL, Self::name, s)
+    }
 }
 
 /// Which divergence/reconvergence model a launch's kernels are compiled
 /// for.
 ///
-/// The knob steers the *compiler pipeline* (the experiment harness lowers
-/// `ssy`/`sync` to convergence barriers when it is `Barrier`) and
-/// participates in result canonicalization; the simulator itself picks a
-/// warp's bookkeeping from the kernel it actually runs
+/// A compile-time axis only: the knob steers the *compiler pipeline* (the
+/// experiment harness's compile plan lowers `ssy`/`sync` to convergence
+/// barriers when it is `Barrier`) and participates in result
+/// canonicalization; the simulator never reads it and picks a warp's
+/// bookkeeping from the kernel it actually runs
 /// ([`bow_isa::Kernel::uses_convergence_barriers`]), so a barrier-form
 /// kernel reconverges correctly whatever the config says. Orthogonal to
 /// [`CoreModelKind`]: both divergence models run on both cores.
@@ -67,13 +81,25 @@ pub enum DivergenceModel {
 }
 
 impl DivergenceModel {
-    /// The canonical lowercase name (`"stack"` / `"barrier"`), used by the
-    /// CLI, the wire contract and result canonicalization.
+    /// Every divergence model, in table order.
+    pub const ALL: [DivergenceModel; 2] = [DivergenceModel::Stack, DivergenceModel::Barrier];
+
+    /// The canonical lowercase name — the one spelling the CLI flag, the
+    /// wire contract, labels and result canonicalization all use.
     pub fn name(&self) -> &'static str {
         match self {
             DivergenceModel::Stack => "stack",
             DivergenceModel::Barrier => "barrier",
         }
+    }
+
+    /// The divergence model named `s`.
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`UnknownName`] listing the valid names.
+    pub fn parse(s: &str) -> Result<DivergenceModel, UnknownName> {
+        parse_name("divergence model", &Self::ALL, Self::name, s)
     }
 }
 

@@ -75,6 +75,9 @@ pub mod stats;
 pub mod trace;
 pub mod warp;
 
+// The name-table helper the axis enums here (and `bow_workloads::Scale`)
+// declare their value names with.
+pub use bow_util::{parse_name, UnknownName};
 pub use collector::CollectorKind;
 pub use config::{CoreModelKind, DivergenceModel, GpuConfig, OracleCheck, SchedPolicy};
 pub use gpu::{Gpu, LaunchResult};

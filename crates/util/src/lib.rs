@@ -9,12 +9,16 @@
 //! * [`rng`] — a seeded xorshift generator (replaces `rand`/`proptest`
 //!   for randomized testing and input generation);
 //! * [`hash`] — SHA-256 (replaces `sha2` for the content-addressed
-//!   result store's fingerprint keys).
+//!   result store's fingerprint keys);
+//! * [`names`] — the name-table helper every configuration axis declares
+//!   its value names with.
 
 pub mod hash;
 pub mod json;
+pub mod names;
 pub mod rng;
 
 pub use hash::{sha256, sha256_hex, Sha256};
 pub use json::{parse as parse_json, DecodeError, Json, ParseError};
+pub use names::{parse_name, UnknownName};
 pub use rng::XorShift;

@@ -30,7 +30,7 @@ pub mod snippet;
 pub use harness::{merge_results, RunOutcome};
 
 use bow_isa::Kernel;
-use bow_sim::Gpu;
+use bow_sim::{parse_name, Gpu, UnknownName};
 
 /// Problem-size preset for the suite.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -39,6 +39,29 @@ pub enum Scale {
     Test,
     /// The sizes the experiment harness uses (seconds per run in release).
     Paper,
+}
+
+impl Scale {
+    /// Every scale, in table order.
+    pub const ALL: [Scale; 2] = [Scale::Test, Scale::Paper];
+
+    /// The canonical lowercase name — the one spelling the CLI flag and
+    /// the wire contract use.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Scale::Test => "test",
+            Scale::Paper => "paper",
+        }
+    }
+
+    /// The scale named `s`.
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`UnknownName`] listing the valid names.
+    pub fn parse(s: &str) -> Result<Scale, UnknownName> {
+        parse_name("scale", &Self::ALL, Self::name, s)
+    }
 }
 
 /// A runnable benchmark: kernel + inputs + host reference.

@@ -38,18 +38,33 @@ echo "==> golden stats fingerprints, barrier divergence (serial + threaded)"
 # The divergence-model matrix: the same 15-workload x 4-collector suite
 # on *both* cores with compiler-lowered convergence barriers
 # (BSSY/BSYNC) replacing the SIMT stack — no stack anywhere in these
-# runs. Serial, then sharded across 8 workers; the table lands in
-# target/golden-artifacts/ next to the stack tiers.
+# runs. Serial, then sharded across 8 workers. The tier pins no table of
+# its own: every barrier cell must equal the pinned *stack* row above
+# (stack and barrier reconvergence differ in no counter).
 cargo test --release -q --offline -p bow --test golden_fingerprints_barrier
 BOW_SIM_THREADS=8 cargo test --release -q --offline -p bow --test golden_fingerprints_barrier
-cp crates/bow/tests/golden/fingerprints_barrier.txt target/golden-artifacts/barrier.txt
 
-echo "==> bow fuzz --smoke (64-case differential fuzz, fixed seed)"
+# The model matrix every per-axis stage below walks: both SM cores x both
+# divergence models. The value names are the axes' name tables
+# (CoreModelKind::ALL / DivergenceModel::ALL).
+CORES="pascal modern"
+DIVERGENCES="stack barrier"
+
 # Every generated kernel runs under all collector models, each launch
 # lockstep-checked against the architectural oracle and the independent
 # host model. A failure exits non-zero after writing minimized .asm
-# repros to target/fuzz-repros/.
-cargo run --release -q --offline -p bow-cli -- fuzz --smoke --out target/fuzz-repros
+# repros to target/fuzz-repros/. On `modern` every kernel gets a
+# compiler-emitted control-bit sidecar and runs under the sub-core
+# pipeline; under `barrier` it is lowered to convergence barriers, so
+# reconvergence rides the per-warp barrier registers.
+for CORE in $CORES; do
+    for DIV in $DIVERGENCES; do
+        echo "==> bow fuzz --smoke --core-model ${CORE} --divergence ${DIV}"
+        cargo run --release -q --offline -p bow-cli -- \
+            fuzz --smoke --core-model "${CORE}" --divergence "${DIV}" \
+            --out target/fuzz-repros
+    done
+done
 
 echo "==> bow fuzz --smoke --sim-threads 4 (threaded engine)"
 # The same fixed-seed corpus with every launch sharded across the
@@ -58,74 +73,23 @@ echo "==> bow fuzz --smoke --sim-threads 4 (threaded engine)"
 cargo run --release -q --offline -p bow-cli -- \
     fuzz --smoke --sim-threads 4 --out target/fuzz-repros
 
-echo "==> bow fuzz --smoke --core-model modern (control-bit interlock)"
-# The same corpus on the modern backend: every generated kernel gets a
-# compiler-emitted control-bit sidecar and runs under the sub-core
-# pipeline, lockstep-checked against the (core-model-agnostic) oracle.
-cargo run --release -q --offline -p bow-cli -- \
-    fuzz --smoke --core-model modern --out target/fuzz-repros
-
-echo "==> bow fuzz --smoke --divergence barrier (stack-less reconvergence)"
-# The fuzz half of the divergence matrix: every generated kernel is
-# lowered to convergence barriers, so reconvergence rides the per-warp
-# barrier registers — and the lockstep oracle and host model must still
-# agree instruction-for-instruction.
-cargo run --release -q --offline -p bow-cli -- \
-    fuzz --smoke --divergence barrier --out target/fuzz-repros
-
-echo "==> bow fuzz --smoke --core-model modern --divergence barrier"
-# Both axes at once: sub-core pipeline + control-bit interlock +
-# barrier reconvergence, the richest scenario the matrix has.
-cargo run --release -q --offline -p bow-cli -- \
-    fuzz --smoke --core-model modern --divergence barrier --out target/fuzz-repros
-
-echo "==> bench_throughput (test tier)"
-# Full-chip 56-SM throughput probe at sim_threads {1,2,4}: asserts the
-# stats fingerprints agree across thread counts. The test-tier probe is
-# routed through BOW_RESULTS_DIR so it never lands in the committed
-# results/ tree (only the paper-tier bench_throughput.json is an
-# artifact there).
-mkdir -p target/bench-test
-BOW_RESULTS_DIR=target/bench-test BOW_SCALE=test \
-    cargo run --release -q --offline -p bow-bench --bin bench_throughput -- vectoradd
-
-echo "==> bench_throughput regression gate (paper tier vs checked-in baseline)"
-# Hot-path guard: re-run the full paper-tier bench into a scratch dir
-# (BOW_RESULTS_DIR keeps the committed baseline untouched) and fail if
-# the geomean cycles/sec dropped >10% vs results/bench_throughput.json —
-# e.g. an abstraction seam leaking virtual dispatch into the cycle loop.
-# Per-row fingerprints must also match the baseline exactly.
-mkdir -p target/bench-gate
-BOW_RESULTS_DIR=target/bench-gate \
-    cargo run --release -q --offline -p bow-bench --bin bench_throughput
-python3 scripts/bench_gate.py \
-    results/bench_throughput.json target/bench-gate/bench_throughput.json
-
-echo "==> bow lint --all-workloads --deny-warnings"
-# Static-analysis gate: every annotated workload kernel must be free of
-# lint errors *and* warnings (advisories allowed), including the
-# independent hint-soundness verifier (B010). The JSON report is kept as
-# a CI artifact.
+# Static-analysis gate: every workload kernel, compiled by the plan of
+# the targeted models, must be free of lint errors *and* warnings
+# (advisories allowed), including the independent hint-soundness verifier
+# (B010). `modern` emits the control-bit sidecar first, so the sidecar
+# lints (B013/B014) judge real emitter output; `barrier` lowers first, so
+# the barrier-structure lints (B017/B018) judge real `lower_to_barriers`
+# output. One JSON report per cell is kept as a CI artifact.
 mkdir -p target/lint-reports
-cargo run --release -q --offline -p bow-cli -- \
-    lint --all-workloads --deny-warnings --json target/lint-reports/workloads.json
-
-echo "==> bow lint --all-workloads --core-model modern"
-# The lint half of the core-model matrix: every workload kernel gets a
-# compiler-emitted control-bit sidecar first, so the sidecar lints
-# (B013/B014) judge real emitter output. Report kept as an artifact
-# alongside the Pascal one.
-cargo run --release -q --offline -p bow-cli -- \
-    lint --all-workloads --deny-warnings --core-model modern \
-    --json target/lint-reports/workloads_modern.json
-
-echo "==> bow lint --all-workloads --divergence barrier"
-# The lint half of the divergence matrix: every workload kernel is
-# lowered to convergence barriers first, so the barrier-structure lints
-# (B017/B018) judge real `lower_to_barriers` output on all 15 kernels.
-cargo run --release -q --offline -p bow-cli -- \
-    lint --all-workloads --deny-warnings --divergence barrier \
-    --json target/lint-reports/workloads_barrier.json
+for CORE in $CORES; do
+    for DIV in $DIVERGENCES; do
+        echo "==> bow lint --all-workloads --core-model ${CORE} --divergence ${DIV}"
+        cargo run --release -q --offline -p bow-cli -- \
+            lint --all-workloads --deny-warnings \
+            --core-model "${CORE}" --divergence "${DIV}" \
+            --json "target/lint-reports/workloads_${CORE}_${DIV}.json"
+    done
+done
 
 echo "==> bow lint --mutate --smoke (mutation sanitizer, fixed seed)"
 # Audits the verifier itself: flips sound hints to BocOnly across a

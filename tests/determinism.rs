@@ -166,6 +166,45 @@ fn barrier_suite_fingerprints_invariant_under_thread_count() {
     }
 }
 
+/// The full chip: `GpuModel::TitanX` spreads each launch's blocks over 56
+/// SMs, so at `sim_threads = 4` every worker owns a 14-SM shard and most
+/// commit windows carry cross-shard traffic — the regime the 2-SM scaled
+/// model above never reaches. (This is the one assertion the retired
+/// `bench_throughput` binary made that nothing else did.)
+#[test]
+fn full_chip_fingerprints_invariant_under_thread_count() {
+    for core in CoreModelKind::ALL {
+        let table = |threads: u32| {
+            let config = ConfigBuilder::bow_wr(3)
+                .model(GpuModel::TitanX)
+                .core_model(core)
+                .sim_threads(threads)
+                .build();
+            assert_eq!(config.gpu.num_sms, 56);
+            let sweep = Suite::over(
+                ["vectoradd", "backprop", "bfs"]
+                    .iter()
+                    .map(|n| bow::workloads::by_name(n, Scale::Test).expect("suite benchmark"))
+                    .collect(),
+            )
+            .config(config)
+            .progress(false)
+            .run();
+            sweep.assert_checked();
+            sweep
+                .all_records()
+                .map(|r| (r.benchmark.clone(), r.outcome.result.stats.fingerprint()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            table(1),
+            table(4),
+            "{}: full-chip cell diverged at sim_threads=4",
+            core.name()
+        );
+    }
+}
+
 /// The architectural oracle runs under the threaded engine too (the
 /// checked launch routes through the same windowed dispatcher), so the
 /// pipeline == oracle == host-reference triangle must close with the
@@ -311,12 +350,8 @@ fn bfs_sanitizer_findings_match_the_golden_pin() {
         "# bfs sanitizer findings under bow-wr iw3, per core model (Scale::Test).\n\
          # Regenerate with: BOW_BLESS=1 cargo test -p bow --test determinism\n",
     );
-    for core in [CoreModelKind::Pascal, CoreModelKind::Modern] {
-        let label = match core {
-            CoreModelKind::Pascal => "pascal",
-            CoreModelKind::Modern => "modern",
-        };
-        writeln!(got, "== {label} ==").expect("write to String");
+    for core in CoreModelKind::ALL {
+        writeln!(got, "== {} ==", core.name()).expect("write to String");
         got.push_str(&sanitizer_workload_report("bfs", core, 1));
     }
     let path = sanitizer_golden_path();
