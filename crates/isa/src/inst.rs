@@ -4,7 +4,17 @@
 use crate::opcode::Opcode;
 use crate::operand::Operand;
 use crate::reg::{Pred, Reg};
+use bow_util::InlineVec;
 use std::fmt;
+
+/// The registers one instruction reads, held inline: at most
+/// [`MAX_SRC_OPERANDS`](crate::MAX_SRC_OPERANDS) data sources plus the
+/// memory base. Reads like a `[Reg]` slice and iterates by value.
+pub type RegList = InlineVec<Reg, { crate::MAX_SRC_OPERANDS + 1 }>;
+
+/// The predicates one instruction reads, held inline: the guard plus
+/// at most [`MAX_SRC_OPERANDS`](crate::MAX_SRC_OPERANDS) predicate sources.
+pub type PredList = InlineVec<Pred, { crate::MAX_SRC_OPERANDS + 1 }>;
 
 /// Compiler-assigned write-back destination for a computed value (§IV-B).
 ///
@@ -182,8 +192,8 @@ impl Instruction {
     ///
     /// This is the set the operand collectors must fetch and therefore the
     /// set the bypass statistics count.
-    pub fn src_regs(&self) -> Vec<Reg> {
-        let mut v: Vec<Reg> = self.srcs.iter().filter_map(|o| o.reg()).collect();
+    pub fn src_regs(&self) -> RegList {
+        let mut v: RegList = self.srcs.iter().filter_map(|o| o.reg()).collect();
         if let Some(m) = self.mem {
             if self.op != Opcode::Ldc && !m.base.is_zero() {
                 v.push(m.base);
@@ -195,14 +205,13 @@ impl Instruction {
     /// Like [`src_regs`](Self::src_regs) but with duplicates removed,
     /// preserving first-occurrence order. An instruction reading `r2 * r2`
     /// occupies one collector entry and performs one RF read, not two.
-    pub fn unique_src_regs(&self) -> Vec<Reg> {
-        let mut v = self.src_regs();
-        let mut seen = [false; 256];
-        v.retain(|r| {
-            let s = seen[r.index() as usize];
-            seen[r.index() as usize] = true;
-            !s
-        });
+    pub fn unique_src_regs(&self) -> RegList {
+        let mut v = RegList::new();
+        for r in self.src_regs() {
+            if !v.contains(&r) {
+                v.push(r);
+            }
+        }
         v
     }
 
@@ -212,8 +221,8 @@ impl Instruction {
     }
 
     /// Predicate registers read: the guard plus any predicate data source.
-    pub fn src_preds(&self) -> Vec<Pred> {
-        let mut v = Vec::new();
+    pub fn src_preds(&self) -> PredList {
+        let mut v = PredList::new();
         if let Some(g) = self.guard {
             if !g.pred.is_true_reg() {
                 v.push(g.pred);

@@ -49,6 +49,13 @@ impl Reg {
     }
 }
 
+/// The null register: [`Reg::RZ`] reads as zero and discards writes.
+impl Default for Reg {
+    fn default() -> Reg {
+        Reg::RZ
+    }
+}
+
 impl fmt::Display for Reg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.is_zero() {
@@ -105,6 +112,13 @@ impl Pred {
     /// Whether this is the hardwired true predicate.
     pub fn is_true_reg(self) -> bool {
         self == Self::PT
+    }
+}
+
+/// The null predicate: [`Pred::PT`] reads as true and discards writes.
+impl Default for Pred {
+    fn default() -> Pred {
+        Pred::PT
     }
 }
 

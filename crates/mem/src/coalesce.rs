@@ -14,25 +14,54 @@ pub struct Transaction {
     pub lanes: u32,
 }
 
+/// Lanes in a warp: the most addresses, and so transactions, one access has.
+const MAX_LANES: usize = 32;
+
+/// The transactions of one warp access in first-touch order, held on the
+/// stack (reads like a `[Transaction]` slice).
+#[derive(Clone, Copy, Debug)]
+pub struct Transactions {
+    txs: [Transaction; MAX_LANES],
+    len: usize,
+}
+
+impl std::ops::Deref for Transactions {
+    type Target = [Transaction];
+
+    fn deref(&self) -> &[Transaction] {
+        &self.txs[..self.len]
+    }
+}
+
 /// Coalesces a warp's per-lane byte addresses into the minimal set of
 /// 128-byte segment transactions, preserving first-touch order.
 ///
 /// A fully coalesced unit-stride access produces a single transaction; a
 /// worst-case scatter produces one per lane. The transaction count drives
 /// both cache-port serialization and DRAM traffic in the timing model.
-pub fn coalesce(addrs: &[u64]) -> Vec<Transaction> {
-    let mut txs: Vec<Transaction> = Vec::new();
+///
+/// # Panics
+///
+/// Panics if `addrs` touches more than 32 segments (a warp has 32 lanes).
+pub fn coalesce(addrs: &[u64]) -> Transactions {
+    let mut out = Transactions {
+        txs: [Transaction { addr: 0, lanes: 0 }; MAX_LANES],
+        len: 0,
+    };
     for &a in addrs {
         let seg = a / SEGMENT_BYTES * SEGMENT_BYTES;
-        match txs.iter_mut().find(|t| t.addr == seg) {
+        match out.txs[..out.len].iter_mut().find(|t| t.addr == seg) {
             Some(t) => t.lanes += 1,
-            None => txs.push(Transaction {
-                addr: seg,
-                lanes: 1,
-            }),
+            None => {
+                out.txs[out.len] = Transaction {
+                    addr: seg,
+                    lanes: 1,
+                };
+                out.len += 1;
+            }
         }
     }
-    txs
+    out
 }
 
 #[cfg(test)]

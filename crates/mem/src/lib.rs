@@ -30,7 +30,7 @@ pub mod interconnect;
 pub mod shared;
 
 pub use cache::{Cache, CacheConfig, CacheStats};
-pub use coalesce::{coalesce, Transaction, SEGMENT_BYTES};
+pub use coalesce::{coalesce, Transaction, Transactions, SEGMENT_BYTES};
 pub use global::GlobalMemory;
 pub use hierarchy::{AccessKind, MemConfig, MemStats, MemSystem};
 pub use interconnect::{commit_windows, GlobalAccess, SmWindowBuf, WindowedGlobal, WriteRec};

@@ -11,15 +11,16 @@ pub const SMEM_BANKS: usize = 32;
 /// access with no active lanes has degree 0; a conflict-free access has
 /// degree 1.
 pub fn bank_conflict_degree(addrs: &[u64]) -> u32 {
-    let mut per_bank: [Vec<u64>; SMEM_BANKS] = std::array::from_fn(|_| Vec::new());
-    for &a in addrs {
+    // Distinct words per bank. A word counts where it first appears: a
+    // warp has at most 32 lanes, so looking back beats keeping a set.
+    let mut per_bank = [0u32; SMEM_BANKS];
+    for (i, &a) in addrs.iter().enumerate() {
         let word = a / 4;
-        let bank = (word as usize) % SMEM_BANKS;
-        if !per_bank[bank].contains(&word) {
-            per_bank[bank].push(word);
+        if !addrs[..i].iter().any(|&b| b / 4 == word) {
+            per_bank[word as usize % SMEM_BANKS] += 1;
         }
     }
-    per_bank.iter().map(|v| v.len() as u32).max().unwrap_or(0)
+    per_bank.into_iter().max().unwrap_or(0)
 }
 
 /// A thread block's shared-memory scratchpad.

@@ -16,10 +16,12 @@
 pub mod rfc;
 pub mod window;
 
+use crate::decode::InstMeta;
 use crate::probe::{emit, PipeEvent, Probe};
 use crate::regfile::RegFile;
 use crate::stats::{SimStats, WriteDest};
-use bow_isa::{Instruction, Reg, WritebackHint};
+use bow_isa::{Reg, RegList, WritebackHint};
+use bow_util::InlineVec;
 use rfc::RfcCache;
 use window::WarpWindow;
 
@@ -125,9 +127,10 @@ impl CollectorKind {
 }
 
 /// State of one source-operand fetch.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 enum OpState {
     /// Must claim a register-bank port.
+    #[default]
     NeedRf,
     /// Shares an in-flight fetch issued by an earlier instruction (BOW).
     WaitShared,
@@ -138,7 +141,7 @@ enum OpState {
     ReadyAt(u64),
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 struct OperandReq {
     reg: Reg,
     state: OpState,
@@ -150,22 +153,22 @@ impl OperandReq {
     }
 }
 
-/// One issued instruction waiting in the collection stage.
+/// One issued instruction waiting in the collection stage. The
+/// instruction itself stays in the kernel: the slot names it by `pc`.
 #[derive(Clone, Debug)]
 pub struct Slot {
     /// Warp slot index.
     pub warp: usize,
     /// Program counter of the instruction within its kernel.
     pub pc: usize,
-    /// The instruction (cloned from the kernel).
-    pub inst: Instruction,
     /// Execution mask captured at issue.
     pub mask: u32,
     /// Per-warp dynamic sequence number.
     pub seq: u64,
     /// Cycle the instruction entered the stage.
     pub insert_cycle: u64,
-    operands: Vec<OperandReq>,
+    /// One fetch per unique register source.
+    operands: InlineVec<OperandReq, { bow_isa::MAX_SRC_OPERANDS + 1 }>,
 }
 
 impl Slot {
@@ -178,8 +181,17 @@ impl Slot {
 #[derive(Clone, Debug)]
 pub struct OperandStage {
     kind: CollectorKind,
-    /// Issued, not-yet-dispatched instructions, oldest first.
+    /// Issued, not-yet-dispatched instructions, oldest first: the order
+    /// bank ports are arbitrated in and slots dispatch in.
     slots: Vec<Slot>,
+    /// Per warp slot: how many of `slots` are its own, and the oldest
+    /// `seq` among them (meaningful while the count is non-zero). Kept at
+    /// insert/remove so the issue scan never walks `slots`.
+    resident: Vec<u32>,
+    oldest_seq: Vec<u64>,
+    /// BOW modes, scratch of `collect`: warps granted their BOC's one
+    /// register-file port this cycle.
+    warp_granted: Vec<bool>,
     /// Baseline/RFC: number of OCUs in the shared pool.
     num_ocus: usize,
     /// BOW modes: per-warp bypass windows.
@@ -222,6 +234,9 @@ impl OperandStage {
         OperandStage {
             kind,
             slots: Vec::new(),
+            resident: vec![0; max_warps],
+            oldest_seq: vec![0; max_warps],
+            warp_granted: vec![false; max_warps],
             num_ocus,
             windows,
             rfcs,
@@ -240,12 +255,9 @@ impl OperandStage {
         match self.kind {
             CollectorKind::Baseline | CollectorKind::Rfc { .. } => self.slots.len() < self.num_ocus,
             CollectorKind::Bow { window, .. } | CollectorKind::BowWr { window, .. } => {
-                self.slots.iter().filter(|s| s.warp == warp).count() < window as usize
+                self.resident[warp] < window
             }
-            CollectorKind::BowFlex { capacity } => {
-                self.slots.iter().filter(|s| s.warp == warp).count()
-                    < (capacity as usize / 3).max(2)
-            }
+            CollectorKind::BowFlex { capacity } => self.resident[warp] < (capacity / 3).max(2),
         }
     }
 
@@ -261,14 +273,14 @@ impl OperandStage {
         &mut self,
         warp: usize,
         pc: usize,
-        inst: &Instruction,
+        inst: &InstMeta,
         mask: u32,
         seq: u64,
         cycle: u64,
         rf: &mut RegFile,
         stats: &mut SimStats,
         probe: &mut P,
-    ) -> Vec<Reg> {
+    ) -> RegList {
         self.insert_uniform(warp, pc, inst, mask, seq, cycle, rf, stats, probe, |_| {
             false
         })
@@ -285,7 +297,7 @@ impl OperandStage {
         &mut self,
         warp: usize,
         pc: usize,
-        inst: &Instruction,
+        inst: &InstMeta,
         mask: u32,
         seq: u64,
         cycle: u64,
@@ -293,12 +305,12 @@ impl OperandStage {
         stats: &mut SimStats,
         probe: &mut P,
         uniform: impl Fn(Reg) -> bool,
-    ) -> Vec<Reg> {
-        let unique = inst.unique_src_regs();
+    ) -> RegList {
+        let unique = inst.unique_src_regs;
         emit(stats, probe, PipeEvent::SrcRegs(unique.len()));
 
-        let mut operands = Vec::with_capacity(unique.len());
-        let mut rf_fetches = Vec::new();
+        let mut operands = InlineVec::new();
+        let mut rf_fetches = RegList::new();
         match self.kind {
             CollectorKind::Baseline => {
                 for reg in unique {
@@ -367,10 +379,15 @@ impl OperandStage {
                 }
             }
         }
+        self.oldest_seq[warp] = if self.resident[warp] == 0 {
+            seq
+        } else {
+            self.oldest_seq[warp].min(seq)
+        };
+        self.resident[warp] += 1;
         self.slots.push(Slot {
             warp,
             pc,
-            inst: inst.clone(),
             mask,
             seq,
             insert_cycle: cycle,
@@ -453,13 +470,13 @@ impl OperandStage {
                 }
                 // One RF-fetched operand per warp (BOC port) per cycle,
                 // bounded by the crossbar's total delivery bandwidth.
-                let mut warp_granted = [false; 64];
+                self.warp_granted.fill(false);
                 for i in 0..self.slots.len() {
                     if xbar_budget == 0 {
                         break;
                     }
                     let warp = self.slots[i].warp;
-                    if warp_granted[warp] {
+                    if self.warp_granted[warp] {
                         continue;
                     }
                     let slot = &mut self.slots[i];
@@ -472,7 +489,7 @@ impl OperandStage {
                     };
                     if rf.try_read(warp, op.reg) {
                         op.state = OpState::ReadyAt(arrival);
-                        warp_granted[warp] = true;
+                        self.warp_granted[warp] = true;
                         xbar_budget -= 1;
                         let reg = op.reg;
                         self.windows[warp].mark_arrived(reg, arrival);
@@ -490,23 +507,22 @@ impl OperandStage {
         }
     }
 
-    /// Indices of slots whose operands are all ready at `cycle`, oldest
-    /// first.
-    pub fn ready_slots(&self, cycle: u64) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.ready_slots_into(cycle, &mut out);
-        out
-    }
-
-    /// Appends the indices of ready slots to `out`, reusing its capacity
-    /// (the per-cycle hot path — avoids an allocation every cycle).
+    /// Appends the indices of slots whose operands are all ready at
+    /// `cycle` to `out`, oldest first, reusing its capacity.
     pub fn ready_slots_into(&self, cycle: u64, out: &mut Vec<usize>) {
         out.extend((0..self.slots.len()).filter(|&i| self.slots[i].is_ready(cycle)));
     }
 
     /// Removes and returns a dispatched slot.
     pub fn remove(&mut self, index: usize) -> Slot {
-        self.slots.remove(index)
+        let slot = self.slots.remove(index);
+        let w = slot.warp;
+        self.resident[w] -= 1;
+        if self.resident[w] > 0 && slot.seq == self.oldest_seq[w] {
+            let rest = self.slots.iter().filter(|s| s.warp == w);
+            self.oldest_seq[w] = rest.map(|s| s.seq).min().expect("resident slots");
+        }
+        slot
     }
 
     /// Read-only access to a slot.
@@ -525,11 +541,7 @@ impl OperandStage {
     /// makes functional execution at dispatch correct independently of
     /// the compiler's control bits.
     pub fn min_seq_of(&self, warp: usize) -> Option<u64> {
-        self.slots
-            .iter()
-            .filter(|s| s.warp == warp)
-            .map(|s| s.seq)
-            .min()
+        (self.resident[warp] > 0).then(|| self.oldest_seq[warp])
     }
 
     /// Routes a completed instruction's register result according to the
@@ -636,8 +648,8 @@ impl OperandStage {
             self.windows[warp].flush(warp, rf, stats, probe);
         }
         if let CollectorKind::Rfc { .. } = self.kind {
-            for _victim in self.rfcs[warp].flush_dirty() {
-                rf.enqueue_write(warp, _victim);
+            for victim in self.rfcs[warp].flush_dirty() {
+                rf.enqueue_write(warp, victim);
                 emit(stats, probe, PipeEvent::RfWriteRouted);
             }
         }
@@ -650,12 +662,8 @@ impl OperandStage {
             return;
         }
         let cap = self.kind.boc_capacity();
-        let mut busy = [false; 64];
-        for s in &self.slots {
-            busy[s.warp] = true;
-        }
         for (w, win) in self.windows.iter().enumerate() {
-            if busy[w] {
+            if self.resident[w] > 0 {
                 emit(
                     stats,
                     probe,
@@ -675,24 +683,30 @@ mod tests {
     use crate::probe::NullProbe;
     use bow_isa::KernelBuilder;
 
-    fn iadd(d: u8, a: u8, b: u8) -> Instruction {
-        KernelBuilder::new("t")
+    fn iadd(d: u8, a: u8, b: u8) -> InstMeta {
+        let k = KernelBuilder::new("t")
             .iadd(Reg::r(d), Reg::r(a).into(), Reg::r(b).into())
             .exit()
             .build()
-            .unwrap()
-            .insts[0]
-            .clone()
+            .unwrap();
+        InstMeta::of(&k.insts[0])
     }
 
-    fn mov_imm(d: u8) -> Instruction {
-        KernelBuilder::new("t")
+    fn mov_imm(d: u8) -> InstMeta {
+        let k = KernelBuilder::new("t")
             .mov_imm(Reg::r(d), 1)
             .exit()
             .build()
-            .unwrap()
-            .insts[0]
-            .clone()
+            .unwrap();
+        InstMeta::of(&k.insts[0])
+    }
+
+    impl OperandStage {
+        fn ready_slots(&self, cycle: u64) -> Vec<usize> {
+            let mut out = Vec::new();
+            self.ready_slots_into(cycle, &mut out);
+            out
+        }
     }
 
     #[test]

@@ -88,17 +88,10 @@ impl RfcCache {
         outcome
     }
 
-    /// Drains all dirty entries (warp completion), returning the registers
+    /// Empties the cache (warp completion), yielding the dirty registers
     /// that must be written back to the RF.
-    pub fn flush_dirty(&mut self) -> Vec<Reg> {
-        let dirty = self
-            .entries
-            .iter()
-            .filter(|e| e.dirty)
-            .map(|e| e.reg)
-            .collect();
-        self.entries.clear();
-        dirty
+    pub fn flush_dirty(&mut self) -> impl Iterator<Item = Reg> + '_ {
+        self.entries.drain(..).filter(|e| e.dirty).map(|e| e.reg)
     }
 
     /// Number of live entries.
@@ -150,7 +143,7 @@ mod tests {
         let mut c = RfcCache::new(4);
         c.insert_write(Reg::r(1));
         c.insert_write(Reg::r(2));
-        let mut d = c.flush_dirty();
+        let mut d: Vec<Reg> = c.flush_dirty().collect();
         d.sort();
         assert_eq!(d, vec![Reg::r(1), Reg::r(2)]);
         assert!(c.is_empty());

@@ -283,6 +283,11 @@ impl WarpWindow {
         stats: &mut SimStats,
         probe: &mut P,
     ) {
+        // A warp's first buffered value reserves the whole buffer, so a
+        // window never grows on the per-cycle path once its warp has run.
+        if self.entries.capacity() == 0 {
+            self.entries.reserve_exact(self.capacity);
+        }
         self.enforce_capacity(warp, rf, stats, probe);
         if self.entries.len() >= self.capacity {
             self.evict_oldest_arrived(warp, rf, stats, probe);

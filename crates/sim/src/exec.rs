@@ -9,6 +9,7 @@
 use crate::warp::{Split, StackEntry, StackKind, Warp};
 use bow_isa::{Instruction, Opcode, Operand, Special, NUM_CBARS, WARP_SIZE};
 use bow_mem::{GlobalAccess, GlobalMemory, SharedMemory};
+use std::array::from_fn as lanes;
 
 /// Geometry context a warp needs to evaluate special registers.
 #[derive(Clone, Copy, Debug)]
@@ -35,6 +36,9 @@ pub struct ExecCtx<'a, G: GlobalAccess = GlobalMemory> {
     pub params: &'a [u32],
     /// Block geometry (`s2r` source).
     pub block: BlockInfo,
+    /// Scratch the caller owns and reuses: a memory instruction leaves the
+    /// byte address of each active lane here, in ascending lane order.
+    pub addrs: &'a mut Vec<u64>,
 }
 
 /// Memory space an access touched, for the timing model.
@@ -48,15 +52,14 @@ pub enum Space {
     Param,
 }
 
-/// Description of a memory access for the timing model.
-#[derive(Clone, Debug)]
+/// Description of a memory access for the timing model; the lane
+/// addresses are in [`ExecCtx::addrs`].
+#[derive(Clone, Copy, Debug)]
 pub struct MemAccess {
     /// Load or store.
     pub is_store: bool,
     /// Which space.
     pub space: Space,
-    /// Byte addresses of the active lanes.
-    pub addrs: Vec<u64>,
 }
 
 /// What a control instruction did, so the SM can update barrier state.
@@ -117,9 +120,28 @@ fn special_value(warp: &Warp, lane: usize, s: Special, block: &BlockInfo) -> u32
     }
 }
 
+/// One value per lane of a warp.
+type Lanes = [u32; WARP_SIZE];
+
+/// Evaluates a source operand for every lane, resolving its kind once.
+fn operand_lanes(warp: &Warp, op: Operand, block: &BlockInfo) -> Lanes {
+    match op {
+        Operand::Reg(r) => lanes(|lane| warp.read_reg(lane, r)),
+        Operand::Imm(v) => [v; WARP_SIZE],
+        Operand::Pred(p) => lanes(|lane| u32::from(warp.read_pred(lane, p))),
+        Operand::Special(s) => lanes(|lane| special_value(warp, lane, s, block)),
+    }
+}
+
 /// Executes a data or memory instruction for the lanes in `mask`
 /// (captured at issue time), applying all register/predicate/memory
 /// effects. Returns the memory-access description for memory opcodes.
+///
+/// The opcode and the operand kinds are resolved once per instruction,
+/// not per lane: the sources are gathered for all 32 lanes, one
+/// per-opcode loop computes every lane's result, and the lanes under
+/// `mask` are written. A lane reads and writes only its own registers,
+/// so this equals executing lane by lane.
 ///
 /// # Panics
 ///
@@ -142,81 +164,63 @@ pub fn execute_data<G: GlobalAccess>(
         return Some(execute_memory(warp, inst, mask, ctx));
     }
 
-    for lane in 0..WARP_SIZE {
-        if mask & (1 << lane) == 0 {
-            continue;
+    let src = |i: usize| match inst.srcs.get(i) {
+        Some(&op) => operand_lanes(warp, op, &ctx.block),
+        None => [0; WARP_SIZE],
+    };
+    let (a, b, c) = (src(0), src(1), src(2));
+    let f = as_f32;
+    let out: Lanes = match inst.op {
+        IAdd => lanes(|l| a[l].wrapping_add(b[l])),
+        ISub => lanes(|l| a[l].wrapping_sub(b[l])),
+        IMul => lanes(|l| a[l].wrapping_mul(b[l])),
+        IMad => lanes(|l| a[l].wrapping_mul(b[l]).wrapping_add(c[l])),
+        IMin => lanes(|l| (a[l] as i32).min(b[l] as i32) as u32),
+        IMax => lanes(|l| (a[l] as i32).max(b[l] as i32) as u32),
+        IAbs => lanes(|l| (a[l] as i32).unsigned_abs()),
+        ISad => lanes(|l| (a[l] as i32).abs_diff(b[l] as i32).wrapping_add(c[l])),
+        And => lanes(|l| a[l] & b[l]),
+        Or => lanes(|l| a[l] | b[l]),
+        Xor => lanes(|l| a[l] ^ b[l]),
+        Not => lanes(|l| !a[l]),
+        Shl => lanes(|l| a[l].wrapping_shl(b[l])),
+        Shr => lanes(|l| a[l].wrapping_shr(b[l])),
+        Sar => lanes(|l| (a[l] as i32).wrapping_shr(b[l]) as u32),
+        FAdd => lanes(|l| from_f32(f(a[l]) + f(b[l]))),
+        FSub => lanes(|l| from_f32(f(a[l]) - f(b[l]))),
+        FMul => lanes(|l| from_f32(f(a[l]) * f(b[l]))),
+        FFma => lanes(|l| from_f32(f(a[l]).mul_add(f(b[l]), f(c[l])))),
+        FMin => lanes(|l| from_f32(f(a[l]).min(f(b[l])))),
+        FMax => lanes(|l| from_f32(f(a[l]).max(f(b[l])))),
+        FRcp => lanes(|l| from_f32(1.0 / f(a[l]))),
+        FSqrt => lanes(|l| from_f32(f(a[l]).sqrt())),
+        FLog2 => lanes(|l| from_f32(f(a[l]).log2())),
+        FExp2 => lanes(|l| from_f32(f(a[l]).exp2())),
+        I2F => lanes(|l| from_f32(a[l] as i32 as f32)),
+        F2I => lanes(|l| (f(a[l]) as i32) as u32),
+        Mov | S2R => a,
+        // A validated `sel` has a predicate third source, read as 0/1.
+        Sel => lanes(|l| if c[l] != 0 { a[l] } else { b[l] }),
+        // Compares produce the predicate value per lane.
+        ISetp(cmp) => lanes(|l| u32::from(cmp.eval_i32(a[l] as i32, b[l] as i32))),
+        FSetp(cmp) => lanes(|l| u32::from(cmp.eval_f32(f(a[l]), f(b[l])))),
+        Ldg | Stg | Lds | Sts | Ldc | Bra | Ssy | Sync | Bar | Exit | Nop | Bssy | Bsync => {
+            unreachable!()
         }
-        let s = |i: usize| operand_value(warp, lane, inst.srcs[i], &ctx.block);
-        match inst.op {
-            IAdd => write(warp, lane, inst, s(0).wrapping_add(s(1))),
-            ISub => write(warp, lane, inst, s(0).wrapping_sub(s(1))),
-            IMul => write(warp, lane, inst, s(0).wrapping_mul(s(1))),
-            IMad => write(warp, lane, inst, s(0).wrapping_mul(s(1)).wrapping_add(s(2))),
-            IMin => write(warp, lane, inst, (s(0) as i32).min(s(1) as i32) as u32),
-            IMax => write(warp, lane, inst, (s(0) as i32).max(s(1) as i32) as u32),
-            IAbs => write(warp, lane, inst, (s(0) as i32).unsigned_abs()),
-            ISad => {
-                let d = (s(0) as i32).abs_diff(s(1) as i32);
-                write(warp, lane, inst, d.wrapping_add(s(2)));
-            }
-            And => write(warp, lane, inst, s(0) & s(1)),
-            Or => write(warp, lane, inst, s(0) | s(1)),
-            Xor => write(warp, lane, inst, s(0) ^ s(1)),
-            Not => write(warp, lane, inst, !s(0)),
-            Shl => write(warp, lane, inst, s(0).wrapping_shl(s(1))),
-            Shr => write(warp, lane, inst, s(0).wrapping_shr(s(1))),
-            Sar => write(warp, lane, inst, (s(0) as i32).wrapping_shr(s(1)) as u32),
-            FAdd => write(warp, lane, inst, from_f32(as_f32(s(0)) + as_f32(s(1)))),
-            FSub => write(warp, lane, inst, from_f32(as_f32(s(0)) - as_f32(s(1)))),
-            FMul => write(warp, lane, inst, from_f32(as_f32(s(0)) * as_f32(s(1)))),
-            FFma => write(
-                warp,
-                lane,
-                inst,
-                from_f32(as_f32(s(0)).mul_add(as_f32(s(1)), as_f32(s(2)))),
-            ),
-            FMin => write(warp, lane, inst, from_f32(as_f32(s(0)).min(as_f32(s(1))))),
-            FMax => write(warp, lane, inst, from_f32(as_f32(s(0)).max(as_f32(s(1))))),
-            FRcp => write(warp, lane, inst, from_f32(1.0 / as_f32(s(0)))),
-            FSqrt => write(warp, lane, inst, from_f32(as_f32(s(0)).sqrt())),
-            FLog2 => write(warp, lane, inst, from_f32(as_f32(s(0)).log2())),
-            FExp2 => write(warp, lane, inst, from_f32(as_f32(s(0)).exp2())),
-            I2F => write(warp, lane, inst, from_f32(s(0) as i32 as f32)),
-            F2I => write(warp, lane, inst, (as_f32(s(0)) as i32) as u32),
-            Mov | S2R => write(warp, lane, inst, s(0)),
-            Sel => {
-                let Operand::Pred(p) = inst.srcs[2] else {
-                    unreachable!("validated sel has predicate third source")
-                };
-                let v = if warp.read_pred(lane, p) { s(0) } else { s(1) };
-                write(warp, lane, inst, v);
-            }
-            ISetp(c) => {
-                let v = c.eval_i32(s(0) as i32, s(1) as i32);
-                write_pred(warp, lane, inst, v);
-            }
-            FSetp(c) => {
-                let v = c.eval_f32(as_f32(s(0)), as_f32(s(1)));
-                write_pred(warp, lane, inst, v);
-            }
-            Ldg | Stg | Lds | Sts | Ldc | Bra | Ssy | Sync | Bar | Exit | Nop | Bssy | Bsync => {
-                unreachable!()
-            }
+    };
+    for lane in active_lanes(mask) {
+        match inst.dst {
+            bow_isa::Dst::Reg(r) => warp.write_reg(lane, r, out[lane]),
+            bow_isa::Dst::Pred(p) => warp.write_pred(lane, p, out[lane] != 0),
+            bow_isa::Dst::None => {}
         }
     }
     None
 }
 
-fn write(warp: &mut Warp, lane: usize, inst: &Instruction, v: u32) {
-    if let bow_isa::Dst::Reg(r) = inst.dst {
-        warp.write_reg(lane, r, v);
-    }
-}
-
-fn write_pred(warp: &mut Warp, lane: usize, inst: &Instruction, v: bool) {
-    if let bow_isa::Dst::Pred(p) = inst.dst {
-        warp.write_pred(lane, p, v);
-    }
+/// The lanes set in `mask`, ascending.
+fn active_lanes(mask: u32) -> impl Iterator<Item = usize> {
+    (0..WARP_SIZE).filter(move |lane| mask & (1 << lane) != 0)
 }
 
 fn execute_memory<G: GlobalAccess>(
@@ -227,55 +231,59 @@ fn execute_memory<G: GlobalAccess>(
 ) -> MemAccess {
     use Opcode::*;
     let mem = inst.mem.expect("validated memory op has a MemRef");
-    let mut addrs = Vec::new();
-    for lane in 0..WARP_SIZE {
-        if mask & (1 << lane) == 0 {
-            continue;
-        }
-        let addr = if inst.op == Ldc {
+    let addr_of = |warp: &Warp, lane: usize| {
+        if inst.op == Ldc {
             mem.offset as u64
         } else {
             (warp.read_reg(lane, mem.base) as u64).wrapping_add(mem.offset as i64 as u64)
-        };
-        addrs.push(addr);
-        match inst.op {
-            Ldg => {
-                let v = ctx.global.read_u32(addr);
-                write(warp, lane, inst, v);
-            }
-            Stg => {
-                let v = operand_value(warp, lane, inst.srcs[0], &ctx.block);
-                ctx.global.write_u32(addr, v);
-            }
-            Lds => {
-                let v = ctx.shared.read_u32(addr);
-                write(warp, lane, inst, v);
-            }
-            Sts => {
-                let v = operand_value(warp, lane, inst.srcs[0], &ctx.block);
-                ctx.shared.write_u32(addr, v);
-            }
-            Ldc => {
-                let idx = (addr / 4) as usize;
-                let v = ctx.params.get(idx).copied().unwrap_or(0);
-                write(warp, lane, inst, v);
-            }
-            _ => unreachable!(),
         }
-    }
+    };
+    ctx.addrs.clear();
+    ctx.addrs
+        .extend(active_lanes(mask).map(|lane| addr_of(warp, lane)));
+    let accesses = active_lanes(mask).zip(ctx.addrs.iter().copied());
+    // Loads write the destination register (stores have none).
+    let dst = match inst.dst {
+        bow_isa::Dst::Reg(r) => r,
+        _ => bow_isa::Reg::RZ,
+    };
     let (is_store, space) = match inst.op {
-        Ldg => (false, Space::Global),
-        Stg => (true, Space::Global),
-        Lds => (false, Space::Shared),
-        Sts => (true, Space::Shared),
-        Ldc => (false, Space::Param),
+        Ldg => {
+            for (lane, addr) in accesses {
+                warp.write_reg(lane, dst, ctx.global.read_u32(addr));
+            }
+            (false, Space::Global)
+        }
+        Stg => {
+            let v = operand_lanes(warp, inst.srcs[0], &ctx.block);
+            for (lane, addr) in accesses {
+                ctx.global.write_u32(addr, v[lane]);
+            }
+            (true, Space::Global)
+        }
+        Lds => {
+            for (lane, addr) in accesses {
+                warp.write_reg(lane, dst, ctx.shared.read_u32(addr));
+            }
+            (false, Space::Shared)
+        }
+        Sts => {
+            let v = operand_lanes(warp, inst.srcs[0], &ctx.block);
+            for (lane, addr) in accesses {
+                ctx.shared.write_u32(addr, v[lane]);
+            }
+            (true, Space::Shared)
+        }
+        Ldc => {
+            for (lane, addr) in accesses {
+                let v = ctx.params.get((addr / 4) as usize).copied().unwrap_or(0);
+                warp.write_reg(lane, dst, v);
+            }
+            (false, Space::Param)
+        }
         _ => unreachable!(),
     };
-    MemAccess {
-        is_store,
-        space,
-        addrs,
-    }
+    MemAccess { is_store, space }
 }
 
 /// Executes a control instruction at issue time, updating the PC, SIMT
@@ -457,11 +465,13 @@ mod tests {
         global: &'a mut GlobalMemory,
         shared: &'a mut SharedMemory,
         params: &'a [u32],
+        addrs: &'a mut Vec<u64>,
     ) -> ExecCtx<'a> {
         ExecCtx {
             global,
             shared,
             params,
+            addrs,
             block: BlockInfo {
                 ctaid: (2, 0),
                 ntid: (64, 1),
@@ -474,7 +484,12 @@ mod tests {
         let mut g = GlobalMemory::new();
         let mut s = SharedMemory::new(64);
         let mask = warp.active;
-        execute_data(warp, inst, mask, &mut ctx(&mut g, &mut s, &[]));
+        execute_data(
+            warp,
+            inst,
+            mask,
+            &mut ctx(&mut g, &mut s, &[], &mut Vec::new()),
+        );
     }
 
     #[test]
@@ -564,7 +579,8 @@ mod tests {
             .unwrap();
         let mut g = GlobalMemory::new();
         let mut s = SharedMemory::new(0);
-        let mut c = ctx(&mut g, &mut s, &[]);
+        let mut a = Vec::new();
+        let mut c = ctx(&mut g, &mut s, &[], &mut a);
         let mask = w.active;
         execute_data(&mut w, &k.insts[0], mask, &mut c);
         execute_data(&mut w, &k.insts[1], mask, &mut c);
@@ -596,10 +612,22 @@ mod tests {
         });
 
         let mask = w.active;
-        let acc = execute_data(&mut w, &store, mask, &mut ctx(&mut g, &mut s, &[])).unwrap();
+        let mut addrs = Vec::new();
+        let acc = execute_data(
+            &mut w,
+            &store,
+            mask,
+            &mut ctx(&mut g, &mut s, &[], &mut addrs),
+        )
+        .unwrap();
         assert!(acc.is_store);
-        assert_eq!(acc.addrs.len(), 32);
-        execute_data(&mut w, &load, mask, &mut ctx(&mut g, &mut s, &[]));
+        assert_eq!(addrs.len(), 32);
+        execute_data(
+            &mut w,
+            &load,
+            mask,
+            &mut ctx(&mut g, &mut s, &[], &mut addrs),
+        );
         for lane in 0..32 {
             assert_eq!(w.read_reg(lane, Reg::r(3)), lane as u32 * 7);
         }
@@ -615,7 +643,12 @@ mod tests {
             .unwrap();
         let mut g = GlobalMemory::new();
         let mut s = SharedMemory::new(0);
-        execute_data(&mut w, &k.insts[0], 0b1, &mut ctx(&mut g, &mut s, &[]));
+        execute_data(
+            &mut w,
+            &k.insts[0],
+            0b1,
+            &mut ctx(&mut g, &mut s, &[], &mut Vec::new()),
+        );
         assert_eq!(w.read_reg(0, Reg::r(0)), 9);
         assert_eq!(w.read_reg(1, Reg::r(0)), 0);
     }
@@ -631,7 +664,12 @@ mod tests {
         let mut g = GlobalMemory::new();
         let mut s = SharedMemory::new(0);
         let params = [11, 22, 33];
-        execute_data(&mut w, &k.insts[0], 1, &mut ctx(&mut g, &mut s, &params));
+        execute_data(
+            &mut w,
+            &k.insts[0],
+            1,
+            &mut ctx(&mut g, &mut s, &params, &mut Vec::new()),
+        );
         assert_eq!(w.read_reg(0, Reg::r(0)), 22);
     }
 
@@ -707,7 +745,12 @@ mod tests {
             } else {
                 let mask = w.guard_mask(inst.guard);
                 w.pc += 1;
-                execute_data(&mut w, inst, mask, &mut ctx(&mut g, &mut s, &[]));
+                execute_data(
+                    &mut w,
+                    inst,
+                    mask,
+                    &mut ctx(&mut g, &mut s, &[], &mut Vec::new()),
+                );
             }
         }
         trace

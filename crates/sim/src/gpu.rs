@@ -7,6 +7,7 @@
 //! SM pipeline with every trace point compiled out.
 
 use crate::config::{GpuConfig, OracleCheck};
+use crate::decode::DecodedKernel;
 use crate::oracle::LockstepChecker;
 use crate::parallel::{self, EventBuf};
 use crate::pipetrace::PipeTrace;
@@ -317,6 +318,8 @@ fn run_device<P: Probe>(
     config: &GpuConfig,
     probe: &mut P,
 ) -> (u64, bool) {
+    // Decode once per launch: every SM and engine thread shares the table.
+    let kernel = &DecodedKernel::new(kernel);
     if sms.len() <= 1 {
         return run_blocks(
             sms,
@@ -348,7 +351,7 @@ fn run_device<P: Probe>(
 fn run_blocks<P: Probe>(
     sms: &mut [Sm],
     global: &mut GlobalMemory,
-    kernel: &Kernel,
+    kernel: &DecodedKernel<'_>,
     dims: KernelDims,
     warps_per_block: u32,
     max_cycles: u64,
@@ -423,7 +426,11 @@ mod tests {
     }
 
     fn run_saxpy(kind: CollectorKind, n: u32) -> (Vec<f32>, LaunchResult) {
-        let mut gpu = Gpu::new(GpuConfig::scaled(kind));
+        run_saxpy_on(GpuConfig::scaled(kind), n)
+    }
+
+    fn run_saxpy_on(config: GpuConfig, n: u32) -> (Vec<f32>, LaunchResult) {
+        let mut gpu = Gpu::new(config);
         let (xa, ya) = (0x1_0000u64, 0x2_0000u64);
         let x: Vec<f32> = (0..n).map(|i| i as f32).collect();
         let y: Vec<f32> = (0..n).map(|i| (2 * i) as f32).collect();
@@ -454,6 +461,22 @@ mod tests {
             CollectorKind::rfc6(),
         ] {
             let (got, res) = run_saxpy(kind, n as u32);
+            assert!(res.completed);
+            assert_eq!(got, expect, "wrong result under {kind:?}");
+        }
+    }
+
+    #[test]
+    fn an_sm_with_more_than_64_warp_slots_runs_to_the_reference_result() {
+        // 48 resident two-warp blocks per SM: warp slots 64..96 are live,
+        // which per-warp state sized for 64 slots would index past.
+        let n = 8192;
+        let expect: Vec<f32> = (0..n).map(|i| 3.0 * i as f32 + (2 * i) as f32).collect();
+        for kind in [CollectorKind::bow_wr(3), CollectorKind::Baseline] {
+            let mut config = GpuConfig::scaled(kind);
+            config.max_warps_per_sm = 96;
+            config.max_blocks_per_sm = 48;
+            let (got, res) = run_saxpy_on(config, n as u32);
             assert!(res.completed);
             assert_eq!(got, expect, "wrong result under {kind:?}");
         }

@@ -58,6 +58,7 @@
 
 pub mod collector;
 pub mod config;
+pub mod decode;
 pub mod exec;
 pub mod gpu;
 pub mod oracle;

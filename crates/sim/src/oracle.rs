@@ -104,6 +104,7 @@ pub fn run_oracle_bounded(
     let mut all_warps = Vec::new();
     let mut steps = 0u64;
     let mut completed = true;
+    let mut addrs = Vec::new();
 
     'blocks: for block_index in 0..u64::from(dims.total_blocks()) {
         let bx = (block_index % u64::from(dims.grid.0)) as u32;
@@ -156,6 +157,7 @@ pub fn run_oracle_bounded(
                             shared: &mut shared,
                             params,
                             block: info,
+                            addrs: &mut addrs,
                         };
                         exec::execute_data(warp, inst, mask, &mut ectx);
                         if record {

@@ -48,6 +48,7 @@
 
 pub(crate) mod events;
 
+use crate::decode::DecodedKernel;
 use crate::probe::Probe;
 use crate::sm::Sm;
 use bow_isa::{Kernel, KernelDims};
@@ -108,7 +109,7 @@ struct SmLane<'a, R> {
 fn advance<R: Recorder>(
     lane: &mut SmLane<'_, R>,
     base: &GlobalMemory,
-    kernel: &Kernel,
+    kernel: &DecodedKernel<'_>,
     warps_per_block: u32,
     until: u64,
     blocks_remain: bool,
@@ -183,7 +184,7 @@ trait LaneHost<R: Recorder> {
 fn run_engine<R: Recorder, P: Probe, H: LaneHost<R>>(
     host: &mut H,
     num_sms: usize,
-    kernel: &Kernel,
+    kernel: &DecodedKernel<'_>,
     dims: KernelDims,
     ep: &EngineParams,
     probe: &mut P,
@@ -305,7 +306,7 @@ fn run_engine<R: Recorder, P: Probe, H: LaneHost<R>>(
 struct InlineHost<'a, R> {
     lanes: Vec<SmLane<'a, R>>,
     base: &'a mut GlobalMemory,
-    kernel: &'a Kernel,
+    kernel: &'a DecodedKernel<'a>,
     dims: KernelDims,
     warps_per_block: u32,
 }
@@ -378,7 +379,7 @@ enum Rep<R> {
 /// barriers.
 fn worker_loop<R: Recorder>(
     lanes: &mut [SmLane<'_, R>],
-    kernel: &Kernel,
+    kernel: &DecodedKernel<'_>,
     dims: KernelDims,
     warps_per_block: u32,
     base: &RwLock<GlobalMemory>,
@@ -502,7 +503,7 @@ impl<R: Recorder> LaneHost<R> for ThreadedHost<'_, R> {
 fn run_inline<R: Recorder, P: Probe>(
     sms: &mut [Sm],
     global: &mut GlobalMemory,
-    kernel: &Kernel,
+    kernel: &DecodedKernel<'_>,
     dims: KernelDims,
     ep: &EngineParams,
     probe: &mut P,
@@ -532,7 +533,7 @@ fn run_inline<R: Recorder, P: Probe>(
 fn run_threaded<R: Recorder, P: Probe>(
     sms: &mut [Sm],
     global: &mut GlobalMemory,
-    kernel: &Kernel,
+    kernel: &DecodedKernel<'_>,
     dims: KernelDims,
     ep: &EngineParams,
     probe: &mut P,
@@ -588,7 +589,7 @@ fn run_threaded<R: Recorder, P: Probe>(
 pub(crate) fn run_windowed<R: Recorder, P: Probe>(
     sms: &mut [Sm],
     global: &mut GlobalMemory,
-    kernel: &Kernel,
+    kernel: &DecodedKernel<'_>,
     dims: KernelDims,
     ep: &EngineParams,
     probe: &mut P,
@@ -648,7 +649,7 @@ mod tests {
     fn run_serial_reference(
         sms: &mut [Sm],
         global: &mut GlobalMemory,
-        kernel: &Kernel,
+        kernel: &DecodedKernel<'_>,
         dims: KernelDims,
         warps_per_block: u32,
         max_cycles: u64,
@@ -705,8 +706,14 @@ mod tests {
             window,
             threads,
         };
-        let (cycles, completed) =
-            run_windowed::<NullProbe, _>(&mut sms, &mut global, &kernel, dims, &ep, &mut NullProbe);
+        let (cycles, completed) = run_windowed::<NullProbe, _>(
+            &mut sms,
+            &mut global,
+            &DecodedKernel::new(&kernel),
+            dims,
+            &ep,
+            &mut NullProbe,
+        );
         assert!(completed);
         state_digest(&sms, &global, cycles, completed)
     }
@@ -722,7 +729,7 @@ mod tests {
         let (cycles, completed) = run_serial_reference(
             &mut sms,
             &mut global,
-            &kernel,
+            &DecodedKernel::new(&kernel),
             dims,
             dims.warps_per_block(),
             0,
@@ -774,8 +781,14 @@ mod tests {
             threads,
         };
         let mut probe = StreamProbe::default();
-        let (_, completed) =
-            run_windowed::<EventBuf, _>(&mut sms, &mut global, &kernel, dims, &ep, &mut probe);
+        let (_, completed) = run_windowed::<EventBuf, _>(
+            &mut sms,
+            &mut global,
+            &DecodedKernel::new(&kernel),
+            dims,
+            &ep,
+            &mut probe,
+        );
         assert!(completed);
         assert!(!probe.0.is_empty());
         probe.0
@@ -813,7 +826,7 @@ mod tests {
             let (cycles, completed) = run_windowed::<NullProbe, _>(
                 &mut sms,
                 &mut global,
-                &spin,
+                &DecodedKernel::new(&spin),
                 dims,
                 &ep,
                 &mut NullProbe,

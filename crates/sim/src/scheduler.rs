@@ -23,8 +23,9 @@ impl WarpScheduler {
         }
     }
 
-    /// Picks the next warp to issue from `ready` (warp ids, any order).
-    /// `age` gives each warp's assignment age — smaller is older.
+    /// Picks the next warp to issue from `ready` (warp ids in ascending
+    /// order, as the issue scan builds them). `age` gives each warp's
+    /// assignment age — smaller is older.
     ///
     /// Returns `None` when no warp is ready.
     pub fn pick(&mut self, ready: &[usize], age: impl Fn(usize) -> u64) -> Option<usize> {
@@ -40,12 +41,11 @@ impl WarpScheduler {
                 _ => *ready.iter().min_by_key(|&&w| age(w)).expect("nonempty"),
             },
             SchedPolicy::Lrr => {
-                let mut sorted: Vec<usize> = ready.to_vec();
-                sorted.sort_unstable();
-                *sorted
+                debug_assert!(ready.is_sorted(), "ready warps in ascending order");
+                *ready
                     .iter()
                     .find(|&&w| w > self.rr_last)
-                    .unwrap_or(&sorted[0])
+                    .unwrap_or(&ready[0])
             }
         };
         match self.policy {

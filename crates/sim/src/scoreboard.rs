@@ -10,18 +10,25 @@
 //!   issued to a collector but not yet dispatched (their values are read
 //!   from architectural state at dispatch). A later instruction writing one
 //!   (WAR) stalls. Released at dispatch.
+//!
+//! Reservations are bit sets and an instruction arrives decoded
+//! ([`InstMeta`]), so the check every issue scan makes per warp is a few
+//! `AND`s against the instruction's masks.
 
-use bow_isa::{Instruction, Pred, Reg};
+use crate::decode::{set_put, InstMeta, RegSet};
+use bow_isa::{Pred, Reg};
 
 /// Scoreboard state for one warp.
 #[derive(Clone, Debug)]
 pub struct Scoreboard {
-    /// Pending-write flag per register.
-    write_regs: [bool; 256],
-    /// Pending-write flag per predicate.
-    write_preds: [bool; 8],
+    /// Registers with a pending write.
+    write_regs: RegSet,
+    /// Predicates with a pending write, one bit each.
+    write_preds: u8,
     /// Pending-read reference counts per register.
     read_regs: [u16; 256],
+    /// Registers whose `read_regs` count is non-zero.
+    read_set: RegSet,
 }
 
 impl Default for Scoreboard {
@@ -34,83 +41,73 @@ impl Scoreboard {
     /// Creates an empty scoreboard.
     pub fn new() -> Scoreboard {
         Scoreboard {
-            write_regs: [false; 256],
-            write_preds: [false; 8],
+            write_regs: [0; 4],
+            write_preds: 0,
             read_regs: [0; 256],
+            read_set: [0; 4],
         }
     }
 
     /// Whether `inst` can issue without a hazard.
-    pub fn can_issue(&self, inst: &Instruction) -> bool {
-        // RAW: sources must not be pending writes.
-        for r in inst.src_regs() {
-            if self.write_regs[r.index() as usize] {
-                return false;
-            }
-        }
-        for p in inst.src_preds() {
-            if self.write_preds[p.index() as usize] {
-                return false;
-            }
-        }
-        // WAW + WAR: destination must not be pending write or pending read.
-        if let Some(d) = inst.dst_reg() {
-            if self.write_regs[d.index() as usize] || self.read_regs[d.index() as usize] > 0 {
-                return false;
-            }
-        }
-        if let Some(p) = inst.dst.pred() {
-            if self.write_preds[p.index() as usize] {
-                return false;
-            }
-        }
-        true
+    pub fn can_issue(&self, inst: &InstMeta) -> bool {
+        // RAW + WAW: neither sources nor destination may be pending writes;
+        // WAR: the destination must not be a pending read.
+        let regs_blocked = (0..4).any(|i| {
+            self.write_regs[i] & (inst.src_mask[i] | inst.dst_mask[i]) != 0
+                || self.read_set[i] & inst.dst_mask[i] != 0
+        });
+        !regs_blocked && self.write_preds & (inst.src_preds | inst.dst_pred_mask) == 0
     }
 
     /// Records the reservations of an issuing instruction.
-    pub fn issue(&mut self, inst: &Instruction) {
-        if let Some(d) = inst.dst_reg() {
-            self.write_regs[d.index() as usize] = true;
+    pub fn issue(&mut self, inst: &InstMeta) {
+        for i in 0..4 {
+            self.write_regs[i] |= inst.dst_mask[i];
         }
-        if let Some(p) = inst.dst.pred() {
-            self.write_preds[p.index() as usize] = true;
-        }
-        for r in inst.src_regs() {
+        self.write_preds |= inst.dst_pred_mask;
+        for &r in &inst.src_regs {
             self.read_regs[r.index() as usize] += 1;
+            set_put(&mut self.read_set, r, true);
         }
     }
 
     /// Releases the source-read reservations (at dispatch).
-    pub fn dispatch(&mut self, inst: &Instruction) {
-        for r in inst.src_regs() {
+    pub fn dispatch(&mut self, inst: &InstMeta) {
+        for &r in &inst.src_regs {
             let c = &mut self.read_regs[r.index() as usize];
             debug_assert!(*c > 0, "dispatch without matching issue for {r}");
             *c = c.saturating_sub(1);
+            if *c == 0 {
+                set_put(&mut self.read_set, r, false);
+            }
         }
     }
 
     /// Releases the destination reservation (at writeback).
     pub fn writeback_reg(&mut self, reg: Reg) {
-        self.write_regs[reg.index() as usize] = false;
+        set_put(&mut self.write_regs, reg, false);
     }
 
     /// Releases a predicate destination reservation.
     pub fn writeback_pred(&mut self, pred: Pred) {
-        self.write_preds[pred.index() as usize] = false;
+        self.write_preds &= !(1 << pred.index());
     }
 
     /// Whether nothing is reserved (used by barrier/launch-end checks).
     pub fn is_clear(&self) -> bool {
-        !self.write_regs.iter().any(|&b| b)
-            && !self.write_preds.iter().any(|&b| b)
-            && self.read_regs.iter().all(|&c| c == 0)
+        self.write_regs == [0; 4] && self.write_preds == 0 && self.read_set == [0; 4]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bow_isa::{CmpOp, Dst, KernelBuilder, Operand};
+    use bow_isa::{CmpOp, Dst, Instruction, KernelBuilder, Operand};
+    use bow_util::XorShift;
+
+    fn m(inst: &Instruction) -> InstMeta {
+        InstMeta::of(inst)
+    }
 
     fn insts() -> Vec<Instruction> {
         KernelBuilder::new("t")
@@ -135,52 +132,52 @@ mod tests {
     fn raw_blocks_until_writeback() {
         let mut sb = Scoreboard::new();
         let i = insts();
-        assert!(sb.can_issue(&i[0]));
-        sb.issue(&i[0]);
-        assert!(!sb.can_issue(&i[1]), "RAW on r2");
-        sb.dispatch(&i[0]);
-        assert!(!sb.can_issue(&i[1]), "still pending until writeback");
+        assert!(sb.can_issue(&m(&i[0])));
+        sb.issue(&m(&i[0]));
+        assert!(!sb.can_issue(&m(&i[1])), "RAW on r2");
+        sb.dispatch(&m(&i[0]));
+        assert!(!sb.can_issue(&m(&i[1])), "still pending until writeback");
         sb.writeback_reg(Reg::r(2));
-        assert!(sb.can_issue(&i[1]));
+        assert!(sb.can_issue(&m(&i[1])));
     }
 
     #[test]
     fn war_blocks_until_dispatch() {
         let mut sb = Scoreboard::new();
         let i = insts();
-        sb.issue(&i[0]); // reads r0, r1
-        assert!(!sb.can_issue(&i[2]), "WAR on r0");
-        sb.dispatch(&i[0]);
-        assert!(sb.can_issue(&i[2]), "read released at dispatch");
+        sb.issue(&m(&i[0])); // reads r0, r1
+        assert!(!sb.can_issue(&m(&i[2])), "WAR on r0");
+        sb.dispatch(&m(&i[0]));
+        assert!(sb.can_issue(&m(&i[2])), "read released at dispatch");
     }
 
     #[test]
     fn waw_blocks() {
         let mut sb = Scoreboard::new();
         let i = insts();
-        sb.issue(&i[0]); // writes r2
+        sb.issue(&m(&i[0])); // writes r2
         let mut clobber = i[0].clone();
         clobber.srcs = vec![Operand::Imm(1), Operand::Imm(2)];
-        assert!(!sb.can_issue(&clobber), "WAW on r2");
+        assert!(!sb.can_issue(&m(&clobber)), "WAW on r2");
     }
 
     #[test]
     fn predicate_hazards() {
         let mut sb = Scoreboard::new();
         let i = insts();
-        sb.issue(&i[3]); // writes p0
-        assert!(!sb.can_issue(&i[4]), "guard reads p0");
+        sb.issue(&m(&i[3])); // writes p0
+        assert!(!sb.can_issue(&m(&i[4])), "guard reads p0");
         sb.writeback_pred(bow_isa::Pred::p(0));
-        assert!(sb.can_issue(&i[4]));
+        assert!(sb.can_issue(&m(&i[4])));
     }
 
     #[test]
     fn clear_after_full_lifecycle() {
         let mut sb = Scoreboard::new();
         let i = insts();
-        sb.issue(&i[0]);
+        sb.issue(&m(&i[0]));
         assert!(!sb.is_clear());
-        sb.dispatch(&i[0]);
+        sb.dispatch(&m(&i[0]));
         sb.writeback_reg(Reg::r(2));
         assert!(sb.is_clear());
     }
@@ -200,10 +197,10 @@ mod tests {
             .clone();
         let mut write_r2 = insts()[2].clone(); // mov r0, 5
         write_r2.dst = Dst::Reg(Reg::r(2));
-        sb.issue(&square);
-        assert!(!sb.can_issue(&write_r2), "WAR on r2");
-        sb.dispatch(&square);
-        assert!(sb.can_issue(&write_r2), "both refs released together");
+        sb.issue(&m(&square));
+        assert!(!sb.can_issue(&m(&write_r2)), "WAR on r2");
+        sb.dispatch(&m(&square));
+        assert!(sb.can_issue(&m(&write_r2)), "both refs released together");
         sb.writeback_reg(Reg::r(3));
         assert!(sb.is_clear());
     }
@@ -219,13 +216,13 @@ mod tests {
         reader_b.dst = Dst::Reg(Reg::r(3));
         let mut write_r1 = i[2].clone(); // mov r0, 5
         write_r1.dst = Dst::Reg(Reg::r(1));
-        sb.issue(reader_a);
-        sb.issue(&reader_b);
-        assert!(!sb.can_issue(&write_r1));
-        sb.dispatch(&reader_b);
-        assert!(!sb.can_issue(&write_r1), "one reader still pending");
-        sb.dispatch(reader_a);
-        assert!(sb.can_issue(&write_r1), "last reader releases the WAR");
+        sb.issue(&m(reader_a));
+        sb.issue(&m(&reader_b));
+        assert!(!sb.can_issue(&m(&write_r1)));
+        sb.dispatch(&m(&reader_b));
+        assert!(!sb.can_issue(&m(&write_r1)), "one reader still pending");
+        sb.dispatch(&m(reader_a));
+        assert!(sb.can_issue(&m(&write_r1)), "last reader releases the WAR");
     }
 
     #[test]
@@ -233,12 +230,15 @@ mod tests {
         // Writing back an unrelated register must not release the hazard.
         let mut sb = Scoreboard::new();
         let i = insts();
-        sb.issue(&i[0]); // writes r2
-        sb.dispatch(&i[0]);
+        sb.issue(&m(&i[0])); // writes r2
+        sb.dispatch(&m(&i[0]));
         sb.writeback_reg(Reg::r(3));
-        assert!(!sb.can_issue(&i[1]), "r2 still pending after r3 writeback");
+        assert!(
+            !sb.can_issue(&m(&i[1])),
+            "r2 still pending after r3 writeback"
+        );
         sb.writeback_reg(Reg::r(2));
-        assert!(sb.can_issue(&i[1]));
+        assert!(sb.can_issue(&m(&i[1])));
     }
 
     #[test]
@@ -247,7 +247,174 @@ mod tests {
         let mut i = insts()[0].clone();
         i.dst = Dst::Reg(Reg::RZ);
         i.srcs = vec![Operand::Reg(Reg::RZ), Operand::Imm(1)];
-        sb.issue(&i);
+        sb.issue(&m(&i));
         assert!(sb.is_clear());
+    }
+
+    /// The `bool`-array scoreboard the bit sets replaced, kept as the
+    /// reference the differential test compares against.
+    struct ArrayScoreboard {
+        write_regs: [bool; 256],
+        write_preds: [bool; 8],
+        read_regs: [u16; 256],
+    }
+
+    impl ArrayScoreboard {
+        fn can_issue(&self, inst: &Instruction) -> bool {
+            let w = |r: Reg| self.write_regs[r.index() as usize];
+            let wp = |p: Pred| self.write_preds[p.index() as usize];
+            !inst.src_regs().into_iter().any(w)
+                && !inst.src_preds().into_iter().any(wp)
+                && !inst
+                    .dst_reg()
+                    .is_some_and(|d| w(d) || self.read_regs[d.index() as usize] > 0)
+                && !inst.dst.pred().is_some_and(wp)
+        }
+
+        fn issue(&mut self, inst: &Instruction) {
+            if let Some(d) = inst.dst_reg() {
+                self.write_regs[d.index() as usize] = true;
+            }
+            if let Some(p) = inst.dst.pred() {
+                self.write_preds[p.index() as usize] = true;
+            }
+            for r in inst.src_regs() {
+                self.read_regs[r.index() as usize] += 1;
+            }
+        }
+
+        fn dispatch(&mut self, inst: &Instruction) {
+            for r in inst.src_regs() {
+                self.read_regs[r.index() as usize] -= 1;
+            }
+        }
+
+        fn is_clear(&self) -> bool {
+            !self.write_regs.contains(&true)
+                && !self.write_preds.contains(&true)
+                && self.read_regs.iter().all(|&c| c == 0)
+        }
+    }
+
+    /// A random instruction over a handful of registers and predicates (so
+    /// hazards are common): RZ/PT operands, duplicate sources, guards,
+    /// predicate sources and destinations, memory bases, `ldc`'s ignored one.
+    fn random_inst(rng: &mut XorShift) -> Instruction {
+        use bow_isa::{MemRef, Opcode, PredGuard};
+        let reg = |rng: &mut XorShift| match rng.below(8) {
+            7 => Reg::RZ,
+            // The top register exercises the last mask word.
+            6 => Reg::r(Reg::MAX_INDEX),
+            i => Reg::r(i as u8),
+        };
+        let pred = |rng: &mut XorShift| match rng.below(4) {
+            3 => Pred::PT,
+            i => Pred::p(i as u8),
+        };
+        let src = |rng: &mut XorShift| match rng.below(4) {
+            0 => Operand::Imm(rng.next_u32()),
+            _ => Operand::Reg(reg(rng)),
+        };
+        let mem = |rng: &mut XorShift| {
+            Some(MemRef {
+                base: reg(rng),
+                offset: 4,
+            })
+        };
+        let dst = Dst::Reg(reg(rng));
+        let mut inst = match rng.below(7) {
+            0 => Instruction::new(Opcode::Mov, dst, vec![src(rng)]),
+            1 => Instruction::new(Opcode::IAdd, dst, vec![src(rng), src(rng)]),
+            2 => Instruction::new(Opcode::IMad, dst, vec![src(rng), src(rng), src(rng)]),
+            3 => Instruction::new(
+                Opcode::Sel,
+                dst,
+                vec![src(rng), src(rng), Operand::Pred(pred(rng))],
+            ),
+            4 => Instruction::new(
+                Opcode::ISetp(CmpOp::Lt),
+                Dst::Pred(pred(rng)),
+                vec![src(rng), src(rng)],
+            ),
+            5 => {
+                let op = *rng.choose(&[Opcode::Ldg, Opcode::Lds, Opcode::Ldc]);
+                let mut ld = Instruction::new(op, dst, vec![]);
+                ld.mem = mem(rng);
+                ld
+            }
+            _ => {
+                let mut st = Instruction::new(Opcode::Stg, Dst::None, vec![src(rng)]);
+                st.mem = mem(rng);
+                st
+            }
+        };
+        if rng.next_bool() {
+            inst.guard = Some(PredGuard {
+                pred: pred(rng),
+                negated: rng.next_bool(),
+            });
+        }
+        inst.validate()
+            .expect("generator builds valid instructions");
+        inst
+    }
+
+    #[test]
+    fn bitset_scoreboard_answers_like_the_array_scoreboard() {
+        let mut rng = XorShift::new(0x5c0_4eb0a4d);
+        let mut sb = Scoreboard::new();
+        let mut reference = ArrayScoreboard {
+            write_regs: [false; 256],
+            write_preds: [false; 8],
+            read_regs: [0; 256],
+        };
+        // Issued instructions and whether each has dispatched.
+        let mut inflight: Vec<(Instruction, bool)> = Vec::new();
+        let (mut issued, mut blocked) = (0, 0);
+        for step in 0..20_000 {
+            match rng.below(3) {
+                0 => {
+                    let inst = random_inst(&mut rng);
+                    let can = reference.can_issue(&inst);
+                    assert_eq!(sb.can_issue(&m(&inst)), can, "step {step}: {inst}");
+                    if can {
+                        reference.issue(&inst);
+                        sb.issue(&m(&inst));
+                        inflight.push((inst, false));
+                        issued += 1;
+                    } else {
+                        blocked += 1;
+                    }
+                }
+                1 => {
+                    if let Some((inst, dispatched)) = inflight.iter_mut().find(|(_, d)| !d) {
+                        reference.dispatch(inst);
+                        sb.dispatch(&m(inst));
+                        *dispatched = true;
+                    }
+                }
+                _ => {
+                    // Complete a random dispatched instruction.
+                    let done: Vec<usize> = (0..inflight.len()).filter(|&i| inflight[i].1).collect();
+                    if !done.is_empty() {
+                        let (inst, _) = inflight.remove(*rng.choose(&done));
+                        if let Some(d) = inst.dst_reg() {
+                            reference.write_regs[d.index() as usize] = false;
+                            sb.writeback_reg(d);
+                        }
+                        if let Some(p) = inst.dst.pred() {
+                            reference.write_preds[p.index() as usize] = false;
+                            sb.writeback_pred(p);
+                        }
+                    }
+                }
+            }
+            assert_eq!(sb.is_clear(), reference.is_clear(), "step {step}");
+            assert!(sb.is_clear() || !inflight.is_empty(), "step {step}");
+        }
+        assert!(
+            issued > 2_000 && blocked > 2_000,
+            "{issued} issued, {blocked} blocked"
+        );
     }
 }

@@ -10,6 +10,7 @@
 //! instrumentation-free pipeline.
 
 use crate::config::{CoreModelKind, GpuConfig};
+use crate::decode::DecodedKernel;
 use crate::probe::Probe;
 use crate::regfile::RegFile;
 use crate::stage::{BlockCtx, Pipeline, SmCtx};
@@ -170,14 +171,15 @@ impl Sm {
     }
 
     /// Advances the SM by one cycle, emitting all pipeline events to
-    /// `probe` (statistics accumulate regardless of the probe). Generic
+    /// `probe` (statistics accumulate regardless of the probe). `kernel`
+    /// is the launch's kernel, decoded once for all SMs. Generic
     /// over the device-memory view: the serial engine ticks against the
     /// bare [`GlobalMemory`](bow_mem::GlobalMemory), the windowed
     /// parallel engine against this SM's
     /// [`WindowedGlobal`](bow_mem::WindowedGlobal) overlay.
     pub fn tick<P: Probe, G: GlobalAccess>(
         &mut self,
-        kernel: &Kernel,
+        kernel: &DecodedKernel<'_>,
         global: &mut G,
         probe: &mut P,
     ) {
@@ -202,6 +204,7 @@ mod tests {
         sm.reset_for_launch(&[0x1000]);
         let dims = KernelDims::linear(1, 32);
         sm.assign_block(kernel, (0, 0), dims, 0);
+        let kernel = &DecodedKernel::new(kernel);
         let mut an = BypassAnalyzer::new(&[]);
         let mut guard = 0;
         while sm.busy() {
@@ -393,6 +396,7 @@ mod tests {
         sm.reset_for_launch(&[0x2000]);
         let dims = KernelDims::linear(1, 64);
         sm.assign_block(&kernel, (0, 0), dims, 0);
+        let kernel = DecodedKernel::new(&kernel);
         let mut g = GlobalMemory::new();
         let mut an = BypassAnalyzer::new(&[]);
         let mut guard = 0;
@@ -418,6 +422,7 @@ mod tests {
     #[test]
     fn null_probe_tick_matches_instrumented_tick() {
         let kernel = store_iota();
+        let kernel = DecodedKernel::new(&kernel);
         let config = GpuConfig::scaled(CollectorKind::bow_wr(3));
         let run = |probe_on: bool| {
             let mut sm = Sm::new(0, &config);

@@ -2,11 +2,12 @@
 //! budgets, executes them functionally and schedules their completions.
 
 use super::interlock::Interlock;
-use super::writeback::{Completion, CompletionQueue};
+use super::writeback::Completion;
 use super::{SmCtx, Stages};
+use crate::decode::DecodedKernel;
 use crate::exec::{self, ExecCtx, Space};
 use crate::probe::{emit, PipeEvent, Probe};
-use bow_isa::{FuClass, Kernel};
+use bow_isa::FuClass;
 use bow_mem::{bank_conflict_degree, AccessKind, GlobalAccess};
 
 /// The collect → dispatch latch: indices of collector slots whose
@@ -42,25 +43,20 @@ impl Stages {
         &mut self,
         il: &mut I,
         ctx: &mut SmCtx,
-        kernel: &Kernel,
+        kernel: &DecodedKernel<'_>,
         global: &mut G,
         probe: &mut P,
     ) {
-        // The functional-unit budgets are SM-wide: partitions draw on
-        // them in index order.
+        // The functional-unit budgets (indexed by `FuClass as usize`) are
+        // SM-wide: partitions draw on them in index order.
         let mut budget = [
-            ctx.config.fu_width(FuClass::Alu),
-            ctx.config.fu_width(FuClass::Mul),
-            ctx.config.fu_width(FuClass::Sfu),
-            ctx.config.fu_width(FuClass::Mem),
-        ];
-        let class_idx = |c: FuClass| match c {
-            FuClass::Alu => 0,
-            FuClass::Mul => 1,
-            FuClass::Sfu => 2,
-            FuClass::Mem => 3,
-            FuClass::Ctrl => unreachable!("control ops never enter the collector"),
-        };
+            FuClass::Alu,
+            FuClass::Mul,
+            FuClass::Sfu,
+            FuClass::Mem,
+            FuClass::Ctrl,
+        ]
+        .map(|c| ctx.config.fu_width(c));
         if !I::EXACT {
             self.warp_dispatched.clear();
             self.warp_dispatched.resize(ctx.warps.len(), false);
@@ -70,7 +66,7 @@ impl Stages {
             let ready = part.latch.take_ready();
             for &idx in &ready {
                 let slot = part.oc.slot(idx);
-                let (warp, seq, class) = (slot.warp, slot.seq, slot.inst.op.fu_class());
+                let (warp, seq, class) = (slot.warp, slot.seq, kernel.meta[slot.pc].fu);
                 // Strict per-warp program order: only the warp's oldest
                 // resident instruction may leave, one per cycle. This is
                 // what keeps functional execution at dispatch correct
@@ -80,7 +76,7 @@ impl Stages {
                 {
                     continue;
                 }
-                let b = &mut budget[class_idx(class)];
+                let b = &mut budget[class as usize];
                 if *b == 0 {
                     continue;
                 }
@@ -99,20 +95,23 @@ impl Stages {
                 // and dispatch is where in-order execution makes the warp
                 // state current. (The divergence mask cannot have moved:
                 // control instructions wait for the collector to drain.)
-                if !I::EXACT && slot.inst.guard.is_some() {
+                let guard = kernel.insts[slot.pc].guard;
+                if !I::EXACT && guard.is_some() {
                     if let Some(warp) = ctx.warps[slot.warp].as_ref() {
-                        slot.mask = warp.guard_mask(slot.inst.guard);
+                        slot.mask = warp.guard_mask(guard);
                     }
                 }
-                il.on_dispatch(slot.warp, slot.pc, &slot.inst, kernel);
-                execute_and_complete(
+                il.on_dispatch(slot.warp, slot.pc, kernel);
+                let completion = execute_and_complete(
                     ctx,
-                    &mut self.completions,
                     slot,
+                    kernel,
                     &mut self.values_buf,
+                    &mut self.addr_buf,
                     global,
                     probe,
                 );
+                self.completions.push(completion);
             }
             picked.clear();
         }
@@ -122,20 +121,22 @@ impl Stages {
 
 /// Dispatches one slot: emits the `Dispatch` event, executes the slot
 /// functionally, snapshots the result for an active probe (the lockstep
-/// oracle) and schedules its completion.
+/// oracle) and returns the completion to schedule.
 fn execute_and_complete<P: Probe, G: GlobalAccess>(
     ctx: &mut SmCtx,
-    completions: &mut CompletionQueue,
     slot: crate::collector::Slot,
+    kernel: &DecodedKernel<'_>,
     values_buf: &mut Vec<u32>,
+    addr_buf: &mut Vec<u64>,
     global: &mut G,
     probe: &mut P,
-) {
+) -> Completion {
     {
         let wslot = slot.warp;
         let slot_pc = slot.pc;
+        let (inst, meta) = (&kernel.insts[slot_pc], &kernel.meta[slot_pc]);
         let oc_cycles = ctx.cycle - slot.insert_cycle;
-        let is_mem = slot.inst.op.is_memory();
+        let is_mem = meta.is_memory;
         emit(
             &mut ctx.stats,
             probe,
@@ -147,7 +148,7 @@ fn execute_and_complete<P: Probe, G: GlobalAccess>(
                 seq: slot.seq,
                 oc_cycles,
                 is_mem,
-                inst: &slot.inst,
+                inst,
             },
         );
 
@@ -159,8 +160,9 @@ fn execute_and_complete<P: Probe, G: GlobalAccess>(
             shared: &mut block.shared,
             params: &ctx.params,
             block: block.info,
+            addrs: addr_buf,
         };
-        let access = exec::execute_data(warp, &slot.inst, slot.mask, &mut ectx);
+        let access = exec::execute_data(warp, inst, slot.mask, &mut ectx);
 
         if P::ACTIVE {
             // Snapshot the architectural result for the lockstep oracle
@@ -169,12 +171,12 @@ fn execute_and_complete<P: Probe, G: GlobalAccess>(
             let warp = ctx.warps[wslot].as_ref().expect("live warp");
             values_buf.clear();
             let mut pred_bits = 0u32;
-            if let Some(reg) = slot.inst.dst_reg() {
+            if let Some(reg) = meta.dst_reg {
                 for lane in 0..bow_isa::WARP_SIZE {
                     values_buf.push(warp.read_reg(lane, reg));
                 }
             }
-            if let Some(p) = slot.inst.dst.pred() {
+            if let Some(p) = meta.dst_pred {
                 for lane in 0..bow_isa::WARP_SIZE {
                     if warp.read_pred(lane, p) {
                         pred_bits |= 1 << lane;
@@ -189,8 +191,8 @@ fn execute_and_complete<P: Probe, G: GlobalAccess>(
                     uid,
                     pc: slot_pc,
                     seq: slot.seq,
-                    dst_reg: slot.inst.dst_reg(),
-                    dst_pred: slot.inst.dst.pred(),
+                    dst_reg: meta.dst_reg,
+                    dst_pred: meta.dst_pred,
                     mask: slot.mask,
                     pred_bits,
                     values: values_buf,
@@ -211,7 +213,7 @@ fn execute_and_complete<P: Probe, G: GlobalAccess>(
                                 values_buf.push(exec::operand_value(
                                     warp,
                                     lane,
-                                    slot.inst.srcs[0],
+                                    inst.srcs[0],
                                     &block.info,
                                 ));
                             }
@@ -227,7 +229,7 @@ fn execute_and_complete<P: Probe, G: GlobalAccess>(
                             is_store: a.is_store,
                             shared: a.space == Space::Shared,
                             mask: slot.mask,
-                            addrs: &a.addrs,
+                            addrs: addr_buf,
                             values: values_buf,
                         },
                     );
@@ -243,31 +245,31 @@ fn execute_and_complete<P: Probe, G: GlobalAccess>(
                     } else {
                         AccessKind::Load
                     };
-                    ctx.mem.access(kind, &a.addrs, ctx.cycle)
+                    ctx.mem.access(kind, addr_buf, ctx.cycle)
                 }
                 Space::Shared => {
-                    let degree = bank_conflict_degree(&a.addrs);
+                    let degree = bank_conflict_degree(addr_buf);
                     ctx.cycle
                         + u64::from(ctx.config.smem_latency)
                         + u64::from(degree.saturating_sub(1))
                 }
                 Space::Param => ctx.cycle + 4,
             },
-            None => ctx.cycle + u64::from(ctx.config.fu_latency(slot.inst.op.fu_class())),
+            None => ctx.cycle + u64::from(ctx.config.fu_latency(meta.fu)),
         }
         .max(ctx.cycle + 1);
 
-        completions.push(Completion {
+        Completion {
             time: complete,
             ord: 0, // stamped by the queue
             warp: wslot,
             pc: slot_pc,
-            dst_reg: slot.inst.dst_reg(),
-            dst_pred: slot.inst.dst.pred(),
-            hint: slot.inst.hint,
+            dst_reg: meta.dst_reg,
+            dst_pred: meta.dst_pred,
+            hint: inst.hint,
             seq: slot.seq,
             issue_cycle: slot.insert_cycle,
             is_mem,
-        });
+        }
     }
 }

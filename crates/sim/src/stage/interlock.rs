@@ -23,10 +23,11 @@
 //! [`CtrlBits`]: bow_isa::CtrlBits
 
 use super::writeback::Completion;
+use crate::decode::{set_get, set_put, DecodedKernel, RegSet};
 use crate::scoreboard::Scoreboard;
 use crate::warp::Warp;
 use bow_isa::ctrl::NUM_BARRIERS;
-use bow_isa::{Instruction, Kernel, Opcode, Operand, Reg, Special};
+use bow_isa::{Instruction, Opcode, Operand, Reg, Special};
 
 /// The hazard policy of one SM, hooked into the shared pipeline. `w` is
 /// always a warp slot index, `pc` the instruction's index in `kernel`.
@@ -49,22 +50,22 @@ pub(crate) trait Interlock {
     /// Once per cycle, before any issue check.
     fn begin_cycle(&mut self);
 
-    /// Whether `warp` (in slot `w`) must not issue `inst`, the
-    /// instruction at its `pc`, this cycle.
-    fn blocks(&self, w: usize, warp: &Warp, inst: &Instruction, kernel: &Kernel) -> bool;
+    /// Whether `warp` (in slot `w`) must not issue the instruction at
+    /// its `pc` this cycle.
+    fn blocks(&self, w: usize, warp: &Warp, kernel: &DecodedKernel<'_>) -> bool;
 
     /// Whether a read of `reg` is served by the uniform register file
     /// (it then skips the banked RF and the bypass window).
     fn is_uniform(&self, w: usize, reg: Reg) -> bool;
 
-    /// `inst` issued (control ops included).
-    fn on_issue(&mut self, w: usize, pc: usize, inst: &Instruction, kernel: &Kernel);
+    /// The instruction at `pc` issued (control ops included).
+    fn on_issue(&mut self, w: usize, pc: usize, kernel: &DecodedKernel<'_>);
 
-    /// `inst` left the collector with its operands: sources are consumed.
-    fn on_dispatch(&mut self, w: usize, pc: usize, inst: &Instruction, kernel: &Kernel);
+    /// It left the collector with its operands: sources are consumed.
+    fn on_dispatch(&mut self, w: usize, pc: usize, kernel: &DecodedKernel<'_>);
 
     /// A result became architecturally visible.
-    fn on_writeback(&mut self, c: &Completion, kernel: &Kernel);
+    fn on_writeback(&mut self, c: &Completion, kernel: &DecodedKernel<'_>);
 
     /// Slot `w` is handed to a fresh warp.
     fn reset_warp(&mut self, w: usize);
@@ -85,26 +86,27 @@ impl Interlock for Scoreboards {
 
     fn begin_cycle(&mut self) {}
 
-    fn blocks(&self, w: usize, _warp: &Warp, inst: &Instruction, _kernel: &Kernel) -> bool {
-        !self.0[w].can_issue(inst)
+    fn blocks(&self, w: usize, warp: &Warp, kernel: &DecodedKernel<'_>) -> bool {
+        !self.0[w].can_issue(&kernel.meta[warp.pc])
     }
 
     fn is_uniform(&self, _w: usize, _reg: Reg) -> bool {
         false
     }
 
-    fn on_issue(&mut self, w: usize, _pc: usize, inst: &Instruction, _kernel: &Kernel) {
+    fn on_issue(&mut self, w: usize, pc: usize, kernel: &DecodedKernel<'_>) {
         // Control ops resolve at issue: they reserve nothing.
-        if !inst.op.is_control() {
-            self.0[w].issue(inst);
+        let meta = &kernel.meta[pc];
+        if !meta.is_control {
+            self.0[w].issue(meta);
         }
     }
 
-    fn on_dispatch(&mut self, w: usize, _pc: usize, inst: &Instruction, _kernel: &Kernel) {
-        self.0[w].dispatch(inst);
+    fn on_dispatch(&mut self, w: usize, pc: usize, kernel: &DecodedKernel<'_>) {
+        self.0[w].dispatch(&kernel.meta[pc]);
     }
 
-    fn on_writeback(&mut self, c: &Completion, _kernel: &Kernel) {
+    fn on_writeback(&mut self, c: &Completion, _kernel: &DecodedKernel<'_>) {
         if let Some(reg) = c.dst_reg {
             self.0[c.warp].writeback_reg(reg);
         }
@@ -127,41 +129,25 @@ struct WarpCtrl {
     /// waiters while its count is non-zero; counting (rather than a
     /// plain flag) makes compiler barrier reuse sound.
     bar_pending: [u32; NUM_BARRIERS as usize],
+    /// The barriers with a non-zero count, one bit each: what a wait mask
+    /// is tested against on every issue scan.
+    pending_mask: u8,
 }
 
 impl WarpCtrl {
-    fn pending_mask(&self) -> u8 {
-        let mut m = 0u8;
-        for (i, &p) in self.bar_pending.iter().enumerate() {
-            if p > 0 {
-                m |= 1 << i;
-            }
-        }
-        m
+    fn set(&mut self, bar: u8) {
+        self.bar_pending[bar as usize] += 1;
+        self.pending_mask |= 1 << bar;
     }
 
     fn release(&mut self, bar: Option<u8>) {
         if let Some(b) = bar {
             let p = &mut self.bar_pending[b as usize];
             *p = p.saturating_sub(1);
+            if *p == 0 {
+                self.pending_mask &= !(1 << b);
+            }
         }
-    }
-}
-
-/// 256-bit register set, one per warp slot.
-type RegSet = [u64; 4];
-
-fn set_get(s: &RegSet, r: Reg) -> bool {
-    let i = usize::from(r.index());
-    s[i / 64] >> (i % 64) & 1 == 1
-}
-
-fn set_put(s: &mut RegSet, r: Reg, val: bool) {
-    let i = usize::from(r.index());
-    if val {
-        s[i / 64] |= 1 << (i % 64);
-    } else {
-        s[i / 64] &= !(1 << (i % 64));
     }
 }
 
@@ -195,6 +181,7 @@ fn is_uniform_producer(inst: &Instruction) -> bool {
 /// uniform-resident register set of every warp slot.
 pub(crate) struct ControlBits {
     ctrls: Vec<WarpCtrl>,
+    /// Uniform-resident registers, one set per warp slot.
     uniform: Vec<RegSet>,
 }
 
@@ -217,13 +204,13 @@ impl Interlock for ControlBits {
         }
     }
 
-    fn blocks(&self, w: usize, warp: &Warp, _inst: &Instruction, kernel: &Kernel) -> bool {
+    fn blocks(&self, w: usize, warp: &Warp, kernel: &DecodedKernel<'_>) -> bool {
         let ctrl = &self.ctrls[w];
         if ctrl.stall > 0 {
             return true;
         }
         match kernel.ctrl.get(warp.pc) {
-            Some(cb) => ctrl.pending_mask() & cb.wait_mask != 0,
+            Some(cb) => ctrl.pending_mask & cb.wait_mask != 0,
             // Unannotated kernel: conservative one-in-flight interlock per
             // warp (the fallback the control bits exist to beat).
             None => warp.inflight > 0,
@@ -234,12 +221,17 @@ impl Interlock for ControlBits {
         set_get(&self.uniform[w], reg)
     }
 
-    fn on_issue(&mut self, w: usize, pc: usize, inst: &Instruction, kernel: &Kernel) {
+    fn on_issue(&mut self, w: usize, pc: usize, kernel: &DecodedKernel<'_>) {
         // Track uniform residency: a uniform producer parks its result in
         // the uniform RF; any other write to the register evicts it (the
         // value is no longer lane-invariant).
-        if let Some(d) = inst.dst_reg() {
-            set_put(&mut self.uniform[w], d, is_uniform_producer(inst));
+        let meta = &kernel.meta[pc];
+        if let Some(d) = meta.dst_reg {
+            set_put(
+                &mut self.uniform[w],
+                d,
+                is_uniform_producer(&kernel.insts[pc]),
+            );
         }
         if let Some(cb) = kernel.ctrl.get(pc) {
             let ctrl = &mut self.ctrls[w];
@@ -248,9 +240,9 @@ impl Interlock for ControlBits {
             // residual latency across block boundaries) but never set
             // barriers: they do not dispatch or write back, so nothing
             // would ever release them.
-            if !inst.op.is_control() {
+            if !meta.is_control {
                 for b in [cb.wr_bar, cb.rd_bar].into_iter().flatten() {
-                    ctrl.bar_pending[b as usize] += 1;
+                    ctrl.set(b);
                 }
             }
         }
@@ -258,7 +250,7 @@ impl Interlock for ControlBits {
 
     /// The read barrier clears at dispatch: the operands are consumed, so
     /// overwriting the sources is now safe.
-    fn on_dispatch(&mut self, w: usize, pc: usize, _inst: &Instruction, kernel: &Kernel) {
+    fn on_dispatch(&mut self, w: usize, pc: usize, kernel: &DecodedKernel<'_>) {
         if let Some(cb) = kernel.ctrl.get(pc) {
             self.ctrls[w].release(cb.rd_bar);
         }
@@ -266,7 +258,7 @@ impl Interlock for ControlBits {
 
     /// The write barrier clears at writeback: the result is
     /// architecturally visible to waiters.
-    fn on_writeback(&mut self, c: &Completion, kernel: &Kernel) {
+    fn on_writeback(&mut self, c: &Completion, kernel: &DecodedKernel<'_>) {
         if let Some(cb) = kernel.ctrl.get(c.pc) {
             self.ctrls[c.warp].release(cb.wr_bar);
         }
@@ -282,7 +274,7 @@ impl Interlock for ControlBits {
 mod tests {
     use super::*;
     use bow_isa::ctrl::CtrlBits;
-    use bow_isa::{KernelBuilder, WritebackHint};
+    use bow_isa::{Kernel, KernelBuilder, WritebackHint};
 
     /// 0: ldg r1,[r0]   1: iadd r2,r1,1   2: mov r0,7   3: bra   4: exit
     fn kernel() -> Kernel {
@@ -321,27 +313,28 @@ mod tests {
         }
     }
 
-    fn blocks<I: Interlock>(il: &I, k: &Kernel, pc: usize, inflight: u32) -> bool {
-        il.blocks(0, &warp_at(pc, inflight), &k.insts[pc], k)
+    fn blocks<I: Interlock>(il: &I, k: &DecodedKernel<'_>, pc: usize, inflight: u32) -> bool {
+        il.blocks(0, &warp_at(pc, inflight), k)
     }
 
     #[test]
     fn scoreboard_holds_raw_to_writeback_and_war_to_dispatch() {
         let k = kernel();
+        let k = DecodedKernel::new(&k);
         let mut il = Scoreboards::new(2);
         assert!(!blocks(&il, &k, 0, 0));
-        il.on_issue(0, 0, &k.insts[0], &k);
+        il.on_issue(0, 0, &k);
         assert!(blocks(&il, &k, 1, 1), "RAW on r1");
         assert!(blocks(&il, &k, 2, 1), "WAR on r0");
         assert!(!il.is_uniform(0, Reg::r(1)));
-        il.on_dispatch(0, 0, &k.insts[0], &k);
+        il.on_dispatch(0, 0, &k);
         assert!(!blocks(&il, &k, 2, 1), "sources consumed at dispatch");
         assert!(blocks(&il, &k, 1, 1), "result still pending");
         il.on_writeback(&completion_of(&k, 0), &k);
         assert!(!blocks(&il, &k, 1, 0));
         // Control ops reserve nothing; a fresh warp starts clear.
-        il.on_issue(0, 3, &k.insts[3], &k);
-        il.on_issue(0, 1, &k.insts[1], &k);
+        il.on_issue(0, 3, &k);
+        il.on_issue(0, 1, &k);
         il.reset_warp(0);
         assert!((0..k.insts.len()).all(|pc| !blocks(&il, &k, pc, 0)));
     }
@@ -374,8 +367,9 @@ mod tests {
                 ..Default::default()
             },
         ];
+        let k = DecodedKernel::new(&k);
         let mut il = ControlBits::new(2);
-        il.on_issue(0, 0, &k.insts[0], &k);
+        il.on_issue(0, 0, &k);
         // The stall field holds every instruction of the warp, barriers or not.
         assert!(blocks(&il, &k, 3, 1));
         il.begin_cycle();
@@ -384,21 +378,21 @@ mod tests {
         assert!(!blocks(&il, &k, 3, 1));
         assert!(blocks(&il, &k, 1, 1), "waits on the write barrier");
         assert!(blocks(&il, &k, 2, 1), "waits on the read barrier");
-        il.on_dispatch(0, 0, &k.insts[0], &k);
+        il.on_dispatch(0, 0, &k);
         assert!(!blocks(&il, &k, 2, 1));
         assert!(blocks(&il, &k, 1, 1));
         il.on_writeback(&completion_of(&k, 0), &k);
         assert!(!blocks(&il, &k, 1, 0));
         // A control op honours its stall field but sets no barrier.
-        il.on_issue(0, 3, &k.insts[3], &k);
+        il.on_issue(0, 3, &k);
         assert!(blocks(&il, &k, 4, 0), "stalled");
         for _ in 0..3 {
             il.begin_cycle();
         }
         assert!(!blocks(&il, &k, 4, 0), "barrier 2 was never set");
         // Other slots are independent, and a reset clears this one.
-        il.on_issue(0, 0, &k.insts[0], &k);
-        assert!(!il.blocks(1, &warp_at(1, 0), &k.insts[1], &k));
+        il.on_issue(0, 0, &k);
+        assert!(!il.blocks(1, &warp_at(1, 0), &k));
         il.reset_warp(0);
         assert!(!blocks(&il, &k, 1, 0));
     }
@@ -415,9 +409,10 @@ mod tests {
             ..Default::default()
         };
         k.ctrl = vec![setter, setter, waiter, waiter, waiter];
+        let k = DecodedKernel::new(&k);
         let mut il = ControlBits::new(1);
-        il.on_issue(0, 0, &k.insts[0], &k);
-        il.on_issue(0, 1, &k.insts[1], &k);
+        il.on_issue(0, 0, &k);
+        il.on_issue(0, 1, &k);
         assert!(blocks(&il, &k, 2, 2));
         il.on_writeback(&completion_of(&k, 1), &k);
         assert!(blocks(&il, &k, 2, 1), "the other setter is outstanding");
@@ -432,12 +427,13 @@ mod tests {
     fn an_unannotated_kernel_runs_one_instruction_in_flight() {
         let k = kernel();
         assert!(k.ctrl.is_empty());
+        let k = DecodedKernel::new(&k);
         let mut il = ControlBits::new(1);
         assert!(!blocks(&il, &k, 0, 0));
-        il.on_issue(0, 0, &k.insts[0], &k);
+        il.on_issue(0, 0, &k);
         il.begin_cycle();
         assert!(blocks(&il, &k, 2, 1), "independent, but one is in flight");
-        il.on_dispatch(0, 0, &k.insts[0], &k);
+        il.on_dispatch(0, 0, &k);
         assert!(blocks(&il, &k, 2, 1), "dispatch does not retire it");
         il.on_writeback(&completion_of(&k, 0), &k);
         assert!(!blocks(&il, &k, 2, 0));
@@ -454,14 +450,15 @@ mod tests {
             .exit()
             .build()
             .unwrap();
+        let k = DecodedKernel::new(&k);
         let mut il = ControlBits::new(1);
         for pc in 0..3 {
-            il.on_issue(0, pc, &k.insts[pc], &k);
+            il.on_issue(0, pc, &k);
         }
         assert!(il.is_uniform(0, r(1)), "constant load");
         assert!(!il.is_uniform(0, r(2)), "tid differs per lane");
         assert!(il.is_uniform(0, r(3)), "block-level special");
-        il.on_issue(0, 3, &k.insts[3], &k);
+        il.on_issue(0, 3, &k);
         assert!(!il.is_uniform(0, r(1)), "overwritten by a per-lane value");
         il.reset_warp(0);
         assert!(!il.is_uniform(0, r(3)));

@@ -3,16 +3,16 @@
 
 use super::interlock::Interlock;
 use super::{SmCtx, Stages};
+use crate::decode::DecodedKernel;
 use crate::exec::{self, ControlOutcome};
 use crate::probe::{emit, PipeEvent, Probe, StallKind};
-use bow_isa::{Kernel, Opcode};
 
 impl Stages {
     pub(super) fn issue<I: Interlock, P: Probe>(
         &mut self,
         il: &mut I,
         ctx: &mut SmCtx,
-        kernel: &Kernel,
+        kernel: &DecodedKernel<'_>,
         probe: &mut P,
     ) {
         il.begin_cycle();
@@ -36,7 +36,7 @@ impl Stages {
         il: &I,
         ctx: &mut SmCtx,
         sched: usize,
-        kernel: &Kernel,
+        kernel: &DecodedKernel<'_>,
         probe: &mut P,
         ready: &mut Vec<usize>,
     ) {
@@ -51,14 +51,14 @@ impl Stages {
             if warp.pc >= kernel.insts.len() {
                 continue;
             }
-            let inst = &kernel.insts[warp.pc];
+            let meta = &kernel.meta[warp.pc];
             let mut stall = |kind| emit(&mut ctx.stats, probe, PipeEvent::Stall(kind));
-            if I::BLOCKS_BEFORE_ADMISSION && il.blocks(w, warp, inst, kernel) {
+            if I::BLOCKS_BEFORE_ADMISSION && il.blocks(w, warp, kernel) {
                 stall(StallKind::Scoreboard);
                 continue;
             }
             let oc = &self.parts[w % self.parts.len()].oc;
-            if inst.op.is_control() {
+            if meta.is_control {
                 // Control executes at issue, ahead of dispatch. Where
                 // dispatch order is what keeps execution correct, it must
                 // wait until every older instruction of this warp has left
@@ -71,8 +71,7 @@ impl Stages {
                 // Barriers and exits additionally wait for the warp's
                 // pipeline to drain so block release and flushes see a
                 // quiet machine.
-                let needs_drain = matches!(inst.op, Opcode::Exit | Opcode::Bar);
-                if needs_drain && warp.inflight > 0 {
+                if meta.needs_drain && warp.inflight > 0 {
                     continue;
                 }
             } else if !oc.can_accept(w) {
@@ -80,7 +79,7 @@ impl Stages {
                 continue;
             }
             // Branch guards, like any source, must not be pending.
-            if !I::BLOCKS_BEFORE_ADMISSION && il.blocks(w, warp, inst, kernel) {
+            if !I::BLOCKS_BEFORE_ADMISSION && il.blocks(w, warp, kernel) {
                 stall(StallKind::Scoreboard);
                 continue;
             }
@@ -93,12 +92,12 @@ impl Stages {
         il: &mut I,
         ctx: &mut SmCtx,
         w: usize,
-        kernel: &Kernel,
+        kernel: &DecodedKernel<'_>,
         probe: &mut P,
     ) {
         let warp = ctx.warps[w].as_ref().expect("ready warp is live");
         let (pc, seq, cycle) = (warp.pc, warp.seq, ctx.cycle);
-        let inst = &kernel.insts[pc];
+        let (inst, meta) = (&kernel.insts[pc], &kernel.meta[pc]);
         let uid = ctx.uid_of(warp);
         emit(
             &mut ctx.stats,
@@ -114,7 +113,7 @@ impl Stages {
         warp.seq += 1;
         let oc = self.oc_of(w);
 
-        if inst.op.is_control() {
+        if meta.is_control {
             emit(
                 &mut ctx.stats,
                 probe,
@@ -128,7 +127,7 @@ impl Stages {
                 },
             );
             oc.note_control(w, seq, &mut ctx.rf, &mut ctx.stats, probe);
-            il.on_issue(w, pc, inst, kernel);
+            il.on_issue(w, pc, kernel);
             let (arrive, live, sync_underflow) = if P::ACTIVE {
                 (
                     warp.guard_mask(inst.guard),
@@ -175,7 +174,7 @@ impl Stages {
             let rf_fetches = oc.insert_uniform(
                 w,
                 pc,
-                inst,
+                meta,
                 mask,
                 seq,
                 cycle,
@@ -198,7 +197,7 @@ impl Stages {
                     }
                 }
             }
-            il.on_issue(w, pc, inst, kernel);
+            il.on_issue(w, pc, kernel);
             emit(
                 &mut ctx.stats,
                 probe,

@@ -44,13 +44,13 @@ pub use writeback::CompletionQueue;
 
 use crate::collector::OperandStage;
 use crate::config::{CoreModelKind, GpuConfig};
+use crate::decode::DecodedKernel;
 use crate::exec::BlockInfo;
 use crate::probe::Probe;
 use crate::regfile::RegFile;
 use crate::scheduler::WarpScheduler;
 use crate::stats::SimStats;
 use crate::warp::Warp;
-use bow_isa::Kernel;
 use bow_mem::{GlobalAccess, MemSystem, SharedMemory};
 use interlock::{ControlBits, Interlock, Scoreboards};
 
@@ -158,6 +158,7 @@ struct Stages {
     ready_buf: Vec<usize>,
     picked_buf: Vec<usize>,
     values_buf: Vec<u32>,
+    addr_buf: Vec<u64>,
 }
 
 enum InterlockKind {
@@ -210,6 +211,7 @@ impl Pipeline {
                 ready_buf: Vec::new(),
                 picked_buf: Vec::new(),
                 values_buf: Vec::new(),
+                addr_buf: Vec::new(),
             },
             interlock,
         }
@@ -246,7 +248,7 @@ impl Pipeline {
     pub fn tick<P: Probe, G: GlobalAccess>(
         &mut self,
         ctx: &mut SmCtx,
-        kernel: &Kernel,
+        kernel: &DecodedKernel<'_>,
         global: &mut G,
         probe: &mut P,
     ) {
@@ -268,7 +270,7 @@ impl Stages {
         &mut self,
         il: &mut I,
         ctx: &mut SmCtx,
-        kernel: &Kernel,
+        kernel: &DecodedKernel<'_>,
         global: &mut G,
         probe: &mut P,
     ) {
@@ -292,6 +294,7 @@ impl Stages {
 mod tests {
     use crate::collector::CollectorKind;
     use crate::config::{CoreModelKind, GpuConfig};
+    use crate::decode::DecodedKernel;
     use crate::probe::NullProbe;
     use crate::sm::Sm;
     use crate::stats::SimStats;
@@ -309,6 +312,7 @@ mod tests {
         let mut sm = Sm::new(0, config);
         sm.reset_for_launch(&[0x1000]);
         sm.assign_block(kernel, (0, 0), KernelDims::linear(1, threads), 0);
+        let kernel = &DecodedKernel::new(kernel);
         let mut guard = 0;
         while sm.busy() {
             sm.tick(kernel, g, &mut NullProbe);
@@ -488,6 +492,7 @@ mod tests {
         let mut sm = Sm::new(0, &config);
         sm.reset_for_launch(&[0x2000]);
         sm.assign_block(&kernel, (0, 0), KernelDims::linear(1, 64), 0);
+        let kernel = DecodedKernel::new(&kernel);
         let mut guard = 0;
         while sm.busy() {
             sm.tick(&kernel, &mut g, &mut NullProbe);

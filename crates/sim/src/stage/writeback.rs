@@ -3,8 +3,9 @@
 
 use super::interlock::Interlock;
 use super::{SmCtx, Stages};
+use crate::decode::DecodedKernel;
 use crate::probe::{emit, PipeEvent, Probe};
-use bow_isa::{Kernel, Pred, Reg, WritebackHint, WARP_SIZE};
+use bow_isa::{Pred, Reg, WritebackHint, WARP_SIZE};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -72,7 +73,7 @@ impl Stages {
         &mut self,
         il: &mut I,
         ctx: &mut SmCtx,
-        kernel: &Kernel,
+        kernel: &DecodedKernel<'_>,
         probe: &mut P,
     ) {
         while let Some(c) = self.completions.pop_due(ctx.cycle) {

@@ -1,0 +1,263 @@
+//! Allocation guard: a warmed-up `Sm::tick` never touches the heap.
+//!
+//! The per-cycle path (issue → collect → dispatch → writeback) runs a few
+//! hundred million times in a figure sweep, so a `Vec` built per warp per
+//! scan is the difference between 1.1 µs and 0.5 µs per warp instruction
+//! (EXPERIMENTS.md, "Where a simulated cycle goes"). This test keeps that
+//! class of cost closed: a counting global allocator, a launch warmed past
+//! the point where every reusable buffer (the completion heap, the SIMT
+//! stacks, the RF write queues, the slot list) has reached its high-water
+//! mark, then **zero** allocations over the next few thousand ticks under
+//! `NullProbe`, for every collector on both cores.
+//!
+//! Timing-free, so it cannot flake; `scripts/ci.sh` runs it in release.
+
+use bow_isa::ctrl::CtrlBits;
+use bow_isa::{CmpOp, Kernel, KernelBuilder, KernelDims, Operand, Pred, Reg, Special};
+use bow_mem::GlobalMemory;
+use bow_sim::collector::CollectorKind;
+use bow_sim::config::{CoreModelKind, GpuConfig};
+use bow_sim::decode::DecodedKernel;
+use bow_sim::probe::NullProbe;
+use bow_sim::sm::Sm;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Heap acquisitions made by this thread (tests run on parallel
+    /// threads, so the count must not be process-wide).
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// `System`, counting every call that acquires or grows a block.
+struct Counting;
+
+fn count() {
+    // `try_with`: the allocator also runs while a thread's locals are torn
+    // down. The cell is const-initialized and has no destructor, so the
+    // access itself never allocates.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a plain thread-local
+// side effect that neither allocates nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller's `layout` is passed through as received.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: `ptr`/`layout` describe a block this allocator returned,
+        // i.e. one `System` returned.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as for `realloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+const A_BUF: u64 = 0x10_0000;
+const B_BUF: u64 = 0x20_0000;
+/// Words in each global buffer (a power of two: indices wrap with `and`).
+const BUF_WORDS: u32 = 4096;
+/// Loop trip count: far more than the test ever ticks through.
+const FOREVER: u32 = 1 << 30;
+
+const WARMUP_TICKS: u32 = 3_000;
+const MEASURED_TICKS: u32 = 4_000;
+
+/// Closes a kernel's loop: `i += 1; if i < FOREVER goto top`.
+fn loop_back(b: KernelBuilder, i: Reg) -> Kernel {
+    b.iadd(i, i.into(), Operand::Imm(1))
+        .isetp(CmpOp::Lt, Pred::p(0), i.into(), Operand::Imm(FOREVER))
+        .bra_if(Pred::p(0), false, "top")
+        .exit()
+        .build()
+        .unwrap()
+}
+
+/// Integer, float, multiply and SFU work over registers only; reads the
+/// same register twice and selects on a predicate.
+fn alu_kernel() -> Kernel {
+    let r = Reg::r;
+    let b = KernelBuilder::new("alu")
+        .s2r(r(0), Special::TidX)
+        .mov_imm(r(1), 0)
+        .i2f(r(4), r(0).into())
+        .label("top")
+        .imad(r(2), r(0).into(), r(0).into(), r(1).into())
+        .xor(r(3), r(2).into(), r(1).into())
+        .ffma(r(4), r(4).into(), Operand::fimm(1.0001), Operand::fimm(0.5))
+        .fsqrt(r(5), r(4).into())
+        .isetp(CmpOp::Gt, Pred::p(1), r(3).into(), r(0).into())
+        .sel(r(6), r(2).into(), r(5).into(), Pred::p(1))
+        .shl(r(7), r(6).into(), Operand::Imm(1))
+        .iadd(r(3), r(3).into(), r(7).into());
+    loop_back(b, r(1))
+}
+
+/// `ldg` → `sts` → `lds` → `stg` round trips over two host-written
+/// buffers, so no global page is first-touched by the kernel.
+fn memory_kernel() -> Kernel {
+    let r = Reg::r;
+    let b = KernelBuilder::new("mem")
+        .shared_bytes(1024)
+        .s2r(r(0), Special::TidX)
+        .ldc(r(2), 0)
+        .ldc(r(3), 4)
+        .mov_imm(r(1), 0)
+        .label("top")
+        .imad(r(4), r(1).into(), Operand::Imm(33), r(0).into())
+        .and(r(4), r(4).into(), Operand::Imm(BUF_WORDS - 1))
+        .shl(r(4), r(4).into(), Operand::Imm(2))
+        .iadd(r(5), r(2).into(), r(4).into())
+        .ldg(r(6), r(5), 0)
+        .and(r(7), r(4).into(), Operand::Imm(1020))
+        .sts(r(7), 0, r(6).into())
+        .lds(r(8), r(7), 0)
+        .iadd(r(9), r(3).into(), r(4).into())
+        .stg(r(9), 0, r(8).into());
+    loop_back(b, r(1))
+}
+
+/// A diamond on the lane's parity inside the loop: SIMT-stack pushes and
+/// pops, partial masks, guarded branches.
+fn divergent_kernel() -> Kernel {
+    let r = Reg::r;
+    let b = KernelBuilder::new("div")
+        .s2r(r(0), Special::TidX)
+        .mov_imm(r(1), 0)
+        .mov_imm(r(3), 1)
+        .label("top")
+        .iadd(r(2), r(0).into(), r(1).into())
+        .and(r(2), r(2).into(), Operand::Imm(1))
+        .isetp(CmpOp::Eq, Pred::p(1), r(2).into(), Operand::Imm(0))
+        .ssy("join")
+        .bra_if(Pred::p(1), false, "then")
+        .iadd(r(3), r(3).into(), Operand::Imm(3))
+        .bra("join")
+        .label("then")
+        .imul(r(3), r(3).into(), Operand::Imm(5))
+        .label("join")
+        .sync();
+    loop_back(b, r(1))
+}
+
+/// Blocks resident on the measured SM: 16 warps, four per scheduler. A
+/// full SM would not reach a steady state: greedy-then-oldest scheduling
+/// starves the youngest warps of a full SM for arbitrarily long, and a
+/// warp's first instructions are what size its own buffers (SIMT stack,
+/// bypass window).
+const BLOCKS: u32 = 8;
+
+/// Puts [`BLOCKS`] blocks of `kernel` on one SM, warms it up and counts
+/// the heap acquisitions of the ticks that follow.
+fn allocations_in_steady_state(
+    kernel: &Kernel,
+    kind: CollectorKind,
+    core_model: CoreModelKind,
+) -> u64 {
+    let mut config = GpuConfig::scaled(kind);
+    config.core_model = core_model;
+    let mut kernel = kernel.clone();
+    if core_model == CoreModelKind::Modern {
+        // Run under the control-bit interlock proper rather than its
+        // unannotated one-in-flight fallback. The bits are timing-only;
+        // a uniform stall paces each warp like real annotations do, so
+        // the RF write queues stay bounded.
+        let paced = CtrlBits {
+            stall: 4,
+            ..Default::default()
+        };
+        kernel.ctrl = vec![paced; kernel.insts.len()];
+    }
+    let mut global = GlobalMemory::new();
+    let words: Vec<u32> = (0..BUF_WORDS).collect();
+    global.write_slice_u32(A_BUF, &words);
+    global.write_slice_u32(B_BUF, &words);
+
+    let mut sm = Sm::new(0, &config);
+    sm.reset_for_launch(&[A_BUF as u32, B_BUF as u32]);
+    let dims = KernelDims::linear(BLOCKS, 64);
+    for block in 0..BLOCKS {
+        sm.assign_block(&kernel, (block, 0), dims, u64::from(block));
+    }
+    let decoded = DecodedKernel::new(&kernel);
+    for _ in 0..WARMUP_TICKS {
+        sm.tick(&decoded, &mut global, &mut NullProbe);
+    }
+    let issued_before = sm.stats().warp_instructions;
+
+    let before = ALLOCS.with(Cell::get);
+    for _ in 0..MEASURED_TICKS {
+        sm.tick(&decoded, &mut global, &mut NullProbe);
+    }
+    let allocs = ALLOCS.with(Cell::get) - before;
+
+    let issued = sm.stats().warp_instructions - issued_before;
+    assert!(sm.busy(), "the launch must outlast the measurement");
+    assert!(
+        issued > u64::from(MEASURED_TICKS) / 4,
+        "{} {kind:?} {core_model:?}: only {issued} warp instructions in \
+         {MEASURED_TICKS} ticks — the pipeline is not being exercised",
+        kernel.name
+    );
+    allocs
+}
+
+fn assert_heap_free(kernel: &Kernel) {
+    for core_model in [CoreModelKind::Pascal, CoreModelKind::Modern] {
+        for kind in [
+            CollectorKind::Baseline,
+            CollectorKind::bow(3),
+            CollectorKind::bow_wr(3),
+            CollectorKind::rfc6(),
+        ] {
+            let allocs = allocations_in_steady_state(kernel, kind, core_model);
+            assert_eq!(
+                allocs, 0,
+                "{} on {kind:?} / {core_model:?}: {allocs} heap allocations in \
+                 {MEASURED_TICKS} warmed-up ticks",
+                kernel.name
+            );
+        }
+    }
+}
+
+#[test]
+fn the_counter_sees_this_threads_allocations() {
+    let before = ALLOCS.with(Cell::get);
+    let v = std::hint::black_box(vec![1u8; 64]);
+    assert!(ALLOCS.with(Cell::get) > before);
+    drop(v);
+}
+
+#[test]
+fn alu_heavy_ticks_are_heap_free() {
+    assert_heap_free(&alu_kernel());
+}
+
+#[test]
+fn memory_heavy_ticks_are_heap_free() {
+    assert_heap_free(&memory_kernel());
+}
+
+#[test]
+fn divergent_ticks_are_heap_free() {
+    assert_heap_free(&divergent_kernel());
+}

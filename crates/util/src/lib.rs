@@ -11,14 +11,18 @@
 //! * [`hash`] — SHA-256 (replaces `sha2` for the content-addressed
 //!   result store's fingerprint keys);
 //! * [`names`] — the name-table helper every configuration axis declares
-//!   its value names with.
+//!   its value names with;
+//! * [`inline`] — a fixed-capacity inline vector (replaces `arrayvec`
+//!   for the simulator's heap-free per-instruction lists).
 
 pub mod hash;
+pub mod inline;
 pub mod json;
 pub mod names;
 pub mod rng;
 
 pub use hash::{sha256, sha256_hex, Sha256};
+pub use inline::InlineVec;
 pub use json::{parse as parse_json, DecodeError, Json, ParseError};
 pub use names::{parse_name, UnknownName};
 pub use rng::XorShift;

@@ -44,6 +44,14 @@ echo "==> golden stats fingerprints, barrier divergence (serial + threaded)"
 cargo test --release -q --offline -p bow --test golden_fingerprints_barrier
 BOW_SIM_THREADS=8 cargo test --release -q --offline -p bow --test golden_fingerprints_barrier
 
+echo "==> allocation guard: a warmed-up Sm::tick never touches the heap (release)"
+# A counting global allocator around {baseline, bow, bow-wr, rfc} x {pascal,
+# modern} on an ALU-heavy, a memory-heavy and a divergent kernel: zero
+# allocations per tick once the launch is warm. It counts, it does not
+# time, so it cannot flake; it is what keeps per-warp-per-scan `Vec`s
+# (EXPERIMENTS.md, "Where a simulated cycle goes") from coming back.
+cargo test --release -q --offline -p bow-sim --test hot_path_allocs
+
 # The model matrix every per-axis stage below walks: both SM cores x both
 # divergence models. The value names are the axes' name tables
 # (CoreModelKind::ALL / DivergenceModel::ALL).

@@ -1,0 +1,137 @@
+#!/usr/bin/env bash
+# Where does a benchmark workload spend its host time?
+#
+#   scripts/hotspots.sh <workload> [seconds]      e.g. fig_pascal 10
+#
+# A sampling profile for hosts without `perf`: preloads a tiny SIGPROF
+# sampler (built here with `cc`) into the already-built, unedited
+# `bow-benchmark`, runs one untraced pass of the workload, symbolises the
+# sampled program counters with `addr2line -f -i -C` and prints
+#   * self time by physical (non-inlined) function, and
+#   * inclusive time of every function on the inline chains, which is where
+#     small accessors the optimiser folded into their callers show up.
+# Samples outside the binary are bucketed by shared object.
+#
+# Build first (`benchmark/run.sh --smoke` does). Writes only under target/;
+# touches nothing in benchmark/. Exits 0 with a notice where `cc` or
+# `addr2line` is missing. See docs/TESTING.md.
+set -euo pipefail
+cd "$(dirname "${BASH_SOURCE[0]}")/.."
+
+workload="${1:?usage: scripts/hotspots.sh <workload> [seconds]}"
+seconds="${2:-10}"
+for tool in cc addr2line; do
+    if ! command -v "$tool" >/dev/null; then
+        echo "hotspots: \`$tool\` not found on this host, nothing profiled"
+        exit 0
+    fi
+done
+bin="$(pwd)/${CARGO_TARGET_DIR:-benchmark/target}/release/bow-benchmark"
+if [[ ! -x "$bin" ]]; then
+    echo "hotspots: $bin is not built; run benchmark/run.sh --smoke first" >&2
+    exit 1
+fi
+
+out="$(pwd)/target/hotspots"
+mkdir -p "$out"
+cat >"$out/sampler.c" <<'SAMPLER'
+/* LD_PRELOAD sampler: records the interrupted program counter on every
+ * SIGPROF (1 kHz of process CPU time). At exit it resolves each against
+ * /proc/self/maps and writes one "<object> <address in object>" line a
+ * sample: the address relative to the object's first mapping, which is what
+ * addr2line expects of a position-independent executable or library. */
+#define _GNU_SOURCE
+#include <signal.h>
+#include <stdio.h>
+#include <stdlib.h>
+#include <string.h>
+#include <sys/time.h>
+#include <ucontext.h>
+enum { CAP = 1 << 22, MAPS = 512 };
+static unsigned long *pcs;
+static size_t n;
+static void on_prof(int sig, siginfo_t *info, void *ctx) {
+    (void)sig, (void)info;
+    size_t i = __atomic_fetch_add(&n, 1, __ATOMIC_RELAXED);
+#if defined(__x86_64__)
+    if (i < CAP) pcs[i] = ((ucontext_t *)ctx)->uc_mcontext.gregs[REG_RIP];
+#elif defined(__aarch64__)
+    if (i < CAP) pcs[i] = ((ucontext_t *)ctx)->uc_mcontext.pc;
+#endif
+}
+__attribute__((constructor)) static void start(void) {
+    pcs = calloc(CAP, sizeof *pcs);
+    struct sigaction sa = {.sa_sigaction = on_prof, .sa_flags = SA_SIGINFO | SA_RESTART};
+    sigaction(SIGPROF, &sa, NULL);
+    struct itimerval tick = {{0, 1000}, {0, 1000}};
+    setitimer(ITIMER_PROF, &tick, NULL);
+}
+__attribute__((destructor)) static void stop(void) {
+    struct itimerval off = {{0, 0}, {0, 0}};
+    setitimer(ITIMER_PROF, &off, NULL);
+    static struct { unsigned long lo, hi, base; char path[256]; } map[MAPS];
+    size_t nmap = 0;
+    const char *out = getenv("HOTSPOTS_OUT");
+    FILE *maps = fopen("/proc/self/maps", "r"), *f = out ? fopen(out, "w") : NULL;
+    if (!f || !maps) return;
+    for (char line[512]; nmap < MAPS && fgets(line, sizeof line, maps);)
+        if (sscanf(line, "%lx-%lx %*s %*s %*s %*s %255s", &map[nmap].lo, &map[nmap].hi,
+                   map[nmap].path) == 3 && map[nmap].path[0] == '/') {
+            size_t first = 0;
+            while (strcmp(map[first].path, map[nmap].path)) first++;
+            map[nmap++].base = map[first].lo;
+        }
+    for (size_t i = 0; i < n && i < CAP; i++) {
+        size_t m = 0;
+        while (m < nmap && !(pcs[i] >= map[m].lo && pcs[i] < map[m].hi)) m++;
+        if (m < nmap) fprintf(f, "%s %lx\n", map[m].path, pcs[i] - map[m].base);
+        else fputs("[anonymous] 0\n", f);
+    }
+    fclose(f);
+}
+SAMPLER
+cc -O2 -shared -fPIC -o "$out/sampler.so" "$out/sampler.c"
+
+HOTSPOTS_OUT="$out/$workload.samples" LD_PRELOAD="$out/sampler.so" "$bin" \
+    --workload "$workload" --seed 1 --seconds "$seconds" --trace 0 \
+    --out "$out/out" >/dev/null
+
+# "<count> <object> <address>" per distinct sampled address.
+sort "$out/$workload.samples" | uniq -c | awk '{ print $1, $2, $3 }' >"$out/$workload.counts"
+total=$(awk '{ t += $1 } END { print t + 0 }' "$out/$workload.counts")
+if [[ "$total" -eq 0 ]]; then
+    echo "hotspots: no samples (did $workload run for under a millisecond?)" >&2
+    exit 1
+fi
+
+# Symbolise the addresses inside the binary: `-a` prints each address on a
+# line of its own, followed by function / file:line pairs from the innermost
+# inlined frame outwards.
+awk -v bin="$bin" '$2 == bin { print "0x" $3 }' "$out/$workload.counts" |
+    addr2line -e "$bin" -a -f -i -C >"$out/$workload.frames"
+
+echo "== $workload: $total samples at 1 kHz of CPU time =="
+awk -v bin="$bin" -v total="$total" '
+    function flush(   i) {
+        if (addr == "") return
+        self[fn[nfn]] += weight[addr]            # outermost frame: the physical function
+        for (i = 1; i <= nfn; i++)
+            if (last[fn[i]] != addr) { last[fn[i]] = addr; incl[fn[i]] += weight[addr] }
+    }
+    FNR == NR {                                  # first file: the counts
+        if ($2 == bin) weight["0x" $3] = $1; else self["[" $2 "]"] += $1
+        next
+    }
+    /^0x[0-9a-f]+$/ { flush(); addr = $0; sub(/^0x0*/, "0x", addr); nfn = 0; row = 0; next }
+    { if (row++ % 2 == 0) fn[++nfn] = $0 }
+    END {
+        flush()
+        print "-- self time by physical function (shared objects in brackets) --"
+        top = "sort -rn | head -25"
+        for (f in self) printf "%6.2f%%  %s\n", 100 * self[f] / total, f | top
+        close(top)
+        print "-- inclusive time of every function on the inline chains (binary only) --"
+        top = "sort -rn | head -40"
+        for (f in incl) printf "%6.2f%%  %s\n", 100 * incl[f] / total, f | top
+    }
+' "$out/$workload.counts" "$out/$workload.frames"
