@@ -23,10 +23,10 @@
 //! Environment knobs: `BOW_CORPUS_COUNT` (generated kernels, default
 //! 1000), `BOW_CORPUS_SAMPLE` (kernels swept per core model, default
 //! 200, 0 = all), `BOW_CORPUS_SEED` (hex or decimal master seed).
-//! `--jobs N` / `--sim-threads N` pass through to the sweep pool.
+//! `--jobs N` passes through to the sweep pool.
 
 use bow::corpus;
-use bow_bench::{jobs_from_args, sim_threads_from_args, write_json};
+use bow_bench::{jobs_from_args, write_json};
 use bow_sim::{CoreModelKind, DivergenceModel};
 use bow_util::json::Json;
 
@@ -52,7 +52,6 @@ fn main() {
     let sample = env_usize("BOW_CORPUS_SAMPLE", 200);
     let seed = env_seed(corpus::DEFAULT_SEED);
     let jobs = jobs_from_args();
-    let sim_threads = sim_threads_from_args();
 
     eprintln!("corpus_report: generating {count} kernels (seed {seed:#x})");
     let manifest = corpus::generate(seed, count);
@@ -103,7 +102,6 @@ fn main() {
             let opts = corpus::SweepOptions {
                 limit: sample,
                 jobs,
-                sim_threads,
                 core_model: core,
                 divergence,
                 progress: true,

@@ -4,7 +4,7 @@
 //!
 //! ```sh
 //! BOW_SCALE=paper cargo run --release -p bow-bench --bin fig10_ipc -- --jobs $(nproc)
-//! BOW_SCALE=chip  cargo run --release -p bow-bench --bin fig10_ipc -- --sim-threads 4
+//! BOW_SCALE=chip  cargo run --release -p bow-bench --bin fig10_ipc -- --jobs $(nproc)
 //! ```
 
 use bow::prelude::*;

@@ -3,7 +3,7 @@
 //!
 //! ```sh
 //! BOW_SCALE=paper cargo run --release -p bow-bench --bin fig12_oc_cycles -- --jobs $(nproc)
-//! BOW_SCALE=chip  cargo run --release -p bow-bench --bin fig12_oc_cycles -- --sim-threads 4
+//! BOW_SCALE=chip  cargo run --release -p bow-bench --bin fig12_oc_cycles -- --jobs $(nproc)
 //! ```
 
 use bow::prelude::*;

@@ -8,11 +8,8 @@
 //! `paper` (default) run the scaled 2-SM model, `chip` runs paper-scale
 //! problems on the full 56-SM TITAN X and suffixes result files with
 //! `_chip` — and the worker count with `--jobs N` (or `BOW_JOBS`,
-//! default: all cores). `--sim-threads T` (or `BOW_SIM_THREADS`)
-//! additionally shards each launch's SM pipelines across the intra-run
-//! windowed engine, splitting the jobs budget between the two layers.
-//! Progress lines go to stderr only, so redirected stdout tables are
-//! byte-identical at any job count and any thread split.
+//! default: all cores). Progress lines go to stderr only, so redirected
+//! stdout tables are byte-identical at any job count.
 
 use bow::prelude::*;
 use bow::suite::SweepResult;
@@ -107,42 +104,14 @@ pub fn parse_jobs(args: &[String]) -> Option<usize> {
     None
 }
 
-/// Per-launch intra-run engine threads: `--sim-threads T` /
-/// `--sim-threads=T` on the command line, else `BOW_SIM_THREADS`, else
-/// `None` (the whole jobs budget goes to sweep-level workers).
-pub fn sim_threads_from_args() -> Option<u32> {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(t) = parse_sim_threads(&args[1..]) {
-        return Some(t);
-    }
-    std::env::var("BOW_SIM_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-}
-
-/// Extracts a sim-threads request from an argument list.
-pub fn parse_sim_threads(args: &[String]) -> Option<u32> {
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--sim-threads" {
-            return it.next().and_then(|v| v.parse().ok());
-        }
-        if let Some(v) = a.strip_prefix("--sim-threads=") {
-            return v.parse().ok();
-        }
-    }
-    None
-}
-
 /// Runs the full suite under every configuration on the parallel sweep
 /// engine, asserting functional correctness of every cell. Rows come
 /// back in the order `configs` lists them, records in suite order.
 pub fn sweep(configs: impl IntoIterator<Item = Config>, scale: Scale) -> SweepResult {
-    let mut suite = Suite::new(scale).configs(configs).jobs(jobs_from_args());
-    if let Some(t) = sim_threads_from_args() {
-        suite = suite.sim_threads(t);
-    }
-    let result = suite.run();
+    let result = Suite::new(scale)
+        .configs(configs)
+        .jobs(jobs_from_args())
+        .run();
     result.assert_checked();
     result
 }
@@ -352,15 +321,6 @@ mod tests {
         assert_eq!(parse_jobs(&argv("foo --jobs 2 bar")), Some(2));
         assert_eq!(parse_jobs(&argv("--jobs")), None);
         assert_eq!(parse_jobs(&argv("")), None);
-    }
-
-    #[test]
-    fn parse_sim_threads_accepts_both_spellings() {
-        let argv = |s: &str| -> Vec<String> { s.split_whitespace().map(String::from).collect() };
-        assert_eq!(parse_sim_threads(&argv("--sim-threads 4")), Some(4));
-        assert_eq!(parse_sim_threads(&argv("--sim-threads=2")), Some(2));
-        assert_eq!(parse_sim_threads(&argv("--jobs 4")), None);
-        assert_eq!(parse_sim_threads(&argv("--sim-threads")), None);
     }
 
     #[test]

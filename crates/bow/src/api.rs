@@ -13,11 +13,9 @@
 //! * the canonical form is built from the *resolved* configuration (the
 //!   full [`GpuConfig`](bow_sim::GpuConfig)), not the request text, so `{"collector":"bow"}`
 //!   and a request spelling out every default hash identically;
-//! * execution knobs that provably do not affect results are excluded —
-//!   most importantly `sim_threads`, so the store key honours the
-//!   deterministic-engine contract (identical results at any thread
-//!   count) and a cache entry produced at 8 threads serves a 1-thread
-//!   client;
+//! * knobs that provably do not affect results (the label, tracing, the
+//!   checkers) are excluded, so a cache entry serves every presentation
+//!   of the same run;
 //! * inline kernels are canonicalized through their binary encoding
 //!   ([`bow_isa::encode_kernel`]), so formatting/comment differences in
 //!   the assembly text do not defeat the cache;
@@ -167,8 +165,9 @@ pub fn config_from_json(v: &Json) -> Result<Config, BowError> {
         .rfc_entries(u32_field("rfc_entries", 6)?)
         .model(named_field(v, "model", GpuModel::parse)?.unwrap_or_default())
         .core_model(named_field(v, "core_model", CoreModelKind::parse)?.unwrap_or_default())
-        .divergence(named_field(v, "divergence", DivergenceModel::parse)?.unwrap_or_default())
-        .sim_threads(u32_field("sim_threads", 1)?);
+        .divergence(named_field(v, "divergence", DivergenceModel::parse)?.unwrap_or_default());
+    // Inert, type-checked then dropped: the fixed `benchmark/` sends this key.
+    u32_field("sim_threads", 1)?;
     if let Some(half) = bool_field("half_size")? {
         builder = builder.half_size(half);
     }
@@ -202,9 +201,9 @@ pub fn config_from_json(v: &Json) -> Result<Config, BowError> {
 }
 
 /// The canonical JSON form of a resolved configuration: every semantic
-/// knob of the [`GpuConfig`] spelled out, presentational/execution knobs
-/// (`label`, `sim_threads`, tracing, oracle mode) excluded. This is what
-/// gets hashed into the fingerprint.
+/// knob of the [`GpuConfig`] spelled out, presentational and checker
+/// knobs (`label`, tracing, oracle mode) excluded. This is what gets
+/// hashed into the fingerprint.
 ///
 /// `Config`, `GpuConfig` and `MemConfig` are destructured without `..`, so
 /// a new field does not compile until it is either emitted here (semantic)
@@ -255,10 +254,8 @@ pub fn canonical_config_json(config: &Config) -> Json {
         // Checker: a probe on the event stream; cycles, stats and
         // fingerprints are pinned identical with it on or off.
         sanitize: _,
-        // Execution knob: results are byte-identical at any thread count
-        // (the deterministic-engine contract, `tests/determinism.rs`).
+        // Inert: nothing reads it (kept for the fixed `benchmark/`).
         sim_threads: _,
-        sim_window,
     } = gpu;
     let MemConfig {
         l1,
@@ -350,7 +347,6 @@ pub fn canonical_config_json(config: &Config) -> Json {
         ),
         ("max_cycles", Json::from(*max_cycles)),
         ("shadow_rf", Json::from(*shadow_rf)),
-        ("sim_window", Json::from(*sim_window)),
         ("hints", Json::from(*hints)),
         ("reorder", Json::from(*reorder)),
         ("verify", Json::from(*verify)),
@@ -654,13 +650,32 @@ mod tests {
 
     #[test]
     fn fingerprint_ignores_sim_threads_and_label() {
-        let a = req(r#"{"kernel": {"workload": "vectoradd"},
-                        "config": {"collector": "bow", "sim_threads": 1}}"#)
+        let plain = req(r#"{"kernel": {"workload": "vectoradd"},
+                            "config": {"collector": "bow"}}"#)
         .unwrap();
-        let b = req(r#"{"kernel": {"workload": "vectoradd"},
-                        "config": {"collector": "bow", "sim_threads": 8, "label": "mine"}}"#)
-        .unwrap();
-        assert_eq!(a.fingerprint(), b.fingerprint());
+        for extra in [
+            r#""sim_threads": 0"#,
+            r#""sim_threads": 1"#,
+            r#""sim_threads": 8, "label": "mine""#,
+        ] {
+            let r = req(&format!(
+                r#"{{"kernel": {{"workload": "vectoradd"}},
+                    "config": {{"collector": "bow", {extra}}}}}"#
+            ))
+            .unwrap();
+            assert_eq!(r.fingerprint(), plain.fingerprint(), "{extra}");
+            // The key is dropped: every value resolves to the one config.
+            assert_eq!(r.config.gpu, plain.config.gpu, "{extra}");
+        }
+        // Still type-checked like every integer field.
+        for bad in [r#""lots""#, "-1", "4294967296"] {
+            let e = req(&format!(
+                r#"{{"kernel": {{"workload": "vectoradd"}},
+                    "config": {{"sim_threads": {bad}}}}}"#
+            ))
+            .unwrap_err();
+            assert_eq!(e.kind(), "parse", "{bad}");
+        }
     }
 
     #[test]

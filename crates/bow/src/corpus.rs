@@ -672,8 +672,6 @@ pub struct SweepOptions {
     pub limit: usize,
     /// Sweep-pool worker count (0 = all cores).
     pub jobs: usize,
-    /// Intra-run engine threads (None = sweep-level parallelism only).
-    pub sim_threads: Option<u32>,
     /// Core model to sweep on.
     pub core_model: CoreModelKind,
     /// Reconvergence machinery to sweep under.
@@ -687,7 +685,6 @@ impl Default for SweepOptions {
         SweepOptions {
             limit: 0,
             jobs: 0,
-            sim_threads: None,
             core_model: CoreModelKind::Pascal,
             divergence: DivergenceModel::Stack,
             progress: false,
@@ -700,14 +697,11 @@ impl Default for SweepOptions {
 /// evaluator. Panics (via [`SweepResult::assert_checked`] downstream)
 /// are left to the caller; this returns raw records.
 pub fn sweep(manifest: &Manifest, opts: &SweepOptions) -> SweepResult {
-    let mut suite = Suite::over(benches(manifest, opts.limit))
+    Suite::over(benches(manifest, opts.limit))
         .configs(corpus_configs(opts.core_model, opts.divergence))
         .jobs(opts.jobs)
-        .progress(opts.progress);
-    if let Some(t) = opts.sim_threads {
-        suite = suite.sim_threads(t);
-    }
-    suite.run()
+        .progress(opts.progress)
+        .run()
 }
 
 /// A median/p10/p90 summary of one metric over a kernel population.
@@ -950,20 +944,13 @@ mod tests {
         };
         let a = sweep(&m, &base);
         a.assert_checked();
-        let b = sweep(
-            &m,
-            &SweepOptions {
-                sim_threads: Some(8),
-                jobs: 2,
-                ..base
-            },
-        );
+        let b = sweep(&m, &SweepOptions { jobs: 2, ..base });
         b.assert_checked();
         for (ra, rb) in a.all_records().zip(b.all_records()) {
             assert_eq!(ra.benchmark, rb.benchmark);
             assert_eq!(
                 ra.outcome.result.cycles, rb.outcome.result.cycles,
-                "{} {}: byte-identical at sim_threads 1 vs 8",
+                "{} {}: byte-identical at jobs 1 vs 2",
                 ra.label, ra.benchmark
             );
         }
@@ -975,7 +962,7 @@ mod tests {
     fn barrier_mini_sweep_is_checked_and_thread_count_invariant() {
         // The same corpus under the stack-less divergence model: every
         // retained kernel lowers, runs under the lockstep oracle, matches
-        // the host evaluator and stays byte-identical across sim_threads.
+        // the host evaluator and stays byte-identical across sweep workers.
         let m = generate(DEFAULT_SEED, 4);
         let base = SweepOptions {
             limit: 4,
@@ -985,20 +972,13 @@ mod tests {
         };
         let a = sweep(&m, &base);
         a.assert_checked();
-        let b = sweep(
-            &m,
-            &SweepOptions {
-                sim_threads: Some(8),
-                jobs: 2,
-                ..base
-            },
-        );
+        let b = sweep(&m, &SweepOptions { jobs: 2, ..base });
         b.assert_checked();
         for (ra, rb) in a.all_records().zip(b.all_records()) {
             assert!(ra.label.contains("+barrier"), "{}", ra.label);
             assert_eq!(
                 ra.outcome.result.cycles, rb.outcome.result.cycles,
-                "{} {}: byte-identical at sim_threads 1 vs 8",
+                "{} {}: byte-identical at jobs 1 vs 2",
                 ra.label, ra.benchmark
             );
         }

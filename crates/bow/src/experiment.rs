@@ -132,7 +132,6 @@ pub struct ConfigBuilder {
     core_model: CoreModelKind,
     divergence: DivergenceModel,
     analyzer: Vec<u32>,
-    sim_threads: u32,
     label: Option<String>,
 }
 
@@ -156,7 +155,6 @@ impl ConfigBuilder {
             core_model: CoreModelKind::default(),
             divergence: DivergenceModel::default(),
             analyzer: Vec::new(),
-            sim_threads: 1,
             label: None,
         }
     }
@@ -284,18 +282,6 @@ impl ConfigBuilder {
     /// Enables the Fig. 3 sliding-window analyzer for `windows`.
     pub fn analyzer(mut self, windows: &[u32]) -> ConfigBuilder {
         self.analyzer = windows.to_vec();
-        self
-    }
-
-    /// Worker threads for the intra-run parallel engine
-    /// ([`GpuConfig::sim_threads`]): SM pipelines shard across this many
-    /// threads per launch. `0` means "host parallelism"; the default `1`
-    /// runs the engine inline. Results are byte-identical for every
-    /// value, so the label does not encode it. Composes with sweep-level
-    /// parallelism through [`Suite::sim_threads`](crate::suite::Suite::sim_threads), which
-    /// splits one global budget across both layers.
-    pub fn sim_threads(mut self, threads: u32) -> ConfigBuilder {
-        self.sim_threads = threads;
         self
     }
 
@@ -442,7 +428,6 @@ impl ConfigBuilder {
         gpu.sanitize = self.sanitize;
         gpu.core_model = self.core_model;
         gpu.divergence = self.divergence;
-        gpu.sim_threads = self.sim_threads;
         let label = self.label.clone().unwrap_or_else(|| self.derived_label());
         Config {
             label,

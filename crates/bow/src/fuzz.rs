@@ -61,10 +61,6 @@ pub struct FuzzOptions {
     pub out_dir: PathBuf,
     /// Print per-case progress to stderr.
     pub progress: bool,
-    /// Intra-run engine threads per launch. Results are byte-identical
-    /// at any value; > 1 makes every case exercise the windowed parallel
-    /// engine under the lockstep oracle.
-    pub sim_threads: u32,
     /// SM core model every case runs on. `Modern` drops the shadow-RF
     /// variant (the two cannot combine) and routes each kernel through
     /// the control-bits emitter, so the fixed-latency interlock runs
@@ -93,7 +89,6 @@ impl Default for FuzzOptions {
             size: 24,
             out_dir: PathBuf::from("results/fuzz"),
             progress: false,
-            sim_threads: 1,
             core_model: CoreModelKind::Pascal,
             divergence: DivergenceModel::Stack,
             sanitize: false,
@@ -226,10 +221,7 @@ pub fn case_seed(seed: u64, case: u64) -> u64 {
 /// given `(seed, cases, size)` at any worker count.
 pub fn run_fuzz(opts: &FuzzOptions) -> FuzzReport {
     let start = Instant::now();
-    let mut configs = fuzz_configs_for(opts.core_model, opts.divergence);
-    for c in &mut configs {
-        c.gpu.sim_threads = opts.sim_threads;
-    }
+    let configs = fuzz_configs_for(opts.core_model, opts.divergence);
     let ncfg = configs.len();
     let total = (opts.cases as usize) * ncfg;
     let workers = effective_jobs(opts.jobs).min(total.max(1));
@@ -516,7 +508,6 @@ mod tests {
             size: 16,
             out_dir: std::env::temp_dir().join("bow_fuzz_test"),
             progress: false,
-            sim_threads: 2,
             core_model: CoreModelKind::Pascal,
             divergence: DivergenceModel::Stack,
             // Exercise check 4: clean generated kernels must sanitize
@@ -541,7 +532,6 @@ mod tests {
                 size: 16,
                 out_dir: std::env::temp_dir().join("bow_fuzz_barrier_test"),
                 progress: false,
-                sim_threads: 2,
                 core_model: core,
                 divergence: DivergenceModel::Barrier,
                 sanitize: core == CoreModelKind::Pascal,
@@ -565,7 +555,6 @@ mod tests {
             size: 16,
             out_dir: std::env::temp_dir().join("bow_fuzz_modern_test"),
             progress: false,
-            sim_threads: 2,
             core_model: CoreModelKind::Modern,
             divergence: DivergenceModel::Stack,
             sanitize: false,

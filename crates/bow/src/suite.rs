@@ -57,7 +57,6 @@ pub struct Suite {
     benches: Vec<Box<dyn Benchmark>>,
     configs: Vec<Config>,
     jobs: usize,
-    sim_threads: Option<u32>,
     progress: Option<bool>,
 }
 
@@ -73,7 +72,6 @@ impl Suite {
             benches,
             configs: Vec::new(),
             jobs: 0,
-            sim_threads: None,
             progress: None,
         }
     }
@@ -101,28 +99,16 @@ impl Suite {
         self
     }
 
-    /// Sets the sweep's global thread budget. `0` (the default) means one
-    /// thread per available core; `1` runs the sweep serially on the
-    /// calling thread. Without [`sim_threads`](Suite::sim_threads) the
-    /// whole budget goes to sweep-level workers (one cell each).
+    /// Sets the sweep's worker-thread count (one cell per worker at a
+    /// time). `0` (the default) means one thread per available core; `1`
+    /// runs the sweep serially on the calling thread.
     pub fn jobs(mut self, jobs: usize) -> Suite {
         self.jobs = jobs;
         self
     }
 
-    /// Threads each *launch* shards its SM pipelines across (the
-    /// intra-run parallel engine, [`bow_sim::parallel`]), overriding
-    /// every configuration's own `sim_threads`. The global budget set by
-    /// [`jobs`](Suite::jobs) is split between the two layers: with
-    /// per-launch threads `T` the pool runs `max(1, budget / T)` sweep
-    /// workers, so `workers × T` never exceeds the budget. `0` gives each
-    /// launch the whole budget (sweep cells then run one at a time).
-    /// Results are byte-identical for every split — both layers are
-    /// deterministic — so this is purely a throughput trade-off: many
-    /// small cells favour sweep-level workers, few huge full-chip cells
-    /// favour intra-run threads.
-    pub fn sim_threads(mut self, threads: u32) -> Suite {
-        self.sim_threads = Some(threads);
+    /// Inert, returns `self`: the fixed `benchmark/` calls this builder.
+    pub fn sim_threads(self, _threads: u32) -> Suite {
         self
     }
 
@@ -141,28 +127,13 @@ impl Suite {
         let start = Instant::now();
         let Suite {
             benches,
-            mut configs,
+            configs,
             jobs,
-            sim_threads,
             progress,
         } = self;
         let progress = progress.unwrap_or_else(|| std::io::stderr().is_terminal());
         let n_benches = benches.len();
         let total = n_benches * configs.len();
-
-        // Split the global thread budget between sweep workers and each
-        // launch's intra-run engine (see `Suite::sim_threads`).
-        let budget = effective_jobs(jobs);
-        let sweep_workers = match sim_threads {
-            None => budget,
-            Some(t) => {
-                let per_launch = if t == 0 { budget } else { t as usize }.max(1);
-                for c in &mut configs {
-                    c.gpu.sim_threads = per_launch as u32;
-                }
-                (budget / per_launch).max(1)
-            }
-        };
 
         // Cell c = (config index, benchmark index), row-major.
         let cells: Vec<(usize, usize)> = (0..configs.len())
@@ -181,7 +152,7 @@ impl Suite {
                 .or_insert_with(|| Arc::new(prepare_kernel(benches[bi].as_ref(), &configs[ci])));
         }
 
-        let workers = sweep_workers.min(total.max(1));
+        let workers = effective_jobs(jobs).min(total.max(1));
         let mut slots: Vec<Option<(RunRecord, Duration)>> = Vec::new();
         slots.resize_with(total, || None);
 
@@ -564,39 +535,6 @@ mod tests {
     }
 
     #[test]
-    fn intra_run_threads_leave_results_byte_identical() {
-        let plain = Suite::over(small())
-            .configs(three_configs())
-            .jobs(1)
-            .progress(false)
-            .run();
-        // Budget 4 split as 2 launch threads × 2 sweep workers: every
-        // cell now runs the threaded windowed engine.
-        let split = Suite::over(small())
-            .configs(three_configs())
-            .jobs(4)
-            .sim_threads(2)
-            .progress(false)
-            .run();
-        assert_eq!(split.jobs, 2, "budget 4 / 2 per launch = 2 workers");
-        for (p, s) in split.rows.iter().zip(&plain.rows) {
-            for (pr, sr) in p.records.iter().zip(&s.records) {
-                assert_eq!(pr.outcome.result.cycles, sr.outcome.result.cycles);
-                assert_eq!(pr.outcome.result.stats, sr.outcome.result.stats);
-                assert_eq!(pr.outcome.result.per_sm, sr.outcome.result.per_sm);
-            }
-        }
-        // `0` hands each launch the whole budget: cells run one at a time.
-        let solo = Suite::benchmark("vectoradd", Scale::Test)
-            .config(ConfigBuilder::baseline().build())
-            .jobs(4)
-            .sim_threads(0)
-            .progress(false)
-            .run();
-        assert_eq!(solo.jobs, 1);
-    }
-
-    #[test]
     fn single_benchmark_sweep() {
         let result = Suite::benchmark("vectoradd", Scale::Test)
             .config(ConfigBuilder::baseline().build())
@@ -675,10 +613,10 @@ mod tests {
             key(0, ConfigBuilder::bow(3)),
             key(0, ConfigBuilder::bow(3).verify(true))
         );
-        // Execution-only knobs are not in the plan.
+        // The label is not in the plan.
         assert_eq!(
             key(0, ConfigBuilder::bow_wr(3)),
-            key(0, ConfigBuilder::bow_wr(3).sim_threads(4).label("mine"))
+            key(0, ConfigBuilder::bow_wr(3).label("mine"))
         );
     }
 
@@ -723,12 +661,7 @@ mod tests {
                     .build(),
             )
             // Same plan as the first column: shares its prepared kernel.
-            .config(
-                ConfigBuilder::bow_wr(3)
-                    .sim_threads(2)
-                    .label("threaded")
-                    .build(),
-            )
+            .config(ConfigBuilder::bow_wr(3).label("relabelled").build())
             .jobs(1)
             .progress(false)
             .run();

@@ -2,16 +2,14 @@
 //!
 //! The manifest's promise is that a corpus is *reproducible from seeds
 //! alone*: the same `(seed, count)` must re-materialize byte-identical
-//! kernels on any machine, any thread count, any run. These tests pin
-//! that promise end to end — serialized manifest text, encoded kernel
-//! words, and the sweep results the distributions are computed from —
-//! plus the delta-debugging invariants the fuzz harness relies on when
-//! a corpus kernel does fail.
+//! kernels on any machine, any run. These tests pin that promise —
+//! serialized manifest text and encoded kernel words — plus the
+//! delta-debugging invariants the fuzz harness relies on when a corpus
+//! kernel does fail.
 
 use bow::corpus;
 use bow_isa::fuzz::FuzzKernel;
 use bow_isa::fuzz::Stmt;
-use bow_sim::{CoreModelKind, DivergenceModel};
 use bow_util::XorShift;
 
 /// Two generations of the same `(seed, count)` must agree byte-for-byte:
@@ -34,44 +32,6 @@ fn corpus_rematerializes_byte_identically_across_runs() {
             "{}: kernel words are byte-identical",
             ea.name
         );
-    }
-}
-
-/// `sim_threads` is a pure execution knob: the corpus sweep must produce
-/// the same stats fingerprints with each launch serial and sharded
-/// across 8 engine threads.
-#[test]
-fn corpus_sweep_is_invariant_across_sim_threads_1_and_8() {
-    let manifest = corpus::generate(0x7ead, 9);
-    let run = |threads: u32, divergence: DivergenceModel| {
-        let opts = corpus::SweepOptions {
-            limit: 4,
-            jobs: 1,
-            sim_threads: Some(threads),
-            core_model: CoreModelKind::Pascal,
-            divergence,
-            progress: false,
-        };
-        corpus::sweep(&manifest, &opts)
-    };
-    for divergence in [DivergenceModel::Stack, DivergenceModel::Barrier] {
-        let serial = run(1, divergence);
-        let sharded = run(8, divergence);
-        serial.assert_checked();
-        sharded.assert_checked();
-        for (row_s, row_t) in serial.rows.iter().zip(&sharded.rows) {
-            assert_eq!(row_s.label, row_t.label);
-            for (a, b) in row_s.records.iter().zip(&row_t.records) {
-                assert_eq!(a.benchmark, b.benchmark);
-                assert_eq!(
-                    a.outcome.result.stats.fingerprint(),
-                    b.outcome.result.stats.fingerprint(),
-                    "{} under {}: stats identical at sim_threads 1 vs 8",
-                    a.benchmark,
-                    row_s.label
-                );
-            }
-        }
     }
 }
 

@@ -16,75 +16,53 @@
 //!
 //! [`SimStats::fingerprint`]: bow_sim::SimStats::fingerprint
 
-use bow::experiment::{Config, ConfigBuilder};
+use bow::experiment::ConfigBuilder;
+use bow::prelude::CoreModelKind;
 use bow::suite::Suite;
 use bow_workloads::Scale;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
 /// The four columns the acceptance criteria pin.
-fn configs() -> Vec<Config> {
-    vec![
-        ConfigBuilder::baseline().build(),
-        ConfigBuilder::bow(3).build(),
-        ConfigBuilder::bow_wr(3).build(),
-        ConfigBuilder::rfc().build(),
+fn designs() -> [ConfigBuilder; 4] {
+    [
+        ConfigBuilder::baseline(),
+        ConfigBuilder::bow(3),
+        ConfigBuilder::bow_wr(3),
+        ConfigBuilder::rfc(),
     ]
 }
 
-fn golden_path() -> PathBuf {
+fn golden_path(file: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
         .join("golden")
-        .join("fingerprints.txt")
+        .join(file)
 }
 
-/// Renders the sweep as the golden table: one `benchmark/config hex`
-/// line per cell, configs in column order, benchmarks in suite order.
-fn render(sweep: &bow::suite::SweepResult) -> String {
-    let mut out = String::from(
-        "# SimStats fingerprints: 15 workloads x 4 collector configs (Scale::Test).\n\
-         # Regenerate with: BOW_BLESS=1 cargo test -p bow --test golden_fingerprints\n",
-    );
-    for config in configs() {
-        let records = sweep
-            .records(&config.label)
-            .unwrap_or_else(|| panic!("sweep has a {:?} row", config.label));
-        for rec in records {
-            writeln!(
-                out,
-                "{}/{} {:016x}",
-                rec.benchmark,
-                rec.label,
-                rec.outcome.result.stats.fingerprint()
-            )
-            .expect("write to String");
-        }
+/// Appends the sweep to a golden table: one `benchmark/config hex` line
+/// per cell, configs in column order, benchmarks in suite order.
+fn push_rows(out: &mut String, sweep: &bow::suite::SweepResult) {
+    for rec in sweep.all_records() {
+        writeln!(
+            out,
+            "{}/{} {:016x}",
+            rec.benchmark,
+            rec.label,
+            rec.outcome.result.stats.fingerprint()
+        )
+        .expect("write to String");
     }
-    out
 }
 
-#[test]
-fn stats_fingerprints_match_goldens() {
-    let mut suite = Suite::new(Scale::Test).configs(configs()).progress(false);
-    // `sim_threads` is a pure execution knob: CI reruns this suite with
-    // BOW_SIM_THREADS=4 to prove the threaded engine reproduces the same
-    // goldens byte-for-byte.
-    if let Some(t) = std::env::var("BOW_SIM_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-    {
-        suite = suite.sim_threads(t);
-    }
-    let sweep = suite.run();
-    sweep.assert_checked();
-    let got = render(&sweep);
-    let path = golden_path();
+/// Compares `got` with the table at `path`, or writes it under
+/// `BOW_BLESS=1`.
+fn check_golden(path: &std::path::Path, got: &str) {
     if std::env::var_os("BOW_BLESS").is_some_and(|v| v == "1") {
-        std::fs::write(&path, &got).expect("write goldens");
+        std::fs::write(path, got).expect("write goldens");
         return;
     }
-    let want = std::fs::read_to_string(&path)
+    let want = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("read {}: {e} (bless with BOW_BLESS=1)", path.display()));
     if got != want {
         let mut diff = String::new();
@@ -99,4 +77,42 @@ fn stats_fingerprints_match_goldens() {
             path.display()
         );
     }
+}
+
+#[test]
+fn stats_fingerprints_match_goldens() {
+    let sweep = Suite::new(Scale::Test)
+        .configs(designs().map(ConfigBuilder::build))
+        .progress(false)
+        .run();
+    sweep.assert_checked();
+    let mut got = String::from(
+        "# SimStats fingerprints: 15 workloads x 4 collector configs (Scale::Test).\n\
+         # Regenerate with: BOW_BLESS=1 cargo test -p bow --test golden_fingerprints\n",
+    );
+    push_rows(&mut got, &sweep);
+    check_golden(&golden_path("fingerprints.txt"), &got);
+}
+
+/// `bfs` at paper scale is the one cell in the repository whose counts
+/// depend on *when* one SM's global stores reach another (its frontier
+/// race across SMs is value-convergent, not count-convergent), so it is
+/// what pins the device loop's store-visibility rule — the test-scale
+/// tables above hold with the rule removed.
+#[test]
+fn bfs_paper_scale_fingerprints_match_goldens() {
+    let mut got = String::from(
+        "# SimStats fingerprints: bfs at Scale::Paper x 4 collector configs x 2 cores.\n\
+         # Regenerate with: BOW_BLESS=1 cargo test -p bow --test golden_fingerprints\n",
+    );
+    for core in CoreModelKind::ALL {
+        let bfs = bow::workloads::by_name("bfs", Scale::Paper).expect("suite benchmark");
+        let sweep = Suite::over(vec![bfs])
+            .configs(designs().map(|b| b.core_model(core).build()))
+            .progress(false)
+            .run();
+        sweep.assert_checked();
+        push_rows(&mut got, &sweep);
+    }
+    check_golden(&golden_path("fingerprints_bfs_paper.txt"), &got);
 }

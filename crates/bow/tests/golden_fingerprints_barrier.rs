@@ -74,18 +74,10 @@ fn stack_goldens() -> HashMap<String, String> {
 
 #[test]
 fn barrier_stats_fingerprints_match_goldens() {
-    let mut suite = Suite::new(Scale::Test)
+    let sweep = Suite::new(Scale::Test)
         .configs(all_configs())
-        .progress(false);
-    // `sim_threads` is a pure execution knob under barrier divergence
-    // too: CI reruns this suite with BOW_SIM_THREADS=8 to prove it.
-    if let Some(t) = std::env::var("BOW_SIM_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-    {
-        suite = suite.sim_threads(t);
-    }
-    let sweep = suite.run();
+        .progress(false)
+        .run();
     sweep.assert_checked();
     let stack = stack_goldens();
     let suffix = format!("+{}", DivergenceModel::Barrier.name());

@@ -74,16 +74,10 @@ fn render(sweep: &bow::suite::SweepResult) -> String {
 
 #[test]
 fn modern_stats_fingerprints_match_goldens() {
-    let mut suite = Suite::new(Scale::Test).configs(configs()).progress(false);
-    // `sim_threads` is a pure execution knob on the modern core too: CI
-    // reruns this suite with BOW_SIM_THREADS=4 to prove it.
-    if let Some(t) = std::env::var("BOW_SIM_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-    {
-        suite = suite.sim_threads(t);
-    }
-    let sweep = suite.run();
+    let sweep = Suite::new(Scale::Test)
+        .configs(configs())
+        .progress(false)
+        .run();
     sweep.assert_checked();
     let got = render(&sweep);
     let path = golden_path();

@@ -57,8 +57,6 @@ pub enum Command {
         scale: Scale,
         /// Apply the bypass-aware scheduler first.
         reorder: bool,
-        /// Intra-run engine threads per launch (None = config default).
-        sim_threads: Option<u32>,
         /// SM core model to simulate.
         core_model: CoreModelKind,
         /// Reconvergence machinery: SSY/SYNC stack or convergence barriers.
@@ -74,8 +72,6 @@ pub enum Command {
         scale: Scale,
         /// Sweep-engine worker count (0 = all cores).
         jobs: usize,
-        /// Intra-run engine threads per launch (None = sweep-level only).
-        sim_threads: Option<u32>,
         /// SM core model to simulate.
         core_model: CoreModelKind,
         /// Reconvergence machinery: SSY/SYNC stack or convergence barriers.
@@ -103,8 +99,6 @@ pub enum Command {
         scale: Scale,
         /// Sweep-engine worker count (0 = all cores).
         jobs: usize,
-        /// Intra-run engine threads per launch (None = sweep-level only).
-        sim_threads: Option<u32>,
         /// SM core model to simulate.
         core_model: CoreModelKind,
         /// Reconvergence machinery: SSY/SYNC stack or convergence barriers.
@@ -122,8 +116,6 @@ pub enum Command {
         size: usize,
         /// Directory for minimized `.asm` repro files.
         out_dir: String,
-        /// Intra-run engine threads per launch (None = serial default).
-        sim_threads: Option<u32>,
         /// SM core model every case runs on.
         core_model: CoreModelKind,
         /// Reconvergence machinery every case runs under.
@@ -235,8 +227,6 @@ pub enum CorpusAction {
         limit: usize,
         /// Sweep-pool worker count (0 = all cores).
         jobs: usize,
-        /// Intra-run engine threads per launch (None = sweep-level only).
-        sim_threads: Option<u32>,
         /// SM core model to sweep on.
         core_model: CoreModelKind,
         /// Reconvergence machinery to sweep under.
@@ -301,17 +291,15 @@ bow-cli — the BOW GPU model
 USAGE:
   bow-cli suite
   bow-cli run <bench> [--collector C] [--window N] [--scale test|paper] [--reorder]
-              [--sim-threads T] [--core-model pascal|modern]
-              [--divergence stack|barrier] [--sanitize]
-  bow-cli compare <bench> [--scale test|paper] [--jobs N] [--sim-threads T]
+              [--core-model pascal|modern] [--divergence stack|barrier] [--sanitize]
+  bow-cli compare <bench> [--scale test|paper] [--jobs N]
                   [--core-model pascal|modern] [--divergence stack|barrier]
   bow-cli asm <file.s>
   bow-cli compile <file.s> [--window N] [--reorder]
-  bow-cli sweep <bench> [--scale test|paper] [--jobs N] [--sim-threads T]
+  bow-cli sweep <bench> [--scale test|paper] [--jobs N]
                 [--core-model pascal|modern] [--divergence stack|barrier]
   bow-cli fuzz [--cases N] [--seed S] [--jobs N] [--size N] [--out DIR] [--smoke]
-               [--sim-threads T] [--core-model pascal|modern]
-               [--divergence stack|barrier] [--sanitize]
+               [--core-model pascal|modern] [--divergence stack|barrier] [--sanitize]
   bow-cli lint <file.s> [--window N] [--deny-warnings] [--json FILE]
               [--core-model pascal|modern] [--divergence stack|barrier]
   bow-cli lint --all-workloads [--window N] [--deny-warnings] [--json FILE]
@@ -329,7 +317,7 @@ USAGE:
                  [--addr HOST:PORT]
   bow-cli corpus gen [--count N] [--seed S] [--dir DIR]
   bow-cli corpus stats [--dir DIR]
-  bow-cli corpus sweep [--dir DIR] [--limit N] [--jobs N] [--sim-threads T]
+  bow-cli corpus sweep [--dir DIR] [--limit N] [--jobs N]
                  [--core-model pascal|modern] [--divergence stack|barrier]
                  [--addr HOST:PORT] [--out FILE]
   bow-cli corpus sanitize [--count N] [--seed S] [--jobs N] [--smoke] [--out FILE]
@@ -346,10 +334,6 @@ positional argument may come in any order.
 `compare` and `sweep` run their (benchmark x config) matrix on the
 parallel sweep engine; --jobs N picks the worker count (default: all
 cores, 1 = serial). Results are identical at any job count.
---sim-threads T additionally shards each launch's SM pipelines across T
-threads (the intra-run windowed engine; 0 = whole budget per launch);
-the --jobs budget is then split between the two layers. Results stay
-byte-identical for every T.
 
 `fuzz` generates random kernels and runs each under every collector
 model, checking every instruction against a timing-free architectural
@@ -597,7 +581,6 @@ pub fn parse(args: &[String]) -> Result<Command, BowError> {
     )?;
     let window: u32 = number(&given, "--window")?.unwrap_or(3);
     let jobs: usize = number(&given, "--jobs")?.unwrap_or(0);
-    let sim_threads: Option<u32> = number(&given, "--sim-threads")?;
 
     match key.as_str() {
         "suite" => Ok(Command::Suite),
@@ -607,7 +590,6 @@ pub fn parse(args: &[String]) -> Result<Command, BowError> {
             window,
             scale,
             reorder: flag("--reorder"),
-            sim_threads,
             core_model,
             divergence,
             sanitize: flag("--sanitize"),
@@ -616,7 +598,6 @@ pub fn parse(args: &[String]) -> Result<Command, BowError> {
             bench: positional("benchmark name")?,
             scale,
             jobs,
-            sim_threads,
             core_model,
             divergence,
         }),
@@ -632,7 +613,6 @@ pub fn parse(args: &[String]) -> Result<Command, BowError> {
             bench: positional("benchmark name")?,
             scale,
             jobs,
-            sim_threads,
             core_model,
             divergence,
         }),
@@ -649,7 +629,6 @@ pub fn parse(args: &[String]) -> Result<Command, BowError> {
                 jobs,
                 size: number(tunable, "--size")?.unwrap_or(defaults.size),
                 out_dir: text("--out", &defaults.out_dir.display().to_string()),
-                sim_threads,
                 core_model,
                 divergence,
                 sanitize: flag("--sanitize"),
@@ -773,7 +752,6 @@ pub fn parse(args: &[String]) -> Result<Command, BowError> {
                 dir: text("--dir", "corpus"),
                 limit: number(&given, "--limit")?.unwrap_or(0),
                 jobs,
-                sim_threads,
                 core_model,
                 divergence,
                 addr: opt("--addr").map(String::from),
@@ -832,7 +810,7 @@ fn verified(rec: &RunRecord) -> Result<(), BowError> {
 fn design_table(
     bench: &str,
     scale: Scale,
-    (jobs, sim_threads): (usize, Option<u32>),
+    jobs: usize,
     (core_model, divergence): (CoreModelKind, DivergenceModel),
     designs: Vec<ConfigBuilder>,
 ) -> Result<Vec<Vec<String>>, BowError> {
@@ -840,11 +818,7 @@ fn design_table(
     let configs = designs
         .into_iter()
         .map(|d| d.core_model(core_model).divergence(divergence).build());
-    let mut suite = Suite::over(vec![b]).configs(configs).jobs(jobs);
-    if let Some(t) = sim_threads {
-        suite = suite.sim_threads(t);
-    }
-    let result = suite.run();
+    let result = Suite::over(vec![b]).configs(configs).jobs(jobs).run();
     result.all_records().try_for_each(verified)?;
     let model = EnergyModel::table_iv();
     let base = &result.row(0).records[0];
@@ -1059,16 +1033,12 @@ pub fn execute(cmd: Command) -> Result<String, BowError> {
             window,
             scale,
             reorder,
-            sim_threads,
             core_model,
             divergence,
             sanitize,
         } => {
             let b = bow::experiment::benchmark(&bench, scale)?;
             let mut cfg = config_for(&collector, window, reorder, core_model, divergence)?;
-            if let Some(t) = sim_threads {
-                cfg.gpu.sim_threads = t;
-            }
             cfg.gpu.sanitize = sanitize;
             let label = cfg.label.clone();
             let rec = bow::experiment::run(b.as_ref(), cfg);
@@ -1110,7 +1080,6 @@ pub fn execute(cmd: Command) -> Result<String, BowError> {
             bench,
             scale,
             jobs,
-            sim_threads,
             core_model,
             divergence,
         } => {
@@ -1123,7 +1092,7 @@ pub fn execute(cmd: Command) -> Result<String, BowError> {
                 ConfigBuilder::rfc(),
             ];
             let axes = (core_model, divergence);
-            let rows = design_table(&bench, scale, (jobs, sim_threads), axes, designs)?;
+            let rows = design_table(&bench, scale, jobs, axes, designs)?;
             Ok(render_table(
                 &[
                     "config",
@@ -1181,14 +1150,13 @@ pub fn execute(cmd: Command) -> Result<String, BowError> {
             bench,
             scale,
             jobs,
-            sim_threads,
             core_model,
             divergence,
         } => {
             let mut designs = vec![ConfigBuilder::baseline()];
             designs.extend((1..=7u32).map(ConfigBuilder::bow_wr));
             let axes = (core_model, divergence);
-            let table = design_table(&bench, scale, (jobs, sim_threads), axes, designs)?;
+            let table = design_table(&bench, scale, jobs, axes, designs)?;
             // One row per window (the baseline row is the yardstick), named
             // by the window and without the absolute-IPC column.
             let rows: Vec<Vec<String>> = (1..=7u32)
@@ -1206,7 +1174,6 @@ pub fn execute(cmd: Command) -> Result<String, BowError> {
             jobs,
             size,
             out_dir,
-            sim_threads,
             core_model,
             divergence,
             sanitize,
@@ -1218,7 +1185,6 @@ pub fn execute(cmd: Command) -> Result<String, BowError> {
                 size,
                 out_dir: out_dir.into(),
                 progress: false,
-                sim_threads: sim_threads.unwrap_or(1),
                 core_model,
                 divergence,
                 sanitize,
@@ -1512,7 +1478,6 @@ pub fn execute(cmd: Command) -> Result<String, BowError> {
                 dir,
                 limit,
                 jobs,
-                sim_threads,
                 core_model,
                 divergence,
                 addr,
@@ -1525,7 +1490,6 @@ pub fn execute(cmd: Command) -> Result<String, BowError> {
                     let opts = bow::corpus::SweepOptions {
                         limit,
                         jobs,
-                        sim_threads,
                         core_model,
                         divergence,
                         progress: true,
@@ -1592,7 +1556,7 @@ mod tests {
     #[test]
     fn parse_run_with_options() {
         let c = parse(&argv(
-            "run btree --collector bow --window 4 --scale test --reorder --sim-threads 2",
+            "run btree --collector bow --window 4 --scale test --reorder",
         ))
         .unwrap();
         assert_eq!(
@@ -1603,13 +1567,12 @@ mod tests {
                 window: 4,
                 scale: Scale::Test,
                 reorder: true,
-                sim_threads: Some(2),
                 core_model: CoreModelKind::Pascal,
                 divergence: DivergenceModel::Stack,
                 sanitize: false,
             }
         );
-        assert!(parse(&argv("run btree --sim-threads lots")).is_err());
+        assert!(parse(&argv("run btree --window lots")).is_err());
     }
 
     #[test]
@@ -1623,7 +1586,6 @@ mod tests {
                 window: 3,
                 scale: Scale::Test,
                 reorder: false,
-                sim_threads: None,
                 core_model: CoreModelKind::Pascal,
                 divergence: DivergenceModel::Stack,
                 sanitize: false,
@@ -1713,7 +1675,7 @@ mod tests {
             Some((false, vec![("--dir", true)]))
         );
         // `corpus` alone is the union of its verbs' synopses.
-        assert_eq!(flag_spec("corpus").map(|(_, flags)| flags.len()), Some(11));
+        assert_eq!(flag_spec("corpus").map(|(_, flags)| flags.len()), Some(10));
         assert_eq!(flag_spec("frobnicate"), None);
     }
 
@@ -1813,7 +1775,6 @@ mod tests {
                 bench: "nw".into(),
                 scale: Scale::Test,
                 jobs: 2,
-                sim_threads: None,
                 core_model: CoreModelKind::Pascal,
                 divergence: DivergenceModel::Stack,
             }
@@ -1829,7 +1790,6 @@ mod tests {
                 bench: "nw".into(),
                 scale: Scale::Test,
                 jobs: 0,
-                sim_threads: None,
                 core_model: CoreModelKind::Pascal,
                 divergence: DivergenceModel::Stack,
             }
@@ -1843,7 +1803,6 @@ mod tests {
             bench: "vectoradd".into(),
             scale: Scale::Test,
             jobs: 2,
-            sim_threads: None,
             core_model: CoreModelKind::Pascal,
             divergence: DivergenceModel::Stack,
         })
@@ -1857,7 +1816,6 @@ mod tests {
             bench: "vectoradd".into(),
             scale: Scale::Test,
             jobs: 2,
-            sim_threads: Some(2),
             core_model: CoreModelKind::Pascal,
             divergence: DivergenceModel::Stack,
         })
@@ -1882,7 +1840,6 @@ mod tests {
             window: 3,
             scale: Scale::Test,
             reorder: false,
-            sim_threads: Some(2),
             core_model: CoreModelKind::Pascal,
             divergence: DivergenceModel::Stack,
             sanitize: false,
@@ -1900,7 +1857,6 @@ mod tests {
             window: 3,
             scale: Scale::Test,
             reorder: false,
-            sim_threads: None,
             core_model: CoreModelKind::Pascal,
             divergence: DivergenceModel::Stack,
             sanitize: false,
@@ -1947,7 +1903,6 @@ mod tests {
                     .out_dir
                     .display()
                     .to_string(),
-                sim_threads: None,
                 core_model: CoreModelKind::Pascal,
                 divergence: DivergenceModel::Stack,
                 sanitize: false,
@@ -1955,7 +1910,7 @@ mod tests {
         );
         // --smoke pins cases/seed/size regardless of other flags.
         let smoke = bow::fuzz::FuzzOptions::smoke();
-        let c = parse(&argv("fuzz --smoke --cases 9999 --jobs 3 --sim-threads 4")).unwrap();
+        let c = parse(&argv("fuzz --smoke --cases 9999 --jobs 3")).unwrap();
         assert_eq!(
             c,
             Command::Fuzz {
@@ -1964,7 +1919,6 @@ mod tests {
                 jobs: 3,
                 size: smoke.size,
                 out_dir: smoke.out_dir.display().to_string(),
-                sim_threads: Some(4),
                 core_model: CoreModelKind::Pascal,
                 divergence: DivergenceModel::Stack,
                 sanitize: false,
@@ -1989,7 +1943,6 @@ mod tests {
                 .join("bow_cli_fuzz_test")
                 .display()
                 .to_string(),
-            sim_threads: Some(2),
             core_model: CoreModelKind::Pascal,
             divergence: DivergenceModel::Stack,
             sanitize: true,
@@ -2205,7 +2158,6 @@ mod tests {
             window: 3,
             scale: Scale::Test,
             reorder: false,
-            sim_threads: Some(2),
             core_model: CoreModelKind::Modern,
             divergence: DivergenceModel::Stack,
             sanitize: false,
@@ -2221,7 +2173,6 @@ mod tests {
             bench: "vectoradd".into(),
             scale: Scale::Test,
             jobs: 2,
-            sim_threads: None,
             core_model: CoreModelKind::Modern,
             divergence: DivergenceModel::Stack,
         })
@@ -2270,7 +2221,6 @@ mod tests {
                     dir: "corpus".into(),
                     limit: 16,
                     jobs: 2,
-                    sim_threads: None,
                     core_model: CoreModelKind::Modern,
                     divergence: DivergenceModel::Stack,
                     addr: Some("127.0.0.1:9".into()),
@@ -2340,7 +2290,6 @@ mod tests {
                 dir: dir.clone(),
                 limit: 4,
                 jobs: 2,
-                sim_threads: None,
                 core_model: CoreModelKind::Pascal,
                 divergence: DivergenceModel::Stack,
                 addr: None,
@@ -2408,7 +2357,6 @@ mod tests {
             window: 3,
             scale: Scale::Test,
             reorder: false,
-            sim_threads: None,
             core_model: CoreModelKind::Pascal,
             divergence: DivergenceModel::Stack,
             sanitize: true,
@@ -2486,7 +2434,6 @@ mod tests {
                 window: 3,
                 scale: Scale::Test,
                 reorder: false,
-                sim_threads: Some(2),
                 core_model: CoreModelKind::Pascal,
                 divergence: DivergenceModel::Barrier,
                 sanitize,
@@ -2579,7 +2526,6 @@ mod tests {
                 dir,
                 limit: 2,
                 jobs: 0,
-                sim_threads: None,
                 core_model: CoreModelKind::Pascal,
                 divergence: DivergenceModel::Stack,
                 addr: Some(addr.clone()),

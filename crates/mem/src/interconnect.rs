@@ -1,56 +1,43 @@
-//! The thread-aware interconnect front end for windowed multi-SM runs.
+//! The SM ↔ device-memory interconnect: the store buffer.
 //!
-//! The parallel engine (`bow-sim`'s `parallel` module) advances every SM
-//! through a bounded *cycle window* without any cross-SM communication,
-//! then synchronizes all SMs at the interconnect/L2 boundary this module
-//! models. During a window each SM sees
+//! Global stores do not land in [`GlobalMemory`] when they execute: the
+//! device loop (`bow-sim`'s `gpu::run_device`) hands every SM an
+//! [`SmView`] of memory, and a store through it goes into the
+//! [`StoreBuffer`] instead. Until the next [`commit`](StoreBuffer::commit)
+//! an SM therefore reads
 //!
-//! * the device-memory snapshot taken at the window boundary
-//!   ([`WindowedGlobal::base`]), plus
-//! * its **own** writes from the current window (read-your-writes via the
-//!   [`SmWindowBuf`] overlay).
+//! * device memory as of the last commit, plus
+//! * its **own** buffered stores (read-your-writes, per-SM overlay);
 //!
-//! Every write is also journalled as a [`WriteRec`] stamped with the
-//! absolute device cycle. At the window boundary [`commit_windows`]
-//! merges all per-SM journals in the canonical `(cycle, sm_id, seq)`
-//! request order — exactly the order the serial reference engine would
-//! have performed the writes — and applies them to the base memory.
-//! Because the canonical order is a pure function of simulation state,
-//! the committed memory image is invariant under worker-thread count.
+//! another SM's stores become visible at the commit. This cross-SM
+//! visibility rule is part of the model — it is observable by kernels
+//! that race across SMs (`bfs` at paper scale) and pinned by their
+//! results.
 //!
-//! The seam between the pipeline and the memory image is the
-//! [`GlobalAccess`] trait: the execution stages are generic over it, so
-//! the serial engine keeps handing them a bare [`GlobalMemory`] while the
-//! windowed engine hands them a [`WindowedGlobal`] view with identical
-//! functional semantics (word granularity, round-down alignment,
-//! zero-fill).
+//! All SMs append to one journal, in the order they execute. The device
+//! loop ticks SMs in index order within a device cycle, so the journal is
+//! already in `(cycle, sm, issue order)` order and a commit applies it as
+//! it stands.
+//!
+//! The pipeline's functional stages reach memory through
+//! [`GlobalAccess`]: [`SmView`] for the SM pipeline, the bare
+//! [`GlobalMemory`] for the architectural oracle, which has no SMs and no
+//! buffering.
 
 use crate::global::GlobalMemory;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// The functional device-memory interface the execution pipeline uses.
+/// The functional device-memory interface instruction execution uses.
 ///
 /// Word-granular, little-endian, zero-filled; unaligned addresses round
-/// down to the containing word (see [`GlobalMemory`]). Implemented by
-/// [`GlobalMemory`] itself (the serial engine) and by [`WindowedGlobal`]
-/// (one SM's view inside a parallel window).
+/// down to the containing word (see [`GlobalMemory`]).
 pub trait GlobalAccess {
     /// Reads the 32-bit word containing `addr`.
     fn read_u32(&self, addr: u64) -> u32;
 
     /// Writes the 32-bit word containing `addr`.
     fn write_u32(&mut self, addr: u64, value: u32);
-
-    /// Reads the word at `addr` as an IEEE-754 float.
-    fn read_f32(&self, addr: u64) -> f32 {
-        f32::from_bits(self.read_u32(addr))
-    }
-
-    /// Writes a float as its bit pattern.
-    fn write_f32(&mut self, addr: u64, value: f32) {
-        self.write_u32(addr, value.to_bits());
-    }
 }
 
 impl GlobalAccess for GlobalMemory {
@@ -65,23 +52,12 @@ impl GlobalAccess for GlobalMemory {
     }
 }
 
-/// One journalled global-memory write request.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WriteRec {
-    /// Absolute device cycle the write was performed in.
-    pub cycle: u64,
-    /// Byte address (word semantics: rounds down like [`GlobalMemory`]).
-    pub addr: u64,
-    /// The word written.
-    pub value: u32,
-}
-
 /// A fast, non-cryptographic hasher for the overlay map (word-index
-/// keys). The overlay sits on the load path of every global access in a
-/// window, so `DefaultHasher`'s SipHash latency would dominate; this is
-/// the standard multiply-rotate mix used by rustc's hash maps.
+/// keys). The overlay sits on the load path of every global access, so
+/// `DefaultHasher`'s SipHash latency would dominate; this is the
+/// multiply-rotate mix used by rustc's hash maps.
 #[derive(Default)]
-pub struct OverlayHasher(u64);
+struct OverlayHasher(u64);
 
 impl Hasher for OverlayHasher {
     #[inline]
@@ -103,56 +79,72 @@ impl Hasher for OverlayHasher {
     }
 }
 
-type OverlayMap = HashMap<u64, u32, BuildHasherDefault<OverlayHasher>>;
+/// Word index (`addr / 4`) → the last value one SM stored there since the
+/// last commit.
+type Overlay = HashMap<u64, u32, BuildHasherDefault<OverlayHasher>>;
 
-/// One SM's private window state: the read-your-writes overlay and the
-/// cycle-stamped write journal for the current window.
-#[derive(Debug, Default)]
-pub struct SmWindowBuf {
-    /// Word-index (`addr / 4`) → last value this SM wrote in the window.
-    overlay: OverlayMap,
-    /// All writes this window, in issue order (the per-SM `seq`).
-    journal: Vec<WriteRec>,
-    /// Absolute device cycle to stamp journalled writes with. The engine
-    /// sets this before every SM tick.
-    pub cycle: u64,
+/// Every global store since the last commit: one overlay per SM for
+/// read-your-writes and one device-wide journal in execution order.
+#[derive(Debug)]
+pub struct StoreBuffer {
+    overlays: Vec<Overlay>,
+    /// `(byte address, word)` per store, in execution order.
+    journal: Vec<(u64, u32)>,
 }
 
-impl SmWindowBuf {
-    /// Creates an empty window buffer.
-    pub fn new() -> SmWindowBuf {
-        SmWindowBuf::default()
+impl StoreBuffer {
+    /// An empty buffer for a device of `num_sms` SMs.
+    pub fn new(num_sms: usize) -> StoreBuffer {
+        StoreBuffer {
+            overlays: (0..num_sms).map(|_| Overlay::default()).collect(),
+            journal: Vec::new(),
+        }
     }
 
-    /// Takes the journal and clears the overlay, returning the buffer to
-    /// its window-start state. Called at the window boundary once the
-    /// engine commits the journal (the overlay contents are then visible
-    /// in the base image, so dropping them loses nothing).
-    pub fn drain(&mut self) -> Vec<WriteRec> {
-        self.overlay.clear();
-        std::mem::take(&mut self.journal)
+    /// SM `sm`'s view of device memory: `base` overlaid with the stores
+    /// that SM has buffered.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sm` is not below the SM count given to
+    /// [`new`](Self::new).
+    pub fn view<'a>(&'a mut self, sm: usize, base: &'a GlobalMemory) -> SmView<'a> {
+        SmView {
+            base,
+            overlay: &mut self.overlays[sm],
+            journal: &mut self.journal,
+        }
     }
 
-    /// Whether this SM performed no writes in the current window.
-    pub fn is_clean(&self) -> bool {
-        self.journal.is_empty()
+    /// Drains the buffered stores into `base` in execution order. The
+    /// maps and the journal keep their capacity, so a buffer that has
+    /// grown to a launch's store rate commits without touching the heap.
+    pub fn commit(&mut self, base: &mut GlobalMemory) {
+        if self.journal.is_empty() {
+            return;
+        }
+        for &(addr, value) in &self.journal {
+            base.write_u32(addr, value);
+        }
+        self.journal.clear();
+        for overlay in &mut self.overlays {
+            overlay.clear();
+        }
     }
 }
 
-/// One SM's view of device memory inside a window: the shared base
-/// snapshot overlaid with the SM's own writes.
-pub struct WindowedGlobal<'a> {
-    /// The device-memory image as of the last window boundary.
-    pub base: &'a GlobalMemory,
-    /// This SM's private overlay/journal.
-    pub buf: &'a mut SmWindowBuf,
+/// One SM's view of device memory between two commits.
+pub struct SmView<'a> {
+    base: &'a GlobalMemory,
+    overlay: &'a mut Overlay,
+    journal: &'a mut Vec<(u64, u32)>,
 }
 
-impl GlobalAccess for WindowedGlobal<'_> {
+impl GlobalAccess for SmView<'_> {
     #[inline]
     fn read_u32(&self, addr: u64) -> u32 {
-        if !self.buf.overlay.is_empty() {
-            if let Some(&v) = self.buf.overlay.get(&(addr / 4)) {
+        if !self.overlay.is_empty() {
+            if let Some(&v) = self.overlay.get(&(addr / 4)) {
                 return v;
             }
         }
@@ -161,40 +153,8 @@ impl GlobalAccess for WindowedGlobal<'_> {
 
     #[inline]
     fn write_u32(&mut self, addr: u64, value: u32) {
-        self.buf.overlay.insert(addr / 4, value);
-        self.buf.journal.push(WriteRec {
-            cycle: self.buf.cycle,
-            addr,
-            value,
-        });
-    }
-}
-
-/// Commits one window's per-SM write journals to the base image in the
-/// canonical interconnect order `(cycle, sm_id, seq)` — device cycle
-/// first, then SM index, then per-SM issue order. This is byte-for-byte
-/// the order the serial engine performs the same writes in (it ticks SMs
-/// in index order within each device cycle), so the post-commit image is
-/// independent of how SMs were sharded across worker threads.
-///
-/// `journals` pairs each SM id with its drained journal; entries within
-/// one journal must be in per-SM issue order (as [`SmWindowBuf`] records
-/// them).
-pub fn commit_windows(base: &mut GlobalMemory, journals: &mut [(usize, Vec<WriteRec>)]) {
-    journals.sort_unstable_by_key(|(sm, _)| *sm);
-    let mut merged: Vec<(u64, usize, usize)> = Vec::new();
-    for (slot, (sm, journal)) in journals.iter().enumerate() {
-        let _ = sm;
-        for (seq, rec) in journal.iter().enumerate() {
-            merged.push((rec.cycle, slot, seq));
-        }
-    }
-    // Stable on (cycle, sm): per-SM `seq` order is preserved within equal
-    // keys because the input runs are already seq-sorted.
-    merged.sort_by_key(|&(cycle, slot, _)| (cycle, slot));
-    for (_, slot, seq) in merged {
-        let rec = journals[slot].1[seq];
-        base.write_u32(rec.addr, rec.value);
+        self.overlay.insert(addr / 4, value);
+        self.journal.push((addr, value));
     }
 }
 
@@ -206,11 +166,8 @@ mod tests {
     fn windowed_view_reads_through_to_base() {
         let mut base = GlobalMemory::new();
         base.write_u32(0x100, 7);
-        let mut buf = SmWindowBuf::new();
-        let view = WindowedGlobal {
-            base: &base,
-            buf: &mut buf,
-        };
+        let mut stores = StoreBuffer::new(1);
+        let view = stores.view(0, &base);
         assert_eq!(view.read_u32(0x100), 7);
         assert_eq!(view.read_u32(0x200), 0);
     }
@@ -219,79 +176,47 @@ mod tests {
     fn windowed_view_sees_own_writes_not_base() {
         let mut base = GlobalMemory::new();
         base.write_u32(0x100, 7);
-        let mut buf = SmWindowBuf::new();
-        buf.cycle = 3;
-        let mut view = WindowedGlobal {
-            base: &base,
-            buf: &mut buf,
-        };
-        view.write_u32(0x100, 42);
+        let mut stores = StoreBuffer::new(2);
+        stores.view(0, &base).write_u32(0x100, 42);
         // Read-your-writes, including unaligned aliasing to the same word.
-        assert_eq!(view.read_u32(0x100), 42);
-        assert_eq!(view.read_u32(0x102), 42);
-        // The base is untouched until commit.
+        assert_eq!(stores.view(0, &base).read_u32(0x100), 42);
+        assert_eq!(stores.view(0, &base).read_u32(0x102), 42);
+        // The other SM and the base still see the committed value.
+        assert_eq!(stores.view(1, &base).read_u32(0x100), 7);
         assert_eq!(base.read_u32(0x100), 7);
-        assert_eq!(
-            buf.drain(),
-            vec![WriteRec {
-                cycle: 3,
-                addr: 0x100,
-                value: 42
-            }]
-        );
-        assert!(buf.is_clean());
+        stores.commit(&mut base);
+        assert_eq!(base.read_u32(0x100), 42);
+        assert_eq!(stores.view(1, &base).read_u32(0x100), 42);
+    }
+
+    #[test]
+    fn commit_applies_stores_in_execution_order() {
+        let mut base = GlobalMemory::new();
+        let mut stores = StoreBuffer::new(2);
+        stores.view(1, &base).write_u32(0x20, 1);
+        stores.view(0, &base).write_u32(0x20, 2);
+        stores.view(1, &base).write_u32(0x40, 3);
+        stores.commit(&mut base);
+        assert_eq!(base.read_u32(0x20), 2, "the later store lands last");
+        assert_eq!(base.read_u32(0x40), 3);
+        // Nothing is left to apply a second time.
+        base.write_u32(0x40, 9);
+        stores.commit(&mut base);
+        assert_eq!(base.read_u32(0x40), 9);
     }
 
     #[test]
     fn drain_clears_overlay() {
-        let base = GlobalMemory::new();
-        let mut buf = SmWindowBuf::new();
-        let mut view = WindowedGlobal {
-            base: &base,
-            buf: &mut buf,
-        };
-        view.write_u32(0x40, 1);
-        buf.drain();
-        let view = WindowedGlobal {
-            base: &base,
-            buf: &mut buf,
-        };
-        assert_eq!(view.read_u32(0x40), 0, "overlay must reset at commit");
-    }
-
-    #[test]
-    fn commit_applies_canonical_cycle_then_sm_then_seq_order() {
         let mut base = GlobalMemory::new();
-        let w = |cycle, addr, value| WriteRec { cycle, addr, value };
-        // SM 1 wrote earlier in device time than SM 0; at the shared
-        // cycle 5 the lower SM id wins the tie, and within (5, sm=1) the
-        // journal's own order is preserved — the last write lands.
-        let mut journals = vec![
-            (1usize, vec![w(2, 0x10, 1), w(5, 0x20, 2), w(5, 0x20, 3)]),
-            (0usize, vec![w(5, 0x20, 9), w(7, 0x10, 4)]),
-        ];
-        commit_windows(&mut base, &mut journals);
-        assert_eq!(base.read_u32(0x20), 3, "sm0@5 then sm1@5 (seq order)");
-        assert_eq!(base.read_u32(0x10), 4, "sm1@2 then sm0@7");
-    }
-
-    #[test]
-    fn commit_is_shard_invariant() {
-        // The same logical writes, presented in two different journal
-        // orders (as different shardings would), commit identically.
-        let w = |cycle, addr, value| WriteRec { cycle, addr, value };
-        let mk = |order: [usize; 3]| {
-            let all = [
-                (0usize, vec![w(1, 0x0, 10), w(4, 0x8, 11)]),
-                (1usize, vec![w(1, 0x0, 20)]),
-                (2usize, vec![w(3, 0x8, 30), w(4, 0x0, 31)]),
-            ];
-            let mut base = GlobalMemory::new();
-            let mut journals: Vec<_> = order.iter().map(|&i| all[i].clone()).collect();
-            commit_windows(&mut base, &mut journals);
-            base.fingerprint()
-        };
-        assert_eq!(mk([0, 1, 2]), mk([2, 0, 1]));
-        assert_eq!(mk([0, 1, 2]), mk([1, 2, 0]));
+        let mut stores = StoreBuffer::new(2);
+        stores.view(1, &base).write_u32(0x20, 1);
+        stores.commit(&mut base);
+        stores.view(0, &base).write_u32(0x20, 2);
+        stores.commit(&mut base);
+        assert_eq!(
+            stores.view(1, &base).read_u32(0x20),
+            2,
+            "SM 1's committed store must stop shadowing the base"
+        );
     }
 }

@@ -13,10 +13,9 @@
 //!   into 128-byte memory transactions;
 //! * [`MemSystem`] — the timing hierarchy (L1 → L2 → DRAM) that converts a
 //!   warp access into a completion cycle plus statistics;
-//! * [`mod@interconnect`] — the thread-aware front end for windowed
-//!   multi-SM runs: per-SM write overlays/journals ([`SmWindowBuf`],
-//!   [`WindowedGlobal`]) and the deterministic `(cycle, sm_id, seq)`
-//!   commit ([`commit_windows`]) behind the [`GlobalAccess`] seam.
+//! * [`StoreBuffer`] — where an SM's global stores wait until the device
+//!   loop commits them: a per-SM read-your-writes overlay ([`SmView`]) and
+//!   one journal applied in execution order.
 //!
 //! Data and timing are deliberately separate: functional state always lives
 //! in [`GlobalMemory`]/[`SharedMemory`] (so results are exact and easily
@@ -33,5 +32,5 @@ pub use cache::{Cache, CacheConfig, CacheStats};
 pub use coalesce::{coalesce, Transaction, Transactions, SEGMENT_BYTES};
 pub use global::GlobalMemory;
 pub use hierarchy::{AccessKind, MemConfig, MemStats, MemSystem};
-pub use interconnect::{commit_windows, GlobalAccess, SmWindowBuf, WindowedGlobal, WriteRec};
+pub use interconnect::{GlobalAccess, SmView, StoreBuffer};
 pub use shared::{bank_conflict_degree, SharedMemory, SMEM_BANKS};

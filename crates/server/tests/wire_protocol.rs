@@ -8,9 +8,10 @@
 //! * an identical resubmission is answered `"cached": true` with a
 //!   byte-identical result document, and the `/v1/healthz` `sim_runs`
 //!   counter proves the simulator was not invoked again;
-//! * the fingerprint is an *execution-knob-invariant* content address:
-//!   different `sim_threads` hit the same cache entry, and a server
-//!   restarted over the same store directory serves the old results;
+//! * the fingerprint is a content address: the retired `sim_threads`
+//!   key is accepted and ignored, so every value of it hits the same
+//!   cache entry, and a server restarted over the same store directory
+//!   serves the old results;
 //! * malformed and invalid bodies come back as structured 4xx
 //!   `{"error": {"kind", "message"}}` documents.
 
@@ -65,7 +66,9 @@ fn temp_store(tag: &str) -> PathBuf {
     dir
 }
 
-fn run_body(sim_threads: u32) -> String {
+/// A run request carrying the retired `sim_threads` key, which the wire
+/// still accepts (type-checked, then dropped).
+fn run_body(sim_threads: &str) -> String {
     format!(
         r#"{{"kernel": {{"workload": "vectoradd", "scale": "test"}},
             "config": {{"collector": "bow-wr", "window": 3, "sim_threads": {sim_threads}}}}}"#
@@ -78,7 +81,7 @@ fn resubmission_is_served_from_cache_without_simulating() {
     let srv = TestServer::boot(&dir);
 
     assert_eq!(srv.sim_runs(), 0);
-    let first = client::post(&srv.addr, "/v1/runs", &run_body(1)).expect("first submit");
+    let first = client::post(&srv.addr, "/v1/runs", &run_body("1")).expect("first submit");
     assert_eq!(first.status, 200, "{}", first.body);
     let first_doc = first.json().expect("response is JSON");
     assert_eq!(first_doc.get("cached").and_then(Json::as_bool), Some(false));
@@ -91,9 +94,9 @@ fn resubmission_is_served_from_cache_without_simulating() {
     assert_eq!(srv.sim_runs(), 1);
 
     // Identical resubmission: cached, simulator untouched, result
-    // byte-identical. A different sim_threads value must hit the same
-    // entry — thread count is an execution knob, not a semantic one.
-    for threads in [1, 4] {
+    // byte-identical. Every `sim_threads` value is the same request —
+    // the key is inert, so `0` cannot ask for a thread per core either.
+    for threads in ["1", "0", "8"] {
         let again = client::post(&srv.addr, "/v1/runs", &run_body(threads)).expect("resubmit");
         assert_eq!(again.status, 200);
         let doc = again.json().expect("JSON");
@@ -113,6 +116,16 @@ fn resubmission_is_served_from_cache_without_simulating() {
         1,
         "cache hits must not invoke the simulator"
     );
+    // Inert is not unchecked: a value that is no u32 is refused like any
+    // other integer field's, and nothing runs.
+    for bad in [r#""lots""#, "-1"] {
+        let resp = client::post(&srv.addr, "/v1/runs", &run_body(bad)).expect("submit");
+        assert_eq!(resp.status, 400, "{bad}: {}", resp.body);
+        let kind = resp.json().expect("error response is JSON");
+        let kind = kind.get("error").and_then(|e| e.get("kind"));
+        assert_eq!(kind.and_then(Json::as_str), Some("parse"), "{bad}");
+    }
+    assert_eq!(srv.sim_runs(), 1);
 
     // The stored document is directly addressable.
     let fetched = client::get(&srv.addr, &format!("/v1/results/{fingerprint}")).expect("fetch");
@@ -129,7 +142,7 @@ fn resubmission_is_served_from_cache_without_simulating() {
     // A fresh server over the same store dir serves the result from disk:
     // fingerprints are stable across restarts.
     let srv = TestServer::boot(&dir);
-    let warm = client::post(&srv.addr, "/v1/runs", &run_body(2)).expect("post-restart submit");
+    let warm = client::post(&srv.addr, "/v1/runs", &run_body("2")).expect("post-restart submit");
     assert_eq!(warm.status, 200);
     assert_eq!(
         warm.json().unwrap().get("cached").and_then(Json::as_bool),

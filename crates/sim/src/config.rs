@@ -193,20 +193,8 @@ pub struct GpuConfig {
     /// barriers in [`LaunchResult::sanitizer`](crate::LaunchResult).
     /// Costly (forces the instrumented pipeline); off by default.
     pub sanitize: bool,
-    /// Worker threads for the intra-run parallel engine
-    /// ([`crate::parallel`]): SM pipelines are sharded across this many
-    /// threads. `1` (the default) runs the windowed engine inline on the
-    /// calling thread; `0` means "use the host's available parallelism".
-    /// Results are byte-identical for every value — this is purely an
-    /// execution knob.
+    /// Inert, read by nothing: the fixed `benchmark/` sets this field.
     pub sim_threads: u32,
-    /// Cycle-window length between interconnect synchronizations in the
-    /// parallel engine: SMs run this many cycles on a private view of
-    /// device memory, then commit their buffered writes in canonical
-    /// `(cycle, sm, seq)` order. Part of the engine's *semantics* (it
-    /// fixes when cross-SM writes become visible), so it participates in
-    /// golden fingerprints; `sim_threads` does not.
-    pub sim_window: u32,
 }
 
 /// How strictly [`GpuConfig::oracle_check`] compares a launch against the
@@ -263,7 +251,6 @@ impl GpuConfig {
             shadow_rf: false,
             sanitize: false,
             sim_threads: 1,
-            sim_window: 256,
         }
     }
 
@@ -303,17 +290,6 @@ impl GpuConfig {
             bow_isa::FuClass::Sfu => self.sfu_latency,
             bow_isa::FuClass::Mem => 0,
             bow_isa::FuClass::Ctrl => 1,
-        }
-    }
-
-    /// Resolves [`sim_threads`](Self::sim_threads): `0` maps to the
-    /// host's available parallelism (at least 1).
-    pub fn resolved_sim_threads(&self) -> usize {
-        match self.sim_threads {
-            0 => std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-            n => n as usize,
         }
     }
 

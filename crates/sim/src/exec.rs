@@ -24,9 +24,9 @@ pub struct BlockInfo {
 
 /// Everything [`execute_data`] may touch besides the warp itself.
 ///
-/// Generic over the device-memory view: the serial engine passes the
-/// bare [`GlobalMemory`], the windowed parallel engine passes an SM's
-/// [`WindowedGlobal`](bow_mem::WindowedGlobal) overlay view.
+/// Generic over the device-memory view: the SM pipeline passes its
+/// [`SmView`](bow_mem::SmView) of the store buffer, the architectural
+/// oracle the bare [`GlobalMemory`].
 pub struct ExecCtx<'a, G: GlobalAccess = GlobalMemory> {
     /// Device global memory.
     pub global: &'a mut G,

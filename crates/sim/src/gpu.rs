@@ -9,7 +9,6 @@
 use crate::config::{GpuConfig, OracleCheck};
 use crate::decode::DecodedKernel;
 use crate::oracle::LockstepChecker;
-use crate::parallel::{self, EventBuf};
 use crate::pipetrace::PipeTrace;
 use crate::probe::{NullProbe, PipeEvent, Probe};
 use crate::sanitize::{Sanitizer, SanitizerReport};
@@ -17,7 +16,7 @@ use crate::sm::Sm;
 use crate::stats::SimStats;
 use crate::trace::{BypassAnalyzer, WindowReport};
 use bow_isa::{Kernel, KernelDims};
-use bow_mem::GlobalMemory;
+use bow_mem::{GlobalMemory, StoreBuffer};
 
 /// The outcome of one kernel launch.
 #[derive(Clone, Debug)]
@@ -167,8 +166,8 @@ impl Gpu {
                 &mut self.global,
                 kernel,
                 dims,
-                warps_per_block,
-                &self.config,
+                self.config.max_cycles,
+                STORE_WINDOW,
                 &mut probe,
             )
         } else {
@@ -177,8 +176,8 @@ impl Gpu {
                 &mut self.global,
                 kernel,
                 dims,
-                warps_per_block,
-                &self.config,
+                self.config.max_cycles,
+                STORE_WINDOW,
                 &mut NullProbe,
             )
         };
@@ -231,8 +230,8 @@ impl Gpu {
             &mut self.global,
             kernel,
             dims,
-            warps_per_block,
-            &self.config,
+            self.config.max_cycles,
+            STORE_WINDOW,
             probe,
         );
         let per_sm: Vec<SimStats> = self.sms.iter().map(Sm::stats).collect();
@@ -299,66 +298,37 @@ impl Gpu {
     }
 }
 
-/// Routes a launch to the right execution engine.
+/// Device cycles between two commits of the launch's store buffer: an
+/// SM's global stores become visible to the other SMs after the next
+/// device cycle that is a multiple of this, and at launch end (see
+/// [`bow_mem::interconnect`]). Part of the model — `bfs` at paper scale
+/// races across SMs and its counts depend on it.
+const STORE_WINDOW: u64 = 256;
+
+/// The device loop, one for every device size. Each device cycle:
+/// dispatch queued blocks (row-major launch order) first-fit over the SMs
+/// in index order, stop if the grid has drained and every SM is idle,
+/// stop if the `max_cycles` watchdog is due, tick the busy SMs in index
+/// order, and commit the store buffer when `store_window` cycles have
+/// passed. Returns `(device cycles, completed)`.
 ///
-/// A single-SM device runs the legacy serial loop ([`run_blocks`]) — with
-/// no cross-SM state the windowed protocol degenerates to it exactly, so
-/// the two are bit-identical and the serial loop is cheaper. Multi-SM
-/// devices run the windowed engine ([`crate::parallel`]) at the
-/// configured thread count; the per-SM probe recorder is [`EventBuf`]
-/// when the caller's probe consumes events and the zero-cost
-/// [`NullProbe`] otherwise (both branches are resolved at compile time
-/// via `P::ACTIVE`).
+/// `active` holds the indices of the busy SMs in ascending order, so a
+/// launch that keeps 4 of 56 SMs busy pays for 4 per cycle. Generic over
+/// the probe so the uninstrumented launch monomorphizes to a loop with no
+/// trace plumbing at all.
 fn run_device<P: Probe>(
     sms: &mut [Sm],
     global: &mut GlobalMemory,
     kernel: &Kernel,
     dims: KernelDims,
-    warps_per_block: u32,
-    config: &GpuConfig,
-    probe: &mut P,
-) -> (u64, bool) {
-    // Decode once per launch: every SM and engine thread shares the table.
-    let kernel = &DecodedKernel::new(kernel);
-    if sms.len() <= 1 {
-        return run_blocks(
-            sms,
-            global,
-            kernel,
-            dims,
-            warps_per_block,
-            config.max_cycles,
-            probe,
-        );
-    }
-    let ep = parallel::EngineParams {
-        warps_per_block,
-        max_cycles: config.max_cycles,
-        window: u64::from(config.sim_window.max(1)),
-        threads: config.resolved_sim_threads(),
-    };
-    if P::ACTIVE {
-        parallel::run_windowed::<EventBuf, P>(sms, global, kernel, dims, &ep, probe)
-    } else {
-        parallel::run_windowed::<NullProbe, P>(sms, global, kernel, dims, &ep, probe)
-    }
-}
-
-/// The device run loop: dispatches queued blocks to free SMs and ticks
-/// every busy SM until the grid drains (or the watchdog fires). Generic
-/// over the probe so the uninstrumented launch monomorphizes to a loop
-/// with no trace plumbing at all.
-fn run_blocks<P: Probe>(
-    sms: &mut [Sm],
-    global: &mut GlobalMemory,
-    kernel: &DecodedKernel<'_>,
-    dims: KernelDims,
-    warps_per_block: u32,
     max_cycles: u64,
+    store_window: u64,
     probe: &mut P,
 ) -> (u64, bool) {
-    // Block queue in row-major launch order.
+    // Decode once per launch: every SM shares the table.
+    let kernel = &DecodedKernel::new(kernel);
     let total = u64::from(dims.total_blocks());
+    let warps_per_block = dims.warps_per_block();
     let mut next_block = 0u64;
     let mut cycles = 0u64;
     let watchdog = if max_cycles == 0 {
@@ -366,34 +336,39 @@ fn run_blocks<P: Probe>(
     } else {
         max_cycles
     };
-    let mut completed = true;
+    let mut stores = StoreBuffer::new(sms.len());
+    let mut active: Vec<usize> = Vec::with_capacity(sms.len());
 
-    loop {
-        // Dispatch as many queued blocks as fit this cycle.
+    let completed = loop {
         while next_block < total {
-            let Some(sm) = sms.iter_mut().find(|sm| sm.can_host_block(warps_per_block)) else {
+            let Some(i) = sms.iter().position(|sm| sm.can_host_block(warps_per_block)) else {
                 break;
             };
             let bx = (next_block % u64::from(dims.grid.0)) as u32;
             let by = (next_block / u64::from(dims.grid.0)) as u32;
-            sm.assign_block(kernel, (bx, by), dims, next_block);
+            sms[i].assign_block(kernel, (bx, by), dims, next_block);
+            if let Err(at) = active.binary_search(&i) {
+                active.insert(at, i);
+            }
             next_block += 1;
         }
 
-        if next_block >= total && sms.iter().all(|sm| !sm.busy()) {
-            break;
+        if next_block >= total && active.is_empty() {
+            break true;
         }
         if cycles >= watchdog {
-            completed = false;
-            break;
+            break false;
         }
         cycles += 1;
-        for sm in sms.iter_mut() {
-            if sm.busy() {
-                sm.tick(kernel, global, probe);
-            }
+        for &i in &active {
+            sms[i].tick(kernel, &mut stores.view(i, global), probe);
         }
-    }
+        active.retain(|&i| sms[i].busy());
+        if cycles.is_multiple_of(store_window) {
+            stores.commit(global);
+        }
+    };
+    stores.commit(global);
     (cycles, completed)
 }
 
@@ -401,7 +376,7 @@ fn run_blocks<P: Probe>(
 mod tests {
     use super::*;
     use crate::collector::CollectorKind;
-    use bow_isa::{KernelBuilder, Operand, Reg, Special};
+    use bow_isa::{KernelBuilder, Operand, Pred, Reg, Special};
 
     fn saxpy_kernel() -> Kernel {
         let r = Reg::r;
@@ -666,9 +641,206 @@ mod tests {
             .build()
             .unwrap();
         let mut cfg = GpuConfig::scaled(CollectorKind::Baseline);
+        cfg.num_sms = 4;
         cfg.max_cycles = 5_000;
         let mut gpu = Gpu::new(cfg);
-        let res = gpu.launch(&spin, KernelDims::linear(1, 32), &[]);
-        assert!(!res.completed);
+        let res = gpu.launch(&spin, KernelDims::linear(4, 32), &[]);
+        assert_eq!((res.cycles, res.completed), (5_000, false));
+    }
+
+    /// A probe that hands every event to a closure.
+    struct FnProbe<F>(F);
+
+    impl<F: FnMut(&PipeEvent<'_>)> Probe for FnProbe<F> {
+        fn on_event(&mut self, ev: &PipeEvent<'_>) {
+            (self.0)(ev);
+        }
+    }
+
+    const FLAG: u64 = 0x1_0000;
+
+    /// Block 0 stores 1 to `FLAG` and exits; block 1 polls `FLAG` until
+    /// it reads non-zero. 190 dependent adds put the store some 50 cycles
+    /// before the fourth window boundary; by then the poller hits in L1
+    /// every 36 cycles.
+    fn flag_kernel() -> Kernel {
+        let r = Reg::r;
+        let mut b = KernelBuilder::new("flag")
+            .s2r(r(0), Special::CtaidX)
+            .ldc(r(1), 0)
+            .isetp(bow_isa::CmpOp::Eq, Pred::p(0), r(0).into(), Operand::Imm(0))
+            .bra_if(Pred::p(0), false, "store")
+            .label("poll")
+            .ldg(r(2), r(1), 0)
+            .isetp(bow_isa::CmpOp::Eq, Pred::p(1), r(2).into(), Operand::Imm(0))
+            .bra_if(Pred::p(1), false, "poll")
+            .exit()
+            .label("store")
+            .mov_imm(r(3), 0);
+        for _ in 0..190 {
+            b = b.iadd(r(3), r(3).into(), Operand::Imm(1));
+        }
+        b.mov_imm(r(3), 1)
+            .stg(r(1), 0, r(3).into())
+            .exit()
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn another_sms_store_arrives_at_the_next_window_boundary_and_not_before() {
+        let kernel = flag_kernel();
+        // One block per SM: block 0 runs on SM 0, block 1 on SM 1.
+        let mut cfg = GpuConfig::scaled(CollectorKind::bow_wr(3));
+        cfg.max_blocks_per_sm = 1;
+        let mut gpu = Gpu::new(cfg);
+        let mut stored_at = None;
+        let mut dispatched = 0;
+        let mut polls: Vec<(u64, u32)> = Vec::new();
+        let mut probe = FnProbe(|ev: &PipeEvent<'_>| match *ev {
+            PipeEvent::Dispatch {
+                cycle, sm, inst, ..
+            } => {
+                dispatched = cycle;
+                if inst.op == bow_isa::Opcode::Stg {
+                    assert_eq!(sm, 0, "block 0 runs on SM 0");
+                    stored_at = Some(cycle);
+                }
+            }
+            PipeEvent::ExecResult {
+                dst_reg: Some(reg),
+                values,
+                ..
+            } if reg == Reg::r(2) => polls.push((dispatched, values[0])),
+            _ => {}
+        });
+        let res = gpu.launch_with_probe(
+            &kernel,
+            KernelDims::linear(2, 32),
+            &[FLAG as u32],
+            &mut probe,
+        );
+        assert!(res.completed);
+        // Both SMs tick from device cycle 1, so SM cycles are device cycles.
+        let stored_at = stored_at.expect("block 0 stored");
+        let boundary = stored_at.next_multiple_of(STORE_WINDOW);
+        for &(cycle, value) in &polls {
+            assert_eq!(value, u32::from(cycle > boundary), "poll at {cycle}");
+        }
+        assert!(
+            polls.iter().any(|&(c, _)| stored_at < c && c <= boundary),
+            "a poll between the store ({stored_at}) and the commit ({boundary}) \
+             must exist to show it saw nothing: {polls:?}"
+        );
+        assert_eq!(gpu.global().read_u32(FLAG), 1);
+    }
+
+    #[test]
+    fn race_free_results_invariant_under_window_length() {
+        let digest = |store_window: u64| {
+            let mut cfg = GpuConfig::scaled(CollectorKind::bow_wr(3));
+            cfg.num_sms = 4;
+            let mut sms: Vec<Sm> = (0..4).map(|i| Sm::new(i, &cfg)).collect();
+            let mut global = GlobalMemory::new();
+            global.write_slice_f32(0x1_0000, &vec![1.0; 2048]);
+            global.write_slice_f32(0x2_0000, &vec![2.0; 2048]);
+            for sm in &mut sms {
+                sm.reset_for_launch(&[0x1_0000, 0x2_0000, 3.0f32.to_bits()]);
+            }
+            let (cycles, completed) = run_device(
+                &mut sms,
+                &mut global,
+                &saxpy_kernel(),
+                KernelDims::linear(32, 64),
+                0,
+                store_window,
+                &mut NullProbe,
+            );
+            assert!(completed);
+            let per_sm: Vec<SimStats> = sms.iter().map(Sm::stats).collect();
+            (cycles, global.fingerprint(), per_sm)
+        };
+        let pinned = digest(STORE_WINDOW);
+        for store_window in [1, 7, u64::MAX] {
+            assert_eq!(digest(store_window), pinned, "window {store_window}");
+        }
+    }
+
+    /// What a probe saw of a saxpy launch that oversubscribes a 2-SM,
+    /// two-blocks-per-SM device.
+    struct Oversubscribed {
+        /// `(cycle, sm)` of every pipeline milestone, in arrival order.
+        milestones: Vec<(u64, usize)>,
+        /// `(block, sm, cycle)` of each block's first issued instruction.
+        starts: Vec<(u64, u64, u64)>,
+    }
+
+    fn oversubscribed_launch() -> Oversubscribed {
+        let mut cfg = GpuConfig::scaled(CollectorKind::bow_wr(3));
+        cfg.max_blocks_per_sm = 2;
+        let mut gpu = Gpu::new(cfg);
+        gpu.global_mut().write_slice_f32(0x1_0000, &vec![1.0; 1024]);
+        gpu.global_mut().write_slice_f32(0x2_0000, &vec![2.0; 1024]);
+        let mut milestones = Vec::new();
+        let mut starts = Vec::new();
+        let mut starting = None;
+        let mut probe = FnProbe(|ev: &PipeEvent<'_>| match *ev {
+            // Warp 0 of a block (two warps each) issuing its first
+            // instruction; the `Issue` that follows says when.
+            PipeEvent::Issued { uid, pc: 0, .. } if uid % 2 == 0 => {
+                starting = Some(((uid & crate::oracle::UID_LOW48) / 2, uid >> 48));
+            }
+            PipeEvent::Issue { cycle, sm, .. } => {
+                milestones.push((cycle, sm));
+                if let Some((block, on_sm)) = starting.take() {
+                    starts.push((block, on_sm, cycle));
+                }
+            }
+            PipeEvent::Control { cycle, sm, .. }
+            | PipeEvent::Dispatch { cycle, sm, .. }
+            | PipeEvent::Writeback { cycle, sm, .. } => milestones.push((cycle, sm)),
+            _ => {}
+        });
+        let res = gpu.launch_with_probe(
+            &saxpy_kernel(),
+            KernelDims::linear(10, 64),
+            &[0x1_0000, 0x2_0000, 3.0f32.to_bits()],
+            &mut probe,
+        );
+        assert!(res.completed);
+        Oversubscribed { milestones, starts }
+    }
+
+    #[test]
+    fn blocks_dispatch_first_fit_in_sm_index_order() {
+        let mut starts = oversubscribed_launch().starts;
+        starts.sort_unstable();
+        // Four blocks fill the device at once, SM 0 first; each later one
+        // takes the slot that frees first, the lower SM on a tie.
+        assert_eq!(
+            starts,
+            [
+                (0, 0, 1),
+                (1, 0, 1),
+                (2, 1, 1),
+                (3, 1, 1),
+                (4, 0, 598),
+                (5, 1, 598),
+                (6, 0, 602),
+                (7, 1, 602),
+                (8, 0, 1194),
+                (9, 1, 1194)
+            ]
+        );
+    }
+
+    #[test]
+    fn probe_stream_is_cycle_major() {
+        let milestones = oversubscribed_launch().milestones;
+        assert!(milestones.iter().any(|&(_, sm)| sm == 1), "both SMs ran");
+        assert!(
+            milestones.is_sorted(),
+            "events arrive cycle by cycle, SMs in index order within one"
+        );
     }
 }

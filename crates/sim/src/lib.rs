@@ -62,7 +62,6 @@ pub mod decode;
 pub mod exec;
 pub mod gpu;
 pub mod oracle;
-pub mod parallel;
 pub mod pipetrace;
 pub mod probe;
 pub mod regfile;

@@ -863,22 +863,4 @@ mod tests {
             rep.render()
         );
     }
-
-    #[test]
-    fn report_is_canonical_across_thread_counts() {
-        for threads in [1u32, 4] {
-            let mut cfg = sanitize_cfg();
-            cfg.sim_threads = threads;
-            let mut gpu = Gpu::new(cfg);
-            let res = gpu.launch(&racy_kernel(false), KernelDims::linear(2, 64), &[]);
-            let rep = res.sanitizer.unwrap();
-            let base = {
-                let mut gpu = Gpu::new(sanitize_cfg());
-                gpu.launch(&racy_kernel(false), KernelDims::linear(2, 64), &[])
-                    .sanitizer
-                    .unwrap()
-            };
-            assert_eq!(rep.render(), base.render(), "threads={threads}");
-        }
-    }
 }

@@ -17,7 +17,7 @@ use crate::stage::{BlockCtx, Pipeline, SmCtx};
 use crate::stats::SimStats;
 use crate::warp::Warp;
 use bow_isa::{Kernel, WARP_SIZE};
-use bow_mem::{GlobalAccess, MemSystem, SharedMemory};
+use bow_mem::{MemSystem, SharedMemory, SmView};
 
 /// One streaming multiprocessor.
 pub struct Sm {
@@ -97,18 +97,8 @@ impl Sm {
 
     /// Whether this SM can host one more block of `warps_needed` warps.
     pub fn can_host_block(&self, warps_needed: u32) -> bool {
-        let (free_blocks, free_warps) = self.free_capacity();
-        free_blocks > 0 && free_warps >= warps_needed
-    }
-
-    /// `(free block slots, free warp slots)` — the dispatch capacity the
-    /// parallel engine's coordinator models when it hands out blocks at a
-    /// synchronization point. Must mirror
-    /// [`can_host_block`](Self::can_host_block) exactly.
-    pub(crate) fn free_capacity(&self) -> (u32, u32) {
-        let free_blocks = self.ctx.blocks.iter().filter(|b| b.is_none()).count() as u32;
-        let free_warps = self.ctx.warps.iter().filter(|w| w.is_none()).count() as u32;
-        (free_blocks, free_warps)
+        self.ctx.blocks.iter().any(Option::is_none)
+            && self.ctx.warps.iter().filter(|w| w.is_none()).count() >= warps_needed as usize
     }
 
     /// Installs a block on the SM.
@@ -172,21 +162,37 @@ impl Sm {
 
     /// Advances the SM by one cycle, emitting all pipeline events to
     /// `probe` (statistics accumulate regardless of the probe). `kernel`
-    /// is the launch's kernel, decoded once for all SMs. Generic
-    /// over the device-memory view: the serial engine ticks against the
-    /// bare [`GlobalMemory`](bow_mem::GlobalMemory), the windowed
-    /// parallel engine against this SM's
-    /// [`WindowedGlobal`](bow_mem::WindowedGlobal) overlay.
-    pub fn tick<P: Probe, G: GlobalAccess>(
+    /// is the launch's kernel, decoded once for all SMs; `global` is this
+    /// SM's view of device memory through the launch's store buffer.
+    pub fn tick<P: Probe>(
         &mut self,
         kernel: &DecodedKernel<'_>,
-        global: &mut G,
+        global: &mut SmView<'_>,
         probe: &mut P,
     ) {
         let ctx = &mut self.ctx;
         ctx.cycle += 1;
         ctx.stats.cycles = ctx.cycle;
         self.pipeline.tick(ctx, kernel, global, probe);
+    }
+
+    /// Ticks the SM until it goes idle, as a one-SM device would: through
+    /// a store buffer committed to `global` at the end.
+    #[cfg(test)]
+    pub(crate) fn run_to_idle<P: Probe>(
+        &mut self,
+        kernel: &DecodedKernel<'_>,
+        global: &mut bow_mem::GlobalMemory,
+        probe: &mut P,
+    ) {
+        let mut stores = bow_mem::StoreBuffer::new(1);
+        let mut guard = 0;
+        while self.busy() {
+            self.tick(kernel, &mut stores.view(0, global), probe);
+            guard += 1;
+            assert!(guard < 1_000_000, "kernel did not terminate");
+        }
+        stores.commit(global);
     }
 }
 
@@ -205,13 +211,7 @@ mod tests {
         let dims = KernelDims::linear(1, 32);
         sm.assign_block(kernel, (0, 0), dims, 0);
         let kernel = &DecodedKernel::new(kernel);
-        let mut an = BypassAnalyzer::new(&[]);
-        let mut guard = 0;
-        while sm.busy() {
-            sm.tick(kernel, global, &mut an);
-            guard += 1;
-            assert!(guard < 1_000_000, "kernel did not terminate");
-        }
+        sm.run_to_idle(kernel, global, &mut BypassAnalyzer::new(&[]));
         sm.stats()
     }
 
@@ -398,13 +398,7 @@ mod tests {
         sm.assign_block(&kernel, (0, 0), dims, 0);
         let kernel = DecodedKernel::new(&kernel);
         let mut g = GlobalMemory::new();
-        let mut an = BypassAnalyzer::new(&[]);
-        let mut guard = 0;
-        while sm.busy() {
-            sm.tick(&kernel, &mut g, &mut an);
-            guard += 1;
-            assert!(guard < 1_000_000);
-        }
+        sm.run_to_idle(&kernel, &mut g, &mut BypassAnalyzer::new(&[]));
         for i in 0..64u64 {
             assert_eq!(g.read_u32(0x2000 + 4 * i), (i as u32) ^ 32, "thread {i}");
         }
@@ -430,12 +424,10 @@ mod tests {
             sm.assign_block(&kernel, (0, 0), KernelDims::linear(1, 32), 0);
             let mut g = GlobalMemory::new();
             let mut trace = crate::pipetrace::PipeTrace::new();
-            while sm.busy() {
-                if probe_on {
-                    sm.tick(&kernel, &mut g, &mut trace);
-                } else {
-                    sm.tick(&kernel, &mut g, &mut crate::probe::NullProbe);
-                }
+            if probe_on {
+                sm.run_to_idle(&kernel, &mut g, &mut trace);
+            } else {
+                sm.run_to_idle(&kernel, &mut g, &mut crate::probe::NullProbe);
             }
             (sm.stats(), trace.len())
         };

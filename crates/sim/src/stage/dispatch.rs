@@ -8,7 +8,7 @@ use crate::decode::DecodedKernel;
 use crate::exec::{self, ExecCtx, Space};
 use crate::probe::{emit, PipeEvent, Probe};
 use bow_isa::FuClass;
-use bow_mem::{bank_conflict_degree, AccessKind, GlobalAccess};
+use bow_mem::{bank_conflict_degree, AccessKind, SmView};
 
 /// The collect → dispatch latch: indices of collector slots whose
 /// operands were all ready when the collect stage last ticked.
@@ -39,12 +39,12 @@ impl DispatchLatch {
 }
 
 impl Stages {
-    pub(super) fn dispatch<I: Interlock, P: Probe, G: GlobalAccess>(
+    pub(super) fn dispatch<I: Interlock, P: Probe>(
         &mut self,
         il: &mut I,
         ctx: &mut SmCtx,
         kernel: &DecodedKernel<'_>,
-        global: &mut G,
+        global: &mut SmView<'_>,
         probe: &mut P,
     ) {
         // The functional-unit budgets (indexed by `FuClass as usize`) are
@@ -122,13 +122,13 @@ impl Stages {
 /// Dispatches one slot: emits the `Dispatch` event, executes the slot
 /// functionally, snapshots the result for an active probe (the lockstep
 /// oracle) and returns the completion to schedule.
-fn execute_and_complete<P: Probe, G: GlobalAccess>(
+fn execute_and_complete<P: Probe>(
     ctx: &mut SmCtx,
     slot: crate::collector::Slot,
     kernel: &DecodedKernel<'_>,
     values_buf: &mut Vec<u32>,
     addr_buf: &mut Vec<u64>,
-    global: &mut G,
+    global: &mut SmView<'_>,
     probe: &mut P,
 ) -> Completion {
     {

@@ -51,7 +51,7 @@ use crate::regfile::RegFile;
 use crate::scheduler::WarpScheduler;
 use crate::stats::SimStats;
 use crate::warp::Warp;
-use bow_mem::{GlobalAccess, MemSystem, SharedMemory};
+use bow_mem::{MemSystem, SharedMemory, SmView};
 use interlock::{ControlBits, Interlock, Scoreboards};
 
 /// A thread block resident on the SM.
@@ -240,16 +240,13 @@ impl Pipeline {
         self.stages.completions.is_empty()
     }
 
-    /// Advances the pipeline by one cycle. Generic over the device-memory
-    /// view ([`GlobalAccess`]): the serial engine ticks against the bare
-    /// [`GlobalMemory`](bow_mem::GlobalMemory), the windowed parallel
-    /// engine against a per-SM [`WindowedGlobal`](bow_mem::WindowedGlobal)
-    /// overlay.
-    pub fn tick<P: Probe, G: GlobalAccess>(
+    /// Advances the pipeline by one cycle against this SM's view of
+    /// device memory.
+    pub fn tick<P: Probe>(
         &mut self,
         ctx: &mut SmCtx,
         kernel: &DecodedKernel<'_>,
-        global: &mut G,
+        global: &mut SmView<'_>,
         probe: &mut P,
     ) {
         match &mut self.interlock {
@@ -266,12 +263,12 @@ impl Stages {
         &mut self.parts[w % n].oc
     }
 
-    fn tick<I: Interlock, P: Probe, G: GlobalAccess>(
+    fn tick<I: Interlock, P: Probe>(
         &mut self,
         il: &mut I,
         ctx: &mut SmCtx,
         kernel: &DecodedKernel<'_>,
-        global: &mut G,
+        global: &mut SmView<'_>,
         probe: &mut P,
     ) {
         ctx.rf.begin_cycle();
@@ -312,13 +309,7 @@ mod tests {
         let mut sm = Sm::new(0, config);
         sm.reset_for_launch(&[0x1000]);
         sm.assign_block(kernel, (0, 0), KernelDims::linear(1, threads), 0);
-        let kernel = &DecodedKernel::new(kernel);
-        let mut guard = 0;
-        while sm.busy() {
-            sm.tick(kernel, g, &mut NullProbe);
-            guard += 1;
-            assert!(guard < 1_000_000, "kernel did not terminate");
-        }
+        sm.run_to_idle(&DecodedKernel::new(kernel), g, &mut NullProbe);
         sm.stats()
     }
 
@@ -492,13 +483,7 @@ mod tests {
         let mut sm = Sm::new(0, &config);
         sm.reset_for_launch(&[0x2000]);
         sm.assign_block(&kernel, (0, 0), KernelDims::linear(1, 64), 0);
-        let kernel = DecodedKernel::new(&kernel);
-        let mut guard = 0;
-        while sm.busy() {
-            sm.tick(&kernel, &mut g, &mut NullProbe);
-            guard += 1;
-            assert!(guard < 1_000_000);
-        }
+        sm.run_to_idle(&DecodedKernel::new(&kernel), &mut g, &mut NullProbe);
         for i in 0..64u64 {
             assert_eq!(g.read_u32(0x2000 + 4 * i), (i as u32) ^ 32, "thread {i}");
         }

@@ -8,13 +8,15 @@
 //! the point where every reusable buffer (the completion heap, the SIMT
 //! stacks, the RF write queues, the slot list) has reached its high-water
 //! mark, then **zero** allocations over the next few thousand ticks under
-//! `NullProbe`, for every collector on both cores.
+//! `NullProbe`, for every collector on both cores. The SM ticks through
+//! the store buffer exactly as the device loop drives it, commits
+//! included, so the overlay map and the store journal are in the count.
 //!
 //! Timing-free, so it cannot flake; `scripts/ci.sh` runs it in release.
 
 use bow_isa::ctrl::CtrlBits;
 use bow_isa::{CmpOp, Kernel, KernelBuilder, KernelDims, Operand, Pred, Reg, Special};
-use bow_mem::GlobalMemory;
+use bow_mem::{GlobalAccess, GlobalMemory, StoreBuffer};
 use bow_sim::collector::CollectorKind;
 use bow_sim::config::{CoreModelKind, GpuConfig};
 use bow_sim::decode::DecodedKernel;
@@ -73,6 +75,8 @@ static GLOBAL: Counting = Counting;
 
 const A_BUF: u64 = 0x10_0000;
 const B_BUF: u64 = 0x20_0000;
+/// Where the store buffer's sizing stores go: away from both buffers.
+const SCRATCH_BUF: u64 = 0x30_0000;
 /// Words in each global buffer (a power of two: indices wrap with `and`).
 const BUF_WORDS: u32 = 4096;
 /// Loop trip count: far more than the test ever ticks through.
@@ -80,6 +84,9 @@ const FOREVER: u32 = 1 << 30;
 
 const WARMUP_TICKS: u32 = 3_000;
 const MEASURED_TICKS: u32 = 4_000;
+/// Ticks between store-buffer commits, as in the device loop: the
+/// measurement spans fifteen of them.
+const COMMIT_TICKS: u32 = 256;
 
 /// Closes a kernel's loop: `i += 1; if i < FOREVER goto top`.
 fn loop_back(b: KernelBuilder, i: Reg) -> Kernel {
@@ -198,14 +205,30 @@ fn allocations_in_steady_state(
         sm.assign_block(&kernel, (block, 0), dims, u64::from(block));
     }
     let decoded = DecodedKernel::new(&kernel);
-    for _ in 0..WARMUP_TICKS {
-        sm.tick(&decoded, &mut global, &mut NullProbe);
+    // Grow the store buffer to the most one SM can store between two
+    // commits (one 32-lane store per tick) before counting: what follows
+    // then counts allocations a tick or a commit *makes*, not the buffer
+    // doubling its way up to this kernel's store rate.
+    let mut stores = StoreBuffer::new(1);
+    for word in 0..u64::from(COMMIT_TICKS) * 32 {
+        stores.view(0, &global).write_u32(SCRATCH_BUF + 4 * word, 0);
+    }
+    stores.commit(&mut global);
+
+    let mut tick = |sm: &mut Sm, t: u32| {
+        sm.tick(&decoded, &mut stores.view(0, &global), &mut NullProbe);
+        if t.is_multiple_of(COMMIT_TICKS) {
+            stores.commit(&mut global);
+        }
+    };
+    for t in 1..=WARMUP_TICKS {
+        tick(&mut sm, t);
     }
     let issued_before = sm.stats().warp_instructions;
 
     let before = ALLOCS.with(Cell::get);
-    for _ in 0..MEASURED_TICKS {
-        sm.tick(&decoded, &mut global, &mut NullProbe);
+    for t in WARMUP_TICKS + 1..=WARMUP_TICKS + MEASURED_TICKS {
+        tick(&mut sm, t);
     }
     let allocs = ALLOCS.with(Cell::get) - before;
 

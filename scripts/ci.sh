@@ -12,44 +12,40 @@ cargo build --workspace --release --offline
 echo "==> cargo test --offline"
 cargo test --workspace -q --offline
 
-echo "==> golden stats fingerprints (release)"
+echo "==> golden stats fingerprints (release), incl. bfs at paper scale"
 # The pinned per-(workload x collector) fingerprint table must hold in
 # release too: optimization-level-dependent divergence in the model is a
-# bug. Re-bless deliberately with BOW_BLESS=1 after intentional changes.
+# bug. The same test file pins `bfs` at Scale::Paper on both cores — the
+# one cell whose counts depend on the device loop's store-visibility
+# window (fingerprints_bfs_paper.txt). Re-bless deliberately with
+# BOW_BLESS=1 after intentional changes.
 cargo test --release -q --offline -p bow --test golden_fingerprints
 
-echo "==> golden stats fingerprints under the threaded engine"
-# sim_threads is a pure execution knob: the same golden table must hold
-# byte-for-byte with each launch's SM pipelines sharded across 4 workers
-# of the windowed parallel engine.
-BOW_SIM_THREADS=4 cargo test --release -q --offline -p bow --test golden_fingerprints
-
-echo "==> golden stats fingerprints, modern core (serial + threaded)"
+echo "==> golden stats fingerprints, modern core"
 # The core-model matrix: the same 15x4 suite pinned on the post-Volta
-# backend (sub-cores, control-bit interlock, uniform RF), serial and
-# sharded. Both tables land in target/golden-artifacts/ as CI artifacts.
+# backend (sub-cores, control-bit interlock, uniform RF). Both tables
+# land in target/golden-artifacts/ as CI artifacts.
 cargo test --release -q --offline -p bow --test golden_fingerprints_modern
-BOW_SIM_THREADS=4 cargo test --release -q --offline -p bow --test golden_fingerprints_modern
 mkdir -p target/golden-artifacts
 cp crates/bow/tests/golden/fingerprints.txt target/golden-artifacts/pascal.txt
 cp crates/bow/tests/golden/fingerprints_modern.txt target/golden-artifacts/modern.txt
 
-echo "==> golden stats fingerprints, barrier divergence (serial + threaded)"
+echo "==> golden stats fingerprints, barrier divergence"
 # The divergence-model matrix: the same 15-workload x 4-collector suite
 # on *both* cores with compiler-lowered convergence barriers
 # (BSSY/BSYNC) replacing the SIMT stack — no stack anywhere in these
-# runs. Serial, then sharded across 8 workers. The tier pins no table of
-# its own: every barrier cell must equal the pinned *stack* row above
-# (stack and barrier reconvergence differ in no counter).
+# runs. The tier pins no table of its own: every barrier cell must equal
+# the pinned *stack* row above (stack and barrier reconvergence differ in
+# no counter).
 cargo test --release -q --offline -p bow --test golden_fingerprints_barrier
-BOW_SIM_THREADS=8 cargo test --release -q --offline -p bow --test golden_fingerprints_barrier
 
 echo "==> allocation guard: a warmed-up Sm::tick never touches the heap (release)"
 # A counting global allocator around {baseline, bow, bow-wr, rfc} x {pascal,
 # modern} on an ALU-heavy, a memory-heavy and a divergent kernel: zero
-# allocations per tick once the launch is warm. It counts, it does not
-# time, so it cannot flake; it is what keeps per-warp-per-scan `Vec`s
-# (EXPERIMENTS.md, "Where a simulated cycle goes") from coming back.
+# allocations per tick once the launch is warm, store-buffer commits
+# included. It counts, it does not time, so it cannot flake; it is what
+# keeps per-warp-per-scan `Vec`s (EXPERIMENTS.md, "Where a simulated
+# cycle goes") from coming back.
 cargo test --release -q --offline -p bow-sim --test hot_path_allocs
 
 # The model matrix every per-axis stage below walks: both SM cores x both
@@ -73,13 +69,6 @@ for CORE in $CORES; do
             --out target/fuzz-repros
     done
 done
-
-echo "==> bow fuzz --smoke --sim-threads 4 (threaded engine)"
-# The same fixed-seed corpus with every launch sharded across the
-# windowed parallel engine — the lockstep oracle closes the triangle for
-# the threaded scheduler too.
-cargo run --release -q --offline -p bow-cli -- \
-    fuzz --smoke --sim-threads 4 --out target/fuzz-repros
 
 # Static-analysis gate: every workload kernel, compiled by the plan of
 # the targeted models, must be free of lint errors *and* warnings
@@ -161,7 +150,7 @@ for _ in $(seq 1 100); do
     sleep 0.2
 done
 echo "${STATE}" | grep -q '"state":"done"' || { echo "job never finished: ${STATE}"; exit 1; }
-# Cache hit: identical resubmission (different sim_threads must not matter).
+# Cache hit: identical resubmission.
 submit vectoradd --collector bow-wr --window 3 | grep -q '"cached":true' \
     || { echo "resubmission missed the cache"; exit 1; }
 # Fetch by fingerprint and check the stored document's schema tag.

@@ -63,3 +63,14 @@ fn race_free_workloads_pass_lockstep() {
         &["bfs"],
     );
 }
+
+/// The same strictness without hints, on the baseline collector.
+#[test]
+fn race_free_workloads_pass_lockstep_on_baseline() {
+    crosscheck(
+        OracleCheck::Lockstep,
+        CollectorKind::Baseline,
+        false,
+        &["bfs"],
+    );
+}
