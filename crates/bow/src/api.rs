@@ -11,7 +11,7 @@
 //! Canonicalization rules:
 //!
 //! * the canonical form is built from the *resolved* configuration (the
-//!   full [`GpuConfig`](bow_sim::GpuConfig)), not the request text, so `{"collector":"bow"}`
+//!   full [`GpuConfig`]), not the request text, so `{"collector":"bow"}`
 //!   and a request spelling out every default hash identically;
 //! * knobs that provably do not affect results (the label, tracing, the
 //!   checkers) are excluded, so a cache entry serves every presentation

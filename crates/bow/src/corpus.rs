@@ -6,7 +6,7 @@
 //! across stratified buckets of the paper's own analysis axes — register
 //! pressure, operand reuse distance, branch divergence, memory-op
 //! density — characterizes every candidate statically
-//! ([`bow_compiler::characterize`]), rejects anything the `B001..B014`
+//! ([`bow_compiler::characterize()`]), rejects anything the `B001..B014`
 //! lint suite is not clean on, and persists a deterministic manifest so
 //! the whole population is reproducible from seeds alone (no kernel
 //! binaries are ever checked in).

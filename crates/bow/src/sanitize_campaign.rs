@@ -146,7 +146,7 @@ pub struct CampaignReport {
     pub static_flags: u64,
     /// …of which the sanitizer dynamically confirmed.
     pub static_confirmed: u64,
-    /// Per-code `(raised, confirmed)` breakdown, in [`RACE_CODES`] order.
+    /// Per-code `(raised, confirmed)` breakdown, in `RACE_CODES` order.
     pub by_code: Vec<(String, u64, u64)>,
     /// Wall-clock time of the session.
     pub wall: Duration,

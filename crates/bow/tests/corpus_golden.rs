@@ -14,21 +14,15 @@
 //! BOW_BLESS=1 cargo test -p bow --test corpus_golden
 //! ```
 
+mod common;
+
 use bow::corpus;
 use std::fmt::Write as _;
-use std::path::PathBuf;
 
 /// The CI smoke population: the default master seed at count 64.
 const COUNT: usize = 64;
 /// Entries pinned from the head of the manifest.
 const HEAD: usize = 16;
-
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("golden")
-        .join("corpus_manifest.txt")
-}
 
 fn render(manifest: &corpus::Manifest) -> String {
     let mut out = String::from(
@@ -54,26 +48,6 @@ fn manifest_head_matches_goldens() {
         manifest.entries.len() >= HEAD,
         "corpus has at least {HEAD} entries"
     );
-    let got = render(&manifest);
-    let path = golden_path();
-    if std::env::var_os("BOW_BLESS").is_some_and(|v| v == "1") {
-        std::fs::write(&path, &got).expect("write goldens");
-        return;
-    }
-    let want = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("read {}: {e} (bless with BOW_BLESS=1)", path.display()));
-    if got != want {
-        let mut diff = String::new();
-        for (g, w) in got.lines().zip(want.lines()) {
-            if g != w {
-                writeln!(diff, "  got  {g}\n  want {w}").expect("write to String");
-            }
-        }
-        panic!(
-            "corpus manifest head diverged from {} — the generator pipeline \
-             is no longer reproducible (or an intentional change needs \
-             BOW_BLESS=1):\n{diff}",
-            path.display()
-        );
-    }
+    // A mismatch means the generator pipeline is no longer reproducible.
+    common::check_golden("corpus_manifest.txt", &render(&manifest));
 }

@@ -1,12 +1,22 @@
-//! Golden-fingerprint regression suite.
+//! Golden-fingerprint regression suite: the {pascal, modern} × {stack,
+//! barrier} scenario matrix.
 //!
 //! Runs every benchmark of the Table III suite under the four collector
 //! designs the paper compares (baseline, BOW, BOW-WR, RFC) at test scale
 //! and pins a [`SimStats::fingerprint`] digest per cell against a
-//! checked-in table. The table was captured at the pre-stage-graph
-//! commit, so any refactor of the SM pipeline is provably
+//! checked-in table, so any refactor of the SM pipeline is provably
 //! behavior-preserving: the digest covers every counter the figures
 //! consume, and the comparison is byte-identical.
+//!
+//! Each core model has a table of its own ([`TABLES`]), pinned under stack
+//! divergence; the two are independent, so a change to either core is
+//! caught without re-blessing the other. The barrier scenarios — every
+//! kernel through `lower_to_barriers`, no SIMT stack anywhere — pin no
+//! table: stack and barrier reconvergence were measured to differ in *no*
+//! counter, so each barrier cell must equal the pinned stack row of the
+//! same workload × collector × core. A barrier-model change that moves a
+//! counter fails there; an intentional stack-model change re-blesses the
+//! stack tables and the barrier rows follow.
 //!
 //! To re-bless after an *intentional* model change:
 //!
@@ -16,82 +26,97 @@
 //!
 //! [`SimStats::fingerprint`]: bow_sim::SimStats::fingerprint
 
-use bow::experiment::ConfigBuilder;
-use bow::prelude::CoreModelKind;
-use bow::suite::Suite;
-use bow_workloads::Scale;
-use std::fmt::Write as _;
-use std::path::PathBuf;
+mod common;
 
-/// The four columns the acceptance criteria pin.
-fn designs() -> [ConfigBuilder; 4] {
+use bow::experiment::{Config, ConfigBuilder};
+use bow::prelude::{CoreModelKind, DivergenceModel};
+use bow::suite::{Suite, SweepResult};
+use bow_workloads::Scale;
+use common::{assert_golden, check_golden};
+use std::fmt::Write as _;
+
+/// Each core's pinned table and its header, which is part of the pinned
+/// bytes (the modern one still names the test target it was blessed from).
+const TABLES: [(CoreModelKind, &str, &str); 2] = [
+    (
+        CoreModelKind::Pascal,
+        "fingerprints.txt",
+        "# SimStats fingerprints: 15 workloads x 4 collector configs (Scale::Test).\n\
+         # Regenerate with: BOW_BLESS=1 cargo test -p bow --test golden_fingerprints\n",
+    ),
+    (
+        CoreModelKind::Modern,
+        "fingerprints_modern.txt",
+        "# SimStats fingerprints: 15 workloads x 4 collector configs \
+         (Scale::Test, core_model=modern).\n\
+         # Regenerate with: BOW_BLESS=1 cargo test -p bow --test golden_fingerprints_modern\n",
+    ),
+];
+
+/// The four columns the acceptance criteria pin, in one scenario.
+fn configs(core: CoreModelKind, divergence: DivergenceModel) -> [Config; 4] {
     [
         ConfigBuilder::baseline(),
         ConfigBuilder::bow(3),
         ConfigBuilder::bow_wr(3),
         ConfigBuilder::rfc(),
     ]
+    .map(|b| b.core_model(core).divergence(divergence).build())
 }
 
-fn golden_path(file: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("golden")
-        .join(file)
-}
-
-/// Appends the sweep to a golden table: one `benchmark/config hex` line
-/// per cell, configs in column order, benchmarks in suite order.
-fn push_rows(out: &mut String, sweep: &bow::suite::SweepResult) {
+/// The sweep as golden rows: one `benchmark/config hex` line per cell,
+/// configs in column order, benchmarks in suite order.
+fn rows(sweep: &SweepResult) -> String {
+    sweep.assert_checked();
+    let mut out = String::new();
     for rec in sweep.all_records() {
-        writeln!(
-            out,
-            "{}/{} {:016x}",
-            rec.benchmark,
-            rec.label,
-            rec.outcome.result.stats.fingerprint()
-        )
-        .expect("write to String");
+        let fingerprint = rec.outcome.result.stats.fingerprint();
+        writeln!(out, "{}/{} {fingerprint:016x}", rec.benchmark, rec.label)
+            .expect("write to String");
     }
+    out
 }
 
-/// Compares `got` with the table at `path`, or writes it under
-/// `BOW_BLESS=1`.
-fn check_golden(path: &std::path::Path, got: &str) {
-    if std::env::var_os("BOW_BLESS").is_some_and(|v| v == "1") {
-        std::fs::write(path, got).expect("write goldens");
-        return;
-    }
-    let want = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("read {}: {e} (bless with BOW_BLESS=1)", path.display()));
-    if got != want {
-        let mut diff = String::new();
-        for (g, w) in got.lines().zip(want.lines()) {
-            if g != w {
-                writeln!(diff, "  got  {g}\n  want {w}").expect("write to String");
-            }
-        }
-        panic!(
-            "stats fingerprints diverged from {} — the pipeline is no longer \
-             behavior-preserving (or an intentional change needs BOW_BLESS=1):\n{diff}",
-            path.display()
-        );
-    }
+/// The whole suite at test scale in one scenario, as golden rows.
+fn suite_rows(core: CoreModelKind, divergence: DivergenceModel) -> String {
+    let suite = Suite::new(Scale::Test).configs(configs(core, divergence));
+    rows(&suite.progress(false).run())
+}
+
+fn pin_stack_table((core, file, header): (CoreModelKind, &str, &str)) {
+    let rows = suite_rows(core, DivergenceModel::Stack);
+    check_golden(file, &format!("{header}{rows}"));
 }
 
 #[test]
 fn stats_fingerprints_match_goldens() {
-    let sweep = Suite::new(Scale::Test)
-        .configs(designs().map(ConfigBuilder::build))
-        .progress(false)
-        .run();
-    sweep.assert_checked();
-    let mut got = String::from(
-        "# SimStats fingerprints: 15 workloads x 4 collector configs (Scale::Test).\n\
-         # Regenerate with: BOW_BLESS=1 cargo test -p bow --test golden_fingerprints\n",
-    );
-    push_rows(&mut got, &sweep);
-    check_golden(&golden_path("fingerprints.txt"), &got);
+    pin_stack_table(TABLES[0]);
+}
+
+#[test]
+fn modern_stats_fingerprints_match_goldens() {
+    pin_stack_table(TABLES[1]);
+}
+
+#[test]
+fn barrier_stats_fingerprints_match_goldens() {
+    let marker = format!("+{}", DivergenceModel::Barrier.name());
+    for (core, file, header) in TABLES {
+        let rows = suite_rows(core, DivergenceModel::Barrier);
+        assert_eq!(rows.lines().count(), 15 * 4, "suite shape changed");
+        assert_golden(file, &format!("{header}{}", rows.replace(&marker, "")));
+    }
+}
+
+/// Every label in the barrier scenarios must carry the `+barrier` marker —
+/// they are worthless if a config silently fell back to the stack.
+#[test]
+fn barrier_tier_labels_carry_the_model_marker() {
+    for core in CoreModelKind::ALL {
+        for config in configs(core, DivergenceModel::Barrier) {
+            assert!(config.label.contains("+barrier"), "{}", config.label);
+        }
+    }
 }
 
 /// `bfs` at paper scale is the one cell in the repository whose counts
@@ -107,12 +132,8 @@ fn bfs_paper_scale_fingerprints_match_goldens() {
     );
     for core in CoreModelKind::ALL {
         let bfs = bow::workloads::by_name("bfs", Scale::Paper).expect("suite benchmark");
-        let sweep = Suite::over(vec![bfs])
-            .configs(designs().map(|b| b.core_model(core).build()))
-            .progress(false)
-            .run();
-        sweep.assert_checked();
-        push_rows(&mut got, &sweep);
+        let suite = Suite::over(vec![bfs]).configs(configs(core, DivergenceModel::Stack));
+        got.push_str(&rows(&suite.progress(false).run()));
     }
-    check_golden(&golden_path("fingerprints_bfs_paper.txt"), &got);
+    check_golden("fingerprints_bfs_paper.txt", &got);
 }

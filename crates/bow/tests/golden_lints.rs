@@ -20,19 +20,13 @@
 //!
 //! [`LintReport`]: bow_compiler::LintReport
 
+mod common;
+
 use bow_compiler::{annotate, lint_kernel, LintOptions};
 use bow_workloads::{suite, Scale};
 use std::fmt::Write as _;
-use std::path::PathBuf;
 
 const WINDOW: u32 = 3;
-
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("golden")
-        .join("lints.txt")
-}
 
 /// Renders the whole-suite snapshot: each kernel's rustc-style report in
 /// suite order, separated by a `== name ==` header.
@@ -64,36 +58,6 @@ fn render() -> String {
 
 #[test]
 fn lint_reports_match_goldens() {
-    let got = render();
-    let path = golden_path();
-    if std::env::var_os("BOW_BLESS").is_some_and(|v| v == "1") {
-        std::fs::write(&path, &got).expect("write goldens");
-        return;
-    }
-    let want = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("read {}: {e} (bless with BOW_BLESS=1)", path.display()));
-    if got != want {
-        let mut diff = String::new();
-        for (i, (g, w)) in got.lines().zip(want.lines()).enumerate() {
-            if g != w {
-                writeln!(diff, "  line {}:\n    got  {g}\n    want {w}", i + 1)
-                    .expect("write to String");
-            }
-        }
-        if got.lines().count() != want.lines().count() {
-            writeln!(
-                diff,
-                "  line counts differ: got {}, want {}",
-                got.lines().count(),
-                want.lines().count()
-            )
-            .expect("write to String");
-        }
-        panic!(
-            "lint reports diverged from {} — a lint pass, the hint verifier \
-             or a workload changed (bless intentional changes with \
-             BOW_BLESS=1):\n{diff}",
-            path.display()
-        );
-    }
+    // A mismatch means a lint pass, the hint verifier or a workload changed.
+    common::check_golden("lints.txt", &render());
 }

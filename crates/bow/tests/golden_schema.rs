@@ -19,19 +19,13 @@
 //! snapshot zeroes them; everything else is pinned bit-for-bit by the
 //! deterministic engine.
 
+mod common;
+
 use bow::experiment::{run, ConfigBuilder, RunRecord, SCHEMA_VERSION};
 use bow::suite::{Suite, SweepResult};
 use bow::util::json::Json;
 use bow_workloads::{by_name, Scale};
-use std::path::PathBuf;
 use std::time::Duration;
-
-fn golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("golden")
-        .join("schema_v1.json")
-}
 
 /// A record exercising every optional section: BOW-WR so the compiler
 /// report (hints + transient registers) is present, plus an analyzer
@@ -79,23 +73,8 @@ fn render(record: &RunRecord, sweep: &SweepResult) -> String {
 fn schema_v1_matches_the_golden_snapshot() {
     let record = sample_record();
     let sweep = sample_sweep();
-    let rendered = render(&record, &sweep);
-    let path = golden_path();
-    if std::env::var_os("BOW_BLESS").is_some() {
-        std::fs::write(&path, &rendered).expect("write golden snapshot");
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "{}: {e}\nRun with BOW_BLESS=1 to create it.",
-            path.display()
-        )
-    });
-    assert_eq!(
-        golden, rendered,
-        "schema-v1 layout drifted from tests/golden/schema_v1.json.\n\
-         If intentional, bump SCHEMA_VERSION and re-bless with BOW_BLESS=1."
-    );
+    // An intentional layout change bumps SCHEMA_VERSION before re-blessing.
+    common::check_golden("schema_v1.json", &render(&record, &sweep));
 }
 
 #[test]

@@ -10,6 +10,9 @@
 //! * `compile <file>` — assemble, run the §IV-B hint pass (and optionally
 //!   the footnote-1 scheduler) and print the annotated disassembly;
 //! * `sweep <bench>` — IW1..7 window sweep on one benchmark;
+//! * `figure <name>` — regenerate a table under `results/` (every paper
+//!   figure and table, the ablations, the corpus report), `all` of them,
+//!   or `list` the index ([`figures::FIGURES`]);
 //! * `fuzz` — differential kernel fuzzing against the architectural
 //!   oracle across all collector models;
 //! * `lint` — static-analysis suite and independent hint-soundness
@@ -33,6 +36,8 @@
 //! is unit-testable; `main.rs` only does process I/O. Failures are typed
 //! [`BowError`]s; `main.rs` exits with [`BowError::exit_code`] so scripts
 //! can tell parse (2) / config (3) / io (4) / verify (5) failures apart.
+
+pub mod figures;
 
 use bow::error::BowError;
 use bow::experiment::{pct, render_table, CompilePlan, Config};
@@ -103,6 +108,15 @@ pub enum Command {
         core_model: CoreModelKind,
         /// Reconvergence machinery: SSY/SYNC stack or convergence barriers.
         divergence: DivergenceModel,
+    },
+    /// Regenerate a results table (or `all` of them, or `list` them).
+    Figure {
+        /// A [`figures::FIGURES`] name, `all` or `list`.
+        name: String,
+        /// Problem scale, GPU model and worker count to run on.
+        tier: figures::Tier,
+        /// Directory to write the table and its JSON exports under.
+        out: Option<String>,
     },
     /// Differential-fuzz generated kernels against the oracle.
     Fuzz {
@@ -298,6 +312,8 @@ USAGE:
   bow-cli compile <file.s> [--window N] [--reorder]
   bow-cli sweep <bench> [--scale test|paper] [--jobs N]
                 [--core-model pascal|modern] [--divergence stack|barrier]
+  bow-cli figure <name|all|list> [--scale test|paper] [--model scaled|titan-x]
+                 [--jobs N] [--out DIR]
   bow-cli fuzz [--cases N] [--seed S] [--jobs N] [--size N] [--out DIR] [--smoke]
                [--core-model pascal|modern] [--divergence stack|barrier] [--sanitize]
   bow-cli lint <file.s> [--window N] [--deny-warnings] [--json FILE]
@@ -327,13 +343,25 @@ COLLECTORS:
 
 The synopses above are the parser's grammar: a flag a command does not
 list, a value flag without its value, a stray argument or a value that
-is not in its axis's table (pascal|modern, stack|barrier, test|paper) is
-a parse error (exit 2) that names the valid choices. Flags and the
-positional argument may come in any order.
+is not in its axis's table (pascal|modern, stack|barrier, test|paper,
+scaled|titan-x) is a parse error (exit 2) that names the valid choices.
+Flags and the positional argument may come in any order.
 
 `compare` and `sweep` run their (benchmark x config) matrix on the
 parallel sweep engine; --jobs N picks the worker count (default: all
 cores, 1 = serial). Results are identical at any job count.
+
+`figure` regenerates the tables EXPERIMENTS.md argues from: every paper
+figure and table, the ablations, the cross-model studies and the corpus
+report (`figure list` prints the index; an unknown name is exit 3 and
+lists it). `figure <name>` prints the table and, under --out DIR, also
+writes DIR/<name>.txt plus its raw cells as DIR/<name>.json; without
+--out nothing is written. `figure all` is the bless flow: it writes
+every file under --out (default results) and prints one path per file.
+--scale defaults to paper here, the scale of the committed tables;
+--model titan-x builds every configuration on the full 56-SM chip and
+suffixes the file names with _chip. Tables are byte-identical at any
+--jobs; CI regenerates all of them and compares with results/.
 
 `fuzz` generates random kernels and runs each under every collector
 model, checking every instruction against a timing-free architectural
@@ -616,6 +644,21 @@ pub fn parse(args: &[String]) -> Result<Command, BowError> {
             core_model,
             divergence,
         }),
+        "figure" => {
+            let name = positional("figure name (or `all`, `list`)")?;
+            // `all` is the bless flow: it always writes, by default over
+            // the committed tables.
+            let bless = (name == "all").then(|| "results".to_string());
+            Ok(Command::Figure {
+                tier: figures::Tier {
+                    scale: axis(opt("--scale"), Scale::Paper, Scale::parse)?,
+                    model: axis(opt("--model"), GpuModel::Scaled, GpuModel::parse)?,
+                    jobs,
+                },
+                out: opt("--out").map(String::from).or(bless),
+                name,
+            })
+        }
         "fuzz" => {
             // `--smoke` pins cases/seed/size: no flag may tune them.
             let (tunable, defaults) = if flag("--smoke") {
@@ -1168,6 +1211,20 @@ pub fn execute(cmd: Command) -> Result<String, BowError> {
                 &rows,
             ))
         }
+        Command::Figure { name, tier, out } => match name.as_str() {
+            "list" => Ok(figures::list()),
+            "all" => {
+                // One line per file written.
+                let mut text = String::new();
+                for figure in &figures::FIGURES {
+                    for path in figure.run(&tier, out.as_deref())?.1 {
+                        writeln!(text, "{path}").unwrap();
+                    }
+                }
+                Ok(text)
+            }
+            name => Ok(figures::find(name)?.run(&tier, out.as_deref())?.0),
+        },
         Command::Fuzz {
             cases,
             seed,
@@ -2543,5 +2600,174 @@ mod tests {
         assert_eq!(resp.status, 200);
         handle.join().expect("join");
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// `results/`, from the crate directory tests run in.
+    const RESULTS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
+
+    #[test]
+    fn figures_index_is_exactly_the_committed_results() {
+        // A figure cannot be added without a committed table, nor a table
+        // orphaned: `results/*.txt` and `results/corpus_*.json` are what
+        // `figure all` regenerates and CI compares.
+        let mut committed: Vec<String> = std::fs::read_dir(RESULTS)
+            .expect("results/")
+            .map(|e| e.expect("entry").file_name().into_string().expect("utf-8"))
+            .filter(|f| f.ends_with(".txt") || (f.starts_with("corpus_") && f.ends_with(".json")))
+            // A `--model titan-x --out results` run leaves git-ignored files.
+            .filter(|f| !f.contains("_chip."))
+            .collect();
+        let mut declared: Vec<&str> = figures::FIGURES
+            .iter()
+            .flat_map(|f| f.files)
+            .copied()
+            .collect();
+        committed.sort();
+        declared.sort();
+        assert_eq!(declared, committed);
+        assert_eq!(declared.len(), 24);
+        let list = figures::list();
+        for f in figures::FIGURES {
+            assert_eq!(figures::find(f.name).unwrap().name, f.name);
+            assert!(list.contains(f.about), "{}", f.name);
+        }
+    }
+
+    fn figure(args: &str) -> Result<String, BowError> {
+        parse(&argv(&format!("figure {args}"))).and_then(execute)
+    }
+
+    #[test]
+    fn sweep_free_figures_match_their_committed_tables() {
+        for name in [
+            "fig01_memsizes",
+            "table1_snippet_writes",
+            "table2_config",
+            "table3_benchmarks",
+            "table4_overheads",
+        ] {
+            let committed = std::fs::read_to_string(format!("{RESULTS}/{name}.txt")).unwrap();
+            assert_eq!(figure(name).unwrap(), committed, "{name}");
+        }
+        // Nothing was written: no `--out`, no file anywhere.
+        assert!(!std::path::Path::new("results").exists());
+    }
+
+    #[test]
+    fn a_sweeping_figure_renders_at_test_scale() {
+        let text = figure("fig04_oc_latency --scale test --jobs 2").unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(
+            lines[0],
+            "Fig. 4 — share of instruction execution time spent in the OC stage"
+        );
+        assert_eq!(lines[2], " benchmark  non-memory  memory  overall");
+        // Title, blank, header, rule, 15 benchmarks, the average, blank,
+        // three lines of prose.
+        assert_eq!(lines.len(), 4 + 15 + 1 + 1 + 3, "{text}");
+        assert!(lines[19].trim_start().starts_with("average"), "{text}");
+    }
+
+    #[test]
+    fn figure_typos_are_typed_errors_naming_the_valid_choices() {
+        // Each of these used to run silently with a default.
+        for (args, code, valid) in [
+            ("fig10_ipc --jbos 2", 2, "--scale, --model, --jobs, --out"),
+            ("fig10_ipc --scale papr", 2, "(valid: test, paper)"),
+            ("fig10_ipc --model volta", 2, "(valid: scaled, titan-x)"),
+            ("fig10_ipc --jobs two", 2, "bad jobs `two`"),
+            ("fig99", 3, "fig10_ipc, fig11_ipc_halfsize"),
+            ("", 2, "missing figure name"),
+        ] {
+            let e = figure(args).unwrap_err();
+            assert_eq!(e.exit_code(), code, "{args}: {e}");
+            assert!(e.to_string().contains(valid), "{args}: {e}");
+        }
+        // `all` blesses `results/` unless told otherwise; a name writes
+        // only under `--out`; the committed tables are paper scale.
+        let out_of = |args: &str| match parse(&argv(args)).unwrap() {
+            Command::Figure { out, tier, .. } => (out, tier.scale),
+            other => panic!("parsed {other:?}"),
+        };
+        assert_eq!(out_of("figure all"), (Some("results".into()), Scale::Paper));
+        assert_eq!(
+            out_of("figure all --out x"),
+            (Some("x".into()), Scale::Paper)
+        );
+        assert_eq!(out_of("figure fig10_ipc --scale test"), (None, Scale::Test));
+    }
+
+    #[test]
+    fn figure_model_reaches_every_sweep_and_suffixes_its_files() {
+        // The full-chip tier used to reach three figures only; fig11 was
+        // one of those that silently ran 2 SMs and overwrote the
+        // un-suffixed export. (At test scale the 56-SM numbers equal the
+        // 2-SM ones; `chip_tier_selects_the_full_titan_x` pins the config.)
+        let dir = std::env::temp_dir().join(format!("bow_cli_figure_test_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let args = "fig11_ipc_halfsize --scale test --model titan-x --out";
+        let printed = figure(&format!("{args} {}", dir.display())).unwrap();
+        let mut written: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        written.sort();
+        assert_eq!(
+            written,
+            [
+                "fig11_ipc_halfsize_chip.json",
+                "fig11_ipc_halfsize_chip.txt"
+            ]
+        );
+        let table = std::fs::read_to_string(dir.join("fig11_ipc_halfsize_chip.txt")).unwrap();
+        assert_eq!(table, printed);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn chip_tier_selects_the_full_titan_x() {
+        let tier = |scale, model| figures::Tier {
+            scale,
+            model,
+            jobs: 1,
+        };
+        let chip = tier(Scale::Paper, GpuModel::TitanX);
+        assert_eq!(chip.suffix(), "_chip");
+        let cfg = chip.config(ConfigBuilder::bow_wr(3));
+        assert_eq!(cfg.gpu.num_sms, 56);
+        assert_eq!(cfg.label, "bow-wr iw3");
+
+        let scaled = tier(Scale::Test, GpuModel::Scaled);
+        assert_eq!(scaled.suffix(), "");
+        assert_eq!(scaled.config(ConfigBuilder::baseline()).gpu.num_sms, 2);
+    }
+
+    #[test]
+    fn table1_reproduces_the_papers_pattern() {
+        use bow_workloads::snippet::{fig6_kernel, fragment_range};
+        let counts = figures::table1_counts(&fig6_kernel(), fragment_range(), 3);
+        // Write-through: counted straight off the listing.
+        assert_eq!(counts[0], [3, 4, 3, 1]);
+        // Write-back: the window consolidates r1's double update, r0's
+        // double update and r2's load+shift pair.
+        assert_eq!(counts[1], [1, 2, 2, 1]);
+        // Compiler hints: only the two truly persistent values remain —
+        // identical to the paper's column (r1 = 1, r3 = 1).
+        assert_eq!(counts[2], [0, 1, 0, 1]);
+        let totals: Vec<u32> = counts.iter().map(|c| c.iter().sum()).collect();
+        assert_eq!(totals, vec![11, 6, 2]);
+    }
+
+    #[test]
+    fn geomean_of_identical_runs_is_one() {
+        let b = bow::workloads::by_name("vectoradd", Scale::Test).unwrap();
+        let run = || {
+            vec![bow::experiment::run(
+                b.as_ref(),
+                ConfigBuilder::baseline().build(),
+            )]
+        };
+        let g = figures::geomean_speedup(&run(), &run());
+        assert!((g - 1.0).abs() < 1e-9);
     }
 }

@@ -1,6 +1,6 @@
 //! Barrier-interval race dataflow: the static half of the race arsenal.
 //!
-//! The dynamic half ([`bow_sim::sanitize`]) watches one concrete execution;
+//! The dynamic half (`bow_sim::sanitize`) watches one concrete execution;
 //! this pass proves facts about *all* executions of a kernel by abstract
 //! interpretation over its CFG:
 //!

@@ -65,7 +65,6 @@ pub mod oracle;
 pub mod pipetrace;
 pub mod probe;
 pub mod regfile;
-pub mod replay;
 pub mod sanitize;
 pub mod scheduler;
 pub mod scoreboard;
@@ -84,7 +83,6 @@ pub use gpu::{Gpu, LaunchResult};
 pub use oracle::{run_oracle, Divergence, LockstepChecker, OracleRun, WriteLog, WriteRecord};
 pub use pipetrace::{Event, PipeTrace, Stage};
 pub use probe::{emit, NullProbe, PipeEvent, Probe, StallKind};
-pub use replay::{record_straightline, replay, KernelTrace, TraceRecorder, TraceStep};
 pub use sanitize::{Sanitizer, SanitizerFinding, SanitizerReport};
 pub use stage::{CompletionQueue, DispatchLatch, Pipeline, SmCtx};
 pub use stats::{SimStats, WriteDest};

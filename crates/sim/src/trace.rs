@@ -95,8 +95,7 @@ impl BypassAnalyzer {
         self.record_raw(warp_uid, &srcs, dst);
     }
 
-    /// Records one dynamic instruction given only its operand identities —
-    /// the hook the trace-replay path ([`mod@crate::replay`]) uses.
+    /// Records one dynamic instruction given only its operand identities.
     pub fn record_raw(&mut self, warp_uid: u64, srcs: &[u8], dst: Option<u8>) {
         if self.windows.is_empty() {
             return;

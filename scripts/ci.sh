@@ -12,32 +12,47 @@ cargo build --workspace --release --offline
 echo "==> cargo test --offline"
 cargo test --workspace -q --offline
 
-echo "==> golden stats fingerprints (release), incl. bfs at paper scale"
-# The pinned per-(workload x collector) fingerprint table must hold in
+echo "==> golden stats fingerprints (release): {pascal, modern} x {stack, barrier}, bfs at paper scale"
+# The pinned per-(workload x collector) fingerprint tables must hold in
 # release too: optimization-level-dependent divergence in the model is a
-# bug. The same test file pins `bfs` at Scale::Paper on both cores — the
-# one cell whose counts depend on the device loop's store-visibility
-# window (fingerprints_bfs_paper.txt). Re-bless deliberately with
-# BOW_BLESS=1 after intentional changes.
+# bug. One test file walks the scenario matrix:
+#  * pascal and modern (sub-cores, control-bit interlock, uniform RF)
+#    each pin a table of their own under the SIMT stack; both land in
+#    target/golden-artifacts/ as CI artifacts;
+#  * the barrier scenarios, the same 15-workload x 4-collector suite on
+#    *both* cores with compiler-lowered convergence barriers (BSSY/BSYNC)
+#    and no stack anywhere, pin no table: every barrier cell must equal
+#    the pinned *stack* row (stack and barrier reconvergence differ in no
+#    counter);
+#  * `bfs` at Scale::Paper on both cores is the one cell whose counts
+#    depend on the device loop's store-visibility window
+#    (fingerprints_bfs_paper.txt).
+# Re-bless deliberately with BOW_BLESS=1 after intentional changes.
 cargo test --release -q --offline -p bow --test golden_fingerprints
-
-echo "==> golden stats fingerprints, modern core"
-# The core-model matrix: the same 15x4 suite pinned on the post-Volta
-# backend (sub-cores, control-bit interlock, uniform RF). Both tables
-# land in target/golden-artifacts/ as CI artifacts.
-cargo test --release -q --offline -p bow --test golden_fingerprints_modern
 mkdir -p target/golden-artifacts
 cp crates/bow/tests/golden/fingerprints.txt target/golden-artifacts/pascal.txt
 cp crates/bow/tests/golden/fingerprints_modern.txt target/golden-artifacts/modern.txt
 
-echo "==> golden stats fingerprints, barrier divergence"
-# The divergence-model matrix: the same 15-workload x 4-collector suite
-# on *both* cores with compiler-lowered convergence barriers
-# (BSSY/BSYNC) replacing the SIMT stack — no stack anywhere in these
-# runs. The tier pins no table of its own: every barrier cell must equal
-# the pinned *stack* row above (stack and barrier reconvergence differ in
-# no counter).
-cargo test --release -q --offline -p bow --test golden_fingerprints_barrier
+echo "==> bow figure all (every committed table regenerates byte for byte)"
+# results/ is what EXPERIMENTS.md argues from, so a model change that
+# moves a number must show up as a diff there, not go stale unnoticed:
+# regenerate all 19 tables and the 5 corpus reports at paper scale and
+# compare each with its committed twin. A file on one side only fails
+# too (cmp on the committed side, the second loop on the regenerated
+# side; the per-cell sweep exports are the other *.json and hold wall
+# times, so they are neither committed nor compared). target/figures/
+# is uploaded as a workflow artifact on failure; bless an intentional
+# change with `bow-cli figure all`.
+rm -rf target/figures
+cargo run --release -q --offline -p bow-cli -- figure all --out target/figures > /dev/null
+STALE=0
+for f in results/*.txt results/corpus_*.json; do
+    cmp "$f" "target/figures/$(basename "$f")" || STALE=1
+done
+for f in target/figures/*.txt target/figures/corpus_*.json; do
+    [ -e "results/$(basename "$f")" ] || { echo "$f has no committed twin"; STALE=1; }
+done
+[ "$STALE" = 0 ] || { echo "results/ is stale (or a table is orphaned)"; exit 1; }
 
 echo "==> allocation guard: a warmed-up Sm::tick never touches the heap (release)"
 # A counting global allocator around {baseline, bow, bow-wr, rfc} x {pascal,
@@ -216,6 +231,9 @@ echo "==> benchmark/run.sh --smoke (the benchmark still builds and runs)"
 # pass over every workload fails it here. Built into target/ so nothing
 # is left under benchmark/ but its ignored out/ directory.
 CARGO_TARGET_DIR=target/benchmark benchmark/run.sh --smoke > /dev/null
+
+echo "==> cargo doc (warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check

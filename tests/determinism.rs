@@ -11,11 +11,13 @@
 //!
 //! [`SimStats::fingerprint`]: bow_sim::SimStats::fingerprint
 
+#[path = "../crates/bow/tests/common/mod.rs"]
+mod common;
+
 use bow::experiment::ConfigBuilder;
 use bow::prelude::*;
 use bow::suite::Suite;
 use std::fmt::Write as _;
-use std::path::PathBuf;
 
 /// The kernels of the benchmark's `chip_serial` / `chip_threaded`.
 const FULL_CHIP_KERNELS: [&str; 7] = [
@@ -98,13 +100,6 @@ fn sanitizer_off_leaves_no_report() {
     assert!(rec.outcome.result.sanitizer.is_none());
 }
 
-fn sanitizer_golden_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("golden")
-        .join("sanitizer_bfs.txt")
-}
-
 #[test]
 fn bfs_is_the_only_workload_the_sanitizer_flags() {
     // The suite-wide sweep the golden pin rests on: every other
@@ -131,18 +126,5 @@ fn bfs_sanitizer_findings_match_the_golden_pin() {
         writeln!(got, "== {} ==", core.name()).expect("write to String");
         got.push_str(&sanitizer_workload_report("bfs", core));
     }
-    let path = sanitizer_golden_path();
-    if std::env::var_os("BOW_BLESS").is_some_and(|v| v == "1") {
-        std::fs::write(&path, &got).expect("write goldens");
-        return;
-    }
-    let want = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("read {}: {e} (bless with BOW_BLESS=1)", path.display()));
-    assert_eq!(
-        got,
-        want,
-        "bfs sanitizer pin diverged from {} — an intentional model change \
-         needs BOW_BLESS=1",
-        path.display()
-    );
+    common::check_golden("sanitizer_bfs.txt", &got);
 }
