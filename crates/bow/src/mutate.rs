@@ -7,16 +7,15 @@
 //! time — the exact corruption an incorrect hint producer would commit.
 //! Every mutant is judged twice, by two independent layers:
 //!
-//! * **Ground truth** — an architectural window replayer walks the
-//!   mutant's *dynamic* per-warp instruction streams (extracted from the
-//!   [`bow_sim::oracle`] write log, which is hint-independent) through an
-//!   exact model of the sliding operand window: reads re-touch entries,
-//!   entries evict at `window` instructions since last touch, a dirty
-//!   `BocOnly` eviction drops the value, and an `RfOnly` write-back
-//!   invalidates a superseded buffered copy (the simulator's
-//!   `WarpWindow::invalidate`). A read that observes a register-file
-//!   generation older than the architectural one is a *stale read*: the
-//!   mutant is ground-truth unsound.
+//! * **Ground truth** — the mutant's *dynamic* per-warp instruction
+//!   streams (extracted from the [`bow_sim::oracle`] write log, which is
+//!   hint-independent) replay through [`ArchWindow`], the architectural
+//!   operand window the race sanitizer and Fig. 3 share: reads re-touch
+//!   entries, entries evict at `window` instructions since last touch, a
+//!   dirty `BocOnly` eviction drops the value, and an `RfOnly` write-back
+//!   invalidates a superseded buffered copy. A read that observes a
+//!   register-file generation older than the architectural one is a
+//!   *stale read*: the mutant is ground-truth unsound.
 //! * **The accused** — [`bow_compiler::verify_hints`], the path-sensitive
 //!   static verifier under audit.
 //!
@@ -43,7 +42,7 @@ use bow_compiler::verify_hints;
 use bow_isa::fuzz::{self, FuzzKernel};
 use bow_isa::{Kernel, Reg, WritebackHint};
 use bow_sim::oracle::{run_oracle, LockstepChecker};
-use bow_sim::{CoreModelKind, DivergenceModel, Gpu};
+use bow_sim::{ArchWindow, CoreModelKind, DivergenceModel, Gpu};
 use bow_util::json::Json;
 use bow_util::XorShift;
 
@@ -243,144 +242,13 @@ impl MutationReport {
 /// sequence numbers, so window distances computed over `seq` are exact.
 type WarpStream = Vec<(u64, usize, u32)>;
 
-/// Per-register architectural state during replay. Write *versions* stand
-/// in for values; staleness is judged per lane, because a divergent warp's
-/// arms write disjoint lane sets and a read in one arm is entitled to a
-/// register-file copy that predates the other arm's writes.
-///
-/// Both the window entry and the RF hold full-register *snapshots*: the
-/// write-back stage gathers the complete merged architectural register
-/// (`warp.regs` at write-back time, see `RegFiles::shadow_stage`), so a
-/// snapshot taken at version `v` is correct for lane `l` exactly while no
-/// later write has touched `l` — i.e. while `lane_ver[l] <= v`.
-#[derive(Clone, Copy, Default)]
-struct RegState {
-    /// Version counter: increments on every architectural write.
-    ver: u64,
-    /// Per-lane version of the last write covering that lane.
-    lane_ver: [u64; 32],
-    /// Version of the snapshot the register-file banks hold.
-    rf_ver: u64,
-    /// The buffered window entry, if any.
-    win: Option<WinEntry>,
-}
-
-impl RegState {
-    /// Whether a read under `mask` of a snapshot at `ver` observes a lane
-    /// that was overwritten after the snapshot was taken.
-    fn stale_for(&self, mask: u32, ver: u64) -> bool {
-        (0..32).any(|l| mask & (1 << l) != 0 && self.lane_ver[l] > ver)
-    }
-}
-
-#[derive(Clone, Copy)]
-struct WinEntry {
-    /// Version of the buffered snapshot.
-    ver: u64,
-    /// Sequence number of the last touching instruction.
-    last_touch: u64,
-    /// The buffered value is newer than the RF copy.
-    dirty: bool,
-    /// Eviction writes it back (`Both`); `BocOnly` drops it.
-    to_rf: bool,
-}
-
-/// Resolves a pending eviction: the entry slid out of the window before
-/// `seq`. Evictions only affect later accesses of the *same* register, so
-/// resolving them lazily at the next access is exact.
-fn expire(st: &mut RegState, seq: u64, window: u64) {
-    if let Some(e) = st.win {
-        if seq.saturating_sub(e.last_touch) >= window {
-            if e.dirty && e.to_rf {
-                st.rf_ver = e.ver;
-            }
-            st.win = None;
-        }
-    }
-}
-
-/// Replays one warp stream under `kernel`'s hints and returns the number
-/// of stale reads (reads with an active lane whose observed snapshot
-/// predates that lane's newest architectural write).
-fn replay_warp(kernel: &Kernel, stream: &WarpStream, window: u64) -> u64 {
-    let mut regs = vec![RegState::default(); 256];
+/// Total stale reads across every warp of a launch.
+fn replay_kernel(kernel: &Kernel, streams: &[WarpStream], window: u32) -> u64 {
     let mut stale = 0u64;
-    for &(seq, pc, mask) in stream {
-        let inst = &kernel.insts[pc];
-        for r in inst.unique_src_regs() {
-            if r.is_zero() {
-                continue;
-            }
-            let st = &mut regs[r.index() as usize];
-            expire(st, seq, window);
-            match st.win {
-                Some(ref e) => {
-                    // Window hit: forwarded from the buffer, re-touched.
-                    if st.stale_for(mask, e.ver) {
-                        stale += 1;
-                    }
-                }
-                None => {
-                    // RF fetch; the fetched snapshot is buffered clean.
-                    if st.stale_for(mask, st.rf_ver) {
-                        stale += 1;
-                    }
-                    st.win = Some(WinEntry {
-                        ver: st.rf_ver,
-                        last_touch: seq,
-                        dirty: false,
-                        to_rf: false,
-                    });
-                }
-            }
-            if let Some(e) = &mut st.win {
-                e.last_touch = seq;
-            }
-        }
-        if let Some(d) = inst.dst_reg() {
-            if d.is_zero() {
-                continue;
-            }
-            let st = &mut regs[d.index() as usize];
-            expire(st, seq, window);
-            st.ver += 1;
-            for l in 0..32 {
-                if mask & (1 << l) != 0 {
-                    st.lane_ver[l] = st.ver;
-                }
-            }
-            match inst.hint {
-                WritebackHint::RfOnly => {
-                    // Straight to the RF; a buffered copy is superseded and
-                    // invalidated (`WarpWindow::invalidate`).
-                    st.rf_ver = st.ver;
-                    st.win = None;
-                }
-                WritebackHint::Both => {
-                    st.win = Some(WinEntry {
-                        ver: st.ver,
-                        last_touch: seq,
-                        dirty: true,
-                        to_rf: true,
-                    });
-                }
-                WritebackHint::BocOnly => {
-                    st.win = Some(WinEntry {
-                        ver: st.ver,
-                        last_touch: seq,
-                        dirty: true,
-                        to_rf: false,
-                    });
-                }
-            }
-        }
+    for stream in streams {
+        ArchWindow::replay(window, kernel, stream, |_, _, _, _| stale += 1);
     }
     stale
-}
-
-/// Total stale reads across every warp of a launch.
-fn replay_kernel(kernel: &Kernel, streams: &[WarpStream], window: u64) -> u64 {
-    streams.iter().map(|s| replay_warp(kernel, s, window)).sum()
 }
 
 /// Per-case tallies folded into the session report.
@@ -472,7 +340,6 @@ fn run_one_case(opts: &MutateOptions, case: u64) -> CaseOutcome {
         out.baseline_rejected += 1;
         return out;
     };
-    let window = u64::from(opts.window);
 
     // The unmutated annotation must be statically sound…
     if !verify_hints(&annotated, opts.window as usize).is_sound() {
@@ -504,7 +371,7 @@ fn run_one_case(opts: &MutateOptions, case: u64) -> CaseOutcome {
         .collect();
 
     // …and dynamically clean.
-    out.baseline_stale_reads = replay_kernel(&annotated, &streams, window);
+    out.baseline_stale_reads = replay_kernel(&annotated, &streams, opts.window);
     if out.baseline_stale_reads > 0 {
         return out;
     }
@@ -519,7 +386,7 @@ fn run_one_case(opts: &MutateOptions, case: u64) -> CaseOutcome {
     for pc in 0..annotated.insts.len() {
         let inst = &annotated.insts[pc];
         let Some(reg) = inst.dst_reg() else { continue };
-        if reg.is_zero() || inst.hint == WritebackHint::BocOnly {
+        if inst.hint == WritebackHint::BocOnly {
             continue;
         }
         let hint_was = inst.hint;
@@ -527,7 +394,7 @@ fn run_one_case(opts: &MutateOptions, case: u64) -> CaseOutcome {
         mutant.insts[pc].hint = WritebackHint::BocOnly;
         out.mutants_total += 1;
 
-        let stale_reads = replay_kernel(&mutant, &streams, window);
+        let stale_reads = replay_kernel(&mutant, &streams, opts.window);
         let flagged = !verify_hints(&mutant, opts.window as usize).is_sound();
         match (stale_reads > 0, flagged) {
             (true, true) => {
@@ -598,94 +465,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn replayer_models_the_window_exactly() {
-        use bow_isa::{KernelBuilder, Operand};
-        let r = Reg::r;
-        // def r0 (BocOnly), read at distance 2 (hit), then at distance 4
-        // from the re-touch (miss -> stale: the value was dropped).
-        let k = KernelBuilder::new("t")
-            .mov_imm(r(0), 7)
-            .hint(WritebackHint::BocOnly)
-            .nop()
-            .iadd(r(1), r(0).into(), Operand::Imm(0))
-            .nop()
-            .nop()
-            .nop()
-            .iadd(r(2), r(0).into(), Operand::Imm(0))
-            .exit()
-            .build()
-            .unwrap();
-        let stream: WarpStream = (0..7).map(|i| (i as u64, i, u32::MAX)).collect();
-        assert_eq!(replay_warp(&k, &stream, 3), 1, "one stale read at pc 6");
-        assert_eq!(replay_warp(&k, &stream, 8), 0, "window 8 keeps it present");
-
-        // Both writes back on eviction: no staleness at any window.
-        let mut both = k.clone();
-        both.insts[0].hint = WritebackHint::Both;
-        assert_eq!(replay_warp(&both, &stream, 3), 0);
-    }
-
-    #[test]
-    fn replayer_sees_rf_only_invalidation_as_a_kill() {
-        use bow_isa::{KernelBuilder, Operand};
-        let r = Reg::r;
-        // Both def buffered dirty, RfOnly redef supersedes it, read after
-        // the old entry would have evicted: the RF must hold the new value.
-        let k = KernelBuilder::new("waw")
-            .mov_imm(r(0), 1)
-            .mov_imm(r(0), 2)
-            .hint(WritebackHint::RfOnly)
-            .nop()
-            .nop()
-            .nop()
-            .iadd(r(1), r(0).into(), Operand::Imm(0))
-            .exit()
-            .build()
-            .unwrap();
-        let stream: WarpStream = (0..6).map(|i| (i as u64, i, u32::MAX)).collect();
-        assert_eq!(replay_warp(&k, &stream, 3), 0, "no WAW regression");
-    }
-
-    #[test]
-    fn staleness_is_judged_per_lane() {
-        use bow_isa::{KernelBuilder, Operand};
-        let r = Reg::r;
-        // A BocOnly write under the lower half-warp's mask is dropped on
-        // eviction. A later read by the *other* half is entitled to the
-        // old RF snapshot — not stale; the same read by the writing half
-        // observes the loss.
-        let k = KernelBuilder::new("lanes")
-            .mov_imm(r(0), 1)
-            .hint(WritebackHint::BocOnly)
-            .nop()
-            .nop()
-            .nop()
-            .iadd(r(1), r(0).into(), Operand::Imm(0))
-            .exit()
-            .build()
-            .unwrap();
-        let stream = |read_mask: u32| -> WarpStream {
-            vec![
-                (0, 0, 0x0000_ffff),
-                (1, 1, u32::MAX),
-                (2, 2, u32::MAX),
-                (3, 3, u32::MAX),
-                (4, 4, read_mask),
-            ]
-        };
-        assert_eq!(
-            replay_warp(&k, &stream(0xffff_0000), 3),
-            0,
-            "disjoint lanes"
-        );
-        assert_eq!(
-            replay_warp(&k, &stream(0x0000_0001), 3),
-            1,
-            "writing lane is stale"
-        );
-    }
-
-    #[test]
     #[ignore = "full campaign; run with --ignored or via `bow-cli lint --mutate`"]
     fn full_session_meets_the_unsound_floor() {
         let report = run_mutation(&MutateOptions::full());
@@ -701,11 +480,12 @@ mod tests {
             ..MutateOptions::smoke()
         });
         assert!(report.passed(), "{}", report.summary());
-        assert!(
-            report.lockstep_confirmed > 0,
-            "no pipeline confirmation: {}",
-            report.summary()
-        );
+        // The ground truth's exact numbers: a change to the window rule
+        // shows up here as a diff, not as a silent shift.
+        let counts = "8 kernels, 198 mutants injected (window 3), 169 ground-truth unsound, \
+                      169 caught, 0 missed, 28 overcautious, 1 benign; pipeline lockstep \
+                      confirmed 2/4 sampled";
+        assert!(report.summary().contains(counts), "{}", report.summary());
         let json = report.to_json().to_string_compact();
         assert!(json.contains("\"passed\":true"), "{json}");
     }

@@ -1,10 +1,11 @@
 //! The device level: block dispatch across SMs and kernel launches.
 //!
 //! The GPU owns the device-wide probe subscribers: a [`PipeTrace`] fed
-//! when `trace_pipeline` is set and the Fig. 3 [`BypassAnalyzer`] fed
-//! when `analyze_windows` is non-empty. When neither is enabled the whole
-//! launch runs against [`NullProbe`] — a separate monomorphization of the
-//! SM pipeline with every trace point compiled out.
+//! when `trace_pipeline` is set, the Fig. 3 [`BypassAnalyzer`] fed when
+//! `analyze_windows` is non-empty and the race [`Sanitizer`] attached by
+//! `sanitize`. When none is enabled the whole launch runs against
+//! [`NullProbe`] — a separate monomorphization of the SM pipeline with
+//! every trace point compiled out.
 
 use crate::config::{GpuConfig, OracleCheck};
 use crate::decode::DecodedKernel;

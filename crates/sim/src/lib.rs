@@ -86,4 +86,4 @@ pub use probe::{emit, NullProbe, PipeEvent, Probe, StallKind};
 pub use sanitize::{Sanitizer, SanitizerFinding, SanitizerReport};
 pub use stage::{CompletionQueue, DispatchLatch, Pipeline, SmCtx};
 pub use stats::{SimStats, WriteDest};
-pub use trace::{BypassAnalyzer, WindowReport};
+pub use trace::{ArchWindow, BypassAnalyzer, WindowReport};

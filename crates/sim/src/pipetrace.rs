@@ -89,12 +89,6 @@ impl PipeTrace {
         self.events.is_empty()
     }
 
-    /// Merges another trace (stable by cycle).
-    pub fn merge(&mut self, other: PipeTrace) {
-        self.events.extend(other.events);
-        self.sort();
-    }
-
     /// Stably orders events by `(cycle, sm, warp, seq)`.
     pub fn sort(&mut self) {
         self.events.sort_by_key(|e| (e.cycle, e.sm, e.warp, e.seq));
@@ -259,15 +253,5 @@ mod tests {
         assert!(s.contains("ISSUE"));
         assert!(s.contains("7 more events"));
         assert!(s.contains("iadd r1, r0, 1"));
-    }
-
-    #[test]
-    fn merge_sorts_by_cycle() {
-        let mut a = PipeTrace::new();
-        a.push(ev(10, Stage::Writeback));
-        let mut b = PipeTrace::new();
-        b.push(ev(2, Stage::Issue));
-        a.merge(b);
-        assert_eq!(a.events()[0].cycle, 2);
     }
 }

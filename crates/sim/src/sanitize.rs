@@ -43,22 +43,24 @@
 //! warp's live lanes is a divergent barrier (a real GPU deadlocks); a
 //! `sync` with an empty reconvergence stack underflows it.
 //!
-//! *Hint violations.* A `.wb.boc`-hinted value is only resident while
-//! the window keeps getting touched: reads re-touch the entry, and it
-//! evicts once the collector window's span passes without one (the same
-//! rule as the architectural window replayer in the mutation sanitizer).
-//! A consumption whose gap since the last touch reaches the span reads a
-//! value the buffer already dropped — the dynamic mirror of the static
-//! B010 lint. Reads under a lane mask disjoint from the definition's
-//! (the complementary arm of a diverged branch) observe the older
-//! architectural value, never the dropped one, so they are exempt —
-//! the same mask-disjointness refinement the static verifier applies.
+//! *Hint violations.* Each warp's register accesses replay through an
+//! [`ArchWindow`] of the collector's window size, under the kernel's
+//! write-back hints: a `.wb.boc` value is resident while `seq −
+//! last_touch < window`, reads re-touch it, and once it evicts dirty it
+//! is gone. A read whose active lanes observe a snapshot older than their
+//! newest write is a stale read — the dynamic mirror of the static B010
+//! lint. Lanes are judged individually, so a read under a mask disjoint
+//! from the dropped definition's (the complementary arm of a diverged
+//! branch) observes the older architectural value it is entitled to and
+//! is exempt — the same mask-disjointness refinement the static verifier
+//! applies.
 //!
 //! [`NullProbe`]: crate::probe::NullProbe
 
 use crate::oracle::UID_LOW48;
 use crate::probe::{PipeEvent, Probe};
-use bow_isa::{Kernel, Opcode, WritebackHint, WARP_SIZE};
+use crate::trace::ArchWindow;
+use bow_isa::{Kernel, Opcode, WARP_SIZE};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
@@ -131,13 +133,13 @@ pub enum SanitizerFinding {
         /// Warp uid.
         uid: u64,
     },
-    /// A `.wb.boc` value consumed beyond the collector window span.
+    /// A read of a `.wb.boc` value the operand window had already dropped.
     HintViolation {
         /// Register carrying the transient value.
         reg: u8,
-        /// Program counter of the defining instruction.
+        /// Program counter of the lost definition.
         def_pc: usize,
-        /// Program counter of the consuming instruction.
+        /// Program counter of the stale read.
         use_pc: usize,
         /// Dynamic instruction distance between them.
         distance: u64,
@@ -319,28 +321,6 @@ struct WordShadow {
     written: bool,
 }
 
-/// Shadow state of one register definition inside a warp: where the value
-/// was produced and when the operand window last kept it alive. Reads
-/// re-touch the entry (`last_touch`), mirroring the collector's residency
-/// rule — a value stays bypassable as long as consumers arrive within the
-/// window span of one another, not just of the definition.
-#[derive(Clone, Copy)]
-struct RegDef {
-    /// Sequence number of the defining write.
-    def_seq: u64,
-    /// Sequence number of the last in-window touch (the def, then each
-    /// read that found the value still resident).
-    last_touch: u64,
-    /// Program counter of the defining instruction.
-    def_pc: usize,
-    /// Active lane mask of the defining write: reads under a disjoint
-    /// mask (the complementary arm of a diverged branch) never observe
-    /// this definition's lanes, so they are not violations.
-    mask: u32,
-    /// Write-back hint the definition carried.
-    hint: WritebackHint,
-}
-
 /// The sanitizer probe. Create with [`Sanitizer::new`], subscribe via
 /// [`Gpu::launch_with_probe`](crate::Gpu::launch_with_probe) (or let
 /// [`GpuConfig::sanitize`](crate::GpuConfig) attach it), then call
@@ -361,8 +341,10 @@ pub struct Sanitizer<'k> {
     /// lanes per warp): a write only initializes the lanes that were
     /// active, so a divergent-arm def does not cover the join's full mask.
     reg_init: HashMap<u64, Box<[[u64; 4]; WARP_SIZE]>>,
-    /// Per-warp last writer of each register.
-    reg_writer: HashMap<(u64, u8), RegDef>,
+    /// Per-warp `(seq, pc, mask)` of executed data instructions (hint
+    /// checking only), replayed at warp exit: results arrive in dispatch
+    /// order, but the window slides in program order.
+    hint_streams: HashMap<u64, Vec<(u64, usize, u32)>>,
     /// Deduplicated findings, best (smallest) representative per key.
     findings: HashMap<SanitizerFinding, SanitizerFinding>,
 }
@@ -381,13 +363,18 @@ impl<'k> Sanitizer<'k> {
             shared: HashMap::new(),
             global: HashMap::new(),
             reg_init: HashMap::new(),
-            reg_writer: HashMap::new(),
+            hint_streams: HashMap::new(),
             findings: HashMap::new(),
         }
     }
 
     /// Consumes the sanitizer and returns the canonical report.
-    pub fn finish(self) -> SanitizerReport {
+    pub fn finish(mut self) -> SanitizerReport {
+        // Warps still running when the launch stopped (a watchdog stall)
+        // are judged on what they executed.
+        for uid in self.hint_streams.keys().copied().collect::<Vec<_>>() {
+            self.replay_hints(uid);
+        }
         let mut findings: Vec<SanitizerFinding> = self.findings.into_values().collect();
         findings.sort();
         SanitizerReport { findings }
@@ -568,47 +555,32 @@ impl<'k> Sanitizer<'k> {
         for reg in uninit {
             self.report(SanitizerFinding::UninitReg { reg, pc, uid: uidl });
         }
-        if let Some(win) = self.window {
-            let mut hits: Vec<SanitizerFinding> = Vec::new();
-            for r in inst.src_regs() {
-                if let Some(def) = self.reg_writer.get_mut(&(uidl, r.index())) {
-                    if def.hint == WritebackHint::BocOnly {
-                        let gap = seq.saturating_sub(def.last_touch);
-                        if gap > u64::from(win) {
-                            // Disjoint-mask reads past the span neither
-                            // violate (their lanes hold the older
-                            // architectural value) nor revive the entry.
-                            if mask & def.mask != 0 {
-                                hits.push(SanitizerFinding::HintViolation {
-                                    reg: r.index(),
-                                    def_pc: def.def_pc,
-                                    use_pc: pc,
-                                    distance: seq.saturating_sub(def.def_seq),
-                                    uid: uidl,
-                                });
-                            }
-                        } else {
-                            def.last_touch = seq;
-                        }
-                    }
-                }
-            }
-            if let Some(d) = inst.dst_reg() {
-                self.reg_writer.insert(
-                    (uidl, d.index()),
-                    RegDef {
-                        def_seq: seq,
-                        last_touch: seq,
-                        def_pc: pc,
-                        mask,
-                        hint: inst.hint,
-                    },
-                );
-            }
-            for h in hits {
-                self.report(h);
-            }
+        if self.window.is_some() {
+            self.hint_streams
+                .entry(uidl)
+                .or_default()
+                .push((seq, pc, mask));
         }
+    }
+
+    /// Replays warp `uidl`'s executed stream, in program order, through an
+    /// [`ArchWindow`] of the collector's window size: every stale read is
+    /// a hint violation.
+    fn replay_hints(&mut self, uidl: u64) {
+        let (Some(window), Some(mut stream)) = (self.window, self.hint_streams.remove(&uidl))
+        else {
+            return;
+        };
+        stream.sort_unstable();
+        ArchWindow::replay(window, self.kernel, &stream, |reg, pc, seq, def| {
+            self.report(SanitizerFinding::HintViolation {
+                reg,
+                def_pc: def.pc,
+                use_pc: pc,
+                distance: seq - def.seq,
+                uid: uidl,
+            })
+        });
     }
 
     fn on_ctrl(
@@ -665,6 +637,7 @@ impl Probe for Sanitizer<'_> {
                 inst,
                 ..
             } => self.on_ctrl(uid, pc, arrive, live, sync_underflow, inst.op),
+            PipeEvent::WarpExit { uid } => self.replay_hints(uid & UID_LOW48),
             _ => {}
         }
     }
@@ -842,6 +815,50 @@ mod tests {
                 .any(|f| matches!(f, SanitizerFinding::DivergentBarrier { .. })),
             "expected divergent-bar, got:\n{}",
             rep.render()
+        );
+    }
+
+    #[test]
+    fn hint_replay_follows_program_order_not_dispatch_order() {
+        // r0 (.wb.boc) defined at seq 0, read at 1 and 3 under window 3:
+        // in program order the read at 1 re-touches the entry, so the read
+        // at 3 is in-window. Results arriving in dispatch order (3 before
+        // 1) must not make it look evicted; a read past the window must.
+        let r = Reg::r;
+        let k = KernelBuilder::new("ooo")
+            .mov_imm(r(0), 7)
+            .hint(bow_isa::WritebackHint::BocOnly)
+            .iadd(r(1), r(0).into(), Operand::Imm(0))
+            .nop()
+            .iadd(r(2), r(0).into(), Operand::Imm(0))
+            .exit()
+            .build()
+            .unwrap();
+        let replay = |order: &[u64]| {
+            let mut san = Sanitizer::new(&k, 1, Some(3));
+            for &seq in order {
+                let pc = seq as usize;
+                san.on_event(&PipeEvent::ExecResult {
+                    uid: 0,
+                    pc,
+                    seq,
+                    dst_reg: k.insts[pc].dst_reg(),
+                    dst_pred: None,
+                    mask: u32::MAX,
+                    pred_bits: 0,
+                    values: &[],
+                });
+            }
+            san.on_event(&PipeEvent::WarpExit { uid: 0 });
+            san.finish().render()
+        };
+        assert_eq!(replay(&[0, 1, 2, 3]), "");
+        assert_eq!(replay(&[0, 3, 2, 1]), "", "dispatch order leaked");
+        assert_eq!(
+            replay(&[0, 2, 3]),
+            "hint-violation: .wb.boc r0 defined at pc0 consumed at pc3 \
+             after 3 instructions (warp 0)\n",
+            "a read at distance == window is stale"
         );
     }
 

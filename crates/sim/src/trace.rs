@@ -1,15 +1,189 @@
-//! Online characterization of bypass opportunity (Fig. 3).
+//! The architectural operand window, and the Fig. 3 analyzer built on it.
 //!
-//! The analyzer replays the *architectural* operand stream — independent of
-//! any collector's timing — through an exact model of the sliding extended
-//! instruction window at several window sizes at once, counting how many
-//! read and write requests a BOW/BOW-WR machine with that window would
-//! eliminate. This is exactly the paper's motivation experiment: "all
-//! bypassing opportunities for read and write requests to the register
-//! file, for different window instruction sizes".
+//! [`ArchWindow`] is the one dynamic encoding of BOW's window rule:
+//! `age = seq − last_touch`, a value is resident iff `age < window`, and
+//! reads re-touch it — the paper's sliding extended instruction window and
+//! [`WarpWindow::slide`]'s eviction rule, without the timing model's ports,
+//! in-flight fetches or capacity. Three consumers replay per-warp streams
+//! through it: [`BypassAnalyzer`] (Fig. 3, "all bypassing opportunities for
+//! read and write requests to the register file, for different window
+//! instruction sizes"), the race sanitizer's hint check
+//! ([`crate::sanitize`]) and the mutation campaign's ground truth
+//! (`bow::mutate`), to which a stale read is a `hint-violation` and an
+//! unsound mutant respectively.
+//!
+//! [`WarpWindow::slide`]: crate::collector::window::WarpWindow::slide
 
-use bow_isa::Instruction;
+use bow_isa::{Instruction, Kernel, WritebackHint, WARP_SIZE};
 use std::collections::HashMap;
+
+/// A register definition: the defining instruction's pc and per-warp
+/// sequence number.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct Def {
+    /// Program counter.
+    pub pc: usize,
+    /// Per-warp sequence number.
+    pub seq: u64,
+}
+
+/// What one [`ArchWindow::read`] observed.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct WindowRead {
+    /// Served from the window; a miss fetches the RF copy into it, clean.
+    pub hit: bool,
+    /// Some active lane observed a snapshot older than its newest write:
+    /// the def whose value was lost (a dirty `BocOnly` value evicted).
+    pub stale: Option<Def>,
+}
+
+/// Per-register architectural state. Write *versions* stand in for
+/// values; staleness is judged per lane, because a divergent warp's arms
+/// write disjoint lane sets and a read in one arm is entitled to a
+/// register-file copy that predates the other arm's writes.
+///
+/// Both the window entry and the RF hold full-register *snapshots*: the
+/// write-back stage gathers the complete merged architectural register
+/// (`warp.regs` at write-back time, see
+/// [`RegFile::shadow_stage`](crate::regfile::RegFile::shadow_stage)), so a
+/// snapshot taken at version `v` is correct for lane `l` exactly while no
+/// later write has touched `l` — i.e. while `lane_ver[l] <= v`.
+#[derive(Clone, Copy, Debug, Default)]
+struct RegState {
+    /// Version counter: increments on every architectural write.
+    ver: u64,
+    /// Per-lane version of the last write covering that lane.
+    lane_ver: [u64; WARP_SIZE],
+    /// Version of the snapshot the register-file banks hold.
+    rf_ver: u64,
+    /// The newest write, the only one a read can lose: its snapshot
+    /// carries every older write's lanes.
+    def: Def,
+    /// The buffered window entry, if any.
+    win: Option<WinEntry>,
+}
+
+#[derive(Clone, Copy, Debug)]
+struct WinEntry {
+    /// Version of the buffered snapshot.
+    ver: u64,
+    /// Sequence number of the last touching instruction.
+    last_touch: u64,
+    /// The buffered value is newer than the RF copy.
+    dirty: bool,
+    /// A dirty eviction writes back unless the def was `BocOnly`.
+    hint: WritebackHint,
+}
+
+/// One warp's architectural operand window at one size. Per instruction,
+/// in program order, [`read`](ArchWindow::read) each unique source, then
+/// [`write`](ArchWindow::write) the destination, at the instruction's
+/// per-warp sequence number (control instructions consume one too).
+#[derive(Clone, Debug)]
+pub struct ArchWindow {
+    window: u64,
+    /// Indexed by register, grown to the highest register accessed.
+    regs: Vec<RegState>,
+}
+
+impl ArchWindow {
+    /// An empty window of `window` instructions.
+    pub fn new(window: u32) -> ArchWindow {
+        ArchWindow {
+            window: u64::from(window),
+            regs: Vec::new(),
+        }
+    }
+
+    /// `reg`'s state at `seq`, with a pending eviction resolved. Evictions
+    /// only affect later accesses of the *same* register, so resolving them
+    /// lazily at the next access is exact.
+    fn reg(&mut self, reg: u8, seq: u64) -> &mut RegState {
+        let i = usize::from(reg);
+        if i >= self.regs.len() {
+            self.regs.resize(i + 1, RegState::default());
+        }
+        let st = &mut self.regs[i];
+        if let Some(e) = st.win {
+            if seq.saturating_sub(e.last_touch) >= self.window {
+                if e.dirty && e.hint.to_rf() {
+                    st.rf_ver = e.ver;
+                }
+                st.win = None;
+            }
+        }
+        st
+    }
+
+    /// A read of `reg` at `seq` under lane `mask`; it re-touches the entry.
+    pub fn read(&mut self, reg: u8, seq: u64, mask: u32) -> WindowRead {
+        let st = self.reg(reg, seq);
+        let hit = st.win.is_some();
+        let entry = st.win.get_or_insert(WinEntry {
+            ver: st.rf_ver,
+            last_touch: seq,
+            dirty: false,
+            hint: WritebackHint::Both,
+        });
+        entry.last_touch = seq;
+        let ver = entry.ver;
+        let stale = (0..WARP_SIZE).any(|l| mask & (1 << l) != 0 && st.lane_ver[l] > ver);
+        WindowRead {
+            hit,
+            stale: stale.then_some(st.def),
+        }
+    }
+
+    /// A write of `reg` by the instruction at `pc` / `seq` under lane
+    /// `mask`, routed by `hint`. Returns whether it consolidated an
+    /// in-window dirty value (that earlier write never reaches the RF).
+    pub fn write(&mut self, reg: u8, seq: u64, mask: u32, hint: WritebackHint, pc: usize) -> bool {
+        let st = self.reg(reg, seq);
+        let consolidated = st.win.is_some_and(|e| e.dirty);
+        st.ver += 1;
+        for l in (0..WARP_SIZE).filter(|l| mask & (1 << l) != 0) {
+            st.lane_ver[l] = st.ver;
+        }
+        st.def = Def { pc, seq };
+        st.win = if hint == WritebackHint::RfOnly {
+            // Straight to the RF; a buffered copy is superseded and
+            // invalidated (`WarpWindow::invalidate`).
+            st.rf_ver = st.ver;
+            None
+        } else {
+            Some(WinEntry {
+                ver: st.ver,
+                last_touch: seq,
+                dirty: true,
+                hint,
+            })
+        };
+        consolidated
+    }
+
+    /// Replays one warp's `(seq, pc, mask)` stream of `kernel`, in program
+    /// order, through a fresh window under the kernel's write-back hints;
+    /// `on_stale(reg, pc, seq, lost)` sees every stale read.
+    pub fn replay(
+        window: u32,
+        kernel: &Kernel,
+        stream: &[(u64, usize, u32)],
+        mut on_stale: impl FnMut(u8, usize, u64, Def),
+    ) {
+        let mut win = ArchWindow::new(window);
+        for &(seq, pc, mask) in stream {
+            let inst = &kernel.insts[pc];
+            for r in inst.unique_src_regs() {
+                if let Some(lost) = win.read(r.index(), seq, mask).stale {
+                    on_stale(r.index(), pc, seq, lost);
+                }
+            }
+            if let Some(d) = inst.dst_reg() {
+                win.write(d.index(), seq, mask, inst.hint, pc);
+            }
+        }
+    }
+}
 
 /// Eliminated-request counts for one window size.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -46,23 +220,15 @@ impl WindowReport {
     }
 }
 
-/// Window state for one (warp, window-size) pair.
-#[derive(Clone, Debug, Default)]
-struct WindowState {
-    /// reg -> (last_touch_seq, dirty)
-    entries: HashMap<u8, (u64, bool)>,
-    seq: u64,
-}
-
 /// The per-kernel analyzer. Feed it every issued instruction of every warp
 /// (in per-warp program order) via [`BypassAnalyzer::record`]; finish each
 /// warp with [`BypassAnalyzer::flush_warp`]; read the totals with
 /// [`BypassAnalyzer::reports`].
 #[derive(Clone, Debug)]
 pub struct BypassAnalyzer {
-    windows: Vec<u32>,
-    /// `states[warp_uid][window_index]`.
-    states: HashMap<u64, Vec<WindowState>>,
+    /// Per warp uid: its next sequence number and one [`ArchWindow`] per
+    /// tracked size.
+    warps: HashMap<u64, (u64, Vec<ArchWindow>)>,
     reports: Vec<WindowReport>,
 }
 
@@ -70,8 +236,7 @@ impl BypassAnalyzer {
     /// Creates an analyzer tracking the given window sizes.
     pub fn new(windows: &[u32]) -> BypassAnalyzer {
         BypassAnalyzer {
-            windows: windows.to_vec(),
-            states: HashMap::new(),
+            warps: HashMap::new(),
             reports: windows
                 .iter()
                 .map(|&w| WindowReport {
@@ -84,66 +249,39 @@ impl BypassAnalyzer {
 
     /// Whether any window is being tracked.
     pub fn is_enabled(&self) -> bool {
-        !self.windows.is_empty()
+        !self.reports.is_empty()
     }
 
     /// Records one issued instruction for the warp identified by
-    /// `warp_uid` (unique across blocks and SMs).
+    /// `warp_uid` (unique across blocks and SMs). Fig. 3 is
+    /// hint-independent, so every write is replayed as `Both` and no read
+    /// is ever stale; lanes and the def's pc do not matter.
     pub fn record(&mut self, warp_uid: u64, inst: &Instruction) {
-        let srcs: Vec<u8> = inst.unique_src_regs().iter().map(|r| r.index()).collect();
-        let dst = inst.dst_reg().map(|r| r.index());
-        self.record_raw(warp_uid, &srcs, dst);
-    }
-
-    /// Records one dynamic instruction given only its operand identities.
-    pub fn record_raw(&mut self, warp_uid: u64, srcs: &[u8], dst: Option<u8>) {
-        if self.windows.is_empty() {
-            return;
-        }
-        let n = self.windows.len();
-        let states = self
-            .states
-            .entry(warp_uid)
-            .or_insert_with(|| vec![WindowState::default(); n]);
-        for (wi, state) in states.iter_mut().enumerate() {
-            let w = u64::from(self.windows[wi]);
-            let rep = &mut self.reports[wi];
-            let seq = state.seq;
-            state.seq += 1;
-            // Slide: evict entries the window has passed; dirty evictions
-            // are the writes that *do* reach the RF.
-            state.entries.retain(|_, (touch, dirty)| {
-                let live = seq.saturating_sub(*touch) < w;
-                if !live && *dirty {
-                    // Dirty eviction: counted as a real RF write (it was
-                    // already counted in total_writes when produced).
-                }
-                live
-            });
-            for &r in srcs {
+        let reports = &self.reports;
+        let (seq, wins) = self.warps.entry(warp_uid).or_insert_with(|| {
+            (
+                0,
+                reports.iter().map(|r| ArchWindow::new(r.window)).collect(),
+            )
+        });
+        let srcs = inst.unique_src_regs();
+        for (win, rep) in wins.iter_mut().zip(&mut self.reports) {
+            for r in srcs.iter() {
                 rep.total_reads += 1;
-                if let Some((touch, _)) = state.entries.get_mut(&r) {
+                if win.read(r.index(), *seq, u32::MAX).hit {
                     rep.bypassed_reads += 1;
-                    *touch = seq;
-                } else {
-                    state.entries.insert(r, (seq, false));
                 }
             }
-            if let Some(d) = dst {
+            if let Some(d) = inst.dst_reg() {
                 rep.total_writes += 1;
-                if let Some((touch, dirty)) = state.entries.get_mut(&d) {
-                    if *dirty {
-                        // Overwritten while in window: the previous write
-                        // never needed the RF.
-                        rep.bypassed_writes += 1;
-                    }
-                    *touch = seq;
-                    *dirty = true;
-                } else {
-                    state.entries.insert(d, (seq, true));
+                // Overwritten while in window: the previous write never
+                // needed the RF.
+                if win.write(d.index(), *seq, u32::MAX, WritebackHint::Both, 0) {
+                    rep.bypassed_writes += 1;
                 }
             }
         }
+        *seq += 1;
     }
 
     /// Closes out a finished warp. The paper's write-bypass metric also
@@ -152,23 +290,12 @@ impl BypassAnalyzer {
     /// dynamic view only consolidates overwrites, so the dirty values still
     /// buffered here drain to the RF (not bypassed).
     pub fn flush_warp(&mut self, warp_uid: u64) {
-        self.states.remove(&warp_uid);
+        self.warps.remove(&warp_uid);
     }
 
     /// The accumulated per-window reports.
     pub fn reports(&self) -> &[WindowReport] {
         &self.reports
-    }
-
-    /// Adds another analyzer's totals into this one (cross-SM merge).
-    pub fn merge(&mut self, other: &BypassAnalyzer) {
-        assert_eq!(self.windows, other.windows, "mismatched window sets");
-        for (a, b) in self.reports.iter_mut().zip(other.reports.iter()) {
-            a.total_reads += b.total_reads;
-            a.bypassed_reads += b.bypassed_reads;
-            a.total_writes += b.total_writes;
-            a.bypassed_writes += b.bypassed_writes;
-        }
     }
 }
 
@@ -191,6 +318,52 @@ impl crate::probe::Probe for BypassAnalyzer {
 mod tests {
     use super::*;
     use bow_isa::{KernelBuilder, Operand, Reg};
+    use WritebackHint::{BocOnly, Both, RfOnly};
+
+    const ALL: u32 = u32::MAX;
+
+    #[test]
+    fn replayer_models_the_window_exactly() {
+        // def r0 (BocOnly) at 0, read at distance 2 (hit, re-touch), then
+        // at distance 4 from the re-touch (miss -> stale: the value was
+        // dropped).
+        let replay = |window, hint| {
+            let mut w = ArchWindow::new(window);
+            w.write(0, 0, ALL, hint, 0);
+            [w.read(0, 2, ALL), w.read(0, 6, ALL)].map(|r| (r.hit, r.stale))
+        };
+        let lost = Some(Def { pc: 0, seq: 0 });
+        assert_eq!(replay(3, BocOnly), [(true, None), (false, lost)]);
+        assert_eq!(replay(8, BocOnly), [(true, None); 2], "window 8 keeps it");
+        // Both writes back on eviction: no staleness at any window.
+        assert_eq!(replay(3, Both), [(true, None), (false, None)]);
+    }
+
+    #[test]
+    fn replayer_sees_rf_only_invalidation_as_a_kill() {
+        // Both def buffered dirty, RfOnly redef supersedes (consolidates)
+        // it, read after the old entry would have evicted: the RF must hold
+        // the new value.
+        let mut w = ArchWindow::new(3);
+        assert!(!w.write(0, 0, ALL, Both, 0));
+        assert!(w.write(0, 1, ALL, RfOnly, 1));
+        assert_eq!(w.read(0, 5, ALL).stale, None, "no WAW regression");
+    }
+
+    #[test]
+    fn staleness_is_judged_per_lane() {
+        // A BocOnly write under the lower half-warp's mask is dropped on
+        // eviction. A later read by the *other* half is entitled to the
+        // old RF snapshot — not stale; the same read by the writing half
+        // observes the loss.
+        let read_at_4 = |mask| {
+            let mut w = ArchWindow::new(3);
+            w.write(0, 0, 0x0000_ffff, BocOnly, 0);
+            w.read(0, 4, mask).stale.is_some()
+        };
+        assert!(!read_at_4(0xffff_0000), "disjoint lanes");
+        assert!(read_at_4(0x0000_0001), "writing lane is stale");
+    }
 
     fn record_all(an: &mut BypassAnalyzer, insts: &[Instruction]) {
         for i in insts {
@@ -300,22 +473,5 @@ mod tests {
         an.record(0, &k.insts[1]);
         an.record(1, &k.insts[1]);
         assert_eq!(an.reports()[0].bypassed_reads, 2);
-    }
-
-    #[test]
-    fn merge_adds_totals() {
-        let mut a = BypassAnalyzer::new(&[3]);
-        let mut b = BypassAnalyzer::new(&[3]);
-        let r = Reg::r;
-        let k = KernelBuilder::new("t")
-            .mov_imm(r(0), 1)
-            .iadd(r(1), r(0).into(), Operand::Imm(2))
-            .exit()
-            .build()
-            .unwrap();
-        record_all(&mut a, &k.insts);
-        record_all(&mut b, &k.insts);
-        a.merge(&b);
-        assert_eq!(a.reports()[0].total_reads, 2);
     }
 }

@@ -15,8 +15,7 @@ pub struct RunOutcome {
 /// window reports sum per window size.
 ///
 /// Launches may legitimately differ in SM count — a sweep can mix the
-/// scaled 2-SM tier with the full 56-SM chip, and the throughput
-/// benchmark merges runs at several device widths. Per-SM vectors are
+/// scaled 2-SM tier with the full 56-SM chip. Per-SM vectors are
 /// therefore merged index-wise up to the longest launch: SM `i`'s totals
 /// accumulate every launch that had an SM `i`, and the merged vector is
 /// as long as the widest device seen.

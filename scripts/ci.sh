@@ -75,12 +75,15 @@ DIVERGENCES="stack barrier"
 # repros to target/fuzz-repros/. On `modern` every kernel gets a
 # compiler-emitted control-bit sidecar and runs under the sub-core
 # pipeline; under `barrier` it is lowered to convergence barriers, so
-# reconvergence rides the per-warp barrier registers.
+# reconvergence rides the per-warp barrier registers. `--sanitize` runs
+# the race sanitizer on every launch, so its hint replay (the shared
+# `ArchWindow`) sees every annotated case under every BOW config; a
+# dynamic finding the static lints do not vouch for fails the case.
 for CORE in $CORES; do
     for DIV in $DIVERGENCES; do
-        echo "==> bow fuzz --smoke --core-model ${CORE} --divergence ${DIV}"
+        echo "==> bow fuzz --smoke --sanitize --core-model ${CORE} --divergence ${DIV}"
         cargo run --release -q --offline -p bow-cli -- \
-            fuzz --smoke --core-model "${CORE}" --divergence "${DIV}" \
+            fuzz --smoke --sanitize --core-model "${CORE}" --divergence "${DIV}" \
             --out target/fuzz-repros
     done
 done
@@ -106,7 +109,7 @@ done
 echo "==> bow lint --mutate --smoke (mutation sanitizer, fixed seed)"
 # Audits the verifier itself: flips sound hints to BocOnly across a
 # generated corpus and requires every mutant that demonstrably loses a
-# live value (per the architectural window replayer) to be statically
+# live value (per `ArchWindow`, the architectural window replay) to be statically
 # flagged, plus at least one lockstep-confirmed catch in the pipeline.
 cargo run --release -q --offline -p bow-cli -- \
     lint --mutate --smoke --json target/lint-reports/mutation.json

@@ -2,7 +2,9 @@
 //! tags as transient must never be needed from the register file. We check
 //! this dynamically by replaying every benchmark's per-warp instruction
 //! stream through an exact window model and asserting that each read of a
-//! transient value hits the window.
+//! transient value hits the window. One table test pins every encoding of
+//! the window rule — timing model, static verifier, race sanitizer,
+//! `ArchWindow` and the Fig. 3 analyzer — to the same eviction distance.
 
 use bow::compiler::{classify_kernel, HintClass};
 use bow::prelude::*;
@@ -136,4 +138,58 @@ fn forced_evictions_are_rare_with_half_size_buffers() {
         (forced as f64) < 0.10 * writes as f64,
         "forced evictions {forced} vs writes {writes}"
     );
+}
+
+#[test]
+fn every_window_encoding_evicts_at_the_same_distance() {
+    // BOW's one rule: a buffered value is resident iff `seq − last_touch <
+    // window`. A `.wb.boc` def, `gap` nops, one read: at distance >= window
+    // the value is gone, and every encoding must say so at exactly the
+    // same distance.
+    use bow::sim::{collector::window::WarpWindow, regfile::RegFile};
+    use bow::sim::{ArchWindow, BypassAnalyzer, NullProbe};
+    let (r, boc) = (Reg::r, WritebackHint::BocOnly);
+    for window in [1u32, 3, 7] {
+        for gap in 0..=window + 1 {
+            let distance = u64::from(gap) + 1;
+            let b = KernelBuilder::new("boundary").mov_imm(r(0), 7).hint(boc);
+            let b = (0..gap).fold(b, |b, _| b.nop());
+            let k = b.iadd(r(1), r(0).into(), Operand::Imm(0)).exit().build();
+            let k = k.unwrap();
+
+            // The timing model's window.
+            let (mut rf, mut st, p) = (RegFile::new(32), SimStats::default(), &mut NullProbe);
+            let mut ww = WarpWindow::new(window.into(), 12);
+            ww.upsert_dirty(r(0), 0, boc, 0, &mut rf, &mut st, p);
+            ww.slide(distance, 0, &mut rf, &mut st, p);
+            let model = ww.live_entries() == 0;
+
+            // The static verifier.
+            let verifier = !bow::compiler::verify_hints(&k, window as usize).is_sound();
+
+            // The race sanitizer on a live bow-wr launch.
+            let mut cfg = GpuConfig::scaled(CollectorKind::bow_wr(window));
+            cfg.sanitize = true;
+            let res = Gpu::new(cfg).launch(&k, KernelDims::linear(1, 32), &[]);
+            let report = res.sanitizer.expect("sanitize attaches the probe");
+            let sanitizer = report.findings.iter().any(|f| f.kind() == "hint-violation");
+
+            // The architectural window.
+            let mut aw = ArchWindow::new(window);
+            aw.write(0, 0, u32::MAX, boc, 0);
+            let arch = aw.read(0, distance, u32::MAX).stale.is_some();
+
+            // The Fig. 3 analyzer.
+            let mut an = BypassAnalyzer::new(&[window]);
+            k.insts.iter().for_each(|inst| an.record(0, inst));
+            let analyzer = an.reports()[0].bypassed_reads == 0;
+
+            assert_eq!(
+                [model, verifier, sanitizer, arch, analyzer],
+                [distance >= u64::from(window); 5],
+                "window {window}, read at distance {distance}: \
+                 [model, verifier, sanitizer, ArchWindow, analyzer]"
+            );
+        }
+    }
 }
