@@ -16,6 +16,7 @@
 pub mod rfc;
 pub mod window;
 
+use crate::bits::Bits;
 use crate::decode::InstMeta;
 use crate::probe::{emit, PipeEvent, Probe};
 use crate::regfile::RegFile;
@@ -147,12 +148,6 @@ struct OperandReq {
     state: OpState,
 }
 
-impl OperandReq {
-    fn is_ready(&self, cycle: u64) -> bool {
-        matches!(self.state, OpState::ReadyAt(t) if t <= cycle)
-    }
-}
-
 /// One issued instruction waiting in the collection stage. The
 /// instruction itself stays in the kernel: the slot names it by `pc`.
 #[derive(Clone, Debug)]
@@ -169,11 +164,22 @@ pub struct Slot {
     pub insert_cycle: u64,
     /// One fetch per unique register source.
     operands: InlineVec<OperandReq, { bow_isa::MAX_SRC_OPERANDS + 1 }>,
+    /// Operands not yet `ReadyAt`: collection has nothing left to do for
+    /// the slot once this is zero.
+    waiting: u8,
+    /// The latest arrival among the `ReadyAt` operands: with `waiting`
+    /// zero, the slot may dispatch from this cycle on.
+    ready_at: u64,
 }
 
 impl Slot {
-    fn is_ready(&self, cycle: u64) -> bool {
-        self.operands.iter().all(|o| o.is_ready(cycle))
+    /// Operand `k`'s value lands at cycle `at`. Returns whether that was
+    /// the last operand the slot waited for.
+    fn land(&mut self, k: usize, at: u64) -> bool {
+        self.operands[k].state = OpState::ReadyAt(at);
+        self.waiting -= 1;
+        self.ready_at = self.ready_at.max(at);
+        self.waiting == 0
     }
 }
 
@@ -189,9 +195,17 @@ pub struct OperandStage {
     /// insert/remove so the issue scan never walks `slots`.
     resident: Vec<u32>,
     oldest_seq: Vec<u64>,
+    /// The warps whose `resident` count is non-zero.
+    busy_warps: Bits,
+    /// Slots with an operand not yet `ReadyAt`: `collect` has work only
+    /// while this is non-zero.
+    waiting_slots: usize,
+    /// BOW modes: `WaitShared` operands over all slots (the waiter-wake
+    /// walks of `collect` run only while some wait).
+    shared_waiters: usize,
     /// BOW modes, scratch of `collect`: warps granted their BOC's one
     /// register-file port this cycle.
-    warp_granted: Vec<bool>,
+    warp_granted: Bits,
     /// Baseline/RFC: number of OCUs in the shared pool.
     num_ocus: usize,
     /// BOW modes: per-warp bypass windows.
@@ -236,7 +250,10 @@ impl OperandStage {
             slots: Vec::new(),
             resident: vec![0; max_warps],
             oldest_seq: vec![0; max_warps],
-            warp_granted: vec![false; max_warps],
+            busy_warps: Bits::new(max_warps),
+            waiting_slots: 0,
+            shared_waiters: 0,
+            warp_granted: Bits::new(max_warps),
             num_ocus,
             windows,
             rfcs,
@@ -250,10 +267,19 @@ impl OperandStage {
         self.kind
     }
 
+    /// Whether the shared OCU pool (baseline, RFC) is full, so that no
+    /// warp can enter. The per-warp BOCs of the BOW modes never are.
+    pub fn pool_full(&self) -> bool {
+        matches!(
+            self.kind,
+            CollectorKind::Baseline | CollectorKind::Rfc { .. }
+        ) && self.slots.len() >= self.num_ocus
+    }
+
     /// Whether a new instruction of `warp` can enter the stage.
     pub fn can_accept(&self, warp: usize) -> bool {
         match self.kind {
-            CollectorKind::Baseline | CollectorKind::Rfc { .. } => self.slots.len() < self.num_ocus,
+            CollectorKind::Baseline | CollectorKind::Rfc { .. } => !self.pool_full(),
             CollectorKind::Bow { window, .. } | CollectorKind::BowWr { window, .. } => {
                 self.resident[warp] < window
             }
@@ -385,14 +411,29 @@ impl OperandStage {
             self.oldest_seq[warp].min(seq)
         };
         self.resident[warp] += 1;
-        self.slots.push(Slot {
+        self.busy_warps.set(warp);
+        let mut slot = Slot {
             warp,
             pc,
             mask,
             seq,
             insert_cycle: cycle,
             operands,
-        });
+            waiting: 0,
+            ready_at: 0,
+        };
+        for op in slot.operands.iter() {
+            match op.state {
+                OpState::ReadyAt(at) => slot.ready_at = slot.ready_at.max(at),
+                OpState::WaitShared => {
+                    slot.waiting += 1;
+                    self.shared_waiters += 1;
+                }
+                OpState::NeedRf | OpState::RfcHit => slot.waiting += 1,
+            }
+        }
+        self.waiting_slots += usize::from(slot.waiting > 0);
+        self.slots.push(slot);
         rf_fetches
     }
 
@@ -415,24 +456,30 @@ impl OperandStage {
     /// fetches, honours OCU/BOC port limits and wakes shared waiters.
     /// Call after [`RegFile::begin_cycle`].
     pub fn collect(&mut self, cycle: u64, rf: &mut RegFile) {
+        if self.waiting_slots == 0 {
+            return;
+        }
         let arrival = cycle + self.rf_read_latency;
         let mut xbar_budget = self.xbar_width;
         match self.kind {
             CollectorKind::Baseline | CollectorKind::Rfc { .. } => {
                 // One operand per OCU (slot) per cycle, bounded by the
                 // crossbar's total delivery bandwidth.
-                for i in 0..self.slots.len() {
+                for slot in &mut self.slots {
                     if xbar_budget == 0 {
                         break;
                     }
-                    let slot = &mut self.slots[i];
-                    let Some(op) = slot
+                    if slot.waiting == 0 {
+                        continue;
+                    }
+                    let Some(k) = slot
                         .operands
-                        .iter_mut()
-                        .find(|o| matches!(o.state, OpState::NeedRf | OpState::RfcHit))
+                        .iter()
+                        .position(|o| matches!(o.state, OpState::NeedRf | OpState::RfcHit))
                     else {
                         continue;
                     };
+                    let op = slot.operands[k];
                     match op.state {
                         // RFC hits skip the banks (no conflicts, little
                         // energy) but the cache sits behind the same OCU
@@ -440,12 +487,12 @@ impl OperandStage {
                         // grant-to-arrival latency — §V-A's reason the RFC
                         // barely improves IPC.
                         OpState::RfcHit => {
-                            op.state = OpState::ReadyAt(arrival.max(cycle + 1));
+                            self.waiting_slots -= usize::from(slot.land(k, arrival.max(cycle + 1)));
                             xbar_budget -= 1;
                         }
                         OpState::NeedRf => {
                             if rf.try_read(slot.warp, op.reg) {
-                                op.state = OpState::ReadyAt(arrival);
+                                self.waiting_slots -= usize::from(slot.land(k, arrival));
                                 xbar_budget -= 1;
                             }
                         }
@@ -458,46 +505,58 @@ impl OperandStage {
             | CollectorKind::BowFlex { .. } => {
                 // Wake shared waiters whose fetch has arrived (forwarding
                 // logic: any number per cycle).
-                for i in 0..self.slots.len() {
-                    let warp = self.slots[i].warp;
-                    for op in &mut self.slots[i].operands {
-                        if op.state == OpState::WaitShared {
-                            if let Some(at) = self.windows[warp].arrival_of(op.reg) {
-                                op.state = OpState::ReadyAt(at);
+                if self.shared_waiters > 0 {
+                    for slot in &mut self.slots {
+                        if slot.waiting == 0 {
+                            continue;
+                        }
+                        let window = &self.windows[slot.warp];
+                        for k in 0..slot.operands.len() {
+                            let op = slot.operands[k];
+                            if op.state == OpState::WaitShared {
+                                if let Some(at) = window.arrival_of(op.reg) {
+                                    self.waiting_slots -= usize::from(slot.land(k, at));
+                                    self.shared_waiters -= 1;
+                                }
                             }
                         }
                     }
                 }
                 // One RF-fetched operand per warp (BOC port) per cycle,
                 // bounded by the crossbar's total delivery bandwidth.
-                self.warp_granted.fill(false);
+                self.warp_granted.clear_all();
                 for i in 0..self.slots.len() {
                     if xbar_budget == 0 {
                         break;
                     }
-                    let warp = self.slots[i].warp;
-                    if self.warp_granted[warp] {
+                    let slot = &mut self.slots[i];
+                    let warp = slot.warp;
+                    if slot.waiting == 0 || self.warp_granted.get(warp) {
                         continue;
                     }
-                    let slot = &mut self.slots[i];
-                    let Some(op) = slot
+                    let Some(k) = slot
                         .operands
-                        .iter_mut()
-                        .find(|o| o.state == OpState::NeedRf)
+                        .iter()
+                        .position(|o| o.state == OpState::NeedRf)
                     else {
                         continue;
                     };
-                    if rf.try_read(warp, op.reg) {
-                        op.state = OpState::ReadyAt(arrival);
-                        self.warp_granted[warp] = true;
+                    let reg = slot.operands[k].reg;
+                    if rf.try_read(warp, reg) {
+                        self.waiting_slots -= usize::from(slot.land(k, arrival));
+                        self.warp_granted.set(warp);
                         xbar_budget -= 1;
-                        let reg = op.reg;
                         self.windows[warp].mark_arrived(reg, arrival);
+                        if self.shared_waiters == 0 {
+                            continue;
+                        }
                         // Wake this warp's sharers of the same register.
                         for s in self.slots.iter_mut().filter(|s| s.warp == warp) {
-                            for o in &mut s.operands {
+                            for k in 0..s.operands.len() {
+                                let o = s.operands[k];
                                 if o.reg == reg && o.state == OpState::WaitShared {
-                                    o.state = OpState::ReadyAt(arrival);
+                                    self.waiting_slots -= usize::from(s.land(k, arrival));
+                                    self.shared_waiters -= 1;
                                 }
                             }
                         }
@@ -510,15 +569,19 @@ impl OperandStage {
     /// Appends the indices of slots whose operands are all ready at
     /// `cycle` to `out`, oldest first, reusing its capacity.
     pub fn ready_slots_into(&self, cycle: u64, out: &mut Vec<usize>) {
-        out.extend((0..self.slots.len()).filter(|&i| self.slots[i].is_ready(cycle)));
+        let ready = |s: &Slot| s.waiting == 0 && s.ready_at <= cycle;
+        out.extend((0..self.slots.len()).filter(|&i| ready(&self.slots[i])));
     }
 
     /// Removes and returns a dispatched slot.
     pub fn remove(&mut self, index: usize) -> Slot {
         let slot = self.slots.remove(index);
+        debug_assert_eq!(slot.waiting, 0, "dispatched with operands missing");
         let w = slot.warp;
         self.resident[w] -= 1;
-        if self.resident[w] > 0 && slot.seq == self.oldest_seq[w] {
+        if self.resident[w] == 0 {
+            self.busy_warps.clear(w);
+        } else if slot.seq == self.oldest_seq[w] {
             let rest = self.slots.iter().filter(|s| s.warp == w);
             self.oldest_seq[w] = rest.map(|s| s.seq).min().expect("resident slots");
         }
@@ -662,17 +725,15 @@ impl OperandStage {
             return;
         }
         let cap = self.kind.boc_capacity();
-        for (w, win) in self.windows.iter().enumerate() {
-            if self.resident[w] > 0 {
-                emit(
-                    stats,
-                    probe,
-                    PipeEvent::OccupancySample {
-                        live: win.live_entries(),
-                        cap: cap.max(12),
-                    },
-                );
-            }
+        for w in self.busy_warps.iter() {
+            emit(
+                stats,
+                probe,
+                PipeEvent::OccupancySample {
+                    live: self.windows[w].live_entries(),
+                    cap: cap.max(12),
+                },
+            );
         }
     }
 }

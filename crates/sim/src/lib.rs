@@ -56,6 +56,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+mod bits;
 pub mod collector;
 pub mod config;
 pub mod decode;

@@ -1,5 +1,5 @@
-//! The banked register file: bank mapping, write queues and per-cycle port
-//! accounting.
+//! The banked register file: bank mapping, queued writes and per-cycle
+//! port accounting.
 //!
 //! Each of the (typically 32) banks has a single port serving one access per
 //! cycle, writes taking priority over reads — the structural hazard at the
@@ -7,17 +7,9 @@
 //! across banks with the standard `(warp + reg) % banks` mapping so
 //! different warps' hot registers spread out.
 
+use crate::bits::Bits;
 use bow_isa::{Reg, WARP_SIZE};
-use std::collections::{HashMap, VecDeque};
-
-/// A queued register-file write (one warp-register, 128 B).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct PendingWrite {
-    /// Warp slot that produced the value.
-    pub warp: usize,
-    /// Destination register.
-    pub reg: Reg,
-}
+use std::collections::HashMap;
 
 /// Register-file access counters.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -64,9 +56,15 @@ pub struct RegFile {
     /// warp `w` only ever touches the `banks / g` banks of group `w % g`,
     /// so sub-cores never contend for each other's ports.
     groups: usize,
-    write_queues: Vec<VecDeque<PendingWrite>>,
+    /// Writes queued per bank. Which warp-register a queued write carries
+    /// never matters to timing (the values live in `Warp::regs`, and the
+    /// shadow commits at enqueue), so a count is the whole queue.
+    queued: Vec<u32>,
+    /// The banks with a queued write, and the total queued over all banks.
+    queued_banks: Bits,
+    queued_total: u64,
     /// Banks whose port is consumed this cycle.
-    busy: Vec<bool>,
+    busy: Bits,
     stats: RegFileStats,
     shadow: Option<ShadowRf>,
 }
@@ -89,8 +87,10 @@ impl RegFile {
         RegFile {
             banks,
             groups,
-            write_queues: vec![VecDeque::new(); banks],
-            busy: vec![false; banks],
+            queued: vec![0; banks],
+            queued_banks: Bits::new(banks),
+            queued_total: 0,
+            busy: Bits::new(banks),
             stats: RegFileStats::default(),
             shadow: None,
         }
@@ -166,21 +166,25 @@ impl RegFile {
             }
         }
         let b = self.bank_of(warp, reg);
-        self.write_queues[b].push_back(PendingWrite { warp, reg });
+        self.queued[b] += 1;
+        self.queued_banks.set(b);
+        self.queued_total += 1;
     }
 
     /// Starts a new cycle: drains one queued write per bank (consuming that
-    /// bank's port) and resets port availability for reads.
+    /// bank's port) and resets port availability for reads. Every write
+    /// still queued after the drain waits this cycle out.
     pub fn begin_cycle(&mut self) {
-        for b in 0..self.banks {
-            let q = &mut self.write_queues[b];
-            if let Some(_w) = q.pop_front() {
-                self.busy[b] = true;
-                self.stats.writes += 1;
-            } else {
-                self.busy[b] = false;
+        self.busy.copy_from(&self.queued_banks);
+        let drained = self.busy.count();
+        self.stats.writes += drained;
+        self.queued_total -= drained;
+        self.stats.write_queue_cycles += self.queued_total;
+        for b in self.busy.iter() {
+            self.queued[b] -= 1;
+            if self.queued[b] == 0 {
+                self.queued_banks.clear(b);
             }
-            self.stats.write_queue_cycles += q.len() as u64;
         }
     }
 
@@ -188,19 +192,19 @@ impl RegFile {
     /// Returns true (and counts the read) on success.
     pub fn try_read(&mut self, warp: usize, reg: Reg) -> bool {
         let b = self.bank_of(warp, reg);
-        if self.busy[b] {
+        if self.busy.get(b) {
             self.stats.read_conflicts += 1;
             false
         } else {
-            self.busy[b] = true;
+            self.busy.set(b);
             self.stats.reads += 1;
             true
         }
     }
 
     /// Outstanding queued writes across all banks.
-    pub fn queued_writes(&self) -> usize {
-        self.write_queues.iter().map(VecDeque::len).sum()
+    pub fn queued_writes(&self) -> u64 {
+        self.queued_total
     }
 }
 
@@ -368,6 +372,75 @@ mod tests {
         rf.shadow_reset_warp(0);
         assert_eq!(rf.shadow_read(0, Reg::r(5)), Some([0; WARP_SIZE]));
         assert_eq!(rf.shadow_read(1, Reg::r(5)), Some([9; WARP_SIZE]));
+    }
+
+    /// The walk `begin_cycle` replaced: one write deque per bank, every
+    /// bank visited every cycle.
+    struct ReferenceBanks {
+        queues: Vec<std::collections::VecDeque<(usize, Reg)>>,
+        busy: Vec<bool>,
+        stats: RegFileStats,
+    }
+
+    impl ReferenceBanks {
+        fn begin_cycle(&mut self) {
+            for (q, busy) in self.queues.iter_mut().zip(&mut self.busy) {
+                *busy = q.pop_front().is_some();
+                self.stats.writes += u64::from(*busy);
+                self.stats.write_queue_cycles += q.len() as u64;
+            }
+        }
+
+        fn try_read(&mut self, b: usize) -> bool {
+            if self.busy[b] {
+                self.stats.read_conflicts += 1;
+                false
+            } else {
+                self.busy[b] = true;
+                self.stats.reads += 1;
+                true
+            }
+        }
+    }
+
+    #[test]
+    fn begin_cycle_matches_the_per_bank_walk_it_replaced() {
+        // Bursty writes (queues build up and drain) and reads that collide,
+        // at bank counts below, at and above one 64-bit word, and on a
+        // clustered file.
+        for (banks, groups) in [(30, 1), (32, 1), (32, 4), (96, 1), (96, 3)] {
+            let mut rng = bow_util::XorShift::new(banks as u64 * 7 + groups as u64);
+            let mut rf = RegFile::new_clustered(banks, groups);
+            let mut reference = ReferenceBanks {
+                queues: vec![Default::default(); banks],
+                busy: vec![false; banks],
+                stats: RegFileStats::default(),
+            };
+            for cycle in 0..3000 {
+                let burst = if cycle % 200 < 50 {
+                    banks as u64 * 2
+                } else {
+                    2
+                };
+                for _ in 0..rng.below(burst) {
+                    let (warp, reg) = (rng.below(96) as usize, Reg::r(rng.below_u8(64)));
+                    rf.enqueue_write(warp, reg);
+                    reference.queues[rf.bank_of(warp, reg)].push_back((warp, reg));
+                }
+                rf.begin_cycle();
+                reference.begin_cycle();
+                for _ in 0..rng.below(24) {
+                    let (warp, reg) = (rng.below(96) as usize, Reg::r(rng.below_u8(64)));
+                    let b = rf.bank_of(warp, reg);
+                    assert_eq!(rf.try_read(warp, reg), reference.try_read(b));
+                }
+                let queued: usize = reference.queues.iter().map(|q| q.len()).sum();
+                assert_eq!(rf.queued_writes(), queued as u64, "{banks} banks");
+                assert_eq!(rf.stats(), reference.stats, "{banks} banks, cycle {cycle}");
+            }
+            let st = rf.stats();
+            assert!(st.write_queue_cycles > st.writes && st.read_conflicts > 5000);
+        }
     }
 
     #[test]

@@ -57,12 +57,8 @@ impl Stages {
             FuClass::Ctrl,
         ]
         .map(|c| ctx.config.fu_width(c));
-        if !I::EXACT {
-            self.warp_dispatched.clear();
-            self.warp_dispatched.resize(ctx.warps.len(), false);
-        }
         let mut picked = std::mem::take(&mut self.picked_buf);
-        for part in &mut self.parts {
+        for (p, part) in self.parts.iter_mut().enumerate() {
             let ready = part.latch.take_ready();
             for &idx in &ready {
                 let slot = part.oc.slot(idx);
@@ -87,9 +83,14 @@ impl Stages {
                 picked.push(idx);
             }
             part.latch.restore(ready);
+            let was_full = part.oc.pool_full();
             // Remove highest-index first so indices stay valid.
             for &idx in picked.iter().rev() {
                 let mut slot = part.oc.remove(idx);
+                self.ready.mark(slot.warp);
+                // A warp lives in one partition, so the gate is done with
+                // it once this partition's picks have left.
+                self.warp_dispatched[slot.warp] = false;
                 // Re-read the guard predicate now: the issue-time read can
                 // precede the producer's execute under tight control bits,
                 // and dispatch is where in-order execution makes the warp
@@ -112,6 +113,9 @@ impl Stages {
                     probe,
                 );
                 self.completions.push(completion);
+            }
+            if part.oc.pool_full() != was_full {
+                self.ready.mark_partition(p);
             }
             picked.clear();
         }

@@ -54,6 +54,14 @@ pub(crate) trait Interlock {
     /// its `pc` this cycle.
     fn blocks(&self, w: usize, warp: &Warp, kernel: &DecodedKernel<'_>) -> bool;
 
+    /// For how many more cycles a count that only time releases holds
+    /// slot `w` whatever else happens (0 when none does). The issue
+    /// stage's ready set re-checks such a warp once this runs out instead
+    /// of at every scan.
+    fn stall_left(&self, _w: usize) -> u64 {
+        0
+    }
+
     /// Whether a read of `reg` is served by the uniform register file
     /// (it then skips the banked RF and the bypass window).
     fn is_uniform(&self, w: usize, reg: Reg) -> bool;
@@ -123,8 +131,9 @@ impl Interlock for Scoreboards {
 /// Per-warp control-bit interlock state.
 #[derive(Clone, Debug, Default)]
 struct WarpCtrl {
-    /// Cycles until this warp may issue again (set from the stall field).
-    stall: u32,
+    /// The first cycle (of [`ControlBits::now`]) this warp may issue again:
+    /// the issuing cycle plus the stall field.
+    stall_until: u64,
     /// Outstanding set-count per dependence barrier. A barrier blocks
     /// waiters while its count is non-zero; counting (rather than a
     /// plain flag) makes compiler barrier reuse sound.
@@ -180,6 +189,8 @@ fn is_uniform_producer(inst: &Instruction) -> bool {
 /// The control-bit interlock: stall/barrier counts and the
 /// uniform-resident register set of every warp slot.
 pub(crate) struct ControlBits {
+    /// Cycles begun so far: the clock stall deadlines are kept against.
+    now: u64,
     ctrls: Vec<WarpCtrl>,
     /// Uniform-resident registers, one set per warp slot.
     uniform: Vec<RegSet>,
@@ -188,6 +199,7 @@ pub(crate) struct ControlBits {
 impl ControlBits {
     pub(crate) fn new(max_warps: usize) -> ControlBits {
         ControlBits {
+            now: 0,
             ctrls: vec![WarpCtrl::default(); max_warps],
             uniform: vec![[0; 4]; max_warps],
         }
@@ -199,14 +211,12 @@ impl Interlock for ControlBits {
     const EXACT: bool = false;
 
     fn begin_cycle(&mut self) {
-        for c in &mut self.ctrls {
-            c.stall = c.stall.saturating_sub(1);
-        }
+        self.now += 1;
     }
 
     fn blocks(&self, w: usize, warp: &Warp, kernel: &DecodedKernel<'_>) -> bool {
         let ctrl = &self.ctrls[w];
-        if ctrl.stall > 0 {
+        if ctrl.stall_until > self.now {
             return true;
         }
         match kernel.ctrl.get(warp.pc) {
@@ -215,6 +225,10 @@ impl Interlock for ControlBits {
             // warp (the fallback the control bits exist to beat).
             None => warp.inflight > 0,
         }
+    }
+
+    fn stall_left(&self, w: usize) -> u64 {
+        self.ctrls[w].stall_until.saturating_sub(self.now)
     }
 
     fn is_uniform(&self, w: usize, reg: Reg) -> bool {
@@ -235,7 +249,7 @@ impl Interlock for ControlBits {
         }
         if let Some(cb) = kernel.ctrl.get(pc) {
             let ctrl = &mut self.ctrls[w];
-            ctrl.stall = u32::from(cb.stall);
+            ctrl.stall_until = self.now + u64::from(cb.stall);
             // Control instructions honour their stall field (it carries
             // residual latency across block boundaries) but never set
             // barriers: they do not dispatch or write back, so nothing

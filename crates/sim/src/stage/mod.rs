@@ -53,6 +53,7 @@ use crate::stats::SimStats;
 use crate::warp::Warp;
 use bow_mem::{MemSystem, SharedMemory, SmView};
 use interlock::{ControlBits, Interlock, Scoreboards};
+use issue::ReadySet;
 
 /// A thread block resident on the SM.
 #[derive(Debug)]
@@ -117,8 +118,9 @@ impl SmCtx {
     }
 
     /// Releases a block-wide barrier once every live warp of `wslot`'s
-    /// block has arrived (or exited).
-    pub(crate) fn maybe_release_barrier(&mut self, wslot: usize) {
+    /// block has arrived (or exited), telling `released` each slot it
+    /// frees.
+    pub(crate) fn maybe_release_barrier(&mut self, wslot: usize, mut released: impl FnMut(usize)) {
         let bslot = self.warps[wslot].as_ref().expect("live").block_slot;
         let slots = &self.blocks[bslot].as_ref().expect("resident").warp_slots;
         let all_arrived = slots.iter().all(|&ws| {
@@ -130,6 +132,7 @@ impl SmCtx {
             for &ws in slots {
                 if let Some(w) = self.warps[ws].as_mut() {
                     w.at_barrier = false;
+                    released(ws);
                 }
             }
         }
@@ -149,10 +152,12 @@ struct Stages {
     parts: Vec<Part>,
     /// Scheduler `s` picks among warps `w % schedulers.len() == s`.
     schedulers: Vec<WarpScheduler>,
+    /// Every warp slot's issue class, kept current by events.
+    ready: ReadySet,
     /// Dispatch → writeback: in-flight results, SM-wide.
     completions: CompletionQueue,
     /// One-dispatch-per-warp-per-cycle gate of the in-order dispatch an
-    /// inexact interlock needs (cleared each cycle).
+    /// inexact interlock needs (an entry is cleared once its slot left).
     warp_dispatched: Vec<bool>,
     /// Scratch buffers (reused across cycles).
     ready_buf: Vec<usize>,
@@ -206,8 +211,9 @@ impl Pipeline {
                 schedulers: (0..nsched)
                     .map(|_| WarpScheduler::new(config.sched))
                     .collect(),
+                ready: ReadySet::new(max_warps, nsched, nparts),
                 completions: CompletionQueue::default(),
-                warp_dispatched: Vec::new(),
+                warp_dispatched: vec![false; max_warps],
                 ready_buf: Vec::new(),
                 picked_buf: Vec::new(),
                 values_buf: Vec::new(),
@@ -218,16 +224,18 @@ impl Pipeline {
     }
 
     /// Rebuilds the collector partitions between launches (the SM is
-    /// quiescent). Scheduler state (GTO greedy pick, LRR cursor)
-    /// intentionally persists — the behavior the goldens have always
-    /// pinned — and interlock state is re-armed per warp by
-    /// [`reset_warp`](Self::reset_warp).
+    /// quiescent) and re-classifies every warp slot. Scheduler state (GTO
+    /// greedy pick, LRR cursor) intentionally persists — the behavior the
+    /// goldens have always pinned — and interlock state is re-armed per
+    /// warp by [`reset_warp`](Self::reset_warp).
     pub fn reset_for_launch(&mut self, config: &GpuConfig) {
         self.stages.parts = build_parts(config, self.stages.parts.len());
+        self.stages.ready.reset();
     }
 
     /// Re-arms the interlock of slot `w` for a freshly assigned warp.
     pub fn reset_warp(&mut self, w: usize) {
+        self.stages.ready.mark(w);
         match &mut self.interlock {
             InterlockKind::Scoreboard(il) => il.reset_warp(w),
             InterlockKind::ControlBits(il) => il.reset_warp(w),
@@ -257,12 +265,6 @@ impl Pipeline {
 }
 
 impl Stages {
-    /// The collector partition hosting warp slot `w`.
-    fn oc_of(&mut self, w: usize) -> &mut OperandStage {
-        let n = self.parts.len();
-        &mut self.parts[w % n].oc
-    }
-
     fn tick<I: Interlock, P: Probe>(
         &mut self,
         il: &mut I,
@@ -292,11 +294,12 @@ mod tests {
     use crate::collector::CollectorKind;
     use crate::config::{CoreModelKind, GpuConfig};
     use crate::decode::DecodedKernel;
-    use crate::probe::NullProbe;
+    use crate::pipetrace::PipeTrace;
+    use crate::probe::{NullProbe, PipeEvent, Probe};
     use crate::sm::Sm;
     use crate::stats::SimStats;
-    use bow_isa::ctrl::CtrlBits;
-    use bow_isa::{Kernel, KernelBuilder, KernelDims, Operand, Pred, Reg, Special};
+    use bow_isa::ctrl::{CtrlBits, MAX_STALL};
+    use bow_isa::{CmpOp, Kernel, KernelBuilder, KernelDims, Operand, Pred, Reg, Special};
     use bow_mem::GlobalMemory;
 
     fn modern_config(kind: CollectorKind) -> GpuConfig {
@@ -560,5 +563,303 @@ mod tests {
         let modern = run(CoreModelKind::Modern);
         assert_eq!(modern.stall_no_collector, 0, "interlock is tested first");
         assert!(modern.stall_scoreboard > 0);
+    }
+
+    // The ready set's edges. Each case runs under `NullProbe`, where a
+    // scan charges the ready set's stall counts, and under a listening
+    // probe, where it emits one `Stall` per held warp, and the two must
+    // agree; in debug builds every scan of both runs also re-classifies
+    // all of its scheduler's warps and asserts the maintained classes.
+
+    fn both_cores(kind: CollectorKind) -> [GpuConfig; 2] {
+        [GpuConfig::scaled(kind), modern_config(kind)]
+    }
+
+    /// `blocks` blocks of `threads` threads of `kernel` on one fresh SM,
+    /// global memory prepared by `init`; the stats and the final memory.
+    fn run_checked(
+        config: &GpuConfig,
+        kernel: &Kernel,
+        blocks: u32,
+        threads: u32,
+        init: impl Fn(&mut GlobalMemory),
+    ) -> (SimStats, GlobalMemory) {
+        let run = |listen: bool| {
+            let mut g = GlobalMemory::new();
+            init(&mut g);
+            let mut sm = Sm::new(0, config);
+            sm.reset_for_launch(&[0x1000]);
+            let dims = KernelDims::linear(blocks, threads);
+            for b in 0..blocks {
+                sm.assign_block(kernel, (b, 0), dims, u64::from(b));
+            }
+            let decoded = DecodedKernel::new(kernel);
+            if listen {
+                sm.run_to_idle(&decoded, &mut g, &mut PipeTrace::new());
+            } else {
+                sm.run_to_idle(&decoded, &mut g, &mut NullProbe);
+            }
+            (sm.stats(), g)
+        };
+        let (quiet, g) = run(false);
+        let (listened, g2) = run(true);
+        assert_eq!(quiet, listened, "stall charging depends on the probe");
+        assert_eq!(g.fingerprint(), g2.fingerprint());
+        (quiet, g)
+    }
+
+    #[test]
+    fn a_barrier_releases_warps_of_every_scheduler() {
+        // Eight warps spread over all schedulers (and all sub-cores on
+        // modern) reach the barrier after 1..=8 loop trips, then read a
+        // word another warp stored before it.
+        let r = Reg::r;
+        let kernel = KernelBuilder::new("staggered_bar")
+            .shared_bytes(1024)
+            .s2r(r(0), Special::TidX)
+            .shr(r(1), r(0).into(), Operand::Imm(5))
+            .mov_imm(r(2), 0)
+            .label("top")
+            .iadd(r(2), r(2).into(), Operand::Imm(1))
+            .isetp(CmpOp::Le, Pred::p(0), r(2).into(), r(1).into())
+            .bra_if(Pred::p(0), false, "top")
+            .shl(r(3), r(0).into(), Operand::Imm(2))
+            .sts(r(3), 0, r(0).into())
+            .bar()
+            .iadd(r(4), r(0).into(), Operand::Imm(32))
+            .and(r(4), r(4).into(), Operand::Imm(255))
+            .shl(r(4), r(4).into(), Operand::Imm(2))
+            .lds(r(5), r(4), 0)
+            .ldc(r(6), 0)
+            .iadd(r(6), r(6).into(), r(3).into())
+            .stg(r(6), 0, r(5).into())
+            .exit()
+            .build()
+            .unwrap();
+        for kind in [CollectorKind::Baseline, CollectorKind::bow_wr(3)] {
+            for config in both_cores(kind) {
+                let (_, g) = run_checked(&config, &kernel, 1, 256, |_| {});
+                for t in 0..256u64 {
+                    let got = g.read_u32(0x1000 + 4 * t);
+                    assert_eq!(got, (t as u32 + 32) % 256, "thread {t} {kind:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_one_ocu_pool_flips_every_warp_of_its_partition() {
+        // One OCU per partition, two warps or more on each: every insert
+        // fills the shared pool and every dispatch drains it, so the whole
+        // partition changes class back and forth.
+        for kind in [CollectorKind::Baseline, CollectorKind::rfc6()] {
+            for mut config in both_cores(kind) {
+                config.num_ocus = 1;
+                let (st, g) = run_checked(&config, &store_iota(), 1, 256, |_| {});
+                for i in 0..256u64 {
+                    assert_eq!(g.read_u32(0x1000 + 4 * i), i as u32, "{kind:?} lane {i}");
+                }
+                assert!(st.stall_no_collector > 0, "{kind:?}: the pool never filled");
+            }
+        }
+    }
+
+    #[test]
+    fn a_full_bypass_window_readmits_its_warp_at_dispatch() {
+        // A one-instruction window: each insert fills the warp's BOC and
+        // the dispatch that empties it must re-admit the warp in the same
+        // cycle's issue stage, not at the instruction's writeback. (All-zero
+        // control bits, so the modern interlock, tested first, never holds
+        // the warp in the window's place.)
+        let mut kernel = store_iota();
+        kernel.ctrl = vec![CtrlBits::default(); kernel.insts.len()];
+        for kind in [CollectorKind::bow(1), CollectorKind::bow_wr(1)] {
+            for config in both_cores(kind) {
+                let (st, g) = run_checked(&config, &kernel, 1, 64, |_| {});
+                for i in 0..64u64 {
+                    assert_eq!(g.read_u32(0x1000 + 4 * i), i as u32, "{kind:?} lane {i}");
+                }
+                assert!(
+                    st.stall_no_collector > 0,
+                    "{kind:?}: the window never filled"
+                );
+            }
+        }
+    }
+
+    /// Records the cycle of every issued instruction.
+    #[derive(Default)]
+    struct IssueCycles(Vec<u64>);
+
+    impl Probe for IssueCycles {
+        fn on_event(&mut self, ev: &PipeEvent<'_>) {
+            if let PipeEvent::Issue { cycle, .. } | PipeEvent::Control { cycle, .. } = *ev {
+                self.0.push(cycle);
+            }
+        }
+    }
+
+    #[test]
+    fn a_control_bit_stall_holds_a_warp_exactly_its_count() {
+        // Independent moves, each holding the warp for its stall count,
+        // from none (the second scan of the same cycle issues again) to the
+        // longest count there is: the next issue comes exactly that many
+        // cycles later.
+        let stalls = [1, MAX_STALL, 2, 0, 17, 5, 1];
+        let r = Reg::r;
+        let mut b = KernelBuilder::new("stalls");
+        for (i, _) in stalls.iter().enumerate() {
+            b = b.mov_imm(r(i as u8 + 1), i as u32);
+        }
+        let mut kernel = b.exit().build().unwrap();
+        kernel.ctrl = stalls
+            .iter()
+            .chain(&[0])
+            .map(|&stall| CtrlBits {
+                stall,
+                ..Default::default()
+            })
+            .collect();
+        let config = modern_config(CollectorKind::bow_wr(3));
+        let (st, _) = run_checked(&config, &kernel, 1, 32, |_| {});
+        let mut sm = Sm::new(0, &config);
+        sm.reset_for_launch(&[0x1000]);
+        sm.assign_block(&kernel, (0, 0), KernelDims::linear(1, 32), 0);
+        let mut issued = IssueCycles::default();
+        let mut g = GlobalMemory::new();
+        sm.run_to_idle(&DecodedKernel::new(&kernel), &mut g, &mut issued);
+        let gaps: Vec<u64> = issued.0.windows(2).map(|w| w[1] - w[0]).collect();
+        let expect: Vec<u64> = stalls.iter().map(|&s| u64::from(s)).collect();
+        // The exit waits for the pipeline to drain: only its gap is open.
+        assert_eq!(gaps[..stalls.len() - 1], expect[..stalls.len() - 1]);
+        assert!(gaps[stalls.len() - 1] >= expect[stalls.len() - 1]);
+        // Held in the second scan of its issue cycle and in the one scan of
+        // every later cycle of the count — except after a zero count, when
+        // the next move takes that second scan and no scan is left.
+        let zeros = stalls.iter().filter(|&&s| s == 0).count() as u64;
+        let held: u64 = stalls.iter().map(|&s| u64::from(s)).sum::<u64>() - zeros;
+        assert_eq!(st.stall_scoreboard, held);
+    }
+
+    #[test]
+    fn a_warp_exits_and_retires_while_its_sibling_waits() {
+        // Warp 0 exits at once; warp 1 waits on a load, then meets a
+        // barrier its finished sibling counts as arrived at.
+        let r = Reg::r;
+        let kernel = KernelBuilder::new("exit_early")
+            .s2r(r(0), Special::TidX)
+            .shr(r(1), r(0).into(), Operand::Imm(5))
+            .isetp(CmpOp::Eq, Pred::p(0), r(1).into(), Operand::Imm(0))
+            .bra_if(Pred::p(0), false, "done")
+            .ldc(r(2), 0)
+            .ldg(r(3), r(2), 0)
+            .iadd(r(3), r(3).into(), Operand::Imm(1))
+            .bar()
+            .stg(r(2), 4, r(3).into())
+            .label("done")
+            .exit()
+            .build()
+            .unwrap();
+        for kind in [
+            CollectorKind::Baseline,
+            CollectorKind::bow(3),
+            CollectorKind::rfc6(),
+        ] {
+            for config in both_cores(kind) {
+                let (st, g) = run_checked(&config, &kernel, 1, 64, |g| g.write_u32(0x1000, 41));
+                assert_eq!(g.read_u32(0x1004), 42, "{kind:?}");
+                assert!(st.stall_scoreboard > 0, "{kind:?}: nobody waited");
+            }
+        }
+    }
+
+    #[test]
+    fn back_to_back_launches_on_one_sm_match_a_fresh_sm() {
+        // The first launch leaves classes, dirty marks and stall deadlines
+        // behind, and its second wave of blocks lands on slots the first
+        // wave retired from (as the device loop refills an SM); the second
+        // launch must run exactly as on a fresh SM.
+        let mut paced = store_iota();
+        paced.ctrl = vec![
+            CtrlBits {
+                stall: 3,
+                ..Default::default()
+            };
+            paced.insts.len()
+        ];
+        for kind in [CollectorKind::Baseline, CollectorKind::bow_wr(3)] {
+            for config in both_cores(kind) {
+                let decoded = DecodedKernel::new(&paced);
+                let mut g = GlobalMemory::new();
+                let mut sm = Sm::new(0, &config);
+                sm.reset_for_launch(&[0x1000]);
+                for wave in 0..2 {
+                    for b in 0..3 {
+                        let dims = KernelDims::linear(6, 96);
+                        sm.assign_block(&paced, (3 * wave + b, 0), dims, u64::from(3 * wave + b));
+                    }
+                    sm.run_to_idle(&decoded, &mut g, &mut NullProbe);
+                }
+                for i in 0..96u64 {
+                    assert_eq!(g.read_u32(0x1000 + 4 * i), i as u32, "{kind:?}");
+                }
+                sm.reset_for_launch(&[0x2000]);
+                for b in 0..3 {
+                    sm.assign_block(&paced, (b, 0), KernelDims::linear(3, 96), u64::from(b));
+                }
+                sm.run_to_idle(&decoded, &mut g, &mut NullProbe);
+                let mut fresh = Sm::new(0, &config);
+                fresh.reset_for_launch(&[0x2000]);
+                for b in 0..3 {
+                    fresh.assign_block(&paced, (b, 0), KernelDims::linear(3, 96), u64::from(b));
+                }
+                let mut g2 = GlobalMemory::new();
+                fresh.run_to_idle(&decoded, &mut g2, &mut NullProbe);
+                assert_eq!(
+                    sm.stats(),
+                    fresh.stats(),
+                    "{kind:?} {:?}",
+                    config.core_model
+                );
+                for i in 0..96u64 {
+                    assert_eq!(g.read_u32(0x2000 + 4 * i), i as u32, "{kind:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ninety_six_warps_under_one_scheduler_run_to_the_reference_result() {
+        // Every per-warp bit set spans two words; one scheduler scans all
+        // 96 slots.
+        let r = Reg::r;
+        let kernel = KernelBuilder::new("iota_blocks")
+            .s2r(r(0), Special::TidX)
+            .s2r(r(5), Special::CtaidX)
+            .shl(r(5), r(5).into(), Operand::Imm(10))
+            .iadd(r(0), r(0).into(), r(5).into())
+            .ldc(r(1), 0)
+            .shl(r(2), r(0).into(), Operand::Imm(2))
+            .iadd(r(1), r(1).into(), r(2).into())
+            .imul(r(3), r(0).into(), Operand::Imm(3))
+            .stg(r(1), 0, r(3).into())
+            .exit()
+            .build()
+            .unwrap();
+        for kind in [CollectorKind::Baseline, CollectorKind::bow_wr(3)] {
+            for mut config in both_cores(kind) {
+                config.max_warps_per_sm = 96;
+                config.schedulers_per_sm = 1;
+                let (st, g) = run_checked(&config, &kernel, 3, 1024, |_| {});
+                assert_eq!(st.warp_instructions, 96 * 10, "{kind:?}");
+                for t in 0..3072u64 {
+                    assert_eq!(
+                        g.read_u32(0x1000 + 4 * t),
+                        3 * t as u32,
+                        "{kind:?} thread {t}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -10,7 +10,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// A completed instruction waiting for its writeback moment.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Completion {
     pub(crate) time: u64,
     pub(crate) ord: u64,
@@ -24,25 +24,62 @@ pub(crate) struct Completion {
     pub(crate) is_mem: bool,
 }
 
-impl Ord for Completion {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.ord).cmp(&(other.time, other.ord))
-    }
+/// Buckets of the timing wheel: a completion due fewer than this many
+/// cycles past the wheel's base (every ALU, SFU and shared-memory result,
+/// and L1 hits) waits in a bucket; a later one (L2 and DRAM) in the heap.
+const WHEEL: u64 = 64;
+
+/// The empty link.
+const NIL: u32 = u32::MAX;
+
+/// A queued completion and the next node of its bucket (or of the free
+/// list once popped).
+#[derive(Debug)]
+struct Node {
+    c: Completion,
+    next: u32,
 }
 
-impl PartialOrd for Completion {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// The dispatch → writeback latch: in-flight results ordered by
-/// `(finish time, dispatch order)` so ties resolve deterministically.
-#[derive(Debug, Default)]
+/// The dispatch → writeback latch: in-flight results popped in `(finish
+/// time, dispatch order)` order, so ties resolve deterministically.
+///
+/// Completions live in one slab of nodes that grows to the launch's
+/// high-water mark and is then recycled through a free list. Near ones are
+/// linked into a timing wheel, one bucket per cycle, appended in dispatch
+/// order; far ones are keyed `(time, ord, node)` in a binary heap. A pop
+/// takes the smaller key of the first non-empty bucket and the heap top.
+#[derive(Debug)]
 pub struct CompletionQueue {
-    heap: BinaryHeap<Reverse<Completion>>,
+    slab: Vec<Node>,
+    /// Head of the free list threaded through `slab`.
+    free: u32,
+    /// Bucket `t % WHEEL` links the completions due at `t`, for every `t`
+    /// in `base..base + WHEEL`: first and last node.
+    head: [u32; WHEEL as usize],
+    tail: [u32; WHEEL as usize],
+    /// The non-empty buckets, one bit each.
+    occupied: u64,
+    /// No bucket holds a completion due before this cycle.
+    base: u64,
+    /// Completions that did not fit the wheel when pushed.
+    far: BinaryHeap<Reverse<(u64, u64, u32)>>,
     /// Monotone dispatch counter used as the tie-break key.
     ord: u64,
+}
+
+impl Default for CompletionQueue {
+    fn default() -> CompletionQueue {
+        CompletionQueue {
+            slab: Vec::new(),
+            free: NIL,
+            head: [NIL; WHEEL as usize],
+            tail: [NIL; WHEEL as usize],
+            occupied: 0,
+            base: 0,
+            far: BinaryHeap::new(),
+            ord: 0,
+        }
+    }
 }
 
 impl CompletionQueue {
@@ -50,21 +87,75 @@ impl CompletionQueue {
     pub(crate) fn push(&mut self, mut c: Completion) {
         self.ord += 1;
         c.ord = self.ord;
-        self.heap.push(Reverse(c));
+        let node = Node { c, next: NIL };
+        let n = if self.free == NIL {
+            self.slab.push(node);
+            (self.slab.len() - 1) as u32
+        } else {
+            let n = self.free;
+            self.free = self.slab[n as usize].next;
+            self.slab[n as usize] = node;
+            n
+        };
+        if (self.base..self.base + WHEEL).contains(&c.time) {
+            let b = (c.time % WHEEL) as usize;
+            if self.occupied >> b & 1 == 0 {
+                self.occupied |= 1 << b;
+                self.head[b] = n;
+            } else {
+                self.slab[self.tail[b] as usize].next = n;
+            }
+            self.tail[b] = n;
+        } else {
+            self.far.push(Reverse((c.time, c.ord, n)));
+        }
     }
 
     /// Pops the earliest completion due at or before `cycle`.
     pub(crate) fn pop_due(&mut self, cycle: u64) -> Option<Completion> {
-        if self.heap.peek().is_some_and(|Reverse(c)| c.time <= cycle) {
-            Some(self.heap.pop().expect("peeked").0)
-        } else {
-            None
-        }
+        // Bucket b holds time base + ((b - base) mod WHEEL).
+        let first_near = (self.occupied != 0).then(|| {
+            let skip = self.occupied.rotate_right((self.base % WHEEL) as u32);
+            self.base + u64::from(skip.trailing_zeros())
+        });
+        let near = first_near.filter(|&t| t <= cycle).map(|t| {
+            let n = self.head[(t % WHEEL) as usize];
+            (t, self.slab[n as usize].c.ord)
+        });
+        let far = self
+            .far
+            .peek()
+            .map(|&Reverse(k)| k)
+            .filter(|k| k.0 <= cycle);
+        let n = match (near, far) {
+            (None, None) => {
+                // Nothing due: let the wheel follow the clock (never past
+                // a queued bucket) so what dispatches next lands in it.
+                let horizon = first_near.unwrap_or(u64::MAX).min(cycle + 1);
+                self.base = self.base.max(horizon);
+                return None;
+            }
+            (Some(key), far) if far.is_none_or(|(t, ord, _)| key < (t, ord)) => {
+                let (t, _) = key;
+                let b = (t % WHEEL) as usize;
+                let n = self.head[b];
+                self.head[b] = self.slab[n as usize].next;
+                if self.head[b] == NIL {
+                    self.occupied &= !(1 << b);
+                }
+                self.base = t;
+                n
+            }
+            _ => self.far.pop().expect("peeked").0 .2,
+        };
+        self.slab[n as usize].next = self.free;
+        self.free = n;
+        Some(self.slab[n as usize].c)
     }
 
     /// Whether any completion is still in flight.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.occupied == 0 && self.far.is_empty()
     }
 }
 
@@ -113,7 +204,9 @@ impl Stages {
                     seq: c.seq,
                 },
             );
-            let oc = self.oc_of(c.warp);
+            self.ready.mark(c.warp);
+            let nparts = self.parts.len();
+            let oc = &mut self.parts[c.warp % nparts].oc;
             if let Some(reg) = c.dst_reg {
                 // Stage the architectural result for the shadow RF:
                 // warp.regs already holds what this completion computed,
@@ -144,5 +237,115 @@ impl Stages {
                 ctx.finalize_warp(oc, c.warp, probe);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bow_util::XorShift;
+    use std::collections::BinaryHeap;
+
+    fn completion(time: u64, warp: usize) -> Completion {
+        Completion {
+            time,
+            ord: 0,
+            warp,
+            pc: 0,
+            dst_reg: None,
+            dst_pred: None,
+            hint: WritebackHint::Both,
+            seq: 0,
+            issue_cycle: 0,
+            is_mem: false,
+        }
+    }
+
+    /// The queue this one replaced: every completion in one binary heap
+    /// keyed `(time, ord)`.
+    #[derive(Default)]
+    struct Reference {
+        heap: BinaryHeap<Reverse<(u64, u64, usize)>>,
+        ord: u64,
+    }
+
+    impl Reference {
+        fn push(&mut self, time: u64, warp: usize) {
+            self.ord += 1;
+            self.heap.push(Reverse((time, self.ord, warp)));
+        }
+
+        fn pop_due(&mut self, cycle: u64) -> Option<(u64, u64, usize)> {
+            let due = self.heap.peek().is_some_and(|Reverse(k)| k.0 <= cycle);
+            due.then(|| self.heap.pop().expect("peeked").0)
+        }
+    }
+
+    #[test]
+    fn pops_the_same_sequence_as_a_binary_heap() {
+        // Latencies from 1 cycle to well past the wheel (DRAM-like), with
+        // bursts of equal finish times, popped the way writeback does: at
+        // every cycle, everything due, before that cycle's pushes.
+        for seed in 1..=4u64 {
+            let mut rng = XorShift::new(seed);
+            let (mut queue, mut reference) = (CompletionQueue::default(), Reference::default());
+            let (mut popped, mut far) = (0, 0);
+            for cycle in 1..4000u64 {
+                loop {
+                    let got = queue.pop_due(cycle).map(|c| (c.time, c.ord, c.warp));
+                    assert_eq!(got, reference.pop_due(cycle), "seed {seed} cycle {cycle}");
+                    if got.is_none() {
+                        break;
+                    }
+                    popped += 1;
+                }
+                assert_eq!(queue.is_empty(), reference.heap.is_empty());
+                if cycle > 3500 {
+                    continue; // drain
+                }
+                for _ in 0..rng.below(4) {
+                    let latency = match rng.below(4) {
+                        0 => 1 + rng.below(8),
+                        1 => 24,
+                        2 => 1 + rng.below(2 * WHEEL),
+                        _ => 190 + rng.below(200),
+                    };
+                    far += u64::from(latency >= WHEEL);
+                    let warp = rng.below(64) as usize;
+                    queue.push(completion(cycle + latency, warp));
+                    reference.push(cycle + latency, warp);
+                }
+            }
+            assert!(
+                queue.is_empty() && popped > 4000 && far > 1000,
+                "seed {seed}"
+            );
+        }
+    }
+
+    #[test]
+    fn late_and_past_due_pushes_still_pop_in_order() {
+        // Off the writeback pattern: pops skipped for many cycles, then a
+        // push already due, then a push between two queued times.
+        let mut queue = CompletionQueue::default();
+        let mut reference = Reference::default();
+        for (time, warp) in [(10, 0), (500, 1), (10, 2), (70, 3)] {
+            queue.push(completion(time, warp));
+            reference.push(time, warp);
+        }
+        let pop = |q: &mut CompletionQueue, r: &mut Reference, cycle| {
+            let got = q.pop_due(cycle).map(|c| (c.time, c.ord, c.warp));
+            assert_eq!(got, r.pop_due(cycle), "cycle {cycle}");
+            got
+        };
+        while pop(&mut queue, &mut reference, 100).is_some() {}
+        for (time, warp) in [(50, 4), (300, 5), (150, 6)] {
+            queue.push(completion(time, warp));
+            reference.push(time, warp);
+        }
+        for cycle in [120, 200, 1000] {
+            while pop(&mut queue, &mut reference, cycle).is_some() {}
+        }
+        assert!(queue.is_empty());
     }
 }

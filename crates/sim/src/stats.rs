@@ -115,8 +115,7 @@ impl SimStats {
                 }
             }
             PipeEvent::RetiredCompletion { .. } => self.retired_completions += 1,
-            PipeEvent::Stall(StallKind::NoCollector) => self.stall_no_collector += 1,
-            PipeEvent::Stall(StallKind::Scoreboard) => self.stall_scoreboard += 1,
+            PipeEvent::Stall(kind) => self.add_stalls(kind, 1),
             PipeEvent::SrcRegs(n) => self.src_count_hist[n.min(3)] += 1,
             PipeEvent::BypassedRead => self.bypassed_reads += 1,
             PipeEvent::RfcRead => self.rfc_reads += 1,
@@ -135,6 +134,16 @@ impl SimStats {
             | PipeEvent::ExecResult { .. }
             | PipeEvent::CtrlTrace { .. }
             | PipeEvent::MemTrace { .. } => {}
+        }
+    }
+
+    /// Charges `n` rejected issue attempts to `kind`: what `n`
+    /// [`PipeEvent::Stall`] events would count, for an issue scan that
+    /// takes its stall counts from the ready set.
+    pub fn add_stalls(&mut self, kind: StallKind, n: u64) {
+        match kind {
+            StallKind::NoCollector => self.stall_no_collector += n,
+            StallKind::Scoreboard => self.stall_scoreboard += n,
         }
     }
 
@@ -202,8 +211,8 @@ impl SimStats {
         }
     }
 
-    /// The full counter block as a JSON object — the machine-readable form
-    /// every experiment binary writes next to its textual tables.
+    /// The full counter block as a JSON object — the form a `RunRecord`
+    /// carries and `bow-cli figure` exports next to its textual tables.
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("cycles", Json::from(self.cycles)),

@@ -5,12 +5,16 @@
 //! scan is the difference between 1.1 µs and 0.5 µs per warp instruction
 //! (EXPERIMENTS.md, "Where a simulated cycle goes"). This test keeps that
 //! class of cost closed: a counting global allocator, a launch warmed past
-//! the point where every reusable buffer (the completion heap, the SIMT
-//! stacks, the RF write queues, the slot list) has reached its high-water
+//! the point where every reusable buffer (the completion slab and its far
+//! heap, the SIMT stacks, the slot list) has reached its high-water
 //! mark, then **zero** allocations over the next few thousand ticks under
 //! `NullProbe`, for every collector on both cores. The SM ticks through
 //! the store buffer exactly as the device loop drives it, commits
 //! included, so the overlay map and the store journal are in the count.
+//! Two shapes of SM are counted: sixteen warps over four schedulers, and
+//! ninety-six warps under one scheduler (every per-warp bit set spans two
+//! words); and one kernel's loads miss to DRAM, so its completions take
+//! the completion queue's far path.
 //!
 //! Timing-free, so it cannot flake; `scripts/ci.sh` runs it in release.
 
@@ -18,7 +22,7 @@ use bow_isa::ctrl::CtrlBits;
 use bow_isa::{CmpOp, Kernel, KernelBuilder, KernelDims, Operand, Pred, Reg, Special};
 use bow_mem::{GlobalAccess, GlobalMemory, StoreBuffer};
 use bow_sim::collector::CollectorKind;
-use bow_sim::config::{CoreModelKind, GpuConfig};
+use bow_sim::config::{CoreModelKind, GpuConfig, SchedPolicy};
 use bow_sim::decode::DecodedKernel;
 use bow_sim::probe::NullProbe;
 use bow_sim::sm::Sm;
@@ -83,6 +87,10 @@ const BUF_WORDS: u32 = 4096;
 const FOREVER: u32 = 1 << 30;
 
 const WARMUP_TICKS: u32 = 3_000;
+/// Warm-up of the DRAM kernel: each of its loop iterations is a 350-cycle
+/// round trip, so its busiest cycles come that much later (at 3000 ticks
+/// the dispatch stage's pick list still grows once, from 4 to 8 slots).
+const DRAM_WARMUP_TICKS: u32 = 8_000;
 const MEASURED_TICKS: u32 = 4_000;
 /// Ticks between store-buffer commits, as in the device loop: the
 /// measurement spans fifteen of them.
@@ -165,28 +173,78 @@ fn divergent_kernel() -> Kernel {
     loop_back(b, r(1))
 }
 
-/// Blocks resident on the measured SM: 16 warps, four per scheduler. A
-/// full SM would not reach a steady state: greedy-then-oldest scheduling
-/// starves the youngest warps of a full SM for arbitrarily long, and a
-/// warp's first instructions are what size its own buffers (SIMT stack,
-/// bypass window).
-const BLOCKS: u32 = 8;
+/// Loads that miss both caches: every iteration each warp reads the next
+/// fresh 128-byte line of a 64 MiB window no host or kernel store touched
+/// (an untouched page reads as zeros without being allocated), and the
+/// sum waits for each load, so completions come back at DRAM latency.
+fn dram_kernel() -> Kernel {
+    let r = Reg::r;
+    let b = KernelBuilder::new("dram")
+        .s2r(r(0), Special::TidX)
+        .shl(r(0), r(0).into(), Operand::Imm(2))
+        .s2r(r(2), Special::CtaidX)
+        .shl(r(2), r(2).into(), Operand::Imm(8))
+        .iadd(r(0), r(0).into(), r(2).into())
+        .mov_imm(r(1), 0)
+        .mov_imm(r(7), 0)
+        .label("top")
+        .shl(r(4), r(1).into(), Operand::Imm(11))
+        .iadd(r(4), r(4).into(), r(0).into())
+        .and(r(4), r(4).into(), Operand::Imm((1 << 26) - 1))
+        .iadd(r(5), r(4).into(), Operand::Imm(0x100_0000))
+        .ldg(r(6), r(5), 0)
+        .iadd(r(7), r(7).into(), r(6).into());
+    loop_back(b, r(1))
+}
 
-/// Puts [`BLOCKS`] blocks of `kernel` on one SM, warms it up and counts
-/// the heap acquisitions of the ticks that follow.
+/// How the measured SM is populated.
+struct Shape {
+    name: &'static str,
+    /// Resident blocks of 64 threads (two warps each).
+    blocks: u32,
+    config: fn(&mut GpuConfig),
+}
+
+/// Sixteen warps, four per scheduler. A full SM would not reach a steady
+/// state under greedy-then-oldest scheduling: it starves the youngest
+/// warps of a full SM for arbitrarily long, and a warp's first
+/// instructions are what size its own buffers (SIMT stack, bypass window).
+const SIXTEEN_WARPS: Shape = Shape {
+    name: "16 warps / 4 schedulers",
+    blocks: 8,
+    config: |_| {},
+};
+
+/// Ninety-six warp slots, all resident, all under one scheduler:
+/// round-robin, so every warp reaches its steady state in the warm-up.
+const NINETY_SIX_WARPS: Shape = Shape {
+    name: "96 warps / 1 scheduler",
+    blocks: 48,
+    config: |c| {
+        c.max_warps_per_sm = 96;
+        c.max_blocks_per_sm = 48;
+        c.schedulers_per_sm = 1;
+        c.sched = SchedPolicy::Lrr;
+    },
+};
+
+/// Puts `shape.blocks` blocks of `kernel` on one SM, warms it up and
+/// counts the heap acquisitions of the ticks that follow.
 fn allocations_in_steady_state(
     kernel: &Kernel,
     kind: CollectorKind,
     core_model: CoreModelKind,
+    shape: &Shape,
+    warmup: u32,
 ) -> u64 {
     let mut config = GpuConfig::scaled(kind);
     config.core_model = core_model;
+    (shape.config)(&mut config);
     let mut kernel = kernel.clone();
     if core_model == CoreModelKind::Modern {
         // Run under the control-bit interlock proper rather than its
         // unannotated one-in-flight fallback. The bits are timing-only;
-        // a uniform stall paces each warp like real annotations do, so
-        // the RF write queues stay bounded.
+        // a uniform stall paces each warp like real annotations do.
         let paced = CtrlBits {
             stall: 4,
             ..Default::default()
@@ -200,8 +258,8 @@ fn allocations_in_steady_state(
 
     let mut sm = Sm::new(0, &config);
     sm.reset_for_launch(&[A_BUF as u32, B_BUF as u32]);
-    let dims = KernelDims::linear(BLOCKS, 64);
-    for block in 0..BLOCKS {
+    let dims = KernelDims::linear(shape.blocks, 64);
+    for block in 0..shape.blocks {
         sm.assign_block(&kernel, (block, 0), dims, u64::from(block));
     }
     let decoded = DecodedKernel::new(&kernel);
@@ -221,13 +279,13 @@ fn allocations_in_steady_state(
             stores.commit(&mut global);
         }
     };
-    for t in 1..=WARMUP_TICKS {
+    for t in 1..=warmup {
         tick(&mut sm, t);
     }
     let issued_before = sm.stats().warp_instructions;
 
     let before = ALLOCS.with(Cell::get);
-    for t in WARMUP_TICKS + 1..=WARMUP_TICKS + MEASURED_TICKS {
+    for t in warmup + 1..=warmup + MEASURED_TICKS {
         tick(&mut sm, t);
     }
     let allocs = ALLOCS.with(Cell::get) - before;
@@ -236,14 +294,22 @@ fn allocations_in_steady_state(
     assert!(sm.busy(), "the launch must outlast the measurement");
     assert!(
         issued > u64::from(MEASURED_TICKS) / 4,
-        "{} {kind:?} {core_model:?}: only {issued} warp instructions in \
+        "{} {kind:?} {core_model:?} {}: only {issued} warp instructions in \
          {MEASURED_TICKS} ticks — the pipeline is not being exercised",
-        kernel.name
+        kernel.name,
+        shape.name
     );
+    if kernel.name == "dram" {
+        let mem = sm.stats().mem;
+        assert!(
+            mem.dram_accesses == mem.loads && mem.avg_latency() >= 350.0,
+            "{kind:?} {core_model:?}: the loads must come back from DRAM: {mem:?}"
+        );
+    }
     allocs
 }
 
-fn assert_heap_free(kernel: &Kernel) {
+fn assert_heap_free(kernel: &Kernel, shape: &Shape, warmup: u32) {
     for core_model in [CoreModelKind::Pascal, CoreModelKind::Modern] {
         for kind in [
             CollectorKind::Baseline,
@@ -251,12 +317,12 @@ fn assert_heap_free(kernel: &Kernel) {
             CollectorKind::bow_wr(3),
             CollectorKind::rfc6(),
         ] {
-            let allocs = allocations_in_steady_state(kernel, kind, core_model);
+            let allocs = allocations_in_steady_state(kernel, kind, core_model, shape, warmup);
             assert_eq!(
                 allocs, 0,
-                "{} on {kind:?} / {core_model:?}: {allocs} heap allocations in \
+                "{} on {kind:?} / {core_model:?}, {}: {allocs} heap allocations in \
                  {MEASURED_TICKS} warmed-up ticks",
-                kernel.name
+                kernel.name, shape.name
             );
         }
     }
@@ -272,15 +338,26 @@ fn the_counter_sees_this_threads_allocations() {
 
 #[test]
 fn alu_heavy_ticks_are_heap_free() {
-    assert_heap_free(&alu_kernel());
+    assert_heap_free(&alu_kernel(), &SIXTEEN_WARPS, WARMUP_TICKS);
 }
 
 #[test]
 fn memory_heavy_ticks_are_heap_free() {
-    assert_heap_free(&memory_kernel());
+    assert_heap_free(&memory_kernel(), &SIXTEEN_WARPS, WARMUP_TICKS);
 }
 
 #[test]
 fn divergent_ticks_are_heap_free() {
-    assert_heap_free(&divergent_kernel());
+    assert_heap_free(&divergent_kernel(), &SIXTEEN_WARPS, WARMUP_TICKS);
+}
+
+#[test]
+fn single_scheduler_96_warp_ticks_are_heap_free() {
+    assert_heap_free(&alu_kernel(), &NINETY_SIX_WARPS, WARMUP_TICKS);
+    assert_heap_free(&memory_kernel(), &NINETY_SIX_WARPS, WARMUP_TICKS);
+}
+
+#[test]
+fn dram_latency_ticks_are_heap_free() {
+    assert_heap_free(&dram_kernel(), &SIXTEEN_WARPS, DRAM_WARMUP_TICKS);
 }

@@ -88,6 +88,19 @@ for CORE in $CORES; do
     done
 done
 
+# The same smoke once per core in the debug profile: there the issue
+# stage re-classifies every warp of a scheduler at each scan and asserts
+# the event-maintained ready set against it (docs/ARCHITECTURE.md,
+# "Hot-path rules", rule 4), so generated kernels — barriers, predicated
+# branches, collector pressure — cross-check it too, not only the unit
+# tests and goldens. About 3 s a cell on the 2-core reference host once
+# the debug build exists (cargo test above made most of it).
+for CORE in $CORES; do
+    echo "==> bow fuzz --smoke --core-model ${CORE} (debug: ready-set cross-check)"
+    cargo run -q --offline -p bow-cli -- \
+        fuzz --smoke --core-model "${CORE}" --out target/fuzz-repros
+done
+
 # Static-analysis gate: every workload kernel, compiled by the plan of
 # the targeted models, must be free of lint errors *and* warnings
 # (advisories allowed), including the independent hint-soundness verifier
