@@ -65,24 +65,34 @@ pub struct Cache {
     stats: CacheStats,
 }
 
+impl Line {
+    const INVALID: Line = Line {
+        tag: 0,
+        valid: false,
+        dirty: false,
+        last_used: 0,
+    };
+}
+
 impl Cache {
     /// Creates an empty (all-invalid) cache with the given geometry.
     pub fn new(config: CacheConfig) -> Cache {
         let n = (config.sets() * config.ways) as usize;
         Cache {
             config,
-            lines: vec![
-                Line {
-                    tag: 0,
-                    valid: false,
-                    dirty: false,
-                    last_used: 0
-                };
-                n
-            ],
+            lines: vec![Line::INVALID; n],
             tick: 0,
             stats: CacheStats::default(),
         }
+    }
+
+    /// Returns the cache to the state [`new`](Self::new) builds, in place:
+    /// every line invalid, the LRU clock and the statistics at zero. Dirty
+    /// lines are dropped uncounted (see [`flush`](Self::flush)).
+    pub fn reset(&mut self) {
+        self.lines.fill(Line::INVALID);
+        self.tick = 0;
+        self.stats = CacheStats::default();
     }
 
     /// The cache geometry.
@@ -242,6 +252,45 @@ mod tests {
         c.access_write(16, true, false);
         assert_eq!(c.flush(), 1);
         assert_eq!(c.flush(), 0, "second flush finds nothing dirty");
+    }
+
+    /// A seeded stream of `(address, allocate, dirty)` probes over a few
+    /// times the cache's lines, so hits, misses and dirty evictions mix.
+    fn probes(seed: u64, n: usize) -> Vec<(u64, bool, bool)> {
+        let mut x = seed;
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x % 4096, x >> 20 & 3 != 0, x >> 30 & 1 == 1)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn reset_equals_new() {
+        let config = CacheConfig {
+            size_bytes: 1024,
+            line_bytes: 32,
+            ways: 4,
+        };
+        let mut used = Cache::new(config);
+        for (addr, allocate, dirty) in probes(3, 500) {
+            used.access_write(addr, allocate, dirty);
+        }
+        used.reset();
+        assert_eq!(used.stats(), CacheStats::default());
+        let mut fresh = Cache::new(config);
+        for (i, (addr, allocate, dirty)) in probes(11, 500).into_iter().enumerate() {
+            assert_eq!(
+                used.access_write(addr, allocate, dirty),
+                fresh.access_write(addr, allocate, dirty),
+                "probe {i} at {addr:#x}"
+            );
+        }
+        assert_eq!(used.stats(), fresh.stats());
+        assert_eq!(used.flush(), fresh.flush(), "the same lines are dirty");
     }
 
     #[test]

@@ -1,9 +1,48 @@
 //! Sparse, paged global (device) memory with functional word semantics.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 const PAGE_BYTES: usize = 64 * 1024;
 const PAGE_WORDS: usize = PAGE_BYTES / 4;
+
+/// A fast, non-cryptographic hasher for `u64` keys (page and word
+/// indices): the multiply-rotate mix of rustc's own hash maps. Both maps on
+/// the path of every global access, the page table and the store buffer's
+/// overlay, use it; `DefaultHasher`'s SipHash latency would dominate them.
+///
+/// The keys come from kernel addresses, so a crafted kernel chooses them.
+/// For the page map that is bounded: a lane address is a 32-bit register
+/// plus a signed 32-bit offset, which reaches under 2^18 pages, and two
+/// keys share a table's bucket bits only when they differ by a multiple of
+/// the table size. A table of `n` pages thus holds about 2^18 / `n` keys
+/// per bucket chain, a few hundred at worst, each a 64 KiB page the kernel
+/// had to touch.
+#[derive(Default)]
+pub(crate) struct IndexHasher(u64);
+
+impl Hasher for IndexHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        const K: u64 = 0x517c_c1b7_2722_0a95;
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(K);
+    }
+}
+
+/// A map keyed by a page or word index, hashed by [`IndexHasher`].
+pub(crate) type IndexMap<V> = HashMap<u64, V, BuildHasherDefault<IndexHasher>>;
 
 /// The GPU's global address space.
 ///
@@ -24,7 +63,7 @@ const PAGE_WORDS: usize = PAGE_BYTES / 4;
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct GlobalMemory {
-    pages: HashMap<u64, Box<[u32; PAGE_WORDS]>>,
+    pages: IndexMap<Box<[u32; PAGE_WORDS]>>,
 }
 
 impl GlobalMemory {
@@ -174,6 +213,26 @@ mod tests {
         assert_eq!(m.read_vec_u32(0x4000, 4), vec![1, 2, 3, 4]);
         m.write_slice_f32(0x8000, &[1.0, 2.0]);
         assert_eq!(m.read_vec_f32(0x8000, 2), vec![1.0, 2.0]);
+    }
+
+    #[test]
+    fn fingerprint_ignores_page_insertion_order() {
+        // Words on pages far apart and adjacent, touched first to last and
+        // last to first, so the two maps grow and may iterate differently.
+        let words: Vec<(u64, u32)> = (0..40u64)
+            .map(|i| (i * i * PAGE_BYTES as u64 / 3 + 4 * i, 1 + i as u32))
+            .collect();
+        let (mut forward, mut backward) = (GlobalMemory::new(), GlobalMemory::new());
+        for &(addr, value) in &words {
+            forward.write_u32(addr, value);
+        }
+        for &(addr, value) in words.iter().rev() {
+            backward.write_u32(addr, value);
+        }
+        assert_eq!(forward.resident_pages(), backward.resident_pages());
+        assert_eq!(forward.fingerprint(), backward.fingerprint());
+        backward.write_u32(words[7].0, 0);
+        assert_ne!(forward.fingerprint(), backward.fingerprint());
     }
 
     #[test]

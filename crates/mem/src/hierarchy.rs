@@ -199,6 +199,16 @@ impl MemSystem {
         done
     }
 
+    /// Returns the hierarchy to the state [`new`](Self::new) builds with
+    /// its configuration, in place and without touching the heap: both
+    /// cache levels empty, the statistics at zero, no miss in flight.
+    pub fn reset(&mut self) {
+        self.l1.reset();
+        self.l2.reset();
+        self.stats = MemStats::default();
+        self.inflight.clear();
+    }
+
     /// Invalidates both cache levels (between kernel launches), draining
     /// dirty L2 lines to DRAM.
     pub fn flush(&mut self) {
@@ -282,6 +292,63 @@ mod tests {
         assert_eq!(m.stats().dram_writebacks, 0, "dirty line still resident");
         m.flush();
         assert_eq!(m.stats().dram_writebacks, 1, "flush drains the dirty line");
+    }
+
+    /// A seeded mix of warp loads and stores: unit-stride, strided and
+    /// scattered lane addresses over 4 MiB, issued at non-decreasing
+    /// cycles, so L1 and L2 hits, DRAM misses, dirty write-backs and MSHR
+    /// queueing all occur.
+    fn accesses(seed: u64, n: usize) -> Vec<(AccessKind, Vec<u64>, u64)> {
+        let mut x = seed;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut now = 0;
+        (0..n)
+            .map(|_| {
+                let r = next();
+                let kind = if r & 3 == 0 {
+                    AccessKind::Store
+                } else {
+                    AccessKind::Load
+                };
+                let base = (r >> 8) % (4 << 20);
+                let stride = [4, 128, 4096][(r >> 40) as usize % 3];
+                let lanes = 1 + (r >> 50) % 32;
+                now += (r >> 60) % 8;
+                (kind, (0..lanes).map(|l| base + stride * l).collect(), now)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn reset_equals_new() {
+        let config = MemConfig {
+            mshr_entries: 4,
+            ..MemConfig::default()
+        };
+        let mut used = MemSystem::new(config);
+        for (kind, addrs, now) in accesses(5, 400) {
+            used.access(kind, &addrs, now);
+        }
+        assert!(
+            used.stats().dram_writebacks > 0,
+            "the warm-up left dirty victims"
+        );
+        used.reset();
+        assert_eq!(used.stats(), MemStats::default());
+        let mut fresh = MemSystem::new(config);
+        for (i, (kind, addrs, now)) in accesses(9, 400).into_iter().enumerate() {
+            assert_eq!(
+                used.access(kind, &addrs, now),
+                fresh.access(kind, &addrs, now),
+                "access {i} ({kind:?} at cycle {now})"
+            );
+        }
+        assert_eq!(used.stats(), fresh.stats());
     }
 
     #[test]

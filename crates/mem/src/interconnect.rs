@@ -24,9 +24,7 @@
 //! [`GlobalMemory`] for the architectural oracle, which has no SMs and no
 //! buffering.
 
-use crate::global::GlobalMemory;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use crate::global::{GlobalMemory, IndexMap};
 
 /// The functional device-memory interface instruction execution uses.
 ///
@@ -52,36 +50,9 @@ impl GlobalAccess for GlobalMemory {
     }
 }
 
-/// A fast, non-cryptographic hasher for the overlay map (word-index
-/// keys). The overlay sits on the load path of every global access, so
-/// `DefaultHasher`'s SipHash latency would dominate; this is the
-/// multiply-rotate mix used by rustc's hash maps.
-#[derive(Default)]
-struct OverlayHasher(u64);
-
-impl Hasher for OverlayHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        const K: u64 = 0x517c_c1b7_2722_0a95;
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(K);
-    }
-}
-
 /// Word index (`addr / 4`) → the last value one SM stored there since the
 /// last commit.
-type Overlay = HashMap<u64, u32, BuildHasherDefault<OverlayHasher>>;
+type Overlay = IndexMap<u32>;
 
 /// Every global store since the last commit: one overlay per SM for
 /// read-your-writes and one device-wide journal in execution order.
@@ -187,6 +158,50 @@ mod tests {
         stores.commit(&mut base);
         assert_eq!(base.read_u32(0x100), 42);
         assert_eq!(stores.view(1, &base).read_u32(0x100), 42);
+    }
+
+    /// One warp's 32 lane addresses, 16 on each side of the 64 KiB page
+    /// boundary, read and written through an SM's view: with the overlay
+    /// empty every lane reads its own page; with half the lanes stored,
+    /// those read the overlay and the rest still their page, and the
+    /// commit lands each word on the right page.
+    #[test]
+    fn warp_access_straddling_a_page_boundary() {
+        const PAGE: u64 = 64 * 1024;
+        let lanes: Vec<u64> = (0..32).map(|l| PAGE - 64 + 4 * l).collect();
+        let mut base = GlobalMemory::new();
+        for (l, &a) in lanes.iter().enumerate() {
+            base.write_u32(a, 100 + l as u32);
+        }
+        assert_eq!(base.resident_pages(), 2);
+        let mut stores = StoreBuffer::new(2);
+
+        let view = stores.view(0, &base);
+        for (l, &a) in lanes.iter().enumerate() {
+            assert_eq!(view.read_u32(a), 100 + l as u32, "lane {l}, empty overlay");
+        }
+
+        let stored = |l: usize| l.is_multiple_of(3);
+        let want = |l: usize| if stored(l) { 200 } else { 100 } + l as u32;
+        let mut view = stores.view(0, &base);
+        for (l, &a) in lanes.iter().enumerate().filter(|&(l, _)| stored(l)) {
+            view.write_u32(a, 200 + l as u32);
+        }
+        for (l, &a) in lanes.iter().enumerate() {
+            assert_eq!(view.read_u32(a), want(l), "lane {l}, own stores");
+        }
+        let other = stores.view(1, &base);
+        for (l, &a) in lanes.iter().enumerate() {
+            assert_eq!(other.read_u32(a), 100 + l as u32, "lane {l}, other SM");
+        }
+
+        stores.commit(&mut base);
+        for (l, &a) in lanes.iter().enumerate() {
+            assert_eq!(base.read_u32(a), want(l), "lane {l}, committed");
+        }
+        assert_eq!(base.read_u32(PAGE - 68), 0, "below the warp");
+        assert_eq!(base.read_u32(PAGE + 64), 0, "above the warp");
+        assert_eq!(base.resident_pages(), 2);
     }
 
     #[test]

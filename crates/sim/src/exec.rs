@@ -6,7 +6,7 @@
 //! ([`execute_data`]), reading architectural registers directly — the
 //! scoreboard guarantees those equal the values the collector gathered.
 
-use crate::warp::{Split, StackEntry, StackKind, Warp};
+use crate::warp::{lanes_in, Lanes, Split, StackEntry, StackKind, Warp};
 use bow_isa::{Instruction, Opcode, Operand, Special, NUM_CBARS, WARP_SIZE};
 use bow_mem::{GlobalAccess, GlobalMemory, SharedMemory};
 use std::array::from_fn as lanes;
@@ -94,16 +94,6 @@ fn from_f32(v: f32) -> u32 {
     }
 }
 
-/// Evaluates a source operand for one lane.
-pub(crate) fn operand_value(warp: &Warp, lane: usize, op: Operand, block: &BlockInfo) -> u32 {
-    match op {
-        Operand::Reg(r) => warp.read_reg(lane, r),
-        Operand::Imm(v) => v,
-        Operand::Pred(p) => u32::from(warp.read_pred(lane, p)),
-        Operand::Special(s) => special_value(warp, lane, s, block),
-    }
-}
-
 fn special_value(warp: &Warp, lane: usize, s: Special, block: &BlockInfo) -> u32 {
     let flat = warp.warp_in_block * WARP_SIZE as u32 + lane as u32;
     match s {
@@ -120,15 +110,16 @@ fn special_value(warp: &Warp, lane: usize, s: Special, block: &BlockInfo) -> u32
     }
 }
 
-/// One value per lane of a warp.
-type Lanes = [u32; WARP_SIZE];
-
-/// Evaluates a source operand for every lane, resolving its kind once.
-fn operand_lanes(warp: &Warp, op: Operand, block: &BlockInfo) -> Lanes {
+/// Evaluates a source operand for every lane, resolving its kind once: a
+/// register operand is a copy of its row, a predicate one bit per lane.
+pub(crate) fn operand_lanes(warp: &Warp, op: Operand, block: &BlockInfo) -> Lanes {
     match op {
-        Operand::Reg(r) => lanes(|lane| warp.read_reg(lane, r)),
+        Operand::Reg(r) => warp.lanes_of(r),
         Operand::Imm(v) => [v; WARP_SIZE],
-        Operand::Pred(p) => lanes(|lane| u32::from(warp.read_pred(lane, p))),
+        Operand::Pred(p) => {
+            let bits = warp.pred_bits(p);
+            lanes(|lane| bits >> lane & 1)
+        }
         Operand::Special(s) => lanes(|lane| special_value(warp, lane, s, block)),
     }
 }
@@ -138,10 +129,11 @@ fn operand_lanes(warp: &Warp, op: Operand, block: &BlockInfo) -> Lanes {
 /// effects. Returns the memory-access description for memory opcodes.
 ///
 /// The opcode and the operand kinds are resolved once per instruction,
-/// not per lane: the sources are gathered for all 32 lanes, one
-/// per-opcode loop computes every lane's result, and the lanes under
-/// `mask` are written. A lane reads and writes only its own registers,
-/// so this equals executing lane by lane.
+/// not per lane: each source is one 32-lane row, one per-opcode loop
+/// computes every lane's result, and the destination takes the lanes under
+/// `mask` in one masked blend (or one predicate-mask update). A lane reads
+/// and writes only its own registers, so this equals executing lane by
+/// lane.
 ///
 /// # Panics
 ///
@@ -201,26 +193,41 @@ pub fn execute_data<G: GlobalAccess>(
         Mov | S2R => a,
         // A validated `sel` has a predicate third source, read as 0/1.
         Sel => lanes(|l| if c[l] != 0 { a[l] } else { b[l] }),
-        // Compares produce the predicate value per lane.
-        ISetp(cmp) => lanes(|l| u32::from(cmp.eval_i32(a[l] as i32, b[l] as i32))),
-        FSetp(cmp) => lanes(|l| u32::from(cmp.eval_f32(f(a[l]), f(b[l])))),
+        // Compares produce the predicate value per lane. The comparison is
+        // resolved once, as the orderings it accepts; a lane only orders
+        // its pair (a per-lane `match` on `cmp` does not vectorize).
+        ISetp(cmp) => {
+            let [lt, eq, gt] = [(0, 1), (0, 0), (1, 0)].map(|(x, y)| cmp.eval_i32(x, y));
+            lanes(|l| {
+                let (x, y) = (a[l] as i32, b[l] as i32);
+                u32::from((x < y) & lt | (x == y) & eq | (x > y) & gt)
+            })
+        }
+        FSetp(cmp) => {
+            let [lt, eq, gt, unordered] = [(0.0, 1.0), (0.0, 0.0), (1.0, 0.0), (f32::NAN, 0.0)]
+                .map(|(x, y)| cmp.eval_f32(x, y));
+            lanes(|l| {
+                let (x, y) = (f(a[l]), f(b[l]));
+                let nan = x.is_nan() | y.is_nan();
+                u32::from((x < y) & lt | (x == y) & eq | (x > y) & gt | nan & unordered)
+            })
+        }
         Ldg | Stg | Lds | Sts | Ldc | Bra | Ssy | Sync | Bar | Exit | Nop | Bssy | Bsync => {
             unreachable!()
         }
     };
-    for lane in active_lanes(mask) {
-        match inst.dst {
-            bow_isa::Dst::Reg(r) => warp.write_reg(lane, r, out[lane]),
-            bow_isa::Dst::Pred(p) => warp.write_pred(lane, p, out[lane] != 0),
-            bow_isa::Dst::None => {}
+    match inst.dst {
+        bow_isa::Dst::Reg(r) => warp.write_lanes(r, mask, &out),
+        bow_isa::Dst::Pred(p) => {
+            let bits = out
+                .iter()
+                .enumerate()
+                .fold(0, |bits, (lane, &v)| bits | u32::from(v != 0) << lane);
+            warp.write_pred_bits(p, mask, bits);
         }
+        bow_isa::Dst::None => {}
     }
     None
-}
-
-/// The lanes set in `mask`, ascending.
-fn active_lanes(mask: u32) -> impl Iterator<Item = usize> {
-    (0..WARP_SIZE).filter(move |lane| mask & (1 << lane) != 0)
 }
 
 fn execute_memory<G: GlobalAccess>(
@@ -231,26 +238,24 @@ fn execute_memory<G: GlobalAccess>(
 ) -> MemAccess {
     use Opcode::*;
     let mem = inst.mem.expect("validated memory op has a MemRef");
-    let addr_of = |warp: &Warp, lane: usize| {
-        if inst.op == Ldc {
-            mem.offset as u64
-        } else {
-            (warp.read_reg(lane, mem.base) as u64).wrapping_add(mem.offset as i64 as u64)
-        }
+    // `ldc` addresses the parameter space directly; every other memory op
+    // adds the offset to each lane of its base register's row.
+    let (base, offset) = if inst.op == Ldc {
+        ([0; WARP_SIZE], mem.offset as u64)
+    } else {
+        (warp.lanes_of(mem.base), mem.offset as i64 as u64)
     };
     ctx.addrs.clear();
     ctx.addrs
-        .extend(active_lanes(mask).map(|lane| addr_of(warp, lane)));
-    let accesses = active_lanes(mask).zip(ctx.addrs.iter().copied());
-    // Loads write the destination register (stores have none).
-    let dst = match inst.dst {
-        bow_isa::Dst::Reg(r) => r,
-        _ => bow_isa::Reg::RZ,
-    };
+        .extend(lanes_in(mask).map(|lane| u64::from(base[lane]).wrapping_add(offset)));
+    let accesses = lanes_in(mask).zip(ctx.addrs.iter().copied());
+    // Loads gather into one row and write the destination register in one
+    // masked blend (stores have none).
+    let mut loaded = [0; WARP_SIZE];
     let (is_store, space) = match inst.op {
         Ldg => {
             for (lane, addr) in accesses {
-                warp.write_reg(lane, dst, ctx.global.read_u32(addr));
+                loaded[lane] = ctx.global.read_u32(addr);
             }
             (false, Space::Global)
         }
@@ -263,7 +268,7 @@ fn execute_memory<G: GlobalAccess>(
         }
         Lds => {
             for (lane, addr) in accesses {
-                warp.write_reg(lane, dst, ctx.shared.read_u32(addr));
+                loaded[lane] = ctx.shared.read_u32(addr);
             }
             (false, Space::Shared)
         }
@@ -276,13 +281,17 @@ fn execute_memory<G: GlobalAccess>(
         }
         Ldc => {
             for (lane, addr) in accesses {
-                let v = ctx.params.get((addr / 4) as usize).copied().unwrap_or(0);
-                warp.write_reg(lane, dst, v);
+                loaded[lane] = ctx.params.get((addr / 4) as usize).copied().unwrap_or(0);
             }
             (false, Space::Param)
         }
         _ => unreachable!(),
     };
+    if let bow_isa::Dst::Reg(dst) = inst.dst {
+        if !is_store {
+            warp.write_lanes(dst, mask, &loaded);
+        }
+    }
     MemAccess { is_store, space }
 }
 
@@ -460,6 +469,7 @@ pub fn sync_underflows(warp: &Warp, inst: &Instruction) -> bool {
 mod tests {
     use super::*;
     use bow_isa::{Dst, KernelBuilder, MemRef, Pred, Reg};
+    use bow_util::rng::XorShift;
 
     fn ctx<'a>(
         global: &'a mut GlobalMemory,
@@ -671,6 +681,325 @@ mod tests {
             &mut ctx(&mut g, &mut s, &params, &mut Vec::new()),
         );
         assert_eq!(w.read_reg(0, Reg::r(0)), 22);
+    }
+
+    /// The scalar semantics of a data opcode, restated one lane at a time
+    /// for [`reference_data`].
+    fn scalar(op: Opcode, a: u32, b: u32, c: u32) -> u32 {
+        use Opcode::*;
+        let (fa, fb, fc) = (as_f32(a), as_f32(b), as_f32(c));
+        let (sa, sb) = (a as i32, b as i32);
+        match op {
+            IAdd => a.wrapping_add(b),
+            ISub => a.wrapping_sub(b),
+            IMul => a.wrapping_mul(b),
+            IMad => a.wrapping_mul(b).wrapping_add(c),
+            IMin => sa.min(sb) as u32,
+            IMax => sa.max(sb) as u32,
+            IAbs => sa.unsigned_abs(),
+            ISad => ((i64::from(sa) - i64::from(sb)).unsigned_abs() as u32).wrapping_add(c),
+            And => a & b,
+            Or => a | b,
+            Xor => a ^ b,
+            Not => !a,
+            Shl => a << (b & 31),
+            Shr => a >> (b & 31),
+            Sar => (sa >> (b & 31)) as u32,
+            FAdd => from_f32(fa + fb),
+            FSub => from_f32(fa - fb),
+            FMul => from_f32(fa * fb),
+            FFma => from_f32(fa.mul_add(fb, fc)),
+            FMin => from_f32(fa.min(fb)),
+            FMax => from_f32(fa.max(fb)),
+            FRcp => from_f32(1.0 / fa),
+            FSqrt => from_f32(fa.sqrt()),
+            FLog2 => from_f32(fa.log2()),
+            FExp2 => from_f32(fa.exp2()),
+            I2F => from_f32(sa as f32),
+            F2I => fa as i32 as u32,
+            Mov | S2R => a,
+            Sel => {
+                if c != 0 {
+                    a
+                } else {
+                    b
+                }
+            }
+            ISetp(cmp) => u32::from(cmp.eval_i32(sa, sb)),
+            FSetp(cmp) => u32::from(cmp.eval_f32(fa, fb)),
+            _ => unreachable!("{op} is no data op"),
+        }
+    }
+
+    /// The lane-by-lane reference for [`execute_data`]: each lane in
+    /// `mask`, ascending, reads its sources, computes and writes its
+    /// result through the per-lane accessors (`read_reg` / `write_reg` /
+    /// `read_pred` / `write_pred`) alone. `execute_data` moves whole rows,
+    /// so a slip in a gather, a blend or a predicate mask shows as a
+    /// difference from this.
+    fn reference_data(warp: &mut Warp, inst: &Instruction, mask: u32, ctx: &mut ExecCtx<'_>) {
+        let block = ctx.block;
+        ctx.addrs.clear();
+        for lane in (0..WARP_SIZE).filter(|&l| mask >> l & 1 == 1) {
+            let src = |warp: &Warp, i: usize| match inst.srcs.get(i) {
+                Some(&Operand::Reg(r)) => warp.read_reg(lane, r),
+                Some(&Operand::Imm(v)) => v,
+                Some(&Operand::Pred(p)) => u32::from(warp.read_pred(lane, p)),
+                Some(&Operand::Special(s)) => special_value(warp, lane, s, &block),
+                None => 0,
+            };
+            let Some(m) = inst.mem else {
+                let v = scalar(inst.op, src(warp, 0), src(warp, 1), src(warp, 2));
+                match inst.dst {
+                    Dst::Reg(r) => warp.write_reg(lane, r, v),
+                    Dst::Pred(p) => warp.write_pred(lane, p, v != 0),
+                    Dst::None => {}
+                }
+                continue;
+            };
+            let offset = i64::from(m.offset) as u64;
+            let addr = match inst.op {
+                Opcode::Ldc => offset,
+                _ => u64::from(warp.read_reg(lane, m.base)).wrapping_add(offset),
+            };
+            ctx.addrs.push(addr);
+            let loaded = match inst.op {
+                Opcode::Ldg => ctx.global.read_u32(addr),
+                Opcode::Lds => ctx.shared.read_u32(addr),
+                Opcode::Ldc => ctx.params.get((addr / 4) as usize).copied().unwrap_or(0),
+                Opcode::Stg => {
+                    ctx.global.write_u32(addr, src(warp, 0));
+                    continue;
+                }
+                Opcode::Sts => {
+                    ctx.shared.write_u32(addr, src(warp, 0));
+                    continue;
+                }
+                op => unreachable!("{op} is no memory op"),
+            };
+            if let Dst::Reg(r) = inst.dst {
+                warp.write_reg(lane, r, loaded);
+            }
+        }
+    }
+
+    const REF_REGS: u8 = 8;
+    /// The 64 KiB page boundary global accesses straddle.
+    const REF_PAGE: u64 = 64 * 1024;
+    const REF_SHARED_BYTES: u32 = 256;
+
+    /// A register that is RZ one time in five.
+    fn any_reg(rng: &mut XorShift) -> Reg {
+        if rng.below(5) == 0 {
+            Reg::RZ
+        } else {
+            Reg::r(rng.below_u8(REF_REGS))
+        }
+    }
+
+    /// A predicate that is PT one time in four.
+    fn any_pred(rng: &mut XorShift) -> Pred {
+        if rng.below(4) == 0 {
+            Pred::PT
+        } else {
+            Pred::p(rng.below_u8(7))
+        }
+    }
+
+    fn any_operand(rng: &mut XorShift) -> Operand {
+        match rng.below(4) {
+            0 => Operand::Reg(any_reg(rng)),
+            1 => Operand::Imm(rng.next_u32()),
+            2 => Operand::Pred(any_pred(rng)),
+            _ => Operand::Special(*rng.choose(&Special::ALL)),
+        }
+    }
+
+    /// Raw bits, small integers, ordinary floats or the float edge values
+    /// (NaN, both zeros, both infinities), so that both the integer and
+    /// the float paths see values they act on.
+    fn any_value(rng: &mut XorShift) -> u32 {
+        match rng.below(4) {
+            0 => rng.next_u32(),
+            1 => rng.below(64) as u32,
+            2 => ((rng.below(4000) as f32 - 2000.0) / 16.0).to_bits(),
+            _ => rng
+                .choose(&[f32::NAN, -0.0, 0.0, f32::INFINITY, f32::NEG_INFINITY])
+                .to_bits(),
+        }
+    }
+
+    /// The execution masks a case may take: none, one lane, a random
+    /// partial mask and the full warp.
+    fn any_mask(rng: &mut XorShift) -> u32 {
+        match rng.below(4) {
+            0 => 0,
+            1 => 1 << rng.below(32),
+            2 => rng.next_u32(),
+            _ => u32::MAX,
+        }
+    }
+
+    /// A random data or memory instruction over every operand kind, RZ and
+    /// PT among sources and destinations. Before a memory instruction the
+    /// base register's row is pointed at the words either side of a page
+    /// boundary (global) or anywhere (shared: addresses wrap).
+    fn any_instruction(rng: &mut XorShift, warp: &mut Warp) -> Instruction {
+        let ops: Vec<Opcode> = Opcode::all()
+            .into_iter()
+            .filter(|op| !op.is_control())
+            .collect();
+        let op = *rng.choose(&ops);
+        let nsrc = rng.below(4) as usize;
+        let mut inst = match op {
+            Opcode::Stg | Opcode::Sts => Instruction::new(op, Dst::None, vec![any_operand(rng)]),
+            Opcode::Ldg | Opcode::Lds | Opcode::Ldc => {
+                Instruction::new(op, Dst::Reg(any_reg(rng)), vec![])
+            }
+            _ => {
+                let dst = match rng.below(4) {
+                    0 => Dst::None,
+                    1 => Dst::Pred(any_pred(rng)),
+                    _ => Dst::Reg(any_reg(rng)),
+                };
+                Instruction::new(op, dst, (0..nsrc).map(|_| any_operand(rng)).collect())
+            }
+        };
+        if op.is_memory() {
+            let base = any_reg(rng);
+            let offset = rng.range(0, 24) as i32 - 12;
+            for lane in 0..WARP_SIZE {
+                let addr = match op {
+                    Opcode::Ldg | Opcode::Stg => REF_PAGE - 96 + rng.below(192),
+                    _ => rng.next_u64(),
+                };
+                warp.write_reg(lane, base, addr as u32);
+            }
+            inst.mem = Some(MemRef { base, offset });
+        }
+        inst
+    }
+
+    /// Every register row and all seven predicates, lane by lane.
+    fn assert_same_warp(row: &Warp, reference: &Warp, what: &str) {
+        for r in 0..REF_REGS {
+            for lane in 0..WARP_SIZE {
+                assert_eq!(
+                    row.read_reg(lane, Reg::r(r)),
+                    reference.read_reg(lane, Reg::r(r)),
+                    "{what}: r{r} lane {lane}"
+                );
+            }
+        }
+        for p in 0..7 {
+            for lane in 0..WARP_SIZE {
+                assert_eq!(
+                    row.read_pred(lane, Pred::p(p)),
+                    reference.read_pred(lane, Pred::p(p)),
+                    "{what}: p{p} lane {lane}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn row_execution_matches_the_lane_by_lane_reference() {
+        let params = [7, 0xdead_beef, 42, u32::MAX];
+        let (mut kinds, mut rz_pt, mut masks) = ([0u32; 4], [0u32; 4], [0u32; 4]);
+        for seed in 1..=4 {
+            let mut rng = XorShift::new(seed);
+            let mut warp = Warp::new(0, 0, rng.below(4) as u32, 32, u16::from(REF_REGS));
+            for r in 0..REF_REGS {
+                for lane in 0..WARP_SIZE {
+                    warp.write_reg(lane, Reg::r(r), any_value(&mut rng));
+                }
+            }
+            for p in 0..7 {
+                for lane in 0..WARP_SIZE {
+                    warp.write_pred(lane, Pred::p(p), rng.next_bool());
+                }
+            }
+            let mut global = GlobalMemory::new();
+            for word in 0..64 {
+                global.write_u32(REF_PAGE - 128 + 4 * word, rng.next_u32());
+            }
+            let mut shared = SharedMemory::new(REF_SHARED_BYTES);
+            for word in 0..u64::from(REF_SHARED_BYTES / 4) {
+                shared.write_u32(4 * word, rng.next_u32());
+            }
+            for case in 0..600 {
+                let inst = any_instruction(&mut rng, &mut warp);
+                let mask = any_mask(&mut rng);
+                let what = format!("seed {seed} case {case}: {inst} under {mask:#010x}");
+                for &op in &inst.srcs {
+                    kinds[match op {
+                        Operand::Reg(_) => 0,
+                        Operand::Imm(_) => 1,
+                        Operand::Pred(_) => 2,
+                        Operand::Special(_) => 3,
+                    }] += 1;
+                    rz_pt[0] += u32::from(op == Operand::Reg(Reg::RZ));
+                    rz_pt[1] += u32::from(op == Operand::Pred(Pred::PT));
+                }
+                rz_pt[2] += u32::from(inst.dst == Dst::Reg(Reg::RZ));
+                rz_pt[3] += u32::from(inst.dst == Dst::Pred(Pred::PT));
+                masks[match mask {
+                    0 => 0,
+                    u32::MAX => 3,
+                    m if m.is_power_of_two() => 1,
+                    _ => 2,
+                }] += 1;
+
+                let mut reference = warp.clone();
+                let (mut ref_global, mut ref_shared) = (global.clone(), shared.clone());
+                let (mut addrs, mut ref_addrs) = (Vec::new(), Vec::new());
+                let access = execute_data(
+                    &mut warp,
+                    &inst,
+                    mask,
+                    &mut ctx(&mut global, &mut shared, &params, &mut addrs),
+                );
+                reference_data(
+                    &mut reference,
+                    &inst,
+                    mask,
+                    &mut ctx(&mut ref_global, &mut ref_shared, &params, &mut ref_addrs),
+                );
+                assert_same_warp(&warp, &reference, &what);
+                assert_eq!(access.is_some(), inst.op.is_memory(), "{what}");
+                assert_eq!(addrs, ref_addrs, "{what}: lane addresses");
+                // Every word a case can store to: both sides of the page
+                // boundary, and the words an RZ base reaches (the offset
+                // alone, wrapping below zero).
+                let near_boundary = (0..128).map(|w| REF_PAGE - 256 + 4 * w);
+                let off_rz = (-4..4i64).map(|w| (4 * w) as u64);
+                for a in near_boundary.chain(off_rz) {
+                    assert_eq!(
+                        global.read_u32(a),
+                        ref_global.read_u32(a),
+                        "{what}: global {a:#x}"
+                    );
+                }
+                for word in 0..u64::from(REF_SHARED_BYTES / 4) {
+                    let a = 4 * word;
+                    assert_eq!(
+                        shared.read_u32(a),
+                        ref_shared.read_u32(a),
+                        "{what}: shared {a}"
+                    );
+                }
+            }
+        }
+        for (what, counts) in [
+            ("operand kinds", kinds),
+            ("RZ/PT sources and destinations", rz_pt),
+            ("mask classes", masks),
+        ] {
+            assert!(
+                counts.iter().all(|&n| n > 0),
+                "{what} not all covered: {counts:?}"
+            );
+        }
     }
 
     #[test]

@@ -163,21 +163,8 @@ pub fn run_oracle_bounded(
                         if record {
                             let dst_reg = inst.dst_reg();
                             let dst_pred = inst.dst.pred();
-                            let mut values = Vec::new();
-                            let mut pred_bits = 0u32;
-                            if let Some(reg) = dst_reg {
-                                values.reserve(WARP_SIZE);
-                                for lane in 0..WARP_SIZE {
-                                    values.push(warp.read_reg(lane, reg));
-                                }
-                            }
-                            if let Some(p) = dst_pred {
-                                for lane in 0..WARP_SIZE {
-                                    if warp.read_pred(lane, p) {
-                                        pred_bits |= 1 << lane;
-                                    }
-                                }
-                            }
+                            let values = dst_reg.map_or(Vec::new(), |r| warp.lanes_of(r).to_vec());
+                            let pred_bits = dst_pred.map_or(0, |p| warp.pred_bits(p));
                             log.insert(
                                 (uid, seq),
                                 WriteRecord {

@@ -77,13 +77,15 @@ impl Sm {
         rf
     }
 
-    /// Prepares the SM for a new launch: caches flush and all statistics
-    /// restart so each launch reports only its own work.
+    /// Prepares the SM for a new launch: the memory hierarchy empties in
+    /// place and all statistics restart so each launch reports only its
+    /// own work.
     pub fn reset_for_launch(&mut self, params: &[u32]) {
         assert!(!self.busy(), "reset_for_launch on a busy SM");
         let ctx = &mut self.ctx;
-        ctx.params = params.to_vec();
-        ctx.mem = MemSystem::new(ctx.config.mem);
+        ctx.params.clear();
+        ctx.params.extend_from_slice(params);
+        ctx.mem.reset();
         ctx.rf = Self::build_rf(&ctx.config, ctx.warps.len());
         ctx.stats = SimStats::default();
         ctx.cycle = 0;

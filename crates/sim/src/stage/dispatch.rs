@@ -7,6 +7,7 @@ use super::{SmCtx, Stages};
 use crate::decode::DecodedKernel;
 use crate::exec::{self, ExecCtx, Space};
 use crate::probe::{emit, PipeEvent, Probe};
+use crate::warp::lanes_in;
 use bow_isa::FuClass;
 use bow_mem::{bank_conflict_degree, AccessKind, SmView};
 
@@ -174,19 +175,10 @@ fn execute_and_complete<P: Probe>(
             // emission entirely under `NullProbe` keeps counters identical.
             let warp = ctx.warps[wslot].as_ref().expect("live warp");
             values_buf.clear();
-            let mut pred_bits = 0u32;
             if let Some(reg) = meta.dst_reg {
-                for lane in 0..bow_isa::WARP_SIZE {
-                    values_buf.push(warp.read_reg(lane, reg));
-                }
+                values_buf.extend_from_slice(&warp.lanes_of(reg));
             }
-            if let Some(p) = meta.dst_pred {
-                for lane in 0..bow_isa::WARP_SIZE {
-                    if warp.read_pred(lane, p) {
-                        pred_bits |= 1 << lane;
-                    }
-                }
-            }
+            let pred_bits = meta.dst_pred.map_or(0, |p| warp.pred_bits(p));
             let uid = ctx.uid_of(warp);
             emit(
                 &mut ctx.stats,
@@ -212,16 +204,8 @@ fn execute_and_complete<P: Probe>(
                     if a.is_store {
                         let warp = ctx.warps[wslot].as_ref().expect("live warp");
                         let block = ctx.blocks[bslot].as_ref().expect("block resident");
-                        for lane in 0..bow_isa::WARP_SIZE {
-                            if slot.mask & (1 << lane) != 0 {
-                                values_buf.push(exec::operand_value(
-                                    warp,
-                                    lane,
-                                    inst.srcs[0],
-                                    &block.info,
-                                ));
-                            }
-                        }
+                        let v = exec::operand_lanes(warp, inst.srcs[0], &block.info);
+                        values_buf.extend(lanes_in(slot.mask).map(|lane| v[lane]));
                     }
                     emit(
                         &mut ctx.stats,

@@ -373,9 +373,7 @@ impl Stages {
             if I::EXACT && ctx.rf.shadow_enabled() {
                 for reg in rf_fetches {
                     if let Some(lanes) = ctx.rf.shadow_read(w, reg) {
-                        for (lane, v) in lanes.iter().enumerate() {
-                            warp.write_reg(lane, reg, *v);
-                        }
+                        warp.write_lanes(reg, u32::MAX, &lanes);
                     }
                 }
             }

@@ -5,7 +5,7 @@ use super::interlock::Interlock;
 use super::{SmCtx, Stages};
 use crate::decode::DecodedKernel;
 use crate::probe::{emit, PipeEvent, Probe};
-use bow_isa::{Pred, Reg, WritebackHint, WARP_SIZE};
+use bow_isa::{Pred, Reg, WritebackHint};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -215,11 +215,7 @@ impl Stages {
                 // `RegFile::enqueue_write`, or never). Like the issue-time
                 // shadow read, only an exact interlock supports it.
                 if I::EXACT && ctx.rf.shadow_enabled() {
-                    let mut lanes = [0u32; WARP_SIZE];
-                    for (lane, v) in lanes.iter_mut().enumerate() {
-                        *v = warp.read_reg(lane, reg);
-                    }
-                    ctx.rf.shadow_stage(c.warp, reg, lanes);
+                    ctx.rf.shadow_stage(c.warp, reg, warp.lanes_of(reg));
                 }
                 oc.writeback(
                     c.warp,

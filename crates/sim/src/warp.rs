@@ -1,8 +1,22 @@
-//! Per-warp architectural state: lane registers, predicates, divergence
+//! Per-warp architectural state: register rows, predicates, divergence
 //! bookkeeping (SIMT reconvergence stack or stack-less convergence
 //! barriers, depending on the divergence model) and barrier/exit state.
 
 use bow_isa::{Pred, Reg, NUM_CBARS, WARP_SIZE};
+
+/// One warp register: a value per lane. The register file reads and
+/// writes a warp register as one entry, and execution moves it as one row.
+pub type Lanes = [u32; WARP_SIZE];
+
+/// The lanes set in `mask`, ascending.
+pub(crate) fn lanes_in(mask: u32) -> impl Iterator<Item = usize> {
+    let mut left = mask;
+    std::iter::from_fn(move || {
+        let lane = (left != 0).then(|| left.trailing_zeros() as usize);
+        left &= left.wrapping_sub(1);
+        lane
+    })
+}
 
 /// Why an entry sits on the SIMT stack.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -43,10 +57,10 @@ pub struct Split {
 
 /// Architectural and control state of one warp.
 ///
-/// Registers are stored lane-major (`lane * num_regs + reg`), predicates as
-/// one 32-lane bitmask per predicate register. The struct owns no timing
-/// state — the pipeline models hold that — so cloning a `Warp` snapshots
-/// exactly the architectural state.
+/// A register is one [`Lanes`] row (`regs[reg][lane]`), as in the banked
+/// register file, and a predicate one 32-lane bitmask. The struct owns no
+/// timing state — the pipeline models hold that — so cloning a `Warp`
+/// snapshots exactly the architectural state.
 #[derive(Clone, Debug)]
 pub struct Warp {
     /// Warp slot index within its SM.
@@ -55,10 +69,8 @@ pub struct Warp {
     pub block_slot: usize,
     /// Flat warp index within its thread block.
     pub warp_in_block: u32,
-    /// Per-lane registers, lane-major.
-    regs: Vec<u32>,
-    /// Registers per thread.
-    num_regs: u16,
+    /// One row per register, indexed by register.
+    regs: Vec<Lanes>,
     /// Per-predicate 32-lane masks (`P0..P6`).
     preds: [u32; 7],
     /// Next instruction to issue.
@@ -114,8 +126,7 @@ impl Warp {
             id,
             block_slot,
             warp_in_block,
-            regs: vec![0; WARP_SIZE * usize::from(num_regs)],
-            num_regs,
+            regs: vec![[0; WARP_SIZE]; usize::from(num_regs)],
             preds: [0; 7],
             pc: 0,
             active: valid,
@@ -133,19 +144,49 @@ impl Warp {
         }
     }
 
+    // The per-lane accessors stand apart from the row accessors below:
+    // `exec.rs`'s lane-by-lane reference interpreter is built on them
+    // alone, so a slip in the row code cannot hide in both.
+
     /// Reads `reg` for `lane`; RZ reads as zero.
     pub fn read_reg(&self, lane: usize, reg: Reg) -> u32 {
         if reg.is_zero() {
             0
         } else {
-            self.regs[lane * usize::from(self.num_regs) + usize::from(reg.index())]
+            self.regs[usize::from(reg.index())][lane]
         }
     }
 
     /// Writes `reg` for `lane`; RZ writes are discarded.
     pub fn write_reg(&mut self, lane: usize, reg: Reg, value: u32) {
         if !reg.is_zero() {
-            self.regs[lane * usize::from(self.num_regs) + usize::from(reg.index())] = value;
+            self.regs[usize::from(reg.index())][lane] = value;
+        }
+    }
+
+    /// Every lane of `reg`; RZ reads as zeros.
+    #[inline]
+    pub fn lanes_of(&self, reg: Reg) -> Lanes {
+        if reg.is_zero() {
+            [0; WARP_SIZE]
+        } else {
+            self.regs[usize::from(reg.index())]
+        }
+    }
+
+    /// Writes `values` into the lanes of `reg` set in `mask`, leaving the
+    /// others; RZ writes are discarded.
+    #[inline]
+    pub fn write_lanes(&mut self, reg: Reg, mask: u32, values: &Lanes) {
+        if reg.is_zero() {
+            return;
+        }
+        // A bitwise blend of every lane, not a store per masked lane: the
+        // compiler vectorizes the one and leaves the other 32 branches.
+        let row = &mut self.regs[usize::from(reg.index())];
+        for (lane, (old, &new)) in row.iter_mut().zip(values).enumerate() {
+            let take = u32::from(mask & 1 << lane != 0).wrapping_neg();
+            *old = new & take | *old & !take;
         }
     }
 
@@ -171,17 +212,32 @@ impl Warp {
         }
     }
 
+    /// Predicate `p` as a 32-lane mask; PT reads as all ones.
+    #[inline]
+    pub fn pred_bits(&self, p: Pred) -> u32 {
+        if p.is_true_reg() {
+            u32::MAX
+        } else {
+            self.preds[usize::from(p.index())]
+        }
+    }
+
+    /// Sets the lanes of predicate `p` in `mask` to their bit in `bits`,
+    /// leaving the others; PT writes are discarded.
+    #[inline]
+    pub fn write_pred_bits(&mut self, p: Pred, mask: u32, bits: u32) {
+        if !p.is_true_reg() {
+            let old = &mut self.preds[usize::from(p.index())];
+            *old = *old & !mask | bits & mask;
+        }
+    }
+
     /// The mask of lanes that would execute an instruction guarded by
     /// `guard` (the active mask filtered by the predicate).
     pub fn guard_mask(&self, guard: Option<bow_isa::PredGuard>) -> u32 {
         let Some(g) = guard else { return self.active };
-        let mut m = 0u32;
-        for lane in 0..WARP_SIZE {
-            if self.active & (1 << lane) != 0 && self.read_pred(lane, g.pred) != g.negated {
-                m |= 1 << lane;
-            }
-        }
-        m
+        let neg = if g.negated { u32::MAX } else { 0 };
+        self.active & (self.pred_bits(g.pred) ^ neg)
     }
 
     /// Retires the active lanes (an `exit`): marks them exited and resumes
@@ -279,12 +335,12 @@ impl Warp {
 
     /// Registers per thread this warp was allocated.
     pub fn num_regs(&self) -> u16 {
-        self.num_regs
+        self.regs.len() as u16
     }
 
     /// Iterator over active lane indices.
-    pub fn active_lanes(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..WARP_SIZE).filter(move |l| self.active & (1 << l) != 0)
+    pub fn active_lanes(&self) -> impl Iterator<Item = usize> {
+        lanes_in(self.active)
     }
 }
 
@@ -386,5 +442,88 @@ mod tests {
         let mut w = warp();
         w.active = 0b1010;
         assert_eq!(w.active_lanes().collect::<Vec<_>>(), vec![1, 3]);
+        w.active = 0x8000_0001;
+        assert_eq!(w.active_lanes().collect::<Vec<_>>(), vec![0, 31]);
+        w.active = 0;
+        assert_eq!(w.active_lanes().count(), 0);
+        w.active = u32::MAX;
+        assert!(w.active_lanes().eq(0..WARP_SIZE));
+    }
+
+    #[test]
+    fn lanes_of_reads_a_row_and_rz_as_zeros() {
+        let mut w = warp();
+        for lane in 0..WARP_SIZE {
+            w.write_reg(lane, Reg::r(4), 1000 + lane as u32);
+        }
+        let row = w.lanes_of(Reg::r(4));
+        assert!(row.iter().enumerate().all(|(l, &v)| v == 1000 + l as u32));
+        assert_eq!(w.lanes_of(Reg::r(5)), [0; WARP_SIZE], "rows are separate");
+        w.write_reg(7, Reg::RZ, 9);
+        assert_eq!(w.lanes_of(Reg::RZ), [0; WARP_SIZE]);
+    }
+
+    #[test]
+    fn write_lanes_blends_under_the_mask() {
+        let mut w = warp();
+        let old: Lanes = std::array::from_fn(|l| l as u32);
+        let new: Lanes = std::array::from_fn(|l| 100 + l as u32);
+        w.write_lanes(Reg::r(1), u32::MAX, &old);
+        assert_eq!(w.lanes_of(Reg::r(1)), old, "a full mask writes the row");
+        w.write_lanes(Reg::r(1), 0, &new);
+        assert_eq!(w.lanes_of(Reg::r(1)), old, "an empty mask writes nothing");
+        let mask = 0x8000_00f1;
+        w.write_lanes(Reg::r(1), mask, &new);
+        for lane in 0..WARP_SIZE {
+            let want = if mask >> lane & 1 == 1 {
+                new[lane]
+            } else {
+                old[lane]
+            };
+            assert_eq!(w.read_reg(lane, Reg::r(1)), want, "lane {lane}");
+        }
+        w.write_lanes(Reg::RZ, u32::MAX, &new);
+        assert_eq!(w.lanes_of(Reg::RZ), [0; WARP_SIZE]);
+        assert_eq!(w.lanes_of(Reg::r(0)), [0; WARP_SIZE], "RZ is no row");
+        assert_eq!(w.lanes_of(Reg::r(7)), [0; WARP_SIZE], "RZ is no row");
+    }
+
+    #[test]
+    fn pred_bits_reads_the_mask_and_pt_as_all_ones() {
+        let mut w = warp();
+        w.write_pred(0, Pred::p(6), true);
+        w.write_pred(31, Pred::p(6), true);
+        assert_eq!(w.pred_bits(Pred::p(6)), 0x8000_0001);
+        assert_eq!(w.pred_bits(Pred::p(5)), 0);
+        assert_eq!(w.pred_bits(Pred::PT), u32::MAX);
+    }
+
+    #[test]
+    fn write_pred_bits_updates_only_the_masked_lanes() {
+        let mut w = warp();
+        w.write_pred_bits(Pred::p(2), u32::MAX, 0xf0f0_f0f0);
+        assert_eq!(w.pred_bits(Pred::p(2)), 0xf0f0_f0f0);
+        // Inside the mask lanes take their new bit, set or clear; outside
+        // they keep the old one whatever `bits` holds there.
+        w.write_pred_bits(Pred::p(2), 0x0000_ffff, 0xffff_0f0f);
+        assert_eq!(w.pred_bits(Pred::p(2)), 0xf0f0_0f0f);
+        w.write_pred_bits(Pred::p(2), 0, u32::MAX);
+        assert_eq!(w.pred_bits(Pred::p(2)), 0xf0f0_0f0f);
+        assert_eq!(w.pred_bits(Pred::p(3)), 0, "predicates are separate");
+        w.write_pred_bits(Pred::PT, u32::MAX, 0);
+        assert_eq!(w.pred_bits(Pred::PT), u32::MAX);
+        assert!((0..7).all(|p| p == 2 || w.pred_bits(Pred::p(p)) == 0));
+    }
+
+    #[test]
+    fn guard_mask_on_pt_and_inactive_lanes() {
+        let mut w = warp();
+        w.active = 0x00ff_00ff;
+        w.write_pred_bits(Pred::p(4), u32::MAX, 0x0f0f_0f0f);
+        let guard = |pred, negated| Some(bow_isa::PredGuard { pred, negated });
+        assert_eq!(w.guard_mask(guard(Pred::p(4), false)), 0x000f_000f);
+        assert_eq!(w.guard_mask(guard(Pred::p(4), true)), 0x00f0_00f0);
+        assert_eq!(w.guard_mask(guard(Pred::PT, false)), 0x00ff_00ff);
+        assert_eq!(w.guard_mask(guard(Pred::PT, true)), 0);
     }
 }

@@ -16,11 +16,14 @@
 //! words); and one kernel's loads miss to DRAM, so its completions take
 //! the completion queue's far path.
 //!
+//! A relaunch resets each SM's memory hierarchy in place, so
+//! `MemSystem::reset` on a warmed hierarchy is counted too.
+//!
 //! Timing-free, so it cannot flake; `scripts/ci.sh` runs it in release.
 
 use bow_isa::ctrl::CtrlBits;
 use bow_isa::{CmpOp, Kernel, KernelBuilder, KernelDims, Operand, Pred, Reg, Special};
-use bow_mem::{GlobalAccess, GlobalMemory, StoreBuffer};
+use bow_mem::{AccessKind, GlobalAccess, GlobalMemory, MemConfig, MemSystem, StoreBuffer};
 use bow_sim::collector::CollectorKind;
 use bow_sim::config::{CoreModelKind, GpuConfig, SchedPolicy};
 use bow_sim::decode::DecodedKernel;
@@ -360,4 +363,29 @@ fn single_scheduler_96_warp_ticks_are_heap_free() {
 #[test]
 fn dram_latency_ticks_are_heap_free() {
     assert_heap_free(&dram_kernel(), &SIXTEEN_WARPS, DRAM_WARMUP_TICKS);
+}
+
+#[test]
+fn mem_system_reset_is_heap_free() {
+    let mut mem = MemSystem::new(MemConfig::default());
+    // Warm both levels and fill the MSHRs: scattered stores and loads,
+    // one transaction per lane, all issued in the same few cycles.
+    for round in 0..64u64 {
+        let addrs: Vec<u64> = (0..32).map(|l| (round * 32 + l) * 4096).collect();
+        let kind = if round % 2 == 0 {
+            AccessKind::Store
+        } else {
+            AccessKind::Load
+        };
+        mem.access(kind, &addrs, round / 8);
+    }
+    assert!(mem.stats().l2.misses > 0 && mem.stats().transactions == 64 * 32);
+
+    let before = ALLOCS.with(Cell::get);
+    for _ in 0..8 {
+        mem.reset();
+        mem.access(AccessKind::Load, &[0, 4096, 8192], 0);
+    }
+    let allocs = ALLOCS.with(Cell::get) - before;
+    assert_eq!(allocs, 0, "{allocs} heap allocations in eight resets");
 }

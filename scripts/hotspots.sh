@@ -10,7 +10,11 @@
 #   * self time by physical (non-inlined) function, and
 #   * inclusive time of every function on the inline chains, which is where
 #     small accessors the optimiser folded into their callers show up.
-# Samples outside the binary are bucketed by shared object.
+# Samples outside the binary are named after a shared object's function
+# only where a symbol with a size covers the address (the object's full
+# symbol table where the host has one, its own or a build-id debug file,
+# else its exported symbols); the rest are printed as that object's
+# unattributed bucket, never credited to the nearest export below them.
 #
 # Build first (`benchmark/run.sh --smoke` does). Writes only under target/;
 # touches nothing in benchmark/. Exits 0 with a notice where `cc` or
@@ -20,7 +24,7 @@ cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
 workload="${1:?usage: scripts/hotspots.sh <workload> [seconds]}"
 seconds="${2:-10}"
-for tool in cc addr2line; do
+for tool in cc addr2line nm readelf; do
     if ! command -v "$tool" >/dev/null; then
         echo "hotspots: \`$tool\` not found on this host, nothing profiled"
         exit 0
@@ -110,8 +114,57 @@ fi
 awk -v bin="$bin" '$2 == bin { print "0x" $3 }' "$out/$workload.counts" |
     addr2line -e "$bin" -a -f -i -C >"$out/$workload.frames"
 
+# "<object> <table> <start> <size> <name>" for every function symbol with a
+# size, per sampled shared object, from the fullest table this host has:
+# `symtab` (the object's own, or a debug file found by build id) or `dynsym`
+# (exported symbols only: a stripped libc names `memcpy` and `malloc` but not
+# the `__memmove_avx_*` or `_int_malloc` bodies that do the work).
+functions_of() {
+    { nm "$@" --defined-only -S 2>/dev/null || true; } | awk 'NF == 4 && $3 ~ /^[tTwWiI]$/ { print $1, $2, $4 }'
+}
+awk -v bin="$bin" '$2 != bin && $2 != "[anonymous]" { print $2 }' "$out/$workload.counts" |
+    sort -u | while read -r obj; do
+        id=$(readelf -n "$obj" 2>/dev/null | awk '/Build ID:/ { print $3; exit }')
+        table=dynsym
+        syms=""
+        for src in ${id:+"/usr/lib/debug/.build-id/${id:0:2}/${id:2}.debug"} "$obj"; do
+            [[ -r "$src" ]] && syms=$(functions_of "$src") && [[ -n "$syms" ]] && table=symtab && break
+        done
+        [[ -n "$syms" ]] || syms=$(functions_of -D "$obj")
+        if [[ -n "$syms" ]]; then
+            printf '%s\n' "$syms" | awk -v obj="$obj" -v table="$table" '{ print obj, table, $0 }'
+        fi
+    done >"$out/$workload.dsyms"
+
 echo "== $workload: $total samples at 1 kHz of CPU time =="
-awk -v bin="$bin" -v total="$total" '
+awk -v bin="$bin" -v total="$total" -v dsyms="$out/$workload.dsyms" '
+    function hex(s,   i, v) {
+        v = 0
+        for (i = 1; i <= length(s); i++) v = 16 * v + index("0123456789abcdef", substr(s, i, 1)) - 1
+        return v
+    }
+    # A shared-object sample: the covering function with the plainest name
+    # (fewest leading underscores, then shortest) among aliases, else the
+    # unattributed bucket of the object.
+    function so_label(obj, addr,   a, i, best, rank, r, base, n) {
+        a = hex(addr); best = ""
+        for (i = 1; i <= nsym[obj]; i++)
+            if (lo[obj, i] <= a && a < hi[obj, i]) {
+                n = sym[obj, i]; match(n, /^_*/); r = 1000 * RLENGTH + length(n)
+                if (best == "" || r < rank) { best = n; rank = r }
+            }
+        base = obj; sub(/.*\//, "", base)
+        if (best != "") return "[" base "] " best
+        if (table[obj] == "dynsym") return "[" base "] (unattributed: only exported symbols on this host)"
+        return "[" base "] (unattributed)"
+    }
+    BEGIN {
+        while ((getline line < dsyms) > 0) {
+            split(line, d, " "); sub(/@.*/, "", d[5])
+            n = ++nsym[d[1]]; table[d[1]] = d[2]
+            lo[d[1], n] = hex(d[3]); hi[d[1], n] = lo[d[1], n] + hex(d[4]); sym[d[1], n] = d[5]
+        }
+    }
     function flush(   i) {
         if (addr == "") return
         self[fn[nfn]] += weight[addr]            # outermost frame: the physical function
@@ -119,7 +172,9 @@ awk -v bin="$bin" -v total="$total" '
             if (last[fn[i]] != addr) { last[fn[i]] = addr; incl[fn[i]] += weight[addr] }
     }
     FNR == NR {                                  # first file: the counts
-        if ($2 == bin) weight["0x" $3] = $1; else self["[" $2 "]"] += $1
+        if ($2 == bin) weight["0x" $3] = $1
+        else if ($2 == "[anonymous]") self[$2] += $1
+        else self[so_label($2, $3)] += $1
         next
     }
     /^0x[0-9a-f]+$/ { flush(); addr = $0; sub(/^0x0*/, "0x", addr); nfn = 0; row = 0; next }
