@@ -250,7 +250,6 @@ pub fn canonical_config_json(config: &Config) -> Json {
         // Checker: re-runs the launch on the oracle and compares; the
         // pipeline's own results are untouched.
         oracle_check: _,
-        shadow_rf,
         // Checker: a probe on the event stream; cycles, stats and
         // fingerprints are pinned identical with it on or off.
         sanitize: _,
@@ -346,7 +345,6 @@ pub fn canonical_config_json(config: &Config) -> Json {
             Json::Arr(analyze_windows.iter().map(|&w| Json::from(w)).collect()),
         ),
         ("max_cycles", Json::from(*max_cycles)),
-        ("shadow_rf", Json::from(*shadow_rf)),
         ("hints", Json::from(*hints)),
         ("reorder", Json::from(*reorder)),
         ("verify", Json::from(*verify)),

@@ -28,11 +28,6 @@ pub enum ConfigError {
     /// A name failed to resolve (benchmark, collector, model, scale); the
     /// payload lists the valid names of the axis's table.
     Unknown(UnknownName),
-    /// Two individually valid knobs that cannot be combined.
-    Conflict {
-        /// What clashes and why.
-        message: &'static str,
-    },
     /// The configuration's compile plan cannot be applied to the kernel: a
     /// compiler pass the configuration asks for refused it (barrier
     /// lowering of an unstructured or too deeply nested kernel, the hint
@@ -57,7 +52,6 @@ impl fmt::Display for ConfigError {
                 max,
             } => write!(f, "{field} {value} out of range ({min}..={max})"),
             ConfigError::Unknown(name) => name.fmt(f),
-            ConfigError::Conflict { message } => f.write_str(message),
             ConfigError::Compile {
                 kernel,
                 pass,

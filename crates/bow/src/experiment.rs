@@ -126,7 +126,6 @@ pub struct ConfigBuilder {
     hints: Option<bool>,
     reorder: bool,
     verify: bool,
-    shadow_rf: bool,
     sanitize: bool,
     model: GpuModel,
     core_model: CoreModelKind,
@@ -149,7 +148,6 @@ impl ConfigBuilder {
             hints: None,
             reorder: false,
             verify: false,
-            shadow_rf: false,
             sanitize: false,
             model: GpuModel::default(),
             core_model: CoreModelKind::default(),
@@ -234,14 +232,6 @@ impl ConfigBuilder {
         self
     }
 
-    /// Maintains an architectural shadow of the register-file banks
-    /// ([`GpuConfig::shadow_rf`]) so dropped `BocOnly` write-backs become
-    /// architecturally visible to the oracle checks.
-    pub fn shadow_rf(mut self, yes: bool) -> ConfigBuilder {
-        self.shadow_rf = yes;
-        self
-    }
-
     /// Attaches the dynamic race sanitizer ([`GpuConfig::sanitize`]) to
     /// every launch: the probe shadows shared/global words and barrier
     /// epochs and the result carries a
@@ -309,7 +299,6 @@ impl ConfigBuilder {
                 self.divergence != DivergenceModel::default(),
                 self.divergence.name(),
             ),
-            (self.shadow_rf, "shadow"),
         ] {
             if off_default {
                 label.push('+');
@@ -364,14 +353,6 @@ impl ConfigBuilder {
         for &w in &self.analyzer {
             range("analyzer window", w, 1, 1024)?;
         }
-        if self.shadow_rf && self.core_model == CoreModelKind::Modern {
-            // The modern core never stages writes outside the RF banks, so
-            // a shadow RF would just double every write silently.
-            return Err(ConfigError::Conflict {
-                message: "shadow_rf models Pascal's staged write-back and cannot \
-                          be combined with the modern core",
-            });
-        }
         Ok(())
     }
 
@@ -424,7 +405,6 @@ impl ConfigBuilder {
         if !self.analyzer.is_empty() {
             gpu = gpu.with_analyzer(&self.analyzer);
         }
-        gpu.shadow_rf = self.shadow_rf;
         gpu.sanitize = self.sanitize;
         gpu.core_model = self.core_model;
         gpu.divergence = self.divergence;
@@ -958,22 +938,6 @@ mod tests {
             .divergence(DivergenceModel::Barrier)
             .build();
         assert_eq!(both.label, "baseline+modern+barrier");
-    }
-
-    #[test]
-    fn shadow_rf_conflicts_with_the_modern_core() {
-        let e = ConfigBuilder::bow_wr(3)
-            .core_model(CoreModelKind::Modern)
-            .shadow_rf(true)
-            .try_build()
-            .unwrap_err();
-        assert!(matches!(e, ConfigError::Conflict { .. }), "{e}");
-        // Each knob is fine on its own.
-        assert!(ConfigBuilder::bow_wr(3).shadow_rf(true).try_build().is_ok());
-        assert!(ConfigBuilder::bow_wr(3)
-            .core_model(CoreModelKind::Modern)
-            .try_build()
-            .is_ok());
     }
 
     #[test]

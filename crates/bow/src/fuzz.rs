@@ -1,5 +1,5 @@
 //! The differential kernel fuzzer: generated kernels × collector configs,
-//! checked three independent ways.
+//! checked four independent ways.
 //!
 //! Each case draws a structured program from [`bow_isa::fuzz`], lowers it
 //! to a kernel, and runs it under every collector configuration
@@ -17,6 +17,12 @@
 //!    ISA semantics that shares no code with the simulator — a semantics
 //!    bug in `exec.rs` itself (invisible to the oracle, which reuses
 //!    `exec.rs`) fails here.
+//! 4. **Sanitizer**: a sanitized re-launch ([`bow_sim::GpuConfig::sanitize`])
+//!    reports no dynamic finding a static lint code does not vouch for
+//!    ([`crate::sanitize_campaign::static_codes_for`]). Its hint replay
+//!    is how a `.wb.boc` value read after the operand window dropped it
+//!    fails a case: the timing model carries no values, so checks 1–3
+//!    cannot see a write-back policy.
 //!
 //! Cases fan out over the same work-stealing pool as the experiment
 //! sweeps ([`crate::suite`]); failures shrink to a minimal statement
@@ -61,23 +67,14 @@ pub struct FuzzOptions {
     pub out_dir: PathBuf,
     /// Print per-case progress to stderr.
     pub progress: bool,
-    /// SM core model every case runs on. `Modern` drops the shadow-RF
-    /// variant (the two cannot combine) and routes each kernel through
-    /// the control-bits emitter, so the fixed-latency interlock runs
-    /// under the same lockstep oracle.
+    /// SM core model every case runs on. `Modern` routes each kernel
+    /// through the control-bits emitter, so the fixed-latency interlock
+    /// runs under the same lockstep oracle.
     pub core_model: CoreModelKind,
     /// Reconvergence machinery every case runs under. `Barrier` lowers
     /// each case's SSY/SYNC to convergence barriers, so the stack-less
     /// split/join model faces the same lockstep oracle and host model.
     pub divergence: DivergenceModel,
-    /// Adds a fourth check per cell: a sanitized re-launch
-    /// ([`bow_sim::GpuConfig::sanitize`]) whose every dynamic finding
-    /// must be vouched for by a static lint code
-    /// ([`crate::sanitize_campaign::static_codes_for`]) — generated
-    /// kernels keep barriers and exchanges convergent by construction,
-    /// so any finding here is a checker false negative or a generator
-    /// regression, and fails the cell.
-    pub sanitize: bool,
 }
 
 impl Default for FuzzOptions {
@@ -91,7 +88,6 @@ impl Default for FuzzOptions {
             progress: false,
             core_model: CoreModelKind::Pascal,
             divergence: DivergenceModel::Stack,
-            sanitize: false,
         }
     }
 }
@@ -184,32 +180,17 @@ impl FuzzReport {
 
 /// The collector configurations every case runs under, on a chosen core
 /// and divergence model: the full design space of the paper's Table I
-/// plus the RFC baseline, hints on and off. The shadow-RF variant only
-/// exists on Pascal — it models Pascal's staged write-back and is a
-/// [`ConfigError::Conflict`](crate::error::ConfigError) with the modern
-/// core — so the modern matrix has one fewer column.
+/// plus the RFC baseline, hints on and off. Both cores run the same five.
 pub fn fuzz_configs_for(core: CoreModelKind, divergence: DivergenceModel) -> Vec<Config> {
-    let with = |b: ConfigBuilder| b.core_model(core).divergence(divergence).build();
-    let mut configs = vec![
-        with(ConfigBuilder::baseline()),
-        with(ConfigBuilder::bow(3)),
-        with(ConfigBuilder::bow_wr(3)),
-        with(ConfigBuilder::bow_wr(3).hints(false)),
-    ];
-    if core == CoreModelKind::Pascal {
-        // Same design with the architectural shadow RF: a hint the static
-        // verifier accepted but that drops a live value dynamically would
-        // fail lockstep here instead of being absorbed by the value-less
-        // timing model.
-        configs.push(
-            ConfigBuilder::bow_wr(3)
-                .shadow_rf(true)
-                .divergence(divergence)
-                .build(),
-        );
-    }
-    configs.push(with(ConfigBuilder::rfc()));
-    configs
+    [
+        ConfigBuilder::baseline(),
+        ConfigBuilder::bow(3),
+        ConfigBuilder::bow_wr(3),
+        ConfigBuilder::bow_wr(3).hints(false),
+        ConfigBuilder::rfc(),
+    ]
+    .map(|b| b.core_model(core).divergence(divergence).build())
+    .into()
 }
 
 /// Derives the per-case RNG seed from the session seed and case index.
@@ -234,8 +215,7 @@ pub fn run_fuzz(opts: &FuzzOptions) -> FuzzReport {
         let mut rng = XorShift::new(cseed);
         let program = FuzzKernel::generate_sized(&mut rng, opts.size);
         let input = FuzzKernel::gen_input(&mut rng);
-        let sanitize = opts.sanitize;
-        match run_checks(&program, &input, config, case, sanitize) {
+        match run_checks(&program, &input, config, case) {
             Ok(checked) => CellResult {
                 case,
                 config: config.label.clone(),
@@ -245,9 +225,9 @@ pub fn run_fuzz(opts: &FuzzOptions) -> FuzzReport {
             Err(detail) => {
                 // Shrink: keep any simplification that still fails this
                 // config (any failure detail counts, not just the same).
-                let minimized = program
-                    .shrink(|cand| run_checks(cand, &input, config, case, sanitize).is_err());
-                let final_detail = run_checks(&minimized, &input, config, case, sanitize)
+                let minimized =
+                    program.shrink(|cand| run_checks(cand, &input, config, case).is_err());
+                let final_detail = run_checks(&minimized, &input, config, case)
                     .err()
                     .unwrap_or(detail);
                 CellResult {
@@ -333,7 +313,6 @@ fn run_checks(
     input: &[u32],
     config: &Config,
     case: u64,
-    sanitize: bool,
 ) -> Result<u64, String> {
     let kernel = build_kernel(program, config, case);
     let dims = FuzzKernel::dims();
@@ -341,7 +320,7 @@ fn run_checks(
     // Check 0: the static residency verifier must accept the annotated
     // kernel before it is allowed anywhere near the pipeline. A rejection
     // is a hint-producer bug, pinned here rather than surfacing as a
-    // mysterious lockstep divergence under the shadow-RF config.
+    // hint violation in check 4.
     if let Some(window) = CompilePlan::of(config).hints {
         let audit = verify_hints(&kernel, window as usize);
         if !audit.is_sound() {
@@ -399,35 +378,37 @@ fn run_checks(
         }
     }
 
-    // Check 4 (opt-in): a sanitized re-launch cross-validated against the
-    // static race suite — every dynamic finding needs a static voucher.
-    if sanitize {
-        let mut san_cfg = config.gpu.clone();
-        san_cfg.max_cycles = FUZZ_MAX_CYCLES;
-        san_cfg.sanitize = true;
-        san_cfg.oracle_check = bow_sim::OracleCheck::Off;
-        let mut sgpu = Gpu::new(san_cfg);
-        sgpu.global_mut()
-            .write_slice_u32(u64::from(fuzz::INPUT_BASE), input);
-        let sres = sgpu.launch(&kernel, dims, &fuzz::PARAMS);
-        let srep = sres.sanitizer.expect("sanitize flag attaches the probe");
-        if !srep.is_clean() {
-            let window = config.gpu.collector.window().unwrap_or(3);
-            let opts = bow_compiler::LintOptions {
-                window,
-                ..Default::default()
-            };
-            let report = bow_compiler::lint_kernel(&kernel, &opts);
-            for finding in &srep.findings {
-                let vouchers = crate::sanitize_campaign::static_codes_for(finding.kind());
-                if !vouchers
-                    .iter()
-                    .any(|c| report.diagnostics.iter().any(|d| d.code == *c))
-                {
-                    return Err(format!(
-                        "sanitizer: dynamic finding without static flag — {finding}"
-                    ));
-                }
+    // Check 4: a sanitized re-launch cross-validated against the static
+    // lint suite — every dynamic finding needs a static voucher.
+    // Generated kernels keep barriers and exchanges convergent by
+    // construction, so an unvouched finding is a sanitizer false
+    // positive, a generator regression or, for a hint violation, a hint
+    // the static verifier wrongly accepted.
+    let mut san_cfg = config.gpu.clone();
+    san_cfg.max_cycles = FUZZ_MAX_CYCLES;
+    san_cfg.sanitize = true;
+    san_cfg.oracle_check = bow_sim::OracleCheck::Off;
+    let mut sgpu = Gpu::new(san_cfg);
+    sgpu.global_mut()
+        .write_slice_u32(u64::from(fuzz::INPUT_BASE), input);
+    let sres = sgpu.launch(&kernel, dims, &fuzz::PARAMS);
+    let srep = sres.sanitizer.expect("sanitize flag attaches the probe");
+    if !srep.is_clean() {
+        let window = config.gpu.collector.window().unwrap_or(3);
+        let opts = bow_compiler::LintOptions {
+            window,
+            ..Default::default()
+        };
+        let report = bow_compiler::lint_kernel(&kernel, &opts);
+        for finding in &srep.findings {
+            let vouchers = crate::sanitize_campaign::static_codes_for(finding.kind());
+            if !vouchers
+                .iter()
+                .any(|c| report.diagnostics.iter().any(|d| d.code == *c))
+            {
+                return Err(format!(
+                    "sanitizer: dynamic finding without static flag — {finding}"
+                ));
             }
         }
     }
@@ -510,12 +491,9 @@ mod tests {
             progress: false,
             core_model: CoreModelKind::Pascal,
             divergence: DivergenceModel::Stack,
-            // Exercise check 4: clean generated kernels must sanitize
-            // clean (or carry a static flag for anything found).
-            sanitize: true,
         });
         assert!(report.failures.is_empty(), "{}", report.summary());
-        assert_eq!(report.configs.len(), 6);
+        assert_eq!(report.configs.len(), 5);
         assert!(report.checked_instructions > 0);
     }
 
@@ -534,7 +512,6 @@ mod tests {
                 progress: false,
                 core_model: core,
                 divergence: DivergenceModel::Barrier,
-                sanitize: core == CoreModelKind::Pascal,
             });
             assert!(report.failures.is_empty(), "{}", report.summary());
             assert!(
@@ -557,10 +534,8 @@ mod tests {
             progress: false,
             core_model: CoreModelKind::Modern,
             divergence: DivergenceModel::Stack,
-            sanitize: false,
         });
         assert!(report.failures.is_empty(), "{}", report.summary());
-        // Shadow RF conflicts with the modern core, so its column drops.
         assert_eq!(report.configs.len(), 5);
         assert!(
             report.configs.iter().all(|l| l.contains("+modern")),
@@ -568,6 +543,21 @@ mod tests {
             report.configs
         );
         assert!(report.checked_instructions > 0);
+    }
+
+    #[test]
+    fn both_cores_fuzz_the_same_designs() {
+        let designs = |core, div| -> Vec<_> {
+            fuzz_configs_for(core, div)
+                .into_iter()
+                .map(|c| (c.gpu.collector, c.hints))
+                .collect()
+        };
+        for div in [DivergenceModel::Stack, DivergenceModel::Barrier] {
+            let pascal = designs(CoreModelKind::Pascal, div);
+            assert_eq!(pascal.len(), 5);
+            assert_eq!(pascal, designs(CoreModelKind::Modern, div), "{div:?}");
+        }
     }
 
     #[test]

@@ -12,10 +12,11 @@
 //!   hint-independent) replay through [`ArchWindow`], the architectural
 //!   operand window the race sanitizer and Fig. 3 share: reads re-touch
 //!   entries, entries evict at `window` instructions since last touch, a
-//!   dirty `BocOnly` eviction drops the value, and an `RfOnly` write-back
-//!   invalidates a superseded buffered copy. A read that observes a
-//!   register-file generation older than the architectural one is a
-//!   *stale read*: the mutant is ground-truth unsound.
+//!   dirty `BocOnly` eviction drops the value, an `RfOnly` write-back
+//!   invalidates a superseded buffered copy, and a guarded rewrite does
+//!   not revive a dropped value on the lanes it leaves alone. A read that
+//!   observes a register-file generation older than the architectural
+//!   one is a *stale read*: the mutant is ground-truth unsound.
 //! * **The accused** — [`bow_compiler::verify_hints`], the path-sensitive
 //!   static verifier under audit.
 //!
@@ -27,11 +28,12 @@
 //! are only may-kills, dynamic rescues ignored), so statically-flagged
 //! but dynamically-clean mutants are counted as `overcautious`.
 //!
-//! A sample of ground-truth-unsound mutants is additionally driven through
-//! the full pipeline with the shadow register file enabled
-//! (`GpuConfig::shadow_rf`) under the lockstep oracle, closing the
-//! triangle: static verifier, architectural replayer, and cycle-level
-//! pipeline all observe the same injected bug.
+//! Every ground-truth-unsound mutant is also launched once on the bow-wr
+//! pipeline with the race sanitizer attached, and must draw a
+//! `hint-violation` finding. The sanitizer replays the stream the
+//! pipeline dispatched, not the oracle's log, through the same
+//! [`ArchWindow`], so the confirmation checks that the cycle-level
+//! pipeline executes the dynamic stream the ground truth judged.
 
 use std::time::{Duration, Instant};
 
@@ -41,8 +43,8 @@ use crate::suite::{effective_jobs, map_parallel};
 use bow_compiler::verify_hints;
 use bow_isa::fuzz::{self, FuzzKernel};
 use bow_isa::{Kernel, Reg, WritebackHint};
-use bow_sim::oracle::{run_oracle, LockstepChecker};
-use bow_sim::{ArchWindow, CoreModelKind, DivergenceModel, Gpu};
+use bow_sim::oracle::run_oracle;
+use bow_sim::{ArchWindow, CoreModelKind, DivergenceModel, Gpu, SanitizerFinding};
 use bow_util::json::Json;
 use bow_util::XorShift;
 
@@ -59,10 +61,6 @@ pub struct MutateOptions {
     pub size: usize,
     /// Operand-window size to annotate, mutate and replay under.
     pub window: u32,
-    /// Cases whose first unsound mutant is also driven through the full
-    /// pipeline + lockstep oracle (each is a whole simulation, so this is
-    /// a sample, not the corpus).
-    pub lockstep_cases: u64,
     /// `passed()` requires at least this many injected mutants…
     pub min_mutants: u64,
     /// …and at least this many of them ground-truth unsound.
@@ -72,7 +70,7 @@ pub struct MutateOptions {
     /// Reconvergence machinery the campaign runs under. `Barrier` lowers
     /// every annotated kernel (and so every mutant) to convergence
     /// barriers, auditing the verifier's barrier-form serialization model
-    /// with the same replay + lockstep triangle.
+    /// with the same replay and sanitizer confirmation.
     pub divergence: DivergenceModel,
 }
 
@@ -85,7 +83,6 @@ impl MutateOptions {
             jobs: 0,
             size: 24,
             window: 3,
-            lockstep_cases: 4,
             min_mutants: 800,
             min_unsound: 500,
             progress: false,
@@ -99,7 +96,6 @@ impl MutateOptions {
             cases: 8,
             min_mutants: 64,
             min_unsound: 20,
-            lockstep_cases: 2,
             ..MutateOptions::full()
         }
     }
@@ -146,10 +142,9 @@ pub struct MutationReport {
     pub baseline_stale_reads: u64,
     /// Unmutated annotated kernels the verifier rejected (must be 0).
     pub baseline_rejected: u64,
-    /// Unsound mutants driven through the shadow-RF pipeline.
-    pub lockstep_attempted: u64,
-    /// …of which the lockstep oracle (or final memory) caught.
-    pub lockstep_confirmed: u64,
+    /// Unsound mutants whose sanitized pipeline launch reported a hint
+    /// violation (must equal `mutants_unsound`).
+    pub sanitizer_confirmed: u64,
     /// Floors copied from the options, for `passed()`.
     pub min_mutants: u64,
     /// See `min_mutants`.
@@ -166,7 +161,7 @@ impl MutationReport {
             && self.baseline_rejected == 0
             && self.mutants_total >= self.min_mutants
             && self.mutants_unsound >= self.min_unsound
-            && (self.lockstep_attempted == 0 || self.lockstep_confirmed > 0)
+            && self.sanitizer_confirmed == self.mutants_unsound
     }
 
     /// A one-paragraph human summary.
@@ -175,8 +170,8 @@ impl MutationReport {
         let mut s = format!(
             "mutation sanitizer: {verdict} — {} kernels, {} mutants injected \
              (window {}), {} ground-truth unsound, {} caught, {} missed, \
-             {} overcautious, {} benign; pipeline lockstep confirmed {}/{} \
-             sampled; {:.1}s",
+             {} overcautious, {} benign; sanitizer confirmed {}/{} \
+             unsound; {:.1}s",
             self.cases,
             self.mutants_total,
             self.window,
@@ -185,8 +180,8 @@ impl MutationReport {
             self.missed.len(),
             self.overcautious,
             self.benign,
-            self.lockstep_confirmed,
-            self.lockstep_attempted,
+            self.sanitizer_confirmed,
+            self.mutants_unsound,
             self.wall.as_secs_f64()
         );
         if self.baseline_rejected > 0 || self.baseline_stale_reads > 0 {
@@ -225,12 +220,8 @@ impl MutationReport {
                 Json::Num(self.baseline_rejected as f64),
             ),
             (
-                "lockstep_attempted",
-                Json::Num(self.lockstep_attempted as f64),
-            ),
-            (
-                "lockstep_confirmed",
-                Json::Num(self.lockstep_confirmed as f64),
+                "sanitizer_confirmed",
+                Json::Num(self.sanitizer_confirmed as f64),
             ),
             ("wall_seconds", Json::Num(self.wall.as_secs_f64())),
         ])
@@ -262,8 +253,7 @@ struct CaseOutcome {
     benign: u64,
     baseline_stale_reads: u64,
     baseline_rejected: u64,
-    lockstep_attempted: u64,
-    lockstep_confirmed: u64,
+    sanitizer_confirmed: u64,
 }
 
 /// Runs a sanitizer session. Deterministic for a given `(seed, cases,
@@ -296,8 +286,7 @@ pub fn run_mutation(opts: &MutateOptions) -> MutationReport {
         benign: 0,
         baseline_stale_reads: 0,
         baseline_rejected: 0,
-        lockstep_attempted: 0,
-        lockstep_confirmed: 0,
+        sanitizer_confirmed: 0,
         min_mutants: opts.min_mutants,
         min_unsound: opts.min_unsound,
         wall: Duration::default(),
@@ -311,24 +300,20 @@ pub fn run_mutation(opts: &MutateOptions) -> MutationReport {
         report.benign += o.benign;
         report.baseline_stale_reads += o.baseline_stale_reads;
         report.baseline_rejected += o.baseline_rejected;
-        report.lockstep_attempted += o.lockstep_attempted;
-        report.lockstep_confirmed += o.lockstep_confirmed;
+        report.sanitizer_confirmed += o.sanitizer_confirmed;
     }
     report.wall = start.elapsed();
     report
 }
 
-fn run_one_case(opts: &MutateOptions, case: u64) -> CaseOutcome {
-    let mut out = CaseOutcome::default();
-    let cseed = case_seed(opts.seed, case);
-    let mut rng = XorShift::new(cseed);
+/// Corpus case `case`, annotated at the campaign window, with its input.
+/// Under the barrier model the pipeline executes the lowered form, so that
+/// is what gets mutated and verified. `None` when the compile plan
+/// refuses the kernel.
+fn annotated_case(opts: &MutateOptions, case: u64) -> Option<(Kernel, Vec<u32>)> {
+    let mut rng = XorShift::new(case_seed(opts.seed, case));
     let program = FuzzKernel::generate_sized(&mut rng, opts.size);
     let input = FuzzKernel::gen_input(&mut rng);
-    // Annotate at the campaign window; under the barrier model the
-    // pipeline executes the lowered form, so mutate and verify that.
-    // Generated control flow is structured by construction; a refusal
-    // here is a generator/compiler bug and is surfaced through the
-    // baseline-rejected counter (must stay 0).
     let plan = CompilePlan {
         reorder: false,
         hints: Some(opts.window),
@@ -336,7 +321,19 @@ fn run_one_case(opts: &MutateOptions, case: u64) -> CaseOutcome {
         divergence: opts.divergence,
         core_model: CoreModelKind::Pascal,
     };
-    let Ok((annotated, _)) = plan.apply(program.build(&format!("mutate_case_{case}"))) else {
+    let (annotated, _) = plan
+        .apply(program.build(&format!("mutate_case_{case}")))
+        .ok()?;
+    Some((annotated, input))
+}
+
+fn run_one_case(opts: &MutateOptions, case: u64) -> CaseOutcome {
+    let mut out = CaseOutcome::default();
+    let cseed = case_seed(opts.seed, case);
+    // Generated control flow is structured by construction; a refusal
+    // here is a generator/compiler bug and is surfaced through the
+    // baseline-rejected counter (must stay 0).
+    let Some((annotated, input)) = annotated_case(opts, case) else {
         out.baseline_rejected += 1;
         return out;
     };
@@ -377,12 +374,6 @@ fn run_one_case(opts: &MutateOptions, case: u64) -> CaseOutcome {
     }
 
     // Flip every sound RF-bound hint to BocOnly, one at a time.
-    //
-    // Up to this many unsound mutants of a sampled case are driven through
-    // the pipeline (stopping at the first confirmation): forced capacity
-    // evictions and late-arriving write-backs can dynamically rescue an
-    // architecturally-dropped value, so any single mutant may run quiet.
-    let mut lockstep_budget = if case < opts.lockstep_cases { 8u32 } else { 0 };
     for pc in 0..annotated.insts.len() {
         let inst = &annotated.insts[pc];
         let Some(reg) = inst.dst_reg() else { continue };
@@ -396,13 +387,15 @@ fn run_one_case(opts: &MutateOptions, case: u64) -> CaseOutcome {
 
         let stale_reads = replay_kernel(&mutant, &streams, opts.window);
         let flagged = !verify_hints(&mutant, opts.window as usize).is_sound();
-        match (stale_reads > 0, flagged) {
-            (true, true) => {
-                out.mutants_unsound += 1;
-                out.caught += 1;
+        if stale_reads > 0 {
+            out.mutants_unsound += 1;
+            if sanitizer_confirms(&mutant, &input, opts.window) {
+                out.sanitizer_confirmed += 1;
             }
+        }
+        match (stale_reads > 0, flagged) {
+            (true, true) => out.caught += 1,
             (true, false) => {
-                out.mutants_unsound += 1;
                 out.missed.push(MissedMutant {
                     case,
                     case_seed: cseed,
@@ -415,49 +408,24 @@ fn run_one_case(opts: &MutateOptions, case: u64) -> CaseOutcome {
             (false, true) => out.overcautious += 1,
             (false, false) => out.benign += 1,
         }
-
-        // Close the triangle on sampled cases: the cycle-level pipeline
-        // with the shadow RF must observe the same bug the replayer
-        // predicts (lockstep divergence, or at the latest a final-memory
-        // mismatch).
-        if stale_reads > 0 && lockstep_budget > 0 {
-            lockstep_budget -= 1;
-            out.lockstep_attempted += 1;
-            if pipeline_catches(&mutant, &input, &oracle.log, opts.window) {
-                out.lockstep_confirmed += 1;
-                lockstep_budget = 0;
-            }
-        }
     }
     out
 }
 
-/// Runs `mutant` through the full pipeline with the shadow RF enabled and
-/// reports whether the lockstep oracle or the final-memory check catches
-/// the dropped value. (Dynamic rescues — forced evictions, late-arriving
-/// write-backs — can legitimately absorb an architecturally-stale read,
-/// so a single quiet run is possible; callers sample several cases.)
-fn pipeline_catches(
-    mutant: &Kernel,
-    input: &[u32],
-    log: &bow_sim::oracle::WriteLog,
-    window: u32,
-) -> bool {
-    let mut gpu_cfg = ConfigBuilder::bow_wr(window).shadow_rf(true).build().gpu;
+/// Launches `mutant` once on the bow-wr pipeline with the race sanitizer
+/// attached; true when its hint replay reports a hint violation.
+fn sanitizer_confirms(mutant: &Kernel, input: &[u32], window: u32) -> bool {
+    let mut gpu_cfg = ConfigBuilder::bow_wr(window).sanitize(true).build().gpu;
     gpu_cfg.max_cycles = FUZZ_MAX_CYCLES;
     let mut gpu = Gpu::new(gpu_cfg);
     gpu.global_mut()
         .write_slice_u32(u64::from(fuzz::INPUT_BASE), input);
-    let oracle_fp = {
-        let mut global = bow_mem::GlobalMemory::new();
-        global.write_slice_u32(u64::from(fuzz::INPUT_BASE), input);
-        run_oracle(mutant, FuzzKernel::dims(), &fuzz::PARAMS, global, false)
-            .global
-            .fingerprint()
-    };
-    let mut checker = LockstepChecker::new(log);
-    let result = gpu.launch_with_probe(mutant, FuzzKernel::dims(), &fuzz::PARAMS, &mut checker);
-    checker.divergence.is_some() || !result.completed || gpu.global().fingerprint() != oracle_fp
+    let result = gpu.launch(mutant, FuzzKernel::dims(), &fuzz::PARAMS);
+    let report = result.sanitizer.expect("sanitize flag attaches the probe");
+    report
+        .findings
+        .iter()
+        .any(|f| matches!(f, SanitizerFinding::HintViolation { .. }))
 }
 
 #[cfg(test)]
@@ -482,12 +450,28 @@ mod tests {
         assert!(report.passed(), "{}", report.summary());
         // The ground truth's exact numbers: a change to the window rule
         // shows up here as a diff, not as a silent shift.
-        let counts = "8 kernels, 198 mutants injected (window 3), 169 ground-truth unsound, \
-                      169 caught, 0 missed, 28 overcautious, 1 benign; pipeline lockstep \
-                      confirmed 2/4 sampled";
+        let counts = "8 kernels, 198 mutants injected (window 3), 179 ground-truth unsound, \
+                      179 caught, 0 missed, 18 overcautious, 1 benign; sanitizer \
+                      confirmed 179/179 unsound";
         assert!(report.summary().contains(counts), "{}", report.summary());
         let json = report.to_json().to_string_compact();
         assert!(json.contains("\"passed\":true"), "{json}");
+    }
+
+    #[test]
+    fn sanitizer_confirms_a_value_dropped_behind_an_all_false_guard() {
+        // Full campaign, case 18: `@p3 isub r12, r12, r9` (pc 53) runs with
+        // p3 false on every lane. It still takes its window slot, so its
+        // BocOnly write replaces the buffered `fmin r12` snapshot and drops
+        // it at eviction; the `stg` of r12 six instructions later reads the
+        // register file's older copy. The ground truth replays that slot;
+        // the sanitizer used to skip it.
+        let opts = MutateOptions::full();
+        let (annotated, input) = annotated_case(&opts, 18).expect("case 18 compiles");
+        let mut mutant = annotated;
+        assert!(mutant.insts[53].guard.is_some(), "{}", mutant.insts[53]);
+        mutant.insts[53].hint = WritebackHint::BocOnly;
+        assert!(sanitizer_confirms(&mutant, &input, opts.window));
     }
 
     #[test]

@@ -134,9 +134,6 @@ pub enum Command {
         core_model: CoreModelKind,
         /// Reconvergence machinery every case runs under.
         divergence: DivergenceModel,
-        /// Cross-validate the race sanitizer against the static lints on
-        /// every case (check 4).
-        sanitize: bool,
     },
     /// Static-analysis lint suite + hint verifier (or, with `mutate`,
     /// the mutation sanitizer that audits the verifier).
@@ -315,7 +312,7 @@ USAGE:
   bow-cli figure <name|all|list> [--scale test|paper] [--model scaled|titan-x]
                  [--jobs N] [--out DIR]
   bow-cli fuzz [--cases N] [--seed S] [--jobs N] [--size N] [--out DIR] [--smoke]
-               [--core-model pascal|modern] [--divergence stack|barrier] [--sanitize]
+               [--core-model pascal|modern] [--divergence stack|barrier]
   bow-cli lint <file.s> [--window N] [--deny-warnings] [--json FILE]
               [--core-model pascal|modern] [--divergence stack|barrier]
   bow-cli lint --all-workloads [--window N] [--deny-warnings] [--json FILE]
@@ -365,18 +362,18 @@ suffixes the file names with _chip. Tables are byte-identical at any
 
 `fuzz` generates random kernels and runs each under every collector
 model, checking every instruction against a timing-free architectural
-oracle and final memory against an independent host model. Failures
+oracle and final memory against an independent host model, then
+re-launching it under the race sanitizer: every dynamic finding must
+carry a static B0xx flag (dynamic ⊆ static) or the case fails. Failures
 shrink to a minimal kernel written as a runnable .asm repro. `--smoke`
 is the fixed 64-case CI configuration (other flags except --jobs and
 --out are ignored). Any failure makes the command exit non-zero.
 
-`run --sanitize` and `fuzz --sanitize` attach the dynamic race
-sanitizer (docs/ANALYSIS.md, `Sanitizer`): shadow state over shared and
-global memory plus per-lane register shadows, reporting data races,
-never-initialized reads, divergent barriers, broken syncs and `.wb.boc`
-hint violations. Under `run` any finding fails the command (exit 5);
-under `fuzz` every dynamic finding must carry a static B0xx flag
-(dynamic ⊆ static) or the case fails. `corpus sanitize` runs the whole
+`run --sanitize` attaches the dynamic race sanitizer (docs/ANALYSIS.md,
+`Sanitizer`): shadow state over shared and global memory plus per-lane
+register shadows, reporting data races, never-initialized reads,
+divergent barriers, broken syncs and `.wb.boc` hint violations. Any
+finding fails the command (exit 5). `corpus sanitize` runs the whole
 cross-validation campaign — generated corpus plus the adversarial
 stratum, both core models — and writes the CI artifact (default
 results/sanitizer_campaign.json; `--smoke` is the fixed 64-kernel CI
@@ -400,8 +397,7 @@ and one-line summary.
 `Core models`): `pascal` is the paper's scoreboarded Pascal SM and the
 default; `modern` is the post-Volta core — four sub-cores, a uniform
 register file and compiler-emitted control bits in place of the
-scoreboard (under `fuzz` it drops the shadow-RF column: the two cannot
-combine).
+scoreboard. `fuzz` runs the same collector configurations on both.
 
 --divergence picks the reconvergence machinery (docs/ARCHITECTURE.md,
 `Divergence models`): `stack` is the classic SSY/SYNC reconvergence
@@ -674,7 +670,6 @@ pub fn parse(args: &[String]) -> Result<Command, BowError> {
                 out_dir: text("--out", &defaults.out_dir.display().to_string()),
                 core_model,
                 divergence,
-                sanitize: flag("--sanitize"),
             })
         }
         "lint" => {
@@ -1233,7 +1228,6 @@ pub fn execute(cmd: Command) -> Result<String, BowError> {
             out_dir,
             core_model,
             divergence,
-            sanitize,
         } => {
             let report = bow::fuzz::run_fuzz(&bow::fuzz::FuzzOptions {
                 cases,
@@ -1244,7 +1238,6 @@ pub fn execute(cmd: Command) -> Result<String, BowError> {
                 progress: false,
                 core_model,
                 divergence,
-                sanitize,
             });
             verdict(report.failures.is_empty(), report.summary())
         }
@@ -1962,7 +1955,6 @@ mod tests {
                     .to_string(),
                 core_model: CoreModelKind::Pascal,
                 divergence: DivergenceModel::Stack,
-                sanitize: false,
             }
         );
         // --smoke pins cases/seed/size regardless of other flags.
@@ -1978,7 +1970,6 @@ mod tests {
                 out_dir: smoke.out_dir.display().to_string(),
                 core_model: CoreModelKind::Pascal,
                 divergence: DivergenceModel::Stack,
-                sanitize: false,
             }
         );
         assert!(parse(&argv("fuzz --cases many")).is_err());
@@ -2002,7 +1993,6 @@ mod tests {
                 .to_string(),
             core_model: CoreModelKind::Pascal,
             divergence: DivergenceModel::Stack,
-            sanitize: true,
         })
         .unwrap();
         assert!(out.contains("OK"), "{out}");
@@ -2367,10 +2357,15 @@ mod tests {
             Command::Run { sanitize, .. } => assert!(sanitize),
             other => panic!("parsed {other:?}"),
         }
-        match parse(&argv("fuzz --smoke --sanitize")).unwrap() {
-            Command::Fuzz { sanitize, .. } => assert!(sanitize),
-            other => panic!("parsed {other:?}"),
-        }
+        // The fuzzer always sanitizes (its check 4), so `--sanitize` is
+        // not one of its flags, and the error lists the ones that are.
+        let e = parse(&argv("fuzz --smoke --sanitize")).unwrap_err();
+        assert_eq!(e.exit_code(), 2, "{e}");
+        let msg = e.to_string();
+        assert!(
+            msg.contains("unknown flag `--sanitize`") && msg.contains("--smoke, --core-model"),
+            "{msg}"
+        );
         match parse(&argv(
             "corpus sanitize --count 32 --seed 0x2a --jobs 2 --out s.json",
         ))

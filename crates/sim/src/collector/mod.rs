@@ -21,7 +21,7 @@ use crate::decode::InstMeta;
 use crate::probe::{emit, PipeEvent, Probe};
 use crate::regfile::RegFile;
 use crate::stats::{SimStats, WriteDest};
-use bow_isa::{Reg, RegList, WritebackHint};
+use bow_isa::{Reg, WritebackHint};
 use bow_util::InlineVec;
 use rfc::RfcCache;
 use window::WarpWindow;
@@ -289,11 +289,6 @@ impl OperandStage {
 
     /// Inserts an issued instruction, performing the forwarding check
     /// (BOW) or RFC lookup. Control instructions never come here.
-    ///
-    /// Returns the operand registers that will be *fetched from the
-    /// register-file banks* (everything the window or RFC did not serve).
-    /// When the architectural shadow is on, the issue stage injects the
-    /// shadow's bank values for exactly these registers.
     #[allow(clippy::too_many_arguments)]
     pub fn insert<P: Probe>(
         &mut self,
@@ -306,7 +301,7 @@ impl OperandStage {
         rf: &mut RegFile,
         stats: &mut SimStats,
         probe: &mut P,
-    ) -> RegList {
+    ) {
         self.insert_uniform(warp, pc, inst, mask, seq, cycle, rf, stats, probe, |_| {
             false
         })
@@ -331,12 +326,11 @@ impl OperandStage {
         stats: &mut SimStats,
         probe: &mut P,
         uniform: impl Fn(Reg) -> bool,
-    ) -> RegList {
+    ) {
         let unique = inst.unique_src_regs;
         emit(stats, probe, PipeEvent::SrcRegs(unique.len()));
 
         let mut operands = InlineVec::new();
-        let mut rf_fetches = RegList::new();
         match self.kind {
             CollectorKind::Baseline => {
                 for reg in unique {
@@ -347,7 +341,6 @@ impl OperandStage {
                         });
                         continue;
                     }
-                    rf_fetches.push(reg);
                     operands.push(OperandReq {
                         reg,
                         state: OpState::NeedRf,
@@ -367,7 +360,6 @@ impl OperandStage {
                         emit(stats, probe, PipeEvent::RfcRead);
                         OpState::RfcHit
                     } else {
-                        rf_fetches.push(reg);
                         OpState::NeedRf
                     };
                     operands.push(OperandReq { reg, state });
@@ -397,7 +389,6 @@ impl OperandStage {
                         }
                         window::ReadHit::Miss => {
                             win.add_fetch(reg, seq, warp, rf, stats, probe);
-                            rf_fetches.push(reg);
                             OpState::NeedRf
                         }
                     };
@@ -434,7 +425,6 @@ impl OperandStage {
         }
         self.waiting_slots += usize::from(slot.waiting > 0);
         self.slots.push(slot);
-        rf_fetches
     }
 
     /// Advances a warp's window past a control instruction (control ops

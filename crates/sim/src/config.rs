@@ -178,14 +178,6 @@ pub struct GpuConfig {
     /// panic when they disagree. Costly; off by default; intended for
     /// differential testing (`bow fuzz`) and correctness CI.
     pub oracle_check: OracleCheck,
-    /// Maintain an architectural shadow of the register-file banks and
-    /// feed bank fetches from it, so that write-back *policy* — a dirty
-    /// `BocOnly` value dropped at eviction — becomes architecturally
-    /// visible instead of silently absorbed by the value-less timing
-    /// model. Off by default; used by the mutation sanitizer
-    /// (`bow-cli lint --mutate`) together with [`OracleCheck::Lockstep`]
-    /// to make the oracle catch unsound hints dynamically.
-    pub shadow_rf: bool,
     /// Subscribe the race sanitizer ([`crate::sanitize`]) to the launch:
     /// shadow every shared- and global-memory word with last-accessor
     /// provenance and a per-CTA barrier epoch, and report intra-CTA data
@@ -248,7 +240,6 @@ impl GpuConfig {
             max_cycles: 0,
             trace_pipeline: false,
             oracle_check: OracleCheck::Off,
-            shadow_rf: false,
             sanitize: false,
             sim_threads: 1,
         }

@@ -573,64 +573,6 @@ mod tests {
         }
     }
 
-    /// A kernel whose `r1` hint is a caller-chosen policy: with `BocOnly`
-    /// the value is dropped at eviction (distance to the store exceeds the
-    /// window), so the store reads whatever the *banks* hold. The dependent
-    /// chain on `r2` keeps issue slow enough that `r1`'s write-back lands
-    /// while still window-resident (dirty), then the chain slides it out.
-    fn stale_hint_kernel(hint: bow_isa::WritebackHint) -> Kernel {
-        let r = Reg::r;
-        let mut b = KernelBuilder::new("stale")
-            .ldc(r(0), 0)
-            .mov_imm(r(1), 42)
-            .hint(hint);
-        for _ in 0..4 {
-            b = b.iadd(r(2), r(2).into(), Operand::Imm(1));
-        }
-        b.stg(r(0), 0, r(1).into())
-            .iadd(r(3), r(1).into(), Operand::Imm(1))
-            .exit()
-            .build()
-            .unwrap()
-    }
-
-    fn run_stale(hint: bow_isa::WritebackHint, shadow: bool, check: OracleCheck) -> u32 {
-        let mut cfg = GpuConfig::scaled(CollectorKind::bow_wr(3));
-        cfg.shadow_rf = shadow;
-        cfg.oracle_check = check;
-        let mut gpu = Gpu::new(cfg);
-        let addr = 0x1_0000u64;
-        gpu.global_mut().write_u32(addr, u32::MAX);
-        let res = gpu.launch(
-            &stale_hint_kernel(hint),
-            KernelDims::linear(1, 32),
-            &[addr as u32],
-        );
-        assert!(res.completed);
-        gpu.global().read_u32(addr)
-    }
-
-    #[test]
-    fn shadow_rf_makes_a_dropped_boc_only_value_architecturally_visible() {
-        use bow_isa::WritebackHint;
-        // The value-less timing model silently hides the unsound hint...
-        assert_eq!(
-            run_stale(WritebackHint::BocOnly, false, OracleCheck::Off),
-            42
-        );
-        // ...the shadow RF surfaces it: the store fetches the stale bank
-        // contents (spawn-state zero) instead of the dropped 42.
-        assert_eq!(run_stale(WritebackHint::BocOnly, true, OracleCheck::Off), 0);
-        // A sound policy commits at eviction, so the shadow agrees.
-        assert_eq!(run_stale(WritebackHint::Both, true, OracleCheck::Off), 42);
-    }
-
-    #[test]
-    #[should_panic(expected = "oracle check failed")]
-    fn lockstep_oracle_catches_unsound_hint_under_shadow_rf() {
-        run_stale(bow_isa::WritebackHint::BocOnly, true, OracleCheck::Lockstep);
-    }
-
     #[test]
     fn watchdog_fires_on_infinite_loops() {
         let r = Reg::r;

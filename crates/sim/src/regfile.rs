@@ -8,8 +8,7 @@
 //! different warps' hot registers spread out.
 
 use crate::bits::Bits;
-use bow_isa::{Reg, WARP_SIZE};
-use std::collections::HashMap;
+use bow_isa::Reg;
 
 /// Register-file access counters.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -24,29 +23,6 @@ pub struct RegFileStats {
     pub write_queue_cycles: u64,
 }
 
-/// An architectural shadow of the bank contents, maintained only when
-/// [`RegFile::enable_shadow`] was called (the `shadow_rf` config knob).
-///
-/// The timing model does not store values: `Warp::regs` is the functional
-/// state and is updated the moment an instruction executes, which makes
-/// write-back *policy* invisible — a dropped `BocOnly` write-back can never
-/// corrupt anything. The shadow closes that gap. Values produced at
-/// write-back are *staged*; they commit to the shadow only when a write is
-/// actually enqueued to a bank, so a dirty window entry dropped at eviction
-/// simply never commits and the shadow keeps the stale bank value. Window
-/// reads that miss (and therefore fetch from the banks) inject the shadow
-/// value back into the functional state, making an unsound hint
-/// architecturally visible to the lockstep oracle.
-#[derive(Clone, Debug, Default)]
-struct ShadowRf {
-    /// Committed bank contents per warp slot; absent registers hold zeros,
-    /// matching freshly spawned warp state.
-    regs: Vec<HashMap<u8, [u32; WARP_SIZE]>>,
-    /// Produced at write-back but not (yet) enqueued to a bank — the dirty
-    /// window entries.
-    staged: Vec<HashMap<u8, [u32; WARP_SIZE]>>,
-}
-
 /// The banked register file (timing side).
 #[derive(Clone, Debug)]
 pub struct RegFile {
@@ -57,8 +33,8 @@ pub struct RegFile {
     /// so sub-cores never contend for each other's ports.
     groups: usize,
     /// Writes queued per bank. Which warp-register a queued write carries
-    /// never matters to timing (the values live in `Warp::regs`, and the
-    /// shadow commits at enqueue), so a count is the whole queue.
+    /// never matters to timing (the values live in `Warp::regs`), so a
+    /// count is the whole queue.
     queued: Vec<u32>,
     /// The banks with a queued write, and the total queued over all banks.
     queued_banks: Bits,
@@ -66,7 +42,6 @@ pub struct RegFile {
     /// Banks whose port is consumed this cycle.
     busy: Bits,
     stats: RegFileStats,
-    shadow: Option<ShadowRf>,
 }
 
 impl RegFile {
@@ -92,49 +67,6 @@ impl RegFile {
             queued_total: 0,
             busy: Bits::new(banks),
             stats: RegFileStats::default(),
-            shadow: None,
-        }
-    }
-
-    /// Enables the architectural shadow for `warp_slots` warp slots.
-    pub fn enable_shadow(&mut self, warp_slots: usize) {
-        self.shadow = Some(ShadowRf {
-            regs: vec![HashMap::new(); warp_slots],
-            staged: vec![HashMap::new(); warp_slots],
-        });
-    }
-
-    /// Whether the architectural shadow is maintained.
-    pub fn shadow_enabled(&self) -> bool {
-        self.shadow.is_some()
-    }
-
-    /// Records the lane values a completing instruction produced for
-    /// `reg`, to be committed to the shadow if and when a bank write is
-    /// enqueued. No-op while the shadow is disabled.
-    pub fn shadow_stage(&mut self, warp: usize, reg: Reg, lanes: [u32; WARP_SIZE]) {
-        if let Some(sh) = &mut self.shadow {
-            sh.staged[warp].insert(reg.index(), lanes);
-        }
-    }
-
-    /// What the banks hold for `warp`/`reg`: the last committed write, or
-    /// zeros (spawn state) if none. `None` while the shadow is disabled.
-    pub fn shadow_read(&self, warp: usize, reg: Reg) -> Option<[u32; WARP_SIZE]> {
-        let sh = self.shadow.as_ref()?;
-        Some(
-            sh.regs[warp]
-                .get(&reg.index())
-                .copied()
-                .unwrap_or([0; WARP_SIZE]),
-        )
-    }
-
-    /// Clears shadow state for a warp slot being handed to a new warp.
-    pub fn shadow_reset_warp(&mut self, warp: usize) {
-        if let Some(sh) = &mut self.shadow {
-            sh.regs[warp].clear();
-            sh.staged[warp].clear();
         }
     }
 
@@ -156,15 +88,8 @@ impl RegFile {
         self.stats
     }
 
-    /// Queues a write-back to the banks. This is the single point where
-    /// values become architecturally visible in the banks, so the staged
-    /// shadow value (if any) commits here.
+    /// Queues a write-back to the banks.
     pub fn enqueue_write(&mut self, warp: usize, reg: Reg) {
-        if let Some(sh) = &mut self.shadow {
-            if let Some(lanes) = sh.staged[warp].remove(&reg.index()) {
-                sh.regs[warp].insert(reg.index(), lanes);
-            }
-        }
         let b = self.bank_of(warp, reg);
         self.queued[b] += 1;
         self.queued_banks.set(b);
@@ -320,58 +245,6 @@ mod tests {
         assert!(!rf.try_read(0, Reg::r(2)), "same bank via reg swizzle");
         assert_eq!(rf.stats().read_conflicts, 2);
         assert_eq!(rf.stats().reads, 1);
-    }
-
-    #[test]
-    fn shadow_commits_only_on_enqueue() {
-        let mut rf = RegFile::new(4);
-        assert!(!rf.shadow_enabled());
-        assert_eq!(rf.shadow_read(0, Reg::r(1)), None, "disabled => None");
-        rf.enable_shadow(2);
-        assert_eq!(
-            rf.shadow_read(0, Reg::r(1)),
-            Some([0; WARP_SIZE]),
-            "spawn state is zeros"
-        );
-        let lanes = [7; WARP_SIZE];
-        rf.shadow_stage(0, Reg::r(1), lanes);
-        assert_eq!(
-            rf.shadow_read(0, Reg::r(1)),
-            Some([0; WARP_SIZE]),
-            "staged but not enqueued: banks unchanged"
-        );
-        rf.enqueue_write(0, Reg::r(1));
-        assert_eq!(rf.shadow_read(0, Reg::r(1)), Some(lanes));
-    }
-
-    #[test]
-    fn dropped_staged_value_leaves_shadow_stale() {
-        // A dirty BocOnly window entry that is evicted without write-back
-        // never enqueues; the shadow must keep the old bank value.
-        let mut rf = RegFile::new(4);
-        rf.enable_shadow(1);
-        rf.shadow_stage(0, Reg::r(2), [1; WARP_SIZE]);
-        rf.enqueue_write(0, Reg::r(2));
-        rf.shadow_stage(0, Reg::r(2), [2; WARP_SIZE]); // dropped: no enqueue
-        assert_eq!(rf.shadow_read(0, Reg::r(2)), Some([1; WARP_SIZE]));
-        // A later unrelated enqueue of the same register (e.g. a fresh
-        // write) commits only what is staged at that point.
-        rf.shadow_stage(0, Reg::r(2), [3; WARP_SIZE]);
-        rf.enqueue_write(0, Reg::r(2));
-        assert_eq!(rf.shadow_read(0, Reg::r(2)), Some([3; WARP_SIZE]));
-    }
-
-    #[test]
-    fn shadow_reset_clears_one_warp_slot() {
-        let mut rf = RegFile::new(4);
-        rf.enable_shadow(2);
-        for w in 0..2 {
-            rf.shadow_stage(w, Reg::r(5), [9; WARP_SIZE]);
-            rf.enqueue_write(w, Reg::r(5));
-        }
-        rf.shadow_reset_warp(0);
-        assert_eq!(rf.shadow_read(0, Reg::r(5)), Some([0; WARP_SIZE]));
-        assert_eq!(rf.shadow_read(1, Reg::r(5)), Some([9; WARP_SIZE]));
     }
 
     /// The walk `begin_cycle` replaced: one write deque per bank, every

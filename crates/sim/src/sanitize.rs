@@ -53,7 +53,12 @@
 //! from the dropped definition's (the complementary arm of a diverged
 //! branch) observes the older architectural value it is entitled to and
 //! is exempt — the same mask-disjointness refinement the static verifier
-//! applies.
+//! applies. An instruction whose guard holds on no lane is replayed too:
+//! it still takes its window slot, so its reads re-touch and its write
+//! replaces the buffered snapshot, exactly as in the collector. Such a
+//! write revives no value the window already dropped: the lanes it
+//! leaves alone keep the copy the window or the register file still
+//! held.
 //!
 //! [`NullProbe`]: crate::probe::NullProbe
 
@@ -521,9 +526,6 @@ impl<'k> Sanitizer<'k> {
     }
 
     fn on_exec(&mut self, uid: u64, pc: usize, seq: u64, mask: u32) {
-        if mask == 0 {
-            return;
-        }
         let uidl = uid & UID_LOW48;
         let Some(inst) = self.kernel.insts.get(pc) else {
             return;

@@ -40,7 +40,7 @@ impl Sm {
                 blocks: (0..config.max_blocks_per_sm as usize)
                     .map(|_| None)
                     .collect(),
-                rf: Self::build_rf(config, max_warps),
+                rf: Self::build_rf(config),
                 mem: MemSystem::new(config.mem),
                 params: Vec::new(),
                 stats: SimStats::default(),
@@ -54,7 +54,7 @@ impl Sm {
         self.ctx.id
     }
 
-    fn build_rf(config: &GpuConfig, warp_slots: usize) -> RegFile {
+    fn build_rf(config: &GpuConfig) -> RegFile {
         // The modern core gives each sub-core a private bank group when
         // the bank count splits evenly over the schedulers; Pascal keeps
         // the flat SM-wide mapping.
@@ -70,11 +70,7 @@ impl Sm {
             }
             CoreModelKind::Pascal => 1,
         };
-        let mut rf = RegFile::new_clustered(banks, groups);
-        if config.shadow_rf {
-            rf.enable_shadow(warp_slots);
-        }
-        rf
+        RegFile::new_clustered(banks, groups)
     }
 
     /// Prepares the SM for a new launch: the memory hierarchy empties in
@@ -86,7 +82,7 @@ impl Sm {
         ctx.params.clear();
         ctx.params.extend_from_slice(params);
         ctx.mem.reset();
-        ctx.rf = Self::build_rf(&ctx.config, ctx.warps.len());
+        ctx.rf = Self::build_rf(&ctx.config);
         ctx.stats = SimStats::default();
         ctx.cycle = 0;
         self.pipeline.reset_for_launch(&ctx.config);
@@ -135,7 +131,6 @@ impl Sm {
             let mut warp = Warp::new(wslot, slot, w, lanes, kernel.num_regs);
             warp.barrier_mode = kernel.uses_convergence_barriers();
             ctx.warps[wslot] = Some(warp);
-            ctx.rf.shadow_reset_warp(wslot);
             self.pipeline.reset_warp(wslot);
             ctx.warp_age[wslot] = ctx.age_counter;
             ctx.age_counter += 1;

@@ -39,9 +39,8 @@ pub(crate) trait Interlock {
     const BLOCKS_BEFORE_ADMISSION: bool;
 
     /// Whether `blocks` alone rules out every register hazard. An exact
-    /// interlock lets slots dispatch out of order and makes the shadow
-    /// RF's issue-time bank read sound. Under an inexact one (a timing
-    /// contract the compiler may get wrong) correctness rests on the
+    /// interlock lets slots dispatch out of order. Under an inexact one
+    /// (a timing contract the compiler may get wrong) correctness rests on the
     /// pipeline instead: each warp dispatches strictly in program order,
     /// one instruction per cycle, re-reading its guard at dispatch, and
     /// control ops wait for the warp's collector slots to drain.

@@ -350,7 +350,7 @@ impl Stages {
             warp.pc += 1;
             warp.inflight += 1;
             let was_full = oc.pool_full();
-            let rf_fetches = oc.insert_uniform(
+            oc.insert_uniform(
                 w,
                 pc,
                 meta,
@@ -364,18 +364,6 @@ impl Stages {
             );
             if oc.pool_full() != was_full {
                 self.ready.mark_partition(p);
-            }
-            // With the architectural shadow on, a bank fetch returns what
-            // the banks hold — not the always-fresh functional value. An
-            // exact interlock's RAW/WAR blocking guarantees no write to
-            // these registers is in flight, so overwriting them here is
-            // exactly the value the grant would deliver.
-            if I::EXACT && ctx.rf.shadow_enabled() {
-                for reg in rf_fetches {
-                    if let Some(lanes) = ctx.rf.shadow_read(w, reg) {
-                        warp.write_lanes(reg, u32::MAX, &lanes);
-                    }
-                }
             }
             il.on_issue(w, pc, kernel);
             emit(

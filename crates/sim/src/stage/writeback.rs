@@ -208,15 +208,6 @@ impl Stages {
             let nparts = self.parts.len();
             let oc = &mut self.parts[c.warp % nparts].oc;
             if let Some(reg) = c.dst_reg {
-                // Stage the architectural result for the shadow RF:
-                // warp.regs already holds what this completion computed,
-                // and whether it ever reaches the banks is exactly what
-                // the write policy below decides (via
-                // `RegFile::enqueue_write`, or never). Like the issue-time
-                // shadow read, only an exact interlock supports it.
-                if I::EXACT && ctx.rf.shadow_enabled() {
-                    ctx.rf.shadow_stage(c.warp, reg, warp.lanes_of(reg));
-                }
                 oc.writeback(
                     c.warp,
                     reg,

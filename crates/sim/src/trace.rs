@@ -42,12 +42,15 @@ pub struct WindowRead {
 /// write disjoint lane sets and a read in one arm is entitled to a
 /// register-file copy that predates the other arm's writes.
 ///
-/// Both the window entry and the RF hold full-register *snapshots*: the
-/// write-back stage gathers the complete merged architectural register
-/// (`warp.regs` at write-back time, see
-/// [`RegFile::shadow_stage`](crate::regfile::RegFile::shadow_stage)), so a
-/// snapshot taken at version `v` is correct for lane `l` exactly while no
-/// later write has touched `l` — i.e. while `lane_ver[l] <= v`.
+/// Both the window entry and the RF hold full-register *snapshots*: a
+/// write-back moves the whole 32-lane warp register, the lanes the write
+/// left alone included, so a snapshot taken at version `v` is correct
+/// for lane `l` exactly while no later write has touched `l` — i.e.
+/// while `lane_ver[l] <= v` — and the lanes the write left alone came
+/// from a copy that held them. A write merges those lanes from the
+/// buffered snapshot, or from the RF's when none is buffered; a lane
+/// whose newest value is in neither is *lost*, and stays lost until a
+/// write covers it.
 #[derive(Clone, Copy, Debug, Default)]
 struct RegState {
     /// Version counter: increments on every architectural write.
@@ -56,9 +59,13 @@ struct RegState {
     lane_ver: [u64; WARP_SIZE],
     /// Version of the snapshot the register-file banks hold.
     rf_ver: u64,
-    /// The newest write, the only one a read can lose: its snapshot
+    /// The newest write, the only one a current snapshot can lose: it
     /// carries every older write's lanes.
     def: Def,
+    /// Lanes no snapshot holds the newest value of, and the write whose
+    /// value they lost.
+    lost: u32,
+    lost_def: Def,
     /// The buffered window entry, if any.
     win: Option<WinEntry>,
 }
@@ -127,11 +134,12 @@ impl ArchWindow {
         });
         entry.last_touch = seq;
         let ver = entry.ver;
-        let stale = (0..WARP_SIZE).any(|l| mask & (1 << l) != 0 && st.lane_ver[l] > ver);
-        WindowRead {
-            hit,
-            stale: stale.then_some(st.def),
-        }
+        let stale = if (0..WARP_SIZE).any(|l| mask & (1 << l) != 0 && st.lane_ver[l] > ver) {
+            Some(st.def)
+        } else {
+            (mask & st.lost != 0).then_some(st.lost_def)
+        };
+        WindowRead { hit, stale }
     }
 
     /// A write of `reg` by the instruction at `pc` / `seq` under lane
@@ -140,6 +148,16 @@ impl ArchWindow {
     pub fn write(&mut self, reg: u8, seq: u64, mask: u32, hint: WritebackHint, pc: usize) -> bool {
         let st = self.reg(reg, seq);
         let consolidated = st.win.is_some_and(|e| e.dirty);
+        // The lanes outside `mask` merge from the buffered snapshot, or
+        // from the RF's when none is buffered.
+        let merged_from = st.win.map_or(st.rf_ver, |e| e.ver);
+        let dropped = (0..WARP_SIZE)
+            .filter(|&l| mask & (1 << l) == 0 && st.lane_ver[l] > merged_from)
+            .fold(0u32, |m, l| m | 1 << l);
+        if dropped != 0 {
+            st.lost_def = st.def;
+        }
+        st.lost = (st.lost | dropped) & !mask;
         st.ver += 1;
         for l in (0..WARP_SIZE).filter(|l| mask & (1 << l) != 0) {
             st.lane_ver[l] = st.ver;
@@ -348,6 +366,24 @@ mod tests {
         assert!(!w.write(0, 0, ALL, Both, 0));
         assert!(w.write(0, 1, ALL, RfOnly, 1));
         assert_eq!(w.read(0, 5, ALL).stale, None, "no WAW regression");
+    }
+
+    #[test]
+    fn a_partial_write_does_not_revive_a_dropped_value() {
+        // r0 (BocOnly) is written, then rewritten under a mask that leaves
+        // lanes 16..31 alone. Past the window the first value is already
+        // dropped, so those lanes merge the RF's older copy and stay stale
+        // until a write covers them; inside it they merge the buffered
+        // value.
+        let reads = |at| {
+            let mut w = ArchWindow::new(3);
+            w.write(0, 0, ALL, BocOnly, 0);
+            w.write(0, at, 0x0000_ffff, Both, 1);
+            [0xffff_0000, 0x0000_ffff].map(|mask| w.read(0, at + 4, mask).stale)
+        };
+        let lost = Some(Def { pc: 0, seq: 0 });
+        assert_eq!(reads(5), [lost, None], "dropped before the rewrite");
+        assert_eq!(reads(1), [None, None], "merged from the window");
     }
 
     #[test]

@@ -75,15 +75,15 @@ DIVERGENCES="stack barrier"
 # repros to target/fuzz-repros/. On `modern` every kernel gets a
 # compiler-emitted control-bit sidecar and runs under the sub-core
 # pipeline; under `barrier` it is lowered to convergence barriers, so
-# reconvergence rides the per-warp barrier registers. `--sanitize` runs
-# the race sanitizer on every launch, so its hint replay (the shared
-# `ArchWindow`) sees every annotated case under every BOW config; a
-# dynamic finding the static lints do not vouch for fails the case.
+# reconvergence rides the per-warp barrier registers. Every case is also
+# re-launched under the race sanitizer (check 4), so its hint replay (the
+# shared `ArchWindow`) sees every annotated case under every BOW config;
+# a dynamic finding the static lints do not vouch for fails the case.
 for CORE in $CORES; do
     for DIV in $DIVERGENCES; do
-        echo "==> bow fuzz --smoke --sanitize --core-model ${CORE} --divergence ${DIV}"
+        echo "==> bow fuzz --smoke --core-model ${CORE} --divergence ${DIV}"
         cargo run --release -q --offline -p bow-cli -- \
-            fuzz --smoke --sanitize --core-model "${CORE}" --divergence "${DIV}" \
+            fuzz --smoke --core-model "${CORE}" --divergence "${DIV}" \
             --out target/fuzz-repros
     done
 done
@@ -93,8 +93,9 @@ done
 # the event-maintained ready set against it (docs/ARCHITECTURE.md,
 # "Hot-path rules", rule 4), so generated kernels — barriers, predicated
 # branches, collector pressure — cross-check it too, not only the unit
-# tests and goldens. About 3 s a cell on the 2-core reference host once
-# the debug build exists (cargo test above made most of it).
+# tests and goldens. About 3.5 s a cell on the 2-core reference host, the
+# sanitized re-launch of check 4 included, once the debug build exists
+# (cargo test above made most of it).
 for CORE in $CORES; do
     echo "==> bow fuzz --smoke --core-model ${CORE} (debug: ready-set cross-check)"
     cargo run -q --offline -p bow-cli -- \
@@ -122,15 +123,17 @@ done
 echo "==> bow lint --mutate --smoke (mutation sanitizer, fixed seed)"
 # Audits the verifier itself: flips sound hints to BocOnly across a
 # generated corpus and requires every mutant that demonstrably loses a
-# live value (per `ArchWindow`, the architectural window replay) to be statically
-# flagged, plus at least one lockstep-confirmed catch in the pipeline.
+# live value (per `ArchWindow`, the architectural window replay) to be
+# statically flagged, and every unsound mutant confirmed by the sanitizer
+# (a `hint-violation` from one sanitized bow-wr pipeline launch).
 cargo run --release -q --offline -p bow-cli -- \
     lint --mutate --smoke --json target/lint-reports/mutation.json
 
 echo "==> bow lint --mutate --smoke --divergence barrier"
 # The same audit with the replayed kernels lowered to convergence
 # barriers: hint soundness must be judged identically when the stack is
-# gone, so every demonstrably-unsound mutant must still be flagged.
+# gone, so every demonstrably-unsound mutant must still be flagged and
+# sanitizer-confirmed.
 cargo run --release -q --offline -p bow-cli -- \
     lint --mutate --smoke --divergence barrier \
     --json target/lint-reports/mutation_barrier.json
