@@ -467,44 +467,37 @@ impl RunRequest {
     /// # Errors
     ///
     /// Returns [`BowError::Verify`] when a workload fails its reference
-    /// check, and [`BowError::Config`] when the configuration's compile
-    /// plan refuses an inline kernel (e.g. `"divergence":"barrier"` on
-    /// control flow the barrier lowering cannot express).
+    /// check or an inline kernel's final memory disagrees with the oracle,
+    /// and [`BowError::Config`] when the configuration's compile plan
+    /// refuses an inline kernel (e.g. `"divergence":"barrier"` on control
+    /// flow the barrier lowering cannot express).
     pub fn execute(&self) -> Result<RunRecord, BowError> {
-        match &self.kernel {
+        let rec = match &self.kernel {
             KernelSpec::Workload { name, scale } => {
-                let bench = benchmark(name, *scale)?;
-                let rec = run(bench.as_ref(), self.config.clone());
-                if let Err(e) = &rec.outcome.checked {
-                    return Err(BowError::verify(format!(
-                        "{name} under {}: {e}",
-                        self.config.label
-                    )));
-                }
-                Ok(rec)
+                run(benchmark(name, *scale)?.as_ref(), self.config.clone())
             }
             KernelSpec::Inline { kernel, dims } => {
                 let (kernel, compiler) = CompilePlan::of(&self.config).apply(kernel.clone())?;
                 let mut gpu_cfg = self.config.gpu.clone();
                 gpu_cfg.oracle_check = OracleCheck::Memory;
-                let mut gpu = Gpu::new(gpu_cfg);
-                let params = synthetic_params(&kernel);
-                let result = gpu.launch(
+                let result = Gpu::new(gpu_cfg).launch(
                     &kernel,
                     bow_isa::KernelDims::linear(dims.0, dims.1),
-                    &params,
+                    &synthetic_params(&kernel),
                 );
-                Ok(RunRecord {
+                RunRecord {
                     label: self.config.label.clone(),
                     benchmark: kernel.name.clone(),
                     outcome: RunOutcome {
+                        checked: result.oracle_verdict(),
                         result,
-                        checked: Ok(()),
                     },
                     compiler,
-                })
+                }
             }
-        }
+        };
+        rec.verified()?;
+        Ok(rec)
     }
 }
 
@@ -612,14 +605,7 @@ impl SweepRequest {
             .jobs(self.jobs)
             .progress(false)
             .run();
-        for rec in result.all_records() {
-            if let Err(e) = &rec.outcome.checked {
-                return Err(BowError::verify(format!(
-                    "{} under {}: {e}",
-                    rec.benchmark, rec.label
-                )));
-            }
-        }
+        result.all_records().try_for_each(RunRecord::verified)?;
         Ok(result)
     }
 }

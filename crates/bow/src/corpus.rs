@@ -24,11 +24,12 @@
 //! seeds are derived by position, never by wall clock or thread timing.
 
 use crate::experiment::{Config, ConfigBuilder, GpuModel};
+use crate::fuzz::{check_host_model, launch_case};
 use crate::suite::{Suite, SweepResult};
 use bow_compiler::{
     characterize, emit_ctrl, lint_kernel, CtrlLatencies, KernelTraits, LintOptions,
 };
-use bow_isa::fuzz::{FuzzKernel, GenParams, INPUT_BASE, PARAMS};
+use bow_isa::fuzz::{FuzzKernel, GenParams};
 use bow_isa::{encode_kernel, Kernel};
 use bow_sim::{CoreModelKind, DivergenceModel, Gpu, OracleCheck};
 use bow_util::hash::sha256_hex;
@@ -515,18 +516,13 @@ pub fn kernel_for(entry: &ManifestEntry) -> Option<Kernel> {
             .find(|a| a.name == entry.name)
             .map(|a| (a.build)());
     }
-    let def = strata().into_iter().find(|d| d.name == entry.stratum)?;
-    let mut rng = XorShift::new(entry.seed);
-    let fk = FuzzKernel::generate_with(&mut rng, entry.budget as usize, &def.params).scrub();
-    Some(fk.build_pruned(&entry.name))
+    Some(program_for(entry)?.build_pruned(&entry.name))
 }
 
 /// Re-materializes the structured program of a generated entry (needed
-/// for the host-evaluator check). `None` for adversarial entries.
+/// for the host-evaluator check). `None` for adversarial entries, whose
+/// stratum no generator draws.
 fn program_for(entry: &ManifestEntry) -> Option<FuzzKernel> {
-    if entry.stratum == adversarial::STRATUM {
-        return None;
-    }
     let def = strata().into_iter().find(|d| d.name == entry.stratum)?;
     let mut rng = XorShift::new(entry.seed);
     Some(FuzzKernel::generate_with(&mut rng, entry.budget as usize, &def.params).scrub())
@@ -568,19 +564,10 @@ impl Benchmark for CorpusBench {
     }
 
     fn run_with(&self, gpu: &mut Gpu, kernel: &Kernel) -> RunOutcome {
-        gpu.global_mut()
-            .write_slice_u32(u64::from(INPUT_BASE), &self.input);
-        let result = gpu.launch(kernel, FuzzKernel::dims(), &PARAMS);
-        let mut checked = Ok(());
-        for (addr, want) in self.program.expected(&self.input) {
-            let got = gpu.global().read_u32(addr);
-            if got != want {
-                checked = Err(format!(
-                    "corpus host model mismatch at {addr:#x}: got {got:#010x}, want {want:#010x}"
-                ));
-                break;
-            }
-        }
+        let result = launch_case(gpu, kernel, &self.input);
+        let checked = result
+            .oracle_verdict()
+            .and_then(|()| check_host_model(&self.program, &self.input, gpu.global()));
         RunOutcome { result, checked }
     }
 }

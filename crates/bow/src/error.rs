@@ -106,7 +106,7 @@ impl BowError {
     }
 
     /// The process exit code for this failure class: parse 2, config 3,
-    /// io 4, verify 5. (0 is success; 1 is reserved for panics.)
+    /// io 4, verify 5. (0 is success; a panic exits 101.)
     pub fn exit_code(&self) -> i32 {
         match self {
             BowError::Parse(_) => 2,

@@ -17,12 +17,16 @@
 //!    ISA semantics that shares no code with the simulator — a semantics
 //!    bug in `exec.rs` itself (invisible to the oracle, which reuses
 //!    `exec.rs`) fails here.
-//! 4. **Sanitizer**: a sanitized re-launch ([`bow_sim::GpuConfig::sanitize`])
+//! 4. **Sanitizer**: the race sanitizer ([`bow_sim::GpuConfig::sanitize`])
 //!    reports no dynamic finding a static lint code does not vouch for
 //!    ([`crate::sanitize_campaign::static_codes_for`]). Its hint replay
 //!    is how a `.wb.boc` value read after the operand window dropped it
 //!    fails a case: the timing model carries no values, so checks 1–3
 //!    cannot see a write-back policy.
+//!
+//! Checks 1, 2 and 4 ride one launch per cell: the oracle check
+//! ([`bow_sim::GpuConfig::oracle_check`]) and the sanitizer subscribe to
+//! the same event stream, and the launch reports both.
 //!
 //! Cases fan out over the same work-stealing pool as the experiment
 //! sweeps ([`crate::suite`]); failures shrink to a minimal statement
@@ -40,9 +44,8 @@ use crate::suite::{effective_jobs, map_parallel};
 use bow_compiler::verify_hints;
 use bow_isa::fuzz::{self, FuzzKernel};
 use bow_isa::Kernel;
-use bow_sim::oracle::{run_oracle, LockstepChecker};
-use bow_sim::Gpu;
-use bow_sim::{CoreModelKind, DivergenceModel};
+use bow_mem::GlobalMemory;
+use bow_sim::{CoreModelKind, DivergenceModel, Gpu, LaunchResult, OracleCheck, OracleMismatch};
 use bow_util::XorShift;
 
 /// Per-case seed derivation constant (splitmix golden ratio).
@@ -215,46 +218,37 @@ pub fn run_fuzz(opts: &FuzzOptions) -> FuzzReport {
         let mut rng = XorShift::new(cseed);
         let program = FuzzKernel::generate_sized(&mut rng, opts.size);
         let input = FuzzKernel::gen_input(&mut rng);
+        let mut cell = CellResult {
+            case,
+            config: config.label.clone(),
+            checked: 0,
+            failure: None,
+        };
         match run_checks(&program, &input, config, case) {
-            Ok(checked) => CellResult {
-                case,
-                config: config.label.clone(),
-                checked,
-                failure: None,
-            },
+            Ok(checked) => cell.checked = checked,
             Err(detail) => {
                 // Shrink: keep any simplification that still fails this
                 // config (any failure detail counts, not just the same).
                 let minimized =
                     program.shrink(|cand| run_checks(cand, &input, config, case).is_err());
-                let final_detail = run_checks(&minimized, &input, config, case)
+                let detail = run_checks(&minimized, &input, config, case)
                     .err()
                     .unwrap_or(detail);
-                CellResult {
+                let repro_asm =
+                    render_repro(&minimized, &input, opts.seed, case, cseed, config, &detail);
+                cell.failure = Some(FuzzFailure {
                     case,
+                    case_seed: cseed,
                     config: config.label.clone(),
-                    checked: 0,
-                    failure: Some(FuzzFailure {
-                        case,
-                        case_seed: cseed,
-                        config: config.label.clone(),
-                        detail: final_detail.clone(),
-                        original_stmts: program.count_stmts(),
-                        minimized_stmts: minimized.count_stmts(),
-                        repro_asm: render_repro(
-                            &minimized,
-                            &input,
-                            opts.seed,
-                            case,
-                            cseed,
-                            config,
-                            &final_detail,
-                        ),
-                        repro_path: None,
-                    }),
-                }
+                    detail,
+                    original_stmts: program.count_stmts(),
+                    minimized_stmts: minimized.count_stmts(),
+                    repro_asm,
+                    repro_path: None,
+                });
             }
         }
+        cell
     };
 
     let progress = opts.progress;
@@ -305,6 +299,33 @@ fn build_kernel(program: &FuzzKernel, config: &Config, case: u64) -> Kernel {
     }
 }
 
+/// Launches a fuzz-shaped kernel on `gpu`: `input` written at
+/// [`fuzz::INPUT_BASE`], the fixed [`FuzzKernel::dims`] grid and
+/// [`fuzz::PARAMS`].
+pub(crate) fn launch_case(gpu: &mut Gpu, kernel: &Kernel, input: &[u32]) -> LaunchResult {
+    gpu.global_mut()
+        .write_slice_u32(u64::from(fuzz::INPUT_BASE), input);
+    gpu.launch(kernel, FuzzKernel::dims(), &fuzz::PARAMS)
+}
+
+/// Compares every word `program` writes with [`FuzzKernel::expected`],
+/// the independent host model, reporting the first mismatch.
+pub(crate) fn check_host_model(
+    program: &FuzzKernel,
+    input: &[u32],
+    global: &GlobalMemory,
+) -> Result<(), String> {
+    for (addr, want) in program.expected(input) {
+        let got = global.read_u32(addr);
+        if got != want {
+            return Err(format!(
+                "host model: mem[{addr:#x}] = {got:#x}, expected {want:#x}"
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Runs one (program, input, config) cell through the checks. Returns
 /// the number of lockstep-checked instructions on agreement, or a
 /// description of the first failure.
@@ -315,7 +336,6 @@ fn run_checks(
     case: u64,
 ) -> Result<u64, String> {
     let kernel = build_kernel(program, config, case);
-    let dims = FuzzKernel::dims();
 
     // Check 0: the static residency verifier must accept the annotated
     // kernel before it is allowed anywhere near the pipeline. A rejection
@@ -332,67 +352,44 @@ fn run_checks(
         }
     }
 
-    // Launch-time memory image: the input region.
+    // One launch carries checks 1, 2 and 4: the lockstep oracle and the
+    // race sanitizer both subscribe to its event stream.
     let mut gpu_cfg = config.gpu.clone();
     gpu_cfg.max_cycles = FUZZ_MAX_CYCLES;
+    gpu_cfg.oracle_check = OracleCheck::Lockstep;
+    gpu_cfg.sanitize = true;
     let mut gpu = Gpu::new(gpu_cfg);
-    gpu.global_mut()
-        .write_slice_u32(u64::from(fuzz::INPUT_BASE), input);
-
-    let oracle = run_oracle(&kernel, dims, &fuzz::PARAMS, gpu.global().clone(), true);
+    let result = launch_case(&mut gpu, &kernel, input);
+    let oracle = result.oracle.expect("oracle_check attaches the oracle");
     if !oracle.completed {
         return Err("oracle did not complete (runaway generated kernel?)".into());
     }
 
-    let mut checker = LockstepChecker::new(&oracle.log);
-    let result = gpu.launch_with_probe(&kernel, dims, &fuzz::PARAMS, &mut checker);
-
-    // Check 1: lockstep against the oracle.
-    if let Some(d) = &checker.divergence {
-        return Err(format!("lockstep: {d}"));
+    // Checks 1 and 2: lockstep against the oracle (every destination
+    // value, then the instruction count), then final global memory. The
+    // last two are judged only once the pipeline completed.
+    if let Some(m) = oracle.mismatch {
+        let check = match m {
+            OracleMismatch::FinalMemory => "final memory",
+            _ => "lockstep",
+        };
+        return Err(format!("{check}: {m}"));
     }
     if !result.completed {
         return Err(format!("pipeline hit the {FUZZ_MAX_CYCLES}-cycle watchdog"));
     }
-    if checker.checked != oracle.log.len() as u64 {
-        return Err(format!(
-            "instruction count: pipeline executed {}, oracle {}",
-            checker.checked,
-            oracle.log.len()
-        ));
-    }
-
-    // Check 2: final global memory, pipeline vs oracle.
-    if gpu.global().fingerprint() != oracle.global.fingerprint() {
-        return Err("final memory: pipeline and oracle fingerprints differ".into());
-    }
 
     // Check 3: every written word vs the independent host model. This is
     // the check a shared `exec.rs` semantics bug fails.
-    for (addr, want) in program.expected(input) {
-        let got = gpu.global().read_u32(addr);
-        if got != want {
-            return Err(format!(
-                "host model: mem[{addr:#x}] = {got:#x}, expected {want:#x}"
-            ));
-        }
-    }
+    check_host_model(program, input, gpu.global())?;
 
-    // Check 4: a sanitized re-launch cross-validated against the static
-    // lint suite — every dynamic finding needs a static voucher.
+    // Check 4: the sanitizer's findings cross-validated against the
+    // static lint suite — every dynamic finding needs a static voucher.
     // Generated kernels keep barriers and exchanges convergent by
     // construction, so an unvouched finding is a sanitizer false
     // positive, a generator regression or, for a hint violation, a hint
     // the static verifier wrongly accepted.
-    let mut san_cfg = config.gpu.clone();
-    san_cfg.max_cycles = FUZZ_MAX_CYCLES;
-    san_cfg.sanitize = true;
-    san_cfg.oracle_check = bow_sim::OracleCheck::Off;
-    let mut sgpu = Gpu::new(san_cfg);
-    sgpu.global_mut()
-        .write_slice_u32(u64::from(fuzz::INPUT_BASE), input);
-    let sres = sgpu.launch(&kernel, dims, &fuzz::PARAMS);
-    let srep = sres.sanitizer.expect("sanitize flag attaches the probe");
+    let srep = result.sanitizer.expect("sanitize flag attaches the probe");
     if !srep.is_clean() {
         let window = config.gpu.collector.window().unwrap_or(3);
         let opts = bow_compiler::LintOptions {
@@ -412,7 +409,7 @@ fn run_checks(
             }
         }
     }
-    Ok(checker.checked)
+    Ok(oracle.checked)
 }
 
 /// Renders a minimized failing case as runnable `.asm` text with a

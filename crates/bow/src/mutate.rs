@@ -38,7 +38,7 @@
 use std::time::{Duration, Instant};
 
 use crate::experiment::{CompilePlan, ConfigBuilder};
-use crate::fuzz::{case_seed, FUZZ_MAX_CYCLES};
+use crate::fuzz::{case_seed, launch_case, FUZZ_MAX_CYCLES};
 use crate::suite::{effective_jobs, map_parallel};
 use bow_compiler::verify_hints;
 use bow_isa::fuzz::{self, FuzzKernel};
@@ -417,10 +417,7 @@ fn run_one_case(opts: &MutateOptions, case: u64) -> CaseOutcome {
 fn sanitizer_confirms(mutant: &Kernel, input: &[u32], window: u32) -> bool {
     let mut gpu_cfg = ConfigBuilder::bow_wr(window).sanitize(true).build().gpu;
     gpu_cfg.max_cycles = FUZZ_MAX_CYCLES;
-    let mut gpu = Gpu::new(gpu_cfg);
-    gpu.global_mut()
-        .write_slice_u32(u64::from(fuzz::INPUT_BASE), input);
-    let result = gpu.launch(mutant, FuzzKernel::dims(), &fuzz::PARAMS);
+    let result = launch_case(&mut Gpu::new(gpu_cfg), mutant, input);
     let report = result.sanitizer.expect("sanitize flag attaches the probe");
     report
         .findings

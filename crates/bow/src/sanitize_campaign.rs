@@ -34,11 +34,9 @@ use std::time::{Duration, Instant};
 
 use crate::corpus::{self, adversarial, kernel_for, Manifest, ManifestEntry};
 use crate::experiment::ConfigBuilder;
-use crate::fuzz::FUZZ_MAX_CYCLES;
+use crate::fuzz::{launch_case, FUZZ_MAX_CYCLES};
 use crate::suite::{effective_jobs, map_parallel};
 use bow_compiler::{lint_kernel, LintOptions};
-use bow_isa::fuzz::{FuzzKernel, INPUT_BASE, PARAMS};
-use bow_isa::Kernel;
 use bow_sim::{CoreModelKind, Gpu};
 use bow_util::json::Json;
 
@@ -275,30 +273,6 @@ struct CaseOutcome {
     race_flags: Vec<(String, bool)>,
 }
 
-/// One sanitized launch of `kernel` on `core`; returns the finding kinds
-/// plus the raw report and whether the watchdog fired.
-fn sanitized_launch(
-    kernel: &Kernel,
-    input: Option<&[u32]>,
-    core: CoreModelKind,
-    max_cycles: u64,
-) -> (bow_sim::SanitizerReport, bool) {
-    let mut cfg = ConfigBuilder::bow_wr(corpus::WINDOW)
-        .sanitize(true)
-        .core_model(core)
-        .build()
-        .gpu;
-    cfg.max_cycles = max_cycles;
-    let mut gpu = Gpu::new(cfg);
-    if let Some(input) = input {
-        gpu.global_mut()
-            .write_slice_u32(u64::from(INPUT_BASE), input);
-    }
-    let result = gpu.launch(kernel, FuzzKernel::dims(), &PARAMS);
-    let report = result.sanitizer.expect("sanitize flag attaches the probe");
-    (report, !result.completed)
-}
-
 fn run_one_case(entry: &ManifestEntry, progress: bool) -> CaseOutcome {
     let mut out = CaseOutcome::default();
     let Some(kernel) = kernel_for(entry) else {
@@ -322,7 +296,11 @@ fn run_one_case(entry: &ManifestEntry, progress: bool) -> CaseOutcome {
     let report = lint_kernel(&kernel, &opts);
     let static_codes: BTreeSet<&str> = report.diagnostics.iter().map(|d| d.code).collect();
 
-    let input = (!adversarial).then(|| corpus::input_for(entry));
+    let input = if adversarial {
+        Vec::new()
+    } else {
+        corpus::input_for(entry)
+    };
     let max_cycles = if adversarial {
         ADV_MAX_CYCLES
     } else {
@@ -330,8 +308,15 @@ fn run_one_case(entry: &ManifestEntry, progress: bool) -> CaseOutcome {
     };
     let mut confirmed_kinds: BTreeSet<String> = BTreeSet::new();
     for core in CoreModelKind::ALL {
-        let (dynamic, timed_out) = sanitized_launch(&kernel, input.as_deref(), core, max_cycles);
-        out.timeouts += u64::from(timed_out);
+        let mut cfg = ConfigBuilder::bow_wr(corpus::WINDOW)
+            .sanitize(true)
+            .core_model(core)
+            .build()
+            .gpu;
+        cfg.max_cycles = max_cycles;
+        let result = launch_case(&mut Gpu::new(cfg), &kernel, &input);
+        out.timeouts += u64::from(!result.completed);
+        let dynamic = result.sanitizer.expect("sanitize flag attaches the probe");
         out.findings += dynamic.findings.len() as u64;
         let kinds: BTreeSet<&str> = dynamic.findings.iter().map(|f| f.kind()).collect();
         for finding in &dynamic.findings {

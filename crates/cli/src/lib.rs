@@ -362,9 +362,9 @@ suffixes the file names with _chip. Tables are byte-identical at any
 
 `fuzz` generates random kernels and runs each under every collector
 model, checking every instruction against a timing-free architectural
-oracle and final memory against an independent host model, then
-re-launching it under the race sanitizer: every dynamic finding must
-carry a static B0xx flag (dynamic ⊆ static) or the case fails. Failures
+oracle and final memory against an independent host model, with the
+race sanitizer on the same launch: every dynamic finding must carry a
+static B0xx flag (dynamic ⊆ static) or the case fails. Failures
 shrink to a minimal kernel written as a runnable .asm repro. `--smoke`
 is the fixed 64-case CI configuration (other flags except --jobs and
 --out are ignored). Any failure makes the command exit non-zero.
@@ -423,7 +423,10 @@ deterministic `manifest.json` (seeds + characterization + content
 fingerprints — never kernel binaries; the corpus re-materializes from
 seeds alone). `stats` tabulates a manifest. `sweep` runs the retained
 kernels, round-robin across strata, through baseline/bow/bow-wr/rfc and
-prints per-stratum IPC-gain and bypass-rate distributions; with --addr
+prints per-stratum IPC-gain and bypass-rate distributions. Every cell
+is checked against the lockstep oracle and the host model; a failing
+cell does not stop the sweep: each one is listed (kernel, design,
+message) and the command exits 5. With --addr
 the runs go through a live bow-server instead (inline submissions under
 the server's synthetic-parameter convention: IPC distributions only,
 verified by the memory oracle rather than the host reference).
@@ -436,8 +439,8 @@ identical resubmissions are answered from cache without simulating.
 prints the server's JSON response verbatim.
 
 EXIT CODES:
-  0 success | 1 panic | 2 parse error | 3 invalid config
-  4 I/O error | 5 verification failure
+  0 success | 2 parse error | 3 invalid config | 4 I/O error
+  5 verification failure | 101 panic
 ";
 
 /// One flag of a subcommand: its name and whether it takes a value.
@@ -1545,15 +1548,17 @@ pub fn execute(cmd: Command) -> Result<String, BowError> {
                         progress: true,
                     };
                     let result = bow::corpus::sweep(&manifest, &opts);
-                    for row in &result.rows {
-                        for rec in &row.records {
-                            if let Err(e) = &rec.outcome.checked {
-                                return Err(BowError::verify(format!(
-                                    "{} under {}: {e}",
-                                    rec.benchmark, row.label
-                                )));
-                            }
-                        }
+                    let failures: Vec<String> = result
+                        .all_records()
+                        .filter_map(|rec| Some(format!("  {}", rec.verified().err()?)))
+                        .collect();
+                    if !failures.is_empty() {
+                        return Err(BowError::verify(format!(
+                            "corpus sweep: {} of {} cells failed:\n{}",
+                            failures.len(),
+                            result.all_records().count(),
+                            failures.join("\n")
+                        )));
                     }
                     bow::corpus::distribution_json(&manifest, &result, core_model, divergence)
                 };

@@ -13,7 +13,8 @@
 //!   cache entry, and a server restarted over the same store directory
 //!   serves the old results;
 //! * malformed and invalid bodies come back as structured 4xx
-//!   `{"error": {"kind", "message"}}` documents.
+//!   `{"error": {"kind", "message"}}` documents, and an inline kernel the
+//!   oracle disagrees with as a 500 of kind `verify`.
 
 use bow_server::client;
 use bow_server::{Server, ServerConfig};
@@ -491,6 +492,64 @@ fn inline_kernels_the_barrier_lowering_refuses_are_a_422_not_a_stack_run() {
     let label = label.get("result").and_then(|r| r.get("config"));
     assert_eq!(label.and_then(Json::as_str), Some("bow-wr iw3+barrier"));
 
+    srv.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The value-divergent race of `bow_sim`'s gpu tests: two one-warp blocks
+/// store `ctaid + 1` to the word at param 0, block 0 after a spin, then
+/// both wait and read it back. The pipeline's final word is block 0's, the
+/// warp-serial oracle's is block 1's.
+fn racy_asm() -> String {
+    use bow::isa::{CmpOp, KernelBuilder, Operand, Pred, Reg, Special};
+    let r = Reg::r;
+    let spin = |b: KernelBuilder, label: &str, iterations: u32| {
+        b.mov_imm(r(2), 0)
+            .label(label)
+            .iadd(r(2), r(2).into(), Operand::Imm(1))
+            .isetp(CmpOp::Lt, Pred::p(1), r(2).into(), Operand::Imm(iterations))
+            .bra_if(Pred::p(1), false, label)
+    };
+    let b = KernelBuilder::new("racy")
+        .s2r(r(0), Special::CtaidX)
+        .ldc(r(1), 0)
+        .isetp(CmpOp::Ne, Pred::p(0), r(0).into(), Operand::Imm(0))
+        .bra_if(Pred::p(0), false, "store");
+    let b = spin(b, "spin", 100)
+        .label("store")
+        .iadd(r(3), r(0).into(), Operand::Imm(1))
+        .stg(r(1), 0, r(3).into());
+    spin(b, "wait", 400)
+        .ldg(r(4), r(1), 0)
+        .exit()
+        .build()
+        .expect("racy kernel builds")
+        .disassemble()
+}
+
+#[test]
+fn an_inline_oracle_mismatch_is_a_verify_error_not_a_panic() {
+    let dir = temp_store("inline-race");
+    let srv = TestServer::boot(&dir);
+    let body = Json::obj([(
+        "kernel",
+        Json::obj([
+            ("asm", Json::from(racy_asm())),
+            ("blocks", Json::from(2_u32)),
+            ("threads", Json::from(32_u32)),
+        ]),
+    )])
+    .to_string_compact();
+    let resp = client::post(&srv.addr, "/v1/runs", &body).expect("racy submit");
+    assert_eq!(resp.status, 500, "{}", resp.body);
+    let error = resp.json().expect("error document");
+    let error = error.get("error").expect("error object");
+    assert_eq!(error.get("kind").and_then(Json::as_str), Some("verify"));
+    let message = error.get("message").and_then(Json::as_str).unwrap_or("");
+    assert!(
+        message.contains("racy under baseline: oracle check failed: final global memory"),
+        "{message}"
+    );
     srv.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -175,8 +175,10 @@ pub struct GpuConfig {
     pub trace_pipeline: bool,
     /// Run every launch twice — once through the timing-free architectural
     /// oracle ([`crate::oracle`]) and once through the pipeline — and
-    /// panic when they disagree. Costly; off by default; intended for
-    /// differential testing (`bow fuzz`) and correctness CI.
+    /// report where they disagree in
+    /// [`LaunchResult::oracle`](crate::LaunchResult). Costly; off by
+    /// default; intended for differential testing (`bow fuzz`) and
+    /// correctness CI.
     pub oracle_check: OracleCheck,
     /// Subscribe the race sanitizer ([`crate::sanitize`]) to the launch:
     /// shadow every shared- and global-memory word with last-accessor
@@ -202,7 +204,7 @@ pub enum OracleCheck {
     /// a node from several edges).
     Memory,
     /// Additionally check every instruction's destination values against
-    /// the oracle's write log, panicking at the first divergence. Only
+    /// the oracle's write log, reporting the first divergence. Only
     /// sound for kernels free of cross-warp data races, where the
     /// oracle's warp-serial schedule is equivalent to any interleaving.
     Lockstep,

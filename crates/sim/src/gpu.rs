@@ -1,15 +1,16 @@
 //! The device level: block dispatch across SMs and kernel launches.
 //!
-//! The GPU owns the device-wide probe subscribers: a [`PipeTrace`] fed
-//! when `trace_pipeline` is set, the Fig. 3 [`BypassAnalyzer`] fed when
-//! `analyze_windows` is non-empty and the race [`Sanitizer`] attached by
-//! `sanitize`. When none is enabled the whole launch runs against
-//! [`NullProbe`] — a separate monomorphization of the SM pipeline with
-//! every trace point compiled out.
+//! A launch has one body, [`Gpu::launch_with_probe`], which fans events
+//! out to the caller's probe and every subscriber the config enables: a
+//! [`PipeTrace`] (`trace_pipeline`), the Fig. 3 [`BypassAnalyzer`]
+//! (`analyze_windows`), the race [`Sanitizer`] (`sanitize`) and the
+//! oracle's [`LockstepChecker`] (`oracle_check`). With none enabled and a
+//! [`NullProbe`], the launch runs a separate monomorphization of the SM
+//! pipeline with every trace point compiled out.
 
 use crate::config::{GpuConfig, OracleCheck};
 use crate::decode::DecodedKernel;
-use crate::oracle::LockstepChecker;
+use crate::oracle::{run_oracle, LockstepChecker, OracleReport};
 use crate::pipetrace::PipeTrace;
 use crate::probe::{NullProbe, PipeEvent, Probe};
 use crate::sanitize::{Sanitizer, SanitizerReport};
@@ -33,9 +34,12 @@ pub struct LaunchResult {
     /// False if the `max_cycles` watchdog fired before completion.
     pub completed: bool,
     /// Race-sanitizer report (`Some` only when the config set
-    /// [`GpuConfig::sanitize`] and the launch ran through
-    /// [`Gpu::launch`] with the oracle check off).
+    /// [`GpuConfig::sanitize`]).
     pub sanitizer: Option<SanitizerReport>,
+    /// What the oracle check found (`Some` only when the config set
+    /// [`GpuConfig::oracle_check`]). A disagreement is reported here,
+    /// never by panicking.
+    pub oracle: Option<OracleReport>,
 }
 
 impl LaunchResult {
@@ -47,17 +51,25 @@ impl LaunchResult {
             self.stats.warp_instructions as f64 / self.cycles as f64
         }
     }
+
+    /// The oracle report's [`verdict`](OracleReport::verdict); `Ok` when
+    /// no check ran.
+    pub fn oracle_verdict(&self) -> Result<(), String> {
+        self.oracle.as_ref().map_or(Ok(()), OracleReport::verdict)
+    }
 }
 
-/// The instrumented launch probe: fans events out to the device trace
-/// (when tracing is on) and the bypass analyzer.
-struct LaunchProbe<'a, 'k> {
+/// The instrumented launch probe: fans events out to every subscriber the
+/// config enables and to the caller's probe.
+struct LaunchProbe<'a, 'k, P> {
     trace: Option<&'a mut PipeTrace>,
     analyzer: &'a mut BypassAnalyzer,
     sanitizer: Option<&'a mut Sanitizer<'k>>,
+    checker: Option<&'a mut LockstepChecker<'k>>,
+    caller: &'a mut P,
 }
 
-impl Probe for LaunchProbe<'_, '_> {
+impl<P: Probe> Probe for LaunchProbe<'_, '_, P> {
     #[inline]
     fn on_event(&mut self, ev: &PipeEvent<'_>) {
         if let Some(t) = self.trace.as_deref_mut() {
@@ -66,6 +78,12 @@ impl Probe for LaunchProbe<'_, '_> {
         self.analyzer.on_event(ev);
         if let Some(s) = self.sanitizer.as_deref_mut() {
             s.on_event(ev);
+        }
+        if let Some(c) = self.checker.as_deref_mut() {
+            c.on_event(ev);
+        }
+        if P::ACTIVE {
+            self.caller.on_event(ev);
         }
     }
 }
@@ -122,68 +140,84 @@ impl Gpu {
     }
 
     /// Launches `kernel` over `dims` with the given parameter words and
-    /// runs the device to completion.
+    /// runs the device to completion:
+    /// [`launch_with_probe`](Self::launch_with_probe) with no probe of the
+    /// caller's own.
     ///
     /// # Panics
     ///
     /// Panics if the kernel fails validation or a block needs more warps
-    /// than an SM can ever host.
+    /// than an SM can ever host. An oracle mismatch is no panic but
+    /// [`LaunchResult::oracle`].
     pub fn launch(&mut self, kernel: &Kernel, dims: KernelDims, params: &[u32]) -> LaunchResult {
-        if self.config.oracle_check != OracleCheck::Off {
-            return self.launch_checked(kernel, dims, params);
-        }
+        self.launch_with_probe(kernel, dims, params, &mut NullProbe)
+    }
+
+    /// Launches `kernel` with `probe` subscribed to the whole device's
+    /// event stream, beside the always-on statistics and every subscriber
+    /// the config enables. Under an [`OracleCheck`] the oracle first runs
+    /// over a snapshot of device memory, and [`LaunchResult::oracle`]
+    /// reports the first disagreement.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same conditions as [`launch`](Self::launch).
+    pub fn launch_with_probe<P: Probe>(
+        &mut self,
+        kernel: &Kernel,
+        dims: KernelDims,
+        params: &[u32],
+        probe: &mut P,
+    ) -> LaunchResult {
+        let (config, global, sms) = (&self.config, &mut self.global, &mut self.sms);
         kernel
             .validate()
             .expect("kernel must validate before launch");
         let warps_per_block = dims.warps_per_block();
         assert!(
-            warps_per_block <= self.config.max_warps_per_sm,
+            warps_per_block <= config.max_warps_per_sm,
             "block needs {warps_per_block} warps, SM hosts {}",
-            self.config.max_warps_per_sm
+            config.max_warps_per_sm
         );
 
-        let mut analyzer = BypassAnalyzer::new(&self.config.analyze_windows);
-        let mut sanitizer = self.config.sanitize.then(|| {
+        let lockstep = config.oracle_check == OracleCheck::Lockstep;
+        let oracle = (config.oracle_check != OracleCheck::Off)
+            .then(|| run_oracle(kernel, dims, params, global.clone(), lockstep));
+        let mut checker = oracle
+            .as_ref()
+            .filter(|_| lockstep)
+            .map(|run| LockstepChecker::new(&run.log));
+        let mut analyzer = BypassAnalyzer::new(&config.analyze_windows);
+        let mut sanitizer = config.sanitize.then(|| {
             Sanitizer::new(
                 kernel,
                 u64::from(warps_per_block),
-                self.config.collector.window(),
+                config.collector.window(),
             )
         });
-        for sm in &mut self.sms {
+        for sm in sms.iter_mut() {
             sm.reset_for_launch(params);
         }
 
-        let instrumented =
-            self.config.trace_pipeline || analyzer.is_enabled() || sanitizer.is_some();
-        let (cycles, completed) = if instrumented {
-            let mut probe = LaunchProbe {
-                trace: self.config.trace_pipeline.then_some(&mut self.trace),
+        let max_cycles = config.max_cycles;
+        let (cycles, completed) = if config.trace_pipeline
+            || analyzer.is_enabled()
+            || sanitizer.is_some()
+            || checker.is_some()
+        {
+            let fanout = &mut LaunchProbe {
+                trace: config.trace_pipeline.then_some(&mut self.trace),
                 analyzer: &mut analyzer,
                 sanitizer: sanitizer.as_mut(),
+                checker: checker.as_mut(),
+                caller: probe,
             };
-            run_device(
-                &mut self.sms,
-                &mut self.global,
-                kernel,
-                dims,
-                self.config.max_cycles,
-                STORE_WINDOW,
-                &mut probe,
-            )
+            run_device(sms, global, kernel, dims, max_cycles, STORE_WINDOW, fanout)
         } else {
-            run_device(
-                &mut self.sms,
-                &mut self.global,
-                kernel,
-                dims,
-                self.config.max_cycles,
-                STORE_WINDOW,
-                &mut NullProbe,
-            )
+            run_device(sms, global, kernel, dims, max_cycles, STORE_WINDOW, probe)
         };
 
-        let per_sm: Vec<SimStats> = self.sms.iter().map(Sm::stats).collect();
+        let per_sm: Vec<SimStats> = sms.iter().map(Sm::stats).collect();
         let mut stats = SimStats::default();
         for s in &per_sm {
             stats.merge(s);
@@ -196,106 +230,10 @@ impl Gpu {
             windows: analyzer.reports().to_vec(),
             completed,
             sanitizer: sanitizer.map(Sanitizer::finish),
+            oracle: oracle
+                .as_ref()
+                .map(|run| OracleReport::judge(run, checker, completed, global)),
         }
-    }
-
-    /// Launches `kernel` with a caller-supplied probe subscribed to the
-    /// whole device's event stream (in addition to the always-on
-    /// statistics). The config's own trace/analyzer subscribers are *not*
-    /// attached on this path — the caller's probe is the instrumentation.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`launch`](Self::launch).
-    pub fn launch_with_probe<P: Probe>(
-        &mut self,
-        kernel: &Kernel,
-        dims: KernelDims,
-        params: &[u32],
-        probe: &mut P,
-    ) -> LaunchResult {
-        kernel
-            .validate()
-            .expect("kernel must validate before launch");
-        let warps_per_block = dims.warps_per_block();
-        assert!(
-            warps_per_block <= self.config.max_warps_per_sm,
-            "block needs {warps_per_block} warps, SM hosts {}",
-            self.config.max_warps_per_sm
-        );
-        for sm in &mut self.sms {
-            sm.reset_for_launch(params);
-        }
-        let (cycles, completed) = run_device(
-            &mut self.sms,
-            &mut self.global,
-            kernel,
-            dims,
-            self.config.max_cycles,
-            STORE_WINDOW,
-            probe,
-        );
-        let per_sm: Vec<SimStats> = self.sms.iter().map(Sm::stats).collect();
-        let mut stats = SimStats::default();
-        for s in &per_sm {
-            stats.merge(s);
-        }
-        stats.cycles = cycles;
-        LaunchResult {
-            cycles,
-            stats,
-            per_sm,
-            windows: Vec::new(),
-            completed,
-            sanitizer: None,
-        }
-    }
-
-    /// The `oracle_check` launch path: runs the architectural oracle over
-    /// a snapshot of device memory, then the pipelined launch. In
-    /// [`OracleCheck::Lockstep`] mode every instruction's destination
-    /// values are checked against the oracle's write log (panicking at the
-    /// first divergence); in [`OracleCheck::Memory`] mode only the final
-    /// global-memory fingerprints are compared.
-    fn launch_checked(
-        &mut self,
-        kernel: &Kernel,
-        dims: KernelDims,
-        params: &[u32],
-    ) -> LaunchResult {
-        let lockstep = self.config.oracle_check == OracleCheck::Lockstep;
-        let oracle = crate::oracle::run_oracle(kernel, dims, params, self.global.clone(), lockstep);
-        let result = if lockstep {
-            let mut checker = LockstepChecker::new(&oracle.log);
-            let result = self.launch_with_probe(kernel, dims, params, &mut checker);
-            if let Some(d) = &checker.divergence {
-                panic!("oracle check failed for kernel `{}`: {d}", kernel.name);
-            }
-            if result.completed && oracle.completed {
-                assert_eq!(
-                    checker.checked,
-                    oracle.log.len() as u64,
-                    "oracle check for kernel `{}`: pipeline executed {} data \
-                     instructions, oracle executed {}",
-                    kernel.name,
-                    checker.checked,
-                    oracle.log.len()
-                );
-            }
-            result
-        } else {
-            self.launch_with_probe(kernel, dims, params, &mut NullProbe)
-        };
-        if result.completed && oracle.completed {
-            assert_eq!(
-                self.global.fingerprint(),
-                oracle.global.fingerprint(),
-                "oracle check for kernel `{}`: final global memory diverges \
-                 from the architectural oracle",
-                kernel.name
-            );
-        }
-        result
     }
 }
 
@@ -377,7 +315,8 @@ fn run_device<P: Probe>(
 mod tests {
     use super::*;
     use crate::collector::CollectorKind;
-    use bow_isa::{KernelBuilder, Operand, Pred, Reg, Special};
+    use crate::oracle::OracleMismatch;
+    use bow_isa::{CmpOp, KernelBuilder, Opcode, Operand, Pred, Reg, Special};
 
     fn saxpy_kernel() -> Kernel {
         let r = Reg::r;
@@ -563,14 +502,111 @@ mod tests {
             let y: Vec<f32> = (0..n).map(|i| (2 * i) as f32).collect();
             gpu.global_mut().write_slice_f32(xa, &x);
             gpu.global_mut().write_slice_f32(ya, &y);
-            // A divergence or memory mismatch panics inside launch.
             let res = gpu.launch(
                 &saxpy_kernel(),
                 KernelDims::linear(n / 64, 64),
                 &[xa as u32, ya as u32, 3.0f32.to_bits()],
             );
             assert!(res.completed, "under {kind:?}");
+            let oracle = res.oracle.expect("oracle_check attaches the oracle");
+            assert!(oracle.completed, "under {kind:?}");
+            assert!(
+                oracle.mismatch.is_none(),
+                "under {kind:?}: {:?}",
+                oracle.mismatch
+            );
+            // 8 warps x 14 data instructions, every one checked.
+            assert_eq!(oracle.checked, 8 * 14, "under {kind:?}");
         }
+    }
+
+    /// Two one-warp blocks store `ctaid + 1` to the word at param 0: a
+    /// value-divergent race the warp-serial oracle settles as "block 1
+    /// stores last". Block 0 spins before its store, so on the pipeline
+    /// block 0 stores last; then every block waits out a longer spin and
+    /// reads the word back.
+    fn racy_kernel() -> Kernel {
+        let r = Reg::r;
+        let spin = |b: KernelBuilder, label: &str, iterations: u32| {
+            b.mov_imm(r(2), 0)
+                .label(label)
+                .iadd(r(2), r(2).into(), Operand::Imm(1))
+                .isetp(CmpOp::Lt, Pred::p(1), r(2).into(), Operand::Imm(iterations))
+                .bra_if(Pred::p(1), false, label)
+        };
+        let b = KernelBuilder::new("racy")
+            .s2r(r(0), Special::CtaidX)
+            .ldc(r(1), 0)
+            .isetp(CmpOp::Ne, Pred::p(0), r(0).into(), Operand::Imm(0))
+            .bra_if(Pred::p(0), false, "store");
+        let b = spin(b, "spin", 100)
+            .label("store")
+            .iadd(r(3), r(0).into(), Operand::Imm(1))
+            .stg(r(1), 0, r(3).into());
+        spin(b, "wait", 400)
+            .ldg(r(4), r(1), 0)
+            .exit()
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn a_value_divergent_race_is_an_oracle_mismatch_not_a_panic() {
+        let kernel = racy_kernel();
+        let launch = |mode| {
+            let mut cfg = GpuConfig::scaled(CollectorKind::bow_wr(3));
+            cfg.oracle_check = mode;
+            let mut gpu = Gpu::new(cfg);
+            let res = gpu.launch(&kernel, KernelDims::linear(2, 32), &[FLAG as u32]);
+            assert!(res.completed);
+            assert_eq!(gpu.global().read_u32(FLAG), 1, "block 0 stores last");
+            res
+        };
+        let memory = launch(OracleCheck::Memory);
+        let report = memory
+            .oracle
+            .as_ref()
+            .expect("oracle_check attaches the oracle");
+        assert!(
+            matches!(report.mismatch, Some(OracleMismatch::FinalMemory)),
+            "{report:?}"
+        );
+        let verdict = memory.oracle_verdict().unwrap_err();
+        assert!(verdict.ends_with(": final global memory diverges from the architectural oracle"));
+
+        // Lockstep pins it earlier: block 1's read-back sees block 0's
+        // late store, where the oracle's block 1 sees its own.
+        let lockstep = launch(OracleCheck::Lockstep).oracle.unwrap();
+        let Some(OracleMismatch::Lockstep(d)) = &lockstep.mismatch else {
+            panic!("{lockstep:?}");
+        };
+        let ldg = kernel.insts.iter().position(|i| i.op == Opcode::Ldg);
+        assert_eq!(
+            (d.uid, Some(d.pc), d.kind, d.expected, d.actual),
+            (1, ldg, "reg", 2, 1)
+        );
+    }
+
+    #[test]
+    fn the_oracle_check_and_the_sanitizer_share_one_launch() {
+        let mut cfg = GpuConfig::scaled(CollectorKind::bow_wr(3));
+        cfg.oracle_check = OracleCheck::Lockstep;
+        cfg.sanitize = true;
+        let mut gpu = Gpu::new(cfg);
+        gpu.global_mut().write_slice_f32(0x1_0000, &[1.0; 64]);
+        gpu.global_mut().write_slice_f32(0x2_0000, &[2.0; 64]);
+        let res = gpu.launch(
+            &saxpy_kernel(),
+            KernelDims::linear(1, 64),
+            &[0x1_0000, 0x2_0000, 3.0f32.to_bits()],
+        );
+        assert!(res
+            .sanitizer
+            .expect("sanitize attaches the sanitizer")
+            .is_clean());
+        let oracle = res.oracle.expect("oracle_check attaches the oracle");
+        assert!(oracle.mismatch.is_none(), "{oracle:?}");
+        assert_eq!(oracle.checked, 2 * 14);
     }
 
     #[test]
@@ -611,11 +647,11 @@ mod tests {
         let mut b = KernelBuilder::new("flag")
             .s2r(r(0), Special::CtaidX)
             .ldc(r(1), 0)
-            .isetp(bow_isa::CmpOp::Eq, Pred::p(0), r(0).into(), Operand::Imm(0))
+            .isetp(CmpOp::Eq, Pred::p(0), r(0).into(), Operand::Imm(0))
             .bra_if(Pred::p(0), false, "store")
             .label("poll")
             .ldg(r(2), r(1), 0)
-            .isetp(bow_isa::CmpOp::Eq, Pred::p(1), r(2).into(), Operand::Imm(0))
+            .isetp(CmpOp::Eq, Pred::p(1), r(2).into(), Operand::Imm(0))
             .bra_if(Pred::p(1), false, "poll")
             .exit()
             .label("store")
@@ -645,7 +681,7 @@ mod tests {
                 cycle, sm, inst, ..
             } => {
                 dispatched = cycle;
-                if inst.op == bow_isa::Opcode::Stg {
+                if inst.op == Opcode::Stg {
                     assert_eq!(sm, 0, "block 0 runs on SM 0");
                     stored_at = Some(cycle);
                 }

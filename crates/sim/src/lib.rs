@@ -81,7 +81,10 @@ pub use bow_util::{parse_name, UnknownName};
 pub use collector::CollectorKind;
 pub use config::{CoreModelKind, DivergenceModel, GpuConfig, OracleCheck, SchedPolicy};
 pub use gpu::{Gpu, LaunchResult};
-pub use oracle::{run_oracle, Divergence, LockstepChecker, OracleRun, WriteLog, WriteRecord};
+pub use oracle::{
+    run_oracle, Divergence, LockstepChecker, OracleMismatch, OracleReport, OracleRun, WriteLog,
+    WriteRecord,
+};
 pub use pipetrace::{Event, PipeTrace, Stage};
 pub use probe::{emit, NullProbe, PipeEvent, Probe, StallKind};
 pub use sanitize::{Sanitizer, SanitizerFinding, SanitizerReport};

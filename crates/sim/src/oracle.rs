@@ -14,7 +14,9 @@
 //! oracle's `WriteLog` and records the **first** diverging instruction
 //! (smallest per-warp sequence number), so a timing bug that corrupts
 //! architectural state is pinned to the exact instruction — not just
-//! detected in the final-memory diff.
+//! detected in the final-memory diff. A launch under
+//! [`GpuConfig::oracle_check`](crate::GpuConfig) folds the checker and the
+//! final-state comparisons into an [`OracleReport`].
 //!
 //! The pipeline tags warps with
 //! `uid = low48(block_index * warps_per_block + warp_in_block) | sm_id << 48`.
@@ -253,6 +255,90 @@ pub struct LockstepChecker<'a> {
     pub checked: u64,
 }
 
+/// How a pipelined launch disagreed with the oracle.
+#[derive(Clone, Debug)]
+pub enum OracleMismatch {
+    /// The earliest instruction whose destination values differ.
+    Lockstep(Divergence),
+    /// Both sides completed, with different data-instruction counts.
+    InstructionCount {
+        /// Data instructions the pipeline executed.
+        pipeline: u64,
+        /// Data instructions the oracle executed.
+        oracle: u64,
+    },
+    /// Both sides completed with different global-memory fingerprints.
+    FinalMemory,
+}
+
+impl std::fmt::Display for OracleMismatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            OracleMismatch::Lockstep(d) => write!(f, "{d}"),
+            OracleMismatch::InstructionCount { pipeline, oracle } => write!(
+                f,
+                "pipeline executed {pipeline} data instructions, oracle executed {oracle}"
+            ),
+            OracleMismatch::FinalMemory => {
+                f.write_str("final global memory diverges from the architectural oracle")
+            }
+        }
+    }
+}
+
+/// What a launch under [`GpuConfig::oracle_check`](crate::GpuConfig) found.
+#[derive(Clone, Debug)]
+pub struct OracleReport {
+    /// False if the oracle's step watchdog fired or a warp walked off the
+    /// kernel: the final-state comparisons were then skipped.
+    pub completed: bool,
+    /// Dynamic instructions lockstep-checked (0 under `Memory`).
+    pub checked: u64,
+    /// The first disagreement: a lockstep divergence before an
+    /// instruction-count mismatch before a final-memory mismatch.
+    pub mismatch: Option<OracleMismatch>,
+}
+
+impl OracleReport {
+    /// The report as a reference-check verdict: `Err` names the mismatch.
+    pub fn verdict(&self) -> Result<(), String> {
+        match &self.mismatch {
+            Some(m) => Err(format!("oracle check failed: {m}")),
+            None => Ok(()),
+        }
+    }
+
+    /// Judges a finished launch against its oracle `run`: `checker` (under
+    /// lockstep) saw its results, `global` is the memory it left.
+    pub(crate) fn judge(
+        run: &OracleRun,
+        checker: Option<LockstepChecker<'_>>,
+        pipeline_completed: bool,
+        global: &GlobalMemory,
+    ) -> OracleReport {
+        // Without a checker both counts are 0: `Memory` records no log.
+        let both = pipeline_completed && run.completed;
+        let checked = checker.as_ref().map_or(0, |c| c.checked);
+        let oracle = run.log.len() as u64;
+        let mismatch = match checker.and_then(|c| c.divergence) {
+            Some(d) => Some(OracleMismatch::Lockstep(d)),
+            None if both && checked != oracle => Some(OracleMismatch::InstructionCount {
+                pipeline: checked,
+                oracle,
+            }),
+            None if both && global.fingerprint() != run.global.fingerprint() => {
+                Some(OracleMismatch::FinalMemory)
+            }
+            None => None,
+        };
+        OracleReport {
+            completed: run.completed,
+            checked,
+            mismatch,
+        }
+    }
+}
+
 impl<'a> LockstepChecker<'a> {
     /// Creates a checker over an oracle write log.
     pub fn new(log: &'a WriteLog) -> LockstepChecker<'a> {
@@ -264,10 +350,10 @@ impl<'a> LockstepChecker<'a> {
     }
 
     fn keep(&mut self, d: Divergence) {
-        let better = match &self.divergence {
-            None => true,
-            Some(cur) => (d.seq, d.uid) < (cur.seq, cur.uid),
-        };
+        let better = self
+            .divergence
+            .as_ref()
+            .is_none_or(|cur| (d.seq, d.uid) < (cur.seq, cur.uid));
         if better {
             self.divergence = Some(d);
         }
@@ -289,67 +375,40 @@ impl Probe for LockstepChecker<'_> {
         else {
             return;
         };
-        let key = (uid & UID_LOW48, seq);
+        let uid = uid & UID_LOW48;
         self.checked += 1;
-        let Some(rec) = self.log.get(&key) else {
-            self.keep(Divergence {
-                uid: key.0,
-                seq,
-                pc,
-                lane: 0,
-                expected: 0,
-                actual: 0,
-                kind: "missing",
-            });
-            return;
-        };
-        if rec.mask != mask || rec.pc != pc {
-            self.keep(Divergence {
-                uid: key.0,
-                seq,
-                pc,
-                lane: 0,
-                expected: rec.mask,
-                actual: mask,
-                kind: "mask",
-            });
-            return;
-        }
-        if dst_reg.is_some() {
-            for lane in 0..WARP_SIZE {
-                if mask & (1 << lane) == 0 {
-                    continue;
-                }
-                let exp = rec.values.get(lane).copied().unwrap_or(0);
-                let got = values.get(lane).copied().unwrap_or(0);
-                if exp != got {
-                    self.keep(Divergence {
-                        uid: key.0,
-                        seq,
-                        pc,
-                        lane,
-                        expected: exp,
-                        actual: got,
-                        kind: "reg",
-                    });
-                    return;
-                }
-            }
-        }
-        if dst_pred.is_some() {
-            let diff = (rec.pred_bits ^ pred_bits) & mask;
-            if diff != 0 {
-                let lane = diff.trailing_zeros() as usize;
-                self.keep(Divergence {
-                    uid: key.0,
-                    seq,
-                    pc,
-                    lane,
-                    expected: (rec.pred_bits >> lane) & 1,
-                    actual: (pred_bits >> lane) & 1,
-                    kind: "pred",
+        // `(lane, oracle, pipeline, kind)` of the first mismatch.
+        let mismatch = match self.log.get(&(uid, seq)) {
+            None => Some((0, 0, 0, "missing")),
+            Some(rec) if rec.mask != mask || rec.pc != pc => Some((0, rec.mask, mask, "mask")),
+            Some(rec) => {
+                let mut lanes =
+                    (0..WARP_SIZE).filter(|&l| dst_reg.is_some() && mask & (1 << l) != 0);
+                let reg = lanes.find_map(|lane| {
+                    let exp = rec.values.get(lane).copied().unwrap_or(0);
+                    let got = values.get(lane).copied().unwrap_or(0);
+                    (exp != got).then_some((lane, exp, got, "reg"))
                 });
+                let pred_diff = (rec.pred_bits ^ pred_bits) & mask;
+                reg.or_else(|| {
+                    let lane = pred_diff.trailing_zeros() as usize;
+                    (dst_pred.is_some() && pred_diff != 0).then(|| {
+                        let bit = |bits: u32| (bits >> lane) & 1;
+                        (lane, bit(rec.pred_bits), bit(pred_bits), "pred")
+                    })
+                })
             }
+        };
+        if let Some((lane, expected, actual, kind)) = mismatch {
+            self.keep(Divergence {
+                uid,
+                seq,
+                pc,
+                lane,
+                expected,
+                actual,
+                kind,
+            });
         }
     }
 }

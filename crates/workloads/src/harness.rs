@@ -1,6 +1,6 @@
 //! Shared helpers for running benchmarks and merging multi-launch results.
 
-use bow_sim::{LaunchResult, SimStats};
+use bow_sim::{LaunchResult, OracleReport, SimStats};
 
 /// The outcome of a full benchmark run (possibly several launches).
 #[derive(Clone, Debug)]
@@ -12,7 +12,8 @@ pub struct RunOutcome {
 }
 
 /// Merges sequential launches of a benchmark: cycles add up, counters sum,
-/// window reports sum per window size.
+/// window reports sum per window size, and an oracle report keeps the
+/// first launch's mismatch.
 ///
 /// Launches may legitimately differ in SM count — a sweep can mix the
 /// scaled 2-SM tier with the full 56-SM chip. Per-SM vectors are
@@ -55,6 +56,14 @@ pub fn merge_results(mut results: Vec<LaunchResult>) -> LaunchResult {
                 a.findings.dedup();
                 Some(a)
             }
+            (a, b) => a.or(b),
+        };
+        total.oracle = match (total.oracle.take(), r.oracle) {
+            (Some(a), Some(b)) => Some(OracleReport {
+                completed: a.completed && b.completed,
+                checked: a.checked + b.checked,
+                mismatch: a.mismatch.or(b.mismatch),
+            }),
             (a, b) => a.or(b),
         };
         assert_eq!(
@@ -163,6 +172,7 @@ mod tests {
                 .collect(),
             completed: true,
             sanitizer: None,
+            oracle: None,
         }
     }
 
@@ -196,6 +206,38 @@ mod tests {
         let rev = merge_results(vec![launch(3, 0), launch(2, 0)]);
         assert_eq!(rev.per_sm.len(), 3);
         assert_eq!(rev.per_sm[2].warp_instructions, 10);
+    }
+
+    #[test]
+    fn merge_results_keeps_the_first_oracle_mismatch_and_sums_the_counts() {
+        use bow_sim::OracleMismatch;
+        let checked = |checked, mismatch| {
+            let mut l = launch(1, 0);
+            l.oracle = Some(OracleReport {
+                completed: true,
+                checked,
+                mismatch,
+            });
+            l
+        };
+        let merged = merge_results(vec![
+            checked(5, None),
+            checked(7, Some(OracleMismatch::FinalMemory)),
+            launch(1, 0),
+            checked(
+                11,
+                Some(OracleMismatch::InstructionCount {
+                    pipeline: 1,
+                    oracle: 2,
+                }),
+            ),
+        ]);
+        let oracle = merged.oracle.expect("the checked launches report");
+        assert_eq!(oracle.checked, 23);
+        assert!(matches!(oracle.mismatch, Some(OracleMismatch::FinalMemory)));
+        assert!(merge_results(vec![launch(1, 0), launch(1, 0)])
+            .oracle
+            .is_none());
     }
 
     #[test]

@@ -75,10 +75,12 @@ DIVERGENCES="stack barrier"
 # repros to target/fuzz-repros/. On `modern` every kernel gets a
 # compiler-emitted control-bit sidecar and runs under the sub-core
 # pipeline; under `barrier` it is lowered to convergence barriers, so
-# reconvergence rides the per-warp barrier registers. Every case is also
-# re-launched under the race sanitizer (check 4), so its hint replay (the
-# shared `ArchWindow`) sees every annotated case under every BOW config;
-# a dynamic finding the static lints do not vouch for fails the case.
+# reconvergence rides the per-warp barrier registers. The race sanitizer
+# (check 4) rides the same launch as the lockstep oracle, one launch per
+# cell, so its hint replay (the shared `ArchWindow`) sees every annotated
+# case under every BOW config; a dynamic finding the static lints do not
+# vouch for fails the case. About 0.22-0.26 s a cell on the 2-core
+# reference host.
 for CORE in $CORES; do
     for DIV in $DIVERGENCES; do
         echo "==> bow fuzz --smoke --core-model ${CORE} --divergence ${DIV}"
@@ -93,9 +95,8 @@ done
 # the event-maintained ready set against it (docs/ARCHITECTURE.md,
 # "Hot-path rules", rule 4), so generated kernels — barriers, predicated
 # branches, collector pressure — cross-check it too, not only the unit
-# tests and goldens. About 3.5 s a cell on the 2-core reference host, the
-# sanitized re-launch of check 4 included, once the debug build exists
-# (cargo test above made most of it).
+# tests and goldens. About 2.1-2.2 s a cell on the 2-core reference host
+# once the debug build exists (cargo test above made most of it).
 for CORE in $CORES; do
     echo "==> bow fuzz --smoke --core-model ${CORE} (debug: ready-set cross-check)"
     cargo run -q --offline -p bow-cli -- \
@@ -207,7 +208,8 @@ echo "==> corpus smoke (64 kernels, stratified gen + mini-sweep, both cores)"
 # fixed-seed 64-kernel generation must populate every stratum and keep
 # only lint-clean kernels, then a 16-kernel round-robin slice sweeps
 # through all four collectors on both core models, every run checked
-# (bow-wr under the lockstep oracle). Manifest + distribution JSON land
+# against the lockstep oracle and the host model (a failing cell is
+# listed and the sweep exits 5). Manifest + distribution JSON land
 # in target/corpus-smoke/ as CI artifacts.
 rm -rf target/corpus-smoke
 cargo run --release -q --offline -p bow-cli -- \

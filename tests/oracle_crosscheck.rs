@@ -3,8 +3,8 @@
 //!
 //! With [`OracleCheck::Memory`], each launch runs twice — once through
 //! the cycle-level pipeline, once through the timing-free warp-serial
-//! oracle — and panics when the final global-memory fingerprints differ.
-//! The benchmark's own `checked` host reference then closes the
+//! oracle — and its `oracle` report names any final global-memory
+//! mismatch. The benchmark's own `checked` host reference then closes the
 //! triangle: pipeline == oracle == host model, for all fifteen kernels.
 //!
 //! Memory mode (not full lockstep) is the right strictness here: some
@@ -30,10 +30,20 @@ fn crosscheck(mode: OracleCheck, kind: CollectorKind, hints: bool, skip: &[&str]
             bench.kernel()
         };
         let mut gpu = Gpu::new(cfg);
-        // An oracle/pipeline mismatch panics inside launch; a
-        // host-reference mismatch surfaces here.
         let outcome = bench.run_with(&mut gpu, &kernel);
         assert!(outcome.result.completed, "{}: watchdog fired", bench.name());
+        let oracle = outcome.result.oracle.as_ref().expect("oracle_check on");
+        assert!(oracle.completed, "{}: oracle watchdog fired", bench.name());
+        if let Some(m) = &oracle.mismatch {
+            panic!("{}: pipeline disagrees with the oracle: {m}", bench.name());
+        }
+        assert_eq!(
+            oracle.checked > 0,
+            mode == OracleCheck::Lockstep,
+            "{}: {} instructions lockstep-checked",
+            bench.name(),
+            oracle.checked
+        );
         if let Err(e) = outcome.checked {
             panic!("{}: host reference disagrees: {e}", bench.name());
         }
