@@ -28,6 +28,7 @@ use crate::experiment::{
     SCHEMA_VERSION,
 };
 use crate::suite::{Suite, SweepResult};
+use crate::verdict::Verdict;
 use bow_mem::{CacheConfig, MemConfig};
 use bow_sim::{
     CollectorKind, CoreModelKind, DivergenceModel, Gpu, GpuConfig, OracleCheck, SchedPolicy,
@@ -496,7 +497,7 @@ impl RunRequest {
                 }
             }
         };
-        rec.verified()?;
+        Verdict::of_records([&rec]).into_result(String::new())?;
         Ok(rec)
     }
 }
@@ -592,8 +593,8 @@ impl SweepRequest {
     ///
     /// # Errors
     ///
-    /// Returns [`BowError::Verify`] when any cell fails its reference
-    /// check.
+    /// Returns [`BowError::Verify`], listing every cell that fails its
+    /// reference check.
     pub fn execute(&self) -> Result<SweepResult, BowError> {
         let benches = self
             .benchmarks
@@ -605,7 +606,7 @@ impl SweepRequest {
             .jobs(self.jobs)
             .progress(false)
             .run();
-        result.all_records().try_for_each(RunRecord::verified)?;
+        Verdict::of_records(result.all_records()).into_result(String::new())?;
         Ok(result)
     }
 }

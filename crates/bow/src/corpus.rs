@@ -13,8 +13,8 @@
 //!
 //! The corpus then feeds the standard sweep machinery: [`sweep`] runs
 //! collectors × kernels through the same [`Suite`] pool the Table III
-//! benchmarks use, with every retained kernel checked against the
-//! independent host evaluator, and [`distribution_json`] reduces the
+//! benchmarks use, with every cell checked by the lockstep oracle and then
+//! the independent host model, and [`distribution_json`] reduces the
 //! records to per-stratum bypass-opportunity and IPC-gain distributions
 //! (median/p10/p90) — the population view of Figs. 3 and 10.
 //!
@@ -24,7 +24,7 @@
 //! seeds are derived by position, never by wall clock or thread timing.
 
 use crate::experiment::{Config, ConfigBuilder, GpuModel};
-use crate::fuzz::{check_host_model, launch_case};
+use crate::fuzz::{judge_case, launch_case};
 use crate::suite::{Suite, SweepResult};
 use bow_compiler::{
     characterize, emit_ctrl, lint_kernel, CtrlLatencies, KernelTraits, LintOptions,
@@ -520,7 +520,7 @@ pub fn kernel_for(entry: &ManifestEntry) -> Option<Kernel> {
 }
 
 /// Re-materializes the structured program of a generated entry (needed
-/// for the host-evaluator check). `None` for adversarial entries, whose
+/// for the host-model check). `None` for adversarial entries, whose
 /// stratum no generator draws.
 fn program_for(entry: &ManifestEntry) -> Option<FuzzKernel> {
     let def = strata().into_iter().find(|d| d.name == entry.stratum)?;
@@ -565,9 +565,7 @@ impl Benchmark for CorpusBench {
 
     fn run_with(&self, gpu: &mut Gpu, kernel: &Kernel) -> RunOutcome {
         let result = launch_case(gpu, kernel, &self.input);
-        let checked = result
-            .oracle_verdict()
-            .and_then(|()| check_host_model(&self.program, &self.input, gpu.global()));
+        let checked = judge_case(&self.program, &self.input, &result, gpu.global());
         RunOutcome { result, checked }
     }
 }
@@ -680,9 +678,11 @@ impl Default for SweepOptions {
 }
 
 /// Sweeps the corpus through the standard suite pool: 4 collectors ×
-/// the retained kernels, every run checked against the independent host
-/// evaluator. Panics (via [`SweepResult::assert_checked`] downstream)
-/// are left to the caller; this returns raw records.
+/// the retained kernels, every cell checked by the lockstep oracle and
+/// then the independent host model. A failing cell does not stop the
+/// sweep: its record carries the failure, and
+/// [`Verdict::of_records`](crate::verdict::Verdict::of_records) turns
+/// every such record into a finding.
 pub fn sweep(manifest: &Manifest, opts: &SweepOptions) -> SweepResult {
     Suite::over(benches(manifest, opts.limit))
         .configs(corpus_configs(opts.core_model, opts.divergence))

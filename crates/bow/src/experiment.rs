@@ -475,18 +475,6 @@ impl RunRecord {
         self
     }
 
-    /// The reference check as a typed error: [`BowError::Verify`] naming
-    /// the cell, `<benchmark> under <label>: <failure>`.
-    pub fn verified(&self) -> Result<(), BowError> {
-        let Err(e) = &self.outcome.checked else {
-            return Ok(());
-        };
-        Err(BowError::verify(format!(
-            "{} under {}: {e}",
-            self.benchmark, self.label
-        )))
-    }
-
     /// The record as a schema-v1 JSON object: version tag, identity,
     /// headline numbers, the full statistics block, the Fig. 3 window
     /// reports (when the analyzer ran) and the compiler report (when the

@@ -1,36 +1,37 @@
 //! The differential kernel fuzzer: generated kernels × collector configs,
-//! checked four independent ways.
+//! judged by four independent checks ([`Check`]).
 //!
 //! Each case draws a structured program from [`bow_isa::fuzz`], lowers it
 //! to a kernel, and runs it under every collector configuration
 //! (baseline, BOW, BOW-WR with hints on and off, RFC). Every run must
 //! satisfy, in order:
 //!
-//! 1. **Lockstep**: every executed instruction's destination values match
-//!    the warp-serial architectural oracle ([`bow_sim::oracle`]) — a
-//!    pipeline/collector bug is pinned to the first diverging
-//!    instruction.
-//! 2. **Final memory**: the pipeline's global memory fingerprint equals
-//!    the oracle's.
-//! 3. **Host model**: every word the program writes matches
-//!    [`FuzzKernel::expected`], an independent reimplementation of the
-//!    ISA semantics that shares no code with the simulator — a semantics
-//!    bug in `exec.rs` itself (invisible to the oracle, which reuses
-//!    `exec.rs`) fails here.
-//! 4. **Sanitizer**: the race sanitizer ([`bow_sim::GpuConfig::sanitize`])
-//!    reports no dynamic finding a static lint code does not vouch for
-//!    ([`crate::sanitize_campaign::static_codes_for`]). Its hint replay
-//!    is how a `.wb.boc` value read after the operand window dropped it
-//!    fails a case: the timing model carries no values, so checks 1–3
-//!    cannot see a write-back policy.
+//! * **Lint**: the static residency verifier accepts the annotated
+//!   kernel, so a hint-producer bug is pinned before it launches.
+//! * **Oracle**: every executed instruction's destination values match
+//!   the warp-serial architectural oracle ([`bow_sim::oracle`]) — a
+//!   pipeline/collector bug is pinned to the first diverging instruction
+//!   — and so do the instruction count and final global memory.
+//! * **Reference**: every word the program writes matches
+//!   [`FuzzKernel::expected`], an independent reimplementation of the
+//!   ISA semantics that shares no code with the simulator — a semantics
+//!   bug in `exec.rs` itself (invisible to the oracle, which reuses
+//!   `exec.rs`) fails here.
+//! * **Sanitizer**: the race sanitizer ([`bow_sim::GpuConfig::sanitize`])
+//!   reports no dynamic finding a static lint code does not vouch for
+//!   ([`crate::sanitize_campaign::unvouched`]). Its hint replay is how a
+//!   `.wb.boc` value read after the operand window dropped it fails a
+//!   case: the timing model carries no values, so the oracle and the
+//!   reference cannot see a write-back policy.
 //!
-//! Checks 1, 2 and 4 ride one launch per cell: the oracle check
-//! ([`bow_sim::GpuConfig::oracle_check`]) and the sanitizer subscribe to
-//! the same event stream, and the launch reports both.
+//! The oracle and the sanitizer ride one launch per cell: both subscribe
+//! to the same event stream ([`bow_sim::GpuConfig::oracle_check`]), and
+//! the launch reports both; the reference reads the memory it left.
 //!
 //! Cases fan out over the same work-stealing pool as the experiment
-//! sweeps ([`crate::suite`]); failures shrink to a minimal statement
-//! tree and are written as runnable `.asm` repro files.
+//! sweeps ([`crate::suite`]); a failing cell shrinks to a minimal
+//! statement tree, is written as a runnable `.asm` repro file and becomes
+//! one [`Finding`] of the session's [`Verdict`].
 //!
 //! Everything is deterministic: case `i` of seed `s` derives its RNG from
 //! `s ^ (i * GOLDEN)`, so any failure reproduces from the printed seed
@@ -40,12 +41,14 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use crate::experiment::{CompilePlan, Config, ConfigBuilder};
+use crate::sanitize_campaign::unvouched;
 use crate::suite::{effective_jobs, map_parallel};
+use crate::verdict::{Check, Finding, Verdict};
 use bow_compiler::verify_hints;
 use bow_isa::fuzz::{self, FuzzKernel};
 use bow_isa::Kernel;
 use bow_mem::GlobalMemory;
-use bow_sim::{CoreModelKind, DivergenceModel, Gpu, LaunchResult, OracleCheck, OracleMismatch};
+use bow_sim::{CoreModelKind, DivergenceModel, Gpu, LaunchResult, OracleCheck};
 use bow_util::XorShift;
 
 /// Per-case seed derivation constant (splitmix golden ratio).
@@ -68,8 +71,6 @@ pub struct FuzzOptions {
     pub size: usize,
     /// Directory minimized `.asm` repro files are written to.
     pub out_dir: PathBuf,
-    /// Print per-case progress to stderr.
-    pub progress: bool,
     /// SM core model every case runs on. `Modern` routes each kernel
     /// through the control-bits emitter, so the fixed-latency interlock
     /// runs under the same lockstep oracle.
@@ -88,7 +89,6 @@ impl Default for FuzzOptions {
             jobs: 0,
             size: 24,
             out_dir: PathBuf::from("results/fuzz"),
-            progress: false,
             core_model: CoreModelKind::Pascal,
             divergence: DivergenceModel::Stack,
         }
@@ -106,28 +106,6 @@ impl FuzzOptions {
     }
 }
 
-/// One confirmed differential failure, shrunk to a minimal program.
-#[derive(Clone, Debug)]
-pub struct FuzzFailure {
-    /// Case index within the session.
-    pub case: u64,
-    /// The derived per-case seed (reproduces the case alone).
-    pub case_seed: u64,
-    /// Configuration label the failure occurred under.
-    pub config: String,
-    /// What diverged (first failing check).
-    pub detail: String,
-    /// Statement count of the original failing program.
-    pub original_stmts: usize,
-    /// Statement count after shrinking.
-    pub minimized_stmts: usize,
-    /// The minimized kernel as runnable `.asm` text (with a comment
-    /// header carrying the metadata needed to reproduce).
-    pub repro_asm: String,
-    /// Where the repro was written, when `out_dir` was writable.
-    pub repro_path: Option<PathBuf>,
-}
-
 /// The outcome of a fuzzing session.
 #[derive(Clone, Debug)]
 pub struct FuzzReport {
@@ -135,8 +113,9 @@ pub struct FuzzReport {
     pub cases: u64,
     /// Configuration labels each case ran under.
     pub configs: Vec<String>,
-    /// Confirmed failures (empty on a clean run).
-    pub failures: Vec<FuzzFailure>,
+    /// One finding per failing (case, config) cell, from its shrunk
+    /// program; the detail names the case seed and the repro file.
+    pub verdict: Verdict,
     /// Total dynamic instructions lockstep-checked across all runs.
     pub checked_instructions: u64,
     /// Wall-clock time of the session.
@@ -144,40 +123,15 @@ pub struct FuzzReport {
 }
 
 impl FuzzReport {
-    /// A one-paragraph human summary.
+    /// The session's statistics in one line.
     pub fn summary(&self) -> String {
-        if self.failures.is_empty() {
-            format!(
-                "fuzz: {} cases x {} configs OK ({} instructions lockstep-checked, {:.1}s)",
-                self.cases,
-                self.configs.len(),
-                self.checked_instructions,
-                self.wall.as_secs_f64()
-            )
-        } else {
-            let mut s = format!(
-                "fuzz: {} FAILURE(S) in {} cases x {} configs:\n",
-                self.failures.len(),
-                self.cases,
-                self.configs.len()
-            );
-            for f in &self.failures {
-                s.push_str(&format!(
-                    "  case {} (seed {:#x}) under {}: {} [{} -> {} stmts{}]\n",
-                    f.case,
-                    f.case_seed,
-                    f.config,
-                    f.detail,
-                    f.original_stmts,
-                    f.minimized_stmts,
-                    match &f.repro_path {
-                        Some(p) => format!(", repro: {}", p.display()),
-                        None => String::new(),
-                    }
-                ));
-            }
-            s
-        }
+        format!(
+            "fuzz: {} cases x {} configs, {} instructions lockstep-checked, {:.1}s\n",
+            self.cases,
+            self.configs.len(),
+            self.checked_instructions,
+            self.wall.as_secs_f64()
+        )
     }
 }
 
@@ -211,88 +165,66 @@ pub fn run_fuzz(opts: &FuzzOptions) -> FuzzReport {
     let workers = effective_jobs(opts.jobs).min(total.max(1));
 
     // One pool task per (case, config) cell, case-major.
-    let run_cell = |cell: usize| -> CellResult {
+    let run_cell = |cell: usize| -> (u64, Option<Finding>) {
         let case = (cell / ncfg) as u64;
         let config = &configs[cell % ncfg];
         let cseed = case_seed(opts.seed, case);
         let mut rng = XorShift::new(cseed);
         let program = FuzzKernel::generate_sized(&mut rng, opts.size);
         let input = FuzzKernel::gen_input(&mut rng);
-        let mut cell = CellResult {
-            case,
-            config: config.label.clone(),
-            checked: 0,
-            failure: None,
-        };
         match run_checks(&program, &input, config, case) {
-            Ok(checked) => cell.checked = checked,
-            Err(detail) => {
+            Ok(checked) => (checked, None),
+            Err(finding) => {
                 // Shrink: keep any simplification that still fails this
                 // config (any failure detail counts, not just the same).
                 let minimized =
                     program.shrink(|cand| run_checks(cand, &input, config, case).is_err());
-                let detail = run_checks(&minimized, &input, config, case)
+                let mut finding = run_checks(&minimized, &input, config, case)
                     .err()
-                    .unwrap_or(detail);
-                let repro_asm =
-                    render_repro(&minimized, &input, opts.seed, case, cseed, config, &detail);
-                cell.failure = Some(FuzzFailure {
+                    .unwrap_or(finding);
+                let repro = render_repro(
+                    &minimized,
+                    &input,
+                    opts.seed,
                     case,
-                    case_seed: cseed,
-                    config: config.label.clone(),
-                    detail,
-                    original_stmts: program.count_stmts(),
-                    minimized_stmts: minimized.count_stmts(),
-                    repro_asm,
-                    repro_path: None,
-                });
+                    cseed,
+                    config,
+                    &finding.detail,
+                );
+                let written = write_repro(&opts.out_dir, case, config, &repro)
+                    .map(|p| format!(", repro: {}", p.display()))
+                    .unwrap_or_default();
+                finding.detail += &format!(
+                    " [case seed {cseed:#x}, {} -> {} stmts{written}]",
+                    program.count_stmts(),
+                    minimized.count_stmts()
+                );
+                (0, Some(finding))
             }
         }
-        cell
     };
+    let results = map_parallel(
+        total,
+        workers,
+        &run_cell,
+        |_, _: &(u64, Option<Finding>)| {},
+    );
 
-    let progress = opts.progress;
-    let results = map_parallel(total, workers, &run_cell, |done, r: &CellResult| {
-        if progress {
-            let status = if r.failure.is_some() { "FAIL" } else { "ok" };
-            eprintln!(
-                "[{done:>4}/{total}] case {:>4} {:<12} {status}",
-                r.case, r.config
-            );
-        }
-    });
-
-    let mut failures = Vec::new();
-    let mut checked_instructions = 0u64;
-    for r in results {
-        checked_instructions += r.checked;
-        if let Some(mut f) = r.failure {
-            f.repro_path = write_repro(&opts.out_dir, &f);
-            failures.push(f);
-        }
-    }
     FuzzReport {
         cases: opts.cases,
         configs: configs.into_iter().map(|c| c.label).collect(),
-        failures,
-        checked_instructions,
+        checked_instructions: results.iter().map(|(checked, _)| checked).sum(),
+        verdict: results.into_iter().filter_map(|(_, f)| f).collect(),
         wall: start.elapsed(),
     }
-}
-
-struct CellResult {
-    case: u64,
-    config: String,
-    checked: u64,
-    failure: Option<FuzzFailure>,
 }
 
 /// Builds the launchable kernel for a case under a config: the config's
 /// compile plan over the generated program.
 fn build_kernel(program: &FuzzKernel, config: &Config, case: u64) -> Kernel {
     // Generated control flow is structured by construction and the hint
-    // producer is gated separately (check 0), so the plan refusing a case
-    // is itself a generator/compiler bug.
+    // producer is gated separately (the lint check), so the plan refusing
+    // a case is itself a generator/compiler bug.
     match CompilePlan::of(config).apply(program.build(&format!("fuzz_case_{case}"))) {
         Ok((kernel, _)) => kernel,
         Err(e) => panic!("fuzz case {case}: {e}"),
@@ -308,13 +240,18 @@ pub(crate) fn launch_case(gpu: &mut Gpu, kernel: &Kernel, input: &[u32]) -> Laun
     gpu.launch(kernel, FuzzKernel::dims(), &fuzz::PARAMS)
 }
 
-/// Compares every word `program` writes with [`FuzzKernel::expected`],
-/// the independent host model, reporting the first mismatch.
-pub(crate) fn check_host_model(
+/// The oracle-then-host-model judgement of one launch of a generated
+/// kernel, shared by the fuzzer and the corpus sweep: the oracle's first
+/// mismatch, else the first word `program` writes that differs from
+/// [`FuzzKernel::expected`] in `global`. [`Check::of_failed`] tells the
+/// two apart.
+pub(crate) fn judge_case(
     program: &FuzzKernel,
     input: &[u32],
+    result: &LaunchResult,
     global: &GlobalMemory,
 ) -> Result<(), String> {
+    result.oracle_verdict()?;
     for (addr, want) in program.expected(input) {
         let got = global.read_u32(addr);
         if got != want {
@@ -327,86 +264,81 @@ pub(crate) fn check_host_model(
 }
 
 /// Runs one (program, input, config) cell through the checks. Returns
-/// the number of lockstep-checked instructions on agreement, or a
-/// description of the first failure.
+/// the number of lockstep-checked instructions on agreement, or the
+/// first check's finding.
 fn run_checks(
     program: &FuzzKernel,
     input: &[u32],
     config: &Config,
     case: u64,
-) -> Result<u64, String> {
+) -> Result<u64, Finding> {
     let kernel = build_kernel(program, config, case);
+    let finding = |check, detail: String| Finding::new(check, &kernel.name, &config.label, detail);
 
-    // Check 0: the static residency verifier must accept the annotated
+    // Lint: the static residency verifier must accept the annotated
     // kernel before it is allowed anywhere near the pipeline. A rejection
     // is a hint-producer bug, pinned here rather than surfacing as a
-    // hint violation in check 4.
+    // hint violation in the sanitizer check.
     if let Some(window) = CompilePlan::of(config).hints {
         let audit = verify_hints(&kernel, window as usize);
         if !audit.is_sound() {
             let pcs: Vec<String> = audit.unsound().map(|f| f.pc.to_string()).collect();
-            return Err(format!(
+            let detail = format!(
                 "static verifier: unsound hint(s) at pc [{}]",
                 pcs.join(", ")
-            ));
+            );
+            return Err(finding(Check::Lint, detail));
         }
     }
 
-    // One launch carries checks 1, 2 and 4: the lockstep oracle and the
-    // race sanitizer both subscribe to its event stream.
+    // One launch carries the oracle and the sanitizer: both subscribe to
+    // its event stream.
     let mut gpu_cfg = config.gpu.clone();
     gpu_cfg.max_cycles = FUZZ_MAX_CYCLES;
     gpu_cfg.oracle_check = OracleCheck::Lockstep;
     gpu_cfg.sanitize = true;
     let mut gpu = Gpu::new(gpu_cfg);
     let result = launch_case(&mut gpu, &kernel, input);
-    let oracle = result.oracle.expect("oracle_check attaches the oracle");
+    let oracle = result
+        .oracle
+        .as_ref()
+        .expect("oracle_check attaches the oracle");
     if !oracle.completed {
-        return Err("oracle did not complete (runaway generated kernel?)".into());
-    }
-
-    // Checks 1 and 2: lockstep against the oracle (every destination
-    // value, then the instruction count), then final global memory. The
-    // last two are judged only once the pipeline completed.
-    if let Some(m) = oracle.mismatch {
-        let check = match m {
-            OracleMismatch::FinalMemory => "final memory",
-            _ => "lockstep",
-        };
-        return Err(format!("{check}: {m}"));
+        let detail = "oracle did not complete (runaway generated kernel?)".into();
+        return Err(finding(Check::Oracle, detail));
     }
     if !result.completed {
-        return Err(format!("pipeline hit the {FUZZ_MAX_CYCLES}-cycle watchdog"));
+        let detail = format!("pipeline hit the {FUZZ_MAX_CYCLES}-cycle watchdog");
+        return Err(finding(Check::Oracle, detail));
     }
 
-    // Check 3: every written word vs the independent host model. This is
-    // the check a shared `exec.rs` semantics bug fails.
-    check_host_model(program, input, gpu.global())?;
+    // Oracle, then reference: lockstep (every destination value, then the
+    // instruction count), final global memory, then every written word vs
+    // the independent host model — the check a shared `exec.rs` semantics
+    // bug fails.
+    if let Err(detail) = judge_case(program, input, &result, gpu.global()) {
+        return Err(finding(Check::of_failed(&result), detail));
+    }
 
-    // Check 4: the sanitizer's findings cross-validated against the
-    // static lint suite — every dynamic finding needs a static voucher.
-    // Generated kernels keep barriers and exchanges convergent by
-    // construction, so an unvouched finding is a sanitizer false
-    // positive, a generator regression or, for a hint violation, a hint
-    // the static verifier wrongly accepted.
-    let srep = result.sanitizer.expect("sanitize flag attaches the probe");
-    if !srep.is_clean() {
+    // Sanitizer: every dynamic finding needs a static voucher. Generated
+    // kernels keep barriers and exchanges convergent by construction, so
+    // an unvouched finding is a sanitizer false positive, a generator
+    // regression or, for a hint violation, a hint the static verifier
+    // wrongly accepted.
+    let dynamic = result
+        .sanitizer
+        .as_ref()
+        .expect("sanitize flag attaches the probe");
+    if !dynamic.is_clean() {
         let window = config.gpu.collector.window().unwrap_or(3);
         let opts = bow_compiler::LintOptions {
             window,
             ..Default::default()
         };
         let report = bow_compiler::lint_kernel(&kernel, &opts);
-        for finding in &srep.findings {
-            let vouchers = crate::sanitize_campaign::static_codes_for(finding.kind());
-            if !vouchers
-                .iter()
-                .any(|c| report.diagnostics.iter().any(|d| d.code == *c))
-            {
-                return Err(format!(
-                    "sanitizer: dynamic finding without static flag — {finding}"
-                ));
-            }
+        let first = unvouched(dynamic, &report, &kernel.name, &config.label).next();
+        if let Some(f) = first {
+            return Err(f);
         }
     }
     Ok(oracle.checked)
@@ -459,17 +391,17 @@ fn render_repro(
     s
 }
 
-/// Writes a failure's repro file; returns its path (best effort — an
-/// unwritable directory degrades to `None`, the text stays in the report).
-fn write_repro(dir: &Path, f: &FuzzFailure) -> Option<PathBuf> {
+/// Writes a failing cell's repro file; returns its path (best effort — an
+/// unwritable directory degrades to `None`).
+fn write_repro(dir: &Path, case: u64, config: &Config, repro: &str) -> Option<PathBuf> {
     std::fs::create_dir_all(dir).ok()?;
-    let slug: String = f
-        .config
+    let slug: String = config
+        .label
         .chars()
         .map(|c| if c.is_alphanumeric() { c } else { '_' })
         .collect();
-    let path = dir.join(format!("case{}_{}.asm", f.case, slug));
-    std::fs::write(&path, &f.repro_asm).ok()?;
+    let path = dir.join(format!("case{case}_{slug}.asm"));
+    std::fs::write(&path, repro).ok()?;
     Some(path)
 }
 
@@ -485,11 +417,10 @@ mod tests {
             jobs: 2,
             size: 16,
             out_dir: std::env::temp_dir().join("bow_fuzz_test"),
-            progress: false,
             core_model: CoreModelKind::Pascal,
             divergence: DivergenceModel::Stack,
         });
-        assert!(report.failures.is_empty(), "{}", report.summary());
+        assert!(report.verdict.is_clean(), "{}", report.verdict);
         assert_eq!(report.configs.len(), 5);
         assert!(report.checked_instructions > 0);
     }
@@ -506,11 +437,10 @@ mod tests {
                 jobs: 2,
                 size: 16,
                 out_dir: std::env::temp_dir().join("bow_fuzz_barrier_test"),
-                progress: false,
                 core_model: core,
                 divergence: DivergenceModel::Barrier,
             });
-            assert!(report.failures.is_empty(), "{}", report.summary());
+            assert!(report.verdict.is_clean(), "{}", report.verdict);
             assert!(
                 report.configs.iter().all(|l| l.contains("+barrier")),
                 "{:?}",
@@ -528,11 +458,10 @@ mod tests {
             jobs: 2,
             size: 16,
             out_dir: std::env::temp_dir().join("bow_fuzz_modern_test"),
-            progress: false,
             core_model: CoreModelKind::Modern,
             divergence: DivergenceModel::Stack,
         });
-        assert!(report.failures.is_empty(), "{}", report.summary());
+        assert!(report.verdict.is_clean(), "{}", report.verdict);
         assert_eq!(report.configs.len(), 5);
         assert!(
             report.configs.iter().all(|l| l.contains("+modern")),

@@ -35,6 +35,7 @@ pub mod fuzz;
 pub mod mutate;
 pub mod sanitize_campaign;
 pub mod suite;
+pub mod verdict;
 
 /// Re-export of [`bow_isa`]: the instruction set.
 pub mod isa {

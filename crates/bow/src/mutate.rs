@@ -22,27 +22,31 @@
 //!
 //! The sanitizer's contract is the verifier's conservativeness theorem:
 //! every ground-truth-unsound mutant must be statically flagged. A missed
-//! mutant is a verifier bug and fails the run. The reverse direction is
-//! reported but not enforced — the verifier is deliberately conservative
-//! (lane-mask-blind outside serialized diamonds, guarded redefinitions
-//! are only may-kills, dynamic rescues ignored), so statically-flagged
-//! but dynamically-clean mutants are counted as `overcautious`.
+//! mutant is a verifier bug and a [`Finding`] of the run's [`Verdict`].
+//! The reverse direction is reported but not enforced — the verifier is
+//! deliberately conservative (lane-mask-blind outside serialized
+//! diamonds, guarded redefinitions are only may-kills, dynamic rescues
+//! ignored), so statically-flagged but dynamically-clean mutants are
+//! counted as `overcautious`.
 //!
 //! Every ground-truth-unsound mutant is also launched once on the bow-wr
 //! pipeline with the race sanitizer attached, and must draw a
 //! `hint-violation` finding. The sanitizer replays the stream the
 //! pipeline dispatched, not the oracle's log, through the same
 //! [`ArchWindow`], so the confirmation checks that the cycle-level
-//! pipeline executes the dynamic stream the ground truth judged.
+//! pipeline executes the dynamic stream the ground truth judged. A mutant
+//! it does not confirm is a finding too, as is an unmutated annotation
+//! that is not clean and a session below its mutant floors.
 
 use std::time::{Duration, Instant};
 
 use crate::experiment::{CompilePlan, ConfigBuilder};
 use crate::fuzz::{case_seed, launch_case, FUZZ_MAX_CYCLES};
 use crate::suite::{effective_jobs, map_parallel};
+use crate::verdict::{Check, Finding, Verdict};
 use bow_compiler::verify_hints;
 use bow_isa::fuzz::{self, FuzzKernel};
-use bow_isa::{Kernel, Reg, WritebackHint};
+use bow_isa::{Kernel, WritebackHint};
 use bow_sim::oracle::run_oracle;
 use bow_sim::{ArchWindow, CoreModelKind, DivergenceModel, Gpu, SanitizerFinding};
 use bow_util::json::Json;
@@ -61,12 +65,10 @@ pub struct MutateOptions {
     pub size: usize,
     /// Operand-window size to annotate, mutate and replay under.
     pub window: u32,
-    /// `passed()` requires at least this many injected mutants…
+    /// A session injecting fewer mutants than this is a finding…
     pub min_mutants: u64,
-    /// …and at least this many of them ground-truth unsound.
+    /// …and so is one with fewer ground-truth-unsound mutants than this.
     pub min_unsound: u64,
-    /// Print per-case progress to stderr.
-    pub progress: bool,
     /// Reconvergence machinery the campaign runs under. `Barrier` lowers
     /// every annotated kernel (and so every mutant) to convergence
     /// barriers, auditing the verifier's barrier-form serialization model
@@ -85,7 +87,6 @@ impl MutateOptions {
             window: 3,
             min_mutants: 800,
             min_unsound: 500,
-            progress: false,
             divergence: DivergenceModel::Stack,
         }
     }
@@ -101,24 +102,6 @@ impl MutateOptions {
     }
 }
 
-/// A ground-truth-unsound mutant the static verifier failed to flag —
-/// a verifier bug.
-#[derive(Clone, Debug)]
-pub struct MissedMutant {
-    /// Corpus case index.
-    pub case: u64,
-    /// Derived per-case seed (regenerates the kernel alone).
-    pub case_seed: u64,
-    /// The mutated write.
-    pub pc: usize,
-    /// Its destination register.
-    pub reg: Reg,
-    /// The sound hint that was flipped to `BocOnly`.
-    pub hint_was: WritebackHint,
-    /// Stale reads the replayer observed.
-    pub stale_reads: u64,
-}
-
 /// The outcome of a sanitizer session.
 #[derive(Clone, Debug)]
 pub struct MutationReport {
@@ -132,97 +115,60 @@ pub struct MutationReport {
     pub mutants_unsound: u64,
     /// Unsound mutants the verifier flagged (must equal `mutants_unsound`).
     pub caught: u64,
-    /// Unsound mutants the verifier missed (must be empty).
-    pub missed: Vec<MissedMutant>,
+    /// Unsound mutants the verifier missed (must be 0).
+    pub missed: u64,
     /// Statically flagged but dynamically clean (conservatism, not a bug).
     pub overcautious: u64,
     /// Neither flagged nor dynamically unsound (e.g. all reads in-window).
     pub benign: u64,
-    /// Stale reads in *unmutated* annotated kernels (must be 0).
-    pub baseline_stale_reads: u64,
-    /// Unmutated annotated kernels the verifier rejected (must be 0).
-    pub baseline_rejected: u64,
     /// Unsound mutants whose sanitized pipeline launch reported a hint
     /// violation (must equal `mutants_unsound`).
     pub sanitizer_confirmed: u64,
-    /// Floors copied from the options, for `passed()`.
-    pub min_mutants: u64,
-    /// See `min_mutants`.
-    pub min_unsound: u64,
+    /// Missed and unconfirmed mutants, unmutated kernels that are not a
+    /// clean starting point, and floor shortfalls.
+    pub verdict: Verdict,
     /// Wall-clock time of the session.
     pub wall: Duration,
 }
 
 impl MutationReport {
-    /// Whether the session upholds the sanitizer contract.
-    pub fn passed(&self) -> bool {
-        self.missed.is_empty()
-            && self.baseline_stale_reads == 0
-            && self.baseline_rejected == 0
-            && self.mutants_total >= self.min_mutants
-            && self.mutants_unsound >= self.min_unsound
-            && self.sanitizer_confirmed == self.mutants_unsound
-    }
-
-    /// A one-paragraph human summary.
+    /// The session's statistics in one line.
     pub fn summary(&self) -> String {
-        let verdict = if self.passed() { "PASS" } else { "FAIL" };
-        let mut s = format!(
-            "mutation sanitizer: {verdict} — {} kernels, {} mutants injected \
-             (window {}), {} ground-truth unsound, {} caught, {} missed, \
-             {} overcautious, {} benign; sanitizer confirmed {}/{} \
-             unsound; {:.1}s",
+        format!(
+            "mutation sanitizer: {} kernels, {} mutants injected (window {}), {} \
+             ground-truth unsound, {} caught, {} missed, {} overcautious, {} benign; \
+             sanitizer confirmed {}/{} unsound; {:.1}s\n",
             self.cases,
             self.mutants_total,
             self.window,
             self.mutants_unsound,
             self.caught,
-            self.missed.len(),
+            self.missed,
             self.overcautious,
             self.benign,
             self.sanitizer_confirmed,
             self.mutants_unsound,
             self.wall.as_secs_f64()
-        );
-        if self.baseline_rejected > 0 || self.baseline_stale_reads > 0 {
-            s.push_str(&format!(
-                "; BASELINE BROKEN ({} rejected, {} stale reads)",
-                self.baseline_rejected, self.baseline_stale_reads
-            ));
-        }
-        for m in &self.missed {
-            s.push_str(&format!(
-                "\n  MISSED: case {} (seed {:#x}) pc {} {} {:?}->BocOnly, {} stale read(s)",
-                m.case, m.case_seed, m.pc, m.reg, m.hint_was, m.stale_reads
-            ));
-        }
-        s
+        )
     }
 
     /// The report as a JSON object (the CI artifact format).
     pub fn to_json(&self) -> Json {
         Json::obj([
-            ("passed", Json::Bool(self.passed())),
+            ("passed", Json::Bool(self.verdict.is_clean())),
             ("cases", Json::Num(self.cases as f64)),
             ("window", Json::Num(f64::from(self.window))),
             ("mutants_total", Json::Num(self.mutants_total as f64)),
             ("mutants_unsound", Json::Num(self.mutants_unsound as f64)),
             ("caught", Json::Num(self.caught as f64)),
-            ("missed", Json::Num(self.missed.len() as f64)),
+            ("missed", Json::Num(self.missed as f64)),
             ("overcautious", Json::Num(self.overcautious as f64)),
             ("benign", Json::Num(self.benign as f64)),
-            (
-                "baseline_stale_reads",
-                Json::Num(self.baseline_stale_reads as f64),
-            ),
-            (
-                "baseline_rejected",
-                Json::Num(self.baseline_rejected as f64),
-            ),
             (
                 "sanitizer_confirmed",
                 Json::Num(self.sanitizer_confirmed as f64),
             ),
+            ("findings", self.verdict.to_json()),
             ("wall_seconds", Json::Num(self.wall.as_secs_f64())),
         ])
     }
@@ -248,12 +194,11 @@ struct CaseOutcome {
     mutants_total: u64,
     mutants_unsound: u64,
     caught: u64,
-    missed: Vec<MissedMutant>,
+    missed: u64,
     overcautious: u64,
     benign: u64,
-    baseline_stale_reads: u64,
-    baseline_rejected: u64,
     sanitizer_confirmed: u64,
+    findings: Vec<Finding>,
 }
 
 /// Runs a sanitizer session. Deterministic for a given `(seed, cases,
@@ -262,18 +207,12 @@ pub fn run_mutation(opts: &MutateOptions) -> MutationReport {
     let start = Instant::now();
     let total = opts.cases as usize;
     let workers = effective_jobs(opts.jobs).min(total.max(1));
-    let run_case = |case_idx: usize| run_one_case(opts, case_idx as u64);
-    let progress = opts.progress;
-    let results = map_parallel(total, workers, &run_case, |done, o: &CaseOutcome| {
-        if progress {
-            eprintln!(
-                "[{done:>3}/{total}] +{} mutants ({} unsound, {} missed)",
-                o.mutants_total,
-                o.mutants_unsound,
-                o.missed.len()
-            );
-        }
-    });
+    let design = ConfigBuilder::bow_wr(opts.window)
+        .divergence(opts.divergence)
+        .build()
+        .label;
+    let run_case = |case_idx: usize| run_one_case(opts, case_idx as u64, &design);
+    let results = map_parallel(total, workers, &run_case, |_, _: &CaseOutcome| {});
 
     let mut report = MutationReport {
         cases: opts.cases,
@@ -281,26 +220,37 @@ pub fn run_mutation(opts: &MutateOptions) -> MutationReport {
         mutants_total: 0,
         mutants_unsound: 0,
         caught: 0,
-        missed: Vec::new(),
+        missed: 0,
         overcautious: 0,
         benign: 0,
-        baseline_stale_reads: 0,
-        baseline_rejected: 0,
         sanitizer_confirmed: 0,
-        min_mutants: opts.min_mutants,
-        min_unsound: opts.min_unsound,
+        verdict: Verdict::default(),
         wall: Duration::default(),
     };
     for o in results {
         report.mutants_total += o.mutants_total;
         report.mutants_unsound += o.mutants_unsound;
         report.caught += o.caught;
-        report.missed.extend(o.missed);
+        report.missed += o.missed;
         report.overcautious += o.overcautious;
         report.benign += o.benign;
-        report.baseline_stale_reads += o.baseline_stale_reads;
-        report.baseline_rejected += o.baseline_rejected;
         report.sanitizer_confirmed += o.sanitizer_confirmed;
+        report.verdict.findings.extend(o.findings);
+    }
+    let kernels = format!("{} kernels", opts.cases);
+    for (what, got, floor) in [
+        ("mutants injected", report.mutants_total, opts.min_mutants),
+        (
+            "ground-truth-unsound mutants",
+            report.mutants_unsound,
+            opts.min_unsound,
+        ),
+    ] {
+        if got < floor {
+            let detail = format!("mutation: {got} {what}, below the floor of {floor}");
+            let finding = Finding::new(Check::Mutation, &kernels, &design, detail);
+            report.verdict.findings.push(finding);
+        }
     }
     report.wall = start.elapsed();
     report
@@ -327,21 +277,19 @@ fn annotated_case(opts: &MutateOptions, case: u64) -> Option<(Kernel, Vec<u32>)>
     Some((annotated, input))
 }
 
-fn run_one_case(opts: &MutateOptions, case: u64) -> CaseOutcome {
-    let mut out = CaseOutcome::default();
-    let cseed = case_seed(opts.seed, case);
-    // Generated control flow is structured by construction; a refusal
-    // here is a generator/compiler bug and is surfaced through the
-    // baseline-rejected counter (must stay 0).
-    let Some((annotated, input)) = annotated_case(opts, case) else {
-        out.baseline_rejected += 1;
-        return out;
-    };
-
-    // The unmutated annotation must be statically sound…
+/// Corpus case `case` as the mutants' starting point: annotated, with
+/// its input and the oracle's per-warp streams. The unmutated annotation
+/// must compile, be statically sound, complete on the oracle and replay
+/// without a stale read; `Err` says which it does not — a generator or
+/// compiler bug.
+fn unmutated(
+    opts: &MutateOptions,
+    case: u64,
+) -> Result<(Kernel, Vec<u32>, Vec<WarpStream>), String> {
+    let (annotated, input) =
+        annotated_case(opts, case).ok_or("the compile plan refuses the unmutated kernel")?;
     if !verify_hints(&annotated, opts.window as usize).is_sound() {
-        out.baseline_rejected += 1;
-        return out;
+        return Err("the verifier rejects the unmutated annotation".into());
     }
 
     // One oracle run per case: the write log is hint-independent, so the
@@ -350,10 +298,8 @@ fn run_one_case(opts: &MutateOptions, case: u64) -> CaseOutcome {
     global.write_slice_u32(u64::from(fuzz::INPUT_BASE), &input);
     let oracle = run_oracle(&annotated, FuzzKernel::dims(), &fuzz::PARAMS, global, true);
     if !oracle.completed {
-        // Runaway corpus kernel: nothing to ground-truth against. The
-        // generator is designed to always terminate, so surface loudly.
-        out.baseline_rejected += 1;
-        return out;
+        // Runaway corpus kernel: nothing to ground-truth against.
+        return Err("the oracle did not complete the unmutated kernel".into());
     }
     let mut by_uid: std::collections::BTreeMap<u64, WarpStream> = std::collections::BTreeMap::new();
     for (&(uid, seq), rec) in &oracle.log {
@@ -366,12 +312,30 @@ fn run_one_case(opts: &MutateOptions, case: u64) -> CaseOutcome {
             s
         })
         .collect();
-
-    // …and dynamically clean.
-    out.baseline_stale_reads = replay_kernel(&annotated, &streams, opts.window);
-    if out.baseline_stale_reads > 0 {
-        return out;
+    match replay_kernel(&annotated, &streams, opts.window) {
+        0 => Ok((annotated, input, streams)),
+        stale => Err(format!("{stale} stale read(s) in the unmutated annotation")),
     }
+}
+
+fn run_one_case(opts: &MutateOptions, case: u64, design: &str) -> CaseOutcome {
+    let mut out = CaseOutcome::default();
+    let kernel = format!("mutate_case_{case}");
+    let finding = |detail: String| {
+        Finding::new(
+            Check::Mutation,
+            &kernel,
+            design,
+            format!("mutation: {detail}"),
+        )
+    };
+    let (annotated, input, streams) = match unmutated(opts, case) {
+        Ok(start) => start,
+        Err(why) => {
+            out.findings.push(finding(why));
+            return out;
+        }
+    };
 
     // Flip every sound RF-bound hint to BocOnly, one at a time.
     for pc in 0..annotated.insts.len() {
@@ -380,7 +344,7 @@ fn run_one_case(opts: &MutateOptions, case: u64) -> CaseOutcome {
         if inst.hint == WritebackHint::BocOnly {
             continue;
         }
-        let hint_was = inst.hint;
+        let mutant_of = format!("pc {pc} {reg} {:?}->BocOnly", inst.hint);
         let mut mutant = annotated.clone();
         mutant.insts[pc].hint = WritebackHint::BocOnly;
         out.mutants_total += 1;
@@ -391,19 +355,21 @@ fn run_one_case(opts: &MutateOptions, case: u64) -> CaseOutcome {
             out.mutants_unsound += 1;
             if sanitizer_confirms(&mutant, &input, opts.window) {
                 out.sanitizer_confirmed += 1;
+            } else {
+                out.findings.push(finding(format!(
+                    "{mutant_of} loses a value ({stale_reads} stale read(s)) but the \
+                     sanitized launch reports no hint violation"
+                )));
             }
         }
         match (stale_reads > 0, flagged) {
             (true, true) => out.caught += 1,
             (true, false) => {
-                out.missed.push(MissedMutant {
-                    case,
-                    case_seed: cseed,
-                    pc,
-                    reg,
-                    hint_was,
-                    stale_reads,
-                });
+                out.missed += 1;
+                out.findings.push(finding(format!(
+                    "{mutant_of} loses a value ({stale_reads} stale read(s)) but the \
+                     verifier accepts it"
+                )));
             }
             (false, true) => out.overcautious += 1,
             (false, false) => out.benign += 1,
@@ -433,7 +399,7 @@ mod tests {
     #[ignore = "full campaign; run with --ignored or via `bow-cli lint --mutate`"]
     fn full_session_meets_the_unsound_floor() {
         let report = run_mutation(&MutateOptions::full());
-        assert!(report.passed(), "{}", report.summary());
+        assert!(report.verdict.is_clean(), "{}", report.verdict);
         assert!(report.mutants_unsound >= 500, "{}", report.summary());
     }
 
@@ -441,10 +407,9 @@ mod tests {
     fn smoke_session_catches_every_unsound_mutant() {
         let report = run_mutation(&MutateOptions {
             jobs: 2,
-            progress: false,
             ..MutateOptions::smoke()
         });
-        assert!(report.passed(), "{}", report.summary());
+        assert!(report.verdict.is_clean(), "{}", report.verdict);
         // The ground truth's exact numbers: a change to the window rule
         // shows up here as a diff, not as a silent shift.
         let counts = "8 kernels, 198 mutants injected (window 3), 179 ground-truth unsound, \
@@ -479,12 +444,10 @@ mod tests {
         // (lowering must accept every generated kernel).
         let report = run_mutation(&MutateOptions {
             jobs: 2,
-            progress: false,
             divergence: DivergenceModel::Barrier,
             ..MutateOptions::smoke()
         });
-        assert!(report.passed(), "{}", report.summary());
-        assert_eq!(report.baseline_rejected, 0, "{}", report.summary());
+        assert!(report.verdict.is_clean(), "{}", report.verdict);
         assert!(report.mutants_unsound > 0, "{}", report.summary());
     }
 }

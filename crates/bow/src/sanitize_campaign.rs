@@ -11,13 +11,14 @@
 //!   never-initialized shared read).
 //! * **Dynamic** — a sanitized launch ([`GpuConfig::sanitize`]) on
 //!   **both** SM core models, folding the instrumented event stream into
-//!   a [`SanitizerReport`](bow_sim::SanitizerReport).
+//!   a [`SanitizerReport`].
 //!
 //! The campaign's contract is the static suite's conservativeness
 //! theorem, mirrored from the hint sanitizer ([`crate::mutate`]): every
 //! dynamic finding must carry a static flag — a sanitizer finding whose
-//! kind maps to no raised code is a static-analysis false negative and
-//! fails the run. The reverse direction is measured, not enforced: the
+//! kind maps to no raised code is a static-analysis false negative and a
+//! [`Finding`] of the run's [`Verdict`] ([`unvouched`], the rule the
+//! fuzzer applies too). The reverse direction is measured, not enforced: the
 //! static race codes are deliberately conservative (one input, one
 //! schedule per launch), so the fraction of raised `B003`/`B015`/`B016`
 //! flags the sanitizer confirms is reported as *precision*.
@@ -25,7 +26,7 @@
 //! The adversarial stratum is additionally held to its machine-readable
 //! expectation table ([`adversarial::Adversarial::expect_dynamic`]):
 //! every planted hazard must be dynamically confirmed with the kinds the
-//! table names, on both cores, or the campaign fails.
+//! table names, on both cores, or the miss is a finding too.
 //!
 //! [`GpuConfig::sanitize`]: bow_sim::GpuConfig
 
@@ -36,8 +37,9 @@ use crate::corpus::{self, adversarial, kernel_for, Manifest, ManifestEntry};
 use crate::experiment::ConfigBuilder;
 use crate::fuzz::{launch_case, FUZZ_MAX_CYCLES};
 use crate::suite::{effective_jobs, map_parallel};
-use bow_compiler::{lint_kernel, LintOptions};
-use bow_sim::{CoreModelKind, Gpu};
+use crate::verdict::{Check, Finding, Verdict};
+use bow_compiler::{lint_kernel, LintOptions, LintReport};
+use bow_sim::{CoreModelKind, Gpu, SanitizerReport};
 use bow_util::json::Json;
 
 /// Watchdog for adversarial launches: two of the planted hazards stall
@@ -60,6 +62,27 @@ pub fn static_codes_for(kind: &str) -> &'static [&'static str] {
     }
 }
 
+/// The dynamic⊆static contract, shared by the fuzzer and the campaign:
+/// every dynamic finding needs a static voucher, a code in `report` that
+/// [`static_codes_for`] names for its kind. Yields one
+/// [`Check::Sanitizer`] finding per dynamic finding without one.
+pub fn unvouched<'a>(
+    dynamic: &'a SanitizerReport,
+    report: &'a LintReport,
+    kernel: &'a str,
+    design: &'a str,
+) -> impl Iterator<Item = Finding> + 'a {
+    let raised = |code: &&str| report.diagnostics.iter().any(|d| d.code == *code);
+    dynamic
+        .findings
+        .iter()
+        .filter(move |f| !static_codes_for(f.kind()).iter().any(raised))
+        .map(move |f| {
+            let detail = format!("sanitizer: dynamic finding without static flag — {f}");
+            Finding::new(Check::Sanitizer, kernel, design, detail)
+        })
+}
+
 /// The race codes whose precision the campaign measures.
 const RACE_CODES: [&str; 3] = ["B003", "B015", "B016"];
 
@@ -73,8 +96,6 @@ pub struct CampaignOptions {
     pub count: usize,
     /// Worker threads (`0` = all cores).
     pub jobs: usize,
-    /// Print per-kernel progress to stderr.
-    pub progress: bool,
 }
 
 impl CampaignOptions {
@@ -84,7 +105,6 @@ impl CampaignOptions {
             seed: corpus::DEFAULT_SEED,
             count: corpus::DEFAULT_COUNT,
             jobs: 0,
-            progress: false,
         }
     }
 
@@ -95,32 +115,6 @@ impl CampaignOptions {
             ..CampaignOptions::full()
         }
     }
-}
-
-/// A dynamic finding no static code vouches for — a static-analysis
-/// false negative.
-#[derive(Clone, Debug)]
-pub struct Uncovered {
-    /// Kernel (manifest entry) name.
-    pub kernel: String,
-    /// Core model label the finding surfaced on.
-    pub core: &'static str,
-    /// Sanitizer finding kind.
-    pub kind: String,
-    /// Rendered finding, for the failure message.
-    pub detail: String,
-}
-
-/// An adversarial row whose planted hazard the sanitizer did not
-/// confirm with the expected kind.
-#[derive(Clone, Debug)]
-pub struct MissedHazard {
-    /// Adversarial kernel name.
-    pub kernel: String,
-    /// Core model label.
-    pub core: &'static str,
-    /// The expected-but-absent finding kind.
-    pub kind: &'static str,
 }
 
 /// The outcome of a campaign session.
@@ -136,10 +130,9 @@ pub struct CampaignReport {
     /// stalls land here; reported, not fatal — their findings are
     /// recorded before the stall).
     pub timeouts: u64,
-    /// Dynamic findings without a static flag (must be empty).
-    pub uncovered: Vec<Uncovered>,
-    /// Adversarial expectations the sanitizer missed (must be empty).
-    pub missed_hazards: Vec<MissedHazard>,
+    /// Dynamic findings without a static flag and adversarial
+    /// expectations the sanitizer missed.
+    pub verdict: Verdict,
     /// `(kernel, race code)` pairs the static suite raised.
     pub static_flags: u64,
     /// …of which the sanitizer dynamically confirmed.
@@ -151,12 +144,6 @@ pub struct CampaignReport {
 }
 
 impl CampaignReport {
-    /// Whether the session upholds the dynamic⊆static contract and the
-    /// adversarial expectation table.
-    pub fn passed(&self) -> bool {
-        self.uncovered.is_empty() && self.missed_hazards.is_empty()
-    }
-
     /// Fraction of static race flags the sanitizer confirmed (1.0 when
     /// nothing was flagged — an empty claim is vacuously precise).
     pub fn precision(&self) -> f64 {
@@ -167,78 +154,31 @@ impl CampaignReport {
         }
     }
 
-    /// A one-paragraph human summary.
+    /// The session's statistics in one line.
     pub fn summary(&self) -> String {
-        let verdict = if self.passed() { "PASS" } else { "FAIL" };
-        let mut s = format!(
-            "sanitizer campaign: {verdict} — {} kernels × 2 cores ({} launches), \
-             {} dynamic findings, {} uncovered, {} adversarial misses; static \
-             precision {}/{} ({:.0}%); {} watchdog stalls; {:.1}s",
+        format!(
+            "sanitizer campaign: {} kernels × 2 cores ({} launches), {} dynamic \
+             findings; static precision {}/{} ({:.0}%); {} watchdog stalls; {:.1}s\n",
             self.kernels,
             self.launches,
             self.dynamic_findings,
-            self.uncovered.len(),
-            self.missed_hazards.len(),
             self.static_confirmed,
             self.static_flags,
             self.precision() * 100.0,
             self.timeouts,
             self.wall.as_secs_f64()
-        );
-        for u in &self.uncovered {
-            s.push_str(&format!(
-                "\n  UNCOVERED: {} [{}] {} — {}",
-                u.kernel, u.core, u.kind, u.detail
-            ));
-        }
-        for m in &self.missed_hazards {
-            s.push_str(&format!(
-                "\n  MISSED HAZARD: {} [{}] expected dynamic {}",
-                m.kernel, m.core, m.kind
-            ));
-        }
-        s
+        )
     }
 
     /// The report as a JSON object (the CI artifact format).
     pub fn to_json(&self) -> Json {
         Json::obj([
-            ("passed", Json::Bool(self.passed())),
+            ("passed", Json::Bool(self.verdict.is_clean())),
             ("kernels", Json::Num(self.kernels as f64)),
             ("launches", Json::Num(self.launches as f64)),
             ("dynamic_findings", Json::Num(self.dynamic_findings as f64)),
             ("timeouts", Json::Num(self.timeouts as f64)),
-            (
-                "uncovered",
-                Json::Arr(
-                    self.uncovered
-                        .iter()
-                        .map(|u| {
-                            Json::obj([
-                                ("kernel", Json::Str(u.kernel.clone())),
-                                ("core", Json::Str(u.core.to_string())),
-                                ("kind", Json::Str(u.kind.clone())),
-                                ("detail", Json::Str(u.detail.clone())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "missed_hazards",
-                Json::Arr(
-                    self.missed_hazards
-                        .iter()
-                        .map(|m| {
-                            Json::obj([
-                                ("kernel", Json::Str(m.kernel.clone())),
-                                ("core", Json::Str(m.core.to_string())),
-                                ("kind", Json::Str(m.kind.to_string())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+            ("findings", self.verdict.to_json()),
             ("static_flags", Json::Num(self.static_flags as f64)),
             ("static_confirmed", Json::Num(self.static_confirmed as f64)),
             ("precision", Json::Num(self.precision())),
@@ -265,15 +205,14 @@ impl CampaignReport {
 /// Per-kernel tallies folded into the session report.
 #[derive(Clone, Debug, Default)]
 struct CaseOutcome {
-    findings: u64,
+    dynamic_findings: u64,
     timeouts: u64,
-    uncovered: Vec<Uncovered>,
-    missed_hazards: Vec<MissedHazard>,
+    findings: Vec<Finding>,
     /// Race codes raised statically, paired with dynamic confirmation.
     race_flags: Vec<(String, bool)>,
 }
 
-fn run_one_case(entry: &ManifestEntry, progress: bool) -> CaseOutcome {
+fn run_one_case(entry: &ManifestEntry) -> CaseOutcome {
     let mut out = CaseOutcome::default();
     let Some(kernel) = kernel_for(entry) else {
         // Unknown stratum/name: a manifest from another corpus version.
@@ -294,7 +233,6 @@ fn run_one_case(entry: &ManifestEntry, progress: bool) -> CaseOutcome {
         ..Default::default()
     };
     let report = lint_kernel(&kernel, &opts);
-    let static_codes: BTreeSet<&str> = report.diagnostics.iter().map(|d| d.code).collect();
 
     let input = if adversarial {
         Vec::new()
@@ -308,36 +246,24 @@ fn run_one_case(entry: &ManifestEntry, progress: bool) -> CaseOutcome {
     };
     let mut confirmed_kinds: BTreeSet<String> = BTreeSet::new();
     for core in CoreModelKind::ALL {
-        let mut cfg = ConfigBuilder::bow_wr(corpus::WINDOW)
+        let config = ConfigBuilder::bow_wr(corpus::WINDOW)
             .sanitize(true)
             .core_model(core)
-            .build()
-            .gpu;
+            .build();
+        let mut cfg = config.gpu;
         cfg.max_cycles = max_cycles;
         let result = launch_case(&mut Gpu::new(cfg), &kernel, &input);
         out.timeouts += u64::from(!result.completed);
         let dynamic = result.sanitizer.expect("sanitize flag attaches the probe");
-        out.findings += dynamic.findings.len() as u64;
+        out.dynamic_findings += dynamic.findings.len() as u64;
+        let design = config.label.as_str();
+        out.findings
+            .extend(unvouched(&dynamic, &report, &entry.name, design));
         let kinds: BTreeSet<&str> = dynamic.findings.iter().map(|f| f.kind()).collect();
-        for finding in &dynamic.findings {
-            let vouchers = static_codes_for(finding.kind());
-            if !vouchers.iter().any(|c| static_codes.contains(c)) {
-                out.uncovered.push(Uncovered {
-                    kernel: entry.name.clone(),
-                    core: core.name(),
-                    kind: finding.kind().to_string(),
-                    detail: finding.to_string(),
-                });
-            }
-        }
-        for &kind in expect_dynamic {
-            if !kinds.contains(kind) {
-                out.missed_hazards.push(MissedHazard {
-                    kernel: entry.name.clone(),
-                    core: core.name(),
-                    kind,
-                });
-            }
+        for &kind in expect_dynamic.iter().filter(|k| !kinds.contains(*k)) {
+            let detail = format!("sanitizer: no dynamic {kind} finding for the planted hazard");
+            out.findings
+                .push(Finding::new(Check::Sanitizer, &entry.name, design, detail));
         }
         confirmed_kinds.extend(kinds.into_iter().map(str::to_string));
     }
@@ -346,20 +272,12 @@ fn run_one_case(entry: &ManifestEntry, progress: bool) -> CaseOutcome {
     // observed kind maps to it (on either core — the launch schedules
     // differ, and one witness is enough).
     for code in RACE_CODES {
-        if static_codes.contains(code) {
+        if report.diagnostics.iter().any(|d| d.code == code) {
             let confirmed = confirmed_kinds
                 .iter()
                 .any(|k| static_codes_for(k).contains(&code));
             out.race_flags.push((code.to_string(), confirmed));
         }
-    }
-    if progress {
-        eprintln!(
-            "[campaign] {}: {} findings, {} uncovered",
-            entry.name,
-            out.findings,
-            out.uncovered.len()
-        );
     }
     out
 }
@@ -375,8 +293,7 @@ pub fn run_campaign_on(manifest: &Manifest, opts: &CampaignOptions) -> CampaignR
         .collect();
     let total = entries.len();
     let workers = effective_jobs(opts.jobs).min(total.max(1));
-    let progress = opts.progress;
-    let run_case = |i: usize| run_one_case(entries[i], progress);
+    let run_case = |i: usize| run_one_case(entries[i]);
     let results = map_parallel(total, workers, &run_case, |_, _: &CaseOutcome| {});
 
     let mut report = CampaignReport {
@@ -384,18 +301,16 @@ pub fn run_campaign_on(manifest: &Manifest, opts: &CampaignOptions) -> CampaignR
         launches: (total as u64) * 2,
         dynamic_findings: 0,
         timeouts: 0,
-        uncovered: Vec::new(),
-        missed_hazards: Vec::new(),
+        verdict: Verdict::default(),
         static_flags: 0,
         static_confirmed: 0,
         by_code: RACE_CODES.iter().map(|c| (c.to_string(), 0, 0)).collect(),
         wall: Duration::default(),
     };
     for o in results {
-        report.dynamic_findings += o.findings;
+        report.dynamic_findings += o.dynamic_findings;
         report.timeouts += o.timeouts;
-        report.uncovered.extend(o.uncovered);
-        report.missed_hazards.extend(o.missed_hazards);
+        report.verdict.findings.extend(o.findings);
         for (code, confirmed) in o.race_flags {
             report.static_flags += 1;
             report.static_confirmed += u64::from(confirmed);
@@ -442,18 +357,59 @@ mod tests {
     }
 
     #[test]
+    fn an_unvouched_dynamic_finding_is_one_sanitizer_finding() {
+        use bow_compiler::{Diagnostic, Severity};
+        use bow_sim::SanitizerFinding;
+        let dynamic = SanitizerReport {
+            findings: vec![SanitizerFinding::UninitShared {
+                cta: 0,
+                addr: 0x40,
+                pc: 7,
+                uid: 1,
+            }],
+        };
+        let mut report = LintReport {
+            kernel: "k".into(),
+            diagnostics: vec![Diagnostic::new("B015", Severity::Warning, "a race")],
+            pressure: Vec::new(),
+        };
+        let found: Vec<Finding> = unvouched(&dynamic, &report, "k", "bow-wr iw3").collect();
+        assert_eq!(found.len(), 1, "B015 does not vouch for uninit-shared");
+        assert_eq!(found[0].check, Check::Sanitizer);
+        assert_eq!(
+            (found[0].kernel.as_str(), found[0].design.as_str()),
+            ("k", "bow-wr iw3")
+        );
+        assert!(
+            found[0]
+                .detail
+                .starts_with("sanitizer: dynamic finding without static flag — uninit-shared"),
+            "{}",
+            found[0].detail
+        );
+        // Its voucher, B016, clears it.
+        report.diagnostics.push(Diagnostic::new(
+            "B016",
+            Severity::Warning,
+            "never initialized",
+        ));
+        assert_eq!(unvouched(&dynamic, &report, "k", "bow-wr iw3").count(), 0);
+    }
+
+    #[test]
     fn smoke_campaign_covers_every_dynamic_finding() {
         let report = run_campaign(&CampaignOptions {
             count: 12,
             jobs: 2,
             ..CampaignOptions::smoke()
         });
-        assert!(report.passed(), "{}", report.summary());
+        assert!(report.verdict.is_clean(), "{}", report.verdict);
         // The adversarial stratum guarantees a non-trivial session: every
         // planted hazard is dynamically confirmed and statically vouched.
         assert!(report.dynamic_findings > 0, "{}", report.summary());
         assert!(report.static_flags > 0, "{}", report.summary());
         let json = report.to_json().to_string_compact();
         assert!(json.contains("\"passed\":true"), "{json}");
+        assert!(json.contains("\"findings\":[]"), "{json}");
     }
 }

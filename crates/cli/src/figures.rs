@@ -1291,7 +1291,7 @@ fn table2_config(_: &Tier) -> Rendered {
         say!(out, "{k:<28} {v}");
     }
     out.push_str(
-        "\nexperiment binaries run the same SM with `GpuConfig::scaled` (2 SMs)\n\
+        "\nthe other figures run the same SM with `GpuConfig::scaled` (2 SMs)\n\
          so the full suite sweeps finish quickly; per-SM behaviour is identical.\n",
     );
     let cell = |(k, v): &(&str, String)| (k.to_string(), Json::from(v.as_str()));

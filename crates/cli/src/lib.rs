@@ -42,6 +42,7 @@ pub mod figures;
 use bow::error::BowError;
 use bow::experiment::{pct, render_table, CompilePlan, Config};
 use bow::prelude::*;
+use bow::verdict::{Check, Finding, Verdict};
 use bow_util::json::Json;
 use std::fmt::Write as _;
 
@@ -361,19 +362,20 @@ suffixes the file names with _chip. Tables are byte-identical at any
 --jobs; CI regenerates all of them and compares with results/.
 
 `fuzz` generates random kernels and runs each under every collector
-model, checking every instruction against a timing-free architectural
-oracle and final memory against an independent host model, with the
-race sanitizer on the same launch: every dynamic finding must carry a
-static B0xx flag (dynamic ⊆ static) or the case fails. Failures
-shrink to a minimal kernel written as a runnable .asm repro. `--smoke`
-is the fixed 64-case CI configuration (other flags except --jobs and
---out are ignored). Any failure makes the command exit non-zero.
+model through four checks: lint (the static hint verifier accepts the
+annotated kernel), oracle (every instruction against a timing-free
+architectural oracle), reference (final memory against an independent
+host model) and sanitizer (the race sanitizer rides the same launch,
+and every dynamic finding must carry a static B0xx flag: dynamic ⊆
+static). A failing cell shrinks to a minimal kernel written as a
+runnable .asm repro. `--smoke` is the fixed 64-case CI configuration
+(other flags except --jobs and --out are ignored).
 
 `run --sanitize` attaches the dynamic race sanitizer (docs/ANALYSIS.md,
 `Sanitizer`): shadow state over shared and global memory plus per-lane
 register shadows, reporting data races, never-initialized reads,
-divergent barriers, broken syncs and `.wb.boc` hint violations. Any
-finding fails the command (exit 5). `corpus sanitize` runs the whole
+divergent barriers, broken syncs and `.wb.boc` hint violations; each
+one is a sanitizer finding. `corpus sanitize` runs the whole
 cross-validation campaign — generated corpus plus the adversarial
 stratum, both core models — and writes the CI artifact (default
 results/sanitizer_campaign.json; `--smoke` is the fixed 64-kernel CI
@@ -382,8 +384,9 @@ configuration).
 `lint` runs the static-analysis suite (stable B0xx codes; see
 docs/ANALYSIS.md) plus the independent hint-soundness verifier. A file
 that carries no write-back hints is annotated first, so the lint judges
-what the compiler would actually emit. Errors always fail the command;
---deny-warnings also fails on warnings (advisories never fail).
+what the compiler would actually emit. A kernel with errors is a lint
+finding, and under --deny-warnings so is one with warnings (advisories
+never are).
 `lint --mutate` instead audits the verifier itself: it flips sound hints
 to BocOnly across a generated corpus and requires every mutant that
 demonstrably loses a value to be statically flagged (`--smoke` is the
@@ -425,8 +428,7 @@ seeds alone). `stats` tabulates a manifest. `sweep` runs the retained
 kernels, round-robin across strata, through baseline/bow/bow-wr/rfc and
 prints per-stratum IPC-gain and bypass-rate distributions. Every cell
 is checked against the lockstep oracle and the host model; a failing
-cell does not stop the sweep: each one is listed (kernel, design,
-message) and the command exits 5. With --addr
+cell is a finding and does not stop the sweep. With --addr
 the runs go through a live bow-server instead (inline submissions under
 the server's synthetic-parameter convention: IPC distributions only,
 verified by the memory oracle rather than the host reference).
@@ -437,6 +439,12 @@ fingerprint; results persist under --store (default results/store) and
 identical resubmissions are answered from cache without simulating.
 `submit` is the matching client (default --addr 127.0.0.1:7070): it
 prints the server's JSON response verbatim.
+
+Every check (lint, oracle, reference, sanitizer, mutation) reports a
+disagreement as a finding: one line `<kernel> under <design>: <detail>`
+on stderr, and an entry of the `findings` array in the `lint --mutate`
+and `corpus sanitize` JSON. A command exits 5 if and only if it has a
+finding.
 
 EXIT CODES:
   0 success | 2 parse error | 3 invalid config | 4 I/O error
@@ -834,15 +842,6 @@ fn read_kernel(path: &str) -> Result<Kernel, BowError> {
     bow_isa::asm::parse_kernel(&text).map_err(|e| err(e.to_string()))
 }
 
-/// Fails with the reference-check message when a run computed wrong
-/// results.
-fn verified(rec: &RunRecord) -> Result<(), BowError> {
-    match &rec.outcome.checked {
-        Ok(()) => Ok(()),
-        Err(e) => Err(BowError::verify(format!("verification: {e}"))),
-    }
-}
-
 /// Runs one benchmark under `designs`, each on the chosen core and
 /// divergence model, through the sweep engine (every cell must pass its
 /// reference check) and tabulates each design against the first, the
@@ -860,7 +859,7 @@ fn design_table(
         .into_iter()
         .map(|d| d.core_model(core_model).divergence(divergence).build());
     let result = Suite::over(vec![b]).configs(configs).jobs(jobs).run();
-    result.all_records().try_for_each(verified)?;
+    Verdict::of_records(result.all_records()).into_result(String::new())?;
     let model = EnergyModel::table_iv();
     let base = &result.row(0).records[0];
     let base_counts = base.outcome.result.stats.access_counts();
@@ -877,16 +876,6 @@ fn design_table(
         ]
     };
     Ok(result.all_records().map(row).collect())
-}
-
-/// A command whose output is a check's report: the report is the text on
-/// success and the [`BowError::Verify`] payload (exit 5) on failure.
-fn verdict(passed: bool, report: String) -> Result<String, BowError> {
-    if passed {
-        Ok(report)
-    } else {
-        Err(BowError::verify(report))
-    }
 }
 
 /// `doc` pretty-printed, newline-terminated: the on-disk form of every
@@ -1083,10 +1072,15 @@ pub fn execute(cmd: Command) -> Result<String, BowError> {
             cfg.gpu.sanitize = sanitize;
             let label = cfg.label.clone();
             let rec = bow::experiment::run(b.as_ref(), cfg);
-            verified(&rec)?;
+            let mut verdict = Verdict::of_records([&rec]);
             let s = &rec.outcome.result.stats;
             let mut out = String::new();
-            writeln!(out, "{bench} under {label}: OK (results verified)").unwrap();
+            let checked = if verdict.is_clean() {
+                "OK (results verified)"
+            } else {
+                "results differ from the reference"
+            };
+            writeln!(out, "{bench} under {label}: {checked}").unwrap();
             writeln!(out, "  cycles             {}", rec.outcome.result.cycles).unwrap();
             writeln!(out, "  warp instructions  {}", s.warp_instructions).unwrap();
             writeln!(out, "  IPC                {:.3}", rec.ipc()).unwrap();
@@ -1102,20 +1096,19 @@ pub fn execute(cmd: Command) -> Result<String, BowError> {
                 .unwrap();
             }
             if let Some(san) = &rec.outcome.result.sanitizer {
-                if san.is_clean() {
-                    writeln!(out, "  sanitizer          clean").unwrap();
-                } else {
-                    writeln!(
-                        out,
-                        "  sanitizer          {} finding(s)",
-                        san.findings.len()
-                    )
-                    .unwrap();
-                    out.push_str(&san.render());
-                    return Err(BowError::verify(out));
-                }
+                // Under `run --sanitize` every dynamic finding fails.
+                let found = match san.findings.len() {
+                    0 => "clean".to_string(),
+                    n => format!("{n} finding(s)"),
+                };
+                writeln!(out, "  sanitizer          {found}").unwrap();
+                verdict.findings.extend(
+                    san.findings
+                        .iter()
+                        .map(|f| Finding::new(Check::Sanitizer, &bench, &label, f.to_string())),
+                );
             }
-            Ok(out)
+            verdict.into_result(out)
         }
         Command::Compare {
             bench,
@@ -1238,11 +1231,11 @@ pub fn execute(cmd: Command) -> Result<String, BowError> {
                 jobs,
                 size,
                 out_dir: out_dir.into(),
-                progress: false,
                 core_model,
                 divergence,
             });
-            verdict(report.failures.is_empty(), report.summary())
+            let summary = report.summary();
+            report.verdict.into_result(summary)
         }
         Command::Lint {
             path,
@@ -1290,7 +1283,8 @@ pub fn execute(cmd: Command) -> Result<String, BowError> {
                     std::fs::write(&p, report.to_json().to_string_pretty())
                         .map_err(|e| BowError::io(&p, e))?;
                 }
-                return verdict(report.passed(), report.summary());
+                let summary = report.summary();
+                return report.verdict.into_result(summary);
             }
 
             // Lint the artifact the pipeline would consume under the
@@ -1345,23 +1339,32 @@ pub fn execute(cmd: Command) -> Result<String, BowError> {
                 out.push_str(&report.render(k, lines.as_deref()));
                 out.push('\n');
             }
-            let failing: Vec<&str> = reports
+            // The design a finding names: the one whose compile plan made
+            // the linted kernel.
+            let design = ConfigBuilder::bow_wr(window)
+                .core_model(core_model)
+                .divergence(divergence)
+                .build()
+                .label;
+            let verdict: Verdict = reports
                 .iter()
                 .filter(|r| r.errors() > 0 || (deny_warnings && !r.passes_deny_warnings()))
-                .map(|r| r.kernel.as_str())
+                .map(|r| {
+                    let detail = format!("{} error(s), {} warning(s)", r.errors(), r.warnings());
+                    Finding::new(Check::Lint, &r.kernel, &design, detail)
+                })
                 .collect();
+            let status = match verdict.findings.len() {
+                0 => "clean".to_string(),
+                n => format!("{n} failing"),
+            };
             writeln!(
                 out,
-                "linted {} kernel(s) at IW{window}: {}",
-                reports.len(),
-                if failing.is_empty() {
-                    "clean".to_string()
-                } else {
-                    format!("FAILED ({})", failing.join(", "))
-                }
+                "linted {} kernel(s) at IW{window}: {status}",
+                reports.len()
             )
             .unwrap();
-            verdict(failing.is_empty(), out)
+            verdict.into_result(out)
         }
         Command::Trace {
             path,
@@ -1548,18 +1551,9 @@ pub fn execute(cmd: Command) -> Result<String, BowError> {
                         progress: true,
                     };
                     let result = bow::corpus::sweep(&manifest, &opts);
-                    let failures: Vec<String> = result
-                        .all_records()
-                        .filter_map(|rec| Some(format!("  {}", rec.verified().err()?)))
-                        .collect();
-                    if !failures.is_empty() {
-                        return Err(BowError::verify(format!(
-                            "corpus sweep: {} of {} cells failed:\n{}",
-                            failures.len(),
-                            result.all_records().count(),
-                            failures.join("\n")
-                        )));
-                    }
+                    let cells = result.all_records().count();
+                    Verdict::of_records(result.all_records())
+                        .into_result(format!("corpus sweep: {cells} cells checked\n"))?;
                     bow::corpus::distribution_json(&manifest, &result, core_model, divergence)
                 };
                 let text = json_text(&doc);
@@ -1593,8 +1587,8 @@ pub fn execute(cmd: Command) -> Result<String, BowError> {
                 }
                 std::fs::write(&out_path, json_text(&report.to_json()))
                     .map_err(|e| BowError::io(&out_path, e))?;
-                let summary = format!("{}\nreport → {out_path}\n", report.summary().trim_end());
-                verdict(report.passed(), summary)
+                let summary = format!("{}report → {out_path}\n", report.summary());
+                report.verdict.into_result(summary)
             }
         },
     }
@@ -2000,7 +1994,7 @@ mod tests {
             divergence: DivergenceModel::Stack,
         })
         .unwrap();
-        assert!(out.contains("OK"), "{out}");
+        assert!(out.starts_with("fuzz: 2 cases x 5 configs, "), "{out}");
     }
 
     #[test]
@@ -2126,7 +2120,8 @@ mod tests {
         assert!(e.contains("warning[B001]"), "{e}");
         // Source-line spans, not raw pcs: `mov r0` sits on line 2.
         assert!(e.contains("bad:2"), "{e}");
-        assert!(e.contains("FAILED (bad)"), "{e}");
+        assert!(e.contains("linted 1 kernel(s) at IW3: 1 failing"), "{e}");
+        assert!(e.contains("\nbad under bow-wr iw3: "), "{e}");
     }
 
     #[test]
@@ -2362,7 +2357,7 @@ mod tests {
             Command::Run { sanitize, .. } => assert!(sanitize),
             other => panic!("parsed {other:?}"),
         }
-        // The fuzzer always sanitizes (its check 4), so `--sanitize` is
+        // The fuzzer always sanitizes (its sanitizer check), so `--sanitize` is
         // not one of its flags, and the error lists the ones that are.
         let e = parse(&argv("fuzz --smoke --sanitize")).unwrap_err();
         assert_eq!(e.exit_code(), 2, "{e}");
@@ -2547,10 +2542,14 @@ mod tests {
             },
         })
         .unwrap();
-        assert!(out.contains("PASS"), "{out}");
+        assert!(out.starts_with("sanitizer campaign: "), "{out}");
         assert!(out.contains(&out_file), "{out}");
         let doc = bow::util::json::parse(&std::fs::read_to_string(&out_file).unwrap()).unwrap();
         assert_eq!(doc.get("passed").and_then(Json::as_bool), Some(true));
+        assert_eq!(
+            doc.get("findings").and_then(Json::as_arr).map(|a| a.len()),
+            Some(0)
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -70,13 +70,14 @@ CORES="pascal modern"
 DIVERGENCES="stack barrier"
 
 # Every generated kernel runs under all collector models, each launch
-# lockstep-checked against the architectural oracle and the independent
-# host model. A failure exits non-zero after writing minimized .asm
-# repros to target/fuzz-repros/. On `modern` every kernel gets a
-# compiler-emitted control-bit sidecar and runs under the sub-core
-# pipeline; under `barrier` it is lowered to convergence barriers, so
-# reconvergence rides the per-warp barrier registers. The race sanitizer
-# (check 4) rides the same launch as the lockstep oracle, one launch per
+# judged by the lint, oracle, reference and sanitizer checks: the static
+# hint verifier, the lockstep architectural oracle, the independent host
+# model and the race sanitizer. A failing cell is a finding, exit 5,
+# after minimized .asm repros land in target/fuzz-repros/. On `modern`
+# every kernel gets a compiler-emitted control-bit sidecar and runs under
+# the sub-core pipeline; under `barrier` it is lowered to convergence
+# barriers, so reconvergence rides the per-warp barrier registers. The
+# sanitizer rides the same launch as the lockstep oracle, one launch per
 # cell, so its hint replay (the shared `ArchWindow`) sees every annotated
 # case under every BOW config; a dynamic finding the static lints do not
 # vouch for fails the case. About 0.22-0.26 s a cell on the 2-core
@@ -149,6 +150,27 @@ echo "==> bow corpus sanitize --smoke (dynamic/static cross-validation, fixed se
 # static race flags) lands in target/lint-reports/ as a CI artifact.
 cargo run --release -q --offline -p bow-cli -- \
     corpus sanitize --smoke --out target/lint-reports/sanitizer_campaign.json
+
+echo "==> bow corpus sanitize (the committed campaign regenerates)"
+# results/sanitizer_campaign.json is the full campaign (the 1000-kernel
+# corpus plus the adversarial stratum, both cores): rerun it into
+# target/ and require every field but `wall_seconds` to match the
+# committed file, so a change that moves a count or a finding shows up as
+# a diff. About 2.2 s on the 2-core reference host. Bless an intentional
+# change with `bow-cli corpus sanitize` (its default --out).
+cargo run --release -q --offline -p bow-cli -- \
+    corpus sanitize --out target/lint-reports/sanitizer_campaign_full.json > /dev/null
+python3 - <<'EOF'
+import json, sys
+committed = json.load(open("results/sanitizer_campaign.json"))
+fresh = json.load(open("target/lint-reports/sanitizer_campaign_full.json"))
+for doc in (committed, fresh):
+    doc.pop("wall_seconds", None)
+if committed != fresh:
+    keys = sorted(k for k in committed.keys() | fresh.keys() if committed.get(k) != fresh.get(k))
+    sys.exit(f"results/sanitizer_campaign.json is stale in: {', '.join(keys)}")
+print("    results/sanitizer_campaign.json regenerates (wall time aside)")
+EOF
 
 echo "==> bow-server smoke (serve / submit / cache-hit / shutdown)"
 # Boots the real server on an ephemeral port, drives it with the real
