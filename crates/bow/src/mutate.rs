@@ -301,15 +301,10 @@ fn unmutated(
         // Runaway corpus kernel: nothing to ground-truth against.
         return Err("the oracle did not complete the unmutated kernel".into());
     }
-    let mut by_uid: std::collections::BTreeMap<u64, WarpStream> = std::collections::BTreeMap::new();
-    for (&(uid, seq), rec) in &oracle.log {
-        by_uid.entry(uid).or_default().push((seq, rec.pc, rec.mask));
-    }
-    let streams: Vec<WarpStream> = by_uid
-        .into_values()
-        .map(|mut s| {
-            s.sort_unstable();
-            s
+    let streams: Vec<WarpStream> = (0..oracle.log.warps())
+        .map(|uid| {
+            let row = oracle.log.row(uid);
+            row.map(|(seq, rec)| (seq, rec.pc, rec.mask)).collect()
         })
         .collect();
     match replay_kernel(&annotated, &streams, opts.window) {

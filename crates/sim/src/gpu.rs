@@ -737,11 +737,13 @@ mod tests {
             );
             assert!(completed);
             let per_sm: Vec<SimStats> = sms.iter().map(Sm::stats).collect();
-            (cycles, global.fingerprint(), per_sm)
+            (cycles, global, per_sm)
         };
-        let pinned = digest(STORE_WINDOW);
+        let (cycles, global, per_sm) = digest(STORE_WINDOW);
         for store_window in [1, 7, u64::MAX] {
-            assert_eq!(digest(store_window), pinned, "window {store_window}");
+            let (c, g, s) = digest(store_window);
+            assert_eq!((c, &s), (cycles, &per_sm), "window {store_window}");
+            assert!(g == global, "window {store_window}: final memory differs");
         }
     }
 

@@ -14,23 +14,26 @@
 //! oracle's `WriteLog` and records the **first** diverging instruction
 //! (smallest per-warp sequence number), so a timing bug that corrupts
 //! architectural state is pinned to the exact instruction — not just
-//! detected in the final-memory diff. A launch under
-//! [`GpuConfig::oracle_check`](crate::GpuConfig) folds the checker and the
-//! final-state comparisons into an [`OracleReport`].
+//! detected in the final-memory comparison. A launch under
+//! [`GpuConfig::oracle_check`](crate::GpuConfig) folds the checker, the
+//! data-instruction counts and a word-for-word comparison of the two final
+//! memories into an [`OracleReport`].
 //!
 //! The pipeline tags warps with
 //! `uid = low48(block_index * warps_per_block + warp_in_block) | sm_id << 48`.
 //! Which SM hosts a block is a timing artifact, so lockstep keys mask the
 //! SM bits away and match on `(uid & LOW48, seq)` — both sides assign
 //! `seq` to every issued instruction (control included) in per-warp
-//! program order, which makes the key schedule-independent.
+//! program order, which makes the key schedule-independent. Both halves
+//! of the key are dense — `uid & LOW48` counts warps of the launch from 0
+//! and `seq` counts a warp's instructions from 0 — so the log is a table
+//! indexed by them, not a map.
 
 use crate::exec::{self, BlockInfo, ExecCtx};
 use crate::probe::{PipeEvent, Probe};
 use crate::warp::Warp;
 use bow_isa::{Kernel, KernelDims, Pred, Reg, WARP_SIZE};
 use bow_mem::{GlobalMemory, SharedMemory};
-use std::collections::HashMap;
 
 /// Mask selecting the schedule-independent low bits of a warp uid.
 pub const UID_LOW48: u64 = (1 << 48) - 1;
@@ -47,14 +50,78 @@ pub struct WriteRecord {
     /// Destination predicate, if any.
     pub dst_pred: Option<Pred>,
     /// Per-lane destination register values (all 32 lanes; meaningful
-    /// under `mask`). Empty when `dst_reg` is `None`.
-    pub values: Vec<u32>,
+    /// under `mask`). All zero when `dst_reg` is `None`.
+    pub values: [u32; WARP_SIZE],
     /// Per-lane destination predicate bits (meaningful under `mask`).
     pub pred_bits: u32,
 }
 
 /// Every data instruction's result, keyed by `(uid & UID_LOW48, seq)`.
-pub type WriteLog = HashMap<(u64, u64), WriteRecord>;
+///
+/// One row per warp of the launch, at index `uid & UID_LOW48`; entry
+/// `seq` of a row is that warp's instruction `seq`: its record, or `None`
+/// for a control instruction, which takes a sequence number but writes
+/// no destination the checker compares.
+#[derive(Clone, Debug, Default)]
+pub struct WriteLog {
+    rows: Vec<Vec<Option<WriteRecord>>>,
+    /// The `Some` entries across all rows.
+    records: usize,
+}
+
+impl WriteLog {
+    /// An empty log with a row for each of `warps` warps.
+    fn with_warps(warps: usize) -> WriteLog {
+        WriteLog {
+            rows: vec![Vec::new(); warps],
+            records: 0,
+        }
+    }
+
+    /// Appends warp `uid`'s instruction `seq`, the next one of its row.
+    fn push(&mut self, uid: u64, seq: u64, record: Option<WriteRecord>) {
+        let row = &mut self.rows[uid as usize];
+        debug_assert_eq!(row.len() as u64, seq, "warp {uid} logs out of order");
+        self.records += usize::from(record.is_some());
+        row.push(record);
+    }
+
+    /// The record of warp `uid`'s instruction `seq`; `None` if the oracle
+    /// ran no such warp or instruction, or that instruction was control.
+    pub fn get(&self, uid: u64, seq: u64) -> Option<&WriteRecord> {
+        let row = self.rows.get(usize::try_from(uid).ok()?)?;
+        row.get(usize::try_from(seq).ok()?)?.as_ref()
+    }
+
+    /// Data instructions logged.
+    pub fn len(&self) -> usize {
+        self.records
+    }
+
+    /// Whether no data instruction was logged.
+    pub fn is_empty(&self) -> bool {
+        self.records == 0
+    }
+
+    /// Rows in the log: every warp of a recorded launch, none otherwise.
+    pub fn warps(&self) -> u64 {
+        self.rows.len() as u64
+    }
+
+    /// Warp `uid`'s records as `(seq, record)`, ascending in `seq`.
+    pub fn row(&self, uid: u64) -> impl Iterator<Item = (u64, &WriteRecord)> {
+        let row = usize::try_from(uid).ok().and_then(|uid| self.rows.get(uid));
+        row.into_iter()
+            .flatten()
+            .enumerate()
+            .filter_map(|(seq, entry)| Some((seq as u64, entry.as_ref()?)))
+    }
+
+    /// Every record as `(uid, seq, record)`, by `uid`, then `seq`.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, u64, &WriteRecord)> {
+        (0..self.warps()).flat_map(|uid| self.row(uid).map(move |(seq, rec)| (uid, seq, rec)))
+    }
+}
 
 /// The outcome of an oracle run.
 #[derive(Debug)]
@@ -102,7 +169,11 @@ pub fn run_oracle_bounded(
     kernel.validate().expect("oracle launch must validate");
     let warps_per_block = dims.warps_per_block();
     let threads = dims.threads_per_block();
-    let mut log = WriteLog::new();
+    let mut log = if record {
+        WriteLog::with_warps(dims.total_blocks() as usize * warps_per_block as usize)
+    } else {
+        WriteLog::default()
+    };
     let mut all_warps = Vec::new();
     let mut steps = 0u64;
     let mut completed = true;
@@ -151,6 +222,9 @@ pub fn run_oracle_bounded(
                     warp.seq += 1;
                     if inst.op.is_control() {
                         let _ = exec::execute_control(warp, inst);
+                        if record {
+                            log.push(uid, seq, None);
+                        }
                     } else {
                         let mask = warp.guard_mask(inst.guard);
                         warp.pc += 1;
@@ -165,19 +239,17 @@ pub fn run_oracle_bounded(
                         if record {
                             let dst_reg = inst.dst_reg();
                             let dst_pred = inst.dst.pred();
-                            let values = dst_reg.map_or(Vec::new(), |r| warp.lanes_of(r).to_vec());
+                            let values = dst_reg.map_or([0; WARP_SIZE], |r| warp.lanes_of(r));
                             let pred_bits = dst_pred.map_or(0, |p| warp.pred_bits(p));
-                            log.insert(
-                                (uid, seq),
-                                WriteRecord {
-                                    pc,
-                                    mask,
-                                    dst_reg,
-                                    dst_pred,
-                                    values,
-                                    pred_bits,
-                                },
-                            );
+                            let record = WriteRecord {
+                                pc,
+                                mask,
+                                dst_reg,
+                                dst_pred,
+                                values,
+                                pred_bits,
+                            };
+                            log.push(uid, seq, Some(record));
                         }
                     }
                 }
@@ -267,7 +339,7 @@ pub enum OracleMismatch {
         /// Data instructions the oracle executed.
         oracle: u64,
     },
-    /// Both sides completed with different global-memory fingerprints.
+    /// Both sides completed, and some word of global memory differs.
     FinalMemory,
 }
 
@@ -326,9 +398,7 @@ impl OracleReport {
                 pipeline: checked,
                 oracle,
             }),
-            None if both && global.fingerprint() != run.global.fingerprint() => {
-                Some(OracleMismatch::FinalMemory)
-            }
+            None if both && *global != run.global => Some(OracleMismatch::FinalMemory),
             None => None,
         };
         OracleReport {
@@ -378,14 +448,14 @@ impl Probe for LockstepChecker<'_> {
         let uid = uid & UID_LOW48;
         self.checked += 1;
         // `(lane, oracle, pipeline, kind)` of the first mismatch.
-        let mismatch = match self.log.get(&(uid, seq)) {
+        let mismatch = match self.log.get(uid, seq) {
             None => Some((0, 0, 0, "missing")),
             Some(rec) if rec.mask != mask || rec.pc != pc => Some((0, rec.mask, mask, "mask")),
             Some(rec) => {
                 let mut lanes =
                     (0..WARP_SIZE).filter(|&l| dst_reg.is_some() && mask & (1 << l) != 0);
                 let reg = lanes.find_map(|lane| {
-                    let exp = rec.values.get(lane).copied().unwrap_or(0);
+                    let exp = rec.values[lane];
                     let got = values.get(lane).copied().unwrap_or(0);
                     (exp != got).then_some((lane, exp, got, "reg"))
                 });
@@ -471,16 +541,17 @@ mod tests {
         assert!(run.completed);
         // 8 data instructions for the single warp (seq 0..8; exit is 8).
         assert_eq!(run.log.len(), 8);
-        let imul = run.log.get(&(0, 4)).expect("imul record");
+        let imul = run.log.get(0, 4).expect("imul record");
         assert_eq!(imul.pc, 4);
         assert_eq!(imul.values[5], 25, "lane 5 squares its tid");
     }
 
-    #[test]
-    fn oracle_handles_barrier_communication() {
-        // Thread t writes t to shared[t], barriers, reads shared[t^1].
+    /// Thread t writes t to shared[t], barriers, reads shared[t^1] and
+    /// stores it to `0x2000 + 4t`. The barrier is instruction 3 and the
+    /// exit instruction 10; the other nine are data instructions.
+    fn exchange_kernel() -> Kernel {
         let r = Reg::r;
-        let k = KernelBuilder::new("xchg")
+        KernelBuilder::new("xchg")
             .shared_bytes(256)
             .s2r(r(0), Special::TidX)
             .shl(r(1), r(0).into(), Operand::Imm(2))
@@ -494,9 +565,13 @@ mod tests {
             .stg(r(3), 0, r(4).into())
             .exit()
             .build()
-            .unwrap();
+            .unwrap()
+    }
+
+    #[test]
+    fn oracle_handles_barrier_communication() {
         let run = run_oracle(
-            &k,
+            &exchange_kernel(),
             KernelDims::linear(1, 64),
             &[],
             GlobalMemory::new(),
@@ -542,7 +617,7 @@ mod tests {
         );
         // Replay the oracle's own log through the checker: clean.
         let mut clean = LockstepChecker::new(&run.log);
-        for (&(uid, seq), rec) in &run.log {
+        for (uid, seq, rec) in run.log.iter() {
             clean.on_event(&PipeEvent::ExecResult {
                 uid,
                 pc: rec.pc,
@@ -559,9 +634,9 @@ mod tests {
 
         // Corrupt one lane of one record: flagged, with lane pinpointed.
         let mut bad = LockstepChecker::new(&run.log);
-        for (&(uid, seq), rec) in &run.log {
-            let mut values = rec.values.clone();
-            if seq == 4 && !values.is_empty() {
+        for (uid, seq, rec) in run.log.iter() {
+            let mut values = rec.values;
+            if seq == 4 && rec.dst_reg.is_some() {
                 values[7] ^= 0xdead;
             }
             bad.on_event(&PipeEvent::ExecResult {
@@ -579,5 +654,103 @@ mod tests {
         assert_eq!(d.seq, 4);
         assert_eq!(d.lane, 7);
         assert_eq!(d.kind, "reg");
+    }
+
+    /// The write log of [`exchange_kernel`] over two blocks of two warps.
+    fn exchange_log() -> WriteLog {
+        let run = run_oracle(
+            &exchange_kernel(),
+            KernelDims::linear(2, 64),
+            &[],
+            GlobalMemory::new(),
+            true,
+        );
+        assert!(run.completed);
+        run.log
+    }
+
+    /// The checker's verdict on one `ExecResult` with this key.
+    fn check_one(log: &WriteLog, uid: u64, seq: u64, rec: &WriteRecord) -> Option<Divergence> {
+        let mut checker = LockstepChecker::new(log);
+        checker.on_event(&PipeEvent::ExecResult {
+            uid,
+            pc: rec.pc,
+            seq,
+            dst_reg: rec.dst_reg,
+            dst_pred: rec.dst_pred,
+            mask: rec.mask,
+            pred_bits: rec.pred_bits,
+            values: &rec.values,
+        });
+        assert_eq!(checker.checked, 1);
+        checker.divergence
+    }
+
+    #[test]
+    fn write_log_hits_a_data_instruction_of_any_sm() {
+        let log = exchange_log();
+        // Warp 3 is block 1's second warp: lane 5 is thread 37.
+        let xor = log.get(3, 4).expect("the xor of warp 3");
+        assert_eq!((xor.pc, xor.mask), (4, u32::MAX));
+        assert_eq!(xor.dst_reg, Some(Reg::r(2)));
+        assert_eq!(xor.values[5], 37 ^ 1);
+        // Which SM ran the warp is masked away.
+        assert!(check_one(&log, 3, 4, xor).is_none());
+        assert!(check_one(&log, 3 | 5 << 48, 4, xor).is_none());
+    }
+
+    #[test]
+    fn write_log_misses_an_unknown_warp() {
+        let log = exchange_log();
+        let xor = log.get(3, 4).expect("the xor of warp 3").clone();
+        assert!(log.get(4, 4).is_none());
+        assert!(log.get(UID_LOW48, 4).is_none());
+        let d = check_one(&log, 4, 4, &xor).expect("no warp 4");
+        assert_eq!((d.uid, d.seq, d.kind), (4, 4, "missing"));
+    }
+
+    #[test]
+    fn write_log_misses_past_the_row_and_on_control() {
+        let log = exchange_log();
+        let xor = log.get(0, 4).expect("the xor of warp 0").clone();
+        // The barrier, the exit, and one past the exit.
+        for seq in [3, 10, 11, u64::MAX] {
+            assert!(log.get(0, seq).is_none(), "seq {seq}");
+            let d = check_one(&log, 0, seq, &xor).expect("no record");
+            assert_eq!(d.kind, "missing", "seq {seq}");
+        }
+    }
+
+    #[test]
+    fn write_log_counts_data_instructions_only() {
+        let log = exchange_log();
+        assert_eq!(log.warps(), 4);
+        assert_eq!(log.len(), 4 * 9, "the barrier and the exit are no records");
+        assert!(!log.is_empty());
+        let unrecorded = run_oracle(
+            &exchange_kernel(),
+            KernelDims::linear(2, 64),
+            &[],
+            GlobalMemory::new(),
+            false,
+        );
+        assert!(unrecorded.log.is_empty());
+        assert_eq!((unrecorded.log.warps(), unrecorded.log.len()), (0, 0));
+    }
+
+    #[test]
+    fn write_log_iterates_by_warp_then_sequence_number() {
+        let log = exchange_log();
+        let keys: Vec<(u64, u64)> = log.iter().map(|(uid, seq, _)| (uid, seq)).collect();
+        let data = |uid| (0..10).filter(|&seq| seq != 3).map(move |seq| (uid, seq));
+        let want: Vec<(u64, u64)> = (0..4).flat_map(data).collect();
+        assert_eq!(keys, want);
+        for (uid, seq, rec) in log.iter() {
+            assert_eq!(rec.pc as u64, seq, "straight-line: seq is the pc");
+            assert_eq!(log.get(uid, seq), Some(rec));
+        }
+        let row: Vec<u64> = log.row(2).map(|(seq, _)| seq).collect();
+        assert_eq!(row, [0, 1, 2, 4, 5, 6, 7, 8, 9]);
+        assert_eq!(log.row(4).count(), 0);
     }
 }

@@ -224,8 +224,15 @@ pub enum PipeEvent<'a> {
         /// with `addrs`. Empty for loads.
         values: &'a [u32],
     },
-    /// An issue attempt was rejected.
-    Stall(StallKind),
+    /// One issue scan found `count` warps held for `kind`: `count`
+    /// rejected issue attempts. Emitted once per kind per scan, and not
+    /// when `count` is 0.
+    Stalls {
+        /// Why the warps were held.
+        kind: StallKind,
+        /// Held warps in the scan.
+        count: u64,
+    },
     /// An instruction with this many unique register sources entered the
     /// collection stage (Fig. 8 histogram).
     SrcRegs(usize),
@@ -320,9 +327,17 @@ mod tests {
         let mut st = SimStats::default();
         let mut p = NullProbe;
         emit(&mut st, &mut p, PipeEvent::BypassedRead);
-        emit(&mut st, &mut p, PipeEvent::Stall(StallKind::Scoreboard));
+        emit(
+            &mut st,
+            &mut p,
+            PipeEvent::Stalls {
+                kind: StallKind::Scoreboard,
+                count: 3,
+            },
+        );
         assert_eq!(st.bypassed_reads, 1);
-        assert_eq!(st.stall_scoreboard, 1);
+        assert_eq!(st.stall_scoreboard, 3);
+        assert_eq!(st.stall_no_collector, 0);
     }
 
     #[test]

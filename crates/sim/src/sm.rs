@@ -240,7 +240,7 @@ mod tests {
     #[test]
     fn all_collectors_produce_identical_memory() {
         let kernel = store_iota();
-        let mut fps = Vec::new();
+        let mut finals = Vec::new();
         for kind in [
             CollectorKind::Baseline,
             CollectorKind::bow(3),
@@ -253,12 +253,11 @@ mod tests {
         ] {
             let mut g = GlobalMemory::new();
             run_kernel(kind, &kernel, &mut g);
-            fps.push(g.fingerprint());
+            finals.push((kind, g));
         }
-        assert!(
-            fps.windows(2).all(|w| w[0] == w[1]),
-            "state diverged: {fps:?}"
-        );
+        for (kind, g) in &finals[1..] {
+            assert!(*g == finals[0].1, "state diverged under {kind:?}");
+        }
     }
 
     #[test]

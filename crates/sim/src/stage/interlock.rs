@@ -16,7 +16,7 @@
 //!   the sidecar run under a conservative one-in-flight interlock, so the
 //!   bits are a timing contract, never a correctness one.
 //!
-//! Both report a blocked warp as `Stall(Scoreboard)`: the control bits
+//! Both report a blocked warp as `StallKind::Scoreboard`: the control bits
 //! play exactly the scoreboard's role, and reusing the counter keeps the
 //! statistics schema frozen.
 //!

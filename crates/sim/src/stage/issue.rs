@@ -2,7 +2,8 @@
 //! ready set, control resolution and barrier release.
 //!
 //! Each scheduler scans its warps up to `issue_per_scheduler` times a
-//! cycle, and a scan charges one `Stall` per held warp. Rather than
+//! cycle, and a scan charges one rejected issue attempt per held warp.
+//! Rather than
 //! re-deriving every warp's standing per scan, the stage keeps each warp's
 //! [`Class`] in a [`ReadySet`] and re-runs [`classify`] only for warps an
 //! event has marked dirty since their scheduler's last scan: the warp's
@@ -32,9 +33,9 @@ pub(super) enum Class {
     Skip,
     /// May issue.
     Ready,
-    /// Held by the interlock (`Stall(Scoreboard)`).
+    /// Held by the interlock (`StallKind::Scoreboard`).
     Scoreboard,
-    /// No collector slot (`Stall(NoCollector)`).
+    /// No collector slot (`StallKind::NoCollector`).
     NoCollector,
 }
 
@@ -207,23 +208,17 @@ impl ReadySet {
         out.extend(self.ready.iter_in(&self.sched[s]));
     }
 
-    /// Charges one scan of scheduler `s`: a `Stall` per held warp, in warp
-    /// order, when a probe listens; the counts straight into the counters
-    /// otherwise.
+    /// Charges one scan of scheduler `s`: a `Stalls` event per stall kind
+    /// that holds a warp, carrying the scheduler's count of such warps.
     fn charge_stalls<P: Probe>(&self, s: usize, stats: &mut SimStats, probe: &mut P) {
-        if P::ACTIVE {
-            for w in self.sched[s].iter() {
-                let kind = match self.class[w] {
-                    Class::Scoreboard => StallKind::Scoreboard,
-                    Class::NoCollector => StallKind::NoCollector,
-                    Class::Skip | Class::Ready => continue,
-                };
-                emit(stats, probe, PipeEvent::Stall(kind));
+        let [scoreboard, no_collector] = self.held[s];
+        for (kind, count) in [
+            (StallKind::Scoreboard, scoreboard),
+            (StallKind::NoCollector, no_collector),
+        ] {
+            if count > 0 {
+                emit(stats, probe, PipeEvent::Stalls { kind, count });
             }
-        } else {
-            let [scoreboard, no_collector] = self.held[s];
-            stats.add_stalls(StallKind::Scoreboard, scoreboard);
-            stats.add_stalls(StallKind::NoCollector, no_collector);
         }
     }
 }

@@ -332,7 +332,7 @@ mod tests {
     #[test]
     fn modern_core_runs_all_collectors_identically() {
         let kernel = store_iota();
-        let mut fps = Vec::new();
+        let mut finals = Vec::new();
         for kind in [
             CollectorKind::Baseline,
             CollectorKind::bow(3),
@@ -344,9 +344,9 @@ mod tests {
             for i in 0..32u64 {
                 assert_eq!(g.read_u32(0x1000 + 4 * i), i as u32, "{kind:?} lane {i}");
             }
-            fps.push(g.fingerprint());
+            finals.push(g);
         }
-        assert!(fps.windows(2).all(|w| w[0] == w[1]));
+        assert!(finals.windows(2).all(|w| w[0] == w[1]));
     }
 
     #[test]
@@ -362,7 +362,7 @@ mod tests {
                 32,
                 &mut g,
             );
-            g.fingerprint()
+            g
         };
         kernel.ctrl = vec![CtrlBits::default(); kernel.insts.len()];
         let mut g = GlobalMemory::new();
@@ -372,7 +372,7 @@ mod tests {
             32,
             &mut g,
         );
-        assert_eq!(g.fingerprint(), plain);
+        assert!(g == plain);
         assert_eq!(st.warp_instructions, 6);
     }
 
@@ -520,11 +520,7 @@ mod tests {
             32,
             &mut g2,
         );
-        assert_eq!(
-            g1.fingerprint(),
-            g2.fingerprint(),
-            "same architectural state"
-        );
+        assert!(g1 == g2, "same architectural state");
         assert!(
             ms.rf.reads < ps.rf.reads,
             "uniform reads must skip banks: {} !< {}",
@@ -565,11 +561,11 @@ mod tests {
         assert!(modern.stall_scoreboard > 0);
     }
 
-    // The ready set's edges. Each case runs under `NullProbe`, where a
-    // scan charges the ready set's stall counts, and under a listening
-    // probe, where it emits one `Stall` per held warp, and the two must
-    // agree; in debug builds every scan of both runs also re-classifies
-    // all of its scheduler's warps and asserts the maintained classes.
+    // The ready set's edges. Each case runs under `NullProbe` and under a
+    // listening probe, the two instantiations of the tick, which must
+    // agree on every counter and on the final memory; in debug builds
+    // every scan of both runs also re-classifies all of its scheduler's
+    // warps and asserts the maintained classes and stall counts.
 
     fn both_cores(kind: CollectorKind) -> [GpuConfig; 2] {
         [GpuConfig::scaled(kind), modern_config(kind)]
@@ -603,8 +599,8 @@ mod tests {
         };
         let (quiet, g) = run(false);
         let (listened, g2) = run(true);
-        assert_eq!(quiet, listened, "stall charging depends on the probe");
-        assert_eq!(g.fingerprint(), g2.fingerprint());
+        assert_eq!(quiet, listened, "the counters depend on the probe");
+        assert!(g == g2);
         (quiet, g)
     }
 

@@ -115,7 +115,14 @@ impl SimStats {
                 }
             }
             PipeEvent::RetiredCompletion { .. } => self.retired_completions += 1,
-            PipeEvent::Stall(kind) => self.add_stalls(kind, 1),
+            PipeEvent::Stalls {
+                kind: StallKind::NoCollector,
+                count,
+            } => self.stall_no_collector += count,
+            PipeEvent::Stalls {
+                kind: StallKind::Scoreboard,
+                count,
+            } => self.stall_scoreboard += count,
             PipeEvent::SrcRegs(n) => self.src_count_hist[n.min(3)] += 1,
             PipeEvent::BypassedRead => self.bypassed_reads += 1,
             PipeEvent::RfcRead => self.rfc_reads += 1,
@@ -134,16 +141,6 @@ impl SimStats {
             | PipeEvent::ExecResult { .. }
             | PipeEvent::CtrlTrace { .. }
             | PipeEvent::MemTrace { .. } => {}
-        }
-    }
-
-    /// Charges `n` rejected issue attempts to `kind`: what `n`
-    /// [`PipeEvent::Stall`] events would count, for an issue scan that
-    /// takes its stall counts from the ready set.
-    pub fn add_stalls(&mut self, kind: StallKind, n: u64) {
-        match kind {
-            StallKind::NoCollector => self.stall_no_collector += n,
-            StallKind::Scoreboard => self.stall_scoreboard += n,
         }
     }
 

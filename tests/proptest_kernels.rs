@@ -11,6 +11,7 @@
 //! property and a failure reproduces from the printed case number alone.
 
 use bow::isa::fuzz::{FuzzKernel, INPUT_BASE, PARAMS};
+use bow::mem::GlobalMemory;
 use bow::prelude::*;
 use bow_util::XorShift;
 
@@ -35,13 +36,13 @@ fn for_each_case(seed: u64, check: impl Fn(&FuzzKernel, &Kernel, &[u32]) -> Resu
     }
 }
 
-fn final_memory(kernel: &Kernel, input: &[u32], kind: CollectorKind) -> u64 {
+fn final_memory(kernel: &Kernel, input: &[u32], kind: CollectorKind) -> GlobalMemory {
     let mut gpu = Gpu::new(GpuConfig::scaled(kind));
     gpu.global_mut()
         .write_slice_u32(u64::from(INPUT_BASE), input);
     let res = gpu.launch(kernel, FuzzKernel::dims(), &PARAMS);
     assert!(res.completed, "watchdog fired");
-    gpu.global().fingerprint()
+    gpu.global().clone()
 }
 
 #[test]
