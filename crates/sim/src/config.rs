@@ -198,7 +198,7 @@ pub enum OracleCheck {
     /// No oracle run (the normal, fast path).
     #[default]
     Off,
-    /// Compare final global-memory fingerprints only. Sound for any
+    /// Compare final global memory only, word for word. Sound for any
     /// kernel whose cross-warp races are value-convergent (every racing
     /// write stores the same value — e.g. level-synchronous BFS marking
     /// a node from several edges).

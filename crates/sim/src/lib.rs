@@ -26,7 +26,7 @@
 //! holds real data, so every run can be checked against a host reference —
 //! and the repository's central invariant, *bypassing never changes
 //! architectural state*, is enforced by tests that compare final memory
-//! fingerprints across all collector models.
+//! across all collector models.
 //!
 //! ## Quick start
 //!
