@@ -874,6 +874,28 @@ mod tests {
     }
 
     #[test]
+    fn live_peak_is_the_largest_b006_pressure_row() {
+        // Both come from one replay (`dataflow::block_max_live`): the
+        // characterization's peak is the pressure table's maximum, on
+        // clean and dirty candidates of every stratum alike.
+        for (si, def) in strata().iter().enumerate() {
+            for attempt in 0..12 {
+                let mut rng = XorShift::new(kernel_seed(DEFAULT_SEED, si, attempt));
+                let fk = FuzzKernel::generate_with(&mut rng, def.budget, &def.params).scrub();
+                let k = fk.build_pruned(def.name);
+                let rows = lint_kernel(&k, &LintOptions::default()).pressure;
+                let max_live = rows.iter().map(|p| p.max_live).max().unwrap_or(0);
+                assert_eq!(
+                    characterize(&k).live_peak as usize,
+                    max_live,
+                    "{} attempt {attempt}",
+                    def.name
+                );
+            }
+        }
+    }
+
+    #[test]
     fn manifest_roundtrips_through_json() {
         let m = generate(3, 9);
         let parsed = Manifest::from_json(&m.to_json()).expect("parses");

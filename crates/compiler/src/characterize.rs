@@ -54,30 +54,13 @@ pub fn characterize(kernel: &Kernel) -> KernelTraits {
     let doms = cfg.dominators();
     let facts = dataflow::may_live(kernel, &cfg);
 
-    // Live peak: replay the block transfer per instruction, exactly like
-    // the B006 pressure report, but take the global maximum.
-    let mut live_peak = 0usize;
-    for (b, block) in cfg.blocks().iter().enumerate() {
-        if !doms.is_reachable(b) {
-            continue;
-        }
-        let mut live = facts.exit[b];
-        live_peak = live_peak.max(live.len());
-        for pc in block.range().rev() {
-            let inst = &kernel.insts[pc];
-            // A guarded def is only a may-def; it does not kill (matches
-            // the may-live transfer function).
-            if inst.guard.is_none() {
-                if let Some(d) = inst.dst_reg() {
-                    live.remove(d);
-                }
-            }
-            for s in inst.src_regs() {
-                live.insert(s);
-            }
-            live_peak = live_peak.max(live.len());
-        }
-    }
+    // Live peak: the B006 pressure replay, maximised over every
+    // reachable block.
+    let live_peak = (0..cfg.len())
+        .filter(|&b| doms.is_reachable(b))
+        .map(|b| dataflow::block_max_live(kernel, &cfg, &facts, b))
+        .max()
+        .unwrap_or(0);
 
     // Reuse distance: linear def→use gaps. Straight-line distance is the
     // quantity the operand window sees for the bypass-eligible reads; a

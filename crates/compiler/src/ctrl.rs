@@ -31,6 +31,7 @@
 //! fixed-latency and covered by the ordinary stall path.
 
 use crate::cfg::Cfg;
+use crate::regset::BarrierGuards;
 use bow_isa::ctrl::{CtrlBits, MAX_STALL, NUM_BARRIERS};
 use bow_isa::{FuClass, Kernel, Opcode};
 
@@ -119,13 +120,13 @@ pub fn emit_ctrl(kernel: &Kernel, lat: &CtrlLatencies) -> Kernel {
     }
 
     for (bi, block) in cfg.blocks().iter().enumerate() {
-        // Per-register facts, indexed by Reg::index(). `ready[r]` is the
+        // Per-register facts. `ready[r]` (indexed by Reg::index()) is the
         // block-local cycle the latest fixed-latency write of r completes;
-        // `wr_bar_of[r]` / `rd_bar_of[r]` the barrier guarding r's pending
+        // `wr_guard` / `rd_guard` the barrier guarding r's pending
         // variable write / pending memory read.
         let mut ready = [0u64; 256];
-        let mut wr_bar_of = [None::<u8>; 256];
-        let mut rd_bar_of = [None::<u8>; 256];
+        let mut wr_guard = BarrierGuards::new();
+        let mut rd_guard = BarrierGuards::new();
         let mut t: u64 = 0; // issue time of the current instruction
         let mut prev: Option<usize> = None;
 
@@ -141,19 +142,17 @@ pub fn emit_ctrl(kernel: &Kernel, lat: &CtrlLatencies) -> Kernel {
             // memory read still needs must wait its read barrier.
             let mut need: u64 = t;
             for s in inst.unique_src_regs() {
-                let i = s.index() as usize;
-                if let Some(b) = wr_bar_of[i] {
+                if let Some(b) = wr_guard.of(s) {
                     wait |= 1 << b;
                 }
-                need = need.max(ready[i]);
+                need = need.max(ready[s.index() as usize]);
             }
             if let Some(d) = inst.dst_reg() {
-                let i = d.index() as usize;
-                if let Some(b) = rd_bar_of[i] {
+                if let Some(b) = rd_guard.of(d) {
                     wait |= 1 << b;
                 }
                 // WAW on a pending variable write: wait for it too.
-                if let Some(b) = wr_bar_of[i] {
+                if let Some(b) = wr_guard.of(d) {
                     wait |= 1 << b;
                 }
             }
@@ -177,39 +176,28 @@ pub fn emit_ctrl(kernel: &Kernel, lat: &CtrlLatencies) -> Kernel {
 
             ctrl[pc].wait_mask |= wait;
             // A satisfied wait clears the guarded facts for later readers.
-            for i in 0..256 {
-                if let Some(b) = wr_bar_of[i] {
-                    if wait & (1 << b) != 0 {
-                        wr_bar_of[i] = None;
-                    }
-                }
-                if let Some(b) = rd_bar_of[i] {
-                    if wait & (1 << b) != 0 {
-                        rd_bar_of[i] = None;
-                    }
-                }
-            }
+            wr_guard.release(wait);
+            rd_guard.release(wait);
 
             // Record this instruction's own production.
             let (bar, allocates) = bar_at[pc];
             if allocates {
                 if let Some(d) = inst.dst_reg() {
                     ctrl[pc].wr_bar = Some(bar);
-                    wr_bar_of[d.index() as usize] = Some(bar);
+                    wr_guard.set(d, Some(bar));
                     ready[d.index() as usize] = 0;
                 } else {
                     // A store: guard its register reads against later
                     // overwrites until operands are dispatched.
                     ctrl[pc].rd_bar = Some(bar);
                     for s in inst.unique_src_regs() {
-                        rd_bar_of[s.index() as usize] = Some(bar);
+                        rd_guard.set(s, Some(bar));
                     }
                 }
             } else if let Some(d) = inst.dst_reg() {
                 if let Some(l) = lat.fixed(inst.op) {
-                    let i = d.index() as usize;
-                    ready[i] = t + u64::from(l);
-                    wr_bar_of[i] = None;
+                    ready[d.index() as usize] = t + u64::from(l);
+                    wr_guard.set(d, None);
                 }
             }
 
@@ -237,7 +225,7 @@ pub fn emit_ctrl(kernel: &Kernel, lat: &CtrlLatencies) -> Kernel {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use bow_isa::{CmpOp, KernelBuilder, Operand, Pred, Reg};
 
@@ -357,6 +345,50 @@ mod tests {
         let out = emit_ctrl(&k, &CtrlLatencies::default());
         assert_eq!(out.ctrl[0], CtrlBits::default());
         assert_eq!(out.ctrl[1], CtrlBits::default());
+    }
+
+    /// Seven loads and a store over six barriers: barrier 0 is handed out
+    /// twice, and `r1` moves from barrier 0 to barrier 5.
+    pub(crate) fn barrier_reuse_kernel() -> Kernel {
+        KernelBuilder::new("reuse")
+            .ldc(r(0), 0)
+            .ldg(r(1), r(0), 0) // 1: bar 0
+            .ldg(r(2), r(0), 4) // 2: bar 1
+            .ldg(r(3), r(0), 8) // 3: bar 2
+            .ldg(r(4), r(0), 12) // 4: bar 3
+            .ldg(r(5), r(0), 16) // 5: bar 4
+            .ldg(r(1), r(0), 20) // 6: bar 5, r1 re-guarded
+            .ldg(r(6), r(0), 24) // 7: bar 0 again
+            .iadd(r(7), r(6).into(), Operand::Imm(1)) // 8: waits bar 0
+            .iadd(r(8), r(1).into(), Operand::Imm(1)) // 9: r1 is under bar 5
+            .stg(r(0), 28, r(2).into()) // 10: read bar 1 over r0 and r2
+            .mov_imm(r(0), 1) // 11: WAR on r0 waits bar 1
+            .mov_imm(r(2), 2) // 12: r2 was released by that wait
+            .exit()
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn reused_barriers_release_exactly_their_registers() {
+        let out = emit_ctrl(&barrier_reuse_kernel(), &CtrlLatencies::default());
+        assert_eq!(out.ctrl[1].wr_bar, Some(0));
+        assert_eq!(out.ctrl[6].wr_bar, Some(5));
+        assert_eq!(out.ctrl[7].wr_bar, Some(0), "barrier 0 is reused");
+        assert_eq!(
+            out.ctrl[6].wait_mask,
+            1 << 0,
+            "WAW on r1 waits its old barrier"
+        );
+        assert_eq!(out.ctrl[8].wait_mask, 1 << 0);
+        // The wait on barrier 0 at #8 must not release r1, which moved to
+        // barrier 5 at #6.
+        assert_eq!(out.ctrl[9].wait_mask, 1 << 5);
+        assert_eq!(out.ctrl[10].rd_bar, Some(1));
+        assert_eq!(out.ctrl[11].wait_mask, 1 << 1);
+        // One wait releases every register under its barrier: r2 needs
+        // no second wait.
+        assert_eq!(out.ctrl[12].wait_mask, 0);
     }
 
     #[test]

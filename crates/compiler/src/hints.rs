@@ -184,12 +184,22 @@ fn expiry_class(
 pub fn classify_kernel(kernel: &Kernel, window: u32) -> Vec<(usize, HintClass)> {
     let cfg = Cfg::build(kernel);
     let lv = Liveness::compute(kernel, &cfg);
+    classify_with(kernel, &cfg, &lv, window)
+}
+
+/// [`classify_kernel`] over analyses the caller already built.
+fn classify_with(
+    kernel: &Kernel,
+    cfg: &Cfg,
+    lv: &Liveness,
+    window: u32,
+) -> Vec<(usize, HintClass)> {
     let w = window as usize;
     kernel
         .iter()
         .filter_map(|(pc, inst)| {
             inst.dst_reg()
-                .map(|d| (pc, classify_write(kernel, &cfg, &lv, pc, d, w)))
+                .map(|d| (pc, classify_write(kernel, cfg, lv, pc, d, w)))
         })
         .collect()
 }
@@ -198,14 +208,14 @@ pub fn classify_kernel(kernel: &Kernel, window: u32) -> Vec<(usize, HintClass)> 
 /// destination's [`WritebackHint`] set for window size `window`, plus the
 /// static [`CompilerReport`].
 pub fn annotate(kernel: &Kernel, window: u32) -> (Kernel, CompilerReport) {
-    let classes = classify_kernel(kernel, window);
+    let cfg = Cfg::build(kernel);
+    let lv = Liveness::compute(kernel, &cfg);
+    let classes = classify_with(kernel, &cfg, &lv, window);
     let mut out = kernel.clone();
     let mut report = CompilerReport::default();
 
     // Track, per register: uses at all, any read-before-write exposure, any
     // non-transient write.
-    let cfg = Cfg::build(kernel);
-    let lv = Liveness::compute(kernel, &cfg);
     let mut written = [false; 256];
     let mut nontransient_write = [false; 256];
     let mut used = [false; 256];

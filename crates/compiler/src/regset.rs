@@ -1,5 +1,8 @@
-//! A dense 256-bit set of architectural registers for dataflow analysis.
+//! A dense 256-bit set of architectural registers for dataflow analysis,
+//! and [`BarrierGuards`], the per-barrier register sets the control-bits
+//! passes track.
 
+use bow_isa::ctrl::NUM_BARRIERS;
 use bow_isa::Reg;
 use std::fmt;
 
@@ -112,6 +115,52 @@ impl FromIterator<Reg> for RegSet {
     }
 }
 
+/// Which registers each dependence barrier guards: a pending variable-
+/// latency write, or a pending memory read of a source operand. A
+/// register sits under at most one barrier at a time, and a wait releases
+/// whole barriers, so one [`RegSet`] per barrier answers both questions
+/// without visiting every register.
+///
+/// Barrier indices must be below [`NUM_BARRIERS`] (what
+/// [`bow_isa::CtrlBits::validate`] accepts).
+#[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
+pub struct BarrierGuards {
+    on: [RegSet; NUM_BARRIERS as usize],
+}
+
+impl BarrierGuards {
+    /// No register guarded.
+    pub fn new() -> BarrierGuards {
+        BarrierGuards::default()
+    }
+
+    /// The barrier guarding `r`, if any.
+    pub fn of(&self, r: Reg) -> Option<u8> {
+        (0..NUM_BARRIERS).find(|&b| self.on[usize::from(b)].contains(r))
+    }
+
+    /// Puts `r` under barrier `bar`, or under none: either way it leaves
+    /// the barrier it was under.
+    pub fn set(&mut self, r: Reg, bar: Option<u8>) {
+        for set in &mut self.on {
+            set.remove(r);
+        }
+        if let Some(b) = bar {
+            self.on[usize::from(b)].insert(r);
+        }
+    }
+
+    /// Releases every register under a barrier in `mask` (bit *i* =
+    /// barrier *i*); registers under other barriers stay guarded.
+    pub fn release(&mut self, mask: u8) {
+        for (b, set) in self.on.iter_mut().enumerate() {
+            if mask & (1 << b) != 0 {
+                *set = RegSet::new();
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,5 +221,36 @@ mod tests {
     fn debug_shows_members() {
         let s: RegSet = [Reg::r(3)].into_iter().collect();
         assert_eq!(format!("{s:?}"), "{Reg(r3)}");
+    }
+
+    #[test]
+    fn set_moves_a_register_off_its_old_barrier() {
+        let mut g = BarrierGuards::new();
+        g.set(Reg::r(4), Some(0));
+        assert_eq!(g.of(Reg::r(4)), Some(0));
+        g.set(Reg::r(4), Some(3));
+        assert_eq!(g.of(Reg::r(4)), Some(3));
+        // Releasing the old barrier no longer touches it.
+        g.release(1 << 0);
+        assert_eq!(g.of(Reg::r(4)), Some(3));
+        g.set(Reg::r(4), None);
+        assert_eq!(g.of(Reg::r(4)), None);
+        assert_eq!(g, BarrierGuards::new());
+    }
+
+    #[test]
+    fn release_clears_only_the_masked_barriers() {
+        let mut g = BarrierGuards::new();
+        g.set(Reg::r(1), Some(0));
+        g.set(Reg::r(200), Some(0));
+        g.set(Reg::r(2), Some(2));
+        g.set(Reg::r(3), Some(5));
+        g.release((1 << 0) | (1 << 5));
+        assert_eq!(g.of(Reg::r(1)), None, "one wait releases every register");
+        assert_eq!(g.of(Reg::r(200)), None);
+        assert_eq!(g.of(Reg::r(3)), None);
+        assert_eq!(g.of(Reg::r(2)), Some(2), "barrier 2 was not waited on");
+        g.release(0);
+        assert_eq!(g.of(Reg::r(2)), Some(2));
     }
 }

@@ -9,12 +9,13 @@
 //! | may-init        | forward   | union     | [`may_init`]               |
 //!
 //! Facts are kept per block boundary; passes that need per-instruction
-//! facts replay the block transfer locally (see `lints.rs`), which keeps
-//! the fixpoint state `O(blocks)` instead of `O(instructions)`.
+//! facts replay the block transfer locally (see `lints.rs`, and
+//! [`block_max_live`] for the register-pressure replay), which keeps the
+//! fixpoint state `O(blocks)` instead of `O(instructions)`.
 
 use crate::cfg::Cfg;
 use crate::regset::RegSet;
-use bow_isa::Kernel;
+use bow_isa::{Instruction, Kernel};
 
 /// Direction a dataflow problem propagates facts in.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -152,21 +153,40 @@ pub fn may_live(kernel: &Kernel, cfg: &Cfg) -> Facts {
         |b, out| {
             let mut live = *out;
             for pc in cfg.blocks()[b].range().rev() {
-                let inst = &kernel.insts[pc];
-                // A guarded def is only a may-def: when the predicate is
-                // false the old value survives, so it must not kill.
-                if inst.guard.is_none() {
-                    if let Some(d) = inst.dst_reg() {
-                        live.remove(d);
-                    }
-                }
-                for s in inst.src_regs() {
-                    live.insert(s);
-                }
+                live_transfer(&mut live, &kernel.insts[pc]);
             }
             live
         },
     )
+}
+
+/// The may-live transfer across one instruction, backwards: `live` holds
+/// the registers live after `inst` and becomes those live before it.
+pub fn live_transfer(live: &mut RegSet, inst: &Instruction) {
+    // A guarded def is only a may-def: when the predicate is false the old
+    // value survives, so it must not kill.
+    if inst.guard.is_none() {
+        if let Some(d) = inst.dst_reg() {
+            live.remove(d);
+        }
+    }
+    for s in inst.src_regs() {
+        live.insert(s);
+    }
+}
+
+/// The most registers simultaneously live at any point of block `b`: the
+/// block's exit fact from [`may_live`] (`live`), replayed backwards one
+/// instruction at a time. The `B006` pressure report tabulates it per
+/// block; `characterize` takes its maximum as the live-register peak.
+pub fn block_max_live(kernel: &Kernel, cfg: &Cfg, live: &Facts, b: usize) -> usize {
+    let mut set = live.exit[b];
+    let mut max = set.len();
+    for pc in cfg.blocks()[b].range().rev() {
+        live_transfer(&mut set, &kernel.insts[pc]);
+        max = max.max(set.len());
+    }
+    max
 }
 
 /// Forward must-init analysis: `entry[b]` is the set of registers written

@@ -36,6 +36,7 @@
 use crate::cfg::Cfg;
 use crate::ctrl::CtrlLatencies;
 use crate::divergence::{check_structure, StructureIssue};
+use crate::regset::BarrierGuards;
 use crate::verify::dataflow;
 use crate::verify::diag::{BlockPressure, Diagnostic, LintReport, Severity};
 use crate::verify::residency::{verify_hints, HintVerdict};
@@ -85,9 +86,10 @@ pub fn lint_kernel(kernel: &Kernel, opts: &LintOptions) -> LintReport {
     uninit_lints(kernel, &cfg, &doms, &mut report);
     barrier_lints(kernel, &cfg, &mut report);
     super::interval::interval_lints(kernel, &cfg, &doms, &mut report);
-    dead_write_lints(kernel, &cfg, &doms, &mut report);
+    let live = dataflow::may_live(kernel, &cfg);
+    dead_write_lints(kernel, &cfg, &doms, &live, &mut report);
     unreachable_lints(&cfg, &doms, &mut report);
-    pressure_report(kernel, &cfg, &doms, &mut report);
+    pressure_report(kernel, &cfg, &doms, &live, &mut report);
     report
 }
 
@@ -131,8 +133,8 @@ fn hint_lints(kernel: &Kernel, window: u32, report: &mut LintReport) {
 fn ctrl_lints(kernel: &Kernel, cfg: &Cfg, lat: &CtrlLatencies, report: &mut LintReport) {
     for block in cfg.blocks() {
         let mut ready = [0u64; 256];
-        let mut wr_bar_of = [None::<u8>; 256];
-        let mut rd_bar_of = [None::<u8>; 256];
+        let mut wr_guard = BarrierGuards::new();
+        let mut rd_guard = BarrierGuards::new();
         let mut t: u64 = 0;
         for pc in block.range() {
             let inst = &kernel.insts[pc];
@@ -140,18 +142,12 @@ fn ctrl_lints(kernel: &Kernel, cfg: &Cfg, lat: &CtrlLatencies, report: &mut Lint
 
             // The wait executes before the operand use: clear what it
             // covers first.
-            for i in 0..256 {
-                if wr_bar_of[i].is_some_and(|b| bits.wait_mask & (1 << b) != 0) {
-                    wr_bar_of[i] = None;
-                }
-                if rd_bar_of[i].is_some_and(|b| bits.wait_mask & (1 << b) != 0) {
-                    rd_bar_of[i] = None;
-                }
-            }
+            wr_guard.release(bits.wait_mask);
+            rd_guard.release(bits.wait_mask);
 
             for s in inst.unique_src_regs() {
                 let i = s.index() as usize;
-                if let Some(b) = wr_bar_of[i] {
+                if let Some(b) = wr_guard.of(s) {
                     report.diagnostics.push(
                         Diagnostic::new(
                             "B013",
@@ -161,7 +157,7 @@ fn ctrl_lints(kernel: &Kernel, cfg: &Cfg, lat: &CtrlLatencies, report: &mut Lint
                         .at(pc)
                         .note("a core trusting the control bits would read a stale value"),
                     );
-                    wr_bar_of[i] = None; // one report per pending fact
+                    wr_guard.set(s, None); // one report per pending fact
                 }
                 if ready[i] > t {
                     report.diagnostics.push(
@@ -180,8 +176,8 @@ fn ctrl_lints(kernel: &Kernel, cfg: &Cfg, lat: &CtrlLatencies, report: &mut Lint
                 }
             }
             if let Some(d) = inst.dst_reg() {
-                let i = d.index() as usize;
-                if let Some(b) = rd_bar_of[i].take() {
+                if let Some(b) = rd_guard.of(d) {
+                    rd_guard.set(d, None);
                     report.diagnostics.push(
                         Diagnostic::new(
                             "B013",
@@ -202,20 +198,18 @@ fn ctrl_lints(kernel: &Kernel, cfg: &Cfg, lat: &CtrlLatencies, report: &mut Lint
                 inst.op.fu_class() == bow_isa::FuClass::Mem && lat.fixed(inst.op).is_none();
             if variable {
                 if let (Some(d), Some(b)) = (inst.dst_reg(), bits.wr_bar) {
-                    let i = d.index() as usize;
-                    wr_bar_of[i] = Some(b);
-                    ready[i] = 0;
+                    wr_guard.set(d, Some(b));
+                    ready[d.index() as usize] = 0;
                 }
                 if let (None, Some(b)) = (inst.dst_reg(), bits.rd_bar) {
                     for s in inst.unique_src_regs() {
-                        rd_bar_of[s.index() as usize] = Some(b);
+                        rd_guard.set(s, Some(b));
                     }
                 }
             } else if let Some(d) = inst.dst_reg() {
                 if let Some(l) = lat.fixed(inst.op) {
-                    let i = d.index() as usize;
-                    ready[i] = t + u64::from(l);
-                    wr_bar_of[i] = None;
+                    ready[d.index() as usize] = t + u64::from(l);
+                    wr_guard.set(d, None);
                 }
             }
             t += u64::from(bits.stall.max(1));
@@ -570,9 +564,9 @@ fn dead_write_lints(
     kernel: &Kernel,
     cfg: &Cfg,
     doms: &crate::cfg::Dominators,
+    facts: &dataflow::Facts,
     report: &mut LintReport,
 ) {
-    let facts = dataflow::may_live(kernel, cfg);
     for (b, block) in cfg.blocks().iter().enumerate() {
         if !doms.is_reachable(b) {
             continue;
@@ -591,16 +585,8 @@ fn dead_write_lints(
                         .at(pc),
                     );
                 }
-                // Mirror the may-live transfer: a guarded def is only a
-                // may-def — the predicate-false lanes keep the old value,
-                // so it must not kill the register upstream.
-                if inst.guard.is_none() {
-                    live.remove(d);
-                }
             }
-            for s in inst.src_regs() {
-                live.insert(s);
-            }
+            dataflow::live_transfer(&mut live, inst);
         }
     }
 }
@@ -629,27 +615,14 @@ fn pressure_report(
     kernel: &Kernel,
     cfg: &Cfg,
     doms: &crate::cfg::Dominators,
+    live: &dataflow::Facts,
     report: &mut LintReport,
 ) {
-    let facts = dataflow::may_live(kernel, cfg);
     for (b, block) in cfg.blocks().iter().enumerate() {
         if !doms.is_reachable(b) {
             continue;
         }
-        let mut live = facts.exit[b];
-        let mut max_live = live.len();
-        for pc in block.range().rev() {
-            let inst = &kernel.insts[pc];
-            if inst.guard.is_none() {
-                if let Some(d) = inst.dst_reg() {
-                    live.remove(d);
-                }
-            }
-            for s in inst.src_regs() {
-                live.insert(s);
-            }
-            max_live = max_live.max(live.len());
-        }
+        let max_live = dataflow::block_max_live(kernel, cfg, live, b);
         let loop_header = block.preds.iter().any(|&p| doms.is_back_edge(p, b));
         report.pressure.push(BlockPressure {
             block: b,
@@ -923,6 +896,51 @@ mod tests {
             "{:?}",
             rep.diagnostics
         );
+    }
+
+    /// The `B013` findings `ctrl_lints` reports, as `(pc, message)`.
+    fn b013(kernel: &Kernel) -> Vec<(Option<usize>, String)> {
+        let mut rep = LintReport::default();
+        ctrl_lints(
+            kernel,
+            &Cfg::build(kernel),
+            &CtrlLatencies::default(),
+            &mut rep,
+        );
+        rep.diagnostics
+            .into_iter()
+            .filter(|d| d.code == "B013")
+            .map(|d| (d.pc, d.message))
+            .collect()
+    }
+
+    #[test]
+    fn b013_tracks_reused_barriers_register_by_register() {
+        let k = crate::ctrl::tests::barrier_reuse_kernel();
+        let emitted = crate::ctrl::emit_ctrl(&k, &CtrlLatencies::default());
+        assert!(b013(&emitted).is_empty());
+
+        // Drop the WAW wait at #6 (the lint does not demand it): r1 moves
+        // from barrier 0 to barrier 5 unreleased. The wait on barrier 0 at
+        // #8 must not release it, so the read at #9 without a wait on
+        // barrier 5 is a finding.
+        let mut moved = emitted.clone();
+        moved.ctrl[6].wait_mask = 0;
+        moved.ctrl[9].wait_mask = 0;
+        assert_eq!(
+            b013(&moved),
+            vec![(
+                Some(9),
+                "r1 is guarded by write barrier 5 but read without a wait".to_string()
+            )]
+        );
+
+        // Without the wait at #11, both registers the store's read barrier
+        // guards are overwritten unprotected; with it (above), neither is.
+        let mut unwaited = emitted;
+        unwaited.ctrl[11].wait_mask = 0;
+        let pcs: Vec<_> = b013(&unwaited).into_iter().map(|(pc, _)| pc).collect();
+        assert_eq!(pcs, vec![Some(11), Some(12)]);
     }
 
     #[test]

@@ -69,6 +69,7 @@
 //! observes as a stale read is reachable here as a counterexample path.
 
 use bow_isa::{Kernel, Opcode, Reg, WritebackHint};
+use bow_util::InlineVec;
 
 /// Cap on the modelled window size: beyond the kernel length every age is
 /// equivalent (nothing can evict), and this bounds the product state space.
@@ -135,23 +136,25 @@ impl HintAudit {
 }
 
 /// Instruction-level successors (the verifier works on instructions, not
-/// blocks, because entry ages advance per instruction).
-fn succs(kernel: &Kernel, pc: usize) -> Vec<usize> {
+/// blocks, because entry ages advance per instruction). At most two: a
+/// guarded branch's target and its fall-through.
+fn succs(kernel: &Kernel, pc: usize) -> InlineVec<usize, 2> {
     let inst = &kernel.insts[pc];
     let n = kernel.insts.len();
+    let mut v = InlineVec::new();
     match inst.op {
-        Opcode::Exit => Vec::new(),
+        Opcode::Exit => {}
         Opcode::Bra => {
             let t = inst.target.expect("validated branch target");
-            let mut v = vec![t];
+            v.push(t);
             if inst.guard.is_some() && pc + 1 < n && pc + 1 != t {
                 v.push(pc + 1);
             }
-            v
         }
-        _ if pc + 1 < n => vec![pc + 1],
-        _ => Vec::new(),
+        _ if pc + 1 < n => v.push(pc + 1),
+        _ => {}
     }
+    v
 }
 
 /// One structured `ssy; bra_if` diamond: fall-through arm `[b+1, t)`,
@@ -242,9 +245,11 @@ fn divergence_geometry(kernel: &Kernel) -> Divergence {
     Divergence { diamonds, edges }
 }
 
-/// Explores the (pc, age, mode) product from the write at `def_pc` and
-/// returns the verdict for a `BocOnly` hint: a breadth-first search for a
-/// read of the value at age ≥ window (shortest counterexample first).
+/// Explores the (pc, age, mode) product from a write and returns the
+/// verdict for a `BocOnly` hint: a breadth-first search for a read of the
+/// value at age ≥ window (shortest counterexample first). One explorer
+/// serves every write of a kernel: each exploration resets only the
+/// states the previous one visited.
 ///
 /// The *mode* component carries the mask-disjointness refinement for
 /// serialized walks: mode `d + 1` means the walk crossed diamond `d`'s
@@ -263,11 +268,19 @@ struct Explorer<'k> {
     diverge: &'k Divergence,
     /// Per diamond: does this exploration's def sit in the taken arm?
     def_in_taken: Vec<bool>,
-    /// Breadth-first parent state per visited state, for path extraction.
+    /// Breadth-first parent state per visited state, for path extraction;
+    /// [`NO_PARENT`] everywhere between explorations.
     parent: Vec<usize>,
+    /// The breadth-first queue, never drained: `queue[head..]` is still to
+    /// visit and the whole of it is every state the exploration reached,
+    /// which is what the next one must reset.
+    queue: Vec<usize>,
 }
 
 const NO_PARENT: usize = usize::MAX;
+
+/// Parent marker of the states one step from the write.
+const ROOT: usize = usize::MAX - 1;
 
 impl<'k> Explorer<'k> {
     fn new(kernel: &'k Kernel, window: usize, diverge: &'k Divergence) -> Explorer<'k> {
@@ -277,8 +290,10 @@ impl<'k> Explorer<'k> {
             kernel,
             window,
             diverge,
-            def_in_taken: Vec::new(),
+            def_in_taken: Vec::with_capacity(diverge.diamonds.len()),
             parent: vec![NO_PARENT; states],
+            // An exploration queues each state at most once.
+            queue: Vec::with_capacity(states),
         }
     }
 
@@ -305,59 +320,75 @@ impl<'k> Explorer<'k> {
         }
     }
 
-    /// All successor (pc, mode) pairs of `pc` in `mode`: CFG edges carry
-    /// the mode per [`Self::carry_mode`]; serialization edges enter the
-    /// disjoint mode when the def lives in that diamond's taken arm.
-    fn succ_states(&self, pc: usize, mode: usize) -> Vec<(usize, usize)> {
-        let mut v: Vec<(usize, usize)> = succs(self.kernel, pc)
-            .into_iter()
-            .map(|s| (s, self.carry_mode(mode, s)))
-            .collect();
-        for e in &self.diverge.edges[pc] {
+    /// Queues every successor (pc, mode) pair of `pc` in `mode` at `age`,
+    /// reached from state `from`, unless an earlier step reached it: CFG
+    /// edges carry the mode per [`Self::carry_mode`]; serialization edges
+    /// enter the disjoint mode when the def lives in that diamond's taken
+    /// arm.
+    fn expand(&mut self, pc: usize, mode: usize, age: usize, from: usize) {
+        let diverge = self.diverge;
+        for s in succs(self.kernel, pc) {
+            self.visit(s, age, self.carry_mode(mode, s), from);
+        }
+        for e in &diverge.edges[pc] {
             let m = if self.def_in_taken[e.did] {
                 e.did + 1
             } else {
                 self.carry_mode(mode, e.to)
             };
-            v.push((e.to, m));
+            self.visit(e.to, age, m, from);
         }
-        v
+    }
+
+    fn visit(&mut self, pc: usize, age: usize, mode: usize, from: usize) {
+        let st = self.state(pc, age, mode);
+        if self.parent[st] == NO_PARENT {
+            self.parent[st] = from;
+            self.queue.push(st);
+        }
     }
 
     /// Reconstructs the instruction path `def_pc .. end_state` from the
     /// breadth-first parent links.
     fn path_to(&self, def_pc: usize, end_state: usize) -> Vec<usize> {
-        let mut path = vec![self.pc_of(end_state)];
-        let mut cur = self.parent[end_state];
-        while cur != NO_PARENT && cur != usize::MAX - 1 {
-            path.push(self.pc_of(cur));
-            cur = self.parent[cur];
-        }
+        let mut path = Vec::with_capacity(self.ancestry(end_state).count() + 1);
+        path.extend(self.ancestry(end_state).map(|st| self.pc_of(st)));
         path.push(def_pc);
         path.reverse();
         path.dedup(); // def and its first successor can share a pc in tight loops
         path
     }
 
+    /// `state` and its breadth-first ancestors, back to the first step
+    /// after the write.
+    fn ancestry(&self, state: usize) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(Some(state), |&st| {
+            Some(self.parent[st]).filter(|&p| p != NO_PARENT && p != ROOT)
+        })
+    }
+
     /// Verdict for a `BocOnly` write of `reg` at `def_pc`.
     fn verify_boc(&mut self, def_pc: usize, reg: Reg) -> HintVerdict {
-        let w = self.window;
-        self.def_in_taken = self
-            .diverge
-            .diamonds
-            .iter()
-            .map(|d| d.in_taken_arm(def_pc))
-            .collect();
-        let mut witnesses: Vec<usize> = Vec::new();
-        let mut queue = std::collections::VecDeque::new();
-        for (s, m) in self.succ_states(def_pc, 0) {
-            let st = self.state(s, 1.min(w), m);
-            if self.parent[st] == NO_PARENT {
-                self.parent[st] = usize::MAX - 1; // root marker
-                queue.push_back(st);
-            }
+        let verdict = self.explore(def_pc, reg);
+        for &st in &self.queue {
+            self.parent[st] = NO_PARENT;
         }
-        while let Some(st) = queue.pop_front() {
+        self.queue.clear();
+        verdict
+    }
+
+    /// The breadth-first search behind [`Self::verify_boc`], from a clean
+    /// parent table.
+    fn explore(&mut self, def_pc: usize, reg: Reg) -> HintVerdict {
+        let w = self.window;
+        self.def_in_taken.clear();
+        self.def_in_taken
+            .extend(self.diverge.diamonds.iter().map(|d| d.in_taken_arm(def_pc)));
+        let mut witnesses: Vec<usize> = Vec::new();
+        self.expand(def_pc, 0, 1.min(w), ROOT);
+        let mut head = 0;
+        while let Some(&st) = self.queue.get(head) {
+            head += 1;
             let pc = self.pc_of(st);
             let age = (st / self.modes()) % (w + 1);
             let mode = st % self.modes();
@@ -392,13 +423,7 @@ impl<'k> Explorer<'k> {
             } else {
                 (age + 1).min(w)
             };
-            for (s, m) in self.succ_states(pc, mode) {
-                let nst = self.state(s, next_age, m);
-                if self.parent[nst] == NO_PARENT {
-                    self.parent[nst] = st;
-                    queue.push_back(nst);
-                }
-            }
+            self.expand(pc, mode, next_age, st);
         }
         witnesses.sort_unstable();
         HintVerdict::Sound { witnesses }
@@ -415,11 +440,16 @@ pub fn verify_hints(kernel: &Kernel, window: usize) -> HintAudit {
         window: w,
         findings: Vec::new(),
     };
+    // Built on the first `BocOnly` write: a kernel without one never pays
+    // for the state table.
+    let mut explorer: Option<Explorer> = None;
     for (pc, inst) in kernel.iter() {
         let Some(reg) = inst.dst_reg() else { continue };
         let verdict = match inst.hint {
             WritebackHint::RfOnly | WritebackHint::Both => HintVerdict::TrivialRf,
-            WritebackHint::BocOnly => Explorer::new(kernel, w, &diverge).verify_boc(pc, reg),
+            WritebackHint::BocOnly => explorer
+                .get_or_insert_with(|| Explorer::new(kernel, w, &diverge))
+                .verify_boc(pc, reg),
         };
         audit.findings.push(HintFinding {
             pc,

@@ -115,32 +115,25 @@ pub fn encode(inst: &Instruction, out: &mut Vec<u32>) -> usize {
     out.push(w0);
 
     // Word 1: source descriptors, 8 bits each: kind(2) + small payload(6)
-    // for regs/preds/specials; immediates take a payload slot.
+    // for regs/preds/specials; immediates take a payload slot. The
+    // payloads follow it, so it is patched once they are out.
+    let w1_at = out.len();
+    out.push(0);
     let mut w1 = 0u32;
-    let mut payloads: Vec<u32> = Vec::new();
     for (i, s) in inst.srcs.iter().enumerate() {
-        let desc = match *s {
-            Operand::Reg(r) => {
-                payloads.push(u32::from(r.index()));
-                0u32
-            }
-            Operand::Imm(v) => {
-                payloads.push(v);
-                1
-            }
-            Operand::Pred(p) => {
-                payloads.push(u32::from(p.index()));
-                2
-            }
-            Operand::Special(sp) => {
-                payloads.push(Special::ALL.iter().position(|&x| x == sp).unwrap() as u32);
-                3
-            }
+        let (desc, payload) = match *s {
+            Operand::Reg(r) => (0u32, u32::from(r.index())),
+            Operand::Imm(v) => (1, v),
+            Operand::Pred(p) => (2, u32::from(p.index())),
+            Operand::Special(sp) => (
+                3,
+                Special::ALL.iter().position(|&x| x == sp).unwrap() as u32,
+            ),
         };
+        out.push(payload);
         w1 |= desc << (i * 2);
     }
-    out.push(w1);
-    out.extend(payloads);
+    out[w1_at] = w1;
     if let Some(m) = inst.mem {
         out.push(u32::from(m.base.index()));
         out.push(m.offset as u32);
@@ -271,12 +264,19 @@ pub const CTRL_MAGIC: u32 = 0x4354_524c;
 /// words, instruction count) followed by the instruction stream and, for
 /// annotated kernels, the [`CTRL_MAGIC`] control-bits sidecar.
 pub fn encode_kernel(kernel: &Kernel) -> Vec<u32> {
-    let mut out = vec![
+    let sidecar = if kernel.ctrl.is_empty() {
+        0
+    } else {
+        1 + kernel.ctrl.len()
+    };
+    let len = 4 + kernel.insts.iter().map(encoded_len).sum::<usize>() + sidecar;
+    let mut out = Vec::with_capacity(len);
+    out.extend([
         u32::from(kernel.num_regs),
         kernel.shared_bytes,
         u32::from(kernel.param_words),
         kernel.insts.len() as u32,
-    ];
+    ]);
     for inst in &kernel.insts {
         encode(inst, &mut out);
     }
@@ -284,7 +284,15 @@ pub fn encode_kernel(kernel: &Kernel) -> Vec<u32> {
         out.push(CTRL_MAGIC);
         out.extend(kernel.ctrl.iter().map(|c| c.pack()));
     }
+    debug_assert_eq!(out.len(), len, "encoded_len agrees with encode");
     out
+}
+
+/// The number of words [`encode`] writes for `inst`: the two fixed words,
+/// one payload per source, base and offset of a memory reference, and a
+/// branch target.
+fn encoded_len(inst: &Instruction) -> usize {
+    2 + inst.srcs.len() + 2 * usize::from(inst.mem.is_some()) + usize::from(inst.target.is_some())
 }
 
 /// Decodes a kernel produced by [`encode_kernel`]. The name is not part of

@@ -372,32 +372,29 @@ impl Opcode {
         })
     }
 
-    /// Every opcode, for exhaustive tests.
-    pub fn all() -> Vec<Opcode> {
-        use Opcode::*;
-        let mut v = vec![
-            IAdd, ISub, IMul, IMad, IMin, IMax, IAbs, ISad, And, Or, Xor, Not, Shl, Shr, Sar, FAdd,
-            FSub, FMul, FFma, FMin, FMax, FRcp, FSqrt, FLog2, FExp2, I2F, F2I, Mov, Sel, S2R, Ldg,
-            Stg, Lds, Sts, Ldc, Bra, Ssy, Sync, Bar, Exit, Nop,
-        ];
-        for c in [
-            CmpOp::Eq,
-            CmpOp::Ne,
-            CmpOp::Lt,
-            CmpOp::Le,
-            CmpOp::Gt,
-            CmpOp::Ge,
-        ] {
-            v.push(ISetp(c));
-            v.push(FSetp(c));
-        }
-        // Appended after the setp block so the binary opcode ids of every
-        // pre-existing opcode (id = position in this list) stay stable.
-        v.push(Bssy);
-        v.push(Bsync);
-        v
+    /// Every opcode, in binary-id order: an opcode's id in the encoding
+    /// ([`crate::encode`]) is its position here.
+    pub fn all() -> &'static [Opcode] {
+        &ALL_OPCODES
     }
 }
+
+/// The opcode id table behind [`Opcode::all`]: the plain opcodes, one
+/// isetp/fsetp pair per comparison, then `bssy`/`bsync` — appended last so
+/// the binary opcode ids of every pre-existing opcode stay stable.
+#[rustfmt::skip]
+static ALL_OPCODES: [Opcode; 55] = {
+    use CmpOp::{Eq, Ge, Gt, Le, Lt, Ne};
+    use Opcode::*;
+    [
+        IAdd, ISub, IMul, IMad, IMin, IMax, IAbs, ISad, And, Or, Xor, Not, Shl, Shr, Sar, FAdd,
+        FSub, FMul, FFma, FMin, FMax, FRcp, FSqrt, FLog2, FExp2, I2F, F2I, Mov, Sel, S2R, Ldg, Stg,
+        Lds, Sts, Ldc, Bra, Ssy, Sync, Bar, Exit, Nop,
+        ISetp(Eq), FSetp(Eq), ISetp(Ne), FSetp(Ne), ISetp(Lt), FSetp(Lt),
+        ISetp(Le), FSetp(Le), ISetp(Gt), FSetp(Gt), ISetp(Ge), FSetp(Ge),
+        Bssy, Bsync,
+    ]
+};
 
 impl fmt::Display for Opcode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -411,7 +408,7 @@ mod tests {
 
     #[test]
     fn mnemonic_roundtrip_for_all_opcodes() {
-        for op in Opcode::all() {
+        for &op in Opcode::all() {
             assert_eq!(
                 Opcode::from_mnemonic(&op.mnemonic()),
                 Some(op),

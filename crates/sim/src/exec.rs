@@ -846,7 +846,8 @@ mod tests {
     /// boundary (global) or anywhere (shared: addresses wrap).
     fn any_instruction(rng: &mut XorShift, warp: &mut Warp) -> Instruction {
         let ops: Vec<Opcode> = Opcode::all()
-            .into_iter()
+            .iter()
+            .copied()
             .filter(|op| !op.is_control())
             .collect();
         let op = *rng.choose(&ops);

@@ -209,9 +209,11 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
 /// One-shot digest rendered as 64 lowercase hex characters — the store
 /// key / fingerprint format.
 pub fn sha256_hex(data: &[u8]) -> String {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     let mut out = String::with_capacity(64);
     for b in sha256(data) {
-        out.push_str(&format!("{b:02x}"));
+        out.push(char::from(HEX[usize::from(b >> 4)]));
+        out.push(char::from(HEX[usize::from(b & 0xf)]));
     }
     out
 }

@@ -54,7 +54,7 @@ for f in target/figures/*.txt target/figures/corpus_*.json; do
 done
 [ "$STALE" = 0 ] || { echo "results/ is stale (or a table is orphaned)"; exit 1; }
 
-echo "==> allocation guard: a warmed-up Sm::tick never touches the heap (release)"
+echo "==> allocation guards: a warmed-up Sm::tick never touches the heap; the static gate allocates per kernel (release)"
 # A counting global allocator around {baseline, bow, bow-wr, rfc} x {pascal,
 # modern} on an ALU-heavy, a memory-heavy and a divergent kernel: zero
 # allocations per tick once the launch is warm, store-buffer commits
@@ -62,6 +62,10 @@ echo "==> allocation guard: a warmed-up Sm::tick never touches the heap (release
 # keeps per-warp-per-scan `Vec`s (EXPERIMENTS.md, "Where a simulated
 # cycle goes") from coming back.
 cargo test --release -q --offline -p bow-sim --test hot_path_allocs
+# The static gate every corpus candidate passes is held to a per-kernel
+# rule: the hint verifier allocates per write, never per explored state,
+# and encode_kernel allocates only its output.
+cargo test --release -q --offline -p bow-compiler --test gate_allocs
 
 # The model matrix every per-axis stage below walks: both SM cores x both
 # divergence models. The value names are the axes' name tables
