@@ -20,12 +20,13 @@
 //!
 //! Determinism contract: [`generate`] is a pure function of
 //! `(seed, count)`. The manifest JSON is byte-identical across runs and
-//! machines — every field is an integer, string or bool, and per-kernel
-//! seeds are derived by position, never by wall clock or thread timing.
+//! machines and at any worker count — every field is an integer, string
+//! or bool, and per-kernel seeds are derived by position, never by wall
+//! clock or thread timing.
 
 use crate::experiment::{Config, ConfigBuilder, GpuModel};
 use crate::fuzz::{judge_case, launch_case};
-use crate::suite::{Suite, SweepResult};
+use crate::suite::{effective_jobs, map_parallel, Suite, SweepResult};
 use bow_compiler::{
     characterize, emit_ctrl, lint_kernel, CtrlLatencies, KernelTraits, LintOptions,
 };
@@ -431,58 +432,131 @@ fn primary_code(report: &bow_compiler::LintReport) -> Option<&'static str> {
 /// Generates the corpus for `(seed, count)`: `count` kernels spread
 /// evenly over the generated strata (lint-dirty candidates are redrawn
 /// and counted in [`Manifest::rejected`]), plus the fixed adversarial
-/// stratum. Pure and deterministic.
+/// stratum. Pure and deterministic; draws candidates on every available
+/// core.
 pub fn generate(seed: u64, count: usize) -> Manifest {
+    generate_on(seed, count, effective_jobs(0))
+}
+
+/// Oversampling bound: a stratum stops after `OVERSAMPLE × target`
+/// attempts, so generation terminates even if a stratum turns hostile
+/// to the lint suite.
+const OVERSAMPLE: u64 = 8;
+
+/// Generation progress of one stratum.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Lane {
+    /// Kernels the stratum must keep.
+    target: usize,
+    /// Kernels kept so far.
+    kept: usize,
+    /// The next attempt index to draw.
+    next: u64,
+    /// Attempts the lint gate rejected.
+    dirty: u64,
+}
+
+/// Plans one round of draws as `(stratum index, attempt)` pairs: for
+/// every unfinished stratum, the next `min(target − kept, cap − next)`
+/// attempts. These are exactly the attempts a serial draw-until-full
+/// loop would still make if every one of them came back clean, so no
+/// planned draw is ever wasted and none is made twice.
+fn plan_round(lanes: &[Lane]) -> Vec<(usize, u64)> {
+    lanes
+        .iter()
+        .enumerate()
+        .flat_map(|(si, lane)| {
+            let cap = lane.target as u64 * OVERSAMPLE;
+            let n = ((lane.target - lane.kept) as u64).min(cap.saturating_sub(lane.next));
+            (lane.next..lane.next + n).map(move |attempt| (si, attempt))
+        })
+        .collect()
+}
+
+/// Draws one candidate: generate → scrub → prune → the static gate.
+/// `None` when the gate rejects it; otherwise its manifest row (`id` is
+/// assigned once the whole manifest is in order).
+fn draw(seed: u64, si: usize, def: &StratumDef, attempt: u64) -> Option<ManifestEntry> {
+    let kseed = kernel_seed(seed, si, attempt);
+    let mut rng = XorShift::new(kseed);
+    let fk = FuzzKernel::generate_with(&mut rng, def.budget, &def.params).scrub();
+    let name = format!("corpus_{}_{:016x}", def.name, kseed);
+    let kernel = fk.build_pruned(&name);
+    if lint_gate(&kernel).is_some() {
+        return None;
+    }
+    Some(ManifestEntry {
+        id: 0,
+        stratum: def.name.to_string(),
+        name,
+        seed: kseed,
+        budget: def.budget as u64,
+        traits: characterize(&kernel),
+        fingerprint: fingerprint(&kernel),
+        retained: true,
+        reject: None,
+    })
+}
+
+/// [`generate`] on `workers` threads. The generated strata are drawn in
+/// rounds ([`plan_round`]), each round one [`map_parallel`] call whose
+/// results are folded back in attempt order, so the manifest is the one
+/// a serial loop produces at any worker count.
+fn generate_on(seed: u64, count: usize, workers: usize) -> Manifest {
     let defs = strata();
     let per = count / defs.len();
     let extra = count % defs.len();
-    let mut entries = Vec::with_capacity(count + adversarial::all().len());
-    let mut rejected = Vec::new();
-    let mut id = 0u64;
-    for (si, def) in defs.iter().enumerate() {
-        let target = per + usize::from(si < extra);
-        let mut kept = 0usize;
-        let mut attempt = 0u64;
-        let mut dirty = 0u64;
-        // 8× oversampling bound: generation must terminate even if a
-        // stratum turns hostile to the lint suite.
-        while kept < target && attempt < (target as u64) * 8 {
-            let kseed = kernel_seed(seed, si, attempt);
-            attempt += 1;
-            let mut rng = XorShift::new(kseed);
-            let fk = FuzzKernel::generate_with(&mut rng, def.budget, &def.params).scrub();
-            let name = format!("corpus_{}_{:016x}", def.name, kseed);
-            let kernel = fk.build_pruned(&name);
-            if let Some(code) = lint_gate(&kernel) {
-                let _ = code;
-                dirty += 1;
-                continue;
-            }
-            entries.push(ManifestEntry {
-                id,
-                stratum: def.name.to_string(),
-                name,
-                seed: kseed,
-                budget: def.budget as u64,
-                traits: characterize(&kernel),
-                fingerprint: fingerprint(&kernel),
-                retained: true,
-                reject: None,
-            });
-            id += 1;
-            kept += 1;
+    let mut lanes: Vec<Lane> = (0..defs.len())
+        .map(|si| Lane {
+            target: per + usize::from(si < extra),
+            ..Lane::default()
+        })
+        .collect();
+    let mut kept: Vec<Vec<ManifestEntry>> = lanes
+        .iter()
+        .map(|lane| Vec::with_capacity(lane.target))
+        .collect();
+    loop {
+        let tasks = plan_round(&lanes);
+        if tasks.is_empty() {
+            break;
         }
-        rejected.push((def.name.to_string(), dirty));
+        let run = |t: usize| {
+            let (si, attempt) = tasks[t];
+            draw(seed, si, &defs[si], attempt)
+        };
+        let drawn = map_parallel(tasks.len(), workers, &run, |_, _| {});
+        for (&(si, _), entry) in tasks.iter().zip(drawn) {
+            let lane = &mut lanes[si];
+            lane.next += 1;
+            match entry {
+                Some(entry) => {
+                    kept[si].push(entry);
+                    lane.kept += 1;
+                }
+                None => lane.dirty += 1,
+            }
+        }
     }
+    let adversaries = adversarial::all();
+    let mut entries = Vec::with_capacity(count + adversaries.len());
+    for drawn in kept {
+        entries.extend(drawn);
+    }
+    let mut rejected: Vec<(String, u64)> = defs
+        .iter()
+        .zip(&lanes)
+        .map(|(def, lane)| (def.name.to_string(), lane.dirty))
+        .collect();
     let mut adv_dirty = 0u64;
-    for adv in adversarial::all() {
+    for adv in adversaries {
         let kernel = (adv.build)();
         let code = lint_as_authored(&kernel);
         if code.is_some() {
             adv_dirty += 1;
         }
         entries.push(ManifestEntry {
-            id,
+            id: 0,
             stratum: adversarial::STRATUM.to_string(),
             name: adv.name.to_string(),
             seed: 0,
@@ -492,9 +566,11 @@ pub fn generate(seed: u64, count: usize) -> Manifest {
             retained: code.is_none(),
             reject: code.map(str::to_string),
         });
-        id += 1;
     }
     rejected.push((adversarial::STRATUM.to_string(), adv_dirty));
+    for (id, entry) in entries.iter_mut().enumerate() {
+        entry.id = id as u64;
+    }
     Manifest {
         seed,
         count: count as u64,
@@ -855,6 +931,69 @@ mod tests {
             );
         }
         assert!(a.entries.iter().any(|e| e.stratum == adversarial::STRATUM));
+    }
+
+    #[test]
+    fn manifest_is_the_same_at_any_worker_count() {
+        // At 4 kernels five of the nine strata have a target of 0.
+        for count in [4, 90] {
+            let serial = generate_on(DEFAULT_SEED, count, 1);
+            for workers in [2, 3, 11] {
+                assert_eq!(
+                    generate_on(DEFAULT_SEED, count, workers),
+                    serial,
+                    "{count} kernels on {workers} workers"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn round_planner_never_plans_past_the_oversampling_cap() {
+        // Three kernels are missing but only two attempts remain.
+        let lane = Lane {
+            target: 4,
+            kept: 1,
+            next: 30,
+            dirty: 29,
+        };
+        assert_eq!(plan_round(&[lane]), [(0, 30), (0, 31)]);
+        // At the cap nothing more is drawn, full or not.
+        assert!(plan_round(&[Lane { next: 32, ..lane }]).is_empty());
+    }
+
+    #[test]
+    fn round_planner_plans_exactly_the_missing_kernels_below_the_cap() {
+        let lanes = [
+            Lane {
+                target: 5,
+                kept: 2,
+                next: 7,
+                dirty: 5,
+            },
+            Lane {
+                target: 3,
+                ..Lane::default()
+            },
+        ];
+        assert_eq!(
+            plan_round(&lanes),
+            [(0, 7), (0, 8), (0, 9), (1, 0), (1, 1), (1, 2)]
+        );
+    }
+
+    #[test]
+    fn round_planner_plans_nothing_once_every_stratum_is_full() {
+        let lanes = [
+            Lane {
+                target: 5,
+                kept: 5,
+                next: 9,
+                dirty: 4,
+            },
+            Lane::default(),
+        ];
+        assert!(plan_round(&lanes).is_empty());
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! to the same event stream ([`bow_sim::GpuConfig::oracle_check`]), and
 //! the launch reports both; the reference reads the memory it left.
 //!
-//! Cases fan out over the same work-stealing pool as the experiment
+//! Cases fan out over the same thread pool as the experiment
 //! sweeps ([`crate::suite`]); a failing cell shrinks to a minimal
 //! statement tree, is written as a runnable `.asm` repro file and becomes
 //! one [`Finding`] of the session's [`Verdict`].

@@ -3,9 +3,10 @@
 //! Every figure and table in the paper is a (benchmark × configuration)
 //! matrix: 15 workloads each simulated under a handful of GPU configs.
 //! The cells are completely independent timing simulations, so this
-//! module runs them concurrently on a std-only work-stealing thread pool
-//! while keeping the *results* in deterministic matrix order — a sweep at
-//! `--jobs 8` produces cell-for-cell identical [`RunRecord`]s (and
+//! module runs them concurrently on a std-only thread pool (the calling
+//! thread plus scoped helpers, claiming cells from one shared counter)
+//! while keeping the *results* in deterministic matrix order — a sweep
+//! at `--jobs 8` produces cell-for-cell identical [`RunRecord`]s (and
 //! byte-identical rendered tables) to `--jobs 1`.
 //!
 //! ```no_run
@@ -31,10 +32,9 @@
 //! instead of re-running the passes for every cell.
 
 use std::collections::HashMap;
-use std::collections::VecDeque;
 use std::io::IsTerminal;
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::experiment::{prepare_kernel, run_prepared, CompilePlan, Config, RunRecord};
@@ -153,8 +153,6 @@ impl Suite {
         }
 
         let workers = effective_jobs(jobs).min(total.max(1));
-        let mut slots: Vec<Option<(RunRecord, Duration)>> = Vec::new();
-        slots.resize_with(total, || None);
 
         let run_cell = |cell: usize| -> (RunRecord, Duration) {
             let (ci, bi) = cells[cell];
@@ -175,14 +173,9 @@ impl Suite {
             }
         };
 
-        for (cell, result) in map_parallel(total, workers, &run_cell, |done, (rec, wall)| {
+        let results = map_parallel(total, workers, &run_cell, |done, (rec, wall)| {
             report(done, rec, *wall);
-        })
-        .into_iter()
-        .enumerate()
-        {
-            slots[cell] = Some(result);
-        }
+        });
 
         let mut rows: Vec<ConfigRow> = configs
             .iter()
@@ -192,8 +185,7 @@ impl Suite {
                 wall: Vec::with_capacity(n_benches),
             })
             .collect();
-        for (cell, slot) in slots.into_iter().enumerate() {
-            let (rec, wall) = slot.expect("every sweep cell completes");
+        for (cell, (rec, wall)) in results.into_iter().enumerate() {
             let row = &mut rows[cells[cell].0];
             row.records.push(rec);
             row.wall.push(wall);
@@ -206,64 +198,58 @@ impl Suite {
     }
 }
 
-/// Runs `run(0..total)` across `workers` threads on the work-stealing
-/// pool and returns the results in index order, regardless of worker
-/// count or completion order. `report` fires once per completed task (in
-/// completion order, 1-based) — the progress hook.
+/// Runs `run(0..total)` on the calling thread plus up to `workers - 1`
+/// scoped helpers and returns the results in index order, regardless of
+/// worker count or completion order. `report` fires once per completed
+/// task (in completion order, 1-based) — the progress hook.
 ///
-/// Each worker owns a deque seeded round-robin; it pops its own work from
-/// the front and steals from the back of the busiest neighbour when
-/// empty. The task set is fixed up-front, so a worker that finds every
-/// deque empty can retire. Results flow back over a channel tagged with
-/// their task index and are reassembled positionally.
-pub(crate) fn map_parallel<T, F, R>(total: usize, workers: usize, run: &F, mut report: R) -> Vec<T>
+/// Every thread claims the next unclaimed index from one shared counter,
+/// so tasks start in index order and a thread that finishes early simply
+/// claims more. Each thread keeps its own `(index, result)` list; the
+/// lists are merged by index once all threads are done. A panicking task
+/// propagates out of this call with its own payload.
+pub(crate) fn map_parallel<T, F, R>(total: usize, workers: usize, run: &F, report: R) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
-    R: FnMut(usize, &T),
+    R: FnMut(usize, &T) + Send,
 {
-    if workers <= 1 {
-        return (0..total)
-            .map(|i| {
-                let r = run(i);
-                report(i + 1, &r);
-                r
-            })
-            .collect();
-    }
-    let mut slots: Vec<Option<T>> = Vec::new();
-    slots.resize_with(total, || None);
-    let queues: Vec<Mutex<VecDeque<usize>>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    for task in 0..total {
-        queues[task % workers].lock().unwrap().push_back(task);
-    }
-    let (tx, rx) = mpsc::channel::<(usize, T)>();
-    std::thread::scope(|scope| {
-        for me in 0..workers {
-            let tx = tx.clone();
-            let queues = &queues;
-            scope.spawn(move || {
-                while let Some(task) = next_task(queues, me) {
-                    let r = run(task);
-                    // The receiver outlives the scope; a send only fails
-                    // if the main thread already panicked.
-                    if tx.send((task, r)).is_err() {
-                        return;
-                    }
-                }
-            });
+    let next = AtomicUsize::new(0);
+    let progress = Mutex::new((0usize, report));
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            // Relaxed: the counter only hands out indices; results travel
+            // back through the joins.
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= total {
+                return done;
+            }
+            let r = run(i);
+            // The count is bumped before `report` runs, so a panicking
+            // report leaves the pair valid; recovering the guard lets
+            // that panic, not a poison error, reach the caller.
+            let mut guard = progress.lock().unwrap_or_else(PoisonError::into_inner);
+            let (count, report) = &mut *guard;
+            *count += 1;
+            report(*count, &r);
+            drop(guard);
+            done.push((i, r));
         }
-        drop(tx);
-        for (done, (task, r)) in rx.iter().enumerate() {
-            report(done + 1, &r);
-            slots[task] = Some(r);
+    };
+    let mut results = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers.min(total)).map(|_| scope.spawn(work)).collect();
+        let mut results = work();
+        for helper in helpers {
+            match helper.join() {
+                Ok(list) => results.extend(list),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
         }
+        results
     });
-    slots
-        .into_iter()
-        .map(|s| s.expect("every pool task completes"))
-        .collect()
+    results.sort_unstable_by_key(|&(i, _)| i);
+    results.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Resolves a jobs request: `0` means all available cores.
@@ -273,19 +259,6 @@ pub(crate) fn effective_jobs(jobs: usize) -> usize {
     } else {
         std::thread::available_parallelism().map_or(1, |n| n.get())
     }
-}
-
-/// Pops the next task: own queue front first, then the longest other
-/// queue's back. Returns `None` when every queue is empty — tasks are
-/// only enqueued before the pool starts, so empty-everywhere is final.
-fn next_task(queues: &[Mutex<VecDeque<usize>>], me: usize) -> Option<usize> {
-    if let Some(cell) = queues[me].lock().unwrap().pop_front() {
-        return Some(cell);
-    }
-    let victim = (0..queues.len())
-        .filter(|&v| v != me)
-        .max_by_key(|&v| queues[v].lock().unwrap().len())?;
-    queues[victim].lock().unwrap().pop_back()
 }
 
 /// One configuration's row of a completed sweep: records (and per-cell
@@ -488,6 +461,91 @@ mod tests {
             ConfigBuilder::bow(3).build(),
             ConfigBuilder::bow_wr(3).build(),
         ]
+    }
+
+    /// Serial, two workers, an odd count, and more workers than tasks.
+    const POOL_WORKERS: [usize; 4] = [1, 2, 3, 8];
+
+    #[test]
+    fn pool_returns_results_in_index_order() {
+        for workers in POOL_WORKERS {
+            for total in [0, 5] {
+                let out = map_parallel(total, workers, &|i| i * 10, |_, _: &usize| {});
+                let want: Vec<usize> = (0..total).map(|i| i * 10).collect();
+                assert_eq!(out, want, "{workers} workers, {total} tasks");
+            }
+        }
+    }
+
+    #[test]
+    fn pool_reports_every_task_once_counting_up() {
+        for workers in POOL_WORKERS {
+            for total in [0, 5] {
+                let mut seen = Vec::new();
+                let _ = map_parallel(total, workers, &|i| i, |done, _: &usize| seen.push(done));
+                let want: Vec<usize> = (1..=total).collect();
+                assert_eq!(seen, want, "{workers} workers, {total} tasks");
+            }
+        }
+    }
+
+    #[test]
+    fn pool_results_do_not_depend_on_completion_order() {
+        // Seeded, uneven amounts of work per task.
+        let mut rng = bow_util::XorShift::new(0x5eed);
+        let cost: Vec<u64> = (0..5).map(|_| rng.below(20_000)).collect();
+        let work = |i: usize| (i, (0..cost[i]).fold(i as u64, |h, k| h.rotate_left(5) ^ k));
+        let serial = map_parallel(cost.len(), 1, &work, |_, _: &(usize, u64)| {});
+        for workers in [2, 3, 8] {
+            // Task 0 waits until every other task has been reported, so it
+            // is forced to complete last.
+            let others_done = (Mutex::new(false), std::sync::Condvar::new());
+            let (flag, signal) = &others_done;
+            let task = |i: usize| {
+                if i == 0 {
+                    let mut done = flag.lock().expect("no thread panics holding it");
+                    while !*done {
+                        done = signal.wait(done).expect("no thread panics holding it");
+                    }
+                }
+                work(i)
+            };
+            let mut completed = Vec::new();
+            let out = map_parallel(cost.len(), workers, &task, |done, &(i, _)| {
+                completed.push(i);
+                if done == cost.len() - 1 {
+                    *flag.lock().expect("no thread panics holding it") = true;
+                    signal.notify_all();
+                }
+            });
+            assert_eq!(out, serial, "{workers} workers");
+            assert_eq!(completed.last(), Some(&0), "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn pool_propagates_a_task_panic() {
+        for workers in POOL_WORKERS {
+            let caught = std::panic::catch_unwind(|| {
+                map_parallel(
+                    5,
+                    workers,
+                    &|i| {
+                        if i == 3 {
+                            panic!("task 3 failed");
+                        }
+                        i
+                    },
+                    |_, _: &usize| {},
+                )
+            });
+            let payload = caught.expect_err("the task's panic propagates");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"task 3 failed"),
+                "{workers} workers"
+            );
+        }
     }
 
     #[test]

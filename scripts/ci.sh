@@ -66,6 +66,10 @@ cargo test --release -q --offline -p bow-sim --test hot_path_allocs
 # rule: the hint verifier allocates per write, never per explored state,
 # and encode_kernel allocates only its output.
 cargo test --release -q --offline -p bow-compiler --test gate_allocs
+# Corpus generation draws candidates on every core: whole 1000-kernel
+# manifests (seeds 1, 2, 3 and the default) must still hash to their
+# pinned digests in release, where the threads really overlap.
+cargo test --release -q --offline -p bow --test corpus_digest
 
 # The model matrix every per-axis stage below walks: both SM cores x both
 # divergence models. The value names are the axes' name tables
