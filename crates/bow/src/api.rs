@@ -20,12 +20,15 @@
 //!   ([`bow_isa::encode_kernel`]), so formatting/comment differences in
 //!   the assembly text do not defeat the cache;
 //! * `schema_version` is hashed in, so a schema bump invalidates every
-//!   old key instead of serving stale-layout documents.
+//!   old key instead of serving stale-layout documents;
+//! * [`MODEL_REVISION`] is hashed in, so a deliberate change of simulated
+//!   results invalidates every old key instead of serving old-model
+//!   results.
 
 use crate::error::BowError;
 use crate::experiment::{
     benchmark, run, Collector, CompilePlan, Config, ConfigBuilder, GpuModel, RunRecord,
-    SCHEMA_VERSION,
+    MODEL_REVISION, SCHEMA_VERSION,
 };
 use crate::suite::{Suite, SweepResult};
 use crate::verdict::Verdict;
@@ -448,6 +451,7 @@ impl RunRequest {
     pub fn canonical_json(&self) -> Json {
         Json::obj([
             ("schema_version", Json::from(SCHEMA_VERSION)),
+            ("model_revision", Json::from(MODEL_REVISION)),
             ("kernel", canonical_kernel_json(&self.kernel)),
             ("config", canonical_config_json(&self.config)),
         ])
@@ -562,6 +566,7 @@ impl SweepRequest {
     pub fn canonical_json(&self) -> Json {
         Json::obj([
             ("schema_version", Json::from(SCHEMA_VERSION)),
+            ("model_revision", Json::from(MODEL_REVISION)),
             (
                 "sweep",
                 Json::obj([
@@ -631,6 +636,18 @@ mod tests {
         let f = r.fingerprint();
         assert_eq!(f.len(), 64);
         assert!(f.chars().all(|c| c.is_ascii_hexdigit()));
+    }
+
+    /// The default request's key, pinned: a change of the canonical form,
+    /// [`SCHEMA_VERSION`] or [`MODEL_REVISION`] moves it, and must be
+    /// deliberate (docs/API.md lists every one-time key change).
+    #[test]
+    fn default_request_fingerprint_is_pinned() {
+        let r = req(r#"{"kernel": {"workload": "vectoradd"}}"#).unwrap();
+        assert_eq!(
+            r.fingerprint(),
+            "d4038b689bc6a9aa02518ee9133cfb1ca3e90f55f9e1fc9b3c3d56eb2e592d03"
+        );
     }
 
     #[test]

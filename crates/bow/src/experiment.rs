@@ -28,6 +28,14 @@ use bow_workloads::{Benchmark, RunOutcome, Scale};
 /// `schema_v1` golden snapshot.
 pub const SCHEMA_VERSION: u64 = 1;
 
+/// Revision of the simulated model, hashed into every request fingerprint
+/// (`api`'s `canonical_json`) so that a result store never serves a result
+/// the current model would not produce. Bump on any deliberate change of
+/// simulated results.
+///
+/// Revision 1: a global store lands in device memory when it executes.
+pub const MODEL_REVISION: u64 = 1;
+
 /// Which operand-collection design a configuration simulates — the
 /// coarse axis of [`ConfigBuilder`]; the window/half-size/capacity
 /// details are separate knobs.

@@ -6,20 +6,20 @@ use std::hash::{BuildHasherDefault, Hasher};
 const PAGE_BYTES: usize = 64 * 1024;
 const PAGE_WORDS: usize = PAGE_BYTES / 4;
 
-/// A fast, non-cryptographic hasher for `u64` keys (page and word
-/// indices): the multiply-rotate mix of rustc's own hash maps. Both maps on
-/// the path of every global access, the page table and the store buffer's
-/// overlay, use it; `DefaultHasher`'s SipHash latency would dominate them.
+/// A fast, non-cryptographic hasher for `u64` page indices: the
+/// multiply-rotate mix of rustc's own hash maps. The page table is on the
+/// path of every global access; `DefaultHasher`'s SipHash latency would
+/// dominate it.
 ///
 /// The keys come from kernel addresses, so a crafted kernel chooses them.
-/// For the page map that is bounded: a lane address is a 32-bit register
+/// That is bounded: a lane address is a 32-bit register
 /// plus a signed 32-bit offset, which reaches under 2^18 pages, and two
 /// keys share a table's bucket bits only when they differ by a multiple of
 /// the table size. A table of `n` pages thus holds about 2^18 / `n` keys
 /// per bucket chain, a few hundred at worst, each a 64 KiB page the kernel
 /// had to touch.
 #[derive(Default)]
-pub(crate) struct IndexHasher(u64);
+struct IndexHasher(u64);
 
 impl Hasher for IndexHasher {
     #[inline]
@@ -41,8 +41,8 @@ impl Hasher for IndexHasher {
     }
 }
 
-/// A map keyed by a page or word index, hashed by [`IndexHasher`].
-pub(crate) type IndexMap<V> = HashMap<u64, V, BuildHasherDefault<IndexHasher>>;
+/// A map keyed by a page index, hashed by [`IndexHasher`].
+type IndexMap<V> = HashMap<u64, V, BuildHasherDefault<IndexHasher>>;
 
 /// The GPU's global address space.
 ///

@@ -12,10 +12,7 @@
 //! * [`mod@coalesce`] — the access coalescer that folds a warp's 32 addresses
 //!   into 128-byte memory transactions;
 //! * [`MemSystem`] — the timing hierarchy (L1 → L2 → DRAM) that converts a
-//!   warp access into a completion cycle plus statistics;
-//! * [`StoreBuffer`] — where an SM's global stores wait until the device
-//!   loop commits them: a per-SM read-your-writes overlay ([`SmView`]) and
-//!   one journal applied in execution order.
+//!   warp access into a completion cycle plus statistics.
 //!
 //! Data and timing are deliberately separate: functional state always lives
 //! in [`GlobalMemory`]/[`SharedMemory`] (so results are exact and easily
@@ -25,12 +22,10 @@ pub mod cache;
 pub mod coalesce;
 pub mod global;
 pub mod hierarchy;
-pub mod interconnect;
 pub mod shared;
 
 pub use cache::{Cache, CacheConfig, CacheStats};
 pub use coalesce::{coalesce, Transaction, Transactions, SEGMENT_BYTES};
 pub use global::GlobalMemory;
 pub use hierarchy::{AccessKind, MemConfig, MemStats, MemSystem};
-pub use interconnect::{GlobalAccess, SmView, StoreBuffer};
 pub use shared::{bank_conflict_degree, SharedMemory, SMEM_BANKS};

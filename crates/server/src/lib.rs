@@ -3,8 +3,8 @@
 //! A persistent HTTP/JSON front end over the BOW experiment driver.
 //! Clients submit runs and sweeps as versioned JSON documents; the
 //! server keys every request by its content-addressed fingerprint
-//! (`sha256(canonical kernel + config + schema_version)`, see
-//! [`bow::api`]) and consults a persistent [`store`] before simulating —
+//! (`sha256(canonical kernel + config + schema_version + model_revision)`,
+//! see [`bow::api`]) and consults a persistent [`store`] before simulating —
 //! identical resubmissions are answered from cache without touching the
 //! simulator, which is sound because the engine is deterministic: a
 //! (kernel, config) pair has exactly one result.

@@ -8,7 +8,7 @@
 
 use crate::warp::{lanes_in, Lanes, Split, StackEntry, StackKind, Warp};
 use bow_isa::{Instruction, Opcode, Operand, Special, NUM_CBARS, WARP_SIZE};
-use bow_mem::{GlobalAccess, GlobalMemory, SharedMemory};
+use bow_mem::{GlobalMemory, SharedMemory};
 use std::array::from_fn as lanes;
 
 /// Geometry context a warp needs to evaluate special registers.
@@ -24,12 +24,11 @@ pub struct BlockInfo {
 
 /// Everything [`execute_data`] may touch besides the warp itself.
 ///
-/// Generic over the device-memory view: the SM pipeline passes its
-/// [`SmView`](bow_mem::SmView) of the store buffer, the architectural
-/// oracle the bare [`GlobalMemory`].
-pub struct ExecCtx<'a, G: GlobalAccess = GlobalMemory> {
+/// The SM pipeline and the architectural oracle both pass the device's
+/// one [`GlobalMemory`]: a global store lands when it executes.
+pub struct ExecCtx<'a> {
     /// Device global memory.
-    pub global: &'a mut G,
+    pub global: &'a mut GlobalMemory,
     /// The warp's block's shared memory.
     pub shared: &'a mut SharedMemory,
     /// Kernel parameters (`ldc` source).
@@ -139,11 +138,11 @@ pub(crate) fn operand_lanes(warp: &Warp, op: Operand, block: &BlockInfo) -> Lane
 ///
 /// Panics if called with a control opcode — those go through
 /// [`execute_control`] at issue.
-pub fn execute_data<G: GlobalAccess>(
+pub fn execute_data(
     warp: &mut Warp,
     inst: &Instruction,
     mask: u32,
-    ctx: &mut ExecCtx<'_, G>,
+    ctx: &mut ExecCtx<'_>,
 ) -> Option<MemAccess> {
     use Opcode::*;
     assert!(
@@ -230,11 +229,11 @@ pub fn execute_data<G: GlobalAccess>(
     None
 }
 
-fn execute_memory<G: GlobalAccess>(
+fn execute_memory(
     warp: &mut Warp,
     inst: &Instruction,
     mask: u32,
-    ctx: &mut ExecCtx<'_, G>,
+    ctx: &mut ExecCtx<'_>,
 ) -> MemAccess {
     use Opcode::*;
     let mem = inst.mem.expect("validated memory op has a MemRef");

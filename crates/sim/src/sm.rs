@@ -17,7 +17,7 @@ use crate::stage::{BlockCtx, Pipeline, SmCtx};
 use crate::stats::SimStats;
 use crate::warp::Warp;
 use bow_isa::{Kernel, WARP_SIZE};
-use bow_mem::{MemSystem, SharedMemory, SmView};
+use bow_mem::{GlobalMemory, MemSystem, SharedMemory};
 
 /// One streaming multiprocessor.
 pub struct Sm {
@@ -159,12 +159,12 @@ impl Sm {
 
     /// Advances the SM by one cycle, emitting all pipeline events to
     /// `probe` (statistics accumulate regardless of the probe). `kernel`
-    /// is the launch's kernel, decoded once for all SMs; `global` is this
-    /// SM's view of device memory through the launch's store buffer.
+    /// is the launch's kernel, decoded once for all SMs; `global` is
+    /// device memory, which a global store writes when it executes.
     pub fn tick<P: Probe>(
         &mut self,
         kernel: &DecodedKernel<'_>,
-        global: &mut SmView<'_>,
+        global: &mut GlobalMemory,
         probe: &mut P,
     ) {
         let ctx = &mut self.ctx;
@@ -173,23 +173,20 @@ impl Sm {
         self.pipeline.tick(ctx, kernel, global, probe);
     }
 
-    /// Ticks the SM until it goes idle, as a one-SM device would: through
-    /// a store buffer committed to `global` at the end.
+    /// Ticks the SM until it goes idle, as a one-SM device would.
     #[cfg(test)]
     pub(crate) fn run_to_idle<P: Probe>(
         &mut self,
         kernel: &DecodedKernel<'_>,
-        global: &mut bow_mem::GlobalMemory,
+        global: &mut GlobalMemory,
         probe: &mut P,
     ) {
-        let mut stores = bow_mem::StoreBuffer::new(1);
         let mut guard = 0;
         while self.busy() {
-            self.tick(kernel, &mut stores.view(0, global), probe);
+            self.tick(kernel, global, probe);
             guard += 1;
             assert!(guard < 1_000_000, "kernel did not terminate");
         }
-        stores.commit(global);
     }
 }
 

@@ -9,7 +9,7 @@ use crate::exec::{self, ExecCtx, Space};
 use crate::probe::{emit, PipeEvent, Probe};
 use crate::warp::lanes_in;
 use bow_isa::FuClass;
-use bow_mem::{bank_conflict_degree, AccessKind, SmView};
+use bow_mem::{bank_conflict_degree, AccessKind, GlobalMemory};
 
 /// The collect → dispatch latch: indices of collector slots whose
 /// operands were all ready when the collect stage last ticked.
@@ -45,7 +45,7 @@ impl Stages {
         il: &mut I,
         ctx: &mut SmCtx,
         kernel: &DecodedKernel<'_>,
-        global: &mut SmView<'_>,
+        global: &mut GlobalMemory,
         probe: &mut P,
     ) {
         // The functional-unit budgets (indexed by `FuClass as usize`) are
@@ -133,7 +133,7 @@ fn execute_and_complete<P: Probe>(
     kernel: &DecodedKernel<'_>,
     values_buf: &mut Vec<u32>,
     addr_buf: &mut Vec<u64>,
-    global: &mut SmView<'_>,
+    global: &mut GlobalMemory,
     probe: &mut P,
 ) -> Completion {
     {

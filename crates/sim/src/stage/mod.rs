@@ -51,7 +51,7 @@ use crate::regfile::RegFile;
 use crate::scheduler::WarpScheduler;
 use crate::stats::SimStats;
 use crate::warp::Warp;
-use bow_mem::{MemSystem, SharedMemory, SmView};
+use bow_mem::{GlobalMemory, MemSystem, SharedMemory};
 use interlock::{ControlBits, Interlock, Scoreboards};
 use issue::ReadySet;
 
@@ -248,13 +248,12 @@ impl Pipeline {
         self.stages.completions.is_empty()
     }
 
-    /// Advances the pipeline by one cycle against this SM's view of
-    /// device memory.
+    /// Advances the pipeline by one cycle against device memory.
     pub fn tick<P: Probe>(
         &mut self,
         ctx: &mut SmCtx,
         kernel: &DecodedKernel<'_>,
-        global: &mut SmView<'_>,
+        global: &mut GlobalMemory,
         probe: &mut P,
     ) {
         match &mut self.interlock {
@@ -270,7 +269,7 @@ impl Stages {
         il: &mut I,
         ctx: &mut SmCtx,
         kernel: &DecodedKernel<'_>,
-        global: &mut SmView<'_>,
+        global: &mut GlobalMemory,
         probe: &mut P,
     ) {
         ctx.rf.begin_cycle();

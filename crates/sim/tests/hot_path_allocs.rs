@@ -8,9 +8,9 @@
 //! the point where every reusable buffer (the completion slab and its far
 //! heap, the SIMT stacks, the slot list) has reached its high-water
 //! mark, then **zero** allocations over the next few thousand ticks under
-//! `NullProbe`, for every collector on both cores. The SM ticks through
-//! the store buffer exactly as the device loop drives it, commits
-//! included, so the overlay map and the store journal are in the count.
+//! `NullProbe`, for every collector on both cores. The SM ticks against
+//! device memory exactly as the device loop drives it, so its global
+//! stores are in the count.
 //! Two shapes of SM are counted: sixteen warps over four schedulers, and
 //! ninety-six warps under one scheduler (every per-warp bit set spans two
 //! words); and one kernel's loads miss to DRAM, so its completions take
@@ -28,7 +28,7 @@
 
 use bow_isa::ctrl::CtrlBits;
 use bow_isa::{CmpOp, Kernel, KernelBuilder, KernelDims, Operand, Pred, Reg, Special};
-use bow_mem::{AccessKind, GlobalAccess, GlobalMemory, MemConfig, MemSystem, StoreBuffer};
+use bow_mem::{AccessKind, GlobalMemory, MemConfig, MemSystem};
 use bow_sim::collector::CollectorKind;
 use bow_sim::config::{CoreModelKind, GpuConfig, SchedPolicy};
 use bow_sim::decode::DecodedKernel;
@@ -88,8 +88,6 @@ static GLOBAL: Counting = Counting;
 
 const A_BUF: u64 = 0x10_0000;
 const B_BUF: u64 = 0x20_0000;
-/// Where the store buffer's sizing stores go: away from both buffers.
-const SCRATCH_BUF: u64 = 0x30_0000;
 /// Words in each global buffer (a power of two: indices wrap with `and`).
 const BUF_WORDS: u32 = 4096;
 /// Loop trip count: far more than the test ever ticks through.
@@ -101,9 +99,6 @@ const WARMUP_TICKS: u32 = 3_000;
 /// the dispatch stage's pick list still grows once, from 4 to 8 slots).
 const DRAM_WARMUP_TICKS: u32 = 8_000;
 const MEASURED_TICKS: u32 = 4_000;
-/// Ticks between store-buffer commits, as in the device loop: the
-/// measurement spans fifteen of them.
-const COMMIT_TICKS: u32 = 256;
 
 /// Closes a kernel's loop: `i += 1; if i < trips goto top`.
 fn loop_back(b: KernelBuilder, i: Reg, trips: u32) -> Kernel {
@@ -281,30 +276,15 @@ fn allocations_in_steady_state<P: Probe>(
         sm.assign_block(&kernel, (block, 0), dims, u64::from(block));
     }
     let decoded = DecodedKernel::new(&kernel);
-    // Grow the store buffer to the most one SM can store between two
-    // commits (one 32-lane store per tick) before counting: what follows
-    // then counts allocations a tick or a commit *makes*, not the buffer
-    // doubling its way up to this kernel's store rate.
-    let mut stores = StoreBuffer::new(1);
-    for word in 0..u64::from(COMMIT_TICKS) * 32 {
-        stores.view(0, &global).write_u32(SCRATCH_BUF + 4 * word, 0);
-    }
-    stores.commit(&mut global);
 
-    let mut tick = |sm: &mut Sm, t: u32| {
-        sm.tick(&decoded, &mut stores.view(0, &global), probe);
-        if t.is_multiple_of(COMMIT_TICKS) {
-            stores.commit(&mut global);
-        }
-    };
-    for t in 1..=warmup {
-        tick(&mut sm, t);
+    for _ in 0..warmup {
+        sm.tick(&decoded, &mut global, probe);
     }
     let issued_before = sm.stats().warp_instructions;
 
     let before = ALLOCS.with(Cell::get);
-    for t in warmup + 1..=warmup + MEASURED_TICKS {
-        tick(&mut sm, t);
+    for _ in 0..MEASURED_TICKS {
+        sm.tick(&decoded, &mut global, probe);
     }
     let allocs = ALLOCS.with(Cell::get) - before;
 

@@ -25,8 +25,8 @@ echo "==> golden stats fingerprints (release): {pascal, modern} x {stack, barrie
 #    the pinned *stack* row (stack and barrier reconvergence differ in no
 #    counter);
 #  * `bfs` at Scale::Paper on both cores is the one cell whose counts
-#    depend on the device loop's store-visibility window
-#    (fingerprints_bfs_paper.txt).
+#    depend on when one SM's global store reaches another (stores land
+#    when they execute; fingerprints_bfs_paper.txt).
 # Re-bless deliberately with BOW_BLESS=1 after intentional changes.
 cargo test --release -q --offline -p bow --test golden_fingerprints
 mkdir -p target/golden-artifacts
@@ -57,7 +57,7 @@ done
 echo "==> allocation guards: a warmed-up Sm::tick never touches the heap; the static gate allocates per kernel (release)"
 # A counting global allocator around {baseline, bow, bow-wr, rfc} x {pascal,
 # modern} on an ALU-heavy, a memory-heavy and a divergent kernel: zero
-# allocations per tick once the launch is warm, store-buffer commits
+# allocations per tick once the launch is warm, global stores
 # included. It counts, it does not time, so it cannot flake; it is what
 # keeps per-warp-per-scan `Vec`s (EXPERIMENTS.md, "Where a simulated
 # cycle goes") from coming back.
