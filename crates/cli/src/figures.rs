@@ -12,6 +12,7 @@
 //! reference. Rendered text is identical at any `--jobs`; only a sweep's
 //! JSON export (wall times inside) varies between runs.
 
+use crate::{Args, Subcommand};
 use bow::corpus;
 use bow::error::BowError;
 use bow::experiment::{pct, render_table};
@@ -244,6 +245,50 @@ pub const FIGURES: [Figure; 20] = [
         "Table IV: BOC cost model, storage and area arithmetic"
     ),
 ];
+
+/// `figure`: regenerate a table under `results/`, `all` of them, or
+/// `list` the index.
+pub const FIGURE: Subcommand = Subcommand {
+    name: "figure",
+    synopsis: "  bow-cli figure <name|all|list> [--scale test|paper] [--model scaled|titan-x]
+                 [--jobs N] [--out DIR]
+",
+    run: figure,
+};
+
+fn figure(args: &Args) -> Result<String, BowError> {
+    let (name, tier, out) = figure_args(args)?;
+    match name {
+        "list" => Ok(list()),
+        "all" => {
+            // One line per file written.
+            let mut text = String::new();
+            for figure in &FIGURES {
+                for path in figure.run(&tier, out)?.1 {
+                    writeln!(text, "{path}").unwrap();
+                }
+            }
+            Ok(text)
+        }
+        name => Ok(find(name)?.run(&tier, out)?.0),
+    }
+}
+
+/// What `figure` reads: the name, the tier (paper scale by default, the
+/// scale of the committed tables) and the directory to write under.
+pub(crate) fn figure_args<'a>(
+    args: &Args<'a>,
+) -> Result<(&'a str, Tier, Option<&'a str>), BowError> {
+    let scale = args.axis("--scale", Scale::Paper, Scale::parse)?;
+    let jobs = args.jobs()?;
+    let name = args.positional("figure name (or `all`, `list`)")?;
+    let model = args.axis("--model", GpuModel::Scaled, GpuModel::parse)?;
+    // `all` is the bless flow: it always writes, by default over the
+    // committed tables.
+    let bless = (name == "all").then_some("results");
+    let tier = Tier { scale, model, jobs };
+    Ok((name, tier, args.opt("--out").or(bless)))
+}
 
 /// The figure named `name`.
 ///

@@ -1,4 +1,4 @@
-//! Process entry point: parse, execute, print.
+//! Process entry point: run the command line, print.
 //!
 //! Failure classes map to stable exit codes via
 //! [`BowError::exit_code`](bow::error::BowError::exit_code):
@@ -6,7 +6,7 @@
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match bow_cli::parse(&args).and_then(bow_cli::execute) {
+    match bow_cli::run(&args) {
         Ok(text) => print!("{text}"),
         Err(e) => {
             eprintln!("error: {e}");
