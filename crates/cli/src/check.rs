@@ -40,24 +40,19 @@ pub const LINT: Subcommand = Subcommand {
 fn fuzz(args: &Args) -> Result<String, BowError> {
     let (core_model, divergence) = args.models()?;
     let jobs = args.jobs()?;
-    // `--smoke` pins cases/seed/size: no flag may tune them.
-    let defaults = if args.flag("--smoke") {
+    let defaults = if args.pins("--smoke", &["--cases", "--seed", "--size"])? {
         FuzzOptions::smoke()
     } else {
-        let d = FuzzOptions::default();
-        FuzzOptions {
-            cases: args.number("--cases")?.unwrap_or(d.cases),
-            seed: args.number("--seed")?.unwrap_or(d.seed),
-            size: args.number("--size")?.unwrap_or(d.size),
-            ..d
-        }
+        FuzzOptions::default()
     };
     let report = bow::fuzz::run_fuzz(&FuzzOptions {
+        cases: args.number("--cases")?.unwrap_or(defaults.cases),
+        seed: args.number("--seed")?.unwrap_or(defaults.seed),
         jobs,
+        size: args.number("--size")?.unwrap_or(defaults.size),
         out_dir: args.opt("--out").map_or(defaults.out_dir, PathBuf::from),
         core_model,
         divergence,
-        ..defaults
     });
     let summary = report.summary();
     report.verdict.into_result(summary)

@@ -114,18 +114,16 @@ fn sweep(args: &Args) -> Result<String, BowError> {
 
 fn sanitize(args: &Args) -> Result<String, BowError> {
     let jobs = args.jobs()?;
-    // `--smoke` pins the fixed CI campaign: no flag may tune it.
-    let mut opts = if args.flag("--smoke") {
+    let defaults = if args.pins("--smoke", &["--count", "--seed"])? {
         CampaignOptions::smoke()
     } else {
-        let full = CampaignOptions::full();
-        CampaignOptions {
-            count: args.number("--count")?.unwrap_or(full.count),
-            seed: args.number("--seed")?.unwrap_or(full.seed),
-            ..full
-        }
+        CampaignOptions::full()
     };
-    opts.jobs = jobs;
+    let opts = CampaignOptions {
+        count: args.number("--count")?.unwrap_or(defaults.count),
+        seed: args.number("--seed")?.unwrap_or(defaults.seed),
+        jobs,
+    };
     let out_path = args.text("--out", "results/sanitizer_campaign.json");
     let report = bow::sanitize_campaign::run_campaign(&opts);
     if let Some(dir) = std::path::Path::new(out_path).parent() {

@@ -120,8 +120,9 @@ architectural oracle), reference (final memory against an independent
 host model) and sanitizer (the race sanitizer rides the same launch,
 and every dynamic finding must carry a static B0xx flag: dynamic ⊆
 static). A failing cell shrinks to a minimal kernel written as a
-runnable .asm repro. `--smoke` is the fixed 64-case CI configuration
-(other flags except --jobs and --out are ignored).
+runnable .asm repro. `--smoke` is the fixed 64-case CI configuration:
+it fixes --cases, --seed and --size (giving one beside it is a parse
+error), while --jobs, --out, --core-model and --divergence still apply.
 
 `run --sanitize` attaches the dynamic race sanitizer (docs/ANALYSIS.md,
 `Sanitizer`): shadow state over shared and global memory plus per-lane
@@ -407,6 +408,26 @@ impl<'a> Args<'a> {
     ) -> Result<T, BowError> {
         self.opt(name)
             .map_or(Ok(default), |v| parse(v).map_err(|e| err(e.to_string())))
+    }
+
+    /// Whether switch `name` was given. The switch fixes the flags in
+    /// `pinned`, so one of them beside it is an error, never a flag
+    /// silently ignored.
+    ///
+    /// # Errors
+    ///
+    /// [`BowError::Parse`] naming the first pinned flag given beside it.
+    pub fn pins(&self, name: &str, pinned: &[&str]) -> Result<bool, BowError> {
+        if !self.flag(name) {
+            return Ok(false);
+        }
+        match pinned.iter().find(|p| self.flag(p)) {
+            Some(p) => Err(err(format!(
+                "{}: `{p}` cannot be combined with `{name}`, which fixes it",
+                self.command
+            ))),
+            None => Ok(true),
+        }
     }
 
     /// `--core-model` and `--divergence`, each defaulting to its axis's

@@ -458,11 +458,29 @@ fn parse_fuzz_flags_and_smoke() {
     assert_eq!(checked("--seed 0x2a --size 8"), base);
     assert_ne!(checked("--seed 43 --size 8"), base);
     assert_ne!(checked("--seed 42 --size 16"), base);
-    // --smoke pins cases/seed/size regardless of other flags.
-    let line = format!("fuzz --smoke --cases 9999 --jobs 2 --out {}", dir.display());
-    assert!(cli(&line)
-        .unwrap()
-        .starts_with("fuzz: 64 cases x 5 configs, "));
+    // --smoke fixes cases/seed/size: one of them beside it is a parse
+    // error naming it, where it used to be silently ignored. --jobs, --out
+    // and the models still apply.
+    for flag in ["--cases 9999", "--seed 7", "--size 8"] {
+        let e = cli(&format!("fuzz --smoke {flag}")).unwrap_err();
+        assert_eq!(e.exit_code(), 2, "{e}");
+        let name = flag.split(' ').next().unwrap();
+        let want = format!("fuzz: `{name}` cannot be combined with `--smoke`");
+        assert!(e.to_string().contains(&want), "{e}");
+    }
+    let rest = [
+        "--smoke",
+        "--jobs",
+        "3",
+        "--out",
+        "d",
+        "--core-model",
+        "modern",
+    ];
+    let smoke = Args::new("fuzz", &rest).unwrap();
+    assert!(smoke
+        .pins("--smoke", &["--cases", "--seed", "--size"])
+        .unwrap());
     assert_eq!(cli("fuzz --cases many").unwrap_err().exit_code(), 2);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -709,10 +727,19 @@ fn parse_sanitize_flags() {
     let six = kernels("--count 6 --seed 0x2a", "six.json");
     assert_eq!(kernels("--count 6 --seed 42", "again.json"), six);
     assert!(kernels("--count 32 --seed 0x2a", "more.json") > six);
-    // --smoke pins the fixed CI campaign regardless of other knobs.
+    // --smoke fixes the CI campaign: --count or --seed beside it is a
+    // parse error naming it, where it used to be silently ignored. --jobs
+    // and --out still apply.
+    for flag in ["--count 9999", "--seed 7"] {
+        let e = cli(&format!("corpus sanitize --smoke {flag}")).unwrap_err();
+        assert_eq!(e.exit_code(), 2, "{e}");
+        let name = flag.split(' ').next().unwrap();
+        let want = format!("corpus sanitize: `{name}` cannot be combined with `--smoke`");
+        assert!(e.to_string().contains(&want), "{e}");
+    }
     let smoke = bow::sanitize_campaign::CampaignOptions::smoke();
-    let pinned = kernels("--smoke --count 9999", "smoke.json");
-    assert!(pinned < 9999.0 && pinned >= smoke.count as f64, "{pinned}");
+    let pinned = kernels("--smoke", "smoke.json");
+    assert!(pinned >= smoke.count as f64 && pinned > six, "{pinned}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

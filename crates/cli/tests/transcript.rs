@@ -57,6 +57,8 @@ const LINES: &[&str] = &[
     "figure fig99",
     "lint --explain B999",
     "run nope",
+    "fuzz --smoke --cases 9999",
+    "corpus sanitize --smoke --count 9999",
 ];
 
 #[test]
