@@ -8,6 +8,9 @@ cd "$(dirname "$0")/.."
 
 echo "==> cargo build --release --offline"
 cargo build --workspace --release --offline
+# Every stage below calls the binary this build made; only the debug fuzz
+# stage goes through cargo, because it exists to run the debug build.
+BOW_CLI=target/release/bow-cli
 
 echo "==> cargo test --offline"
 cargo test --workspace -q --offline
@@ -44,7 +47,7 @@ echo "==> bow figure all (every committed table regenerates byte for byte)"
 # is uploaded as a workflow artifact on failure; bless an intentional
 # change with `bow-cli figure all`.
 rm -rf target/figures
-cargo run --release -q --offline -p bow-cli -- figure all --out target/figures > /dev/null
+"$BOW_CLI" figure all --out target/figures > /dev/null
 STALE=0
 for f in results/*.txt results/corpus_*.json; do
     cmp "$f" "target/figures/$(basename "$f")" || STALE=1
@@ -93,7 +96,7 @@ DIVERGENCES="stack barrier"
 for CORE in $CORES; do
     for DIV in $DIVERGENCES; do
         echo "==> bow fuzz --smoke --core-model ${CORE} --divergence ${DIV}"
-        cargo run --release -q --offline -p bow-cli -- \
+        "$BOW_CLI" \
             fuzz --smoke --core-model "${CORE}" --divergence "${DIV}" \
             --out target/fuzz-repros
     done
@@ -123,7 +126,7 @@ mkdir -p target/lint-reports
 for CORE in $CORES; do
     for DIV in $DIVERGENCES; do
         echo "==> bow lint --all-workloads --core-model ${CORE} --divergence ${DIV}"
-        cargo run --release -q --offline -p bow-cli -- \
+        "$BOW_CLI" \
             lint --all-workloads --deny-warnings \
             --core-model "${CORE}" --divergence "${DIV}" \
             --json "target/lint-reports/workloads_${CORE}_${DIV}.json"
@@ -136,7 +139,7 @@ echo "==> bow lint --mutate --smoke (mutation sanitizer, fixed seed)"
 # live value (per `ArchWindow`, the architectural window replay) to be
 # statically flagged, and every unsound mutant confirmed by the sanitizer
 # (a `hint-violation` from one sanitized bow-wr pipeline launch).
-cargo run --release -q --offline -p bow-cli -- \
+"$BOW_CLI" \
     lint --mutate --smoke --json target/lint-reports/mutation.json
 
 echo "==> bow lint --mutate --smoke --divergence barrier"
@@ -144,7 +147,7 @@ echo "==> bow lint --mutate --smoke --divergence barrier"
 # barriers: hint soundness must be judged identically when the stack is
 # gone, so every demonstrably-unsound mutant must still be flagged and
 # sanitizer-confirmed.
-cargo run --release -q --offline -p bow-cli -- \
+"$BOW_CLI" \
     lint --mutate --smoke --divergence barrier \
     --json target/lint-reports/mutation_barrier.json
 
@@ -156,7 +159,7 @@ echo "==> bow corpus sanitize --smoke (dynamic/static cross-validation, fixed se
 # -> B016, ...). An uncovered finding is a static-analysis false
 # negative: exit 5. The campaign report (incl. the precision of the
 # static race flags) lands in target/lint-reports/ as a CI artifact.
-cargo run --release -q --offline -p bow-cli -- \
+"$BOW_CLI" \
     corpus sanitize --smoke --out target/lint-reports/sanitizer_campaign.json
 
 echo "==> bow corpus sanitize (the committed campaign regenerates)"
@@ -166,7 +169,7 @@ echo "==> bow corpus sanitize (the committed campaign regenerates)"
 # committed file, so a change that moves a count or a finding shows up as
 # a diff. About 2.2 s on the 2-core reference host. Bless an intentional
 # change with `bow-cli corpus sanitize` (its default --out).
-cargo run --release -q --offline -p bow-cli -- \
+"$BOW_CLI" \
     corpus sanitize --out target/lint-reports/sanitizer_campaign_full.json > /dev/null
 python3 - <<'EOF'
 import json, sys
@@ -188,7 +191,7 @@ echo "==> bow-server smoke (serve / submit / cache-hit / shutdown)"
 # target/server-smoke/store-stats.json (artifact).
 rm -rf target/server-smoke
 mkdir -p target/server-smoke
-cargo run --release -q --offline -p bow-cli -- \
+"$BOW_CLI" \
     serve --addr 127.0.0.1:0 --workers 2 \
     --store target/server-smoke/store --port-file target/server-smoke/port &
 SERVER_PID=$!
@@ -200,7 +203,7 @@ done
 ADDR="$(cat target/server-smoke/port)"
 echo "    server on ${ADDR}"
 submit() {
-    cargo run --release -q --offline -p bow-cli -- submit "$@" --addr "${ADDR}"
+    "$BOW_CLI" submit "$@" --addr "${ADDR}"
 }
 FIRST="$(submit vectoradd --collector bow-wr --window 3)"
 echo "${FIRST}" | grep -q '"cached":false' || { echo "first submit unexpectedly cached"; exit 1; }
@@ -242,7 +245,7 @@ echo "==> corpus smoke (64 kernels, stratified gen + mini-sweep, both cores)"
 # listed and the sweep exits 5). Manifest + distribution JSON land
 # in target/corpus-smoke/ as CI artifacts.
 rm -rf target/corpus-smoke
-cargo run --release -q --offline -p bow-cli -- \
+"$BOW_CLI" \
     corpus gen --count 64 --dir target/corpus-smoke
 python3 - <<'EOF'
 import collections, json
@@ -260,13 +263,13 @@ assert not empty, f"strata with no retained kernel: {empty}"
 print(f"    {sum(kept.values())} retained across {len(strata)} strata, 100% lint-clean")
 EOF
 for CORE in pascal modern; do
-    cargo run --release -q --offline -p bow-cli -- \
+    "$BOW_CLI" \
         corpus sweep --dir target/corpus-smoke --limit 16 --core-model "${CORE}" \
         --out "target/corpus-smoke/dist_${CORE}.json" > /dev/null
     # The divergence matrix's population view: the same slice with every
     # kernel lowered to convergence barriers (`_barrier` twin artifact,
     # matching the corpus_report naming).
-    cargo run --release -q --offline -p bow-cli -- \
+    "$BOW_CLI" \
         corpus sweep --dir target/corpus-smoke --limit 16 --core-model "${CORE}" \
         --divergence barrier \
         --out "target/corpus-smoke/dist_${CORE}_barrier.json" > /dev/null
