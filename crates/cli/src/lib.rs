@@ -52,7 +52,6 @@ fn err(msg: impl Into<String>) -> BowError {
 }
 
 /// One row of the command index.
-#[derive(Clone, Copy)]
 pub struct Subcommand {
     /// What `bow-cli` takes first; a `corpus` verb is `"corpus <verb>"`.
     pub name: &'static str,
@@ -368,9 +367,8 @@ impl<'a> Args<'a> {
     ///
     /// [`BowError::Parse`] when none was given.
     pub fn positional(&self, what: &str) -> Result<&'a str, BowError> {
-        let command = self.command;
         self.target
-            .ok_or_else(|| err(format!("{command}: missing {what}")))
+            .ok_or_else(|| err(format!("{}: missing {what}", self.command)))
     }
 
     /// A numeric flag's value, decimal or `0x…` hex (seeds round-trip
