@@ -24,8 +24,10 @@
 //! or bool, and per-kernel seeds are derived by position, never by wall
 //! clock or thread timing.
 
+use std::sync::OnceLock;
+
 use crate::experiment::{Config, ConfigBuilder, GpuModel};
-use crate::fuzz::{judge_case, launch_case};
+use crate::fuzz::{judge_case, launch_case, ExpectedWrites};
 use crate::suite::{effective_jobs, map_parallel, Suite, SweepResult};
 use bow_compiler::{
     characterize, emit_ctrl, lint_kernel, CtrlLatencies, KernelTraits, LintOptions,
@@ -620,6 +622,9 @@ struct CorpusBench {
     name: &'static str,
     program: FuzzKernel,
     input: Vec<u32>,
+    /// The program's host-model writes on `input`: derived at the first
+    /// run and shared by every design cell after it.
+    expected: OnceLock<ExpectedWrites>,
 }
 
 impl Benchmark for CorpusBench {
@@ -641,7 +646,10 @@ impl Benchmark for CorpusBench {
 
     fn run_with(&self, gpu: &mut Gpu, kernel: &Kernel) -> RunOutcome {
         let result = launch_case(gpu, kernel, &self.input);
-        let checked = judge_case(&self.program, &self.input, &result, gpu.global());
+        let expected = self
+            .expected
+            .get_or_init(|| ExpectedWrites::of(&self.program, &self.input));
+        let checked = judge_case(expected, &result, gpu.global());
         RunOutcome { result, checked }
     }
 }
@@ -695,6 +703,7 @@ pub fn benches(manifest: &Manifest, limit: usize) -> Vec<Box<dyn Benchmark>> {
                 name: Box::leak(e.name.clone().into_boxed_str()),
                 input: input_for(e),
                 program,
+                expected: OnceLock::new(),
             }) as Box<dyn Benchmark>)
         })
         .collect()

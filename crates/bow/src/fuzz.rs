@@ -38,6 +38,7 @@
 //! and case number alone, at any `--jobs`.
 
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use crate::experiment::{CompilePlan, Config, ConfigBuilder};
@@ -164,27 +165,35 @@ pub fn run_fuzz(opts: &FuzzOptions) -> FuzzReport {
     let total = (opts.cases as usize) * ncfg;
     let workers = effective_jobs(opts.jobs).min(total.max(1));
 
-    // One pool task per (case, config) cell, case-major.
+    // One pool task per (case, config) cell, case-major. A case's program,
+    // input and host-model writes depend on the case alone: the first of
+    // its cells to run derives them for all.
+    let cases: Vec<OnceLock<(FuzzKernel, Vec<u32>, ExpectedWrites)>> =
+        (0..opts.cases).map(|_| OnceLock::new()).collect();
     let run_cell = |cell: usize| -> (u64, Option<Finding>) {
         let case = (cell / ncfg) as u64;
         let config = &configs[cell % ncfg];
         let cseed = case_seed(opts.seed, case);
-        let mut rng = XorShift::new(cseed);
-        let program = FuzzKernel::generate_sized(&mut rng, opts.size);
-        let input = FuzzKernel::gen_input(&mut rng);
-        match run_checks(&program, &input, config, case) {
+        let (program, input, expected) = cases[case as usize].get_or_init(|| {
+            let mut rng = XorShift::new(cseed);
+            let program = FuzzKernel::generate_sized(&mut rng, opts.size);
+            let input = FuzzKernel::gen_input(&mut rng);
+            let expected = ExpectedWrites::of(&program, &input);
+            (program, input, expected)
+        });
+        match run_checks(program, input, expected, config, case) {
             Ok(checked) => (checked, None),
             Err(finding) => {
                 // Shrink: keep any simplification that still fails this
                 // config (any failure detail counts, not just the same).
-                let minimized =
-                    program.shrink(|cand| run_checks(cand, &input, config, case).is_err());
-                let mut finding = run_checks(&minimized, &input, config, case)
-                    .err()
-                    .unwrap_or(finding);
+                let checks = |cand: &FuzzKernel| {
+                    run_checks(cand, input, &ExpectedWrites::of(cand, input), config, case)
+                };
+                let minimized = program.shrink(|cand| checks(cand).is_err());
+                let mut finding = checks(&minimized).err().unwrap_or(finding);
                 let repro = render_repro(
                     &minimized,
-                    &input,
+                    input,
                     opts.seed,
                     case,
                     cseed,
@@ -240,19 +249,54 @@ pub(crate) fn launch_case(gpu: &mut Gpu, kernel: &Kernel, input: &[u32]) -> Laun
     gpu.launch(kernel, FuzzKernel::dims(), &fuzz::PARAMS)
 }
 
+/// A program's host-model writes on its input ([`FuzzKernel::expected`]),
+/// packed to be kept for every launch of the program: the written words
+/// in order, and the runs of consecutive addresses they fill (a
+/// program's outputs are one run, its scratch stores a few short ones).
+pub(crate) struct ExpectedWrites {
+    /// `(first address, words)` of each run, in write order. The fuzz
+    /// memory map is 32-bit ([`fuzz::OUT_BASE`], [`fuzz::SCRATCH_BASE`]).
+    runs: Box<[(u32, u32)]>,
+    values: Box<[u32]>,
+}
+
+impl ExpectedWrites {
+    /// Runs the host model of `program` on `input`.
+    pub(crate) fn of(program: &FuzzKernel, input: &[u32]) -> ExpectedWrites {
+        let writes = program.expected(input);
+        let mut runs: Vec<(u32, u32)> = Vec::new();
+        for &(addr, _) in &writes {
+            let addr = u32::try_from(addr).expect("fuzz addresses are 32-bit");
+            match runs.last_mut() {
+                Some((first, words)) if *first + 4 * *words == addr => *words += 1,
+                _ => runs.push((addr, 1)),
+            }
+        }
+        ExpectedWrites {
+            runs: runs.into(),
+            values: writes.iter().map(|&(_, v)| v).collect(),
+        }
+    }
+
+    /// Every `(address, word)` write, in the host model's order.
+    fn iter(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
+        let run = |&(first, words): &(u32, u32)| (first..first + 4 * words).step_by(4);
+        let addrs = self.runs.iter().flat_map(run).map(u64::from);
+        addrs.zip(self.values.iter().copied())
+    }
+}
+
 /// The oracle-then-host-model judgement of one launch of a generated
 /// kernel, shared by the fuzzer and the corpus sweep: the oracle's first
-/// mismatch, else the first word `program` writes that differs from
-/// [`FuzzKernel::expected`] in `global`. [`Check::of_failed`] tells the
-/// two apart.
+/// mismatch, else the first word of `expected` that differs in `global`.
+/// [`Check::of_failed`] tells the two apart.
 pub(crate) fn judge_case(
-    program: &FuzzKernel,
-    input: &[u32],
+    expected: &ExpectedWrites,
     result: &LaunchResult,
     global: &GlobalMemory,
 ) -> Result<(), String> {
     result.oracle_verdict()?;
-    for (addr, want) in program.expected(input) {
+    for (addr, want) in expected.iter() {
         let got = global.read_u32(addr);
         if got != want {
             return Err(format!(
@@ -263,12 +307,14 @@ pub(crate) fn judge_case(
     Ok(())
 }
 
-/// Runs one (program, input, config) cell through the checks. Returns
-/// the number of lockstep-checked instructions on agreement, or the
-/// first check's finding.
+/// Runs one (program, input, config) cell through the checks, `expected`
+/// being the program's host-model writes on `input`. Returns the number
+/// of lockstep-checked instructions on agreement, or the first check's
+/// finding.
 fn run_checks(
     program: &FuzzKernel,
     input: &[u32],
+    expected: &ExpectedWrites,
     config: &Config,
     case: u64,
 ) -> Result<u64, Finding> {
@@ -316,7 +362,7 @@ fn run_checks(
     // instruction count), final global memory, then every written word vs
     // the independent host model — the check a shared `exec.rs` semantics
     // bug fails.
-    if let Err(detail) = judge_case(program, input, &result, gpu.global()) {
+    if let Err(detail) = judge_case(expected, &result, gpu.global()) {
         return Err(finding(Check::of_failed(&result), detail));
     }
 
@@ -408,6 +454,22 @@ fn write_repro(dir: &Path, case: u64, config: &Config, repro: &str) -> Option<Pa
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn kept_expected_writes_replay_the_host_model_exactly() {
+        for case in 0..8 {
+            let mut rng = XorShift::new(case_seed(0x5eed, case));
+            let program = FuzzKernel::generate_sized(&mut rng, 24);
+            let input = FuzzKernel::gen_input(&mut rng);
+            let kept = ExpectedWrites::of(&program, &input);
+            let writes = program.expected(&input);
+            assert_eq!(kept.iter().collect::<Vec<_>>(), writes, "case {case}");
+            assert!(
+                kept.runs.len() < writes.len() / 4,
+                "case {case}: runs do not pack"
+            );
+        }
+    }
 
     #[test]
     fn clean_session_over_a_few_cases() {

@@ -59,16 +59,19 @@ fn fuzz(args: &Args) -> Result<String, BowError> {
 }
 
 fn lint(args: &Args) -> Result<String, BowError> {
-    let (core_model, divergence) = args.models()?;
-    let window = args.window()?;
-    let jobs = args.jobs()?;
-    let json = args.opt("--json");
     if args.flag("--explain") {
         // Under `--explain` the positional is the code to explain (none
         // lists every code); otherwise it is the file to lint.
+        args.within("--explain", &[], true)?;
         return explain(args.target.unwrap_or_default());
     }
+    let (core_model, divergence) = args.models()?;
+    let window = args.window()?;
+    let json = args.opt("--json");
     if args.flag("--mutate") {
+        let mutate_flags = ["--smoke", "--jobs", "--json", "--divergence"];
+        args.within("--mutate", &mutate_flags, false)?;
+        let jobs = args.jobs()?;
         let mut opts = if args.flag("--smoke") {
             bow::mutate::MutateOptions::smoke()
         } else {
@@ -90,6 +93,20 @@ fn lint(args: &Args) -> Result<String, BowError> {
             "lint: pass a file, --all-workloads, --mutate or --explain",
         ));
     }
+    let lint_flags = [
+        "--all-workloads",
+        "--window",
+        "--deny-warnings",
+        "--json",
+        "--core-model",
+        "--divergence",
+    ];
+    let mode = if all_workloads {
+        "--all-workloads"
+    } else {
+        "<file.s>"
+    };
+    args.within(mode, &lint_flags, true)?;
 
     // Lint the artifact the pipeline would consume under the targeted
     // models: the same compile plan a launch goes through — hint pass,

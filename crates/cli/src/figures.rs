@@ -728,16 +728,20 @@ fn fig01_memsizes(_: &Tier) -> Rendered {
         out,
         "{name:<10} {year:>6} {l1:>12} {l2:>8} {rf:>14} {share:>8}"
     );
-    for (name, year, l1, l2, rf) in gens {
-        let share = 100.0 * rf / (l1 + l2 + rf);
+    let rf_share = |&(_, _, l1, l2, rf): &(&str, u32, f64, f64, f64)| 100.0 * rf / (l1 + l2 + rf);
+    for g in &gens {
+        let (name, year, l1, l2, rf) = *g;
+        let share = rf_share(g);
         say!(
             out,
             "{name:<10} {year:>6} {l1:>12.2} {l2:>8.2} {rf:>14.2} {share:>7.0}%"
         );
     }
-    out.push_str(
+    let pascal = gens.iter().find(|g| g.0 == "Pascal").map_or(0.0, rf_share);
+    say!(
+        out,
         "\nThe register file dominates on-chip storage and grows every generation —\n\
-         in Pascal it is ~63% of on-chip storage (the paper's motivating fact).\n",
+         in Pascal it is ~{pascal:.0}% of on-chip storage (the paper's motivating fact)."
     );
     let cells = gens.iter().map(|&(name, year, l1, l2, rf)| {
         Json::obj([

@@ -428,6 +428,32 @@ impl<'a> Args<'a> {
         }
     }
 
+    /// Checks the line against one form of a synopsis that has several,
+    /// the one `mode` names: beside it only the flags in `allowed` may be
+    /// given, and the positional argument only if `positional`. A mode
+    /// never silently ignores another mode's arguments.
+    ///
+    /// # Errors
+    ///
+    /// [`BowError::Parse`] naming `mode` and the first argument its form
+    /// does not take.
+    pub fn within(&self, mode: &str, allowed: &[&str], positional: bool) -> Result<(), BowError> {
+        let mut given = self.given.iter().map(|(n, _)| *n);
+        if let Some(flag) = given.find(|n| *n != mode && !allowed.contains(n)) {
+            return Err(err(format!(
+                "{}: `{flag}` cannot be combined with `{mode}`",
+                self.command
+            )));
+        }
+        match self.target {
+            Some(arg) if !positional => Err(err(format!(
+                "{}: `{mode}` takes no argument, got `{arg}`",
+                self.command
+            ))),
+            _ => Ok(()),
+        }
+    }
+
     /// `--core-model` and `--divergence`, each defaulting to its axis's
     /// default.
     ///

@@ -59,6 +59,12 @@ fn serve(args: &Args) -> Result<String, BowError> {
 }
 
 fn submit(args: &Args) -> Result<String, BowError> {
+    // `--job`, `--fetch`, `--health` and `--shutdown` each take the whole
+    // line but `--addr`.
+    let query = ["--job", "--fetch", "--health", "--shutdown"];
+    if let Some(mode) = query.into_iter().find(|q| args.flag(q)) {
+        args.within(mode, &["--addr"], false)?;
+    }
     let scale = args.axis("--scale", Scale::Test, Scale::parse)?;
     let window = args.window()?;
     let addr = args.text("--addr", "127.0.0.1:7070");

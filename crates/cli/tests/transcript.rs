@@ -59,6 +59,15 @@ const LINES: &[&str] = &[
     "run nope",
     "fuzz --smoke --cases 9999",
     "corpus sanitize --smoke --count 9999",
+    // A mode flag rejects the other modes' arguments.
+    "lint --explain B010 --all-workloads",
+    "lint <tmp>/k.s --mutate",
+    "lint --all-workloads --jobs 2",
+    "submit lps --health",
+    "submit lps --job 1",
+    "submit lps --fetch 0123abcd",
+    "submit lps --shutdown",
+    "submit --job 1 --collector bow",
 ];
 
 #[test]

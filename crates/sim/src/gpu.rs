@@ -243,6 +243,13 @@ impl Gpu {
 /// stop if the `max_cycles` watchdog is due, then tick the busy SMs in
 /// index order. Returns `(device cycles, completed)`.
 ///
+/// When every busy SM is quiet for the next cycles (`Sm::quiet_cycles`),
+/// nothing can happen on the device until the first of them wakes — no
+/// SM frees room for a block either — so the clock jumps there at once,
+/// never past the watchdog's cycle. Every SM settles its skipped cycles
+/// when the loop ends, so its statistics are exact on a stopped launch
+/// too.
+///
 /// A global store writes `global` when it executes, so an SM sees another
 /// SM's store at its first load after that store in `(cycle, SM index)`
 /// order: in the same cycle if the storer's index is lower, in the next
@@ -293,12 +300,23 @@ fn run_device<P: Probe>(
         if cycles >= watchdog {
             break false;
         }
+        let quiet = active.iter().map(|&i| sms[i].quiet_cycles()).min();
+        let jump = quiet.unwrap_or(0).min(watchdog - cycles - 1);
+        if jump > 0 {
+            for &i in &active {
+                sms[i].skip(jump);
+            }
+            cycles += jump;
+        }
         cycles += 1;
         for &i in &active {
             sms[i].tick(kernel, global, probe);
         }
         active.retain(|&i| sms[i].busy());
     };
+    for sm in sms.iter_mut() {
+        sm.settle(probe);
+    }
     (cycles, completed)
 }
 
@@ -306,6 +324,7 @@ fn run_device<P: Probe>(
 mod tests {
     use super::*;
     use crate::collector::CollectorKind;
+    use crate::config::CoreModelKind;
     use crate::oracle::OracleMismatch;
     use bow_isa::{CmpOp, KernelBuilder, Opcode, Operand, Pred, Reg, Special};
 
@@ -791,6 +810,261 @@ mod tests {
                 (9, 1, 1194)
             ]
         );
+    }
+
+    // Skipping quiet cycles is exact (docs/ARCHITECTURE.md, hot-path rule
+    // 6): each launch below runs twice, once skipping and once ticking
+    // every cycle of every busy SM, and everything observable must agree.
+
+    /// Every event but `Stalls`, in arrival order, and how many `Stalls`
+    /// events arrived.
+    #[derive(Default)]
+    struct Recorder {
+        events: Vec<String>,
+        stall_events: u64,
+    }
+
+    impl Probe for Recorder {
+        fn on_event(&mut self, ev: &PipeEvent<'_>) {
+            match ev {
+                PipeEvent::Stalls { .. } => self.stall_events += 1,
+                _ => self.events.push(format!("{ev:?}")),
+            }
+        }
+    }
+
+    /// One launch of `kernel`, skipping quiet cycles or not.
+    fn launch_recorded(
+        config: &GpuConfig,
+        kernel: &Kernel,
+        dims: KernelDims,
+        skip: bool,
+    ) -> (LaunchResult, Recorder, GlobalMemory) {
+        let mut gpu = Gpu::new(config.clone());
+        for sm in &mut gpu.sms {
+            sm.tick_every_cycle = !skip;
+        }
+        let words: Vec<u32> = (0..4096).collect();
+        gpu.global_mut().write_slice_u32(0x1_0000, &words);
+        let mut recorder = Recorder::default();
+        let res = gpu.launch_with_probe(kernel, dims, &[0x1_0000, 0x8_0000], &mut recorder);
+        (res, recorder, gpu.global)
+    }
+
+    /// Runs `kernel` both ways and asserts they agree: the launch's cycles
+    /// and completion, every SM's statistics (stall counts included), the
+    /// final memory, every subscriber's report and every event but
+    /// `Stalls`. Returns the share of `Stalls` events skipping saved,
+    /// which is about the share of cycles it skipped.
+    fn assert_skipping_is_exact(config: &GpuConfig, kernel: &Kernel, dims: KernelDims) -> f64 {
+        let (skipped, seen, memory) = launch_recorded(config, kernel, dims, true);
+        let (ticked, reference, reference_memory) = launch_recorded(config, kernel, dims, false);
+        let at = format!(
+            "{} on {:?} / {:?}",
+            kernel.name, config.collector, config.core_model
+        );
+        assert_eq!(
+            (skipped.cycles, skipped.completed),
+            (ticked.cycles, ticked.completed),
+            "{at}"
+        );
+        assert_eq!(skipped.per_sm, ticked.per_sm, "{at}");
+        assert_eq!(skipped.stats, ticked.stats, "{at}");
+        assert!(memory == reference_memory, "{at}: final memory");
+        assert_eq!(skipped.windows, ticked.windows, "{at}");
+        assert_eq!(skipped.sanitizer, ticked.sanitizer, "{at}");
+        let oracle = |r: &LaunchResult| format!("{:?}", r.oracle);
+        assert_eq!(oracle(&skipped), oracle(&ticked), "{at}");
+        assert_eq!(seen.events.len(), reference.events.len(), "{at}");
+        for (i, (got, want)) in seen.events.iter().zip(&reference.events).enumerate() {
+            assert_eq!(got, want, "{at}: event {i}");
+        }
+        assert!(ticked.stats.stall_scoreboard > 0, "{at}: nothing waited");
+        1.0 - seen.stall_events as f64 / reference.stall_events as f64
+    }
+
+    /// A loop whose trips read a shared word at smem latency and a fresh
+    /// global line (a DRAM miss), then sum both; a block runs
+    /// `2 + ctaid % 3` trips, so blocks finish at different times.
+    fn load_loop_kernel() -> Kernel {
+        let r = Reg::r;
+        KernelBuilder::new("load_loop")
+            .shared_bytes(512)
+            .s2r(r(0), Special::TidX)
+            .s2r(r(1), Special::CtaidX)
+            .ldc(r(2), 0)
+            .ldc(r(3), 4)
+            .shl(r(4), r(0).into(), Operand::Imm(2))
+            .imad(r(5), r(1).into(), Operand::Imm(256), r(4).into())
+            .iadd(r(2), r(2).into(), r(5).into())
+            .iadd(r(3), r(3).into(), r(5).into())
+            .and(r(6), r(1).into(), Operand::Imm(3))
+            .iadd(r(6), r(6).into(), Operand::Imm(2))
+            .mov_imm(r(7), 0)
+            .mov_imm(r(8), 0)
+            .label("top")
+            .sts(r(4), 0, r(7).into())
+            .lds(r(9), r(4), 0)
+            .imad(r(10), r(7).into(), Operand::Imm(4096), r(2).into())
+            .ldg(r(11), r(10), 0)
+            .iadd(r(8), r(8).into(), r(9).into())
+            .iadd(r(8), r(8).into(), r(11).into())
+            .iadd(r(7), r(7).into(), Operand::Imm(1))
+            .isetp(CmpOp::Lt, Pred::p(0), r(7).into(), r(6).into())
+            .bra_if(Pred::p(0), false, "top")
+            .stg(r(3), 0, r(8).into())
+            .exit()
+            .build()
+            .unwrap()
+    }
+
+    /// `kernel` with every instruction holding its warp for `stall`
+    /// cycles under the control-bit interlock.
+    fn paced(kernel: Kernel, stall: u8) -> Kernel {
+        let bits = bow_isa::ctrl::CtrlBits {
+            stall,
+            ..Default::default()
+        };
+        Kernel {
+            ctrl: vec![bits; kernel.insts.len()],
+            ..kernel
+        }
+    }
+
+    const FOUR_COLLECTORS: [CollectorKind; 4] = [
+        CollectorKind::Baseline,
+        CollectorKind::Bow {
+            window: 3,
+            half_size: false,
+        },
+        CollectorKind::BowWr {
+            window: 3,
+            half_size: false,
+        },
+        CollectorKind::Rfc { entries: 6 },
+    ];
+
+    fn on_core(kind: CollectorKind, core_model: CoreModelKind) -> GpuConfig {
+        GpuConfig {
+            core_model,
+            ..GpuConfig::scaled(kind)
+        }
+    }
+
+    #[test]
+    fn skipping_quiet_cycles_is_exact_on_load_heavy_kernels() {
+        let dims = KernelDims::linear(4, 64);
+        for kind in FOUR_COLLECTORS {
+            for core in [CoreModelKind::Pascal, CoreModelKind::Modern] {
+                // One bank: writes queue behind each other and every read
+                // contends with them.
+                let one_bank = GpuConfig {
+                    rf_banks: 1,
+                    ..on_core(kind, core)
+                };
+                for (config, kernel) in [
+                    (on_core(kind, core), saxpy_kernel()),
+                    (on_core(kind, core), load_loop_kernel()),
+                    (one_bank, load_loop_kernel()),
+                ] {
+                    let saved = assert_skipping_is_exact(&config, &kernel, dims);
+                    assert!(saved > 0.5, "{} {kind:?} {core:?}: {saved}", kernel.name);
+                }
+            }
+            // Stall counts the interlock alone releases, long enough for
+            // the pipeline to drain while a warp waits one out.
+            let config = on_core(kind, CoreModelKind::Modern);
+            for stall in [3, 13, 40] {
+                let kernel = paced(load_loop_kernel(), stall);
+                let saved = assert_skipping_is_exact(&config, &kernel, dims);
+                assert!(stall < 13 || saved > 0.2, "stall {stall} {kind:?}: {saved}");
+            }
+        }
+    }
+
+    #[test]
+    fn skipping_quiet_cycles_is_exact_under_every_subscriber() {
+        for core in [CoreModelKind::Pascal, CoreModelKind::Modern] {
+            let mut config = on_core(CollectorKind::bow_wr(3), core).with_analyzer(&[2, 3, 7]);
+            config.oracle_check = OracleCheck::Lockstep;
+            config.sanitize = true;
+            config.trace_pipeline = true;
+            assert_skipping_is_exact(&config, &load_loop_kernel(), KernelDims::linear(4, 64));
+        }
+    }
+
+    #[test]
+    fn skipping_quiet_cycles_is_exact_when_blocks_arrive_while_other_sms_sleep() {
+        // One block per SM at a time and blocks of unequal length: each
+        // later block lands on the SM that just retired one while the
+        // other waits on DRAM; on the 56-SM chip most SMs stay idle.
+        for kind in [CollectorKind::Baseline, CollectorKind::bow_wr(3)] {
+            for core in [CoreModelKind::Pascal, CoreModelKind::Modern] {
+                let mut config = on_core(kind, core);
+                config.max_blocks_per_sm = 1;
+                assert_skipping_is_exact(&config, &load_loop_kernel(), KernelDims::linear(9, 32));
+                let chip = GpuConfig {
+                    core_model: core,
+                    ..GpuConfig::titan_x_pascal(kind)
+                };
+                assert_skipping_is_exact(&chip, &load_loop_kernel(), KernelDims::linear(5, 64));
+            }
+        }
+    }
+
+    /// Polls a fresh global line forever: every SM spends nearly all its
+    /// cycles waiting on DRAM.
+    fn poll_forever_kernel() -> Kernel {
+        let r = Reg::r;
+        KernelBuilder::new("poll_forever")
+            .s2r(r(0), Special::TidX)
+            .ldc(r(1), 0)
+            .shl(r(2), r(0).into(), Operand::Imm(2))
+            .iadd(r(1), r(1).into(), r(2).into())
+            .mov_imm(r(3), 0)
+            .label("top")
+            .ldg(r(4), r(1), 0)
+            .iadd(r(3), r(3).into(), r(4).into())
+            .iadd(r(1), r(1).into(), Operand::Imm(4096))
+            .bra("top")
+            .exit()
+            .build()
+            .unwrap()
+    }
+
+    #[test]
+    fn skipping_quiet_cycles_is_exact_when_the_watchdog_stops_a_sleeping_device() {
+        let kernel = poll_forever_kernel();
+        for core in [CoreModelKind::Pascal, CoreModelKind::Modern] {
+            let mut config = on_core(CollectorKind::bow_wr(3), core);
+            config.max_cycles = 20_000;
+            config.max_blocks_per_sm = 1;
+            // A stop in the middle of the longest span in which no SM
+            // issues, dispatches or writes back.
+            let (_, recorder, _) =
+                launch_recorded(&config, &kernel, KernelDims::linear(2, 32), true);
+            let mut cycles: Vec<u64> = recorder
+                .events
+                .iter()
+                .filter_map(|e| {
+                    let at = e.find("cycle: ")? + "cycle: ".len();
+                    e[at..].split([',', ' ']).next()?.parse().ok()
+                })
+                .collect();
+            cycles.sort_unstable();
+            let (gap, from) = cycles
+                .windows(2)
+                .map(|w| (w[1] - w[0], w[0]))
+                .max()
+                .expect("events");
+            assert!(gap > 100, "{core:?}: no long quiet span to stop in");
+            config.max_cycles = from + gap / 2;
+            assert_skipping_is_exact(&config, &kernel, KernelDims::linear(2, 32));
+            let (stopped, _, _) =
+                launch_recorded(&config, &kernel, KernelDims::linear(2, 32), true);
+            assert!(!stopped.completed && stopped.cycles == config.max_cycles);
+            assert!(stopped.per_sm.iter().all(|s| s.cycles == config.max_cycles));
+        }
     }
 
     #[test]

@@ -224,9 +224,12 @@ pub enum PipeEvent<'a> {
         /// with `addrs`. Empty for loads.
         values: &'a [u32],
     },
-    /// One issue scan found `count` warps held for `kind`: `count`
-    /// rejected issue attempts. Emitted once per kind per scan, and not
-    /// when `count` is 0.
+    /// Issue scans found warps held for `kind`: `count` rejected issue
+    /// attempts, one per held warp per scan. A ticked cycle emits one per
+    /// kind per scan; a span of skipped quiet cycles, each of whose one
+    /// scan per scheduler finds the same warps held, emits one per kind
+    /// per scheduler for the whole span (`held × span`). Never emitted
+    /// with `count` 0.
     Stalls {
         /// Why the warps were held.
         kind: StallKind,

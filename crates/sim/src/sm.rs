@@ -8,6 +8,12 @@
 //! generic over [`Probe`], and launching with
 //! [`NullProbe`](crate::probe::NullProbe) monomorphizes an
 //! instrumentation-free pipeline.
+//!
+//! A quiet cycle is skipped, not ticked (docs/ARCHITECTURE.md, hot-path
+//! rule 6): after each tick the pipeline names the next cycle that can do
+//! any work ([`Pipeline::next_tick`]), the SM lets the cycles before it
+//! pass without ticking them, and it charges them in one step
+//! ([`Sm::settle`]) before its next tick or when the launch ends.
 
 use crate::config::{CoreModelKind, GpuConfig};
 use crate::decode::DecodedKernel;
@@ -23,6 +29,13 @@ use bow_mem::{GlobalMemory, MemSystem, SharedMemory};
 pub struct Sm {
     ctx: SmCtx,
     pipeline: Pipeline,
+    /// The next cycle to tick: every cycle before it is quiet.
+    wake: u64,
+    /// Quiet cycles skipped since the last tick and not yet charged.
+    owed: u64,
+    /// Ticks every cycle, quiet or not: the reference skipping is held to.
+    #[cfg(test)]
+    pub(crate) tick_every_cycle: bool,
 }
 
 impl Sm {
@@ -46,6 +59,10 @@ impl Sm {
                 stats: SimStats::default(),
             },
             pipeline: Pipeline::new(config),
+            wake: 0,
+            owed: 0,
+            #[cfg(test)]
+            tick_every_cycle: false,
         }
     }
 
@@ -86,6 +103,7 @@ impl Sm {
         ctx.stats = SimStats::default();
         ctx.cycle = 0;
         self.pipeline.reset_for_launch(&ctx.config);
+        (self.wake, self.owed) = (0, 0);
     }
 
     /// Whether any block or instruction is still in flight.
@@ -147,9 +165,11 @@ impl Sm {
             warps_done: 0,
             base_uid: block_index * u64::from(warps),
         });
+        self.wake = 0;
     }
 
-    /// Accumulated statistics (memory counters folded in).
+    /// Accumulated statistics (memory counters folded in), through the
+    /// last [`settle`](Self::settle) or tick.
     pub fn stats(&self) -> SimStats {
         let mut s = self.ctx.stats.clone();
         s.rf = self.ctx.rf.stats();
@@ -161,16 +181,58 @@ impl Sm {
     /// `probe` (statistics accumulate regardless of the probe). `kernel`
     /// is the launch's kernel, decoded once for all SMs; `global` is
     /// device memory, which a global store writes when it executes.
+    ///
+    /// A quiet cycle is only counted, to be charged by the next
+    /// [`settle`](Self::settle), which every tick that does work begins
+    /// with.
     pub fn tick<P: Probe>(
         &mut self,
         kernel: &DecodedKernel<'_>,
         global: &mut GlobalMemory,
         probe: &mut P,
     ) {
+        if self.quiet_cycles() > 0 {
+            self.skip(1);
+            return;
+        }
+        self.settle(probe);
         let ctx = &mut self.ctx;
         ctx.cycle += 1;
         ctx.stats.cycles = ctx.cycle;
         self.pipeline.tick(ctx, kernel, global, probe);
+        self.wake = self.pipeline.next_tick(ctx);
+        #[cfg(test)]
+        if self.tick_every_cycle {
+            self.wake = 0;
+        }
+    }
+
+    /// How many of the coming cycles are quiet: they can pass without
+    /// being ticked.
+    pub fn quiet_cycles(&self) -> u64 {
+        self.wake.saturating_sub(self.ctx.cycle + 1)
+    }
+
+    /// Lets `cycles` quiet cycles pass untouched; the next
+    /// [`settle`](Self::settle) charges them.
+    pub(crate) fn skip(&mut self, cycles: u64) {
+        debug_assert!(cycles <= self.quiet_cycles(), "skipping a cycle with work");
+        self.ctx.cycle += cycles;
+        self.owed += cycles;
+    }
+
+    /// Charges the skipped quiet cycles as if each had been ticked: the
+    /// cycle count, each scheduler's stall counts (one `Stalls` event per
+    /// kind for the whole span) and the interlock's clock. The statistics
+    /// are exact after a settle; a launch settles every SM when it ends.
+    pub fn settle<P: Probe>(&mut self, probe: &mut P) {
+        if self.owed == 0 {
+            return;
+        }
+        let ctx = &mut self.ctx;
+        ctx.stats.cycles = ctx.cycle;
+        self.pipeline.settle(ctx, self.owed, probe);
+        self.owed = 0;
     }
 
     /// Ticks the SM until it goes idle, as a one-SM device would.

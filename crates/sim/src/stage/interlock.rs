@@ -46,8 +46,9 @@ pub(crate) trait Interlock {
     /// control ops wait for the warp's collector slots to drain.
     const EXACT: bool;
 
-    /// Once per cycle, before any issue check.
-    fn begin_cycle(&mut self);
+    /// `cycles` cycles began: once per ticked cycle, before any issue
+    /// check, and once for a whole span of skipped quiet cycles.
+    fn advance(&mut self, cycles: u64);
 
     /// Whether `warp` (in slot `w`) must not issue the instruction at
     /// its `pc` this cycle.
@@ -91,7 +92,7 @@ impl Interlock for Scoreboards {
     const BLOCKS_BEFORE_ADMISSION: bool = false;
     const EXACT: bool = true;
 
-    fn begin_cycle(&mut self) {}
+    fn advance(&mut self, _cycles: u64) {}
 
     fn blocks(&self, w: usize, warp: &Warp, kernel: &DecodedKernel<'_>) -> bool {
         !self.0[w].can_issue(&kernel.meta[warp.pc])
@@ -209,8 +210,8 @@ impl Interlock for ControlBits {
     const BLOCKS_BEFORE_ADMISSION: bool = true;
     const EXACT: bool = false;
 
-    fn begin_cycle(&mut self) {
-        self.now += 1;
+    fn advance(&mut self, cycles: u64) {
+        self.now += cycles;
     }
 
     fn blocks(&self, w: usize, warp: &Warp, kernel: &DecodedKernel<'_>) -> bool {
@@ -385,9 +386,9 @@ mod tests {
         il.on_issue(0, 0, &k);
         // The stall field holds every instruction of the warp, barriers or not.
         assert!(blocks(&il, &k, 3, 1));
-        il.begin_cycle();
+        il.advance(1);
         assert!(blocks(&il, &k, 3, 1));
-        il.begin_cycle();
+        il.advance(1);
         assert!(!blocks(&il, &k, 3, 1));
         assert!(blocks(&il, &k, 1, 1), "waits on the write barrier");
         assert!(blocks(&il, &k, 2, 1), "waits on the read barrier");
@@ -400,7 +401,7 @@ mod tests {
         il.on_issue(0, 3, &k);
         assert!(blocks(&il, &k, 4, 0), "stalled");
         for _ in 0..3 {
-            il.begin_cycle();
+            il.advance(1);
         }
         assert!(!blocks(&il, &k, 4, 0), "barrier 2 was never set");
         // Other slots are independent, and a reset clears this one.
@@ -444,7 +445,7 @@ mod tests {
         let mut il = ControlBits::new(1);
         assert!(!blocks(&il, &k, 0, 0));
         il.on_issue(0, 0, &k);
-        il.begin_cycle();
+        il.advance(1);
         assert!(blocks(&il, &k, 2, 1), "independent, but one is in flight");
         il.on_dispatch(0, 0, &k);
         assert!(blocks(&il, &k, 2, 1), "dispatch does not retire it");

@@ -152,11 +152,26 @@ impl ReadySet {
         self.dirty.union_with(&self.part[p]);
     }
 
-    /// Marks the slots whose stall count runs out at `cycle`. Called once
-    /// per SM-cycle, so every row is visited in its turn.
+    /// Marks the slots whose stall count runs out at `cycle`. Called at
+    /// every ticked SM-cycle; a skipped one has an empty row.
     fn expire(&mut self, cycle: u64) {
         let row = (cycle % STALL_ROWS) as usize;
         self.expiring.drain_row_into(row, &mut self.dirty);
+    }
+
+    /// Whether no slot is ready and none awaits re-classification: until
+    /// a stall count runs out or an event marks a slot, every scan finds
+    /// exactly what the last one did.
+    pub(super) fn is_settled(&self) -> bool {
+        self.ready.is_empty() && self.dirty.is_empty()
+    }
+
+    /// The first cycle after `cycle` at which a stall count runs out, if
+    /// any slot waits on one.
+    pub(super) fn next_expiry(&self, cycle: u64) -> Option<u64> {
+        let from = cycle + 1;
+        let ahead = self.expiring.next_nonempty((from % STALL_ROWS) as usize)?;
+        Some(from + ahead as u64)
     }
 
     /// Re-classifies scheduler `s`'s dirty slots at `cycle`.
@@ -208,15 +223,23 @@ impl ReadySet {
         out.extend(self.ready.iter_in(&self.sched[s]));
     }
 
-    /// Charges one scan of scheduler `s`: a `Stalls` event per stall kind
-    /// that holds a warp, carrying the scheduler's count of such warps.
-    fn charge_stalls<P: Probe>(&self, s: usize, stats: &mut SimStats, probe: &mut P) {
+    /// Charges `scans` scans of scheduler `s` that all found the same
+    /// warps held: a `Stalls` event per stall kind that holds a warp,
+    /// carrying the scheduler's count of such warps times `scans`.
+    pub(super) fn charge_stalls<P: Probe>(
+        &self,
+        s: usize,
+        scans: u64,
+        stats: &mut SimStats,
+        probe: &mut P,
+    ) {
         let [scoreboard, no_collector] = self.held[s];
-        for (kind, count) in [
+        for (kind, held) in [
             (StallKind::Scoreboard, scoreboard),
             (StallKind::NoCollector, no_collector),
         ] {
-            if count > 0 {
+            if held > 0 {
+                let count = held.saturating_mul(scans);
                 emit(stats, probe, PipeEvent::Stalls { kind, count });
             }
         }
@@ -231,7 +254,7 @@ impl Stages {
         kernel: &DecodedKernel<'_>,
         probe: &mut P,
     ) {
-        il.begin_cycle();
+        il.advance(1);
         let cycle = ctx.cycle;
         self.ready.expire(cycle);
         let mut ready = std::mem::take(&mut self.ready_buf);
@@ -243,7 +266,7 @@ impl Stages {
                 if cfg!(debug_assertions) {
                     self.ready.cross_check(s, full);
                 }
-                self.ready.charge_stalls(s, &mut ctx.stats, probe);
+                self.ready.charge_stalls(s, 1, &mut ctx.stats, probe);
                 self.ready.ready_into(s, &mut ready);
                 let age = &ctx.warp_age;
                 let pick = self.schedulers[s].pick(&ready, |w| age[w]);

@@ -27,6 +27,12 @@
 //! the stages are monomorphized over it, like they are over the probe, so
 //! the hot path pays one match per cycle and nothing per warp.
 //!
+//! After each tick the pipeline says when it next has work
+//! ([`Pipeline::next_tick`]): a cycle in which nothing can issue,
+//! collect, dispatch or write back is *quiet*, and the SM skips a run of
+//! them and charges them in one step ([`Pipeline::settle`]) instead of
+//! ticking each.
+//!
 //! Stages communicate with the outside world only through the probe bus
 //! ([`crate::probe`]): every counter update and trace point is a typed
 //! [`PipeEvent`](crate::probe::PipeEvent) emission, so instrumentation
@@ -259,6 +265,45 @@ impl Pipeline {
         match &mut self.interlock {
             InterlockKind::Scoreboard(il) => self.stages.tick(il, ctx, kernel, global, probe),
             InterlockKind::ControlBits(il) => self.stages.tick(il, ctx, kernel, global, probe),
+        }
+    }
+
+    /// The next cycle after a tick at `ctx.cycle` that can do any work:
+    /// `ctx.cycle + 1` unless the pipeline is quiet, when no tick before
+    /// the returned one issues, collects, dispatches or writes back
+    /// (`u64::MAX` when only a new block can wake it).
+    ///
+    /// Quiet means every collector partition is empty, the register file
+    /// has no queued write, and no warp is ready or awaits
+    /// re-classification. Then only time moves anything: the next
+    /// completion falling due, or the next stall count running out.
+    pub fn next_tick(&self, ctx: &SmCtx) -> u64 {
+        let stages = &self.stages;
+        let quiet = stages.parts.iter().all(|p| p.oc.occupied() == 0)
+            && ctx.rf.queued_writes() == 0
+            && stages.ready.is_settled();
+        if !quiet {
+            return ctx.cycle + 1;
+        }
+        let due = stages.completions.next_due().unwrap_or(u64::MAX);
+        let expiry = stages.ready.next_expiry(ctx.cycle).unwrap_or(u64::MAX);
+        due.min(expiry).max(ctx.cycle + 1)
+    }
+
+    /// Charges the `span` quiet cycles through `ctx.cycle` that were
+    /// skipped instead of ticked: each would have scanned every scheduler
+    /// once, found the same warps held and issued nothing, so each
+    /// scheduler's stall counts are charged `span` times in one `Stalls`
+    /// event per kind; the interlock's clock advances by `span`.
+    pub fn settle<P: Probe>(&mut self, ctx: &mut SmCtx, span: u64, probe: &mut P) {
+        let stages = &mut self.stages;
+        for s in 0..stages.schedulers.len() {
+            stages.ready.charge_stalls(s, span, &mut ctx.stats, probe);
+        }
+        stages.completions.idle_through(ctx.cycle);
+        match &mut self.interlock {
+            InterlockKind::Scoreboard(il) => il.advance(span),
+            InterlockKind::ControlBits(il) => il.advance(span),
         }
     }
 }

@@ -111,14 +111,34 @@ impl CompletionQueue {
         }
     }
 
-    /// Pops the earliest completion due at or before `cycle`.
-    pub(crate) fn pop_due(&mut self, cycle: u64) -> Option<Completion> {
+    /// The due time of the first non-empty bucket.
+    fn first_near(&self) -> Option<u64> {
         // Bucket b holds time base + ((b - base) mod WHEEL).
-        let first_near = (self.occupied != 0).then(|| {
+        (self.occupied != 0).then(|| {
             let skip = self.occupied.rotate_right((self.base % WHEEL) as u32);
             self.base + u64::from(skip.trailing_zeros())
-        });
-        let near = first_near.filter(|&t| t <= cycle).map(|t| {
+        })
+    }
+
+    /// The earliest due time of any queued completion.
+    pub(crate) fn next_due(&self) -> Option<u64> {
+        let far = self.far.peek().map(|&Reverse((t, _, _))| t);
+        match (self.first_near(), far) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
+    }
+
+    /// Nothing was due through `cycle`: lets the wheel follow the clock
+    /// (never past a queued bucket) so what dispatches next lands in it.
+    pub(crate) fn idle_through(&mut self, cycle: u64) {
+        let horizon = self.first_near().unwrap_or(u64::MAX).min(cycle + 1);
+        self.base = self.base.max(horizon);
+    }
+
+    /// Pops the earliest completion due at or before `cycle`.
+    pub(crate) fn pop_due(&mut self, cycle: u64) -> Option<Completion> {
+        let near = self.first_near().filter(|&t| t <= cycle).map(|t| {
             let n = self.head[(t % WHEEL) as usize];
             (t, self.slab[n as usize].c.ord)
         });
@@ -129,10 +149,7 @@ impl CompletionQueue {
             .filter(|k| k.0 <= cycle);
         let n = match (near, far) {
             (None, None) => {
-                // Nothing due: let the wheel follow the clock (never past
-                // a queued bucket) so what dispatches next lands in it.
-                let horizon = first_near.unwrap_or(u64::MAX).min(cycle + 1);
-                self.base = self.base.max(horizon);
+                self.idle_through(cycle);
                 return None;
             }
             (Some(key), far) if far.is_none_or(|(t, ord, _)| key < (t, ord)) => {
@@ -287,6 +304,8 @@ mod tests {
                     popped += 1;
                 }
                 assert_eq!(queue.is_empty(), reference.heap.is_empty());
+                let due = reference.heap.peek().map(|Reverse(k)| k.0);
+                assert_eq!(queue.next_due(), due, "seed {seed} cycle {cycle}");
                 if cycle > 3500 {
                     continue; // drain
                 }

@@ -16,6 +16,10 @@
 //! words); and one kernel's loads miss to DRAM, so its completions take
 //! the completion queue's far path.
 //!
+//! A third shape keeps two warps waiting on DRAM, so the SM is quiet for
+//! most cycles and skips them (docs/ARCHITECTURE.md, hot-path rule 6):
+//! the skipped spans and the settles that charge them are counted too.
+//!
 //! A relaunch resets each SM's memory hierarchy in place, so
 //! `MemSystem::reset` on a warmed hierarchy is counted too.
 //!
@@ -27,7 +31,9 @@
 //! Timing-free, so it cannot flake; `scripts/ci.sh` runs it in release.
 
 use bow_isa::ctrl::CtrlBits;
-use bow_isa::{CmpOp, Kernel, KernelBuilder, KernelDims, Operand, Pred, Reg, Special};
+use bow_isa::{
+    CmpOp, Instruction, Kernel, KernelBuilder, KernelDims, Opcode, Operand, Pred, Reg, Special,
+};
 use bow_mem::{AccessKind, GlobalMemory, MemConfig, MemSystem};
 use bow_sim::collector::CollectorKind;
 use bow_sim::config::{CoreModelKind, GpuConfig, SchedPolicy};
@@ -207,6 +213,9 @@ struct Shape {
     /// Resident blocks of 64 threads (two warps each).
     blocks: u32,
     config: fn(&mut GpuConfig),
+    /// Whether the SM is quiet for most cycles: most measured ticks are
+    /// then skipped rather than busy.
+    sleeps: bool,
 }
 
 /// Sixteen warps, four per scheduler. A full SM would not reach a steady
@@ -217,6 +226,7 @@ const SIXTEEN_WARPS: Shape = Shape {
     name: "16 warps / 4 schedulers",
     blocks: 8,
     config: |_| {},
+    sleeps: false,
 };
 
 /// Ninety-six warp slots, all resident, all under one scheduler:
@@ -230,6 +240,15 @@ const NINETY_SIX_WARPS: Shape = Shape {
         c.schedulers_per_sm = 1;
         c.sched = SchedPolicy::Lrr;
     },
+    sleeps: false,
+};
+
+/// One block whose two warps wait on DRAM loads: most cycles are quiet.
+const TWO_SLEEPING_WARPS: Shape = Shape {
+    name: "2 warps, mostly asleep",
+    blocks: 1,
+    config: |_| {},
+    sleeps: true,
 };
 
 /// The device memory every launch starts from: both buffers hold their
@@ -260,12 +279,16 @@ fn allocations_in_steady_state<P: Probe>(
     if core_model == CoreModelKind::Modern {
         // Run under the control-bit interlock proper rather than its
         // unannotated one-in-flight fallback. The bits are timing-only;
-        // a uniform stall paces each warp like real annotations do.
-        let paced = CtrlBits {
+        // a uniform stall paces each warp like real annotations do. A
+        // sleeping shape's warps also wait for their loads, each load
+        // setting a write barrier every instruction waits on.
+        let paced = |inst: &Instruction| CtrlBits {
             stall: 4,
+            wr_bar: (shape.sleeps && inst.op == Opcode::Ldg).then_some(0),
+            wait_mask: u8::from(shape.sleeps),
             ..Default::default()
         };
-        kernel.ctrl = vec![paced; kernel.insts.len()];
+        kernel.ctrl = kernel.insts.iter().map(paced).collect();
     }
     let mut global = launch_memory();
 
@@ -283,20 +306,30 @@ fn allocations_in_steady_state<P: Probe>(
     let issued_before = sm.stats().warp_instructions;
 
     let before = ALLOCS.with(Cell::get);
+    let mut skipped = 0;
     for _ in 0..MEASURED_TICKS {
+        skipped += u64::from(sm.quiet_cycles() > 0);
         sm.tick(&decoded, &mut global, probe);
     }
+    sm.settle(probe);
     let allocs = ALLOCS.with(Cell::get) - before;
 
     let issued = sm.stats().warp_instructions - issued_before;
     assert!(sm.busy(), "the launch must outlast the measurement");
-    assert!(
-        issued > u64::from(MEASURED_TICKS) / 4,
-        "{} {kind:?} {core_model:?} {}: only {issued} warp instructions in \
-         {MEASURED_TICKS} ticks — the pipeline is not being exercised",
-        kernel.name,
-        shape.name
-    );
+    let what = format!("{} {kind:?} {core_model:?} {}", kernel.name, shape.name);
+    if shape.sleeps {
+        assert!(
+            skipped > u64::from(MEASURED_TICKS) / 2 && issued > 0,
+            "{what}: {skipped} of {MEASURED_TICKS} ticks skipped, {issued} warp \
+             instructions — the SM is not sleeping between loads"
+        );
+    } else {
+        assert!(
+            issued > u64::from(MEASURED_TICKS) / 4,
+            "{what}: only {issued} warp instructions in {MEASURED_TICKS} ticks — \
+             the pipeline is not being exercised"
+        );
+    }
     if kernel.name == "dram" {
         let mem = sm.stats().mem;
         assert!(
@@ -365,6 +398,11 @@ fn single_scheduler_96_warp_ticks_are_heap_free() {
 #[test]
 fn dram_latency_ticks_are_heap_free() {
     assert_heap_free(&dram_kernel(), &SIXTEEN_WARPS, DRAM_WARMUP_TICKS);
+}
+
+#[test]
+fn skipped_quiet_cycles_and_their_settles_are_heap_free() {
+    assert_heap_free(&dram_kernel(), &TWO_SLEEPING_WARPS, DRAM_WARMUP_TICKS);
 }
 
 #[test]

@@ -32,6 +32,10 @@ echo "==> golden stats fingerprints (release): {pascal, modern} x {stack, barrie
 #    when they execute; fingerprints_bfs_paper.txt).
 # Re-bless deliberately with BOW_BLESS=1 after intentional changes.
 cargo test --release -q --offline -p bow --test golden_fingerprints
+# Skipping quiet SM-cycles (docs/ARCHITECTURE.md, hot-path rule 6) must
+# equal ticking every cycle with optimisations on too: the same launches
+# run both ways and every statistic, event and report must agree.
+cargo test --release -q --offline -p bow-sim --lib skipping_quiet_cycles
 mkdir -p target/golden-artifacts
 cp crates/bow/tests/golden/fingerprints.txt target/golden-artifacts/pascal.txt
 cp crates/bow/tests/golden/fingerprints_modern.txt target/golden-artifacts/modern.txt
