@@ -50,14 +50,15 @@ pub fn request(
     // hanging it; sweeps at paper scale run minutes, hence the long read.
     let _ = stream.set_read_timeout(Some(Duration::from_secs(3600)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(60)));
+    // One write for head and body, so Nagle's algorithm never holds the
+    // body back until the server acknowledges the head.
     let body = body.unwrap_or("");
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+    let message = format!(
+        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     );
     stream
-        .write_all(head.as_bytes())
-        .and_then(|()| stream.write_all(body.as_bytes()))
+        .write_all(message.as_bytes())
         .map_err(|e| BowError::io(addr, format!("write: {e}")))?;
     let mut raw = String::new();
     stream

@@ -138,17 +138,19 @@ fn reason(status: u16) -> &'static str {
 /// Writes a JSON response (status + body) and flushes. The connection is
 /// marked `Connection: close`; callers drop the stream afterwards.
 ///
+/// Head and body go out in one write, so Nagle's algorithm never holds
+/// the body back until the client acknowledges the head.
+///
 /// # Errors
 ///
 /// Propagates socket write errors.
 pub fn write_response(stream: &mut TcpStream, status: u16, body: &str) -> std::io::Result<()> {
-    let head = format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+    let message = format!(
+        "HTTP/1.1 {status} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         reason(status),
         body.len()
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    stream.write_all(message.as_bytes())?;
     stream.flush()
 }
 

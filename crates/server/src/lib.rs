@@ -23,6 +23,19 @@
 //! Everything is std-only: hand-rolled HTTP/1.1 framing ([`http`]), a
 //! `Condvar` worker pool ([`jobs`]) and the in-tree JSON — matching the
 //! workspace's no-external-dependencies policy.
+//!
+//! ## Connections
+//!
+//! Requests are answered by a leader/followers pool of acceptor threads.
+//! [`STANDING_ACCEPTORS`] of them wait in `accept` on the shared listener;
+//! the one that accepts a connection answers its request inline and then
+//! waits in `accept` again. An acceptor that accepts while no other one is
+//! idle starts a replacement *before* it reads, so a client that sends
+//! nothing (or a sync run waiting on its job) holds only its own thread and
+//! never delays anyone else; a thread that finds [`STANDING_ACCEPTORS`]
+//! already idle after its request exits. A busy acceptor holds no handle
+//! on the listener, so the port closes as soon as the idle ones let go of
+//! it at shutdown.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,9 +47,10 @@ pub mod store;
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
+use std::time::Duration;
 
 use bow::api::{RunRequest, SweepRequest};
 use bow::error::BowError;
@@ -69,11 +83,56 @@ impl Default for ServerConfig {
     }
 }
 
+/// Acceptor threads that wait in `accept` while the server is quiet: the
+/// pool's size at boot and its idle cap afterwards.
+pub const STANDING_ACCEPTORS: usize = 2;
+
+/// How long an acceptor pauses after a failed `accept` (say, out of file
+/// descriptors) before it tries again.
+const ACCEPT_RETRY: Duration = Duration::from_millis(10);
+
+/// The acceptor pool's bookkeeping, behind `State::pool`.
+struct Pool {
+    /// The listener while the server accepts; `None` before [`Server::run`]
+    /// and once shutdown began. Only idle acceptors hold a clone.
+    listener: Option<Arc<TcpListener>>,
+    /// Acceptors that hold a listener handle: waiting in `accept`, or on
+    /// their way to or from it.
+    idle: usize,
+    /// Acceptor threads started since [`Server::run`] began.
+    threads_started: u64,
+}
+
+impl Pool {
+    /// Counts one more idle acceptor and hands it a listener handle, or
+    /// `None` once shutdown began.
+    fn join_idle(&mut self) -> Option<Arc<TcpListener>> {
+        let listener = self.listener.clone()?;
+        self.idle += 1;
+        Some(listener)
+    }
+
+    /// [`join_idle`](Self::join_idle) for a thread about to be started.
+    fn claim_new(&mut self) -> Option<Arc<TcpListener>> {
+        let listener = self.join_idle()?;
+        self.threads_started += 1;
+        Some(listener)
+    }
+}
+
 struct State {
     store: Arc<ResultStore>,
     jobs: Arc<JobSystem>,
-    shutdown: AtomicBool,
+    pool: Mutex<Pool>,
+    /// Signalled when shutdown begins and whenever `idle` falls.
+    pool_changed: Condvar,
     local_addr: SocketAddr,
+}
+
+impl State {
+    fn pool(&self) -> MutexGuard<'_, Pool> {
+        self.pool.lock().expect("acceptor pool lock poisoned")
+    }
 }
 
 /// A bound, not-yet-running server.
@@ -108,7 +167,12 @@ impl Server {
             state: Arc::new(State {
                 store: Arc::new(store),
                 jobs: Arc::new(JobSystem::new()),
-                shutdown: AtomicBool::new(false),
+                pool: Mutex::new(Pool {
+                    listener: None,
+                    idle: 0,
+                    threads_started: 0,
+                }),
+                pool_changed: Condvar::new(),
                 local_addr,
             }),
             workers,
@@ -120,12 +184,20 @@ impl Server {
         self.state.local_addr
     }
 
-    /// Serves until `POST /v1/shutdown`: spawns the worker pool, then
-    /// accepts connections, one handler thread each.
+    /// Serves until `POST /v1/shutdown`: spawns the worker pool and
+    /// [`STANDING_ACCEPTORS`] acceptor threads, then waits. Each request
+    /// is answered on the acceptor thread that accepted it (see the crate
+    /// docs); a connection whose handler blocks keeps that thread to
+    /// itself.
+    ///
+    /// At shutdown every idle acceptor is woken by one connection and
+    /// lets go of the listener, queued jobs finish and the workers exit.
+    /// When `run` returns the port is closed, even while a handler still
+    /// waits on a client that never finished its request.
     ///
     /// # Errors
     ///
-    /// Returns [`BowError::Io`] if the accept loop fails hard.
+    /// Returns [`BowError::Io`] if no acceptor thread can be started.
     pub fn run(self) -> Result<(), BowError> {
         let worker_handles: Vec<_> = (0..self.workers)
             .map(|i| {
@@ -137,25 +209,120 @@ impl Server {
                     .expect("spawn worker thread")
             })
             .collect();
-        for conn in self.listener.incoming() {
-            if self.state.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            let stream = match conn {
-                Ok(s) => s,
-                Err(_) => continue,
-            };
-            let state = Arc::clone(&self.state);
-            let _ = thread::Builder::new()
-                .name("bow-conn".to_string())
-                .spawn(move || handle_connection(&state, stream));
+        let state = &self.state;
+        // Both standing acceptors are counted before either starts, so
+        // the first request already sees the pool at full strength.
+        let standing: Vec<_> = {
+            let mut pool = state.pool();
+            pool.listener = Some(Arc::new(self.listener));
+            (0..STANDING_ACCEPTORS)
+                .filter_map(|_| pool.claim_new())
+                .collect()
+        };
+        for listener in standing {
+            start_acceptor(state, listener);
         }
+        let serving = state.pool().threads_started > 0;
+        if !serving {
+            state.request_shutdown();
+        }
+        let idle = state
+            .pool_changed
+            .wait_while(state.pool(), |p| p.listener.is_some())
+            .expect("acceptor pool lock poisoned")
+            .idle;
+        for _ in 0..idle {
+            let _ = TcpStream::connect(state.local_addr);
+        }
+        drop(
+            state
+                .pool_changed
+                .wait_while(state.pool(), |p| p.idle > 0)
+                .expect("acceptor pool lock poisoned"),
+        );
         // Drain: workers finish queued jobs, then exit.
-        self.state.jobs.close();
+        state.jobs.close();
         for h in worker_handles {
             let _ = h.join();
         }
-        Ok(())
+        if serving {
+            Ok(())
+        } else {
+            Err(BowError::io(
+                state.local_addr.to_string(),
+                "cannot start an acceptor thread",
+            ))
+        }
+    }
+}
+
+impl State {
+    /// Stops accepting: idle acceptors exit at their next connection and
+    /// busy ones after their request, and [`Server::run`] wakes.
+    fn request_shutdown(&self) {
+        self.pool().listener = None;
+        self.pool_changed.notify_all();
+    }
+}
+
+/// Starts an acceptor thread on a slot `Pool::claim_new` counted. The
+/// thread is detached: a busy acceptor may wait on its client for good,
+/// and [`Server::run`] must not wait with it.
+fn start_acceptor(state: &Arc<State>, listener: Arc<TcpListener>) {
+    let shared = Arc::clone(state);
+    let started = thread::Builder::new()
+        .name("bow-http".to_string())
+        .spawn(move || accept_loop(&shared, listener));
+    if started.is_err() {
+        // The closure, and the listener handle with it, is already dropped.
+        let mut pool = state.pool();
+        pool.idle -= 1;
+        pool.threads_started -= 1;
+        state.pool_changed.notify_all();
+    }
+}
+
+/// One acceptor's life: wait in `accept` holding a listener handle, give
+/// the handle up, answer the request inline, and go back to `accept`
+/// unless [`STANDING_ACCEPTORS`] others are idle or shutdown began.
+fn accept_loop(state: &Arc<State>, mut listener: Arc<TcpListener>) {
+    loop {
+        let mut stream = match listener.accept() {
+            Ok((stream, _)) => stream,
+            Err(_) => {
+                thread::sleep(ACCEPT_RETRY);
+                continue;
+            }
+        };
+        drop(listener);
+        let replacement = {
+            let mut pool = state.pool();
+            pool.idle -= 1;
+            state.pool_changed.notify_all();
+            if pool.listener.is_none() {
+                // A shutdown wake-up, or a client that came too late.
+                return;
+            }
+            if pool.idle == 0 {
+                pool.claim_new()
+            } else {
+                None
+            }
+        };
+        if let Some(listener) = replacement {
+            start_acceptor(state, listener);
+        }
+        handle_connection(state, &mut stream);
+        // Rejoin before the stream closes: a client that connects again
+        // once it has read its reply finds this thread idle already.
+        let mut pool = state.pool();
+        if pool.idle >= STANDING_ACCEPTORS {
+            return;
+        }
+        match pool.join_idle() {
+            Some(l) => listener = l,
+            None => return,
+        }
     }
 }
 
@@ -246,6 +413,13 @@ fn health_body(state: &State) -> String {
         ),
         ("jobs", state.jobs.stats_json()),
         ("store", state.store.stats_json()),
+        ("http", {
+            let pool = state.pool();
+            Json::obj([
+                ("threads_started", Json::from(pool.threads_started)),
+                ("idle", Json::from(pool.idle)),
+            ])
+        }),
     ])
     .to_string_compact()
 }
@@ -256,10 +430,8 @@ fn route(state: &State, req: &Request) -> (u16, String) {
         ("POST", "/v1/runs") => handle_submission(state, req, false),
         ("POST", "/v1/sweeps") => handle_submission(state, req, true),
         ("POST", "/v1/shutdown") => {
-            state.shutdown.store(true, Ordering::SeqCst);
+            state.request_shutdown();
             state.jobs.close();
-            // Poke the accept loop so it observes the flag.
-            let _ = TcpStream::connect(state.local_addr);
             (
                 200,
                 Json::obj([("status", Json::from("shutting down"))]).to_string_compact(),
@@ -297,8 +469,8 @@ fn route(state: &State, req: &Request) -> (u16, String) {
     }
 }
 
-fn handle_connection(state: &State, mut stream: TcpStream) {
-    let (status, body) = match read_request(&mut stream) {
+fn handle_connection(state: &State, stream: &mut TcpStream) {
+    let (status, body) = match read_request(stream) {
         Ok(req) => route(state, &req),
         Err(FrameError::TooLarge(n)) => (
             413,
@@ -308,9 +480,8 @@ fn handle_connection(state: &State, mut stream: TcpStream) {
             400,
             error_body("parse", &FrameError::Malformed(m).to_string()),
         ),
-        // Connection died before a full request arrived (including the
-        // shutdown poke): nothing to answer.
+        // Connection died before a full request arrived: nothing to answer.
         Err(FrameError::Io(_)) => return,
     };
-    let _ = write_response(&mut stream, status, &body);
+    let _ = write_response(stream, status, &body);
 }

@@ -14,12 +14,20 @@
 //!   serves the old results;
 //! * malformed and invalid bodies come back as structured 4xx
 //!   `{"error": {"kind", "message"}}` documents, and an inline kernel the
-//!   oracle disagrees with as a 500 of kind `verify`.
+//!   oracle disagrees with as a 500 of kind `verify`;
+//! * the acceptor pool keeps its promises: a client that sends nothing
+//!   (or half a request) delays nobody, more blocked sync runs than
+//!   standing acceptors all complete, shutdown closes the port while such
+//!   a client is still connected, and sequential requests start no
+//!   thread.
 
 use bow_server::client;
-use bow_server::{Server, ServerConfig};
+use bow_server::{Server, ServerConfig, STANDING_ACCEPTORS};
 use bow_util::json::Json;
+use std::io::Write;
+use std::net::TcpStream;
 use std::path::PathBuf;
+use std::time::Duration;
 
 struct TestServer {
     addr: String,
@@ -49,16 +57,44 @@ impl TestServer {
         self.handle.take().expect("running").join().expect("join");
     }
 
-    fn sim_runs(&self) -> u64 {
-        let health = client::get(&self.addr, "/v1/healthz")
+    fn health(&self) -> Json {
+        client::get(&self.addr, "/v1/healthz")
             .expect("healthz")
             .json()
-            .expect("healthz is JSON");
-        health
+            .expect("healthz is JSON")
+    }
+
+    fn sim_runs(&self) -> u64 {
+        self.health()
             .get("sim_runs")
             .and_then(Json::as_u64)
             .expect("sim_runs counter")
     }
+
+    /// `/v1/healthz`'s `http` section: `(threads_started, idle)`.
+    fn http_threads(&self) -> (u64, u64) {
+        let health = self.health();
+        let field = |key| {
+            health
+                .get("http")
+                .and_then(|h| h.get(key))
+                .and_then(Json::as_u64)
+                .unwrap_or_else(|| panic!("healthz http.{key}"))
+        };
+        (field("threads_started"), field("idle"))
+    }
+}
+
+/// Runs `f` on a thread of its own and waits at most `secs` for it, so a
+/// request stuck behind a blocked server fails the test instead of
+/// hanging it.
+fn within<T: Send + 'static>(secs: u64, what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    rx.recv_timeout(Duration::from_secs(secs))
+        .unwrap_or_else(|_| panic!("{what} did not finish within {secs} s"))
 }
 
 fn temp_store(tag: &str) -> PathBuf {
@@ -321,7 +357,7 @@ fn healthz_reports_store_and_job_counters() {
         .unwrap();
     assert_eq!(health.get("status").and_then(Json::as_str), Some("ok"));
     assert_eq!(health.get("schema_version").and_then(Json::as_u64), Some(1));
-    for section in ["jobs", "store"] {
+    for section in ["jobs", "store", "http"] {
         assert!(
             health.get(section).is_some(),
             "healthz must report {section}"
@@ -550,6 +586,107 @@ fn an_inline_oracle_mismatch_is_a_verify_error_not_a_panic() {
         message.contains("racy under baseline: oracle check failed: final global memory"),
         "{message}"
     );
+    srv.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_silent_or_half_sent_connection_never_delays_another_request() {
+    let dir = temp_store("silent");
+    let srv = TestServer::boot(&dir);
+    // One client sends nothing, one stops inside its body; the server
+    // accepts connections in arrival order, so both hold a handler before
+    // the health checks arrive.
+    let silent = TcpStream::connect(&srv.addr).expect("connect");
+    let mut half = TcpStream::connect(&srv.addr).expect("connect");
+    half.write_all(b"POST /v1/runs HTTP/1.1\r\nContent-Length: 100\r\n\r\n{\"kernel\"")
+        .expect("half a request");
+    for _ in 0..3 {
+        let addr = srv.addr.clone();
+        let resp = within(10, "healthz beside a silent client", move || {
+            client::get(&addr, "/v1/healthz")
+        })
+        .expect("healthz");
+        assert_eq!(resp.status, 200, "{}", resp.body);
+    }
+    drop((silent, half));
+    srv.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn more_concurrent_sync_runs_than_standing_acceptors_all_complete() {
+    let dir = temp_store("concurrent");
+    let srv = TestServer::boot(&dir);
+    // Distinct fingerprints, so every request is a cold run whose handler
+    // waits on its job.
+    let runs = STANDING_ACCEPTORS + 2;
+    let clients: Vec<_> = (1..=runs)
+        .map(|window| {
+            let addr = srv.addr.clone();
+            let body = format!(
+                r#"{{"kernel": {{"workload": "vectoradd", "scale": "test"}},
+                    "config": {{"collector": "bow-wr", "window": {window}}}}}"#
+            );
+            std::thread::spawn(move || client::post(&addr, "/v1/runs", &body))
+        })
+        .collect();
+    let replies = within(120, "concurrent cold runs", move || {
+        clients
+            .into_iter()
+            .map(|c| c.join().expect("client thread").expect("submit"))
+            .collect::<Vec<_>>()
+    });
+    for reply in &replies {
+        assert_eq!(reply.status, 200, "{}", reply.body);
+        let doc = reply.json().expect("JSON");
+        assert_eq!(doc.get("cached").and_then(Json::as_bool), Some(false));
+    }
+    assert_eq!(srv.sim_runs(), runs as u64);
+    srv.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn shutdown_closes_the_port_while_a_silent_connection_is_open() {
+    let dir = temp_store("closed");
+    let srv = TestServer::boot(&dir);
+    let addr = srv.addr.clone();
+    let silent = TcpStream::connect(&addr).expect("connect");
+    // Answered only after the silent connection was accepted.
+    assert_eq!(srv.sim_runs(), 0);
+    within(30, "shutdown beside a silent client", move || {
+        srv.shutdown()
+    });
+    let late = TcpStream::connect(&addr);
+    assert!(
+        late.as_ref()
+            .is_err_and(|e| e.kind() == std::io::ErrorKind::ConnectionRefused),
+        "a connect after `run` returned must be refused: {late:?}"
+    );
+    drop(silent);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn sequential_requests_start_no_thread() {
+    let dir = temp_store("threads");
+    let srv = TestServer::boot(&dir);
+    let standing = STANDING_ACCEPTORS as u64;
+    // The thread answering a health check is busy, the rest are idle.
+    assert_eq!(srv.http_threads(), (standing, standing - 1));
+    let cold = client::post(&srv.addr, "/v1/runs", &run_body("1")).expect("cold run");
+    assert_eq!(cold.status, 200, "{}", cold.body);
+    for _ in 0..200 {
+        let hit = client::post(&srv.addr, "/v1/runs", &run_body("1")).expect("hit");
+        assert_eq!(hit.status, 200, "{}", hit.body);
+    }
+    assert_eq!(
+        srv.http_threads(),
+        (standing, standing - 1),
+        "a sequential client must be served by the standing acceptors"
+    );
+    assert_eq!(srv.sim_runs(), 1);
     srv.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

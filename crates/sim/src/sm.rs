@@ -106,6 +106,12 @@ impl Sm {
         (self.wake, self.owed) = (0, 0);
     }
 
+    /// Completions the pipeline has queued in its far heap.
+    #[cfg(test)]
+    pub(crate) fn far_completions(&self) -> u64 {
+        self.pipeline.far_completions()
+    }
+
     /// Whether any block or instruction is still in flight.
     pub fn busy(&self) -> bool {
         self.ctx.blocks.iter().any(Option::is_some) || !self.pipeline.is_empty()

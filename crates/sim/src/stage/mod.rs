@@ -237,6 +237,13 @@ impl Pipeline {
     pub fn reset_for_launch(&mut self, config: &GpuConfig) {
         self.stages.parts = build_parts(config, self.stages.parts.len());
         self.stages.ready.reset();
+        self.stages.completions.restart();
+    }
+
+    /// Completions queued in the far heap since the pipeline was built.
+    #[cfg(test)]
+    pub(crate) fn far_completions(&self) -> u64 {
+        self.stages.completions.far_pushes
     }
 
     /// Re-arms the interlock of slot `w` for a freshly assigned warp.
@@ -810,6 +817,28 @@ mod tests {
                 assert_eq!(g.read_u32(0x1004), 42, "{kind:?}");
                 assert!(st.stall_scoreboard > 0, "{kind:?}: nobody waited");
             }
+        }
+    }
+
+    #[test]
+    fn a_second_launch_on_one_sm_queues_near_completions_in_the_wheel() {
+        // The SM clock restarts at 0 for every launch; the completion
+        // wheel must too, or the second launch's ALU results, due long
+        // before the first launch's last cycle, all go to the far heap.
+        let kernel = store_iota();
+        let decoded = DecodedKernel::new(&kernel);
+        for config in both_cores(CollectorKind::bow_wr(3)) {
+            let mut sm = Sm::new(0, &config);
+            let mut g = GlobalMemory::new();
+            let mut far_after_launch = || {
+                sm.reset_for_launch(&[0x1000]);
+                sm.assign_block(&kernel, (0, 0), KernelDims::linear(1, 64), 0);
+                sm.run_to_idle(&decoded, &mut g, &mut NullProbe);
+                sm.far_completions()
+            };
+            let first = far_after_launch();
+            let second = far_after_launch() - first;
+            assert_eq!(second, first, "{:?}", config.core_model);
         }
     }
 

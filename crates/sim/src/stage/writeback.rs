@@ -65,6 +65,9 @@ pub struct CompletionQueue {
     far: BinaryHeap<Reverse<(u64, u64, u32)>>,
     /// Monotone dispatch counter used as the tie-break key.
     ord: u64,
+    /// Pushes that went to `far`.
+    #[cfg(test)]
+    pub(super) far_pushes: u64,
 }
 
 impl Default for CompletionQueue {
@@ -78,6 +81,8 @@ impl Default for CompletionQueue {
             base: 0,
             far: BinaryHeap::new(),
             ord: 0,
+            #[cfg(test)]
+            far_pushes: 0,
         }
     }
 }
@@ -108,7 +113,20 @@ impl CompletionQueue {
             self.tail[b] = n;
         } else {
             self.far.push(Reverse((c.time, c.ord, n)));
+            #[cfg(test)]
+            {
+                self.far_pushes += 1;
+            }
         }
+    }
+
+    /// Moves the empty wheel back to cycle 0, where the SM clock restarts
+    /// for a new launch; left at the last launch's clock, it would send
+    /// every completion of the next one to the heap until the clock caught
+    /// up.
+    pub(crate) fn restart(&mut self) {
+        debug_assert!(self.is_empty(), "restart with completions in flight");
+        self.base = 0;
     }
 
     /// The due time of the first non-empty bucket.

@@ -191,7 +191,8 @@ echo "==> bow-server smoke (serve / submit / cache-hit / shutdown)"
 # Boots the real server on an ephemeral port, drives it with the real
 # client, and proves the content-addressed cache: the second identical
 # submission must come back "cached": true without invoking the
-# simulator (healthz sim_runs stays at 1). Store stats land in
+# simulator (healthz sim_runs stays at 1), all while another client holds
+# a connection open without sending anything. Store stats land in
 # target/server-smoke/store-stats.json (artifact).
 rm -rf target/server-smoke
 mkdir -p target/server-smoke
@@ -206,6 +207,10 @@ for _ in $(seq 1 100); do
 done
 ADDR="$(cat target/server-smoke/port)"
 echo "    server on ${ADDR}"
+# A client that connects and never sends a byte keeps one acceptor thread
+# waiting on it; every request below, and the shutdown, must complete
+# around it.
+exec 3<>"/dev/tcp/${ADDR%:*}/${ADDR##*:}"
 submit() {
     "$BOW_CLI" submit "$@" --addr "${ADDR}"
 }
@@ -238,7 +243,8 @@ echo "${HEALTH}" | python3 -c 'import json,sys; print(json.dumps(json.load(sys.s
 submit --shutdown | grep -q 'shutting down' || { echo "shutdown failed"; exit 1; }
 wait "$SERVER_PID"
 trap - EXIT
-echo "    cache verified: sim_runs=2, store stats in target/server-smoke/store-stats.json"
+exec 3<&-
+echo "    cache verified: sim_runs=2 beside a silent connection, store stats in target/server-smoke/store-stats.json"
 
 echo "==> corpus smoke (64 kernels, stratified gen + mini-sweep, both cores)"
 # The corpus regression tier (docs/TESTING.md, `Corpus tier`): a
