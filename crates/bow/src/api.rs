@@ -37,7 +37,6 @@ use bow_sim::{
     CollectorKind, CoreModelKind, DivergenceModel, Gpu, GpuConfig, OracleCheck, SchedPolicy,
 };
 use bow_util::json::Json;
-use bow_util::UnknownName;
 use bow_workloads::{suite as paper_suite, RunOutcome, Scale};
 
 /// The kernel a run request targets.
@@ -83,106 +82,41 @@ pub struct SweepRequest {
     pub jobs: usize,
 }
 
-/// Reads a name-table field: `None` when absent, else the string goes
-/// through the axis's own `parse` (whose error lists the valid names).
-fn named_field<T>(
-    v: &Json,
-    key: &str,
-    parse: fn(&str) -> Result<T, UnknownName>,
-) -> Result<Option<T>, BowError> {
-    let Some(field) = v.get(key) else {
-        return Ok(None);
-    };
-    let name = field
-        .as_str()
-        .ok_or_else(|| BowError::parse(format!("`{key}` must be a string")))?;
-    Ok(Some(parse(name)?))
-}
-
+/// A document's `scale`, [`Scale::Test`] when absent.
 fn parse_scale(v: &Json) -> Result<Scale, BowError> {
-    Ok(named_field(v, "scale", Scale::parse)?.unwrap_or(Scale::Test))
+    v.get("scale")
+        .map_or(Ok(Scale::Test), |s| Ok(Scale::parse(text("scale", s)?)?))
 }
 
-/// Builds a [`Config`] from a `ConfigBuilder`-shaped JSON document.
-///
-/// Every knob is optional (defaults match [`ConfigBuilder`]); unknown
-/// keys are rejected so client typos surface as 4xx errors instead of
-/// silently running the wrong experiment.
-///
-/// # Errors
-///
-/// Returns a [`BowError`] for unknown keys/names, mistyped values or
-/// out-of-range knobs.
-pub fn config_from_json(v: &Json) -> Result<Config, BowError> {
-    let obj = v
-        .as_obj()
-        .ok_or_else(|| BowError::parse("`config` must be an object"))?;
-    const KNOWN: &[&str] = &[
-        "collector",
-        "window",
-        "half_size",
-        "capacity",
-        "rfc_entries",
-        "hints",
-        "reorder",
+/// What one `config` key does to the builder, given its key and value.
+type ApplyKey = fn(ConfigBuilder, &'static str, &Json) -> Result<ConfigBuilder, BowError>;
+
+/// Every key a `config` document may carry, in the order they apply, with
+/// what each one sets. An absent key leaves [`ConfigBuilder`]'s default.
+const CONFIG_KEYS: [(&str, ApplyKey); 13] = [
+    // First, because it picks the design the builder starts from.
+    ("collector", |_, k, v| {
+        let (collector, half_size) = Collector::parse_spec(text(k, v)?)?;
+        Ok(ConfigBuilder::new(collector).half_size(half_size))
+    }),
+    ("window", |b, k, v| Ok(b.window(small(k, v)?))),
+    ("half_size", |b, k, v| Ok(b.half_size(switch(k, v)?))),
+    ("capacity", |b, k, v| Ok(b.capacity(small(k, v)?))),
+    ("rfc_entries", |b, k, v| Ok(b.rfc_entries(small(k, v)?))),
+    ("hints", |b, k, v| Ok(b.hints(switch(k, v)?))),
+    ("reorder", |b, k, v| Ok(b.reorder(switch(k, v)?))),
+    (
         "model",
-        "core_model",
-        "divergence",
-        "analyzer",
-        "sim_threads",
-        "label",
-    ];
-    for (key, _) in obj {
-        if !KNOWN.contains(&key.as_str()) {
-            return Err(BowError::parse(format!(
-                "unknown config field `{key}` (known: {})",
-                KNOWN.join(", ")
-            )));
-        }
-    }
-    let u32_field = |key: &'static str, default: u32| -> Result<u32, BowError> {
-        match v.get(key) {
-            None => Ok(default),
-            Some(j) => j
-                .as_u64()
-                .and_then(|n| u32::try_from(n).ok())
-                .ok_or_else(|| BowError::parse(format!("`{key}` must be a small integer"))),
-        }
-    };
-    let bool_field = |key: &'static str| -> Result<Option<bool>, BowError> {
-        match v.get(key) {
-            None => Ok(None),
-            Some(j) => j
-                .as_bool()
-                .map(Some)
-                .ok_or_else(|| BowError::parse(format!("`{key}` must be a bool"))),
-        }
-    };
-    // An absent axis is the axis's own default (`baseline`, `scaled`,
-    // `pascal`, `stack`).
-    let (collector, half_size) =
-        named_field(v, "collector", Collector::parse_spec)?.unwrap_or_default();
-    let mut builder = ConfigBuilder::new(collector)
-        .window(u32_field("window", 3)?)
-        .half_size(half_size)
-        .capacity(u32_field("capacity", 12)?)
-        .rfc_entries(u32_field("rfc_entries", 6)?)
-        .model(named_field(v, "model", GpuModel::parse)?.unwrap_or_default())
-        .core_model(named_field(v, "core_model", CoreModelKind::parse)?.unwrap_or_default())
-        .divergence(named_field(v, "divergence", DivergenceModel::parse)?.unwrap_or_default());
-    // Inert, type-checked then dropped: the fixed `benchmark/` sends this key.
-    u32_field("sim_threads", 1)?;
-    if let Some(half) = bool_field("half_size")? {
-        builder = builder.half_size(half);
-    }
-    if let Some(hints) = bool_field("hints")? {
-        builder = builder.hints(hints);
-    }
-    if let Some(reorder) = bool_field("reorder")? {
-        builder = builder.reorder(reorder);
-    }
-    if let Some(windows) = v.get("analyzer") {
-        let ws = windows
+        |b, k, v| Ok(b.model(GpuModel::parse(text(k, v)?)?)),
+    ),
+    ("core_model", |b, k, v| {
+        Ok(b.core_model(CoreModelKind::parse(text(k, v)?)?))
+    }),
+    ("divergence", |b, k, v| {
+        Ok(b.divergence(DivergenceModel::parse(text(k, v)?)?))
+    }),
+    ("analyzer", |b, _, v| {
+        let windows = v
             .as_arr()
             .ok_or_else(|| BowError::parse("`analyzer` must be an array of window sizes"))?
             .iter()
@@ -192,14 +126,56 @@ pub fn config_from_json(v: &Json) -> Result<Config, BowError> {
                     .ok_or_else(|| BowError::parse("`analyzer` entries must be small integers"))
             })
             .collect::<Result<Vec<u32>, _>>()?;
-        builder = builder.analyzer(&ws);
+        Ok(b.analyzer(&windows))
+    }),
+    // Inert, type-checked then dropped: the fixed `benchmark/` sends it.
+    ("sim_threads", |b, k, v| small(k, v).map(|_| b)),
+    ("label", |b, k, v| Ok(b.label(text(k, v)?))),
+];
+
+fn text<'v>(key: &str, v: &'v Json) -> Result<&'v str, BowError> {
+    v.as_str()
+        .ok_or_else(|| BowError::parse(format!("`{key}` must be a string")))
+}
+
+fn small(key: &str, v: &Json) -> Result<u32, BowError> {
+    v.as_u64()
+        .and_then(|n| u32::try_from(n).ok())
+        .ok_or_else(|| BowError::parse(format!("`{key}` must be a small integer")))
+}
+
+fn switch(key: &str, v: &Json) -> Result<bool, BowError> {
+    v.as_bool()
+        .ok_or_else(|| BowError::parse(format!("`{key}` must be a bool")))
+}
+
+/// Builds a [`Config`] from a `ConfigBuilder`-shaped JSON document, the
+/// one parser of a design: the server's, and the CLI's for the document
+/// its flags make.
+///
+/// Every key of `CONFIG_KEYS` is optional; unknown keys are rejected so
+/// client typos surface as 4xx errors instead of silently running the
+/// wrong experiment.
+///
+/// # Errors
+///
+/// Returns a [`BowError`] for unknown keys/names, mistyped values or
+/// out-of-range knobs.
+pub fn config_from_json(v: &Json) -> Result<Config, BowError> {
+    let obj = v
+        .as_obj()
+        .ok_or_else(|| BowError::parse("`config` must be an object"))?;
+    let known = |key: &str| CONFIG_KEYS.iter().any(|(k, _)| *k == key);
+    if let Some((key, _)) = obj.iter().find(|(key, _)| !known(key)) {
+        let known = CONFIG_KEYS.map(|(k, _)| k).join(", ");
+        let message = format!("unknown config field `{key}` (known: {known})");
+        return Err(BowError::parse(message));
     }
-    if let Some(label) = v.get("label") {
-        builder = builder.label(
-            label
-                .as_str()
-                .ok_or_else(|| BowError::parse("`label` must be a string"))?,
-        );
+    let mut builder = ConfigBuilder::baseline();
+    for (key, apply) in CONFIG_KEYS {
+        if let Some(value) = v.get(key) {
+            builder = apply(builder, key, value)?;
+        }
     }
     Ok(builder.try_build()?)
 }
@@ -382,17 +358,11 @@ fn parse_kernel_spec(v: &Json) -> Result<KernelSpec, BowError> {
         .ok_or_else(|| BowError::parse("missing `kernel` object"))?;
     match (k.get("workload"), k.get("asm")) {
         (Some(name), None) => Ok(KernelSpec::Workload {
-            name: name
-                .as_str()
-                .ok_or_else(|| BowError::parse("`kernel.workload` must be a string"))?
-                .to_string(),
+            name: text("kernel.workload", name)?.to_string(),
             scale: parse_scale(k)?,
         }),
         (None, Some(asm)) => {
-            let text = asm
-                .as_str()
-                .ok_or_else(|| BowError::parse("`kernel.asm` must be a string"))?;
-            let kernel = bow_isa::asm::parse_kernel(text)
+            let kernel = bow_isa::asm::parse_kernel(text("kernel.asm", asm)?)
                 .map_err(|e| BowError::parse(format!("kernel assembly: {e}")))?;
             let dim = |key: &'static str, default: u32| -> Result<u32, BowError> {
                 match k.get(key) {
@@ -439,10 +409,8 @@ impl RunRequest {
             // the job.
             benchmark(name, *scale)?;
         }
-        let config = match v.get("config") {
-            None => ConfigBuilder::baseline().build(),
-            Some(c) => config_from_json(c)?,
-        };
+        let empty = Json::Obj(Vec::new());
+        let config = config_from_json(v.get("config").unwrap_or(&empty))?;
         Ok(RunRequest { kernel, config })
     }
 

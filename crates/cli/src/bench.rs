@@ -3,8 +3,9 @@
 //! designs side by side on the parallel sweep engine.
 
 use crate::{Args, Subcommand};
+use bow::api::config_from_json;
 use bow::error::BowError;
-use bow::experiment::{pct, render_table, Config};
+use bow::experiment::{pct, render_table, Collector};
 use bow::prelude::*;
 use bow::verdict::{Check, Finding, Verdict};
 use std::fmt::Write as _;
@@ -20,8 +21,8 @@ pub const SUITE: Subcommand = Subcommand {
 /// reference check.
 pub const RUN: Subcommand = Subcommand {
     name: "run",
-    synopsis: "  bow-cli run <bench> [--collector C] [--window N] [--scale test|paper] [--reorder]
-              [--core-model pascal|modern] [--divergence stack|barrier] [--sanitize]
+    synopsis: "  bow-cli run <bench> [--collector C] [--window N] [--scale] [--reorder]
+              [--core-model] [--divergence] [--sanitize]
 ",
     run: run_one,
 };
@@ -29,8 +30,8 @@ pub const RUN: Subcommand = Subcommand {
 /// `compare`: every collector design on one benchmark.
 pub const COMPARE: Subcommand = Subcommand {
     name: "compare",
-    synopsis: "  bow-cli compare <bench> [--scale test|paper] [--jobs N]
-                  [--core-model pascal|modern] [--divergence stack|barrier]
+    synopsis: "  bow-cli compare <bench> [--scale] [--jobs N]
+                  [--core-model] [--divergence]
 ",
     run: compare,
 };
@@ -38,8 +39,8 @@ pub const COMPARE: Subcommand = Subcommand {
 /// `sweep`: BOW-WR at windows 1..7 on one benchmark.
 pub const SWEEP: Subcommand = Subcommand {
     name: "sweep",
-    synopsis: "  bow-cli sweep <bench> [--scale test|paper] [--jobs N]
-                [--core-model pascal|modern] [--divergence stack|barrier]
+    synopsis: "  bow-cli sweep <bench> [--scale] [--jobs N]
+                [--core-model] [--divergence]
 ",
     run: sweep,
 };
@@ -59,19 +60,11 @@ fn list(_: &Args) -> Result<String, BowError> {
 }
 
 fn run_one(args: &Args) -> Result<String, BowError> {
-    let scale = args.axis("--scale", Scale::Test, Scale::parse)?;
-    let (core_model, divergence) = args.models()?;
-    let window = args.window()?;
+    let scale = args.axis()?.unwrap_or(Scale::Test);
+    let design = args.design()?;
     let bench = args.positional("benchmark name")?;
     let b = bow::experiment::benchmark(bench, scale)?;
-    let collector = args.text("--collector", "bow-wr");
-    let mut cfg = config_for(
-        collector,
-        window,
-        args.flag("--reorder"),
-        core_model,
-        divergence,
-    )?;
+    let mut cfg = config_from_json(&design)?;
     cfg.gpu.sanitize = args.flag("--sanitize");
     let label = cfg.label.clone();
     let rec = bow::experiment::run(b.as_ref(), cfg);
@@ -118,14 +111,11 @@ fn run_one(args: &Args) -> Result<String, BowError> {
 }
 
 fn compare(args: &Args) -> Result<String, BowError> {
-    let designs = vec![
-        ConfigBuilder::baseline(),
-        ConfigBuilder::bow(3),
-        ConfigBuilder::bow_wr(3),
-        ConfigBuilder::bow_wr(3).half_size(true),
-        ConfigBuilder::bow_flex(12),
-        ConfigBuilder::rfc(),
-    ];
+    // Every collector spec at its default sizes.
+    let designs = Collector::SPECS
+        .iter()
+        .map(|&(_, collector, half)| ConfigBuilder::new(collector).half_size(half))
+        .collect();
     let rows = design_table(args, designs)?;
     let headers = [
         "config",
@@ -154,44 +144,21 @@ fn sweep(args: &Args) -> Result<String, BowError> {
     ))
 }
 
-/// Builds the experiment [`Config`] named by a collector spec. Under the
-/// CLI a `bow-flex` buffer holds `4 × window` values.
-///
-/// # Errors
-///
-/// Returns [`BowError::Config`] for unknown collector names or
-/// out-of-range knobs.
-pub fn config_for(
-    collector: &str,
-    window: u32,
-    reorder: bool,
-    core_model: CoreModelKind,
-    divergence: DivergenceModel,
-) -> Result<Config, BowError> {
-    let (collector, half_size) = bow::experiment::Collector::parse_spec(collector)?;
-    Ok(ConfigBuilder::new(collector)
-        .window(window)
-        .half_size(half_size)
-        .capacity(window.saturating_mul(4))
-        .reorder(reorder)
-        .core_model(core_model)
-        .divergence(divergence)
-        .try_build()?)
-}
-
 /// Runs the benchmark `args` names under `designs`, each on the chosen
 /// core and divergence model, through the sweep engine (every cell must
 /// pass its reference check) and tabulates each design against the first,
 /// the baseline: label, IPC, IPC vs baseline, read and write bypass rate,
 /// normalized RF energy.
 fn design_table(args: &Args, designs: Vec<ConfigBuilder>) -> Result<Vec<Vec<String>>, BowError> {
-    let scale = args.axis("--scale", Scale::Test, Scale::parse)?;
-    let (core_model, divergence) = args.models()?;
+    let scale = args.axis()?.unwrap_or(Scale::Test);
+    let gpu = args.config()?.gpu;
     let jobs = args.jobs()?;
     let b = bow::experiment::benchmark(args.positional("benchmark name")?, scale)?;
-    let configs = designs
-        .into_iter()
-        .map(|d| d.core_model(core_model).divergence(divergence).build());
+    let configs = designs.into_iter().map(|d| {
+        d.core_model(gpu.core_model)
+            .divergence(gpu.divergence)
+            .build()
+    });
     let result = Suite::over(vec![b]).configs(configs).jobs(jobs).run();
     Verdict::of_records(result.all_records()).into_result(String::new())?;
     let model = EnergyModel::table_iv();

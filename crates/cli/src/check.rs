@@ -17,7 +17,7 @@ use std::path::PathBuf;
 pub const FUZZ: Subcommand = Subcommand {
     name: "fuzz",
     synopsis: "  bow-cli fuzz [--cases N] [--seed S] [--jobs N] [--size N] [--out DIR] [--smoke]
-               [--core-model pascal|modern] [--divergence stack|barrier]
+               [--core-model] [--divergence]
 ",
     run: fuzz,
 };
@@ -27,18 +27,18 @@ pub const FUZZ: Subcommand = Subcommand {
 pub const LINT: Subcommand = Subcommand {
     name: "lint",
     synopsis: "  bow-cli lint <file.s> [--window N] [--deny-warnings] [--json FILE]
-              [--core-model pascal|modern] [--divergence stack|barrier]
+              [--core-model] [--divergence]
   bow-cli lint --all-workloads [--window N] [--deny-warnings] [--json FILE]
-              [--core-model pascal|modern] [--divergence stack|barrier]
+              [--core-model] [--divergence]
   bow-cli lint --mutate [--smoke] [--jobs N] [--json FILE]
-                [--divergence stack|barrier]
+                [--divergence]
   bow-cli lint --explain [B0xx]
 ",
     run: lint,
 };
 
 fn fuzz(args: &Args) -> Result<String, BowError> {
-    let (core_model, divergence) = args.models()?;
+    let gpu = args.config()?.gpu;
     let jobs = args.jobs()?;
     let defaults = if args.pins("--smoke", &["--cases", "--seed", "--size"])? {
         FuzzOptions::smoke()
@@ -51,8 +51,8 @@ fn fuzz(args: &Args) -> Result<String, BowError> {
         jobs,
         size: args.number("--size")?.unwrap_or(defaults.size),
         out_dir: args.opt("--out").map_or(defaults.out_dir, PathBuf::from),
-        core_model,
-        divergence,
+        core_model: gpu.core_model,
+        divergence: gpu.divergence,
     });
     let summary = report.summary();
     report.verdict.into_result(summary)
@@ -62,23 +62,18 @@ fn lint(args: &Args) -> Result<String, BowError> {
     if args.flag("--explain") {
         // Under `--explain` the positional is the code to explain (none
         // lists every code); otherwise it is the file to lint.
-        args.within("--explain", &[], true)?;
         return explain(args.target.unwrap_or_default());
     }
-    let (core_model, divergence) = args.models()?;
-    let window = args.window()?;
+    let design = args.config()?;
     let json = args.opt("--json");
     if args.flag("--mutate") {
-        let mutate_flags = ["--smoke", "--jobs", "--json", "--divergence"];
-        args.within("--mutate", &mutate_flags, false)?;
-        let jobs = args.jobs()?;
         let mut opts = if args.flag("--smoke") {
             bow::mutate::MutateOptions::smoke()
         } else {
             bow::mutate::MutateOptions::full()
         };
-        opts.jobs = jobs;
-        opts.divergence = divergence;
+        opts.jobs = args.jobs()?;
+        opts.divergence = design.gpu.divergence;
         let report = bow::mutate::run_mutation(&opts);
         if let Some(p) = json {
             std::fs::write(p, report.to_json().to_string_pretty())
@@ -87,39 +82,16 @@ fn lint(args: &Args) -> Result<String, BowError> {
         let summary = report.summary();
         return report.verdict.into_result(summary);
     }
-    let all_workloads = args.flag("--all-workloads");
-    if args.target.is_none() && !all_workloads {
-        return Err(err(
-            "lint: pass a file, --all-workloads, --mutate or --explain",
-        ));
-    }
-    let lint_flags = [
-        "--all-workloads",
-        "--window",
-        "--deny-warnings",
-        "--json",
-        "--core-model",
-        "--divergence",
-    ];
-    let mode = if all_workloads {
-        "--all-workloads"
-    } else {
-        "<file.s>"
-    };
-    args.within(mode, &lint_flags, true)?;
 
     // Lint the artifact the pipeline would consume under the targeted
-    // models: the same compile plan a launch goes through — hint pass,
-    // then barrier lowering (puts B017/B018 in play), then the control-bit
-    // emitter on the modern core (B013/B014). The passes only set hints,
-    // rewrite opcodes and attach a sidecar, so pc -> source-line tables
-    // stay valid.
-    let plan = CompilePlan {
-        reorder: false,
-        hints: Some(window),
-        verify: false,
-        divergence,
-        core_model,
+    // models: the same compile plan a launch of the design goes through —
+    // hint pass, then barrier lowering (puts B017/B018 in play), then the
+    // control-bit emitter on the modern core (B013/B014). The passes only
+    // set hints, rewrite opcodes and attach a sidecar, so pc -> source-line
+    // tables stay valid.
+    let plan = CompilePlan::of(&design);
+    let Some(window) = plan.hints else {
+        unreachable!("the CLI's design, BOW-WR, runs the hint pass")
     };
     // (kernel, pc -> source line when it came from a .s file)
     let mut targets: Vec<(Kernel, Option<Vec<usize>>)> = Vec::new();
@@ -134,11 +106,14 @@ fn lint(args: &Args) -> Result<String, BowError> {
             ..plan
         };
         targets.push((plan.apply(k)?.0, Some(lines)));
-    }
-    if all_workloads {
+    } else if args.flag("--all-workloads") {
         for b in suite(Scale::Test) {
             targets.push((plan.apply(b.kernel())?.0, None));
         }
+    } else {
+        return Err(err(
+            "lint: pass a file, --all-workloads, --mutate or --explain",
+        ));
     }
 
     let opts = bow_compiler::LintOptions {
@@ -159,20 +134,13 @@ fn lint(args: &Args) -> Result<String, BowError> {
         out.push_str(&report.render(k, lines.as_deref()));
         out.push('\n');
     }
-    // The design a finding names: the one whose compile plan made the
-    // linted kernel.
-    let design = ConfigBuilder::bow_wr(window)
-        .core_model(core_model)
-        .divergence(divergence)
-        .build()
-        .label;
     let deny_warnings = args.flag("--deny-warnings");
     let verdict: Verdict = reports
         .iter()
         .filter(|r| r.errors() > 0 || (deny_warnings && !r.passes_deny_warnings()))
         .map(|r| {
             let detail = format!("{} error(s), {} warning(s)", r.errors(), r.warnings());
-            Finding::new(Check::Lint, &r.kernel, &design, detail)
+            Finding::new(Check::Lint, &r.kernel, &design.label, detail)
         })
         .collect();
     let status = match verdict.findings.len() {

@@ -6,6 +6,7 @@
 
 use crate::service::post_run;
 use crate::{err, Args, Subcommand};
+use bow::api::config_from_json;
 use bow::corpus::{self, Manifest};
 use bow::error::BowError;
 use bow::experiment::render_table;
@@ -34,7 +35,7 @@ pub const STATS: Subcommand = Subcommand {
 pub const SWEEP: Subcommand = Subcommand {
     name: "corpus sweep",
     synopsis: "  bow-cli corpus sweep [--dir DIR] [--limit N] [--jobs N]
-                 [--core-model pascal|modern] [--divergence stack|barrier]
+                 [--core-model] [--divergence]
                  [--addr HOST:PORT] [--out FILE]
 ",
     run: sweep,
@@ -85,12 +86,14 @@ fn stats(args: &Args) -> Result<String, BowError> {
 }
 
 fn sweep(args: &Args) -> Result<String, BowError> {
-    let (core_model, divergence) = args.models()?;
+    let design = args.design()?;
+    let gpu = config_from_json(&design)?.gpu;
+    let (core_model, divergence) = (gpu.core_model, gpu.divergence);
     let jobs = args.jobs()?;
     let limit = args.number("--limit")?.unwrap_or(0);
     let manifest = load_manifest(args.text("--dir", "corpus"))?;
     let doc = if let Some(addr) = args.opt("--addr") {
-        server_sweep(&manifest, limit, addr, core_model, divergence)?
+        server_sweep(&manifest, limit, addr, &design, core_model, divergence)?
     } else {
         let opts = corpus::SweepOptions {
             limit,
@@ -204,8 +207,8 @@ fn stratum_table(manifest: &Manifest) -> String {
 }
 
 /// Drives the corpus sweep through a running `bow-server`: every selected
-/// kernel is submitted inline (assembly text) under each of the four
-/// collector columns, and the per-stratum IPC-gain distributions are
+/// kernel is submitted inline (assembly text) under `design` with each of
+/// the four collector columns, and the per-stratum IPC-gain distributions are
 /// reduced client-side. The server runs inline kernels under its
 /// synthetic-parameter convention with the memory oracle, so this path
 /// reports IPC only — bypass-rate distributions need the local pool.
@@ -213,6 +216,7 @@ fn server_sweep(
     manifest: &Manifest,
     limit: usize,
     addr: &str,
+    design: &Json,
     core: CoreModelKind,
     divergence: DivergenceModel,
 ) -> Result<Json, BowError> {
@@ -236,13 +240,11 @@ fn server_sweep(
                 ("blocks", Json::from(bow_isa::fuzz::GRID.0)),
                 ("threads", Json::from(bow_isa::fuzz::BLOCK.0)),
             ]);
-            let config = Json::obj([
-                ("collector", Json::from(*collector)),
-                ("window", Json::from(3_u32)),
-                ("model", Json::from(GpuModel::Scaled.name())),
-                ("core_model", Json::from(core.name())),
-                ("divergence", Json::from(divergence.name())),
-            ]);
+            let mut config = design.clone();
+            if let Json::Obj(fields) = &mut config {
+                fields.retain(|(key, _)| key != "collector");
+                fields.push(("collector".to_string(), Json::from(*collector)));
+            }
             let response = post_run(addr, kernel, config, true)?;
             if response.status >= 400 {
                 return Err(BowError::io(addr, response.body.trim_end()));

@@ -250,7 +250,7 @@ pub const FIGURES: [Figure; 20] = [
 /// `list` the index.
 pub const FIGURE: Subcommand = Subcommand {
     name: "figure",
-    synopsis: "  bow-cli figure <name|all|list> [--scale test|paper] [--model scaled|titan-x]
+    synopsis: "  bow-cli figure <name|all|list> [--scale] [--model]
                  [--jobs N] [--out DIR]
 ",
     run: figure,
@@ -279,10 +279,10 @@ fn figure(args: &Args) -> Result<String, BowError> {
 pub(crate) fn figure_args<'a>(
     args: &Args<'a>,
 ) -> Result<(&'a str, Tier, Option<&'a str>), BowError> {
-    let scale = args.axis("--scale", Scale::Paper, Scale::parse)?;
+    let scale = args.axis()?.unwrap_or(Scale::Paper);
     let jobs = args.jobs()?;
     let name = args.positional("figure name (or `all`, `list`)")?;
-    let model = args.axis("--model", GpuModel::Scaled, GpuModel::parse)?;
+    let model = args.axis()?.unwrap_or(GpuModel::Scaled);
     // `all` is the bless flow: it always writes, by default over the
     // committed tables.
     let bless = (name == "all").then_some("results");

@@ -2,8 +2,8 @@
 //! `compile` runs the hint pass over it, `encode` and `decode` take it to
 //! the binary format and back, and `trace` runs it with pipeline tracing.
 
-use crate::bench::config_for;
 use crate::{err, Args, Subcommand};
+use bow::api::config_from_json;
 use bow::error::BowError;
 use bow::experiment::CompilePlan;
 use bow::prelude::*;
@@ -70,12 +70,11 @@ fn asm(args: &Args) -> Result<String, BowError> {
 }
 
 fn compile(args: &Args) -> Result<String, BowError> {
-    let window = args.window()?;
-    let mut k = read_kernel(args.positional("file")?)?;
-    if args.flag("--reorder") {
-        k = bow_compiler::reorder_for_bypass(&k);
-    }
-    let (annotated, report) = annotate(&k, window);
+    let plan = CompilePlan::of(&args.config()?);
+    let (annotated, report) = plan.apply(read_kernel(args.positional("file")?)?)?;
+    let (Some(window), Some(report)) = (plan.hints, report) else {
+        unreachable!("the CLI's design, BOW-WR, runs the hint pass")
+    };
     let mut out = String::new();
     writeln!(
         out,
@@ -93,12 +92,10 @@ fn compile(args: &Args) -> Result<String, BowError> {
 }
 
 fn trace(args: &Args) -> Result<String, BowError> {
-    let window = args.window()?;
+    let design = args.design()?;
     let path = args.positional("file")?;
     let limit = args.number("--limit")?.unwrap_or(120);
-    let (core_model, divergence) = Default::default();
-    let collector = args.text("--collector", "bow-wr");
-    let cfg = config_for(collector, window, false, core_model, divergence)?;
+    let cfg = config_from_json(&design)?;
     let (kernel, _) = CompilePlan::of(&cfg).apply(read_kernel(path)?)?;
     let mut gpu_cfg = cfg.gpu.clone();
     gpu_cfg.trace_pipeline = true;

@@ -2,19 +2,16 @@
 //!
 //! [`COMMANDS`] is the whole command line: one [`Subcommand`] row per
 //! subcommand and per `corpus` verb, in `help` order. A row holds the
-//! command's synopsis lines, exactly as `help` prints them, and its
-//! handler, a `fn(&Args) -> Result<String, BowError>`.
+//! command's synopsis lines and its handler, a
+//! `fn(&Args) -> Result<String, BowError>`.
 //!
-//! The synopsis is the grammar. [`Args`] splits a command line by the
-//! flags its synopsis lists: a flag it does not list, a value flag with no
-//! value or a surplus argument is a parse error, so an undocumented flag
-//! cannot parse and a documented one cannot fail to. The handler then
-//! reads its flags through [`Args`]; in debug builds, reading a flag the
-//! synopsis does not list panics, so the grammar and the handler cannot
-//! drift apart. Axis values (`--core-model`, `--divergence`, `--scale`,
-//! collector specs) resolve through the name tables declared next to
-//! their enums. Kernels are compiled for launch or lint by
-//! `bow::experiment::CompilePlan` only.
+//! Each synopsis line is a grammar: [`Args`] holds a command line to the
+//! line its bare flag (`--mutate`, `--job`, ...) selects, else to the
+//! positional line, so a mode never silently ignores another mode's
+//! arguments. An axis flag's values come from its enum's name table
+//! ([`Axis`]); the design flags make one wire `config` document
+//! ([`Args::design`]), posted by `submit` and resolved locally by the
+//! server's parser. Kernels compile through `CompilePlan` only.
 //!
 //! The rows live with their family, each module holding its rows,
 //! handlers and helpers:
@@ -43,8 +40,11 @@ pub mod figures;
 pub mod kernel;
 pub mod service;
 
+use bow::api::config_from_json;
 use bow::error::BowError;
+use bow::experiment::Collector;
 use bow::prelude::*;
+use bow_util::json::Json;
 use bow_util::UnknownName;
 
 fn err(msg: impl Into<String>) -> BowError {
@@ -55,8 +55,8 @@ fn err(msg: impl Into<String>) -> BowError {
 pub struct Subcommand {
     /// What `bow-cli` takes first; a `corpus` verb is `"corpus <verb>"`.
     pub name: &'static str,
-    /// Its synopsis lines, exactly as `help` prints them: the grammar
-    /// [`Args`] splits its command line by.
+    /// Its synopsis lines, each the grammar of one form of the command,
+    /// with axis flags written bare (`[--scale]`).
     pub synopsis: &'static str,
     /// Runs it.
     pub(crate) run: fn(&Args) -> Result<String, BowError>,
@@ -84,16 +84,32 @@ pub const COMMANDS: [Subcommand; 18] = [
     corpus::SANITIZE,
 ];
 
-/// What `help` prints after the synopses: the text shared by several
-/// commands.
-const PROSE: &str = "\
+impl Subcommand {
+    /// Its synopsis lines as `help` prints them: each bare axis flag
+    /// followed by its axis's values, `|`-separated.
+    pub fn usage(&self) -> String {
+        AXES.iter()
+            .fold(self.synopsis.to_string(), |text, (flag, values)| {
+                text.replace(&format!("[{flag}]"), &format!("[{flag} {}]", values()))
+            })
+    }
+}
+
+/// The `help` text: the synopsis of every row of [`COMMANDS`], then the
+/// shared prose.
+pub fn usage() -> String {
+    let synopses: String = COMMANDS.iter().map(Subcommand::usage).collect();
+    let collectors = Collector::SPECS.map(|spec| spec.0).join(" | ");
+    let [core, divergence, scale, model] = AXES.map(|(_, values)| values());
+    format!(
+        "bow-cli — the BOW GPU model\n\nUSAGE:\n{synopses}\n\
 COLLECTORS:
-  baseline | bow | bow-wr | bow-wr-half | bow-flex | rfc
+  {collectors}
 
 The synopses above are the parser's grammar: a flag a command does not
 list, a value flag without its value, a stray argument or a value that
-is not in its axis's table (pascal|modern, stack|barrier, test|paper,
-scaled|titan-x) is a parse error (exit 2) that names the valid choices.
+is not in its axis's table ({core}, {divergence}, {scale},
+{model}) is a parse error (exit 2) that names the valid choices.
 Flags and the positional argument may come in any order.
 
 `compare` and `sweep` run their (benchmark x config) matrix on the
@@ -201,13 +217,8 @@ finding.
 EXIT CODES:
   0 success | 2 parse error | 3 invalid config | 4 I/O error
   5 verification failure | 101 panic
-";
-
-/// The `help` text: the synopsis of every row of [`COMMANDS`], then the
-/// shared prose.
-pub fn usage() -> String {
-    let synopses: String = COMMANDS.iter().map(|c| c.synopsis).collect();
-    format!("bow-cli — the BOW GPU model\n\nUSAGE:\n{synopses}\n{PROSE}")
+"
+    )
 }
 
 /// Runs a command line (without the program name), returning the text to
@@ -227,11 +238,9 @@ pub fn run(argv: &[String]) -> Result<String, BowError> {
         _ => return Ok(usage()),
     };
     let name = if cmd == "corpus" {
-        // The verb picks the flag set, and telling the verb from a flag's
-        // value takes the flags' arities: `corpus` alone matches every
-        // verb's synopsis, so split once against the union of their flags
-        // (a flag has one arity under all of them) to find the verb.
-        let verb = Args::new(cmd, rest)?.target;
+        // Telling the verb from a flag's value takes the flags' arities:
+        // split once by every verb's flags to find it.
+        let verb = Args::split(cmd, rest)?.0.target;
         let verb =
             verb.ok_or_else(|| err("corpus: pass a verb (gen, stats, sweep or sanitize)"))?;
         format!("corpus {verb}")
@@ -243,45 +252,110 @@ pub fn run(argv: &[String]) -> Result<String, BowError> {
     (row.expect("Args::new found its synopsis").run)(&args)
 }
 
-/// One flag of a subcommand: its name and whether it takes a value.
+/// A design axis a flag picks a value of, through the name table declared
+/// next to the axis's enum.
+pub trait Axis: Sized {
+    /// The flag that picks it.
+    const FLAG: &'static str;
+    /// The value named `s`, or an [`UnknownName`] listing the table.
+    const PARSE: fn(&str) -> Result<Self, UnknownName>;
+}
+
+/// Declares each axis flag once: its [`Axis`] impl, and its row of
+/// [`AXES`] with the values a synopsis prints, `|`-separated.
+macro_rules! axes {
+    ($($flag:literal => $axis:ty),* $(,)?) => {
+        $(impl Axis for $axis {
+            const FLAG: &'static str = $flag;
+            const PARSE: fn(&str) -> Result<$axis, UnknownName> = <$axis>::parse;
+        })*
+        const AXES: [(&str, fn() -> String); [$($flag),*].len()] =
+            [$(($flag, || <$axis>::ALL.map(|v| v.name()).join("|"))),*];
+    };
+}
+
+axes! {
+    "--core-model" => CoreModelKind,
+    "--divergence" => DivergenceModel,
+    "--scale" => Scale,
+    "--model" => GpuModel,
+}
+
+/// One flag of a synopsis line: its name and whether it takes a value.
 type Flag = (&'static str, bool);
 
-/// A command's argument grammar, read off the synopsis lines of its rows
-/// (docopt-style: the usage text *is* the spec): whether it takes a
-/// positional `<argument>`, and every `--flag` with whether a value
-/// follows it (`[--window N]`) or not (`[--reorder]`). `corpus` alone is
-/// the union of its verbs' synopses. `None` for an unknown command.
-fn flag_spec(command: &str) -> Option<(bool, Vec<Flag>)> {
+/// One synopsis line — a `bow-cli …` line and its continuation lines —
+/// read as a grammar (docopt-style: the usage text *is* the spec).
+#[derive(Debug, PartialEq)]
+struct Line {
+    /// The positional it takes as written (`<bench>`, `[B0xx]`, a verb).
+    positional: Option<&'static str>,
+    /// Every flag it lists, with whether a value follows it.
+    flags: Vec<Flag>,
+    /// Its bare flags, which select it; none on the positional line.
+    modes: Vec<&'static str>,
+}
+
+impl Line {
+    /// Reads the line `text` of row `name`; `text` starts at the name.
+    fn read(name: &'static str, text: &'static str) -> Line {
+        let mut line = Line {
+            positional: name.split_once(' ').map(|(_, verb)| verb),
+            flags: Vec::new(),
+            modes: Vec::new(),
+        };
+        let skip = name.split(' ').count();
+        let mut words = text.split_whitespace().skip(skip).peekable();
+        while let Some(word) = words.next() {
+            let group = word.trim_start_matches('[');
+            let flag = group.trim_end_matches(']');
+            if flag.starts_with("--") {
+                // `[--flag]` closes at once; `--flag VALUE` has a next word
+                // that is neither another group nor an alternative bar. An
+                // axis flag is written bare and takes its axis's value.
+                let next = words.peek().filter(|_| flag.len() == group.len());
+                let takes_value = AXES.iter().any(|(axis, _)| *axis == flag)
+                    || next.is_some_and(|v| !v.starts_with(['[', '|']));
+                line.flags.push((flag, takes_value));
+                if group.len() == word.len() {
+                    line.modes.push(flag);
+                }
+            } else if word.starts_with(['<', '[']) {
+                line.positional = Some(word);
+            }
+        }
+        line
+    }
+
+    fn lists(&self, flag: &str) -> bool {
+        self.flags.iter().any(|(name, _)| *name == flag)
+    }
+}
+
+/// The grammar of every synopsis line of `command`'s rows, in `help`
+/// order; `corpus` alone has every verb's lines. `None` for an unknown
+/// command.
+fn flag_spec(command: &str) -> Option<Vec<Line>> {
     let mine = |c: &&Subcommand| {
         let after = c.name.strip_prefix(command);
         after.is_some_and(|rest| rest.is_empty() || rest.starts_with(' '))
     };
-    let mut rows = COMMANDS.iter().filter(mine).peekable();
-    rows.peek()?;
-    let (mut positional, mut flags) = (false, Vec::new());
-    for line in rows.flat_map(|c| c.synopsis.lines()) {
-        let words: Vec<&str> = line.split_whitespace().collect();
-        for (i, word) in words.iter().enumerate() {
-            let word = word.trim_start_matches('[');
-            positional |= word.starts_with('<');
-            let name = word.trim_end_matches(']');
-            if name.starts_with("--") && !flags.iter().any(|(n, _)| *n == name) {
-                // `[--flag]` closes at once; `--flag VALUE` has a next word
-                // that is neither another group nor an alternative bar.
-                let next = words.get(i + 1).filter(|_| name.len() == word.len());
-                flags.push((name, next.is_some_and(|v| !v.starts_with(['[', '|']))));
-            }
-        }
-    }
-    Some((positional, flags))
+    let lines: Vec<Line> = COMMANDS
+        .iter()
+        .filter(mine)
+        .flat_map(|c| c.synopsis.split("bow-cli ").skip(1).map(|t| (c.name, t)))
+        .map(|(name, text)| Line::read(name, text))
+        .collect();
+    (!lines.is_empty()).then_some(lines)
 }
 
-/// A subcommand's command line, split by its synopsis. Its handler reads
-/// every flag here, so only the flags the synopsis lists.
+/// A subcommand's command line, split by its synopsis and held to the one
+/// line it selects. Its handler reads every flag here, so only the flags
+/// the synopsis lists.
 pub struct Args<'a> {
     /// The command, for messages: `run`, `corpus gen`, ...
     command: &'a str,
-    /// The flags its synopsis lists.
+    /// Every flag its synopsis lists, on any line.
     flags: Vec<Flag>,
     /// The positional argument, if one was given (a `corpus` verb is its
     /// command's positional).
@@ -292,17 +366,54 @@ pub struct Args<'a> {
 
 impl<'a> Args<'a> {
     /// Splits `rest`, the arguments after the command, by the synopsis of
-    /// `command`. Flags and the positional may come in any order; a token
-    /// is positional exactly when no value flag precedes it.
+    /// `command` and holds it to the line it selects: the last line one of
+    /// whose bare flags is given (of alternatives, the first one listed),
+    /// else the positional line. Flags and the positional may come in any
+    /// order; a token is positional exactly when no value flag precedes it.
     ///
     /// # Errors
     ///
-    /// [`BowError::Parse`] for an unknown command, a flag the synopsis
-    /// does not list, a value flag with no value and a surplus positional.
+    /// [`BowError::Parse`] for an unknown command, a flag no line lists, a
+    /// value flag with no value, a surplus positional, and a flag or a
+    /// positional the selected line does not take.
     pub fn new(command: &'a str, rest: &[&'a str]) -> Result<Args<'a>, BowError> {
-        let (takes_positional, flags) = flag_spec(command)
+        let (args, lines) = Args::split(command, rest)?;
+        let moded = lines.iter().rev().find_map(|line| {
+            let mode = line.modes.iter().find(|m| args.value_of(m).is_some())?;
+            Some((line, *mode))
+        });
+        let (line, mode) = moded.unwrap_or_else(|| {
+            let line = lines.iter().find(|l| l.modes.is_empty());
+            let line = line.expect("every command has a positional line");
+            (line, line.positional.unwrap_or(command))
+        });
+        let outside =
+            |flag: &&str| *flag != mode && (!line.lists(flag) || line.modes.contains(flag));
+        if let Some(flag) = args.given.iter().map(|(n, _)| *n).find(outside) {
+            return Err(err(format!(
+                "{command}: `{flag}` cannot be combined with `{mode}`"
+            )));
+        }
+        match (args.target, line.positional) {
+            (Some(arg), None) => Err(err(format!(
+                "{command}: `{mode}` takes no argument, got `{arg}`"
+            ))),
+            _ => Ok(args),
+        }
+    }
+
+    /// Splits `rest` by every flag of `command`'s lines (a flag has one
+    /// arity on all of them) without selecting a line.
+    fn split(command: &'a str, rest: &[&'a str]) -> Result<(Args<'a>, Vec<Line>), BowError> {
+        let lines = flag_spec(command)
             .ok_or_else(|| err(format!("unknown command `{command}` (try `bow-cli help`)")))?;
-        let takes_positional = takes_positional || command.starts_with("corpus");
+        let mut flags: Vec<Flag> = Vec::new();
+        for flag in lines.iter().flat_map(|l| &l.flags) {
+            if !flags.contains(flag) {
+                flags.push(*flag);
+            }
+        }
+        let takes_positional = lines.iter().any(|l| l.positional.is_some());
         let (mut target, mut given) = (None, Vec::new());
         let mut it = rest.iter().copied();
         while let Some(token) = it.next() {
@@ -329,12 +440,18 @@ impl<'a> Args<'a> {
             };
             given.push((name, value));
         }
-        Ok(Args {
+        let args = Args {
             command,
             flags,
             target,
             given,
-        })
+        };
+        Ok((args, lines))
+    }
+
+    /// The value of flag `name` (`""` for a switch), if it was given.
+    fn value_of(&self, name: &str) -> Option<&'a str> {
+        self.given.iter().find(|(n, _)| *n == name).map(|(_, v)| *v)
     }
 
     /// The value of flag `name` (`""` for a switch), if it was given.
@@ -348,7 +465,7 @@ impl<'a> Args<'a> {
             "`{}` reads `{name}`, which its synopsis does not list",
             self.command
         );
-        self.given.iter().find(|(n, _)| *n == name).map(|(_, v)| *v)
+        self.value_of(name)
     }
 
     /// Whether flag `name` was given.
@@ -379,33 +496,56 @@ impl<'a> Args<'a> {
     ///
     /// [`BowError::Parse`] when the value is not a number of type `T`.
     pub fn number<T: TryFrom<u64>>(&self, name: &str) -> Result<Option<T>, BowError> {
-        let Some(v) = self.opt(name) else {
-            return Ok(None);
-        };
-        let parsed = match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
-            Some(hex) => u64::from_str_radix(hex, 16),
-            None => v.parse(),
-        };
-        let converted = parsed.ok().and_then(|n| T::try_from(n).ok());
-        converted
-            .map(Some)
-            .ok_or_else(|| err(format!("bad {} `{v}`", &name[2..])))
+        self.opt(name).map(|v| number(name, v)).transpose()
     }
 
-    /// An axis flag's value, resolved through the axis's own name table,
-    /// or `default`.
+    /// Axis flag [`T::FLAG`](Axis::FLAG)'s value, resolved through the
+    /// axis's name table; `None` when it was not given.
     ///
     /// # Errors
     ///
     /// [`BowError::Parse`] listing the valid names for an unknown one.
-    pub fn axis<T>(
-        &self,
-        name: &str,
-        default: T,
-        parse: fn(&str) -> Result<T, UnknownName>,
-    ) -> Result<T, BowError> {
-        self.opt(name)
-            .map_or(Ok(default), |v| parse(v).map_err(|e| err(e.to_string())))
+    pub fn axis<T: Axis>(&self) -> Result<Option<T>, BowError> {
+        let parse = |v| T::PARSE(v).map_err(|e| err(e.to_string()));
+        self.value_of(T::FLAG).map(parse).transpose()
+    }
+
+    /// The wire `config` document of the design flags given, their one
+    /// meaning on every line: `--collector` defaults to `bow-wr`, a flag
+    /// not given leaves the wire's default, and a `bow-flex` buffer holds
+    /// `4 × --window` values.
+    ///
+    /// # Errors
+    ///
+    /// [`BowError::Parse`] for an unknown model or a non-numeric window.
+    pub fn design(&self) -> Result<Json, BowError> {
+        let core: Option<CoreModelKind> = self.axis()?;
+        let divergence: Option<DivergenceModel> = self.axis()?;
+        let window = self.value_of("--window");
+        let window: Option<u32> = window.map(|v| number("--window", v)).transpose()?;
+        let collector = self.value_of("--collector").unwrap_or("bow-wr");
+        let mut doc = vec![("collector", Json::from(collector))];
+        if let Some(window) = window {
+            doc.push(("window", Json::from(window)));
+            if Collector::parse_spec(collector).is_ok_and(|(c, _)| c == Collector::BowFlex) {
+                doc.push(("capacity", Json::from(window.saturating_mul(4))));
+            }
+        }
+        if self.value_of("--reorder").is_some() {
+            doc.push(("reorder", Json::from(true)));
+        }
+        doc.extend(core.map(|c| ("core_model", Json::from(c.name()))));
+        doc.extend(divergence.map(|d| ("divergence", Json::from(d.name()))));
+        Ok(Json::obj(doc))
+    }
+
+    /// [`Args::design`], resolved by the wire's parser.
+    ///
+    /// # Errors
+    ///
+    /// As [`Args::design`] and [`config_from_json`].
+    pub fn config(&self) -> Result<Config, BowError> {
+        config_from_json(&self.design()?)
     }
 
     /// Whether switch `name` was given. The switch fixes the flags in
@@ -428,55 +568,6 @@ impl<'a> Args<'a> {
         }
     }
 
-    /// Checks the line against one form of a synopsis that has several,
-    /// the one `mode` names: beside it only the flags in `allowed` may be
-    /// given, and the positional argument only if `positional`. A mode
-    /// never silently ignores another mode's arguments.
-    ///
-    /// # Errors
-    ///
-    /// [`BowError::Parse`] naming `mode` and the first argument its form
-    /// does not take.
-    pub fn within(&self, mode: &str, allowed: &[&str], positional: bool) -> Result<(), BowError> {
-        let mut given = self.given.iter().map(|(n, _)| *n);
-        if let Some(flag) = given.find(|n| *n != mode && !allowed.contains(n)) {
-            return Err(err(format!(
-                "{}: `{flag}` cannot be combined with `{mode}`",
-                self.command
-            )));
-        }
-        match self.target {
-            Some(arg) if !positional => Err(err(format!(
-                "{}: `{mode}` takes no argument, got `{arg}`",
-                self.command
-            ))),
-            _ => Ok(()),
-        }
-    }
-
-    /// `--core-model` and `--divergence`, each defaulting to its axis's
-    /// default.
-    ///
-    /// # Errors
-    ///
-    /// As [`Args::axis`].
-    pub fn models(&self) -> Result<(CoreModelKind, DivergenceModel), BowError> {
-        let (core, divergence) = Default::default();
-        Ok((
-            self.axis("--core-model", core, CoreModelKind::parse)?,
-            self.axis("--divergence", divergence, DivergenceModel::parse)?,
-        ))
-    }
-
-    /// `--window`, the instruction-window size; 3 by default.
-    ///
-    /// # Errors
-    ///
-    /// As [`Args::number`].
-    pub fn window(&self) -> Result<u32, BowError> {
-        Ok(self.number("--window")?.unwrap_or(3))
-    }
-
     /// `--jobs`, the worker count; 0 (all cores) by default.
     ///
     /// # Errors
@@ -485,6 +576,16 @@ impl<'a> Args<'a> {
     pub fn jobs(&self) -> Result<usize, BowError> {
         Ok(self.number("--jobs")?.unwrap_or(0))
     }
+}
+
+/// Flag `name`'s value `v` as a number of type `T` (see [`Args::number`]).
+fn number<T: TryFrom<u64>>(name: &str, v: &str) -> Result<T, BowError> {
+    let parsed = match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
+        Some(hex) => u64::from_str_radix(hex, 16),
+        None => v.parse(),
+    };
+    let converted = parsed.ok().and_then(|n| T::try_from(n).ok());
+    converted.ok_or_else(|| err(format!("bad {} `{v}`", &name[2..])))
 }
 
 #[cfg(test)]

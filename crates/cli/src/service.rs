@@ -20,7 +20,7 @@ pub const SERVE: Subcommand = Subcommand {
 pub const SUBMIT: Subcommand = Subcommand {
     name: "submit",
     synopsis: "  bow-cli submit <bench> [--asm FILE] [--collector C] [--window N]
-                 [--scale test|paper] [--addr HOST:PORT] [--no-wait]
+                 [--scale] [--addr HOST:PORT] [--no-wait]
   bow-cli submit --job ID | --fetch FINGERPRINT | --health | --shutdown
                  [--addr HOST:PORT]
 ",
@@ -59,14 +59,8 @@ fn serve(args: &Args) -> Result<String, BowError> {
 }
 
 fn submit(args: &Args) -> Result<String, BowError> {
-    // `--job`, `--fetch`, `--health` and `--shutdown` each take the whole
-    // line but `--addr`.
-    let query = ["--job", "--fetch", "--health", "--shutdown"];
-    if let Some(mode) = query.into_iter().find(|q| args.flag(q)) {
-        args.within(mode, &["--addr"], false)?;
-    }
-    let scale = args.axis("--scale", Scale::Test, Scale::parse)?;
-    let window = args.window()?;
+    let scale = args.axis()?.unwrap_or(Scale::Test);
+    let config = args.design()?;
     let addr = args.text("--addr", "127.0.0.1:7070");
     let response = if args.flag("--shutdown") {
         client::post(addr, "/v1/shutdown", "{}")?
@@ -93,10 +87,6 @@ fn submit(args: &Args) -> Result<String, BowError> {
             }
             (Some(_), Some(_)) => return Err(err("submit: pass a benchmark OR --asm, not both")),
         };
-        let config = Json::obj([
-            ("collector", Json::from(args.text("--collector", "bow-wr"))),
-            ("window", Json::from(window)),
-        ]);
         post_run(addr, kernel, config, !args.flag("--no-wait"))?
     };
     // Print the server's JSON verbatim; non-2xx responses carry a

@@ -68,33 +68,127 @@ fn flag_spec_rejects_typos_and_missing_values_and_places_positionals() {
     assert!(cli("fuzz lps").is_err());
     assert!(cli("suite --jobs 2").is_err());
     assert!(cli("corpus gen --limit 3").is_err());
-    // The spec is read off the rows' synopses; pin what it derives.
-    assert_eq!(
-        flag_spec("compile"),
-        Some((true, vec![("--window", true), ("--reorder", false)]))
-    );
-    assert_eq!(flag_spec("suite"), Some((false, Vec::new())));
-    let (positional, lint) = flag_spec("lint").expect("lint has four synopses");
-    assert!(positional);
-    for flag in [("--json", true), ("--mutate", false), ("--explain", false)] {
-        assert!(lint.contains(&flag), "{flag:?} in {lint:?}");
-    }
-    assert_eq!(lint.len(), 10, "{lint:?}");
-    let (positional, submit) = flag_spec("submit").expect("submit has two synopses");
-    assert!(positional);
-    for flag in [("--job", true), ("--health", false), ("--shutdown", false)] {
-        assert!(submit.contains(&flag), "{flag:?} in {submit:?}");
-    }
-    let (positional, fuzz) = flag_spec("fuzz").expect("fuzz");
-    assert!(!positional && fuzz.contains(&("--smoke", false)));
-    assert_eq!(
-        flag_spec("corpus stats"),
-        Some((false, vec![("--dir", true)]))
-    );
-    // `corpus` alone is the union of its verbs' synopses.
-    assert_eq!(flag_spec("corpus").map(|(_, flags)| flags.len()), Some(10));
-    assert_eq!(flag_spec("frobnicate"), None);
+    assert_eq!(flag_spec("frobnicate").map(|lines| lines.len()), None);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn every_synopsis_line_is_its_own_grammar() {
+    // Each line as the parser reads it: `row | positional | flags | bare
+    // flags`, a flag that takes a value marked `=`. An axis flag is written
+    // bare in the synopsis and takes a value.
+    let want = "\
+suite |  |  |
+run | <bench> | --collector= --window= --scale= --reorder --core-model= --divergence= --sanitize |
+compare | <bench> | --scale= --jobs= --core-model= --divergence= |
+asm | <file.s> |  |
+compile | <file.s> | --window= --reorder |
+sweep | <bench> | --scale= --jobs= --core-model= --divergence= |
+figure | <name|all|list> | --scale= --model= --jobs= --out= |
+fuzz |  | --cases= --seed= --jobs= --size= --out= --smoke --core-model= --divergence= |
+lint | <file.s> | --window= --deny-warnings --json= --core-model= --divergence= |
+lint |  | --all-workloads --window= --deny-warnings --json= --core-model= --divergence= | --all-workloads
+lint |  | --mutate --smoke --jobs= --json= --divergence= | --mutate
+lint | [B0xx] | --explain | --explain
+trace | <file.s> | --collector= --window= --limit= |
+encode | <file.s> |  |
+decode | <file.hex> |  |
+serve |  | --addr= --workers= --store= --port-file= |
+submit | <bench> | --asm= --collector= --window= --scale= --addr= --no-wait |
+submit |  | --job= --fetch= --health --shutdown --addr= | --job --fetch --health --shutdown
+corpus gen | gen | --count= --seed= --dir= |
+corpus stats | stats | --dir= |
+corpus sweep | sweep | --dir= --limit= --jobs= --core-model= --divergence= --addr= --out= |
+corpus sanitize | sanitize | --count= --seed= --jobs= --smoke --out= |
+";
+    let got: Vec<(&str, Line)> = COMMANDS
+        .iter()
+        .flat_map(|c| {
+            flag_spec(c.name)
+                .unwrap()
+                .into_iter()
+                .map(|line| (c.name, line))
+        })
+        .collect();
+    let shown: String = got
+        .iter()
+        .map(|(name, line)| {
+            let flags: Vec<String> = line
+                .flags
+                .iter()
+                .map(|&(flag, value)| format!("{flag}{}", if value { "=" } else { "" }))
+                .collect();
+            let positional = line.positional.unwrap_or("");
+            let (flags, modes) = (flags.join(" "), line.modes.join(" "));
+            let row = format!("{name} | {positional} | {flags} | {modes}");
+            format!("{}\n", row.trim_end())
+        })
+        .collect();
+    assert_eq!(shown, want);
+
+    // Each line accepts exactly its own flags and positional: a flag only
+    // another line of the command lists is refused beside its mode (a
+    // mode flag of another line selects that line instead).
+    for (name, line) in &got {
+        let mut base: Vec<&str> = Vec::new();
+        if let Some(&mode) = line.modes.first() {
+            base.push(mode);
+            if line.flags.contains(&(mode, true)) {
+                base.push("1");
+            }
+        }
+        let mode = line
+            .modes
+            .first()
+            .copied()
+            .or(line.positional)
+            .unwrap_or(name);
+        let lines = flag_spec(name).unwrap();
+        for &(flag, takes_value) in lines.iter().flat_map(|l| &l.flags) {
+            if lines.iter().any(|l| l != line && l.modes.contains(&flag)) {
+                continue;
+            }
+            let mut argv = base.clone();
+            argv.push(flag);
+            if takes_value {
+                argv.push("1");
+            }
+            let parsed = Args::new(name, &argv);
+            let alternative = line.modes.contains(&flag) && Some(&flag) != line.modes.first();
+            if line.lists(flag) && !alternative {
+                assert!(parsed.is_ok(), "{name} {argv:?}");
+            } else {
+                let e = parsed
+                    .err()
+                    .unwrap_or_else(|| panic!("{name} {argv:?} parsed"));
+                let want = format!("{name}: `{flag}` cannot be combined with `{mode}`");
+                assert_eq!(e.to_string(), want, "{argv:?}");
+            }
+        }
+        let mut argv = base.clone();
+        argv.push("x");
+        match (line.positional, line.modes.first()) {
+            (Some(_), _) => assert!(Args::new(name, &argv).is_ok(), "{name} {argv:?}"),
+            (None, Some(mode)) => {
+                let e = Args::new(name, &argv)
+                    .err()
+                    .expect("a positional beside a mode");
+                let want = format!("{name}: `{mode}` takes no argument, got `x`");
+                assert_eq!(e.to_string(), want);
+            }
+            (None, None) => assert!(Args::new(name, &argv).is_err(), "{name} {argv:?}"),
+        }
+    }
+    // A flag has one arity under every corpus verb, so the split that
+    // finds the verb reads each flag's value as its verb will.
+    let (corpus, _) = Args::split("corpus", &[]).unwrap();
+    for line in flag_spec("corpus").unwrap() {
+        assert!(
+            line.flags.iter().all(|f| corpus.flags.contains(f)),
+            "{line:?}"
+        );
+    }
+    assert_eq!(corpus.flags.len(), 10);
 }
 
 #[test]
@@ -103,7 +197,7 @@ fn the_index_is_the_help_text_and_every_row_its_own_grammar() {
     // shared prose; a row's synopsis names its own command on each line.
     let help = cli("help").unwrap();
     assert_eq!(cli("").unwrap(), help);
-    let synopses: String = COMMANDS.iter().map(|c| c.synopsis).collect();
+    let synopses: String = COMMANDS.iter().map(Subcommand::usage).collect();
     assert!(help.contains(&format!("USAGE:\n{synopses}\nCOLLECTORS:")));
     for (i, c) in COMMANDS.iter().enumerate() {
         assert!(c.synopsis.ends_with('\n'), "{}", c.name);
@@ -113,13 +207,14 @@ fn the_index_is_the_help_text_and_every_row_its_own_grammar() {
         }
         assert!(COMMANDS[..i].iter().all(|d| d.name != c.name), "{}", c.name);
     }
-    // A flag has one arity under every corpus verb, so the union split
-    // that finds the verb reads each flag's value as its verb will.
-    let (_, union) = flag_spec("corpus").unwrap();
-    for verb in ["gen", "stats", "sweep", "sanitize"] {
-        let (_, flags) = flag_spec(&format!("corpus {verb}")).unwrap();
-        assert!(flags.iter().all(|f| union.contains(f)), "{verb}");
+    // The axis value lists in `help` are the axes' own tables.
+    for (flag, values) in AXES {
+        assert!(help.contains(&format!("[{flag} {}]", values())), "{flag}");
     }
+    assert!(help.contains("(pascal|modern, stack|barrier, test|paper,\nscaled|titan-x)"));
+    assert!(
+        help.contains("COLLECTORS:\n  baseline | bow | bow-wr | bow-wr-half | bow-flex | rfc\n")
+    );
 }
 
 #[test]
@@ -185,7 +280,7 @@ fn axis_names_round_trip_through_flag_wire_and_label() {
         let name = v.name();
         assert_eq!(Scale::parse(name), Ok(v));
         let args = Args::new("run", &["lps", "--scale", name]).unwrap();
-        assert_eq!(args.axis("--scale", Scale::Test, Scale::parse).unwrap(), v);
+        assert_eq!(args.axis().unwrap(), Some(v));
         let body = Json::obj([(
             "kernel",
             Json::obj([("workload", Json::from("lps")), ("scale", Json::from(name))]),
@@ -200,13 +295,13 @@ fn axis_names_round_trip_through_flag_wire_and_label() {
         let want = ConfigBuilder::baseline().model(v).build().gpu.num_sms;
         assert_eq!(wire("model", v.name()).gpu.num_sms, want);
     }
-    // Collector specs: the CLI and the wire resolve every spec to the
-    // same design and buffer size; only `bow-flex` sizing differs (CLI:
-    // 4 x window; wire: `capacity`, default 12).
-    let (core, div) = Default::default();
+    // Collector specs: `--collector` resolves every spec to the design the
+    // wire's `collector` names. A `bow-flex` buffer holds 4 x `--window`
+    // values; the wire's default capacity, 12, is that at window 3.
+    let flagged = |flags: &[&str]| Args::new("run", flags).unwrap().config().unwrap();
     for (spec, design, half) in Collector::SPECS {
         assert_eq!(Collector::parse_spec(spec), Ok((design, half)));
-        let cli = bench::config_for(spec, 3, false, core, div).unwrap();
+        let cli = flagged(&["lps", "--collector", spec]);
         let wired = wire("collector", spec);
         assert_eq!(
             (cli.label, cli.gpu, cli.hints),
@@ -214,12 +309,8 @@ fn axis_names_round_trip_through_flag_wire_and_label() {
             "{spec}"
         );
     }
-    assert_eq!(
-        bench::config_for("bow-flex", 5, false, core, div)
-            .unwrap()
-            .label,
-        "bow-flex c20"
-    );
+    let flex = flagged(&["lps", "--collector", "bow-flex", "--window", "5"]);
+    assert_eq!(flex.label, "bow-flex c20");
     assert_eq!(wire("collector", "bow-flex").label, "bow-flex c12");
     // Unknown names list the table, on both surfaces.
     let e = cli("run lps --core-model volta").unwrap_err();
@@ -271,7 +362,8 @@ fn parse_sweep() {
     );
     let args = Args::new("sweep", &["nw", "--scale", "test", "--jobs", "2"]).unwrap();
     assert_eq!(args.jobs().unwrap(), 2);
-    assert_eq!(args.models().unwrap(), Default::default());
+    let gpu = args.config().unwrap().gpu;
+    assert_eq!((gpu.core_model, gpu.divergence), Default::default());
 }
 
 #[test]
@@ -317,25 +409,57 @@ fn unknown_benchmark_is_an_error() {
 }
 
 #[test]
-fn config_for_covers_all_collectors() {
-    use bench::config_for;
-    let (pascal, modern, stack) = (
-        CoreModelKind::Pascal,
-        CoreModelKind::Modern,
-        DivergenceModel::Stack,
-    );
-    for c in [
-        "baseline",
-        "bow",
-        "bow-wr",
-        "bow-wr-half",
-        "bow-flex",
-        "rfc",
-    ] {
-        assert!(config_for(c, 3, false, pascal, stack).is_ok(), "{c}");
-        assert!(config_for(c, 3, false, modern, stack).is_ok(), "{c}");
+fn every_collector_spec_resolves_on_both_cores() {
+    for (spec, ..) in Collector::SPECS {
+        for core in CoreModelKind::ALL {
+            let line = ["lps", "--collector", spec, "--core-model", core.name()];
+            let cfg = Args::new("run", &line).unwrap().config();
+            assert_eq!(cfg.map(|c| c.gpu.core_model), Ok(core), "{spec}");
+        }
     }
-    assert!(config_for("warp-drive", 3, false, pascal, stack).is_err());
+    let e = cli("run lps --collector warp-drive").unwrap_err();
+    assert_eq!(e.exit_code(), 3, "{e}");
+}
+
+#[test]
+fn the_cli_and_the_wire_agree_on_every_design() {
+    // One meaning for the design flags: the config `run` resolves and the
+    // document `submit` posts key the same request, for every collector
+    // spec, window and model. `submit`'s line has no model flags, so the
+    // models ride along as the wire keys a client adds.
+    let kernel = || KernelSpec::Workload {
+        name: "vectoradd".to_string(),
+        scale: Scale::Test,
+    };
+    for (spec, ..) in Collector::SPECS {
+        for window in ["1", "3", "5"] {
+            let flags = ["vectoradd", "--collector", spec, "--window", window];
+            let posted = Args::new("submit", &flags).unwrap().design().unwrap();
+            for core in CoreModelKind::ALL {
+                for div in DivergenceModel::ALL {
+                    let models = ["--core-model", core.name(), "--divergence", div.name()];
+                    let line = [&flags[..], &models].concat();
+                    let config = Args::new("run", &line).unwrap().config().unwrap();
+                    let local = RunRequest {
+                        kernel: kernel(),
+                        config,
+                    };
+                    let mut doc = posted.clone();
+                    if let Json::Obj(fields) = &mut doc {
+                        fields.push(("core_model".to_string(), Json::from(core.name())));
+                        fields.push(("divergence".to_string(), Json::from(div.name())));
+                    }
+                    let body = Json::obj([
+                        ("kernel", Json::obj([("workload", Json::from("vectoradd"))])),
+                        ("config", doc),
+                    ]);
+                    let wire = RunRequest::from_json(&body).unwrap();
+                    let case = format!("{spec} --window {window} {core:?} {div:?}");
+                    assert_eq!(local.fingerprint(), wire.fingerprint(), "{case}");
+                }
+            }
+        }
+    }
 }
 
 #[test]
@@ -346,7 +470,7 @@ fn parse_core_model_flag() {
         "{out}"
     );
     let fuzz = Args::new("fuzz", &["--smoke", "--core-model", "modern"]).unwrap();
-    assert_eq!(fuzz.models().unwrap().0, CoreModelKind::Modern);
+    assert_eq!(fuzz.config().unwrap().gpu.core_model, CoreModelKind::Modern);
     assert_eq!(
         cli("run vectoradd --core-model volta")
             .unwrap_err()
@@ -377,7 +501,10 @@ fn parse_divergence_flag() {
         out.starts_with("vectoradd under bow-wr iw3+barrier: OK"),
         "{out}"
     );
-    let models = |command, rest: &[&str]| Args::new(command, rest).unwrap().models().unwrap();
+    let models = |command, rest: &[&str]| {
+        let gpu = Args::new(command, rest).unwrap().config().unwrap().gpu;
+        (gpu.core_model, gpu.divergence)
+    };
     let fuzz = &[
         "--smoke",
         "--divergence",

@@ -68,6 +68,8 @@ const LINES: &[&str] = &[
     "submit lps --fetch 0123abcd",
     "submit lps --shutdown",
     "submit --job 1 --collector bow",
+    "lint --mutate --window 3",
+    "submit --health --scale paper",
 ];
 
 #[test]

@@ -2,17 +2,29 @@
 //!
 //! Just enough of RFC 9112 for a loopback JSON API: one request per
 //! connection (`Connection: close` on every response), `Content-Length`
-//! bodies only (no chunked encoding), and a hard body-size cap so a
-//! misbehaving client cannot balloon the server. This is deliberate —
+//! bodies only (no chunked encoding), hard caps on the request head and
+//! body so a misbehaving client cannot balloon the server, and a deadline
+//! on the whole request so a silent one cannot hold a thread for good.
+//! This is deliberate —
 //! the workspace is std-only, and the service's clients are `bow-cli
 //! submit`, the CI smoke stage and `curl`.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 /// Largest accepted request body. Inline kernels and sweep documents are
 /// a few KiB; 4 MiB leaves two orders of magnitude of headroom.
 pub const MAX_BODY_BYTES: usize = 4 << 20;
+
+/// Largest accepted request head: the request line and every header,
+/// line ends included. Every client of the API sends a few hundred bytes.
+pub const MAX_HEAD_BYTES: usize = 8 << 10;
+
+/// How long a whole request may take to arrive, counted from the first
+/// read. A connection that is silent or slower than this is closed
+/// unanswered.
+pub const READ_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// A parsed request: method, path, body. Headers other than
 /// `Content-Length` are read and discarded.
@@ -36,6 +48,8 @@ pub enum FrameError {
     Malformed(String),
     /// `Content-Length` exceeds [`MAX_BODY_BYTES`].
     TooLarge(usize),
+    /// The request line and headers exceed [`MAX_HEAD_BYTES`].
+    HeadTooLarge,
 }
 
 impl std::fmt::Display for FrameError {
@@ -49,22 +63,60 @@ impl std::fmt::Display for FrameError {
                     "body of {n} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
                 )
             }
+            FrameError::HeadTooLarge => write!(
+                f,
+                "request line and headers exceed the {MAX_HEAD_BYTES}-byte limit"
+            ),
         }
     }
 }
 
-/// Reads one request off `stream`.
+/// A stream read under a deadline: each read waits at most until it.
+struct Deadline<'s> {
+    stream: &'s TcpStream,
+    until: Instant,
+}
+
+impl Read for Deadline<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.until.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        (&mut &*self.stream).read(buf)
+    }
+}
+
+/// Reads one request off `stream`, which must arrive whole within
+/// [`READ_TIMEOUT`].
 ///
 /// # Errors
 ///
-/// Returns a [`FrameError`] when the connection drops, the request line
-/// or headers are unparsable, or the declared body is over the cap.
+/// Returns a [`FrameError`] when the connection drops or times out, the
+/// request line or headers are unparsable or over [`MAX_HEAD_BYTES`], or
+/// the declared body is over the cap.
 pub fn read_request(stream: &mut TcpStream) -> Result<Request, FrameError> {
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader
-        .read_line(&mut line)
-        .map_err(|e| FrameError::Io(e.to_string()))?;
+    let until = Instant::now() + READ_TIMEOUT;
+    let mut reader = BufReader::new(Deadline { stream, until });
+    let mut head_left = MAX_HEAD_BYTES as u64;
+    // One line of the head, counted against its cap.
+    let mut next_line = |reader: &mut BufReader<Deadline>| {
+        if head_left == 0 {
+            return Err(FrameError::HeadTooLarge);
+        }
+        let mut line = String::new();
+        let read = reader
+            .take(head_left)
+            .read_line(&mut line)
+            .map_err(|e| FrameError::Io(e.to_string()))?;
+        head_left -= read as u64;
+        if head_left == 0 && !line.ends_with('\n') {
+            return Err(FrameError::HeadTooLarge);
+        }
+        Ok(line)
+    };
+    let line = next_line(&mut reader)?;
     if line.is_empty() {
         return Err(FrameError::Io("connection closed before request".into()));
     }
@@ -86,10 +138,7 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, FrameError> {
 
     let mut content_length = 0usize;
     loop {
-        let mut header = String::new();
-        reader
-            .read_line(&mut header)
-            .map_err(|e| FrameError::Io(e.to_string()))?;
+        let header = next_line(&mut reader)?;
         let header = header.trim_end();
         if header.is_empty() {
             break;
@@ -205,5 +254,21 @@ mod tests {
             roundtrip("GET /\r\n\r\n"),
             Err(FrameError::Malformed(_))
         ));
+    }
+
+    #[test]
+    fn caps_the_request_head() {
+        // A head that ends right at the cap is read; one byte more is not,
+        // whether it is one long line or many short ones.
+        let line = "GET /v1/healthz HTTP/1.1\r\n";
+        let pad = |n: usize| format!("X-Pad: {}\r\n", "a".repeat(n - 9));
+        let fits = format!("{line}{}\r\n", pad(MAX_HEAD_BYTES - line.len() - 2));
+        assert!(roundtrip(&fits).is_ok());
+        let over = format!("{line}{}\r\n", pad(MAX_HEAD_BYTES - line.len() - 1));
+        assert_eq!(roundtrip(&over).unwrap_err(), FrameError::HeadTooLarge);
+        let endless = format!("GET /{}", "a".repeat(MAX_HEAD_BYTES));
+        assert_eq!(roundtrip(&endless).unwrap_err(), FrameError::HeadTooLarge);
+        let many = format!("{line}{}", "X-A: b\r\n".repeat(MAX_HEAD_BYTES / 8));
+        assert_eq!(roundtrip(&many).unwrap_err(), FrameError::HeadTooLarge);
     }
 }

@@ -45,7 +45,8 @@ pub mod http;
 pub mod jobs;
 pub mod store;
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::Read;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -57,7 +58,7 @@ use bow::error::BowError;
 use bow::experiment::SCHEMA_VERSION;
 use bow_util::json::{parse, Json};
 
-use http::{read_request, write_response, FrameError, Request};
+use http::{read_request, write_response, FrameError, Request, MAX_BODY_BYTES};
 use jobs::{JobKind, JobState, JobSystem};
 use store::ResultStore;
 
@@ -470,18 +471,25 @@ fn route(state: &State, req: &Request) -> (u16, String) {
 }
 
 fn handle_connection(state: &State, stream: &mut TcpStream) {
-    let (status, body) = match read_request(stream) {
-        Ok(req) => route(state, &req),
-        Err(FrameError::TooLarge(n)) => (
-            413,
-            error_body("parse", &FrameError::TooLarge(n).to_string()),
-        ),
-        Err(FrameError::Malformed(m)) => (
-            400,
-            error_body("parse", &FrameError::Malformed(m).to_string()),
-        ),
-        // Connection died before a full request arrived: nothing to answer.
+    let (status, refusal) = match read_request(stream) {
+        Ok(req) => {
+            let (status, body) = route(state, &req);
+            let _ = write_response(stream, status, &body);
+            return;
+        }
+        Err(e @ (FrameError::TooLarge(_) | FrameError::HeadTooLarge)) => (413, e),
+        Err(e @ FrameError::Malformed(_)) => (400, e),
+        // Connection died or timed out before a full request arrived:
+        // nothing to answer.
         Err(FrameError::Io(_)) => return,
     };
-    let _ = write_response(stream, status, &body);
+    let _ = write_response(stream, status, &error_body("parse", &refusal.to_string()));
+    // The request was refused part-read. Closing on unread bytes would
+    // reset the connection before the client reads the answer, so read
+    // what it still sends, within its read deadline and the body cap.
+    let _ = stream.shutdown(Shutdown::Write);
+    let _ = std::io::copy(
+        &mut (&*stream).take(MAX_BODY_BYTES as u64),
+        &mut std::io::sink(),
+    );
 }

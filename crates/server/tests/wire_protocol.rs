@@ -19,15 +19,18 @@
 //!   (or half a request) delays nobody, more blocked sync runs than
 //!   standing acceptors all complete, shutdown closes the port while such
 //!   a client is still connected, and sequential requests start no
-//!   thread.
+//!   thread;
+//! * no connection holds the server for good: a silent one is closed once
+//!   the read timeout passes, and an over-long request head gets a 413.
 
 use bow_server::client;
+use bow_server::http::{MAX_HEAD_BYTES, READ_TIMEOUT};
 use bow_server::{Server, ServerConfig, STANDING_ACCEPTORS};
 use bow_util::json::Json;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 struct TestServer {
     addr: String,
@@ -687,6 +690,63 @@ fn sequential_requests_start_no_thread() {
         "a sequential client must be served by the standing acceptors"
     );
     assert_eq!(srv.sim_runs(), 1);
+    srv.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_silent_connection_is_closed_once_the_read_timeout_passes() {
+    let dir = temp_store("timeout");
+    let srv = TestServer::boot(&dir);
+    let standing = STANDING_ACCEPTORS as u64;
+    // More silent clients than standing acceptors, so the pool grows.
+    let silent = STANDING_ACCEPTORS + 2;
+    let start = Instant::now();
+    let clients: Vec<TcpStream> = (0..silent)
+        .map(|_| TcpStream::connect(&srv.addr).expect("connect"))
+        .collect();
+    let margin = Duration::from_secs(10);
+    for mut client in clients {
+        client
+            .set_read_timeout(Some(READ_TIMEOUT + margin))
+            .expect("client timeout");
+        let mut reply = Vec::new();
+        // The server closes the connection unanswered: end of stream.
+        client
+            .read_to_end(&mut reply)
+            .expect("closed, not timed out");
+        assert!(reply.is_empty(), "{}", String::from_utf8_lossy(&reply));
+        let waited = start.elapsed();
+        assert!(waited < READ_TIMEOUT + margin, "closed after {waited:?}");
+        assert!(waited >= READ_TIMEOUT / 2, "closed after only {waited:?}");
+    }
+    // Every thread the silent clients held is back in the pool or gone:
+    // a health check finds the standing acceptors idle but the one
+    // answering it.
+    let (started, idle) = srv.http_threads();
+    assert!(started > standing, "the silent clients grew the pool");
+    assert_eq!(idle, standing - 1);
+    srv.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_over_long_request_head_gets_a_413() {
+    let dir = temp_store("head");
+    let srv = TestServer::boot(&dir);
+    // A header line twice as long as the head's cap: the client is still
+    // sending when the server refuses it, and must read the refusal.
+    let line = "GET /v1/healthz HTTP/1.1\r\nX-Long: ";
+    let head = format!("{line}{}\r\n\r\n", "a".repeat(2 * MAX_HEAD_BYTES));
+    let mut stream = TcpStream::connect(&srv.addr).expect("connect");
+    stream.write_all(head.as_bytes()).expect("send the head");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("client timeout");
+    let mut reply = String::new();
+    stream.read_to_string(&mut reply).expect("a reply");
+    assert!(reply.starts_with("HTTP/1.1 413 "), "{reply}");
+    assert!(reply.contains(r#""kind":"parse""#), "{reply}");
     srv.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

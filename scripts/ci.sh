@@ -191,8 +191,9 @@ echo "==> bow-server smoke (serve / submit / cache-hit / shutdown)"
 # Boots the real server on an ephemeral port, drives it with the real
 # client, and proves the content-addressed cache: the second identical
 # submission must come back "cached": true without invoking the
-# simulator (healthz sim_runs stays at 1), all while another client holds
-# a connection open without sending anything. Store stats land in
+# simulator, all while another client holds a connection open without
+# sending anything. It also checks that `submit` runs the design `run`
+# runs for the same flags. Store stats land in
 # target/server-smoke/store-stats.json (artifact).
 rm -rf target/server-smoke
 mkdir -p target/server-smoke
@@ -208,8 +209,8 @@ done
 ADDR="$(cat target/server-smoke/port)"
 echo "    server on ${ADDR}"
 # A client that connects and never sends a byte keeps one acceptor thread
-# waiting on it; every request below, and the shutdown, must complete
-# around it.
+# waiting on it until the server's read timeout closes it; every request
+# below, and the shutdown, must complete around it.
 exec 3<>"/dev/tcp/${ADDR%:*}/${ADDR##*:}"
 submit() {
     "$BOW_CLI" submit "$@" --addr "${ADDR}"
@@ -230,12 +231,21 @@ echo "${STATE}" | grep -q '"state":"done"' || { echo "job never finished: ${STAT
 # Cache hit: identical resubmission.
 submit vectoradd --collector bow-wr --window 3 | grep -q '"cached":true' \
     || { echo "resubmission missed the cache"; exit 1; }
+# The front ends agree on a design: `submit` runs what `run` runs for the
+# same flags (a bow-flex buffer holds 4 x --window values on both).
+FLEX_LABEL="$("$BOW_CLI" run vectoradd --collector bow-flex --window 5 \
+    | sed -n '1s/^vectoradd under \(.*\): .*/\1/p')"
+FLEX_CONFIG="$(submit vectoradd --collector bow-flex --window 5 \
+    | python3 -c 'import json,sys; print(json.load(sys.stdin)["result"]["config"])')"
+[ -n "${FLEX_LABEL}" ] && [ "${FLEX_CONFIG}" = "${FLEX_LABEL}" ] \
+    || { echo "submit ran '${FLEX_CONFIG}' where run runs '${FLEX_LABEL}'"; exit 1; }
 # Fetch by fingerprint and check the stored document's schema tag.
 submit --fetch "${FP}" | grep -q '"schema_version": 1' \
     || { echo "stored document is not schema v1"; exit 1; }
-# The simulator ran exactly twice (one run + one async job); cache hits add zero.
+# The simulator ran exactly three times (two runs + one async job); cache
+# hits add zero.
 HEALTH="$(submit --health)"
-echo "${HEALTH}" | grep -q '"sim_runs":2' \
+echo "${HEALTH}" | grep -q '"sim_runs":3' \
     || { echo "cache hit invoked the simulator: ${HEALTH}"; exit 1; }
 echo "${HEALTH}" | python3 -c 'import json,sys; print(json.dumps(json.load(sys.stdin)["store"], indent=2))' \
     > target/server-smoke/store-stats.json 2>/dev/null \
@@ -244,7 +254,7 @@ submit --shutdown | grep -q 'shutting down' || { echo "shutdown failed"; exit 1;
 wait "$SERVER_PID"
 trap - EXIT
 exec 3<&-
-echo "    cache verified: sim_runs=2 beside a silent connection, store stats in target/server-smoke/store-stats.json"
+echo "    cache and front ends verified: sim_runs=3 beside a silent connection, store stats in target/server-smoke/store-stats.json"
 
 echo "==> corpus smoke (64 kernels, stratified gen + mini-sweep, both cores)"
 # The corpus regression tier (docs/TESTING.md, `Corpus tier`): a
