@@ -614,7 +614,7 @@ mod tests {
         let r = req(r#"{"kernel": {"workload": "vectoradd"}}"#).unwrap();
         assert_eq!(
             r.fingerprint(),
-            "d4038b689bc6a9aa02518ee9133cfb1ca3e90f55f9e1fc9b3c3d56eb2e592d03"
+            "e807383c41e0c950ddcf6e9c8dcefa872450d5b33fbb3615b9b37361f470a843"
         );
     }
 

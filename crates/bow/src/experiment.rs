@@ -34,7 +34,9 @@ pub const SCHEMA_VERSION: u64 = 1;
 /// simulated results.
 ///
 /// Revision 1: a global store lands in device memory when it executes.
-pub const MODEL_REVISION: u64 = 1;
+/// Revision 2: the Pascal scoreboard holds a predicate read (a guard or a
+/// predicate source) from issue until the reader dispatches.
+pub const MODEL_REVISION: u64 = 2;
 
 /// Which operand-collection design a configuration simulates — the
 /// coarse axis of [`ConfigBuilder`]; the window/half-size/capacity

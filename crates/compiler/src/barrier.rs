@@ -121,13 +121,13 @@ pub fn lower_to_barriers(kernel: &Kernel) -> Result<Kernel, LowerError> {
                         return Err(LowerError::NotPostDominating { pc, target });
                     }
                     out.insts[pc].op = Opcode::Bssy;
-                    out.insts[pc].srcs = vec![Operand::Imm(depth as u32)];
+                    out.insts[pc].srcs = [Operand::Imm(depth as u32)].into_iter().collect();
                     depth += 1;
                 }
                 Opcode::Sync => {
                     depth -= 1; // balanced: checked above
                     out.insts[pc].op = Opcode::Bsync;
-                    out.insts[pc].srcs = vec![Operand::Imm(depth as u32)];
+                    out.insts[pc].srcs = [Operand::Imm(depth as u32)].into_iter().collect();
                 }
                 _ => {}
             }

@@ -19,8 +19,8 @@
 //! Everything is integral (the mean is reported ×100) so downstream
 //! manifests serialize byte-identically on every platform.
 
-use crate::cfg::Cfg;
-use crate::verify::dataflow;
+use crate::analysis::Analysis;
+use crate::regset::RegSet;
 use bow_isa::{Kernel, Opcode};
 
 /// The static characterization vector of one kernel.
@@ -50,15 +50,17 @@ pub struct KernelTraits {
 /// Measures `kernel` along the corpus axes. Pure and deterministic: the
 /// same kernel yields the same vector on every platform.
 pub fn characterize(kernel: &Kernel) -> KernelTraits {
-    let cfg = Cfg::build(kernel);
-    let doms = cfg.dominators();
-    let facts = dataflow::may_live(kernel, &cfg);
+    characterize_with(kernel, &Analysis::new(kernel))
+}
 
+/// [`characterize`] over `kernel`'s analysis bundle.
+pub fn characterize_with(kernel: &Kernel, an: &Analysis) -> KernelTraits {
+    debug_assert!(an.describes(kernel), "the bundle of another kernel");
     // Live peak: the B006 pressure replay, maximised over every
     // reachable block.
-    let live_peak = (0..cfg.len())
-        .filter(|&b| doms.is_reachable(b))
-        .map(|b| dataflow::block_max_live(kernel, &cfg, &facts, b))
+    let live_peak = (0..an.cfg().len())
+        .filter(|&b| an.dominators().is_reachable(b))
+        .map(|b| an.max_live(b))
         .max()
         .unwrap_or(0);
 
@@ -69,26 +71,21 @@ pub fn characterize(kernel: &Kernel) -> KernelTraits {
     let mut last_def = [None::<usize>; 256];
     let mut gap_sum = 0u64;
     let mut gap_n = 0u64;
-    for (pc, inst) in kernel.insts.iter().enumerate() {
-        for src in inst.unique_src_regs() {
+    // Register footprint: distinct destinations.
+    let mut written = RegSet::new();
+    for (pc, op) in an.ops().iter().enumerate() {
+        for src in &op.unique {
             if let Some(d) = last_def[src.index() as usize] {
                 gap_sum += (pc - d) as u64;
                 gap_n += 1;
             }
         }
-        if let Some(d) = inst.dst_reg() {
+        if let Some(d) = op.def {
             last_def[d.index() as usize] = Some(pc);
+            written.insert(d);
         }
     }
-
-    // Register footprint: distinct destinations.
-    let mut written = [false; 256];
-    for inst in &kernel.insts {
-        if let Some(d) = inst.dst_reg() {
-            written[d.index() as usize] = true;
-        }
-    }
-    let regs_written = written.iter().filter(|&&w| w).count() as u32;
+    let regs_written = written.len() as u32;
 
     // Divergence nesting and memory mix from one linear opcode walk.
     let mut depth = 0u32;

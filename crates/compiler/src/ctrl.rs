@@ -30,8 +30,8 @@
 //! guards at issue. This mirrors real hardware, where predicate writes are
 //! fixed-latency and covered by the ordinary stall path.
 
-use crate::cfg::Cfg;
-use crate::regset::BarrierGuards;
+use crate::analysis::Analysis;
+use crate::regset::{BarrierGuards, RegSet};
 use bow_isa::ctrl::{CtrlBits, MAX_STALL, NUM_BARRIERS};
 use bow_isa::{FuClass, Kernel, Opcode};
 
@@ -82,8 +82,18 @@ impl CtrlLatencies {
 /// instruction stream, hints and existing metadata are untouched, so
 /// Pascal-model runs and legacy binary fingerprints are unaffected.
 pub fn emit_ctrl(kernel: &Kernel, lat: &CtrlLatencies) -> Kernel {
+    let mut out = kernel.clone();
+    out.ctrl = ctrl_bits(kernel, &Analysis::new(kernel), lat);
+    out
+}
+
+/// The control-bits sidecar [`emit_ctrl`] attaches, computed over
+/// `kernel`'s analysis bundle (one [`CtrlBits`] per instruction).
+pub fn ctrl_bits(kernel: &Kernel, an: &Analysis, lat: &CtrlLatencies) -> Vec<CtrlBits> {
+    debug_assert!(an.describes(kernel), "the bundle of another kernel");
     let n = kernel.insts.len();
-    let cfg = Cfg::build(kernel);
+    let cfg = an.cfg();
+    let ops = an.ops();
     let mut ctrl = vec![CtrlBits::default(); n];
 
     // Forward fixpoint of may-be-pending barrier masks: a block's exit
@@ -119,12 +129,14 @@ pub fn emit_ctrl(kernel: &Kernel, lat: &CtrlLatencies) -> Kernel {
         }
     }
 
+    // Per-register facts. `ready[r]` (indexed by Reg::index()) is the
+    // block-local cycle the latest fixed-latency write of r completes,
+    // non-zero only for the registers in the block's `timed` set (cleared
+    // again at the block's end); `wr_guard` / `rd_guard` the barrier
+    // guarding r's pending variable write / pending memory read.
+    let mut ready = [0u64; 256];
     for (bi, block) in cfg.blocks().iter().enumerate() {
-        // Per-register facts. `ready[r]` (indexed by Reg::index()) is the
-        // block-local cycle the latest fixed-latency write of r completes;
-        // `wr_guard` / `rd_guard` the barrier guarding r's pending
-        // variable write / pending memory read.
-        let mut ready = [0u64; 256];
+        let mut timed = RegSet::new();
         let mut wr_guard = BarrierGuards::new();
         let mut rd_guard = BarrierGuards::new();
         let mut t: u64 = 0; // issue time of the current instruction
@@ -141,13 +153,13 @@ pub fn emit_ctrl(kernel: &Kernel, lat: &CtrlLatencies) -> Kernel {
             // ones. WAR through memory: a write to a register a pending
             // memory read still needs must wait its read barrier.
             let mut need: u64 = t;
-            for s in inst.unique_src_regs() {
+            for &s in &ops[pc].unique {
                 if let Some(b) = wr_guard.of(s) {
                     wait |= 1 << b;
                 }
                 need = need.max(ready[s.index() as usize]);
             }
-            if let Some(d) = inst.dst_reg() {
+            if let Some(d) = ops[pc].def {
                 if let Some(b) = rd_guard.of(d) {
                     wait |= 1 << b;
                 }
@@ -182,7 +194,7 @@ pub fn emit_ctrl(kernel: &Kernel, lat: &CtrlLatencies) -> Kernel {
             // Record this instruction's own production.
             let (bar, allocates) = bar_at[pc];
             if allocates {
-                if let Some(d) = inst.dst_reg() {
+                if let Some(d) = ops[pc].def {
                     ctrl[pc].wr_bar = Some(bar);
                     wr_guard.set(d, Some(bar));
                     ready[d.index() as usize] = 0;
@@ -190,13 +202,14 @@ pub fn emit_ctrl(kernel: &Kernel, lat: &CtrlLatencies) -> Kernel {
                     // A store: guard its register reads against later
                     // overwrites until operands are dispatched.
                     ctrl[pc].rd_bar = Some(bar);
-                    for s in inst.unique_src_regs() {
+                    for &s in &ops[pc].unique {
                         rd_guard.set(s, Some(bar));
                     }
                 }
-            } else if let Some(d) = inst.dst_reg() {
+            } else if let Some(d) = ops[pc].def {
                 if let Some(l) = lat.fixed(inst.op) {
                     ready[d.index() as usize] = t + u64::from(l);
+                    timed.insert(d);
                     wr_guard.set(d, None);
                 }
             }
@@ -209,19 +222,20 @@ pub fn emit_ctrl(kernel: &Kernel, lat: &CtrlLatencies) -> Kernel {
         // still in flight, so successors can start from a clean slate. The
         // last instruction issued at `t - 1`; a successor issues at
         // `(t - 1) + max(1, stall)` and must not beat the readiness front.
-        if let Some(last) = prev {
-            let ready_max = ready.iter().copied().max().unwrap_or(0);
+        let ready_max = timed.iter().map(|r| ready[r.index() as usize]).max();
+        if let (Some(last), Some(ready_max)) = (prev, ready_max) {
             if ready_max > t {
                 let gap = (ready_max - (t - 1)).min(u64::from(MAX_STALL)) as u8;
                 ctrl[last].stall = ctrl[last].stall.max(gap);
             }
         }
+        for r in timed.iter() {
+            ready[r.index() as usize] = 0;
+        }
     }
 
     debug_assert!(ctrl.iter().all(|c| c.validate().is_ok()));
-    let mut out = kernel.clone();
-    out.ctrl = ctrl;
-    out
+    ctrl
 }
 
 #[cfg(test)]

@@ -150,10 +150,14 @@ impl StructureReport {
 /// divergence-model seam — callers never need to know which model the
 /// kernel was compiled for).
 pub fn check_structure(kernel: &Kernel) -> StructureReport {
+    check_structure_on(kernel, &Cfg::build(kernel))
+}
+
+/// [`check_structure`] over the kernel's already-built `cfg`.
+pub(crate) fn check_structure_on(kernel: &Kernel, cfg: &Cfg) -> StructureReport {
     if kernel.uses_convergence_barriers() {
-        return check_barrier_structure(kernel);
+        return check_barrier_structure(kernel, cfg);
     }
-    let cfg = Cfg::build(kernel);
     let mut report = StructureReport::default();
     let n = cfg.len();
     if n == 0 {
@@ -219,8 +223,7 @@ pub fn check_structure(kernel: &Kernel) -> StructureReport {
 /// exit-retire path removes exited lanes from the pending set, so an exit
 /// in a divergent arm is a supported pattern under barriers (unlike the
 /// stack form's `UnclosedSsy`).
-fn check_barrier_structure(kernel: &Kernel) -> StructureReport {
-    let cfg = Cfg::build(kernel);
+fn check_barrier_structure(kernel: &Kernel, cfg: &Cfg) -> StructureReport {
     let mut report = StructureReport::default();
     let n = cfg.len();
     if n == 0 {

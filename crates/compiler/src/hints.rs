@@ -33,8 +33,8 @@
 //! invalidates it, so a superseded copy can neither forward to a later
 //! read nor write back over the newer value.
 
-use crate::cfg::Cfg;
-use crate::liveness::Liveness;
+use crate::analysis::Analysis;
+use crate::regset::RegSet;
 use bow_isa::{Kernel, Reg, WritebackHint};
 
 /// The classification of one static write (mirrors [`WritebackHint`] but
@@ -95,66 +95,41 @@ impl CompilerReport {
 
 /// Classifies one write: the instruction at `pc` (which defines `d`),
 /// walked forward within its block under window size `w`.
-fn classify_write(
-    kernel: &Kernel,
-    cfg: &Cfg,
-    lv: &Liveness,
-    pc: usize,
-    d: Reg,
-    w: usize,
-) -> HintClass {
-    let bi = cfg.block_of(pc);
-    let block = &cfg.blocks()[bi];
+fn classify_write(an: &Analysis, pc: usize, d: Reg, w: usize) -> HintClass {
+    let bi = an.cfg().block_of(pc);
+    let end = an.cfg().blocks()[bi].end;
+    let ops = an.ops();
     let mut last_touch = pc;
     let mut read_in_window = false;
-    for j in pc + 1..block.end {
-        let inst = &kernel.insts[j];
-        let reads_d = inst.src_regs().contains(&d);
-        // A guarded redefinition is only a may-kill: when its predicate is
-        // false the old value is still the architectural one and later
-        // reads demand it, so it neither ends the walk nor re-touches.
-        let writes_d = inst.dst_reg() == Some(d) && inst.guard.is_none();
+    for (j, op) in ops.iter().enumerate().take(end).skip(pc + 1) {
         if j - last_touch >= w {
             // The value expired at instruction `last_touch + w`. Is it still
             // live there? Scan on from j for the next access in-block.
-            return expiry_class(kernel, lv, bi, j, d, read_in_window, block.end);
+            return expiry_class(an, bi, j, d, read_in_window);
         }
-        if reads_d {
+        if op.reads(d) {
             read_in_window = true;
             last_touch = j;
         }
-        if writes_d {
+        // A guarded redefinition is only a may-kill: when its predicate is
+        // false the old value is still the architectural one and later
+        // reads demand it, so it neither ends the walk nor re-touches.
+        if op.kill() == Some(d) {
             // Overwritten while still present: every prior use was captured
             // by the window, the RF never needs this value.
             return HintClass::Transient;
         }
     }
     // Block ended with the value still present.
-    if lv.live_out(bi).contains(d) {
-        if read_in_window {
-            HintClass::Persistent
-        } else {
-            HintClass::RfOnly
-        }
-    } else {
-        HintClass::Transient
-    }
+    escape_class(an, bi, d, read_in_window)
 }
 
 /// The value of `d` expired at in-block position `j`. Decide by its next
 /// in-block access (or block liveness when there is none).
-fn expiry_class(
-    kernel: &Kernel,
-    lv: &Liveness,
-    bi: usize,
-    j: usize,
-    d: Reg,
-    read_in_window: bool,
-    block_end: usize,
-) -> HintClass {
-    for k in j..block_end {
-        let inst = &kernel.insts[k];
-        if inst.src_regs().contains(&d) {
+fn expiry_class(an: &Analysis, bi: usize, j: usize, d: Reg, read_in_window: bool) -> HintClass {
+    let end = an.cfg().blocks()[bi].end;
+    for op in &an.ops()[j..end] {
+        if op.reads(d) {
             // Read after expiry: the RF must hold the value.
             return if read_in_window {
                 HintClass::Persistent
@@ -162,93 +137,82 @@ fn expiry_class(
                 HintClass::RfOnly
             };
         }
-        if inst.dst_reg() == Some(d) && inst.guard.is_none() {
+        if op.kill() == Some(d) {
             // Overwritten without an intervening read: dead after expiry.
             // (A guarded overwrite may not execute and is no kill.)
             return HintClass::Transient;
         }
     }
-    if lv.live_out(bi).contains(d) {
-        if read_in_window {
-            HintClass::Persistent
-        } else {
-            HintClass::RfOnly
-        }
-    } else {
+    escape_class(an, bi, d, read_in_window)
+}
+
+/// A value of `d` still unresolved at the end of block `bi`: it needs the
+/// RF exactly when it is live out.
+fn escape_class(an: &Analysis, bi: usize, d: Reg, read_in_window: bool) -> HintClass {
+    if !an.live_out(bi).contains(d) {
         HintClass::Transient
+    } else if read_in_window {
+        HintClass::Persistent
+    } else {
+        HintClass::RfOnly
     }
 }
 
 /// Classifies every register-writing instruction of `kernel` under window
 /// size `window`, without modifying the kernel.
 pub fn classify_kernel(kernel: &Kernel, window: u32) -> Vec<(usize, HintClass)> {
-    let cfg = Cfg::build(kernel);
-    let lv = Liveness::compute(kernel, &cfg);
-    classify_with(kernel, &cfg, &lv, window)
+    classify_with(&Analysis::new(kernel), window).collect()
 }
 
-/// [`classify_kernel`] over analyses the caller already built.
-fn classify_with(
-    kernel: &Kernel,
-    cfg: &Cfg,
-    lv: &Liveness,
-    window: u32,
-) -> Vec<(usize, HintClass)> {
+/// [`classify_kernel`] over a kernel's analysis bundle, in pc order.
+fn classify_with(an: &Analysis, window: u32) -> impl Iterator<Item = (usize, HintClass)> + '_ {
     let w = window as usize;
-    kernel
+    an.ops()
         .iter()
-        .filter_map(|(pc, inst)| {
-            inst.dst_reg()
-                .map(|d| (pc, classify_write(kernel, cfg, lv, pc, d, w)))
-        })
-        .collect()
+        .enumerate()
+        .filter_map(move |(pc, op)| op.def.map(|d| (pc, classify_write(an, pc, d, w))))
 }
 
 /// Runs the full §IV-B pass: returns a copy of `kernel` with every
 /// destination's [`WritebackHint`] set for window size `window`, plus the
 /// static [`CompilerReport`].
 pub fn annotate(kernel: &Kernel, window: u32) -> (Kernel, CompilerReport) {
-    let cfg = Cfg::build(kernel);
-    let lv = Liveness::compute(kernel, &cfg);
-    let classes = classify_with(kernel, &cfg, &lv, window);
+    annotate_with(kernel, &Analysis::new(kernel), window)
+}
+
+/// [`annotate`] over `kernel`'s analysis bundle.
+pub fn annotate_with(kernel: &Kernel, an: &Analysis, window: u32) -> (Kernel, CompilerReport) {
+    debug_assert!(an.describes(kernel), "the bundle of another kernel");
     let mut out = kernel.clone();
     let mut report = CompilerReport::default();
 
-    // Track, per register: uses at all, any read-before-write exposure, any
-    // non-transient write.
-    let mut written = [false; 256];
-    let mut nontransient_write = [false; 256];
-    let mut used = [false; 256];
+    // Per register: used at all, written, written non-transiently.
+    let mut written = RegSet::new();
+    let mut nontransient_write = RegSet::new();
+    let mut used = RegSet::new();
 
-    for &(pc, class) in &classes {
+    for (pc, class) in classify_with(an, window) {
         out.insts[pc].hint = class.to_hint();
         match class {
             HintClass::RfOnly => report.rf_only += 1,
             HintClass::Persistent => report.persistent += 1,
             HintClass::Transient => report.transient += 1,
         }
-        let d = kernel.insts[pc]
-            .dst_reg()
-            .expect("classified writes have a dst");
-        written[d.index() as usize] = true;
-        used[d.index() as usize] = true;
+        let d = an.ops()[pc].def.expect("classified writes have a dst");
+        written.insert(d);
         if class != HintClass::Transient {
-            nontransient_write[d.index() as usize] = true;
+            nontransient_write.insert(d);
         }
     }
-    for (_, inst) in kernel.iter() {
-        for r in inst.src_regs() {
-            used[r.index() as usize] = true;
-        }
+    for op in an.ops() {
+        used.union_with(&op.reads);
     }
-    report.used_regs = used.iter().filter(|&&u| u).count();
-    for i in 0..=u32::from(Reg::MAX_INDEX) {
-        let r = Reg::r(i as u8);
-        let idx = i as usize;
-        if written[idx] && !nontransient_write[idx] && !lv.entry_live().contains(r) {
-            report.transient_regs.push(r);
-        }
-    }
+    used.union_with(&written);
+    report.used_regs = used.len();
+    let mut transient = written;
+    transient.subtract(&nontransient_write);
+    transient.subtract(&an.entry_live());
+    report.transient_regs = transient.iter().collect();
     (out, report)
 }
 

@@ -85,11 +85,16 @@ impl RegSet {
         self.words.iter().all(|&w| w == 0)
     }
 
-    /// Iterates the members in index order.
+    /// Iterates the members in index order (never RZ, which only
+    /// [`RegSet::full`] holds), visiting set bits only.
     pub fn iter(&self) -> impl Iterator<Item = Reg> + '_ {
-        (0..=Reg::MAX_INDEX).filter_map(|i| {
-            let r = Reg::r(i);
-            self.contains(r).then_some(r)
+        self.words.iter().enumerate().flat_map(|(w, &word)| {
+            let mut bits = if w == 3 { word & !(1 << 63) } else { word };
+            std::iter::from_fn(move || {
+                let b = bits.trailing_zeros();
+                bits &= bits.checked_sub(1)?;
+                Some(Reg::r((w * 64) as u8 + b as u8))
+            })
         })
     }
 

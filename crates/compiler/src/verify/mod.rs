@@ -21,10 +21,11 @@ pub mod lints;
 pub mod residency;
 
 pub use diag::{BlockPressure, Diagnostic, LintReport, Severity};
-pub use lints::{explain, lint_kernel, LintDoc, LintOptions, LINT_DOCS};
-pub use residency::{verify_hints, HintAudit, HintFinding, HintVerdict};
+pub use lints::{explain, lint_kernel, lint_with, LintDoc, LintOptions, LINT_DOCS};
+pub use residency::{verify_hints, verify_hints_with, HintAudit, HintFinding, HintVerdict};
 
-use crate::hints::{annotate, CompilerReport};
+use crate::analysis::Analysis;
+use crate::hints::{annotate_with, CompilerReport};
 use bow_isa::Kernel;
 
 /// Annotates `kernel` with write-back hints and then verifies the result
@@ -40,8 +41,9 @@ pub fn annotate_checked(
     kernel: &Kernel,
     window: u32,
 ) -> Result<(Kernel, CompilerReport), Box<HintAudit>> {
-    let (annotated, report) = annotate(kernel, window);
-    let audit = verify_hints(&annotated, window as usize);
+    let an = Analysis::new(kernel);
+    let (annotated, report) = annotate_with(kernel, &an, window);
+    let audit = verify_hints_with(&annotated, &an, window as usize);
     if audit.is_sound() {
         Ok((annotated, report))
     } else {

@@ -1,6 +1,6 @@
-//! Allocation guard for the static gate: the hint verifier and the binary
-//! encoder allocate per kernel and per write, never per state or per
-//! instruction.
+//! Allocation guard for the static gate: the whole gate allocates per
+//! kernel and per basic block, never per instruction, per write, per
+//! visited state or per fixpoint round.
 //!
 //! `bow::corpus::lint_gate` runs `annotate` → `emit_ctrl` → `lint_kernel`
 //! on every corpus candidate, and `corpus::fingerprint` encodes each one
@@ -15,11 +15,21 @@
 //!   write's exploration visits — both when every hint is sound (each
 //!   walk runs to the exit) and when every hint is unsound (each walk
 //!   ends in a long counterexample path);
-//! * `encode_kernel` allocates exactly its output vector.
+//! * `encode_kernel` allocates exactly its output vector;
+//! * `annotate` → `emit_ctrl` → `lint_kernel` with the hint verifier on,
+//!   on straight-line, diamond and loop kernels of about 16, 128 and 1024
+//!   instructions, makes the same number of allocations at every size of
+//!   a shape, under a constant plus a per-block bound — the operand
+//!   table, may-live over block summaries, the allocation-free affine
+//!   domain of the interval pass and an inline source list in every
+//!   instruction;
+//! * `Kernel::clone` makes the same few allocations at every size.
 //!
 //! Timing-free, so it cannot flake; `scripts/ci.sh` runs it in release.
 
-use bow_compiler::{annotate, emit_ctrl, verify_hints, CtrlLatencies, HintVerdict};
+use bow_compiler::{
+    annotate, emit_ctrl, lint_kernel, verify_hints, CtrlLatencies, HintVerdict, LintOptions,
+};
 use bow_isa::{encode_kernel, CmpOp, Kernel, KernelBuilder, Operand, Pred, Reg, Special};
 use bow_isa::{WritebackHint, MAX_SRC_OPERANDS};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -176,4 +186,129 @@ fn encode_kernel_allocates_only_its_output() {
         let (words, allocs) = counted(|| encode_kernel(k));
         assert_eq!(allocs, 1, "{} words in {allocs} allocations", words.len());
     }
+}
+
+/// The three control-flow shapes the gate guard runs over.
+#[derive(Clone, Copy, Debug)]
+enum Shape {
+    /// One basic block.
+    Straight,
+    /// `ssy; @p bra` over two arms, joined by a `sync`.
+    Diamond,
+    /// A counted loop around the body.
+    Loop,
+}
+
+/// A lint-clean kernel of `shape` whose body repeats `reps` times a
+/// five-instruction group: a load of the thread's own word, two ALU ops
+/// and a store back, so the hint pass, the control-bit emitter and every
+/// lint (the interval pass's affine addresses included) have work at
+/// every instruction.
+fn gate_kernel(shape: Shape, reps: usize) -> Kernel {
+    let r = Reg::r;
+    let group = |b: KernelBuilder| {
+        b.ldg(r(3), r(1), 0)
+            .iadd(r(4), r(3).into(), Operand::Imm(1))
+            .imul(r(5), r(4).into(), r(3).into())
+            .xor(r(6), r(5).into(), r(2).into())
+            .stg(r(1), 0, r(6).into())
+    };
+    let body = |mut b: KernelBuilder, reps: usize| {
+        for _ in 0..reps {
+            b = group(b);
+        }
+        b
+    };
+    let b = KernelBuilder::new("gate")
+        .s2r(r(0), Special::TidX)
+        .ldc(r(1), 0)
+        .shl(r(2), r(0).into(), Operand::Imm(2))
+        .iadd(r(1), r(1).into(), r(2).into());
+    match shape {
+        Shape::Straight => body(b, reps),
+        Shape::Diamond => {
+            let b = b
+                .and(r(7), r(0).into(), Operand::Imm(1))
+                .isetp(CmpOp::Ne, Pred::p(0), r(7).into(), Operand::Imm(0))
+                .ssy("join")
+                .bra_if(Pred::p(0), false, "then");
+            let b = body(b, reps / 2).bra("join").label("then");
+            body(b, reps - reps / 2).label("join").sync()
+        }
+        Shape::Loop => {
+            let b = body(b.mov_imm(r(8), 0).label("top"), reps);
+            b.iadd(r(8), r(8).into(), Operand::Imm(1))
+                .isetp(CmpOp::Lt, Pred::p(0), r(8).into(), Operand::Imm(4))
+                .bra_if(Pred::p(0), false, "top")
+        }
+    }
+    .exit()
+    .build()
+    .unwrap()
+}
+
+/// Allocations of one pass of the static gate over `kernel` (the corpus
+/// gate's order: annotate, emit control bits, lint with the hint
+/// verifier on), after checking the kernel lints clean.
+fn gate_allocs(kernel: &Kernel) -> u64 {
+    let latencies = CtrlLatencies::default();
+    let opts = LintOptions {
+        window: 3,
+        check_hints: true,
+        latencies,
+    };
+    let (report, allocs) = counted(|| {
+        let (annotated, _) = annotate(kernel, 3);
+        let ctrl = emit_ctrl(&annotated, &latencies);
+        lint_kernel(&ctrl, &opts)
+    });
+    assert!(
+        report.passes_deny_warnings(),
+        "{}: {:?}",
+        kernel.insts.len(),
+        report.diagnostics
+    );
+    allocs
+}
+
+#[test]
+fn the_gate_allocates_per_kernel_and_per_block_not_per_instruction() {
+    for shape in [Shape::Straight, Shape::Diamond, Shape::Loop] {
+        let mut counts = Vec::new();
+        for reps in [3usize, 25, 204] {
+            let kernel = gate_kernel(shape, reps);
+            let blocks = bow_compiler::Cfg::build(&kernel).len() as u64;
+            let allocs = gate_allocs(&kernel);
+            // The passes' per-kernel tables and reports, and each block's
+            // edge lists and first interval state.
+            let bound = 96 + 12 * blocks;
+            assert!(
+                allocs <= bound,
+                "{shape:?}, {} instructions: {allocs} allocations (bound {bound})",
+                kernel.insts.len()
+            );
+            counts.push((kernel.insts.len(), allocs));
+        }
+        assert!(
+            counts.iter().all(|&(_, a)| a == counts[0].1),
+            "{shape:?}: the count moves with the instruction count: {counts:?}"
+        );
+    }
+}
+
+#[test]
+fn a_kernel_clone_allocates_the_same_at_every_size() {
+    let mut counts = Vec::new();
+    for reps in [3usize, 25, 204] {
+        let kernel = emit_ctrl(
+            &annotate(&gate_kernel(Shape::Loop, reps), 3).0,
+            &CtrlLatencies::default(),
+        );
+        let (copy, allocs) = counted(|| kernel.clone());
+        assert_eq!(copy, kernel);
+        // The name, the instruction stream and the control-bit sidecar.
+        assert_eq!(allocs, 3, "{} instructions", kernel.insts.len());
+        counts.push(allocs);
+    }
+    assert!(counts.iter().all(|&a| a == counts[0]), "{counts:?}");
 }

@@ -106,7 +106,7 @@ impl KernelBuilder {
 
     /// `mov d, src`.
     pub fn mov(self, d: Reg, src: Operand) -> Self {
-        self.push(Instruction::new(Opcode::Mov, Dst::Reg(d), vec![src]))
+        self.push(Instruction::new(Opcode::Mov, Dst::Reg(d), [src]))
     }
 
     /// `mov d, imm`.
@@ -136,141 +136,141 @@ impl KernelBuilder {
 
     /// `iadd d, a, b`.
     pub fn iadd(self, d: Reg, a: Operand, b: Operand) -> Self {
-        self.push(Instruction::new(Opcode::IAdd, Dst::Reg(d), vec![a, b]))
+        self.push(Instruction::new(Opcode::IAdd, Dst::Reg(d), [a, b]))
     }
 
     /// `isub d, a, b`.
     pub fn isub(self, d: Reg, a: Operand, b: Operand) -> Self {
-        self.push(Instruction::new(Opcode::ISub, Dst::Reg(d), vec![a, b]))
+        self.push(Instruction::new(Opcode::ISub, Dst::Reg(d), [a, b]))
     }
 
     /// `imul d, a, b`.
     pub fn imul(self, d: Reg, a: Operand, b: Operand) -> Self {
-        self.push(Instruction::new(Opcode::IMul, Dst::Reg(d), vec![a, b]))
+        self.push(Instruction::new(Opcode::IMul, Dst::Reg(d), [a, b]))
     }
 
     /// `imad d, a, b, c` — `d = a*b + c`.
     pub fn imad(self, d: Reg, a: Operand, b: Operand, c: Operand) -> Self {
-        self.push(Instruction::new(Opcode::IMad, Dst::Reg(d), vec![a, b, c]))
+        self.push(Instruction::new(Opcode::IMad, Dst::Reg(d), [a, b, c]))
     }
 
     /// `imin d, a, b`.
     pub fn imin(self, d: Reg, a: Operand, b: Operand) -> Self {
-        self.push(Instruction::new(Opcode::IMin, Dst::Reg(d), vec![a, b]))
+        self.push(Instruction::new(Opcode::IMin, Dst::Reg(d), [a, b]))
     }
 
     /// `imax d, a, b`.
     pub fn imax(self, d: Reg, a: Operand, b: Operand) -> Self {
-        self.push(Instruction::new(Opcode::IMax, Dst::Reg(d), vec![a, b]))
+        self.push(Instruction::new(Opcode::IMax, Dst::Reg(d), [a, b]))
     }
 
     /// `iabs d, a`.
     pub fn iabs(self, d: Reg, a: Operand) -> Self {
-        self.push(Instruction::new(Opcode::IAbs, Dst::Reg(d), vec![a]))
+        self.push(Instruction::new(Opcode::IAbs, Dst::Reg(d), [a]))
     }
 
     /// `isad d, a, b, c` — `d = |a-b| + c`.
     pub fn isad(self, d: Reg, a: Operand, b: Operand, c: Operand) -> Self {
-        self.push(Instruction::new(Opcode::ISad, Dst::Reg(d), vec![a, b, c]))
+        self.push(Instruction::new(Opcode::ISad, Dst::Reg(d), [a, b, c]))
     }
 
     // ----- logic & shift -----
 
     /// `and d, a, b`.
     pub fn and(self, d: Reg, a: Operand, b: Operand) -> Self {
-        self.push(Instruction::new(Opcode::And, Dst::Reg(d), vec![a, b]))
+        self.push(Instruction::new(Opcode::And, Dst::Reg(d), [a, b]))
     }
 
     /// `or d, a, b`.
     pub fn or(self, d: Reg, a: Operand, b: Operand) -> Self {
-        self.push(Instruction::new(Opcode::Or, Dst::Reg(d), vec![a, b]))
+        self.push(Instruction::new(Opcode::Or, Dst::Reg(d), [a, b]))
     }
 
     /// `xor d, a, b`.
     pub fn xor(self, d: Reg, a: Operand, b: Operand) -> Self {
-        self.push(Instruction::new(Opcode::Xor, Dst::Reg(d), vec![a, b]))
+        self.push(Instruction::new(Opcode::Xor, Dst::Reg(d), [a, b]))
     }
 
     /// `not d, a`.
     pub fn not(self, d: Reg, a: Operand) -> Self {
-        self.push(Instruction::new(Opcode::Not, Dst::Reg(d), vec![a]))
+        self.push(Instruction::new(Opcode::Not, Dst::Reg(d), [a]))
     }
 
     /// `shl d, a, b`.
     pub fn shl(self, d: Reg, a: Operand, b: Operand) -> Self {
-        self.push(Instruction::new(Opcode::Shl, Dst::Reg(d), vec![a, b]))
+        self.push(Instruction::new(Opcode::Shl, Dst::Reg(d), [a, b]))
     }
 
     /// `shr d, a, b` (logical).
     pub fn shr(self, d: Reg, a: Operand, b: Operand) -> Self {
-        self.push(Instruction::new(Opcode::Shr, Dst::Reg(d), vec![a, b]))
+        self.push(Instruction::new(Opcode::Shr, Dst::Reg(d), [a, b]))
     }
 
     /// `sar d, a, b` (arithmetic).
     pub fn sar(self, d: Reg, a: Operand, b: Operand) -> Self {
-        self.push(Instruction::new(Opcode::Sar, Dst::Reg(d), vec![a, b]))
+        self.push(Instruction::new(Opcode::Sar, Dst::Reg(d), [a, b]))
     }
 
     // ----- float -----
 
     /// `fadd d, a, b`.
     pub fn fadd(self, d: Reg, a: Operand, b: Operand) -> Self {
-        self.push(Instruction::new(Opcode::FAdd, Dst::Reg(d), vec![a, b]))
+        self.push(Instruction::new(Opcode::FAdd, Dst::Reg(d), [a, b]))
     }
 
     /// `fsub d, a, b`.
     pub fn fsub(self, d: Reg, a: Operand, b: Operand) -> Self {
-        self.push(Instruction::new(Opcode::FSub, Dst::Reg(d), vec![a, b]))
+        self.push(Instruction::new(Opcode::FSub, Dst::Reg(d), [a, b]))
     }
 
     /// `fmul d, a, b`.
     pub fn fmul(self, d: Reg, a: Operand, b: Operand) -> Self {
-        self.push(Instruction::new(Opcode::FMul, Dst::Reg(d), vec![a, b]))
+        self.push(Instruction::new(Opcode::FMul, Dst::Reg(d), [a, b]))
     }
 
     /// `ffma d, a, b, c` — `d = a*b + c`.
     pub fn ffma(self, d: Reg, a: Operand, b: Operand, c: Operand) -> Self {
-        self.push(Instruction::new(Opcode::FFma, Dst::Reg(d), vec![a, b, c]))
+        self.push(Instruction::new(Opcode::FFma, Dst::Reg(d), [a, b, c]))
     }
 
     /// `fmin d, a, b`.
     pub fn fmin(self, d: Reg, a: Operand, b: Operand) -> Self {
-        self.push(Instruction::new(Opcode::FMin, Dst::Reg(d), vec![a, b]))
+        self.push(Instruction::new(Opcode::FMin, Dst::Reg(d), [a, b]))
     }
 
     /// `fmax d, a, b`.
     pub fn fmax(self, d: Reg, a: Operand, b: Operand) -> Self {
-        self.push(Instruction::new(Opcode::FMax, Dst::Reg(d), vec![a, b]))
+        self.push(Instruction::new(Opcode::FMax, Dst::Reg(d), [a, b]))
     }
 
     /// `frcp d, a`.
     pub fn frcp(self, d: Reg, a: Operand) -> Self {
-        self.push(Instruction::new(Opcode::FRcp, Dst::Reg(d), vec![a]))
+        self.push(Instruction::new(Opcode::FRcp, Dst::Reg(d), [a]))
     }
 
     /// `fsqrt d, a`.
     pub fn fsqrt(self, d: Reg, a: Operand) -> Self {
-        self.push(Instruction::new(Opcode::FSqrt, Dst::Reg(d), vec![a]))
+        self.push(Instruction::new(Opcode::FSqrt, Dst::Reg(d), [a]))
     }
 
     /// `flog2 d, a`.
     pub fn flog2(self, d: Reg, a: Operand) -> Self {
-        self.push(Instruction::new(Opcode::FLog2, Dst::Reg(d), vec![a]))
+        self.push(Instruction::new(Opcode::FLog2, Dst::Reg(d), [a]))
     }
 
     /// `fexp2 d, a`.
     pub fn fexp2(self, d: Reg, a: Operand) -> Self {
-        self.push(Instruction::new(Opcode::FExp2, Dst::Reg(d), vec![a]))
+        self.push(Instruction::new(Opcode::FExp2, Dst::Reg(d), [a]))
     }
 
     /// `i2f d, a`.
     pub fn i2f(self, d: Reg, a: Operand) -> Self {
-        self.push(Instruction::new(Opcode::I2F, Dst::Reg(d), vec![a]))
+        self.push(Instruction::new(Opcode::I2F, Dst::Reg(d), [a]))
     }
 
     /// `f2i d, a`.
     pub fn f2i(self, d: Reg, a: Operand) -> Self {
-        self.push(Instruction::new(Opcode::F2I, Dst::Reg(d), vec![a]))
+        self.push(Instruction::new(Opcode::F2I, Dst::Reg(d), [a]))
     }
 
     // ----- compares -----
@@ -297,35 +297,35 @@ impl KernelBuilder {
 
     /// `ldg d, [base+off]` — global load.
     pub fn ldg(self, d: Reg, base: Reg, off: i32) -> Self {
-        let mut i = Instruction::new(Opcode::Ldg, Dst::Reg(d), vec![]);
+        let mut i = Instruction::new(Opcode::Ldg, Dst::Reg(d), []);
         i.mem = Some(MemRef { base, offset: off });
         self.push(i)
     }
 
     /// `stg [base+off], v` — global store.
     pub fn stg(self, base: Reg, off: i32, v: Operand) -> Self {
-        let mut i = Instruction::new(Opcode::Stg, Dst::None, vec![v]);
+        let mut i = Instruction::new(Opcode::Stg, Dst::None, [v]);
         i.mem = Some(MemRef { base, offset: off });
         self.push(i)
     }
 
     /// `lds d, [base+off]` — shared-memory load.
     pub fn lds(self, d: Reg, base: Reg, off: i32) -> Self {
-        let mut i = Instruction::new(Opcode::Lds, Dst::Reg(d), vec![]);
+        let mut i = Instruction::new(Opcode::Lds, Dst::Reg(d), []);
         i.mem = Some(MemRef { base, offset: off });
         self.push(i)
     }
 
     /// `sts [base+off], v` — shared-memory store.
     pub fn sts(self, base: Reg, off: i32, v: Operand) -> Self {
-        let mut i = Instruction::new(Opcode::Sts, Dst::None, vec![v]);
+        let mut i = Instruction::new(Opcode::Sts, Dst::None, [v]);
         i.mem = Some(MemRef { base, offset: off });
         self.push(i)
     }
 
     /// `ldc d, c[byte_off]` — kernel-parameter load.
     pub fn ldc(self, d: Reg, byte_off: i32) -> Self {
-        let mut i = Instruction::new(Opcode::Ldc, Dst::Reg(d), vec![]);
+        let mut i = Instruction::new(Opcode::Ldc, Dst::Reg(d), []);
         i.mem = Some(MemRef {
             base: Reg::RZ,
             offset: byte_off,
@@ -339,14 +339,14 @@ impl KernelBuilder {
     pub fn bra(mut self, label: impl Into<String>) -> Self {
         let pc = self.insts.len();
         self.pending_targets.push((pc, label.into()));
-        self.push(Instruction::new(Opcode::Bra, Dst::None, vec![]))
+        self.push(Instruction::new(Opcode::Bra, Dst::None, []))
     }
 
     /// Guarded `@p bra label` (or `@!p` when `negated`).
     pub fn bra_if(mut self, pred: Pred, negated: bool, label: impl Into<String>) -> Self {
         let pc = self.insts.len();
         self.pending_targets.push((pc, label.into()));
-        let mut i = Instruction::new(Opcode::Bra, Dst::None, vec![]);
+        let mut i = Instruction::new(Opcode::Bra, Dst::None, []);
         i.guard = Some(PredGuard { pred, negated });
         self.push(i)
     }
@@ -356,12 +356,12 @@ impl KernelBuilder {
     pub fn ssy(mut self, label: impl Into<String>) -> Self {
         let pc = self.insts.len();
         self.pending_targets.push((pc, label.into()));
-        self.push(Instruction::new(Opcode::Ssy, Dst::None, vec![]))
+        self.push(Instruction::new(Opcode::Ssy, Dst::None, []))
     }
 
     /// `sync` — reconverge with the innermost `ssy`.
     pub fn sync(self) -> Self {
-        self.push(Instruction::new(Opcode::Sync, Dst::None, vec![]))
+        self.push(Instruction::new(Opcode::Sync, Dst::None, []))
     }
 
     /// `bssy bN, label` — arm convergence barrier `bar` for the divergent
@@ -387,17 +387,17 @@ impl KernelBuilder {
 
     /// `bar` — block-wide barrier.
     pub fn bar(self) -> Self {
-        self.push(Instruction::new(Opcode::Bar, Dst::None, vec![]))
+        self.push(Instruction::new(Opcode::Bar, Dst::None, []))
     }
 
     /// `exit`.
     pub fn exit(self) -> Self {
-        self.push(Instruction::new(Opcode::Exit, Dst::None, vec![]))
+        self.push(Instruction::new(Opcode::Exit, Dst::None, []))
     }
 
     /// `nop`.
     pub fn nop(self) -> Self {
-        self.push(Instruction::new(Opcode::Nop, Dst::None, vec![]))
+        self.push(Instruction::new(Opcode::Nop, Dst::None, []))
     }
 
     /// Sets the write-back hint on the most recently emitted instruction.

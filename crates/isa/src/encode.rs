@@ -26,7 +26,7 @@
 //! kernel is a `Vec<u32>` stream with self-describing lengths.
 
 use crate::ctrl::CtrlBits;
-use crate::inst::{Dst, Instruction, MemRef, PredGuard, WritebackHint};
+use crate::inst::{Dst, Instruction, MemRef, PredGuard, SrcList, WritebackHint};
 use crate::kernel::Kernel;
 use crate::opcode::{CmpOp, Opcode};
 use crate::operand::{Operand, Special};
@@ -197,7 +197,7 @@ pub fn decode(words: &[u32], pos: usize) -> Result<(Instruction, usize), DecodeE
     let has_mem = (w0 >> 1) & 1 == 1;
     let has_target = w0 & 1 == 1;
 
-    let mut srcs = Vec::with_capacity(n_srcs);
+    let mut srcs = SrcList::new();
     for i in 0..n_srcs {
         let payload = take(cursor)?;
         cursor += 1;

@@ -12,6 +12,12 @@ use std::fmt;
 /// memory base. Reads like a `[Reg]` slice and iterates by value.
 pub type RegList = InlineVec<Reg, { crate::MAX_SRC_OPERANDS + 1 }>;
 
+/// The source operands of one instruction, held inline: at most
+/// [`MAX_SRC_OPERANDS`](crate::MAX_SRC_OPERANDS), so cloning an
+/// instruction (or a whole kernel's stream) never allocates per
+/// instruction.
+pub type SrcList = InlineVec<Operand, { crate::MAX_SRC_OPERANDS }>;
+
 /// The predicates one instruction reads, held inline: the guard plus
 /// at most [`MAX_SRC_OPERANDS`](crate::MAX_SRC_OPERANDS) predicate sources.
 pub type PredList = InlineVec<Pred, { crate::MAX_SRC_OPERANDS + 1 }>;
@@ -158,10 +164,10 @@ pub struct Instruction {
     pub guard: Option<PredGuard>,
     /// Destination register or predicate.
     pub dst: Dst,
-    /// Data source operands (at most [`MAX_SRC_OPERANDS`]).
+    /// Data source operands (at most [`MAX_SRC_OPERANDS`], held inline).
     ///
     /// [`MAX_SRC_OPERANDS`]: crate::MAX_SRC_OPERANDS
-    pub srcs: Vec<Operand>,
+    pub srcs: SrcList,
     /// Memory reference for loads/stores (`None` otherwise). For `ldc` the
     /// base is ignored and `offset` indexes the kernel parameter block.
     pub mem: Option<MemRef>,
@@ -175,12 +181,17 @@ pub struct Instruction {
 impl Instruction {
     /// Creates an instruction with no guard, no memory reference, no target
     /// and the default write-back hint.
-    pub fn new(op: Opcode, dst: Dst, srcs: Vec<Operand>) -> Instruction {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `srcs` yields more than
+    /// [`MAX_SRC_OPERANDS`](crate::MAX_SRC_OPERANDS) operands.
+    pub fn new(op: Opcode, dst: Dst, srcs: impl IntoIterator<Item = Operand>) -> Instruction {
         Instruction {
             op,
             guard: None,
             dst,
-            srcs,
+            srcs: srcs.into_iter().collect(),
             mem: None,
             target: None,
             hint: WritebackHint::default(),
@@ -254,9 +265,6 @@ impl Instruction {
                 self.op.arity(),
                 self.srcs.len()
             ));
-        }
-        if self.srcs.len() > crate::MAX_SRC_OPERANDS {
-            return Err(format!("{}: more than 3 source operands", self.op));
         }
         let needs_mem = matches!(self.op, Ldg | Stg | Lds | Sts | Ldc);
         if needs_mem != self.mem.is_some() {

@@ -45,7 +45,7 @@ pub use ctrl::CtrlBits;
 pub use encode::{decode_kernel, encode_kernel, DecodeError};
 pub use error::{AsmError, KernelError};
 pub use fuzz::FuzzKernel;
-pub use inst::{Dst, Instruction, MemRef, PredGuard, PredList, RegList, WritebackHint};
+pub use inst::{Dst, Instruction, MemRef, PredGuard, PredList, RegList, SrcList, WritebackHint};
 pub use kernel::{Kernel, KernelDims};
 pub use opcode::{CmpOp, FuClass, Opcode};
 pub use operand::{Operand, Special};

@@ -89,6 +89,15 @@ pub enum Operand {
     Special(Special),
 }
 
+/// `Imm(0)`: only the unused tail of an inline source list
+/// ([`SrcList`](crate::inst::SrcList)) holds it, and no instruction
+/// reads that tail.
+impl Default for Operand {
+    fn default() -> Operand {
+        Operand::Imm(0)
+    }
+}
+
 impl Operand {
     /// Convenience constructor for a float immediate.
     pub fn fimm(v: f32) -> Operand {

@@ -651,6 +651,31 @@ fn more_concurrent_sync_runs_than_standing_acceptors_all_complete() {
 }
 
 #[test]
+fn every_shutdown_reply_is_written_before_the_server_stops() {
+    let dir = temp_store("shutdowns");
+    for cycle in 0..200 {
+        let srv = TestServer::boot(&dir);
+        let mut stream = TcpStream::connect(&srv.addr).expect("connect");
+        stream
+            .write_all(b"POST /v1/shutdown HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}")
+            .expect("send");
+        // `run` returns only after the reply is written, so it is there to
+        // read once the server thread has been joined.
+        let mut srv = srv;
+        within(30, "serve/shutdown cycle", move || {
+            srv.handle.take().expect("running").join().expect("join")
+        });
+        let mut reply = String::new();
+        stream.read_to_string(&mut reply).expect("read the reply");
+        assert!(
+            reply.starts_with("HTTP/1.1 200") && reply.contains("shutting down"),
+            "cycle {cycle}: {reply:?}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn shutdown_closes_the_port_while_a_silent_connection_is_open() {
     let dir = temp_store("closed");
     let srv = TestServer::boot(&dir);

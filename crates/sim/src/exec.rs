@@ -862,7 +862,7 @@ mod tests {
                     1 => Dst::Pred(any_pred(rng)),
                     _ => Dst::Reg(any_reg(rng)),
                 };
-                Instruction::new(op, dst, (0..nsrc).map(|_| any_operand(rng)).collect())
+                Instruction::new(op, dst, (0..nsrc).map(|_| any_operand(rng)))
             }
         };
         if op.is_memory() {

@@ -75,6 +75,14 @@ pub(crate) trait Interlock {
     /// A result became architecturally visible.
     fn on_writeback(&mut self, c: &Completion, kernel: &DecodedKernel<'_>);
 
+    /// Whether slot `w` holds no reservation. A warp that exited with
+    /// nothing in flight must be drained: the pipeline asserts it (debug
+    /// builds) when it retires the warp, so a leaked reservation fails
+    /// loudly.
+    fn drained(&self, _w: usize) -> bool {
+        true
+    }
+
     /// Slot `w` is handed to a fresh warp.
     fn reset_warp(&mut self, w: usize);
 }
@@ -121,6 +129,10 @@ impl Interlock for Scoreboards {
         if let Some(p) = c.dst_pred {
             self.0[c.warp].writeback_pred(p);
         }
+    }
+
+    fn drained(&self, w: usize) -> bool {
+        self.0[w].is_clear()
     }
 
     fn reset_warp(&mut self, w: usize) {

@@ -353,6 +353,7 @@ impl Stages {
                     if warp.done {
                         emit(&mut ctx.stats, probe, PipeEvent::WarpExit { uid });
                         if warp.inflight == 0 {
+                            debug_assert!(il.drained(w), "warp {w} retired holding a reservation");
                             ctx.finalize_warp(oc, w, probe);
                         }
                     }

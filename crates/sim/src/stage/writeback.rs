@@ -256,6 +256,11 @@ impl Stages {
             }
             il.on_writeback(&c, kernel);
             if retired {
+                debug_assert!(
+                    il.drained(c.warp),
+                    "warp {} retired holding a reservation",
+                    c.warp
+                );
                 ctx.finalize_warp(oc, c.warp, probe);
             }
         }

@@ -118,78 +118,91 @@ impl Sha256 {
                 // must not clobber `fill`.
                 return;
             }
-            let block = self.block;
-            self.compress(&block);
+            compress(&mut self.state, &self.block);
             self.fill = 0;
         }
-        while data.len() >= 64 {
-            let (block, rest) = data.split_at(64);
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            self.compress(&b);
-            data = rest;
+        // Whole blocks are compressed where they lie, without a copy.
+        let mut blocks = data.chunks_exact(64);
+        for block in &mut blocks {
+            compress(&mut self.state, block.try_into().expect("64-byte chunk"));
         }
-        self.block[..data.len()].copy_from_slice(data);
-        self.fill = data.len();
+        let tail = blocks.remainder();
+        self.block[..tail.len()].copy_from_slice(tail);
+        self.fill = tail.len();
     }
 
     /// Consumes the state and returns the 32-byte digest.
     pub fn finish(mut self) -> [u8; 32] {
         let bit_len = self.len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.fill != 56 {
-            self.update(&[0]);
+        // Padding: 0x80, zeros to 56 mod 64, then the bit length. A tail
+        // with no room for the length spills into one more block.
+        self.block[self.fill] = 0x80;
+        self.block[self.fill + 1..].fill(0);
+        if self.fill >= 56 {
+            compress(&mut self.state, &self.block);
+            self.block = [0; 64];
         }
-        // `block` is a Copy array: `tail` is a snapshot, so compressing it
-        // while mutating `state` is fine.
-        let mut tail = self.block;
-        tail[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        self.compress(&tail);
+        self.block[56..].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.state, &self.block);
         let mut out = [0u8; 32];
-        for (i, w) in self.state.iter().enumerate() {
-            out[4 * i..4 * i + 4].copy_from_slice(&w.to_be_bytes());
+        for (o, w) in out.chunks_exact_mut(4).zip(self.state) {
+            o.copy_from_slice(&w.to_be_bytes());
         }
         out
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h
+/// One FIPS 180-4 compression of `block` into `state`. The message
+/// schedule is a 16-word ring on the stack: round `i` past 15 replaces
+/// `w[i % 16]` with `W[i]`. Rounds run eight at a time with the working
+/// variables renamed instead of shifted, and every schedule index is
+/// masked, so no round carries a bounds check or a register shuffle.
+fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 16];
+    for (wi, chunk) in w.iter_mut().zip(block.chunks_exact(4)) {
+        *wi = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    // Round `i` with `d` and `h` the two variables it writes: after it the
+    // next round sees (a..h) rotated right by one name.
+    macro_rules! round {
+        ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident, $i:expr) => {
+            let i: usize = $i;
+            if i >= 16 {
+                let w15 = w[(i + 1) & 15];
+                let w2 = w[(i + 14) & 15];
+                let s0 = w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3);
+                let s1 = w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10);
+                w[i & 15] = w[i & 15]
+                    .wrapping_add(s0)
+                    .wrapping_add(w[(i + 9) & 15])
+                    .wrapping_add(s1);
+            }
+            let s1 = $e.rotate_right(6) ^ $e.rotate_right(11) ^ $e.rotate_right(25);
+            let ch = ($e & $f) ^ (!$e & $g);
+            let t1 = $h
                 .wrapping_add(s1)
                 .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        let add = [a, b, c, d, e, f, g, h];
-        for (s, v) in self.state.iter_mut().zip(add) {
-            *s = s.wrapping_add(v);
-        }
+                .wrapping_add(K[i & 63])
+                .wrapping_add(w[i & 15]);
+            let s0 = $a.rotate_right(2) ^ $a.rotate_right(13) ^ $a.rotate_right(22);
+            let maj = ($a & $b) ^ ($a & $c) ^ ($b & $c);
+            $d = $d.wrapping_add(t1);
+            $h = t1.wrapping_add(s0.wrapping_add(maj));
+        };
+    }
+    for i in (0..64).step_by(8) {
+        round!(a, b, c, d, e, f, g, h, i);
+        round!(h, a, b, c, d, e, f, g, i + 1);
+        round!(g, h, a, b, c, d, e, f, i + 2);
+        round!(f, g, h, a, b, c, d, e, i + 3);
+        round!(e, f, g, h, a, b, c, d, i + 4);
+        round!(d, e, f, g, h, a, b, c, i + 5);
+        round!(c, d, e, f, g, h, a, b, i + 6);
+        round!(b, c, d, e, f, g, h, a, i + 7);
+    }
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
     }
 }
 

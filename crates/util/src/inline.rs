@@ -39,6 +39,12 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
         self.buf[self.len] = value;
         self.len += 1;
     }
+
+    /// Removes and returns the last value, if any.
+    pub fn pop(&mut self) -> Option<T> {
+        self.len = self.len.checked_sub(1)?;
+        Some(self.buf[self.len])
+    }
 }
 
 impl<T: Copy + Default, const N: usize> Default for InlineVec<T, N> {

@@ -70,8 +70,10 @@ echo "==> allocation guards: a warmed-up Sm::tick never touches the heap; the st
 # cycle goes") from coming back.
 cargo test --release -q --offline -p bow-sim --test hot_path_allocs
 # The static gate every corpus candidate passes is held to a per-kernel
-# rule: the hint verifier allocates per write, never per explored state,
-# and encode_kernel allocates only its output.
+# rule: annotate -> emit_ctrl -> lint allocates per kernel and per block,
+# never per instruction or per fixpoint round, a kernel clone a fixed
+# few times, the hint verifier per write, never per explored state, and
+# encode_kernel only its output.
 cargo test --release -q --offline -p bow-compiler --test gate_allocs
 # Corpus generation draws candidates on every core: whole 1000-kernel
 # manifests (seeds 1, 2, 3 and the default) must still hash to their
@@ -95,13 +97,16 @@ DIVERGENCES="stack barrier"
 # sanitizer rides the same launch as the lockstep oracle, one launch per
 # cell, so its hint replay (the shared `ArchWindow`) sees every annotated
 # case under every BOW config; a dynamic finding the static lints do not
-# vouch for fails the case. About 0.22-0.26 s a cell on the 2-core
-# reference host.
+# vouch for fails the case. The release cells run the first 512 cases of
+# the default session seed (ROADMAP item 1(d)), eight times the 64-case
+# `--smoke`: clean on every cell since the scoreboard holds predicate
+# reads (item 1(a)); the first known finding of that seed is item 11's
+# case 1718. About 1.3-1.6 s a cell on the 2-core reference host.
 for CORE in $CORES; do
     for DIV in $DIVERGENCES; do
-        echo "==> bow fuzz --smoke --core-model ${CORE} --divergence ${DIV}"
+        echo "==> bow fuzz --cases 512 --core-model ${CORE} --divergence ${DIV}"
         "$BOW_CLI" \
-            fuzz --smoke --core-model "${CORE}" --divergence "${DIV}" \
+            fuzz --cases 512 --core-model "${CORE}" --divergence "${DIV}" \
             --out target/fuzz-repros
     done
 done
