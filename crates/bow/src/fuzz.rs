@@ -278,7 +278,19 @@ impl ExpectedWrites {
         }
     }
 
+    /// Each run as its first address and the words written to it, in
+    /// the host model's order.
+    fn runs(&self) -> impl Iterator<Item = (u64, &[u32])> + '_ {
+        let mut rest = &self.values[..];
+        self.runs.iter().map(move |&(first, words)| {
+            let (run, later) = rest.split_at(words as usize);
+            rest = later;
+            (u64::from(first), run)
+        })
+    }
+
     /// Every `(address, word)` write, in the host model's order.
+    #[cfg(test)]
     fn iter(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
         let run = |&(first, words): &(u32, u32)| (first..first + 4 * words).step_by(4);
         let addrs = self.runs.iter().flat_map(run).map(u64::from);
@@ -296,9 +308,10 @@ pub(crate) fn judge_case(
     global: &GlobalMemory,
 ) -> Result<(), String> {
     result.oracle_verdict()?;
-    for (addr, want) in expected.iter() {
-        let got = global.read_u32(addr);
-        if got != want {
+    for (first, wants) in expected.runs() {
+        let got = global.read_vec_u32(first, wants.len());
+        if let Some(i) = (0..wants.len()).find(|&i| got[i] != wants[i]) {
+            let (addr, got, want) = (first + 4 * i as u64, got[i], wants[i]);
             return Err(format!(
                 "host model: mem[{addr:#x}] = {got:#x}, expected {want:#x}"
             ));

@@ -135,9 +135,12 @@ impl Suite {
         let n_benches = benches.len();
         let total = n_benches * configs.len();
 
-        // Cell c = (config index, benchmark index), row-major.
-        let cells: Vec<(usize, usize)> = (0..configs.len())
-            .flat_map(|ci| (0..n_benches).map(move |bi| (ci, bi)))
+        // Cell c = (config index, benchmark index), benchmark-major: a
+        // benchmark's configurations run back to back, so checked launches
+        // of one program on one input share an oracle run
+        // (`bow_sim::oracle::run_oracle_once`).
+        let cells: Vec<(usize, usize)> = (0..n_benches)
+            .flat_map(|bi| (0..configs.len()).map(move |ci| (ci, bi)))
             .collect();
 
         // Memoize the compiler passes per distinct (benchmark, plan)
@@ -185,6 +188,8 @@ impl Suite {
                 wall: Vec::with_capacity(n_benches),
             })
             .collect();
+        // Cells come back benchmark-major, so each row fills in benchmark
+        // order.
         for (cell, (rec, wall)) in results.into_iter().enumerate() {
             let row = &mut rows[cells[cell].0];
             row.records.push(rec);

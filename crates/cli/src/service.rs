@@ -19,7 +19,8 @@ pub const SERVE: Subcommand = Subcommand {
 /// health or shut a running server down.
 pub const SUBMIT: Subcommand = Subcommand {
     name: "submit",
-    synopsis: "  bow-cli submit <bench> [--asm FILE] [--collector C] [--window N]
+    synopsis: "  bow-cli submit <bench> [--asm FILE] [--collector C] [--window N] [--reorder]
+                 [--core-model] [--divergence]
                  [--scale] [--addr HOST:PORT] [--no-wait]
   bow-cli submit --job ID | --fetch FINGERPRINT | --health | --shutdown
                  [--addr HOST:PORT]

@@ -94,7 +94,7 @@ trace | <file.s> | --collector= --window= --limit= |
 encode | <file.s> |  |
 decode | <file.hex> |  |
 serve |  | --addr= --workers= --store= --port-file= |
-submit | <bench> | --asm= --collector= --window= --scale= --addr= --no-wait |
+submit | <bench> | --asm= --collector= --window= --reorder --core-model= --divergence= --scale= --addr= --no-wait |
 submit |  | --job= --fetch= --health --shutdown --addr= | --job --fetch --health --shutdown
 corpus gen | gen | --count= --seed= --dir= |
 corpus stats | stats | --dir= |
@@ -425,37 +425,36 @@ fn every_collector_spec_resolves_on_both_cores() {
 fn the_cli_and_the_wire_agree_on_every_design() {
     // One meaning for the design flags: the config `run` resolves and the
     // document `submit` posts key the same request, for every collector
-    // spec, window and model. `submit`'s line has no model flags, so the
-    // models ride along as the wire keys a client adds.
+    // spec, window, model and reorder switch.
     let kernel = || KernelSpec::Workload {
         name: "vectoradd".to_string(),
         scale: Scale::Test,
     };
     for (spec, ..) in Collector::SPECS {
         for window in ["1", "3", "5"] {
-            let flags = ["vectoradd", "--collector", spec, "--window", window];
-            let posted = Args::new("submit", &flags).unwrap().design().unwrap();
             for core in CoreModelKind::ALL {
                 for div in DivergenceModel::ALL {
-                    let models = ["--core-model", core.name(), "--divergence", div.name()];
-                    let line = [&flags[..], &models].concat();
-                    let config = Args::new("run", &line).unwrap().config().unwrap();
-                    let local = RunRequest {
-                        kernel: kernel(),
-                        config,
-                    };
-                    let mut doc = posted.clone();
-                    if let Json::Obj(fields) = &mut doc {
-                        fields.push(("core_model".to_string(), Json::from(core.name())));
-                        fields.push(("divergence".to_string(), Json::from(div.name())));
+                    for reorder in [&[][..], &["--reorder"]] {
+                        let flags = [
+                            &["vectoradd", "--collector", spec, "--window", window][..],
+                            &["--core-model", core.name(), "--divergence", div.name()],
+                            reorder,
+                        ]
+                        .concat();
+                        let config = Args::new("run", &flags).unwrap().config().unwrap();
+                        let local = RunRequest {
+                            kernel: kernel(),
+                            config,
+                        };
+                        let posted = Args::new("submit", &flags).unwrap().design().unwrap();
+                        let body = Json::obj([
+                            ("kernel", Json::obj([("workload", Json::from("vectoradd"))])),
+                            ("config", posted),
+                        ]);
+                        let wire = RunRequest::from_json(&body).unwrap();
+                        let case = flags[1..].join(" ");
+                        assert_eq!(local.fingerprint(), wire.fingerprint(), "{case}");
                     }
-                    let body = Json::obj([
-                        ("kernel", Json::obj([("workload", Json::from("vectoradd"))])),
-                        ("config", doc),
-                    ]);
-                    let wire = RunRequest::from_json(&body).unwrap();
-                    let case = format!("{spec} --window {window} {core:?} {div:?}");
-                    assert_eq!(local.fingerprint(), wire.fingerprint(), "{case}");
                 }
             }
         }

@@ -60,6 +60,11 @@ struct Line {
 #[derive(Clone, Debug)]
 pub struct Cache {
     config: CacheConfig,
+    /// `log2(line_bytes)` when the line size is a power of two (every
+    /// configured cache): the line index is then a shift, not a division.
+    line_shift: Option<u32>,
+    /// [`CacheConfig::sets`], computed once.
+    sets: u64,
     lines: Vec<Line>,
     tick: u64,
     stats: CacheStats,
@@ -80,6 +85,11 @@ impl Cache {
         let n = (config.sets() * config.ways) as usize;
         Cache {
             config,
+            line_shift: config
+                .line_bytes
+                .is_power_of_two()
+                .then(|| config.line_bytes.trailing_zeros()),
+            sets: u64::from(config.sets()),
             lines: vec![Line::INVALID; n],
             tick: 0,
             stats: CacheStats::default(),
@@ -105,11 +115,16 @@ impl Cache {
         self.stats
     }
 
+    /// The ways of the set `addr` maps to, and its tag: a shift for the
+    /// line and one division by the set count, which is no power of two
+    /// in the default geometries (96 L1 sets, 54 in an L2 slice).
     fn set_range(&self, addr: u64) -> (std::ops::Range<usize>, u64) {
-        let line = addr / u64::from(self.config.line_bytes);
-        let sets = u64::from(self.config.sets());
-        let set = (line % sets) as usize;
-        let tag = line / sets;
+        let line = match self.line_shift {
+            Some(shift) => addr >> shift,
+            None => addr / u64::from(self.config.line_bytes),
+        };
+        let set = (line % self.sets) as usize;
+        let tag = line / self.sets;
         let ways = self.config.ways as usize;
         (set * ways..(set + 1) * ways, tag)
     }
@@ -291,6 +306,52 @@ mod tests {
         }
         assert_eq!(used.stats(), fresh.stats());
         assert_eq!(used.flush(), fresh.flush(), "the same lines are dirty");
+    }
+
+    /// The set and tag of `addr` as `set_range` computed them before the
+    /// geometry was precomputed: every quantity divided out per access.
+    fn divided(config: CacheConfig, addr: u64) -> (usize, u64) {
+        let line = addr / u64::from(config.line_bytes);
+        let sets = u64::from(config.sets());
+        ((line % sets) as usize, line / sets)
+    }
+
+    #[test]
+    fn set_and_tag_match_the_divided_geometry() {
+        let geometry = |size_bytes, line_bytes, ways| CacheConfig {
+            size_bytes,
+            line_bytes,
+            ways,
+        };
+        for config in [
+            // The default L1 (96 sets) and L2 slice (54 sets).
+            crate::MemConfig::default().l1,
+            crate::MemConfig::default().l2,
+            // 438 sets, and powers of two from one set up.
+            geometry(438 * 128 * 8, 128, 8),
+            geometry(64 * 1024, 128, 4),
+            geometry(128, 128, 1),
+            // A line size that is no power of two takes the division.
+            geometry(96 * 7 * 2, 96, 2),
+        ] {
+            let cache = Cache::new(config);
+            let ways = config.ways as usize;
+            let mut x = 0x9e37_79b9_7f4a_7c15u64;
+            let edges = [0, 1, 127, 128, u64::from(u32::MAX), u64::MAX - 1, u64::MAX];
+            for i in 0..10_000 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let addr = edges.get(i).copied().unwrap_or(x >> (x % 40));
+                let (set, tag) = divided(config, addr);
+                let got = cache.set_range(addr);
+                assert_eq!(
+                    got,
+                    (set * ways..(set + 1) * ways, tag),
+                    "{config:?} {addr:#x}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -50,6 +50,13 @@ pub fn coalesce(addrs: &[u64]) -> Transactions {
     };
     for &a in addrs {
         let seg = a / SEGMENT_BYTES * SEGMENT_BYTES;
+        // Neighbouring lanes mostly share a segment: try the last one
+        // first.
+        let last = out.len.checked_sub(1).map(|i| &mut out.txs[i]);
+        if let Some(t) = last.filter(|t| t.addr == seg) {
+            t.lanes += 1;
+            continue;
+        }
         match out.txs[..out.len].iter_mut().find(|t| t.addr == seg) {
             Some(t) => t.lanes += 1,
             None => {

@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-const PAGE_BYTES: usize = 64 * 1024;
+const PAGE_BYTES: usize = 4 * 1024;
 const PAGE_WORDS: usize = PAGE_BYTES / 4;
 
 /// A fast, non-cryptographic hasher for `u64` page indices: the
@@ -12,12 +12,12 @@ const PAGE_WORDS: usize = PAGE_BYTES / 4;
 /// dominate it.
 ///
 /// The keys come from kernel addresses, so a crafted kernel chooses them.
-/// That is bounded: a lane address is a 32-bit register
-/// plus a signed 32-bit offset, which reaches under 2^18 pages, and two
-/// keys share a table's bucket bits only when they differ by a multiple of
-/// the table size. A table of `n` pages thus holds about 2^18 / `n` keys
-/// per bucket chain, a few hundred at worst, each a 64 KiB page the kernel
-/// had to touch.
+/// That is bounded: a lane address is a 32-bit register plus a signed
+/// 32-bit offset, a span of 2^33 bytes, which reaches under 2^22 pages of
+/// 4 KiB, and two keys share a table's bucket bits only when they differ
+/// by a multiple of the table size. A table of `n` pages thus holds at
+/// most `min(n, 2^22 / n)` keys per bucket chain, 2^11 at worst (at
+/// `n = 2^11`), each a 4 KiB page the kernel had to touch.
 #[derive(Default)]
 struct IndexHasher(u64);
 
@@ -46,7 +46,7 @@ type IndexMap<V> = HashMap<u64, V, BuildHasherDefault<IndexHasher>>;
 
 /// The GPU's global address space.
 ///
-/// Storage is allocated lazily in 64 KiB pages, so kernels may scatter their
+/// Storage is allocated lazily in 4 KiB pages, so kernels may scatter their
 /// buffers across a large virtual range without cost. All ISA-level accesses
 /// are 4-byte words; unaligned addresses are rounded down to the containing
 /// word, matching the word-striped register/lane layout the rest of the model
@@ -89,12 +89,48 @@ impl GlobalMemory {
     /// Writes the 32-bit word containing `addr`.
     pub fn write_u32(&mut self, addr: u64, value: u32) {
         let (page, idx) = Self::split(addr);
+        self.page_mut(page)[idx] = value;
+    }
+
+    /// Page `page`, allocated (zeroed) on first touch.
+    fn page_mut(&mut self, page: u64) -> &mut [u32; PAGE_WORDS] {
         self.pages.entry(page).or_insert_with(|| {
             vec![0u32; PAGE_WORDS]
                 .into_boxed_slice()
                 .try_into()
                 .unwrap()
-        })[idx] = value;
+        })
+    }
+
+    /// Reads the word containing each `(index, addr)` into `out[index]`,
+    /// as [`read_u32`](Self::read_u32) would, looking a page up once per
+    /// run of consecutive reads on it: a warp's gather.
+    pub fn gather(&self, reads: impl IntoIterator<Item = (usize, u64)>, out: &mut [u32]) {
+        let mut run: Option<(u64, Option<&[u32; PAGE_WORDS]>)> = None;
+        for (index, addr) in reads {
+            let (page, idx) = Self::split(addr);
+            if run.is_none_or(|(p, _)| p != page) {
+                run = Some((page, self.pages.get(&page).map(|p| &**p)));
+            }
+            out[index] = run.and_then(|(_, words)| words).map_or(0, |w| w[idx]);
+        }
+    }
+
+    /// Writes each `(addr, value)` in order, as
+    /// [`write_u32`](Self::write_u32) would (a later write to a word wins),
+    /// looking a page up once per run of consecutive writes on it: a
+    /// warp's scatter.
+    pub fn scatter(&mut self, writes: impl IntoIterator<Item = (u64, u32)>) {
+        let mut run: Option<(u64, &mut [u32; PAGE_WORDS])> = None;
+        for (addr, value) in writes {
+            let (page, idx) = Self::split(addr);
+            if run.as_ref().is_none_or(|(p, _)| *p != page) {
+                run = Some((page, self.page_mut(page)));
+            }
+            if let Some((_, words)) = &mut run {
+                words[idx] = value;
+            }
+        }
     }
 
     /// Reads the word at `addr` as an IEEE-754 float.
@@ -123,7 +159,9 @@ impl GlobalMemory {
 
     /// Bulk-reads `n` words starting at `addr` (host-side verification).
     pub fn read_vec_u32(&self, addr: u64, n: usize) -> Vec<u32> {
-        (0..n).map(|i| self.read_u32(addr + 4 * i as u64)).collect()
+        let mut words = vec![0; n];
+        self.gather((0..n).map(|i| (i, addr + 4 * i as u64)), &mut words);
+        words
     }
 
     /// Bulk-reads `n` floats starting at `addr`.
@@ -188,6 +226,63 @@ mod tests {
         assert_eq!(m.resident_pages(), 2);
         assert_eq!(m.read_u32(PAGE_BYTES as u64 - 4), 1);
         assert_eq!(m.read_u32(PAGE_BYTES as u64), 2);
+    }
+
+    /// Seeded word addresses within two words of the edges of four
+    /// adjacent pages, repeating now and then.
+    fn edge_addrs(seed: u64, n: usize) -> Vec<u64> {
+        let mut x = seed;
+        let mut addrs: Vec<u64> = Vec::with_capacity(n);
+        for _ in 0..n {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let page = 0x40_0000 + (x % 4) * PAGE_BYTES as u64;
+            let near = (x >> 8) % 4 * 4;
+            let addr = match (x >> 16) % 4 {
+                0 => page + near,
+                1 => page - 4 - near,
+                2 => addrs.last().copied().unwrap_or(page),
+                _ => page + (x >> 24) % PAGE_BYTES as u64,
+            };
+            addrs.push(addr);
+        }
+        addrs
+    }
+
+    #[test]
+    fn scatter_and_gather_match_word_accesses() {
+        for seed in 1..=8u64 {
+            // A warp's 32 lanes, several times over, with a later lane's
+            // store to a word the winner over an earlier one.
+            let addrs = edge_addrs(seed, 32 * 8);
+            let (mut scattered, mut written) = (GlobalMemory::new(), GlobalMemory::new());
+            for (warp, lanes) in addrs.chunks(32).enumerate() {
+                let value = |lane: usize| (warp * 32 + lane) as u32 + 1;
+                scattered.scatter(lanes.iter().enumerate().map(|(l, &a)| (a, value(l))));
+                for (lane, &addr) in lanes.iter().enumerate() {
+                    written.write_u32(addr, value(lane));
+                }
+            }
+            assert_eq!(scattered, written, "seed {seed}");
+            assert_eq!(scattered.resident_pages(), written.resident_pages());
+            for lanes in edge_addrs(seed + 100, 32 * 8).chunks(32) {
+                let mut gathered = [u32::MAX; 32];
+                scattered.gather(lanes.iter().copied().enumerate(), &mut gathered);
+                let read: Vec<u32> = lanes.iter().map(|&a| scattered.read_u32(a)).collect();
+                assert_eq!(gathered[..], read[..], "seed {seed}");
+            }
+        }
+        // A gather over untouched pages reads zeros, allocating nothing.
+        let empty = GlobalMemory::new();
+        let mut out = [7u32; 4];
+        empty.gather([(0, 0), (3, 1 << 40), (1, 4), (2, 0)], &mut out);
+        assert_eq!((out, empty.resident_pages()), ([0, 0, 0, 0], 0));
+        let n = PAGE_WORDS + 3;
+        let mut m = GlobalMemory::new();
+        let words: Vec<u32> = (1..=n as u32).collect();
+        m.write_slice_u32(PAGE_BYTES as u64 - 8, &words);
+        assert_eq!(m.read_vec_u32(PAGE_BYTES as u64 - 8, n), words);
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use crate::cache::{Cache, CacheConfig, CacheStats};
 use crate::coalesce::coalesce;
+use std::collections::VecDeque;
 
 /// Whether an access reads or writes (write policies differ per level).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -103,8 +104,12 @@ pub struct MemSystem {
     l1: Cache,
     l2: Cache,
     stats: MemStats,
-    /// Completion cycles of in-flight misses (bounded by `mshr_entries`).
-    inflight: Vec<u64>,
+    /// Completion cycles of in-flight misses (at most `mshr_entries`), as
+    /// `(cycle, misses completing then)`, ascending: expiry and the wait
+    /// for the oldest pop from the front.
+    inflight: VecDeque<(u64, u32)>,
+    /// Misses in flight: the sum of `inflight`'s counts.
+    outstanding: usize,
 }
 
 impl MemSystem {
@@ -115,7 +120,8 @@ impl MemSystem {
             l1: Cache::new(config.l1),
             l2: Cache::new(config.l2),
             stats: MemStats::default(),
-            inflight: Vec::new(),
+            inflight: VecDeque::new(),
+            outstanding: 0,
         }
     }
 
@@ -179,23 +185,32 @@ impl MemSystem {
         worst
     }
 
-    /// Applies MSHR back-pressure to a miss that would complete at `raw`.
+    /// Applies MSHR back-pressure to a miss that would complete at `raw`:
+    /// misses complete by `now` leave; at capacity the miss waits for the
+    /// oldest outstanding one, which leaves with every entry equal to it.
     fn queue_miss(&mut self, raw: u64, now: u64) -> u64 {
-        self.inflight.retain(|&c| c > now);
-        let done = if self.inflight.len() >= self.config.mshr_entries as usize {
-            // Wait for the oldest outstanding miss to retire first.
-            let oldest = self
-                .inflight
-                .iter()
-                .copied()
-                .min()
-                .expect("inflight nonempty when at MSHR capacity");
-            self.inflight.retain(|&c| c != oldest);
-            oldest.max(raw)
-        } else {
-            raw
+        let inflight = &mut self.inflight;
+        while let Some(&(_, misses)) = inflight.front().filter(|&&(c, _)| c <= now) {
+            inflight.pop_front();
+            self.outstanding -= misses as usize;
+        }
+        let done = match inflight.front() {
+            Some(&(oldest, misses)) if self.outstanding >= self.config.mshr_entries as usize => {
+                inflight.pop_front();
+                self.outstanding -= misses as usize;
+                oldest.max(raw)
+            }
+            _ => raw,
         };
-        self.inflight.push(done);
+        // Under saturation a miss mostly waits for the oldest, so its place
+        // is near the front.
+        let at = inflight.iter().position(|&(c, _)| c >= done);
+        let at = at.unwrap_or(inflight.len());
+        match inflight.get_mut(at) {
+            Some((c, misses)) if *c == done => *misses += 1,
+            _ => inflight.insert(at, (done, 1)),
+        }
+        self.outstanding += 1;
         done
     }
 
@@ -207,6 +222,7 @@ impl MemSystem {
         self.l2.reset();
         self.stats = MemStats::default();
         self.inflight.clear();
+        self.outstanding = 0;
     }
 
     /// Invalidates both cache levels (between kernel launches), draining
@@ -215,6 +231,7 @@ impl MemSystem {
         self.l1.flush();
         self.stats.dram_writebacks += self.l2.flush();
         self.inflight.clear();
+        self.outstanding = 0;
     }
 }
 
@@ -349,6 +366,72 @@ mod tests {
             );
         }
         assert_eq!(used.stats(), fresh.stats());
+    }
+
+    /// The MSHR list as it was kept before it was sorted: an unordered
+    /// `Vec` of completion cycles, expired and drained by `retain`.
+    struct RetainModel {
+        inflight: Vec<u64>,
+        entries: usize,
+        /// Waits at capacity that drained two or more equal oldest entries.
+        drained_equal: u64,
+    }
+
+    impl RetainModel {
+        fn queue_miss(&mut self, raw: u64, now: u64) -> u64 {
+            self.inflight.retain(|&c| c > now);
+            let done = if self.inflight.len() >= self.entries {
+                let oldest = self.inflight.iter().copied().min().expect("at capacity");
+                let before = self.inflight.len();
+                self.inflight.retain(|&c| c != oldest);
+                self.drained_equal += u64::from(before - self.inflight.len() > 1);
+                oldest.max(raw)
+            } else {
+                raw
+            };
+            self.inflight.push(done);
+            done
+        }
+    }
+
+    #[test]
+    fn queue_miss_waits_like_the_retain_model() {
+        // Seeded streams of misses: clocks that stand still for several
+        // misses, raw completions drawn from few latencies (so many are
+        // equal), and MSHR counts from one entry up, so the list sits at
+        // capacity with runs of equal oldest entries.
+        for (seed, entries) in [(1u64, 1u32), (2, 2), (3, 4), (4, 8), (5, 32), (6, 3)] {
+            let mut m = MemSystem::new(MemConfig {
+                mshr_entries: entries,
+                ..MemConfig::default()
+            });
+            let mut model = RetainModel {
+                inflight: Vec::new(),
+                entries: entries as usize,
+                drained_equal: 0,
+            };
+            let mut x = seed;
+            let mut now = 0;
+            let mut waited = 0;
+            for i in 0..20_000 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                now += [0, 0, 0, 1, 1, 2, 5, 40][(x % 8) as usize];
+                let raw = now + [4, 4, 28, 190, 190, 350][(x >> 8) as usize % 6];
+                let want = model.queue_miss(raw, now);
+                waited += u64::from(want > raw);
+                assert_eq!(m.queue_miss(raw, now), want, "seed {seed}, miss {i}");
+                assert_eq!(m.outstanding, model.inflight.len(), "seed {seed}, miss {i}");
+            }
+            // One entry never holds two equal times.
+            let equal = model.drained_equal > 100 || entries == 1;
+            assert!(
+                waited > 500 && equal,
+                "seed {seed}: {waited} {}",
+                model.drained_equal
+            );
+        }
     }
 
     #[test]

@@ -93,6 +93,11 @@ impl Bits {
         self.words.iter().all(|&w| w == 0)
     }
 
+    /// Whether some member is also in `other` (built for the same size).
+    pub(crate) fn intersects(&self, other: &Bits) -> bool {
+        self.words.iter().zip(&other.words).any(|(w, o)| w & o != 0)
+    }
+
     /// Adds every member of `other` (built for the same size).
     pub(crate) fn union_with(&mut self, other: &Bits) {
         for (w, o) in self.words.iter_mut().zip(&other.words) {

@@ -253,16 +253,13 @@ fn execute_memory(
     let mut loaded = [0; WARP_SIZE];
     let (is_store, space) = match inst.op {
         Ldg => {
-            for (lane, addr) in accesses {
-                loaded[lane] = ctx.global.read_u32(addr);
-            }
+            ctx.global.gather(accesses, &mut loaded);
             (false, Space::Global)
         }
         Stg => {
             let v = operand_lanes(warp, inst.srcs[0], &ctx.block);
-            for (lane, addr) in accesses {
-                ctx.global.write_u32(addr, v[lane]);
-            }
+            ctx.global
+                .scatter(accesses.map(|(lane, addr)| (addr, v[lane])));
             (true, Space::Global)
         }
         Lds => {

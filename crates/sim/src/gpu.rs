@@ -6,11 +6,14 @@
 //! (`analyze_windows`), the race [`Sanitizer`] (`sanitize`) and the
 //! oracle's [`LockstepChecker`] (`oracle_check`). With none enabled and a
 //! [`NullProbe`], the launch runs a separate monomorphization of the SM
-//! pipeline with every trace point compiled out.
+//! pipeline with every trace point compiled out; with the checker the only
+//! subscriber and a [`NullProbe`], the checker itself is the pipeline's
+//! probe, and the snapshots only other subscribers read are compiled out
+//! ([`Probe::TRACES`]).
 
 use crate::config::{GpuConfig, OracleCheck};
 use crate::decode::DecodedKernel;
-use crate::oracle::{run_oracle, LockstepChecker, OracleReport};
+use crate::oracle::{run_oracle_once, LockstepChecker, OracleReport};
 use crate::pipetrace::PipeTrace;
 use crate::probe::{NullProbe, PipeEvent, Probe};
 use crate::sanitize::{Sanitizer, SanitizerReport};
@@ -156,8 +159,9 @@ impl Gpu {
     /// Launches `kernel` with `probe` subscribed to the whole device's
     /// event stream, beside the always-on statistics and every subscriber
     /// the config enables. Under an [`OracleCheck`] the oracle first runs
-    /// over a snapshot of device memory, and [`LaunchResult::oracle`]
-    /// reports the first disagreement.
+    /// over a snapshot of device memory (or the run of an identical
+    /// previous launch on this thread is reused), and
+    /// [`LaunchResult::oracle`] reports the first disagreement.
     ///
     /// # Panics
     ///
@@ -182,7 +186,7 @@ impl Gpu {
 
         let lockstep = config.oracle_check == OracleCheck::Lockstep;
         let oracle = (config.oracle_check != OracleCheck::Off)
-            .then(|| run_oracle(kernel, dims, params, global.clone(), lockstep));
+            .then(|| run_oracle_once(kernel, dims, params, global, lockstep));
         let mut checker = oracle
             .as_ref()
             .filter(|_| lockstep)
@@ -200,22 +204,22 @@ impl Gpu {
         }
 
         let max_cycles = config.max_cycles;
-        let (cycles, completed) = if config.trace_pipeline
-            || analyzer.is_enabled()
-            || sanitizer.is_some()
-            || checker.is_some()
-        {
-            let fanout = &mut LaunchProbe {
-                trace: config.trace_pipeline.then_some(&mut self.trace),
-                analyzer: &mut analyzer,
-                sanitizer: sanitizer.as_mut(),
-                checker: checker.as_mut(),
-                caller: probe,
+        let others = config.trace_pipeline || analyzer.is_enabled() || sanitizer.is_some();
+        let (cycles, completed) =
+            if let (false, false, Some(checker)) = (P::ACTIVE, others, checker.as_mut()) {
+                run_device(sms, global, kernel, dims, max_cycles, checker)
+            } else if others || checker.is_some() {
+                let fanout = &mut LaunchProbe {
+                    trace: config.trace_pipeline.then_some(&mut self.trace),
+                    analyzer: &mut analyzer,
+                    sanitizer: sanitizer.as_mut(),
+                    checker: checker.as_mut(),
+                    caller: probe,
+                };
+                run_device(sms, global, kernel, dims, max_cycles, fanout)
+            } else {
+                run_device(sms, global, kernel, dims, max_cycles, probe)
             };
-            run_device(sms, global, kernel, dims, max_cycles, fanout)
-        } else {
-            run_device(sms, global, kernel, dims, max_cycles, probe)
-        };
 
         let per_sm: Vec<SimStats> = sms.iter().map(Sm::stats).collect();
         let mut stats = SimStats::default();
@@ -617,6 +621,41 @@ mod tests {
         let oracle = res.oracle.expect("oracle_check attaches the oracle");
         assert!(oracle.mismatch.is_none(), "{oracle:?}");
         assert_eq!(oracle.checked, 2 * 14);
+    }
+
+    #[test]
+    fn a_checker_only_launch_judges_like_the_fan_out() {
+        // Under `NullProbe` the lockstep checker is the pipeline's own
+        // probe; a listening caller puts it behind the fan-out. Both must
+        // check the same instructions, report the same verdict and leave
+        // the same statistics and memory, on a clean kernel and a racy one.
+        let saxpy = (
+            saxpy_kernel(),
+            KernelDims::linear(4, 64),
+            [0x1_0000, 0x2_0000],
+        );
+        let racy = (racy_kernel(), KernelDims::linear(2, 32), [FLAG as u32, 0]);
+        for (kernel, dims, params) in [saxpy, racy] {
+            for core in [CoreModelKind::Pascal, CoreModelKind::Modern] {
+                let launch = |listen: bool| {
+                    let mut cfg = on_core(CollectorKind::bow_wr(3), core);
+                    cfg.oracle_check = OracleCheck::Lockstep;
+                    let mut gpu = Gpu::new(cfg);
+                    let words: Vec<u32> = (0..512).collect();
+                    gpu.global_mut().write_slice_u32(0x1_0000, &words);
+                    let res = if listen {
+                        gpu.launch_with_probe(&kernel, dims, &params, &mut Recorder::default())
+                    } else {
+                        gpu.launch(&kernel, dims, &params)
+                    };
+                    (format!("{:?}", res.oracle), res.stats, gpu.global)
+                };
+                let (checked, listened) = (launch(false), launch(true));
+                assert_eq!(checked.0, listened.0, "{} {core:?}", kernel.name);
+                assert_eq!(checked.1, listened.1, "{} {core:?}", kernel.name);
+                assert!(checked.2 == listened.2, "{} {core:?}", kernel.name);
+            }
+        }
     }
 
     #[test]

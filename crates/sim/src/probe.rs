@@ -277,6 +277,11 @@ pub trait Probe {
     /// Whether this subscriber consumes events at all.
     const ACTIVE: bool = true;
 
+    /// Whether this subscriber reads the [`PipeEvent::MemTrace`] and
+    /// [`PipeEvent::CtrlTrace`] snapshots: the stages build them only for
+    /// one that does. Never true of an inactive probe.
+    const TRACES: bool = Self::ACTIVE;
+
     /// Handles one pipeline event.
     fn on_event(&mut self, ev: &PipeEvent<'_>);
 }

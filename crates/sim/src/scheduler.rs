@@ -30,9 +30,7 @@ impl WarpScheduler {
     /// Returns `None` when no warp is ready.
     pub fn pick(&mut self, ready: &[usize], age: impl Fn(usize) -> u64) -> Option<usize> {
         if ready.is_empty() {
-            if self.policy == SchedPolicy::Gto {
-                self.greedy = None;
-            }
+            self.idle();
             return None;
         }
         let choice = match self.policy {
@@ -53,6 +51,14 @@ impl WarpScheduler {
             SchedPolicy::Lrr => self.rr_last = choice,
         }
         Some(choice)
+    }
+
+    /// A scan found no warp ready: what [`pick`](Self::pick) does with an
+    /// empty list. GTO drops its greedy hold; LRR keeps its place.
+    pub fn idle(&mut self) {
+        if self.policy == SchedPolicy::Gto {
+            self.greedy = None;
+        }
     }
 
     /// Tells the scheduler its greedy warp stalled, releasing the hold.

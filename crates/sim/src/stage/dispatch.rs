@@ -26,6 +26,11 @@ impl DispatchLatch {
         oc.ready_slots_into(cycle, &mut self.ready);
     }
 
+    /// Whether no slot was latched ready.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.ready.is_empty()
+    }
+
     /// Drains the latched ready set. Pair with [`DispatchLatch::restore`]
     /// to hand the emptied buffer back.
     pub(crate) fn take_ready(&mut self) -> Vec<usize> {
@@ -48,6 +53,9 @@ impl Stages {
         global: &mut GlobalMemory,
         probe: &mut P,
     ) {
+        if self.parts.iter().all(|p| p.latch.is_empty()) {
+            return;
+        }
         // The functional-unit budgets (indexed by `FuClass as usize`) are
         // SM-wide: partitions draw on them in index order.
         let mut budget = [
@@ -198,7 +206,7 @@ fn execute_and_complete<P: Probe>(
             // Snapshot the memory access for the race sanitizer. Store
             // values come from the source operand per lane — stores never
             // write registers, so reading it post-execute is exact.
-            if let Some(a) = &access {
+            if let Some(a) = access.as_ref().filter(|_| P::TRACES) {
                 if a.space != Space::Param {
                     values_buf.clear();
                     if a.is_store {

@@ -152,6 +152,13 @@ impl ReadySet {
         self.dirty.union_with(&self.part[p]);
     }
 
+    /// Whether scheduler `s` has no ready slot and none to re-classify: its
+    /// scan would find what the last one did and pick nothing.
+    fn is_idle(&self, s: usize) -> bool {
+        let mine = &self.sched[s];
+        !self.ready.intersects(mine) && !self.dirty.intersects(mine)
+    }
+
     /// Marks the slots whose stall count runs out at `cycle`. Called at
     /// every ticked SM-cycle; a skipped one has an empty row.
     fn expire(&mut self, cycle: u64) {
@@ -262,11 +269,20 @@ impl Stages {
             for _ in 0..ctx.config.issue_per_scheduler {
                 let (parts, il_ref, ctx_ref) = (&self.parts, &*il, &*ctx);
                 let full = |w| classify(parts, il_ref, ctx_ref, w, kernel);
-                self.ready.refresh(s, cycle, full);
+                // An idle scheduler's scan charges its stalls and picks
+                // nothing, with no re-classification and no ready list.
+                let idle = self.ready.is_idle(s);
+                if !idle {
+                    self.ready.refresh(s, cycle, full);
+                }
                 if cfg!(debug_assertions) {
                     self.ready.cross_check(s, full);
                 }
                 self.ready.charge_stalls(s, 1, &mut ctx.stats, probe);
+                if idle {
+                    self.schedulers[s].idle();
+                    break;
+                }
                 self.ready.ready_into(s, &mut ready);
                 let age = &ctx.warp_age;
                 let pick = self.schedulers[s].pick(&ready, |w| age[w]);
@@ -321,7 +337,7 @@ impl Stages {
             );
             oc.note_control(w, seq, &mut ctx.rf, &mut ctx.stats, probe);
             il.on_issue(w, pc, kernel);
-            let (arrive, live, sync_underflow) = if P::ACTIVE {
+            let (arrive, live, sync_underflow) = if P::TRACES {
                 (
                     warp.guard_mask(inst.guard),
                     warp.valid & !warp.exited,
@@ -331,7 +347,7 @@ impl Stages {
                 (0, 0, false)
             };
             let outcome = exec::execute_control(warp, inst);
-            if P::ACTIVE {
+            if P::TRACES {
                 let depth = (warp.stack.len() + warp.splits.len()) as u32;
                 emit(
                     &mut ctx.stats,

@@ -327,8 +327,12 @@ impl Stages {
         ctx.rf.begin_cycle();
         self.writeback(il, ctx, kernel, probe);
         // Collect: claim register-bank ports for pending fetches and
-        // publish each partition's ready-slot set to its dispatch latch.
+        // publish each partition's ready-slot set to its dispatch latch
+        // (an empty partition has neither; its latch stays empty).
         for part in &mut self.parts {
+            if part.oc.occupied() == 0 {
+                continue;
+            }
             part.oc.collect(ctx.cycle, &mut ctx.rf);
             part.latch.fill(&part.oc, ctx.cycle);
         }

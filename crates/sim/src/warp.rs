@@ -61,7 +61,7 @@ pub struct Split {
 /// register file, and a predicate one 32-lane bitmask. The struct owns no
 /// timing state — the pipeline models hold that — so cloning a `Warp`
 /// snapshots exactly the architectural state.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Warp {
     /// Warp slot index within its SM.
     pub id: usize,

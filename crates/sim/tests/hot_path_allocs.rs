@@ -24,9 +24,11 @@
 //! `MemSystem::reset` on a warmed hierarchy is counted too.
 //!
 //! The checked launch is held to the same rule: the ticks of a launch with
-//! the lockstep oracle's checker listening allocate nothing either, and a
-//! recorded oracle run grows its write log per warp by doubling, not by
-//! one allocation per dynamic instruction.
+//! the lockstep oracle's checker listening allocate nothing either — the
+//! checker-only pipeline, in which the checker is the tick's probe, on
+//! every collector and on memory-heavy ticks too — and a recorded oracle
+//! run grows its write log per warp by doubling, not by one allocation per
+//! dynamic instruction.
 //!
 //! Timing-free, so it cannot flake; `scripts/ci.sh` runs it in release.
 
@@ -158,6 +160,33 @@ fn memory_kernel() -> Kernel {
         .iadd(r(9), r(3).into(), r(4).into())
         .stg(r(9), 0, r(8).into());
     loop_back(b, r(1), FOREVER)
+}
+
+/// Global gathers and scatters without [`memory_kernel`]'s races, `trips`
+/// times: a thread loads any word of the first buffer, which nothing
+/// stores to, and stores only to its own word of the second, so the
+/// lockstep oracle's warp-serial order agrees with the pipeline's.
+fn private_memory_kernel(trips: u32) -> Kernel {
+    let r = Reg::r;
+    let b = KernelBuilder::new("private_mem")
+        .s2r(r(0), Special::TidX)
+        .s2r(r(10), Special::CtaidX)
+        .shl(r(10), r(10).into(), Operand::Imm(6))
+        .iadd(r(10), r(10).into(), r(0).into())
+        .shl(r(11), r(10).into(), Operand::Imm(2))
+        .ldc(r(2), 0)
+        .ldc(r(3), 4)
+        .iadd(r(9), r(3).into(), r(11).into())
+        .mov_imm(r(1), 0)
+        .label("top")
+        .imad(r(4), r(1).into(), Operand::Imm(33), r(10).into())
+        .and(r(4), r(4).into(), Operand::Imm(BUF_WORDS - 1))
+        .shl(r(4), r(4).into(), Operand::Imm(2))
+        .iadd(r(5), r(2).into(), r(4).into())
+        .ldg(r(6), r(5), 0)
+        .iadd(r(8), r(6).into(), r(1).into())
+        .stg(r(9), 0, r(8).into());
+    loop_back(b, r(1), trips)
 }
 
 /// A diamond on the lane's parity inside the loop: SIMT-stack pushes and
@@ -436,6 +465,50 @@ fn ticks_with_the_lockstep_checker_listening_are_heap_free() {
                 "{kind:?} / {core_model:?}: {allocs} heap allocations in \
                  {MEASURED_TICKS} warmed-up checked ticks"
             );
+        }
+    }
+}
+
+#[test]
+fn the_checker_only_pipeline_is_heap_free_on_every_collector() {
+    // The pipeline a checked launch runs when the checker is its only
+    // subscriber: the checker itself is the probe, so the stages build no
+    // memory or control trace. Global gathers and scatters, and ALU work,
+    // on every collector and both cores.
+    let shape = &SIXTEEN_WARPS;
+    let dims = KernelDims::linear(shape.blocks, 64);
+    for kernel in [private_memory_kernel(300), alu_kernel(400)] {
+        let params = [A_BUF as u32, B_BUF as u32];
+        let oracle = run_oracle(&kernel, dims, &params, launch_memory(), true);
+        assert!(oracle.completed);
+        for core_model in [CoreModelKind::Pascal, CoreModelKind::Modern] {
+            for kind in [
+                CollectorKind::Baseline,
+                CollectorKind::bow(3),
+                CollectorKind::bow_wr(3),
+                CollectorKind::rfc6(),
+            ] {
+                let mut checker = LockstepChecker::new(&oracle.log);
+                let allocs = allocations_in_steady_state(
+                    &kernel,
+                    kind,
+                    core_model,
+                    shape,
+                    WARMUP_TICKS,
+                    &mut checker,
+                );
+                let what = format!("{} {kind:?} / {core_model:?}", kernel.name);
+                assert!(
+                    checker.checked > 0 && checker.divergence.is_none(),
+                    "{what}: {:?}",
+                    checker.divergence
+                );
+                assert_eq!(
+                    allocs, 0,
+                    "{what}: {allocs} heap allocations in {MEASURED_TICKS} warmed-up \
+                     checked ticks"
+                );
+            }
         }
     }
 }

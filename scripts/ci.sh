@@ -244,13 +244,21 @@ FLEX_CONFIG="$(submit vectoradd --collector bow-flex --window 5 \
     | python3 -c 'import json,sys; print(json.load(sys.stdin)["result"]["config"])')"
 [ -n "${FLEX_LABEL}" ] && [ "${FLEX_CONFIG}" = "${FLEX_LABEL}" ] \
     || { echo "submit ran '${FLEX_CONFIG}' where run runs '${FLEX_LABEL}'"; exit 1; }
+# The same for the model flags: a modern core with barrier divergence.
+MODEL_FLAGS=(--collector bow-wr --window 3 --core-model modern --divergence barrier)
+MODEL_LABEL="$("$BOW_CLI" run vectoradd "${MODEL_FLAGS[@]}" \
+    | sed -n '1s/^vectoradd under \(.*\): .*/\1/p')"
+MODEL_CONFIG="$(submit vectoradd "${MODEL_FLAGS[@]}" \
+    | python3 -c 'import json,sys; print(json.load(sys.stdin)["result"]["config"])')"
+[ -n "${MODEL_LABEL}" ] && [ "${MODEL_CONFIG}" = "${MODEL_LABEL}" ] \
+    || { echo "submit ran '${MODEL_CONFIG}' where run runs '${MODEL_LABEL}'"; exit 1; }
 # Fetch by fingerprint and check the stored document's schema tag.
 submit --fetch "${FP}" | grep -q '"schema_version": 1' \
     || { echo "stored document is not schema v1"; exit 1; }
-# The simulator ran exactly three times (two runs + one async job); cache
-# hits add zero.
+# The simulator ran exactly four times (three runs + one async job);
+# cache hits add zero.
 HEALTH="$(submit --health)"
-echo "${HEALTH}" | grep -q '"sim_runs":3' \
+echo "${HEALTH}" | grep -q '"sim_runs":4' \
     || { echo "cache hit invoked the simulator: ${HEALTH}"; exit 1; }
 echo "${HEALTH}" | python3 -c 'import json,sys; print(json.dumps(json.load(sys.stdin)["store"], indent=2))' \
     > target/server-smoke/store-stats.json 2>/dev/null \
@@ -259,22 +267,30 @@ submit --shutdown | grep -q 'shutting down' || { echo "shutdown failed"; exit 1;
 wait "$SERVER_PID"
 trap - EXIT
 exec 3<&-
-echo "    cache and front ends verified: sim_runs=3 beside a silent connection, store stats in target/server-smoke/store-stats.json"
+echo "    cache and front ends verified: sim_runs=4 beside a silent connection, store stats in target/server-smoke/store-stats.json"
 
-echo "==> corpus smoke (64 kernels, stratified gen + mini-sweep, both cores)"
+echo "==> corpus smoke (64 kernels, stratified gen + mini-sweep, both cores, three seeds)"
 # The corpus regression tier (docs/TESTING.md, `Corpus tier`): a
 # fixed-seed 64-kernel generation must populate every stratum and keep
 # only lint-clean kernels, then a 16-kernel round-robin slice sweeps
 # through all four collectors on both core models, every run checked
 # against the lockstep oracle and the host model (a failing cell is
-# listed and the sweep exits 5). Manifest + distribution JSON land
-# in target/corpus-smoke/ as CI artifacts.
+# listed and the sweep exits 5). The default seed's manifest and
+# distribution JSON land in target/corpus-smoke/ as CI artifacts; seeds
+# 1 and 2 run the same gate and sweeps in target/corpus-smoke/seed<N>/.
 rm -rf target/corpus-smoke
-"$BOW_CLI" \
-    corpus gen --count 64 --dir target/corpus-smoke
-python3 - <<'EOF'
-import collections, json
-m = json.load(open("target/corpus-smoke/manifest.json"))
+for SEED in default 1 2; do
+    DIR=target/corpus-smoke
+    SEED_FLAGS=()
+    if [ "${SEED}" != default ]; then
+        DIR="target/corpus-smoke/seed${SEED}"
+        SEED_FLAGS=(--seed "${SEED}")
+    fi
+    "$BOW_CLI" \
+        corpus gen --count 64 "${SEED_FLAGS[@]}" --dir "${DIR}"
+    python3 - "${DIR}" "${SEED}" <<'EOF'
+import collections, json, sys
+m = json.load(open(f"{sys.argv[1]}/manifest.json"))
 kept = collections.Counter()
 for k in m["kernels"]:
     if k["retained"]:
@@ -284,21 +300,22 @@ for k in m["kernels"]:
         assert k.get("reject"), f'{k["name"]}: rejected without a diagnostic code'
 strata = {k["stratum"] for k in m["kernels"]}
 empty = [s for s in strata if kept[s] == 0]
-assert not empty, f"strata with no retained kernel: {empty}"
-print(f"    {sum(kept.values())} retained across {len(strata)} strata, 100% lint-clean")
+assert not empty, f"seed {sys.argv[2]}: strata with no retained kernel: {empty}"
+print(f"    seed {sys.argv[2]}: {sum(kept.values())} retained across {len(strata)} strata, 100% lint-clean")
 EOF
-for CORE in pascal modern; do
-    "$BOW_CLI" \
-        corpus sweep --dir target/corpus-smoke --limit 16 --core-model "${CORE}" \
-        --out "target/corpus-smoke/dist_${CORE}.json" > /dev/null
-    # The divergence matrix's population view: the same slice with every
-    # kernel lowered to convergence barriers (`_barrier` twin artifact,
-    # matching the corpus_report naming).
-    "$BOW_CLI" \
-        corpus sweep --dir target/corpus-smoke --limit 16 --core-model "${CORE}" \
-        --divergence barrier \
-        --out "target/corpus-smoke/dist_${CORE}_barrier.json" > /dev/null
-    echo "    ${CORE} distributions in target/corpus-smoke/dist_${CORE}{,_barrier}.json"
+    for CORE in pascal modern; do
+        "$BOW_CLI" \
+            corpus sweep --dir "${DIR}" --limit 16 --core-model "${CORE}" \
+            --out "${DIR}/dist_${CORE}.json" > /dev/null
+        # The divergence matrix's population view: the same slice with
+        # every kernel lowered to convergence barriers (`_barrier` twin
+        # artifact, matching the corpus_report naming).
+        "$BOW_CLI" \
+            corpus sweep --dir "${DIR}" --limit 16 --core-model "${CORE}" \
+            --divergence barrier \
+            --out "${DIR}/dist_${CORE}_barrier.json" > /dev/null
+        echo "    seed ${SEED}: ${CORE} distributions in ${DIR}/dist_${CORE}{,_barrier}.json"
+    done
 done
 
 echo "==> benchmark/run.sh --smoke (the benchmark still builds and runs)"

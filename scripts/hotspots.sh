@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Where does a benchmark workload spend its host time?
 #
-#   scripts/hotspots.sh <workload> [seconds]      e.g. fig_pascal 10
+#   scripts/hotspots.sh <workload> [seconds] [--lines]   e.g. fig_pascal 10
 #
 # A sampling profile for hosts without `perf`: preloads a tiny SIGPROF
 # sampler (built here with `cc`) into the already-built, unedited
@@ -9,7 +9,11 @@
 # sampled program counters with `addr2line -f -i -C` and prints
 #   * self time by physical (non-inlined) function, and
 #   * inclusive time of every function on the inline chains, which is where
-#     small accessors the optimiser folded into their callers show up.
+#     small accessors the optimiser folded into their callers show up, and
+#   * with `--lines`, self time by source line: each sample is charged to
+#     the innermost line of the repository's own code on its inline chain,
+#     so the stages the optimiser inlined into `Pipeline::tick` (or any
+#     other caller) split into the lines that did the work.
 # Samples outside the binary are named after a shared object's function
 # only where a symbol with a size covers the address (the object's full
 # symbol table where the host has one, its own or a build-id debug file,
@@ -22,8 +26,19 @@
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
-workload="${1:?usage: scripts/hotspots.sh <workload> [seconds]}"
-seconds="${2:-10}"
+usage="usage: scripts/hotspots.sh <workload> [seconds] [--lines]"
+lines=0
+args=()
+for arg in "$@"; do
+    case "$arg" in
+    --lines) lines=1 ;;
+    -*) echo "$usage" >&2; exit 2 ;;
+    *) args+=("$arg") ;;
+    esac
+done
+(( ${#args[@]} >= 1 && ${#args[@]} <= 2 )) || { echo "$usage" >&2; exit 2; }
+workload="${args[0]}"
+seconds="${args[1]:-10}"
 for tool in cc addr2line nm readelf; do
     if ! command -v "$tool" >/dev/null; then
         echo "hotspots: \`$tool\` not found on this host, nothing profiled"
@@ -137,7 +152,7 @@ awk -v bin="$bin" '$2 != bin && $2 != "[anonymous]" { print $2 }' "$out/$workloa
     done >"$out/$workload.dsyms"
 
 echo "== $workload: $total samples at 1 kHz of CPU time =="
-awk -v bin="$bin" -v total="$total" -v dsyms="$out/$workload.dsyms" '
+awk -v bin="$bin" -v total="$total" -v dsyms="$out/$workload.dsyms" -v lines="$lines" -v repo="$(pwd)/" '
     function hex(s,   i, v) {
         v = 0
         for (i = 1; i <= length(s); i++) v = 16 * v + index("0123456789abcdef", substr(s, i, 1)) - 1
@@ -165,11 +180,15 @@ awk -v bin="$bin" -v total="$total" -v dsyms="$out/$workload.dsyms" '
             lo[d[1], n] = hex(d[3]); hi[d[1], n] = lo[d[1], n] + hex(d[4]); sym[d[1], n] = d[5]
         }
     }
-    function flush(   i) {
+    function flush(   i, at) {
         if (addr == "") return
         self[fn[nfn]] += weight[addr]            # outermost frame: the physical function
         for (i = 1; i <= nfn; i++)
             if (last[fn[i]] != addr) { last[fn[i]] = addr; incl[fn[i]] += weight[addr] }
+        at = "(no repository line) " fn[nfn]
+        for (i = 1; i <= nfn; i++)               # innermost repository line
+            if (index(loc[i], repo) == 1) { at = substr(loc[i], length(repo) + 1) "  " fn[i]; break }
+        byline[at] += weight[addr]
     }
     FNR == NR {                                  # first file: the counts
         if ($2 == bin) weight["0x" $3] = $1
@@ -178,7 +197,7 @@ awk -v bin="$bin" -v total="$total" -v dsyms="$out/$workload.dsyms" '
         next
     }
     /^0x[0-9a-f]+$/ { flush(); addr = $0; sub(/^0x0*/, "0x", addr); nfn = 0; row = 0; next }
-    { if (row++ % 2 == 0) fn[++nfn] = $0 }
+    { if (row++ % 2 == 0) fn[++nfn] = $0; else loc[nfn] = $0 }
     END {
         flush()
         print "-- self time by physical function (shared objects in brackets) --"
@@ -188,5 +207,11 @@ awk -v bin="$bin" -v total="$total" -v dsyms="$out/$workload.dsyms" '
         print "-- inclusive time of every function on the inline chains (binary only) --"
         top = "sort -rn | head -40"
         for (f in incl) printf "%6.2f%%  %s\n", 100 * incl[f] / total, f | top
+        close(top)
+        if (!lines) exit
+        print "-- self time by innermost repository source line (binary only) --"
+        top = "sort -rn | head -60"
+        for (l in byline) printf "%6.2f%%  %s\n", 100 * byline[l] / total, l | top
+        close(top)
     }
 ' "$out/$workload.counts" "$out/$workload.frames"
