@@ -15,11 +15,13 @@
 //!   replaced.
 //! * External subscribers are gated at *compile time* by
 //!   [`Probe::ACTIVE`]. [`Sm::tick`] is generic over the probe, so the
-//!   launch path monomorphizes twice: the [`NullProbe`] instantiation
-//!   contains no instrumentation code at all (no detail closures, no
-//!   string formatting — the costs the pre-stage-graph pipeline paid even
-//!   with tracing off), while the instrumented instantiation forwards to
-//!   the composed subscribers chosen once per launch.
+//!   launch path monomorphizes per probe type: the [`NullProbe`]
+//!   instantiation contains no instrumentation code at all (no detail
+//!   closures, no string formatting — the costs the pre-stage-graph
+//!   pipeline paid even with tracing off), the lockstep checker's builds
+//!   no snapshot it does not read ([`Probe::TRACES`]), and the
+//!   instrumented instantiation forwards to the composed subscribers
+//!   chosen once per launch.
 //!
 //! [`SimStats`]: crate::stats::SimStats
 //! [`PipeTrace`]: crate::pipetrace::PipeTrace
