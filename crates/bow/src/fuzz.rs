@@ -43,7 +43,7 @@ use std::time::{Duration, Instant};
 
 use crate::experiment::{CompilePlan, Config, ConfigBuilder};
 use crate::sanitize_campaign::unvouched;
-use crate::suite::{effective_jobs, map_parallel};
+use crate::suite::{effective_jobs, map_parallel_grouped};
 use crate::verdict::{Check, Finding, Verdict};
 use bow_compiler::verify_hints;
 use bow_isa::fuzz::{self, FuzzKernel};
@@ -165,9 +165,11 @@ pub fn run_fuzz(opts: &FuzzOptions) -> FuzzReport {
     let total = (opts.cases as usize) * ncfg;
     let workers = effective_jobs(opts.jobs).min(total.max(1));
 
-    // One pool task per (case, config) cell, case-major. A case's program,
-    // input and host-model writes depend on the case alone: the first of
-    // its cells to run derives them for all.
+    // One pool task per (case, config) cell, case-major, and a case's
+    // cells one pool group: they run back to back on one thread and share
+    // one oracle run. A case's program, input and host-model writes depend
+    // on the case alone: the first of its cells to run derives them for
+    // all.
     let cases: Vec<OnceLock<(FuzzKernel, Vec<u32>, ExpectedWrites)>> =
         (0..opts.cases).map(|_| OnceLock::new()).collect();
     let run_cell = |cell: usize| -> (u64, Option<Finding>) {
@@ -212,8 +214,9 @@ pub fn run_fuzz(opts: &FuzzOptions) -> FuzzReport {
             }
         }
     };
-    let results = map_parallel(
+    let results = map_parallel_grouped(
         total,
+        ncfg,
         workers,
         &run_cell,
         |_, _: &(u64, Option<Finding>)| {},
@@ -308,13 +311,21 @@ pub(crate) fn judge_case(
     global: &GlobalMemory,
 ) -> Result<(), String> {
     result.oracle_verdict()?;
+    // Each run is gathered a warp's width at a time into one stack buffer,
+    // so the judgement allocates nothing.
+    const CHUNK: usize = 32;
+    let mut buf = [0u32; CHUNK];
     for (first, wants) in expected.runs() {
-        let got = global.read_vec_u32(first, wants.len());
-        if let Some(i) = (0..wants.len()).find(|&i| got[i] != wants[i]) {
-            let (addr, got, want) = (first + 4 * i as u64, got[i], wants[i]);
-            return Err(format!(
-                "host model: mem[{addr:#x}] = {got:#x}, expected {want:#x}"
-            ));
+        for (c, wants) in wants.chunks(CHUNK).enumerate() {
+            let base = first + 4 * (c * CHUNK) as u64;
+            let got = &mut buf[..wants.len()];
+            global.gather((0..wants.len()).map(|i| (i, base + 4 * i as u64)), got);
+            if let Some(i) = (0..wants.len()).find(|&i| got[i] != wants[i]) {
+                let (addr, got, want) = (base + 4 * i as u64, got[i], wants[i]);
+                return Err(format!(
+                    "host model: mem[{addr:#x}] = {got:#x}, expected {want:#x}"
+                ));
+            }
         }
     }
     Ok(())

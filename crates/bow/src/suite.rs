@@ -40,6 +40,8 @@ use std::time::{Duration, Instant};
 use crate::experiment::{prepare_kernel, run_prepared, CompilePlan, Config, RunRecord};
 use bow_compiler::CompilerReport;
 use bow_isa::Kernel;
+use bow_sim::oracle::share_runs;
+use bow_sim::OracleCheck;
 use bow_util::json::{DecodeError, Json};
 use bow_workloads::{by_name, suite as paper_suite, Benchmark, Scale};
 
@@ -135,10 +137,15 @@ impl Suite {
         let n_benches = benches.len();
         let total = n_benches * configs.len();
 
-        // Cell c = (config index, benchmark index), benchmark-major: a
-        // benchmark's configurations run back to back, so checked launches
-        // of one program on one input share an oracle run
-        // (`bow_sim::oracle::run_oracle_once`).
+        // Cell c = (config index, benchmark index), benchmark-major. When
+        // the oracle checks, a benchmark's cells are one pool group: they
+        // run back to back on one thread and share one oracle run per
+        // program (`bow_sim::oracle::share_runs`). An unchecked sweep
+        // hands out single cells, which balances uneven benchmarks better.
+        let checked = configs
+            .iter()
+            .any(|c| c.gpu.oracle_check != OracleCheck::Off);
+        let group = if checked { configs.len() } else { 1 };
         let cells: Vec<(usize, usize)> = (0..n_benches)
             .flat_map(|bi| (0..configs.len()).map(move |ci| (ci, bi)))
             .collect();
@@ -176,9 +183,10 @@ impl Suite {
             }
         };
 
-        let results = map_parallel(total, workers, &run_cell, |done, (rec, wall)| {
-            report(done, rec, *wall);
-        });
+        let results =
+            map_parallel_grouped(total, group, workers, &run_cell, |done, (rec, wall)| {
+                report(done, rec, *wall);
+            });
 
         let mut rows: Vec<ConfigRow> = configs
             .iter()
@@ -219,6 +227,27 @@ where
     F: Fn(usize) -> T + Sync,
     R: FnMut(usize, &T) + Send,
 {
+    map_parallel_grouped(total, 1, workers, run, report)
+}
+
+/// [`map_parallel`], with a thread claiming `group` consecutive indices
+/// at a time and running them back to back inside one
+/// [`share_runs`](bow_sim::oracle::share_runs) scope: tasks that launch
+/// one program under several designs, grouped, share one oracle run at
+/// any worker count, and the run is dropped when its group is done.
+pub(crate) fn map_parallel_grouped<T, F, R>(
+    total: usize,
+    group: usize,
+    workers: usize,
+    run: &F,
+    report: R,
+) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+    R: FnMut(usize, &T) + Send,
+{
+    assert!(group > 0, "a pool group holds at least one task");
     let next = AtomicUsize::new(0);
     let progress = Mutex::new((0usize, report));
     let work = || {
@@ -226,24 +255,31 @@ where
         loop {
             // Relaxed: the counter only hands out indices; results travel
             // back through the joins.
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= total {
+            let first = next.fetch_add(group, Ordering::Relaxed);
+            if first >= total {
                 return done;
             }
-            let r = run(i);
-            // The count is bumped before `report` runs, so a panicking
-            // report leaves the pair valid; recovering the guard lets
-            // that panic, not a poison error, reach the caller.
-            let mut guard = progress.lock().unwrap_or_else(PoisonError::into_inner);
-            let (count, report) = &mut *guard;
-            *count += 1;
-            report(*count, &r);
-            drop(guard);
-            done.push((i, r));
+            share_runs(|| {
+                for i in first..total.min(first + group) {
+                    let r = run(i);
+                    // The count is bumped before `report` runs, so a
+                    // panicking report leaves the pair valid; recovering
+                    // the guard lets that panic, not a poison error,
+                    // reach the caller.
+                    let mut guard = progress.lock().unwrap_or_else(PoisonError::into_inner);
+                    let (count, report) = &mut *guard;
+                    *count += 1;
+                    report(*count, &r);
+                    drop(guard);
+                    done.push((i, r));
+                }
+            });
         }
     };
     let mut results = std::thread::scope(|scope| {
-        let helpers: Vec<_> = (1..workers.min(total)).map(|_| scope.spawn(work)).collect();
+        let helpers: Vec<_> = (1..workers.min(total.div_ceil(group)))
+            .map(|_| scope.spawn(work))
+            .collect();
         let mut results = work();
         for helper in helpers {
             match helper.join() {
@@ -525,6 +561,37 @@ mod tests {
             });
             assert_eq!(out, serial, "{workers} workers");
             assert_eq!(completed.last(), Some(&0), "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn a_pool_group_runs_on_one_thread_in_index_order() {
+        for workers in POOL_WORKERS {
+            for (total, group) in [(12, 4), (10, 4), (3, 5), (0, 2)] {
+                let ran = Mutex::new(Vec::new());
+                let task = |i: usize| {
+                    let thread = std::thread::current().id();
+                    ran.lock().expect("no task panics").push((thread, i));
+                    i
+                };
+                let mut reports = 0;
+                let out = map_parallel_grouped(total, group, workers, &task, |_, _| reports += 1);
+                assert_eq!(out, (0..total).collect::<Vec<_>>(), "{workers} workers");
+                assert_eq!(reports, total);
+                let ran = ran.into_inner().expect("no task panics");
+                for first in (0..total).step_by(group) {
+                    let members: Vec<usize> = (first..total.min(first + group)).collect();
+                    let thread = ran.iter().find(|r| r.1 == first).expect("ran").0;
+                    let on_it: Vec<usize> =
+                        ran.iter().filter(|r| r.0 == thread).map(|r| r.1).collect();
+                    let at = on_it.iter().position(|&i| i == first).expect("ran");
+                    assert_eq!(
+                        on_it[at..at + members.len()],
+                        members[..],
+                        "{workers} workers, group at {first}"
+                    );
+                }
+            }
         }
     }
 

@@ -5,7 +5,7 @@
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: u32,
-    /// Line size in bytes (must divide the capacity).
+    /// Line size in bytes: a power of two that divides the capacity.
     pub line_bytes: u32,
     /// Associativity (ways per set).
     pub ways: u32,
@@ -60,9 +60,8 @@ struct Line {
 #[derive(Clone, Debug)]
 pub struct Cache {
     config: CacheConfig,
-    /// `log2(line_bytes)` when the line size is a power of two (every
-    /// configured cache): the line index is then a shift, not a division.
-    line_shift: Option<u32>,
+    /// `log2(line_bytes)`: the line index is a shift, not a division.
+    line_shift: u32,
     /// [`CacheConfig::sets`], computed once.
     sets: u64,
     lines: Vec<Line>,
@@ -81,14 +80,20 @@ impl Line {
 
 impl Cache {
     /// Creates an empty (all-invalid) cache with the given geometry.
+    ///
+    /// # Panics
+    ///
+    /// If `config.line_bytes` is not a power of two.
     pub fn new(config: CacheConfig) -> Cache {
+        assert!(
+            config.line_bytes.is_power_of_two(),
+            "cache line size {} is not a power of two",
+            config.line_bytes
+        );
         let n = (config.sets() * config.ways) as usize;
         Cache {
             config,
-            line_shift: config
-                .line_bytes
-                .is_power_of_two()
-                .then(|| config.line_bytes.trailing_zeros()),
+            line_shift: config.line_bytes.trailing_zeros(),
             sets: u64::from(config.sets()),
             lines: vec![Line::INVALID; n],
             tick: 0,
@@ -119,10 +124,7 @@ impl Cache {
     /// line and one division by the set count, which is no power of two
     /// in the default geometries (96 L1 sets, 54 in an L2 slice).
     fn set_range(&self, addr: u64) -> (std::ops::Range<usize>, u64) {
-        let line = match self.line_shift {
-            Some(shift) => addr >> shift,
-            None => addr / u64::from(self.config.line_bytes),
-        };
+        let line = addr >> self.line_shift;
         let set = (line % self.sets) as usize;
         let tag = line / self.sets;
         let ways = self.config.ways as usize;
@@ -331,8 +333,6 @@ mod tests {
             geometry(438 * 128 * 8, 128, 8),
             geometry(64 * 1024, 128, 4),
             geometry(128, 128, 1),
-            // A line size that is no power of two takes the division.
-            geometry(96 * 7 * 2, 96, 2),
         ] {
             let cache = Cache::new(config);
             let ways = config.ways as usize;

@@ -159,8 +159,9 @@ impl Gpu {
     /// Launches `kernel` with `probe` subscribed to the whole device's
     /// event stream, beside the always-on statistics and every subscriber
     /// the config enables. Under an [`OracleCheck`] the oracle first runs
-    /// over a snapshot of device memory (or the run of an identical
-    /// previous launch on this thread is reused), and
+    /// over a snapshot of device memory (inside
+    /// [`oracle::share_runs`](crate::oracle::share_runs), the run of an
+    /// identical previous launch on this thread is reused), and
     /// [`LaunchResult::oracle`] reports the first disagreement.
     ///
     /// # Panics

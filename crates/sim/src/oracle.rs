@@ -29,17 +29,19 @@
 //! and `seq` counts a warp's instructions from 0 — so the log is a table
 //! indexed by them, not a map.
 //!
-//! A checked launch takes its run from `run_oracle_once`, a one-entry,
-//! per-thread memo: the designs of one program on one input (a sweep runs
-//! them back to back) share one interpretation. The memo's key holds by
-//! value everything the oracle reads, compared exactly.
+//! Inside [`share_runs`], a checked launch takes its run from
+//! `run_oracle_once`, a one-entry, per-thread memo: the designs of one
+//! program on one input (a sweep runs them back to back in one scope)
+//! share one interpretation. The memo's key holds by value everything the
+//! oracle reads, compared exactly, and the entry lives no longer than the
+//! scope.
 
 use crate::exec::{self, BlockInfo, ExecCtx};
 use crate::probe::{PipeEvent, Probe};
 use crate::warp::Warp;
 use bow_isa::{Instruction, Kernel, KernelDims, Pred, Reg, WARP_SIZE};
 use bow_mem::{GlobalMemory, SharedMemory};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 /// Mask selecting the schedule-independent low bits of a warp uid.
@@ -375,15 +377,38 @@ fn executes_alike(a: &Instruction, b: &Instruction) -> bool {
 }
 
 thread_local! {
-    /// The last run [`run_oracle_once`] computed on this thread, with its
-    /// key.
+    /// How many [`share_runs`] scopes are open on this thread.
+    static SCOPES: Cell<u32> = const { Cell::new(0) };
+    /// Inside a scope, the last run [`run_oracle_once`] computed on this
+    /// thread, with its key.
     static LAST_RUN: RefCell<Option<(RunKey, Rc<OracleRun>)>> = const { RefCell::new(None) };
 }
 
-/// [`run_oracle`] over a copy of `global`, through a one-entry memo per
-/// thread: a call whose inputs match the previous call's returns that
-/// call's run. Debug builds recompute every hit and assert it is the same
-/// run.
+/// Runs `f` with oracle runs shared on this thread: in `f`, a checked
+/// launch whose inputs match the previous checked launch's takes that
+/// launch's oracle run instead of interpreting the kernel again. The
+/// shared run is dropped when the outermost scope returns or unwinds;
+/// outside every scope each checked launch runs the oracle afresh.
+pub fn share_runs<T>(f: impl FnOnce() -> T) -> T {
+    struct Scope;
+    impl Drop for Scope {
+        fn drop(&mut self) {
+            let open = SCOPES.get() - 1;
+            SCOPES.set(open);
+            if open == 0 {
+                LAST_RUN.take();
+            }
+        }
+    }
+    SCOPES.set(SCOPES.get() + 1);
+    let _scope = Scope;
+    f()
+}
+
+/// [`run_oracle`] over a copy of `global`; inside [`share_runs`], through
+/// a one-entry memo per thread: a call whose inputs match the previous
+/// call's returns that call's run. Debug builds recompute every hit and
+/// assert it is the same run.
 pub(crate) fn run_oracle_once(
     kernel: &Kernel,
     dims: KernelDims,
@@ -391,6 +416,9 @@ pub(crate) fn run_oracle_once(
     global: &GlobalMemory,
     record: bool,
 ) -> Rc<OracleRun> {
+    if SCOPES.get() == 0 {
+        return Rc::new(run_oracle(kernel, dims, params, global.clone(), record));
+    }
     LAST_RUN.with(|last| {
         let mut last = last.borrow_mut();
         if let Some((key, run)) = last.as_ref() {
@@ -960,6 +988,10 @@ mod tests {
 
     #[test]
     fn launches_differing_in_hints_control_bits_or_name_share_one_run() {
+        share_runs(hints_control_bits_and_name_share_one_run);
+    }
+
+    fn hints_control_bits_and_name_share_one_run() {
         let base = Launch::base();
         let first = base.run();
         let mut other = base.clone();
@@ -979,6 +1011,10 @@ mod tests {
 
     #[test]
     fn any_input_the_oracle_reads_recomputes() {
+        share_runs(every_read_input_recomputes);
+    }
+
+    fn every_read_input_recomputes() {
         let base = Launch::base();
         let bra = base.kernel.insts.iter().position(|i| i.op == Opcode::Bra);
         let bra = bra.expect("a branch");
@@ -1015,6 +1051,32 @@ mod tests {
             // The memo now holds the changed launch: the base recomputes.
             assert!(!Rc::ptr_eq(&first, &base.run()), "{what}");
         }
+    }
+
+    #[test]
+    fn runs_are_shared_only_inside_a_scope() {
+        let base = Launch::base();
+        let held = || LAST_RUN.with(|last| last.borrow().is_some());
+        assert!(!Rc::ptr_eq(&base.run(), &base.run()), "outside a scope");
+        assert!(!held());
+        let first = share_runs(|| {
+            let first = base.run();
+            // A nested scope shares the outer one's run and keeps it.
+            share_runs(|| assert!(Rc::ptr_eq(&first, &base.run())));
+            assert!(Rc::ptr_eq(&first, &base.run()), "the inner scope kept it");
+            first
+        });
+        assert!(!held(), "the run outlived its scope");
+        assert_eq!(Rc::strong_count(&first), 1);
+        let unwound = std::panic::catch_unwind(|| {
+            share_runs(|| {
+                base.run();
+                panic!("a failing cell");
+            })
+        });
+        assert!(unwound.is_err());
+        assert!(!held(), "the run outlived an unwound scope");
+        assert_eq!(SCOPES.get(), 0);
     }
 
     #[test]
