@@ -24,10 +24,8 @@
 //! or bool, and per-kernel seeds are derived by position, never by wall
 //! clock or thread timing.
 
-use std::sync::OnceLock;
-
+use crate::campaign::Program;
 use crate::experiment::{Config, ConfigBuilder, GpuModel};
-use crate::fuzz::{judge_case, launch_case, ExpectedWrites};
 use crate::suite::{effective_jobs, map_parallel, Suite, SweepResult};
 use bow_compiler::{
     annotate_with, characterize, characterize_with, ctrl_bits, lint_kernel, lint_with, Analysis,
@@ -35,11 +33,11 @@ use bow_compiler::{
 };
 use bow_isa::fuzz::{FuzzKernel, GenParams};
 use bow_isa::{encode_kernel, Kernel};
-use bow_sim::{CoreModelKind, DivergenceModel, Gpu, OracleCheck};
+use bow_sim::{CoreModelKind, DivergenceModel, OracleCheck};
 use bow_util::hash::sha256_hex;
 use bow_util::json::{DecodeError, Json};
 use bow_util::XorShift;
-use bow_workloads::{Benchmark, RunOutcome};
+use bow_workloads::Benchmark;
 
 pub mod adversarial;
 
@@ -57,6 +55,12 @@ const SEED_MIX: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// Hint window every corpus kernel is annotated and linted at.
 pub(crate) const WINDOW: u32 = 3;
+
+/// Cycle watchdog of an adversarial kernel's judged launch: two of the
+/// planted hazards stall the barrier by construction, and the kernels are
+/// a dozen instructions long, so a fraction of a generated program's
+/// budget bounds the hang without risking a false timeout.
+const ADV_MAX_CYCLES: u64 = 200_000;
 
 /// One generation stratum: a named point in the generator's parameter
 /// space plus the statement budget drawn at.
@@ -592,77 +596,29 @@ fn generate_on(seed: u64, count: usize, workers: usize) -> Manifest {
     }
 }
 
-/// Re-materializes the kernel of a manifest entry. Generated kernels are
-/// regrown from their seed; adversarial kernels come from their fixed
-/// builders.
-///
-/// Returns `None` for an unknown stratum or adversarial name (a manifest
-/// from a different corpus version).
+/// Re-materializes the kernel of a manifest entry, regrown from its seed
+/// or built from its adversarial table row; `None` for an unknown stratum or
+/// adversarial name (a manifest from a different corpus version).
 pub fn kernel_for(entry: &ManifestEntry) -> Option<Kernel> {
-    if entry.stratum == adversarial::STRATUM {
-        return adversarial::all()
-            .into_iter()
-            .find(|a| a.name == entry.name)
-            .map(|a| (a.build)());
-    }
-    Some(program_for(entry)?.build_pruned(&entry.name))
+    Some(program(entry)?.kernel())
 }
 
-/// Re-materializes the structured program of a generated entry (needed
-/// for the host-model check). `None` for adversarial entries, whose
-/// stratum no generator draws.
-fn program_for(entry: &ManifestEntry) -> Option<FuzzKernel> {
+/// A manifest entry as a campaign program (the corpus sweep's and the
+/// sanitizer campaign's population): a generated entry regrown from its
+/// seed, scrubbed and built pruned, on an input drawn from the same seed,
+/// or an adversarial kernel with no input and a shorter watchdog.
+pub(crate) fn program(entry: &ManifestEntry) -> Option<Program> {
+    let name = entry.name.clone();
+    if entry.stratum == adversarial::STRATUM {
+        let adv = adversarial::all().into_iter().find(|a| a.name == name)?;
+        return Some(Program::fixed(name, (adv.build)(), ADV_MAX_CYCLES));
+    }
     let def = strata().into_iter().find(|d| d.name == entry.stratum)?;
     let mut rng = XorShift::new(entry.seed);
-    Some(FuzzKernel::generate_with(&mut rng, entry.budget as usize, &def.params).scrub())
-}
-
-/// The per-kernel launch input, derived from the entry seed.
-pub(crate) fn input_for(entry: &ManifestEntry) -> Vec<u32> {
-    let mut rng = XorShift::new(entry.seed ^ SEED_MIX);
-    FuzzKernel::gen_input(&mut rng)
-}
-
-/// A corpus kernel as a [`Benchmark`], so the standard suite pool,
-/// prepared-kernel cache and progress machinery drive the sweep.
-///
-/// `name()` returns `&'static str` by contract, so the deterministic
-/// kernel name is leaked once per materialization — bounded by corpus
-/// size and only in sweep-running processes.
-struct CorpusBench {
-    name: &'static str,
-    program: FuzzKernel,
-    input: Vec<u32>,
-    /// The program's host-model writes on `input`: derived at the first
-    /// run and shared by every design cell after it.
-    expected: OnceLock<ExpectedWrites>,
-}
-
-impl Benchmark for CorpusBench {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn suite(&self) -> &'static str {
-        "corpus"
-    }
-
-    fn description(&self) -> &'static str {
-        "stratified corpus kernel"
-    }
-
-    fn kernel(&self) -> Kernel {
-        self.program.build_pruned(self.name)
-    }
-
-    fn run_with(&self, gpu: &mut Gpu, kernel: &Kernel) -> RunOutcome {
-        let result = launch_case(gpu, kernel, &self.input);
-        let expected = self
-            .expected
-            .get_or_init(|| ExpectedWrites::of(&self.program, &self.input));
-        let checked = judge_case(expected, &result, gpu.global());
-        RunOutcome { result, checked }
-    }
+    let budget = entry.budget as usize;
+    let program = FuzzKernel::generate_with(&mut rng, budget, &def.params).scrub();
+    let input = FuzzKernel::gen_input(&mut XorShift::new(entry.seed ^ SEED_MIX));
+    Some(Program::generated(name, program, true, input))
 }
 
 /// Selects the sweepable slice of a manifest: retained, generated
@@ -704,19 +660,13 @@ pub fn select(manifest: &Manifest, limit: usize) -> Vec<&ManifestEntry> {
     picked
 }
 
-/// Materializes [`select`]'s slice as [`Benchmark`]s for the suite pool.
+/// Materializes [`select`]'s slice as [`Benchmark`]s for the suite pool:
+/// each a campaign program, judged by the oracle and then its host model.
 pub fn benches(manifest: &Manifest, limit: usize) -> Vec<Box<dyn Benchmark>> {
+    let bench = |p: Program| Box::new(p) as Box<dyn Benchmark>;
     select(manifest, limit)
         .into_iter()
-        .filter_map(|e| {
-            let program = program_for(e)?;
-            Some(Box::new(CorpusBench {
-                name: Box::leak(e.name.clone().into_boxed_str()),
-                input: input_for(e),
-                program,
-                expected: OnceLock::new(),
-            }) as Box<dyn Benchmark>)
-        })
+        .filter_map(|e| program(e).map(bench))
         .collect()
 }
 

@@ -331,8 +331,9 @@ mod tests {
 
     #[test]
     fn a_predicate_war_is_held_until_the_reader_dispatches() {
+        use crate::campaign::launch_case;
         use crate::experiment::CompilePlan;
-        use crate::fuzz::{fuzz_configs_for, launch_case};
+        use crate::fuzz::fuzz_configs_for;
         use bow_sim::{CoreModelKind, DivergenceModel, Gpu, OracleCheck};
         let input: Vec<u32> = (0..128u32)
             .map(|i| i.wrapping_mul(0x9e37_79b9) ^ 0x5bd1_e995)

@@ -28,6 +28,7 @@
 //! ```
 
 pub mod api;
+mod campaign;
 pub mod corpus;
 pub mod error;
 pub mod experiment;

@@ -1,63 +1,59 @@
 //! The mutation sanitizer: does the static hint verifier catch *every*
 //! unsound write-back hint that actually loses a value?
 //!
-//! [`run_mutation`] generates the same deterministic kernel corpus as the
-//! fuzzer ([`crate::fuzz`]), annotates each kernel with the §IV-B hint
-//! pass, and then flips sound hints to `BocOnly` one static write at a
-//! time — the exact corruption an incorrect hint producer would commit.
-//! Every mutant is judged twice, by two independent layers:
+//! [`run_mutation`] takes the fuzzer's cases ([`crate::fuzz`]), annotates
+//! each with the §IV-B hint pass, and flips sound hints to `BocOnly` one
+//! static write at a time — the exact corruption an incorrect hint
+//! producer would commit. Every mutant is judged by two independent
+//! layers:
 //!
-//! * **Ground truth** — the mutant's *dynamic* per-warp instruction
-//!   streams (extracted from the [`bow_sim::oracle`] write log, which is
-//!   hint-independent) replay through [`ArchWindow`], the architectural
-//!   operand window the race sanitizer and Fig. 3 share: reads re-touch
-//!   entries, entries evict at `window` instructions since last touch, a
-//!   dirty `BocOnly` eviction drops the value, an `RfOnly` write-back
-//!   invalidates a superseded buffered copy, and a guarded rewrite does
-//!   not revive a dropped value on the lanes it leaves alone. A read that
-//!   observes a register-file generation older than the architectural
-//!   one is a *stale read*: the mutant is ground-truth unsound.
+//! * **Ground truth** — the unmutated kernel's *dynamic* per-warp streams
+//!   (from the [`bow_sim::oracle`] write log, which does not depend on
+//!   hints) replay through [`ArchWindow`], the architectural operand
+//!   window the race sanitizer and Fig. 3 share. A read that observes a
+//!   register-file generation older than the architectural one is a
+//!   *stale read*: the mutant is ground-truth unsound.
 //! * **The accused** — [`bow_compiler::verify_hints`], the path-sensitive
 //!   static verifier under audit.
 //!
-//! The sanitizer's contract is the verifier's conservativeness theorem:
-//! every ground-truth-unsound mutant must be statically flagged. A missed
-//! mutant is a verifier bug and a [`Finding`] of the run's [`Verdict`].
-//! The reverse direction is reported but not enforced — the verifier is
-//! deliberately conservative (lane-mask-blind outside serialized
-//! diamonds, guarded redefinitions are only may-kills, dynamic rescues
-//! ignored), so statically-flagged but dynamically-clean mutants are
-//! counted as `overcautious`.
+//! The contract is the verifier's conservativeness theorem: every
+//! ground-truth-unsound mutant must be statically flagged, or it is a
+//! verifier bug and a [`Finding`] of the run's [`Verdict`]. The reverse
+//! is reported, not enforced: the verifier is deliberately conservative
+//! (lane-mask-blind outside serialized diamonds, guarded redefinitions
+//! are only may-kills), so flagged but dynamically clean mutants count as
+//! `overcautious`.
 //!
-//! Every ground-truth-unsound mutant is also launched once on the bow-wr
-//! pipeline with the race sanitizer attached, and must draw a
-//! `hint-violation` finding. The sanitizer replays the stream the
-//! pipeline dispatched, not the oracle's log, through the same
-//! [`ArchWindow`], so the confirmation checks that the cycle-level
-//! pipeline executes the dynamic stream the ground truth judged. A mutant
-//! it does not confirm is a finding too, as is an unmutated annotation
-//! that is not clean and a session below its mutant floors.
+//! Every unsound mutant must also draw a `hint-violation` from one
+//! sanitized bow-wr launch (the campaign module's judged launch), whose
+//! replay of the dispatched stream through the same [`ArchWindow`] checks
+//! that the pipeline executes the stream the ground truth judged. An
+//! unconfirmed mutant is a finding too, as is an unmutated annotation
+//! that is not clean and a session below its mutant floors. The
+//! per-mutant loop stays here, not in the campaign's cells: every mutant
+//! of a case is judged against one oracle stream.
 
 use std::time::{Duration, Instant};
 
-use crate::experiment::{CompilePlan, ConfigBuilder};
-use crate::fuzz::{case_seed, launch_case, FUZZ_MAX_CYCLES};
-use crate::suite::{effective_jobs, map_parallel};
+use crate::campaign::{map_programs, Program};
+use crate::experiment::{Config, ConfigBuilder};
+use crate::fuzz::case_program;
 use crate::verdict::{Check, Finding, Verdict};
 use bow_compiler::verify_hints;
 use bow_isa::fuzz::{self, FuzzKernel};
 use bow_isa::{Kernel, WritebackHint};
+use bow_mem::GlobalMemory;
 use bow_sim::oracle::run_oracle;
-use bow_sim::{ArchWindow, CoreModelKind, DivergenceModel, Gpu, SanitizerFinding};
+use bow_sim::{ArchWindow, DivergenceModel, SanitizerFinding};
 use bow_util::json::Json;
-use bow_util::XorShift;
 
 /// Options for one sanitizer session.
 #[derive(Clone, Debug)]
 pub struct MutateOptions {
     /// Number of generated corpus kernels.
     pub cases: u64,
-    /// Master seed (shares [`case_seed`] derivation with the fuzzer).
+    /// Master seed (shares [`case_seed`](crate::fuzz::case_seed)
+    /// derivation with the fuzzer).
     pub seed: u64,
     /// Worker threads (`0` = all cores).
     pub jobs: usize,
@@ -70,9 +66,8 @@ pub struct MutateOptions {
     /// …and so is one with fewer ground-truth-unsound mutants than this.
     pub min_unsound: u64,
     /// Reconvergence machinery the campaign runs under. `Barrier` lowers
-    /// every annotated kernel (and so every mutant) to convergence
-    /// barriers, auditing the verifier's barrier-form serialization model
-    /// with the same replay and sanitizer confirmation.
+    /// every annotated kernel, and so every mutant, to convergence
+    /// barriers.
     pub divergence: DivergenceModel,
 }
 
@@ -102,8 +97,8 @@ impl MutateOptions {
     }
 }
 
-/// The outcome of a sanitizer session.
-#[derive(Clone, Debug)]
+/// The outcome of a sanitizer session (or, folded into it, of one case).
+#[derive(Clone, Debug, Default)]
 pub struct MutationReport {
     /// Corpus kernels generated.
     pub cases: u64,
@@ -188,46 +183,35 @@ fn replay_kernel(kernel: &Kernel, streams: &[WarpStream], window: u32) -> u64 {
     stale
 }
 
-/// Per-case tallies folded into the session report.
-#[derive(Clone, Debug, Default)]
-struct CaseOutcome {
-    mutants_total: u64,
-    mutants_unsound: u64,
-    caught: u64,
-    missed: u64,
-    overcautious: u64,
-    benign: u64,
-    sanitizer_confirmed: u64,
-    findings: Vec<Finding>,
+/// The design a session annotates, mutates and confirms under: BOW-WR
+/// at the session window on the session's divergence model, with the
+/// race sanitizer attached (the compile plan and the label ignore it).
+fn design(opts: &MutateOptions) -> Config {
+    ConfigBuilder::bow_wr(opts.window)
+        .divergence(opts.divergence)
+        .sanitize(true)
+        .build()
 }
 
 /// Runs a sanitizer session. Deterministic for a given `(seed, cases,
 /// size, window)` at any worker count.
 pub fn run_mutation(opts: &MutateOptions) -> MutationReport {
     let start = Instant::now();
-    let total = opts.cases as usize;
-    let workers = effective_jobs(opts.jobs).min(total.max(1));
-    let design = ConfigBuilder::bow_wr(opts.window)
-        .divergence(opts.divergence)
-        .build()
-        .label;
-    let run_case = |case_idx: usize| run_one_case(opts, case_idx as u64, &design);
-    let results = map_parallel(total, workers, &run_case, |_, _: &CaseOutcome| {});
+    let design = design(opts);
+    let case = |case: usize| case_program("mutate_case", opts.seed, case as u64, opts.size);
+    let outcomes = map_programs(
+        opts.cases as usize,
+        opts.jobs,
+        |c| Some(case(c)),
+        |_, program| mutate_case(program, &design, opts.window),
+    );
 
     let mut report = MutationReport {
         cases: opts.cases,
         window: opts.window,
-        mutants_total: 0,
-        mutants_unsound: 0,
-        caught: 0,
-        missed: 0,
-        overcautious: 0,
-        benign: 0,
-        sanitizer_confirmed: 0,
-        verdict: Verdict::default(),
-        wall: Duration::default(),
+        ..MutationReport::default()
     };
-    for o in results {
+    for o in outcomes.into_iter().flatten() {
         report.mutants_total += o.mutants_total;
         report.mutants_unsound += o.mutants_unsound;
         report.caught += o.caught;
@@ -235,7 +219,7 @@ pub fn run_mutation(opts: &MutateOptions) -> MutationReport {
         report.overcautious += o.overcautious;
         report.benign += o.benign;
         report.sanitizer_confirmed += o.sanitizer_confirmed;
-        report.verdict.findings.extend(o.findings);
+        report.verdict.findings.extend(o.verdict.findings);
     }
     let kernels = format!("{} kernels", opts.cases);
     for (what, got, floor) in [
@@ -248,7 +232,7 @@ pub fn run_mutation(opts: &MutateOptions) -> MutationReport {
     ] {
         if got < floor {
             let detail = format!("mutation: {got} {what}, below the floor of {floor}");
-            let finding = Finding::new(Check::Mutation, &kernels, &design, detail);
+            let finding = Finding::new(Check::Mutation, &kernels, &design.label, detail);
             report.verdict.findings.push(finding);
         }
     }
@@ -256,46 +240,28 @@ pub fn run_mutation(opts: &MutateOptions) -> MutationReport {
     report
 }
 
-/// Corpus case `case`, annotated at the campaign window, with its input.
-/// Under the barrier model the pipeline executes the lowered form, so that
-/// is what gets mutated and verified. `None` when the compile plan
-/// refuses the kernel.
-fn annotated_case(opts: &MutateOptions, case: u64) -> Option<(Kernel, Vec<u32>)> {
-    let mut rng = XorShift::new(case_seed(opts.seed, case));
-    let program = FuzzKernel::generate_sized(&mut rng, opts.size);
-    let input = FuzzKernel::gen_input(&mut rng);
-    let plan = CompilePlan {
-        reorder: false,
-        hints: Some(opts.window),
-        verify: false,
-        divergence: opts.divergence,
-        core_model: CoreModelKind::Pascal,
-    };
-    let (annotated, _) = plan
-        .apply(program.build(&format!("mutate_case_{case}")))
-        .ok()?;
-    Some((annotated, input))
-}
-
-/// Corpus case `case` as the mutants' starting point: annotated, with
-/// its input and the oracle's per-warp streams. The unmutated annotation
-/// must compile, be statically sound, complete on the oracle and replay
-/// without a stale read; `Err` says which it does not — a generator or
-/// compiler bug.
+/// A corpus case's annotated kernel under `design` as the mutants'
+/// starting point, with the oracle's per-warp streams. Under the barrier
+/// model the pipeline executes the lowered form, so that is what gets
+/// mutated and verified. The unmutated annotation must compile, be
+/// statically sound, complete on the oracle and replay without a stale
+/// read; `Err` says which it does not — a generator or compiler bug.
 fn unmutated(
-    opts: &MutateOptions,
-    case: u64,
-) -> Result<(Kernel, Vec<u32>, Vec<WarpStream>), String> {
-    let (annotated, input) =
-        annotated_case(opts, case).ok_or("the compile plan refuses the unmutated kernel")?;
-    if !verify_hints(&annotated, opts.window as usize).is_sound() {
+    program: &Program,
+    design: &Config,
+    window: u32,
+) -> Result<(Kernel, Vec<WarpStream>), String> {
+    let annotated = program
+        .kernel_under(design)
+        .map_err(|_| "the compile plan refuses the unmutated kernel")?;
+    if !verify_hints(&annotated, window as usize).is_sound() {
         return Err("the verifier rejects the unmutated annotation".into());
     }
 
     // One oracle run per case: the write log is hint-independent, so the
     // same dynamic streams ground-truth every mutant of this kernel.
-    let mut global = bow_mem::GlobalMemory::new();
-    global.write_slice_u32(u64::from(fuzz::INPUT_BASE), &input);
+    let mut global = GlobalMemory::new();
+    global.write_slice_u32(u64::from(fuzz::INPUT_BASE), &program.input);
     let oracle = run_oracle(&annotated, FuzzKernel::dims(), &fuzz::PARAMS, global, true);
     if !oracle.completed {
         // Runaway corpus kernel: nothing to ground-truth against.
@@ -307,32 +273,41 @@ fn unmutated(
             row.map(|(seq, rec)| (seq, rec.pc, rec.mask)).collect()
         })
         .collect();
-    match replay_kernel(&annotated, &streams, opts.window) {
-        0 => Ok((annotated, input, streams)),
+    match replay_kernel(&annotated, &streams, window) {
+        0 => Ok((annotated, streams)),
         stale => Err(format!("{stale} stale read(s) in the unmutated annotation")),
     }
 }
 
-fn run_one_case(opts: &MutateOptions, case: u64, design: &str) -> CaseOutcome {
-    let mut out = CaseOutcome::default();
-    let kernel = format!("mutate_case_{case}");
+/// Whether one sanitized launch of `mutant` on `program`'s input under
+/// `design` reports a hint violation.
+fn confirms(program: &Program, mutant: &Kernel, design: &Config) -> bool {
+    let report = program.judge(mutant, design, &[]).sanitizer;
+    let report = report.expect("the design attaches the sanitizer");
+    report
+        .findings
+        .iter()
+        .any(|f| matches!(f, SanitizerFinding::HintViolation { .. }))
+}
+
+/// The mutant loop over one case: every sound RF-bound hint of its
+/// annotation flipped to `BocOnly`, one at a time, each judged by the
+/// replayed ground truth, the verifier and, when unsound, one sanitized
+/// launch.
+fn mutate_case(program: &Program, design: &Config, window: u32) -> MutationReport {
+    let mut out = MutationReport::default();
     let finding = |detail: String| {
-        Finding::new(
-            Check::Mutation,
-            &kernel,
-            design,
-            format!("mutation: {detail}"),
-        )
+        let detail = format!("mutation: {detail}");
+        Finding::new(Check::Mutation, &program.name, &design.label, detail)
     };
-    let (annotated, input, streams) = match unmutated(opts, case) {
+    let (annotated, streams) = match unmutated(program, design, window) {
         Ok(start) => start,
         Err(why) => {
-            out.findings.push(finding(why));
+            out.verdict.findings.push(finding(why));
             return out;
         }
     };
 
-    // Flip every sound RF-bound hint to BocOnly, one at a time.
     for pc in 0..annotated.insts.len() {
         let inst = &annotated.insts[pc];
         let Some(reg) = inst.dst_reg() else { continue };
@@ -344,14 +319,14 @@ fn run_one_case(opts: &MutateOptions, case: u64, design: &str) -> CaseOutcome {
         mutant.insts[pc].hint = WritebackHint::BocOnly;
         out.mutants_total += 1;
 
-        let stale_reads = replay_kernel(&mutant, &streams, opts.window);
-        let flagged = !verify_hints(&mutant, opts.window as usize).is_sound();
+        let stale_reads = replay_kernel(&mutant, &streams, window);
+        let flagged = !verify_hints(&mutant, window as usize).is_sound();
         if stale_reads > 0 {
             out.mutants_unsound += 1;
-            if sanitizer_confirms(&mutant, &input, opts.window) {
+            if confirms(program, &mutant, design) {
                 out.sanitizer_confirmed += 1;
             } else {
-                out.findings.push(finding(format!(
+                out.verdict.findings.push(finding(format!(
                     "{mutant_of} loses a value ({stale_reads} stale read(s)) but the \
                      sanitized launch reports no hint violation"
                 )));
@@ -361,7 +336,7 @@ fn run_one_case(opts: &MutateOptions, case: u64, design: &str) -> CaseOutcome {
             (true, true) => out.caught += 1,
             (true, false) => {
                 out.missed += 1;
-                out.findings.push(finding(format!(
+                out.verdict.findings.push(finding(format!(
                     "{mutant_of} loses a value ({stale_reads} stale read(s)) but the \
                      verifier accepts it"
                 )));
@@ -371,19 +346,6 @@ fn run_one_case(opts: &MutateOptions, case: u64, design: &str) -> CaseOutcome {
         }
     }
     out
-}
-
-/// Launches `mutant` once on the bow-wr pipeline with the race sanitizer
-/// attached; true when its hint replay reports a hint violation.
-fn sanitizer_confirms(mutant: &Kernel, input: &[u32], window: u32) -> bool {
-    let mut gpu_cfg = ConfigBuilder::bow_wr(window).sanitize(true).build().gpu;
-    gpu_cfg.max_cycles = FUZZ_MAX_CYCLES;
-    let result = launch_case(&mut Gpu::new(gpu_cfg), mutant, input);
-    let report = result.sanitizer.expect("sanitize flag attaches the probe");
-    report
-        .findings
-        .iter()
-        .any(|f| matches!(f, SanitizerFinding::HintViolation { .. }))
 }
 
 #[cfg(test)]
@@ -416,6 +378,20 @@ mod tests {
     }
 
     #[test]
+    fn a_smoke_session_tallies_the_same_at_any_worker_count() {
+        let session = |jobs| {
+            let report = run_mutation(&MutateOptions {
+                jobs,
+                ..MutateOptions::smoke()
+            });
+            let summary = report.summary();
+            // The summary up to its wall time.
+            summary[..summary.rfind(';').unwrap()].to_string()
+        };
+        assert_eq!(session(1), session(2));
+    }
+
+    #[test]
     fn sanitizer_confirms_a_value_dropped_behind_an_all_false_guard() {
         // Full campaign, case 18: `@p3 isub r12, r12, r9` (pc 53) runs with
         // p3 false on every lane. It still takes its window slot, so its
@@ -424,11 +400,12 @@ mod tests {
         // register file's older copy. The ground truth replays that slot;
         // the sanitizer used to skip it.
         let opts = MutateOptions::full();
-        let (annotated, input) = annotated_case(&opts, 18).expect("case 18 compiles");
-        let mut mutant = annotated;
+        let design = design(&opts);
+        let program = case_program("mutate_case", opts.seed, 18, opts.size);
+        let mut mutant = program.kernel_under(&design).expect("case 18 compiles");
         assert!(mutant.insts[53].guard.is_some(), "{}", mutant.insts[53]);
         mutant.insts[53].hint = WritebackHint::BocOnly;
-        assert!(sanitizer_confirms(&mutant, &input, opts.window));
+        assert!(confirms(&program, &mutant, &design));
     }
 
     #[test]

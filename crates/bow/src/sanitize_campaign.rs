@@ -1,52 +1,31 @@
 //! The cross-validation campaign: does the static race suite cover
 //! *every* hazard the dynamic sanitizer observes?
 //!
-//! [`run_campaign`] materializes the stratified corpus
-//! ([`crate::corpus::generate`]) plus the full adversarial stratum, and
-//! judges every kernel twice:
-//!
-//! * **Static** — the as-authored `B001..B016` lint report
-//!   ([`bow_compiler::lint_kernel`]), including the barrier-interval
-//!   race pass (`B015` definite race, `B003` residual candidate, `B016`
-//!   never-initialized shared read).
-//! * **Dynamic** — a sanitized launch ([`GpuConfig::sanitize`]) on
-//!   **both** SM core models, folding the instrumented event stream into
-//!   a [`SanitizerReport`].
-//!
-//! The campaign's contract is the static suite's conservativeness
-//! theorem, mirrored from the hint sanitizer ([`crate::mutate`]): every
-//! dynamic finding must carry a static flag — a sanitizer finding whose
-//! kind maps to no raised code is a static-analysis false negative and a
-//! [`Finding`] of the run's [`Verdict`] ([`unvouched`], the rule the
-//! fuzzer applies too). The reverse direction is measured, not enforced: the
-//! static race codes are deliberately conservative (one input, one
-//! schedule per launch), so the fraction of raised `B003`/`B015`/`B016`
-//! flags the sanitizer confirms is reported as *precision*.
-//!
-//! The adversarial stratum is additionally held to its machine-readable
-//! expectation table ([`adversarial::Adversarial::expect_dynamic`]):
-//! every planted hazard must be dynamically confirmed with the kinds the
-//! table names, on both cores, or the miss is a finding too.
-//!
-//! [`GpuConfig::sanitize`]: bow_sim::GpuConfig
+//! [`run_campaign`] judges the stratified corpus
+//! ([`crate::corpus::generate`]) plus the adversarial stratum, each kernel
+//! as authored (no hint pass, no control-bit emitter), twice: by its
+//! static `B001..B016` lint report ([`bow_compiler::lint_kernel`]) and by
+//! one sanitized launch on each SM core model, the campaign module's
+//! judged launch. A dynamic finding whose kind maps to no raised code
+//! ([`unvouched`], the rule the fuzzer applies too) is a static-analysis
+//! false negative and a [`Finding`] of the run's [`Verdict`]; so is a
+//! planted hazard the sanitizer misses
+//! ([`adversarial::Adversarial::expect_dynamic`]). The reverse direction
+//! is measured, not enforced: the race codes (`B015` definite race, `B003`
+//! residual candidate, `B016` never-initialized shared read) are
+//! deliberately conservative, so the fraction of raised flags the
+//! sanitizer confirms is reported as *precision*.
 
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
-use crate::corpus::{self, adversarial, kernel_for, Manifest, ManifestEntry};
-use crate::experiment::ConfigBuilder;
-use crate::fuzz::{launch_case, FUZZ_MAX_CYCLES};
-use crate::suite::{effective_jobs, map_parallel};
+use crate::campaign::{map_programs, Program};
+use crate::corpus::{self, adversarial, Manifest, ManifestEntry};
+use crate::experiment::{Config, ConfigBuilder};
 use crate::verdict::{Check, Finding, Verdict};
 use bow_compiler::{lint_kernel, LintOptions, LintReport};
-use bow_sim::{CoreModelKind, Gpu, SanitizerReport};
+use bow_sim::{CoreModelKind, SanitizerReport};
 use bow_util::json::Json;
-
-/// Watchdog for adversarial launches: two of the planted hazards stall
-/// the barrier by construction, and the kernels are a dozen instructions
-/// long — a fraction of the fuzz budget bounds the hang without risking
-/// a false timeout.
-const ADV_MAX_CYCLES: u64 = 200_000;
 
 /// The static codes that can vouch for a dynamic finding kind — the
 /// machine half of the dynamic⊆static contract.
@@ -117,8 +96,8 @@ impl CampaignOptions {
     }
 }
 
-/// The outcome of a campaign session.
-#[derive(Clone, Debug)]
+/// The outcome of a campaign session (or, folded into it, of one kernel).
+#[derive(Clone, Debug, Default)]
 pub struct CampaignReport {
     /// Kernels judged (generated retained + adversarial).
     pub kernels: u64,
@@ -126,9 +105,8 @@ pub struct CampaignReport {
     pub launches: u64,
     /// Total deduplicated dynamic findings across all launches.
     pub dynamic_findings: u64,
-    /// Launches that hit the cycle watchdog (the two planted barrier
-    /// stalls land here; reported, not fatal — their findings are
-    /// recorded before the stall).
+    /// Launches that hit the cycle watchdog (reported, not fatal: their
+    /// findings are recorded before the stall).
     pub timeouts: u64,
     /// Dynamic findings without a static flag and adversarial
     /// expectations the sanitizer missed.
@@ -202,68 +180,41 @@ impl CampaignReport {
     }
 }
 
-/// Per-kernel tallies folded into the session report.
-#[derive(Clone, Debug, Default)]
-struct CaseOutcome {
-    dynamic_findings: u64,
-    timeouts: u64,
-    findings: Vec<Finding>,
-    /// Race codes raised statically, paired with dynamic confirmation.
-    race_flags: Vec<(String, bool)>,
-}
-
-fn run_one_case(entry: &ManifestEntry) -> CaseOutcome {
-    let mut out = CaseOutcome::default();
-    let Some(kernel) = kernel_for(entry) else {
-        // Unknown stratum/name: a manifest from another corpus version.
-        // Nothing to validate, nothing to mask.
-        return out;
-    };
-    let adversarial = entry.stratum == adversarial::STRATUM;
+/// Judges one corpus kernel on every core: the static half once, as
+/// authored, then one sanitized launch per design.
+fn judge_entry(entry: &ManifestEntry, program: &Program, designs: &[Config]) -> CampaignReport {
+    let mut out = CampaignReport::default();
     let expect_dynamic = adversarial::all()
         .into_iter()
         .find(|a| a.name == entry.name)
         .map(|a| a.expect_dynamic)
         .unwrap_or(&[]);
 
-    // The static half judges the kernel exactly as launched: as authored,
-    // at the corpus hint window, hints checked.
+    // The static half judges the kernel exactly as launched: as authored
+    // (no hint pass, no control bits), at the corpus hint window, hints
+    // checked.
+    let kernel = program.kernel();
     let opts = LintOptions {
         window: corpus::WINDOW,
         ..Default::default()
     };
     let report = lint_kernel(&kernel, &opts);
 
-    let input = if adversarial {
-        Vec::new()
-    } else {
-        corpus::input_for(entry)
-    };
-    let max_cycles = if adversarial {
-        ADV_MAX_CYCLES
-    } else {
-        FUZZ_MAX_CYCLES
-    };
     let mut confirmed_kinds: BTreeSet<String> = BTreeSet::new();
-    for core in CoreModelKind::ALL {
-        let config = ConfigBuilder::bow_wr(corpus::WINDOW)
-            .sanitize(true)
-            .core_model(core)
-            .build();
-        let mut cfg = config.gpu;
-        cfg.max_cycles = max_cycles;
-        let result = launch_case(&mut Gpu::new(cfg), &kernel, &input);
-        out.timeouts += u64::from(!result.completed);
-        let dynamic = result.sanitizer.expect("sanitize flag attaches the probe");
+    for design in designs {
+        let judged = program.judge(&kernel, design, &[Check::Sanitizer]);
+        out.timeouts += u64::from(!judged.completed);
+        let dynamic = judged
+            .sanitizer
+            .expect("the sanitizer check attaches the probe");
         out.dynamic_findings += dynamic.findings.len() as u64;
-        let design = config.label.as_str();
-        out.findings
-            .extend(unvouched(&dynamic, &report, &entry.name, design));
+        out.verdict.findings.extend(judged.findings);
         let kinds: BTreeSet<&str> = dynamic.findings.iter().map(|f| f.kind()).collect();
         for &kind in expect_dynamic.iter().filter(|k| !kinds.contains(*k)) {
             let detail = format!("sanitizer: no dynamic {kind} finding for the planted hazard");
-            out.findings
-                .push(Finding::new(Check::Sanitizer, &entry.name, design, detail));
+            let design = design.label.as_str();
+            let finding = Finding::new(Check::Sanitizer, &entry.name, design, detail);
+            out.verdict.findings.push(finding);
         }
         confirmed_kinds.extend(kinds.into_iter().map(str::to_string));
     }
@@ -271,14 +222,14 @@ fn run_one_case(entry: &ManifestEntry) -> CaseOutcome {
     // Precision bookkeeping: a raised race code is confirmed when any
     // observed kind maps to it (on either core — the launch schedules
     // differ, and one witness is enough).
-    for code in RACE_CODES {
-        if report.diagnostics.iter().any(|d| d.code == code) {
-            let confirmed = confirmed_kinds
-                .iter()
-                .any(|k| static_codes_for(k).contains(&code));
-            out.race_flags.push((code.to_string(), confirmed));
-        }
-    }
+    out.by_code = RACE_CODES
+        .map(|code| {
+            let raised = report.diagnostics.iter().any(|d| d.code == code);
+            let confirms = |k: &String| static_codes_for(k).contains(&code);
+            let confirmed = raised && confirmed_kinds.iter().any(confirms);
+            (code.to_string(), u64::from(raised), u64::from(confirmed))
+        })
+        .into();
     out
 }
 
@@ -291,35 +242,39 @@ pub fn run_campaign_on(manifest: &Manifest, opts: &CampaignOptions) -> CampaignR
         .iter()
         .filter(|e| e.retained || e.stratum == adversarial::STRATUM)
         .collect();
-    let total = entries.len();
-    let workers = effective_jobs(opts.jobs).min(total.max(1));
-    let run_case = |i: usize| run_one_case(entries[i]);
-    let results = map_parallel(total, workers, &run_case, |_, _: &CaseOutcome| {});
-
-    let mut report = CampaignReport {
-        kernels: total as u64,
-        launches: (total as u64) * 2,
-        dynamic_findings: 0,
-        timeouts: 0,
-        verdict: Verdict::default(),
-        static_flags: 0,
-        static_confirmed: 0,
-        by_code: RACE_CODES.iter().map(|c| (c.to_string(), 0, 0)).collect(),
-        wall: Duration::default(),
+    let on = |core| {
+        ConfigBuilder::bow_wr(corpus::WINDOW)
+            .core_model(core)
+            .build()
     };
-    for o in results {
+    let designs: Vec<Config> = CoreModelKind::ALL.map(on).into();
+    // An entry of an unknown stratum or adversarial name (a manifest from
+    // another corpus version) has no program: nothing to validate.
+    let outcomes = map_programs(
+        entries.len(),
+        opts.jobs,
+        |i| corpus::program(entries[i]),
+        |i, program| judge_entry(entries[i], program, &designs),
+    );
+
+    let total = entries.len() as u64;
+    let mut report = CampaignReport {
+        kernels: total,
+        launches: total * designs.len() as u64,
+        by_code: RACE_CODES.iter().map(|c| (c.to_string(), 0, 0)).collect(),
+        ..CampaignReport::default()
+    };
+    for o in outcomes.into_iter().flatten() {
         report.dynamic_findings += o.dynamic_findings;
         report.timeouts += o.timeouts;
-        report.verdict.findings.extend(o.findings);
-        for (code, confirmed) in o.race_flags {
-            report.static_flags += 1;
-            report.static_confirmed += u64::from(confirmed);
-            if let Some(row) = report.by_code.iter_mut().find(|(c, _, _)| *c == code) {
-                row.1 += 1;
-                row.2 += u64::from(confirmed);
-            }
+        report.verdict.findings.extend(o.verdict.findings);
+        for (row, (_, raised, confirmed)) in report.by_code.iter_mut().zip(o.by_code) {
+            row.1 += raised;
+            row.2 += confirmed;
         }
     }
+    report.static_flags = report.by_code.iter().map(|row| row.1).sum();
+    report.static_confirmed = report.by_code.iter().map(|row| row.2).sum();
     report.wall = start.elapsed();
     report
 }
@@ -394,6 +349,36 @@ mod tests {
             "never initialized",
         ));
         assert_eq!(unvouched(&dynamic, &report, "k", "bow-wr iw3").count(), 0);
+    }
+
+    #[test]
+    fn a_campaign_tallies_the_same_at_any_worker_count() {
+        // Every kernel is judged on both cores once: a dropped kernel,
+        // core or check moves a pinned tally.
+        let campaign = |jobs| {
+            run_campaign(&CampaignOptions {
+                count: 12,
+                jobs,
+                ..CampaignOptions::smoke()
+            })
+        };
+        let (one, two) = (campaign(1), campaign(2));
+        let without_wall = |report: &CampaignReport| {
+            let mut json = report.to_json();
+            if let Json::Obj(fields) = &mut json {
+                fields.retain(|(k, _)| k != "wall_seconds");
+            }
+            json.to_string_compact()
+        };
+        assert_eq!(without_wall(&one), without_wall(&two));
+        let tallies = [
+            one.kernels,
+            one.launches,
+            one.dynamic_findings,
+            one.static_flags,
+            one.static_confirmed,
+        ];
+        assert_eq!(tallies, [20, 40, 46, 9, 7], "{}", one.summary());
     }
 
     #[test]

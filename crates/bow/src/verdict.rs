@@ -11,9 +11,12 @@
 //! on one rule: [`BowError::Verify`] (exit 5) if and only if there is a
 //! finding.
 //!
-//! Campaign statistics — mutant counts, static precision, per-code
-//! tallies — stay data on each driver's report; only the pass/fail
-//! judgement lives here.
+//! The population verbs (`fuzz`, `corpus sanitize`, `lint --mutate`)
+//! name the checks a launch runs with [`Check`] too: one judged launch,
+//! shared by all three, runs the lint, oracle, reference and sanitizer
+//! checks it is asked for. Campaign statistics — mutant counts, static
+//! precision, per-code tallies — stay data on each verb's report; only
+//! the pass/fail judgement lives here.
 
 use std::fmt;
 
@@ -26,7 +29,7 @@ use bow_util::json::Json;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Check {
     /// A static gate refused the kernel: the lint suite, or the hint
-    /// residency verifier a fuzz cell runs before it launches.
+    /// residency verifier a judged launch runs before it launches.
     Lint,
     /// The architectural oracle disagreed with the pipeline (lockstep,
     /// instruction count or final memory) or could not finish.

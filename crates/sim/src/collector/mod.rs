@@ -262,6 +262,20 @@ impl OperandStage {
         }
     }
 
+    /// Empties the stage in place between launches: the state
+    /// [`new`](Self::new) builds, keeping every buffer's capacity.
+    pub(crate) fn reset(&mut self) {
+        self.slots.clear();
+        self.resident.fill(0);
+        self.oldest_seq.fill(0);
+        self.busy_warps.clear_all();
+        self.waiting_slots = 0;
+        self.shared_waiters = 0;
+        self.warp_granted.clear_all();
+        self.windows.iter_mut().for_each(WarpWindow::clear);
+        self.rfcs.iter_mut().for_each(RfcCache::clear);
+    }
+
     /// The collector model being simulated.
     pub fn kind(&self) -> CollectorKind {
         self.kind

@@ -48,6 +48,13 @@ impl RfcCache {
         }
     }
 
+    /// Drops every entry and restarts the FIFO clock: the cache
+    /// [`new`](Self::new) builds.
+    pub(crate) fn clear(&mut self) {
+        self.entries.clear();
+        self.clock = 0;
+    }
+
     /// Probes the cache for a source read. Hits do not update FIFO order.
     pub fn lookup(&self, reg: Reg) -> bool {
         self.entries.iter().any(|e| e.reg == reg)

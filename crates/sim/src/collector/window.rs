@@ -63,6 +63,11 @@ impl WarpWindow {
         }
     }
 
+    /// Drops every buffered value: the window [`new`](Self::new) builds.
+    pub(crate) fn clear(&mut self) {
+        self.entries.clear();
+    }
+
     /// Number of buffered values (the Fig. 9 occupancy metric).
     pub fn live_entries(&self) -> usize {
         self.entries.len()

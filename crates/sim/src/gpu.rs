@@ -625,6 +625,37 @@ mod tests {
     }
 
     #[test]
+    fn a_launch_reset_restores_what_a_new_sm_builds() {
+        // `reset_for_launch` empties the register file and the collector
+        // partitions in place; after a launch has filled them, the reset
+        // must leave exactly the state `Sm::new` builds, on every
+        // collector and both cores.
+        for kind in FOUR_COLLECTORS {
+            for core in [CoreModelKind::Pascal, CoreModelKind::Modern] {
+                let config = on_core(kind, core);
+                let mut gpu = Gpu::new(config.clone());
+                let words: Vec<u32> = (0..512).collect();
+                gpu.global_mut().write_slice_u32(0x1_0000, &words);
+                let res = gpu.launch(
+                    &saxpy_kernel(),
+                    KernelDims::linear(4, 64),
+                    &[0x1_0000, 0x2_0000],
+                );
+                assert!(res.completed, "{kind:?} {core:?}");
+                let built = Sm::new(0, &config).launch_state();
+                // First fit puts every block on SM 0, which the launch
+                // leaves with state to clear.
+                let ran = gpu.sms[0].launch_state();
+                assert_ne!(ran, built, "{kind:?} {core:?}: the launch left no state");
+                for sm in &mut gpu.sms {
+                    sm.reset_for_launch(&[]);
+                    assert_eq!(sm.launch_state(), built, "{kind:?} {core:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn a_checker_only_launch_judges_like_the_fan_out() {
         // Under `NullProbe` the lockstep checker is the pipeline's own
         // probe; a listening caller puts it behind the fan-out. Both must

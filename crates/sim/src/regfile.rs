@@ -70,6 +70,17 @@ impl RegFile {
         }
     }
 
+    /// Empties every bank queue and port and zeroes the statistics in
+    /// place: the state [`new_clustered`](Self::new_clustered) builds, with
+    /// no allocation.
+    pub(crate) fn reset(&mut self) {
+        self.queued.fill(0);
+        self.queued_banks.clear_all();
+        self.queued_total = 0;
+        self.busy.clear_all();
+        self.stats = RegFileStats::default();
+    }
+
     /// The bank a warp's register lives in: the standard
     /// `(warp + reg) % banks` swizzle within the warp's bank group. With
     /// one group this is exactly the flat Pascal mapping.

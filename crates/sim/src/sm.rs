@@ -90,20 +90,28 @@ impl Sm {
         RegFile::new_clustered(banks, groups)
     }
 
-    /// Prepares the SM for a new launch: the memory hierarchy empties in
-    /// place and all statistics restart so each launch reports only its
-    /// own work.
+    /// Prepares the SM for a new launch: the memory hierarchy, the
+    /// register file and the collector partitions empty in place (what
+    /// [`Sm::new`] built is reused, not rebuilt) and all statistics restart
+    /// so each launch reports only its own work.
     pub fn reset_for_launch(&mut self, params: &[u32]) {
         assert!(!self.busy(), "reset_for_launch on a busy SM");
         let ctx = &mut self.ctx;
         ctx.params.clear();
         ctx.params.extend_from_slice(params);
         ctx.mem.reset();
-        ctx.rf = Self::build_rf(&ctx.config);
+        ctx.rf.reset();
         ctx.stats = SimStats::default();
         ctx.cycle = 0;
-        self.pipeline.reset_for_launch(&ctx.config);
+        self.pipeline.reset_for_launch();
         (self.wake, self.owed) = (0, 0);
+    }
+
+    /// The register file and collector partitions, rendered: a launch
+    /// reset must leave exactly what [`Sm::new`] builds.
+    #[cfg(test)]
+    pub(crate) fn launch_state(&self) -> String {
+        format!("{:?}\n{}", self.ctx.rf, self.pipeline.parts_state())
     }
 
     /// Completions the pipeline has queued in its far heap.

@@ -229,15 +229,26 @@ impl Pipeline {
         }
     }
 
-    /// Rebuilds the collector partitions between launches (the SM is
-    /// quiescent) and re-classifies every warp slot. Scheduler state (GTO
-    /// greedy pick, LRR cursor) intentionally persists — the behavior the
-    /// goldens have always pinned — and interlock state is re-armed per
-    /// warp by [`reset_warp`](Self::reset_warp).
-    pub fn reset_for_launch(&mut self, config: &GpuConfig) {
-        self.stages.parts = build_parts(config, self.stages.parts.len());
+    /// Empties the collector partitions in place between launches (the
+    /// SM is quiescent) and re-classifies every warp slot. Scheduler state
+    /// (GTO greedy pick, LRR cursor) intentionally persists — the behavior
+    /// the goldens have always pinned — and interlock state is re-armed
+    /// per warp by [`reset_warp`](Self::reset_warp).
+    pub fn reset_for_launch(&mut self) {
+        for part in &mut self.stages.parts {
+            part.oc.reset();
+            part.latch = DispatchLatch::default();
+        }
         self.stages.ready.reset();
         self.stages.completions.restart();
+    }
+
+    /// The collector partitions and their latches, rendered: what
+    /// [`reset_for_launch`](Self::reset_for_launch) must restore exactly.
+    #[cfg(test)]
+    pub(crate) fn parts_state(&self) -> String {
+        let part = |p: &Part| format!("{:?} {:?}\n", p.oc, p.latch);
+        self.stages.parts.iter().map(part).collect()
     }
 
     /// Completions queued in the far heap since the pipeline was built.

@@ -13,7 +13,14 @@ cargo build --workspace --release --offline
 BOW_CLI=target/release/bow-cli
 
 echo "==> cargo test --offline"
-cargo test --workspace -q --offline
+# --no-fail-fast: a plain run stops at the first failing test binary, so
+# its pass count under-reports the suite; every binary runs, and the
+# stage still fails if any test did.
+cargo test --workspace -q --offline --no-fail-fast
+
+echo "==> lines of Rust under crates/ + tests/ (a report against the 43k budget, not a gate)"
+RUST_LINES="$(find crates tests -name '*.rs' -print0 | xargs -0 cat | wc -l)"
+echo "    ${RUST_LINES} lines (ROADMAP aim 2's budget: 43000)"
 
 echo "==> golden stats fingerprints (release): {pascal, modern} x {stack, barrier}, bfs at paper scale"
 # The pinned per-(workload x collector) fingerprint tables must hold in
